@@ -32,7 +32,6 @@ func TestValidateFlags(t *testing.T) {
 		{"store+checkpoint", flagRules{Store: "s", Checkpoint: "c"}, "conflicts with -checkpoint"},
 		{"store+journal", flagRules{Store: "s", Journal: "j"}, "conflicts with -checkpoint"},
 		{"store+resume", flagRules{Store: "s", Resume: true}, "conflicts with -checkpoint"},
-		{"negative batch", flagRules{Batch: -1}, "-batch must be non-negative"},
 		{"sets without sweep", flagRules{Sets: 1}, "-set is only meaningful"},
 		{"verify+resume", flagRules{Sub: "verify", Journal: "j", Resume: true}, "verify replays a journal only"},
 		{"verify+checkpoint", flagRules{Sub: "verify", Journal: "j", Checkpoint: "c"}, "verify replays a journal only"},

@@ -117,7 +117,6 @@ func run() int {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar, Prometheus text metrics, and /debug/status on ADDR (e.g. localhost:6060)")
 	traceFlag := flag.String("trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to FILE (also embeds the scheduler-attribution report in the manifest)")
 	parallel := flag.Int("parallel", 0, "Monte Carlo worker pool size (0 = all cores); results are identical for any value")
-	batchFlag := flag.Int("batch", 0, "Monte Carlo trial-batch size (0 = engine default); results are identical for any value")
 	scenarioFlag := flag.String("scenario", "", "run a scenario: a preset name or a JSON spec file (see the list subcommand)")
 	storeFlag := flag.String("store", "", "content-addressed campaign store DIR: repeated runs are verified cache hits, budget bumps resume from cached checkpoints (conflicts with -checkpoint/-journal/-resume)")
 	var setFlagsRaw repeatedFlag
@@ -148,7 +147,7 @@ func run() int {
 		Sub:        sub,
 		Checkpoint: *checkpoint, Journal: *journalFlag, Store: *storeFlag,
 		Resume: *resume, RepairJournal: *repairJournal,
-		Batch: *batchFlag, Sets: len(setFlagsRaw),
+		Sets: len(setFlagsRaw),
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
@@ -178,7 +177,6 @@ func run() int {
 	}
 	scale.Seed = *seed
 	scale.Workers = *parallel
-	scale.Batch = *batchFlag
 
 	// Mode selection: the classic experiment list, one -scenario, or a sweep.
 	const (
@@ -355,7 +353,7 @@ func run() int {
 		Checkpoint: *checkpoint, Journal: *journalFlag, Resume: *resume,
 		Seed: *seed, Records: records,
 	}, campaign.Options{
-		Workers: *parallel, BatchSize: *batchFlag, Mon: mon, Trace: tracer,
+		Workers: *parallel, Mon: mon, Trace: tracer,
 		FlushInterval: *flushInterval, RepairJournal: *repairJournal,
 		OnJournal: func(w *journal.Writer) { jwLive.Store(w) },
 	})
@@ -633,7 +631,6 @@ type flagRules struct {
 	Sub                        string // "", "list", "verify", "cache", "sweep"
 	Checkpoint, Journal, Store string
 	Resume, RepairJournal      bool
-	Batch                      int
 	Sets                       int // number of -set occurrences
 }
 
@@ -641,9 +638,6 @@ type flagRules struct {
 // so an inconsistent invocation fails fast with a usage error instead of
 // surfacing mid-run after artifacts were touched.
 func validateFlags(r flagRules) error {
-	if r.Batch < 0 {
-		return fmt.Errorf("-batch must be non-negative, got %d (0 selects the engine default)", r.Batch)
-	}
 	switch r.Sub {
 	case "verify":
 		if r.Resume || r.Checkpoint != "" || r.Store != "" {
@@ -723,14 +717,14 @@ func runScenarioPoint(ctx context.Context, sc *scenario.Scenario, scale experime
 	if scale.Campaigns != nil {
 		var rec *harness.CampaignRecord
 		res, rec, err = campaign.RunStore(ctx, sc, scale.Campaigns, campaign.Options{
-			Workers: scale.Workers, BatchSize: scale.Batch, Mon: scale.Mon, Trace: scale.Trace,
+			Workers: scale.Workers, Mon: scale.Mon, Trace: scale.Trace,
 			OnJournal: scale.OnJournal,
 		})
 		if rec != nil && scale.OnCampaign != nil {
 			scale.OnCampaign(*rec)
 		}
 	} else {
-		res, err = scenario.RunCtx(ctx, sc, scenario.Exec{Workers: scale.Workers, Mon: scale.Mon, Store: scale.Store, Trace: scale.Trace, BatchSize: scale.Batch})
+		res, err = scenario.RunCtx(ctx, sc, scenario.Exec{Workers: scale.Workers, Mon: scale.Mon, Store: scale.Store, Trace: scale.Trace})
 	}
 	if err != nil {
 		return err
@@ -1019,8 +1013,6 @@ flags:
                       printed as a table
   -parallel N         Monte Carlo worker pool size (default 0 = all cores);
                       any value yields bitwise-identical results
-  -batch N            Monte Carlo trial-batch size (default 0 = engine
-                      default); any value yields bitwise-identical results
   -scenario F|P       run a scenario JSON file, or a preset by name, through
                       the generic runner (spec files carry their own budget
                       and seed; an explicit -seed overrides)

@@ -87,10 +87,9 @@ func NewPlan(sc *scenario.Scenario) (*Plan, error) {
 // Options carries the execution-environment attachments of a campaign.
 // None of it affects results.
 type Options struct {
-	Workers   int
-	BatchSize int
-	Mon       *harness.Monitor
-	Trace     *runtrace.Recorder
+	Workers int
+	Mon     *harness.Monitor
+	Trace   *runtrace.Recorder
 	// FlushInterval overrides the checkpoint snapshot rate limit
 	// (0 keeps harness.DefaultFlushInterval).
 	FlushInterval time.Duration
@@ -418,8 +417,7 @@ func (c *Campaign) Run(ctx context.Context) (*scenario.Result, error) {
 		return c.hitResult, nil
 	}
 	ex := scenario.Exec{
-		Workers: c.opts.Workers, Mon: c.opts.Mon,
-		Trace: c.opts.Trace, BatchSize: c.opts.BatchSize,
+		Workers: c.opts.Workers, Mon: c.opts.Mon, Trace: c.opts.Trace,
 	}
 	if c.hitStore != nil {
 		ex.Store = c.hitStore
@@ -549,7 +547,7 @@ func fileExists(path string) bool {
 func RunStore(ctx context.Context, sc *scenario.Scenario, st *cstore.Store, opts Options) (*scenario.Result, *harness.CampaignRecord, error) {
 	if st == nil || sc.Kind == scenario.KindStatic {
 		res, err := scenario.RunCtx(ctx, sc, scenario.Exec{
-			Workers: opts.Workers, Mon: opts.Mon, Trace: opts.Trace, BatchSize: opts.BatchSize,
+			Workers: opts.Workers, Mon: opts.Mon, Trace: opts.Trace,
 		})
 		return res, nil, err
 	}

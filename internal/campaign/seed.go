@@ -79,21 +79,16 @@ func seedArtifacts(dir string, plan *Plan, src *cstore.Entry, mon *harness.Monit
 		}
 		oldCp := oldStore.Section(oldSec.Name, oldSec.Fingerprint)
 		newCp := newStore.Section(newSec.Name, newSec.Fingerprint)
-		cs := newSec.ChunkSize
-		nChunks := (newSec.TotalTrials + cs - 1) / cs
+		chunks := harness.Chunking{Size: newSec.ChunkSize, Trials: newSec.TotalTrials}
 		for _, ci := range oldCp.Indexes() {
-			if ci >= nChunks {
+			if ci >= chunks.Count() {
 				continue
 			}
 			rec, ok := latest[journal.ChunkKey{Section: oldSec.Name, Chunk: ci}]
 			if !ok {
 				continue
 			}
-			lo := ci * cs
-			hi := lo + cs
-			if hi > newSec.TotalTrials {
-				hi = newSec.TotalTrials
-			}
+			lo, hi := chunks.Span(ci)
 			if rec.TrialLo != lo || rec.TrialHi != hi {
 				// The new budget computes a different span for this index
 				// (trailing partial chunk); its payload would differ.

@@ -64,11 +64,9 @@ type BenchResult struct {
 	GOMAXPROCS int  `json:"gomaxprocs"`
 	NumCPU     int  `json:"num_cpu"`
 	Multicore  bool `json:"multicore"`
-	// Workers is the sweep's cap (-parallel value, or all cores when 0);
-	// BatchSize is the resolved trial-batch size every leg ran with.
-	Workers   int   `json:"workers"`
-	BatchSize int   `json:"batch_size"`
-	Trials    int64 `json:"trials"`
+	// Workers is the sweep's cap (-parallel value, or all cores when 0).
+	Workers int   `json:"workers"`
+	Trials  int64 `json:"trials"`
 
 	// Legs is the sweep, ascending by worker count, starting at 1.
 	Legs []BenchLeg `json:"legs"`
@@ -156,10 +154,6 @@ func BenchCtx(ctx context.Context, s Scale) (BenchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batch := s.Batch
-	if batch <= 0 {
-		batch = relsim.DefaultBatchSize
-	}
 	out := BenchResult{
 		Schema:     BenchSchema,
 		Name:       "coverage-quick",
@@ -170,7 +164,6 @@ func BenchCtx(ctx context.Context, s Scale) (BenchResult, error) {
 		NumCPU:     runtime.NumCPU(),
 		Multicore:  runtime.NumCPU() >= 4,
 		Workers:    workers,
-		BatchSize:  batch,
 	}
 
 	base, err := benchCoverageConfig(s)
@@ -180,7 +173,6 @@ func BenchCtx(ctx context.Context, s Scale) (BenchResult, error) {
 	run := func(w int, tr *runtrace.Recorder) (*relsim.CoverageResult, float64, error) {
 		cfg := base
 		cfg.Workers = w
-		cfg.BatchSize = s.Batch
 		cfg.Mon = s.Mon
 		cfg.Trace = tr
 		start := time.Now()
@@ -303,7 +295,7 @@ func (r BenchResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Benchmark: quick coverage study, worker sweep up to %d\n", r.Workers)
 	fmt.Fprintf(&b, "%-26s %d (GOMAXPROCS %d, multicore %v)\n", "cores", r.NumCPU, r.GOMAXPROCS, r.Multicore)
-	fmt.Fprintf(&b, "%-26s %d (batch %d)\n", "trials", r.Trials, r.BatchSize)
+	fmt.Fprintf(&b, "%-26s %d\n", "trials", r.Trials)
 	for _, l := range r.Legs {
 		fmt.Fprintf(&b, "%-26s %.2fs (%.0f ns/trial)  speedup %.2fx  %.1f allocs/trial\n",
 			fmt.Sprintf("workers %d", l.Workers), l.Seconds, l.NsPerTrial, l.Speedup, l.AllocsPerTrial)

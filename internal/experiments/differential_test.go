@@ -1,12 +1,11 @@
 package experiments
 
 // The scheduling differential suite: every preset id runs under a matrix of
-// worker counts and trial-batch sizes, and every observable artifact —
-// result JSON, checkpoint snapshot bytes, and journaled chunk digests — must
-// be byte-identical to the sequential unbatched baseline. This is the
-// end-to-end statement of the engine's determinism contract after the
-// batched-kernel/tree-reduction rework: neither parallelism nor batching is
-// observable in any output.
+// worker counts, with and without a run trace recorder, and every observable
+// artifact — result JSON, checkpoint snapshot bytes, and journaled chunk
+// digests — must be byte-identical to the sequential untraced baseline. This
+// is the end-to-end statement of the chunked driver's determinism contract:
+// neither parallelism nor tracing is observable in any output.
 
 import (
 	"bytes"
@@ -19,15 +18,18 @@ import (
 
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
+	"relaxfault/internal/runtrace"
 )
 
 // diffVariant is one point of the scheduling matrix.
 type diffVariant struct {
 	workers int
-	batch   int // 0 = engine default ("batching on"), 1 = unbatched
+	traced  int // 1 attaches a run trace recorder
 }
 
-// diffVariants crosses the ISSUE's worker counts with batching on and off.
+// diffVariants crosses worker counts with tracing off and on. Subtest ids
+// keep the wNbM form of the retired trial-batch axis so they stay stable;
+// the second digit is now the tracing axis.
 var diffVariants = []diffVariant{
 	{2, 0}, {2, 1},
 	{4, 0}, {4, 1},
@@ -53,7 +55,9 @@ func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot
 	}
 	s := equivScale()
 	s.Workers = v.workers
-	s.Batch = v.batch
+	if v.traced == 1 {
+		s.Trace = runtrace.New()
+	}
 	s.Store = store
 	if err := jw.Append(journal.Record{Type: journal.TypeOpen, Schema: journal.Schema, Seed: s.Seed}); err != nil {
 		t.Fatal(err)
@@ -61,7 +65,7 @@ func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot
 	store.AttachJournal(jw)
 	res, err := c.run(context.Background(), s)
 	if err != nil {
-		t.Fatalf("%s workers=%d batch=%d: %v", c.name, v.workers, v.batch, err)
+		t.Fatalf("%s workers=%d traced=%d: %v", c.name, v.workers, v.traced, err)
 	}
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
@@ -83,8 +87,8 @@ func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot
 	return result, snapshot, j.LatestChunks()
 }
 
-// TestPresetSchedulingDifferential runs every preset under the worker/batch
-// matrix and compares each variant to the sequential unbatched baseline.
+// TestPresetSchedulingDifferential runs every preset under the worker/trace
+// matrix and compares each variant to the sequential untraced baseline.
 //
 // Journal comparison: a variant's workers may speculatively compute chunks
 // past a coverage study's stopping cutoff; those are journaled before the
@@ -96,12 +100,12 @@ func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot
 // byte.
 func TestPresetSchedulingDifferential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every preset once per worker/batch matrix point")
+		t.Skip("runs every preset once per worker/trace matrix point")
 	}
 	for _, c := range equivCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			baseRes, baseSnap, baseChunks := runDifferential(t, c, diffVariant{workers: 1, batch: 1})
+			baseRes, baseSnap, baseChunks := runDifferential(t, c, diffVariant{workers: 1})
 			// Perf-only presets checkpoint nothing; every Monte Carlo
 			// preset must journal chunks or the digest comparison below
 			// is vacuous.
@@ -111,7 +115,7 @@ func TestPresetSchedulingDifferential(t *testing.T) {
 			}
 			for _, v := range diffVariants {
 				v := v
-				t.Run(fmt.Sprintf("w%db%d", v.workers, v.batch), func(t *testing.T) {
+				t.Run(fmt.Sprintf("w%db%d", v.workers, v.traced), func(t *testing.T) {
 					res, snap, chunks := runDifferential(t, c, v)
 					if !bytes.Equal(res, baseRes) {
 						t.Errorf("result JSON differs from sequential baseline:\nbase: %.200s\ngot:  %.200s", baseRes, res)

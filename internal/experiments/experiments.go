@@ -49,9 +49,6 @@ type Scale struct {
 	// Trace, if non-nil, records execution spans from the underlying runs
 	// (-trace). Observation only; never affects results.
 	Trace *runtrace.Recorder
-	// Batch caps the Monte Carlo trial-batch size (0 = engine default).
-	// Results are bitwise independent of the value, like Workers.
-	Batch int
 	// Campaigns, if non-nil, routes every preset run through the keyed
 	// campaign layer (-store): repeated runs of the same preset at the same
 	// scale are verified cache hits, and scale bumps resume from the cached
@@ -70,7 +67,7 @@ type Scale struct {
 // relsim.CoverageConfig embed, so one code path instruments every kind of
 // Monte Carlo run: `cfg.Exec = s.Exec()`.
 func (s Scale) Exec() relsim.Exec {
-	return relsim.Exec{Workers: s.Workers, Mon: s.Mon, Checkpoint: s.Store, Trace: s.Trace, BatchSize: s.Batch}
+	return relsim.Exec{Workers: s.Workers, Mon: s.Mon, Checkpoint: s.Store, Trace: s.Trace}
 }
 
 // PresetScenario resolves the named registry preset at this scale: budget
@@ -104,7 +101,7 @@ func runPreset(ctx context.Context, name string, s Scale) (*scenario.Result, err
 	}
 	if s.Campaigns != nil {
 		res, rec, err := campaign.RunStore(ctx, sc, s.Campaigns, campaign.Options{
-			Workers: s.Workers, BatchSize: s.Batch, Mon: s.Mon, Trace: s.Trace,
+			Workers: s.Workers, Mon: s.Mon, Trace: s.Trace,
 			OnJournal: s.OnJournal,
 		})
 		if rec != nil && s.OnCampaign != nil {
@@ -112,7 +109,7 @@ func runPreset(ctx context.Context, name string, s Scale) (*scenario.Result, err
 		}
 		return res, err
 	}
-	return scenario.RunCtx(ctx, sc, scenario.Exec{Workers: s.Workers, Mon: s.Mon, Store: s.Store, Trace: s.Trace, BatchSize: s.Batch})
+	return scenario.RunCtx(ctx, sc, scenario.Exec{Workers: s.Workers, Mon: s.Mon, Store: s.Store, Trace: s.Trace})
 }
 
 // PaperScale approaches the paper's statistical resolution (minutes of CPU).

@@ -103,7 +103,7 @@ func TestBenchQuick(t *testing.T) {
 	if r.Workers != 2 {
 		t.Errorf("workers = %d, want 2", r.Workers)
 	}
-	if r.Trials <= 0 || r.BatchSize <= 0 {
+	if r.Trials <= 0 {
 		t.Errorf("implausible measurement: %+v", r)
 	}
 	// The sweep at cap 2 is {1, 2, 4} deduplicated and ascending.

@@ -1,0 +1,259 @@
+package harness
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"sync"
+
+	"relaxfault/internal/obs"
+	"relaxfault/internal/runtrace"
+)
+
+// Chunking splits a campaign's trial index space [0, Trials) into fixed
+// chunks of Size trials, the last one possibly short. It is the one place
+// chunk counts and spans are computed, so the drivers, the journal
+// replayers, and campaign seeding agree on every chunk's trial range by
+// construction.
+type Chunking struct {
+	Size   int
+	Trials int
+}
+
+// Count returns the number of chunks.
+func (c Chunking) Count() int { return (c.Trials + c.Size - 1) / c.Size }
+
+// Span returns chunk ci's trial range [lo, hi).
+func (c Chunking) Span(ci int) (lo, hi int) {
+	lo = ci * c.Size
+	return lo, max(lo, min(lo+c.Size, c.Trials))
+}
+
+// gateSlack is how many chunks beyond one per worker a gated claim may run
+// ahead of its admission window.
+const gateSlack = 2
+
+// Chunked drives one fixed-index chunked campaign on an Engine: chunk ci
+// covers the trials Chunks.Span(ci), its payload P is a pure function of
+// that span, and payloads fold into the caller's accumulator in strict
+// chunk-index order. Results are therefore independent of the worker count
+// and of scheduling, which is what lets a killed run resume from its
+// checkpoint with bitwise-identical output.
+//
+// Run owns the whole lifecycle: it adopts decodable chunks from the
+// checkpoint section (recomputing undecodable ones), computes the rest on
+// the engine, folds completions through a SpanReducer, persists every
+// computed chunk with its trial span, and — once Fold reports the cutoff —
+// prunes the speculative tail so the final snapshot holds exactly the
+// folded prefix. It records the resume.load and reduce spans on the main
+// trace track and one checkpoint span per persisted chunk.
+//
+// Fold, Ahead and Enough are called one at a time under the driver's lock,
+// so they may share state without further locking; they must not block.
+type Chunked[P any] struct {
+	// Workers, Mon, and Trace configure the engine (see Engine).
+	Workers int
+	Mon     *Monitor
+	Trace   *runtrace.Recorder
+	// Store, if non-nil, persists chunks under the section Section keyed by
+	// Fingerprint; chunk I/O errors degrade to Mon warnings.
+	Store       *Store
+	Section     string
+	Fingerprint string
+	Chunks      Chunking
+	// Expect announces the trials left to compute to Mon. Campaigns whose
+	// chunk space is only a worst-case cap (coverage studies) leave it off.
+	Expect bool
+
+	// Decode adopts a checkpointed chunk covering [lo, hi); false
+	// recomputes it. It may account the adopted chunk (skips, counters).
+	Decode func(lo, hi int, raw json.RawMessage) (P, bool)
+	// Kernel returns a new per-worker chunk function computing trials
+	// [lo, hi). Each worker calls only its own, so it may keep
+	// unsynchronised scratch; it runs outside every lock.
+	Kernel func() func(lo, hi int) P
+	// Fold accumulates chunk ci in index order and reports whether ci is
+	// the cutoff: the last chunk the result needs. Chunks after the cutoff
+	// are never folded.
+	Fold func(ci int, p P) (stop bool)
+
+	// Gate throttles claims, before the cutoff is known, to a window of
+	// Workers+slack chunks past the fold frontier, so fast workers do not
+	// race arbitrarily far past a cutoff the fold then discards. Set it
+	// when Fold can stop early. The gate cannot deadlock: the worker
+	// holding the lowest in-flight chunk is always inside the window,
+	// because every lower chunk has folded.
+	Gate bool
+	// Ahead, if set, widens the window to a fold-state estimate of where
+	// the cutoff lies, given the frontier.
+	Ahead func(frontier int) int
+	// Enough, if set, sees every completed chunk in completion order and
+	// reports once those chunks alone prove the cutoff is no later than the
+	// highest of them; claims past that bound are refused.
+	Enough func(p P) bool
+	// GateWaits counts claims that had to wait at the gate.
+	GateWaits *obs.Counter
+}
+
+// Run executes the campaign. On cancellation every computed chunk stays in
+// the checkpoint (a resumed run reuses them all) and ctx's error is
+// returned; on success every chunk up to the cutoff (or all of them) has
+// been folded.
+func (c *Chunked[P]) Run(ctx context.Context) error {
+	n := c.Chunks.Count()
+	cp := c.Store.Section(c.Section, c.Fingerprint)
+
+	// Reduction and admission state, all under mu; chunk computation and
+	// persistence run outside the lock.
+	var mu sync.Mutex
+	cutoff := -1 // chunk where Fold stopped
+	bound := -1  // proven upper bound on the cutoff (-1 = unknown)
+	maxDone, enough := -1, false
+	red := NewSpanReducer[P](func(ci int, p P) {
+		if cutoff < 0 && c.Fold(ci, p) {
+			cutoff = ci
+		}
+	})
+	red.SetLimit(n)
+	var foldErr error
+	complete := func(ci int, p P) {
+		if err := red.Complete(ci, p); err != nil && foldErr == nil {
+			foldErr = err
+		}
+		maxDone = max(maxDone, ci)
+		if c.Enough != nil && !enough {
+			enough = c.Enough(p)
+		}
+		if cutoff >= 0 {
+			bound = cutoff
+		} else if bound < 0 && enough {
+			bound = maxDone
+		}
+	}
+
+	resumeStart := c.Trace.Now()
+	stored := cp.Indexes()
+	have := make([]bool, n)
+	for _, ci := range stored {
+		if ci >= n {
+			continue
+		}
+		raw, _ := cp.Get(ci)
+		lo, hi := c.Chunks.Span(ci)
+		if p, ok := c.Decode(lo, hi, raw); ok {
+			complete(ci, p)
+			have[ci] = true
+		}
+	}
+	if len(stored) > 0 {
+		c.Trace.Span(runtrace.TrackMain, "resume.load", -1, 0, resumeStart)
+	}
+	var todo []int
+	var expect int64
+	for ci := 0; ci < n && (bound < 0 || ci <= bound); ci++ {
+		if !have[ci] {
+			todo = append(todo, ci)
+			lo, hi := c.Chunks.Span(ci)
+			expect += int64(hi - lo)
+		}
+	}
+	if c.Expect {
+		c.Mon.Expect(expect)
+	}
+
+	workers := PoolWorkers(c.Workers)
+	cond := sync.NewCond(&mu)
+	cancelled := false
+	if c.Gate {
+		stop := context.AfterFunc(ctx, func() {
+			mu.Lock()
+			cancelled = true
+			mu.Unlock()
+			cond.Broadcast()
+		})
+		defer stop()
+	}
+	admit := func(ci int) bool { // called with mu held
+		for {
+			if cancelled {
+				return false
+			}
+			if bound >= 0 {
+				return ci <= bound
+			}
+			if !c.Gate {
+				return true
+			}
+			f := red.Frontier()
+			if c.Ahead != nil {
+				f = max(f, c.Ahead(f))
+			}
+			if ci <= f+workers+gateSlack {
+				return true
+			}
+			c.GateWaits.Inc()
+			cond.Wait()
+		}
+	}
+
+	kernels := make([]func(lo, hi int) P, workers)
+	eng := Engine{Workers: c.Workers, Mon: c.Mon, Trace: c.Trace}
+	eng.Run(ctx, len(todo), func(w, k int) (int64, bool) {
+		ci := todo[k]
+		mu.Lock()
+		ok := admit(ci)
+		mu.Unlock()
+		if !ok {
+			// Past the cutoff (claims ascend, so every later claim is too)
+			// or cancelled: retire the worker.
+			return 0, false
+		}
+		if kernels[w] == nil {
+			kernels[w] = c.Kernel()
+		}
+		lo, hi := c.Chunks.Span(ci)
+		p := kernels[w](lo, hi)
+		mu.Lock()
+		complete(ci, p)
+		mu.Unlock()
+		if c.Gate {
+			cond.Broadcast()
+		}
+		ckptStart := c.Trace.Now()
+		if err := cp.PutSpan(ci, lo, hi, p); err != nil {
+			c.Mon.Warnf("%v (run continues without this chunk persisted)", err)
+		}
+		c.Trace.Span(w, runtrace.SpanCheckpoint, ci, 0, ckptStart)
+		return int64(hi - lo), true
+	})
+	if err := ctx.Err(); err != nil {
+		c.flush()
+		return err
+	}
+
+	reduceStart := c.Trace.Now()
+	end := n - 1
+	if cutoff >= 0 {
+		end = cutoff
+	}
+	// The fold aggregated exactly chunks [0, end]; dropping the speculative
+	// tail from the checkpoint too makes the final snapshot byte-identical
+	// for any worker count.
+	cp.PruneAbove(end)
+	c.flush()
+	if foldErr != nil {
+		return fmt.Errorf("harness: internal error: %w", foldErr)
+	}
+	if f := red.Frontier(); f <= end {
+		return fmt.Errorf("harness: internal error: reduced %d of %d chunks", f, end+1)
+	}
+	c.Trace.Span(runtrace.TrackMain, "reduce", -1, 0, reduceStart)
+	return nil
+}
+
+// flush writes the checkpoint snapshot, degrading a failure to a warning.
+func (c *Chunked[P]) flush() {
+	if err := c.Store.Flush(); err != nil {
+		c.Mon.Warnf("%v", err)
+	}
+}

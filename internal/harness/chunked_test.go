@@ -1,0 +1,276 @@
+package harness
+
+// Tests for the chunked-campaign driver on a toy payload: worker-count
+// invariance of results and snapshot bytes, cutoff pruning, cancellation
+// keeping every computed chunk, resume, and the claim-admission gate.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"relaxfault/internal/obs"
+)
+
+func TestChunkingSpans(t *testing.T) {
+	c := Chunking{Size: 4, Trials: 10}
+	if n := c.Count(); n != 3 {
+		t.Fatalf("Count = %d, want 3", n)
+	}
+	for ci, want := range [][2]int{{0, 4}, {4, 8}, {8, 10}, {12, 12}} {
+		if lo, hi := c.Span(ci); lo != want[0] || hi != want[1] {
+			t.Errorf("Span(%d) = [%d,%d), want [%d,%d)", ci, lo, hi, want[0], want[1])
+		}
+	}
+	if n := (Chunking{Size: 4, Trials: 8}).Count(); n != 2 {
+		t.Errorf("aligned Count = %d, want 2", n)
+	}
+}
+
+// toyChunk is the test payload: an order-sensitive float sum over the
+// chunk's trials, so any regrouping of the accumulation would show.
+type toyChunk struct {
+	Lo, Hi int
+	Sum    float64
+}
+
+// toyRun is one toy campaign: its fold state plus a record of which chunks
+// the kernel computed.
+type toyRun struct {
+	total  float64
+	folded []int
+
+	mu       sync.Mutex
+	computed map[int]int // chunk lo → times computed
+}
+
+// toyOpts configures a toy campaign.
+type toyOpts struct {
+	workers int
+	trials  int
+	stopAt  float64 // fold stops once the running total reaches it (0 = never)
+	gate    bool
+	waits   *obs.Counter
+	// hook runs inside the kernel before chunk [lo, hi) is computed.
+	hook func(lo int)
+}
+
+func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
+	r := &toyRun{computed: map[int]int{}}
+	c := Chunked[*toyChunk]{
+		Workers: o.workers, Store: store, Section: "toy", Fingerprint: "fp",
+		Chunks: Chunking{Size: 16, Trials: o.trials},
+		Decode: func(lo, hi int, raw json.RawMessage) (*toyChunk, bool) {
+			var ch toyChunk
+			if json.Unmarshal(raw, &ch) != nil || ch.Lo != lo || ch.Hi != hi {
+				return nil, false
+			}
+			return &ch, true
+		},
+		Kernel: func() func(lo, hi int) *toyChunk {
+			return func(lo, hi int) *toyChunk {
+				if o.hook != nil {
+					o.hook(lo)
+				}
+				r.mu.Lock()
+				r.computed[lo]++
+				r.mu.Unlock()
+				ch := &toyChunk{Lo: lo, Hi: hi}
+				for i := lo; i < hi; i++ {
+					ch.Sum += 1 / float64(i+3)
+				}
+				return ch
+			}
+		},
+		Fold: func(ci int, ch *toyChunk) bool {
+			r.total += ch.Sum
+			r.folded = append(r.folded, ci)
+			return o.stopAt > 0 && r.total >= o.stopAt
+		},
+		Gate:      o.gate,
+		GateWaits: o.waits,
+	}
+	return r, c.Run(ctx)
+}
+
+func openToyStore(t *testing.T, path string, resume bool) *Store {
+	t.Helper()
+	s, err := OpenStore(path, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestChunkedWorkerInvariance(t *testing.T) {
+	var wantTotal float64
+	var wantFolded []int
+	var wantSnap []byte
+	for i, workers := range []int{1, 2, 7} {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		r, err := runToy(context.Background(), openToyStore(t, path, false),
+			toyOpts{workers: workers, trials: 1000, stopAt: 2.5, gate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			wantTotal, wantFolded, wantSnap = r.total, r.folded, snap
+			if n := len(r.folded); n < 2 || n >= 1000/16 {
+				t.Fatalf("cutoff after %d chunks; want a stop strictly inside the campaign", n)
+			}
+			continue
+		}
+		if r.total != wantTotal || !reflect.DeepEqual(r.folded, wantFolded) {
+			t.Errorf("workers=%d: folded %v total %v, want %v total %v", workers, r.folded, r.total, wantFolded, wantTotal)
+		}
+		if !bytes.Equal(snap, wantSnap) {
+			t.Errorf("workers=%d: snapshot differs from the 1-worker snapshot", workers)
+		}
+	}
+}
+
+func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
+	// No gate, and the cutoff chunk is slow: the other workers race past it
+	// computing chunks the fold will discard.
+	path := filepath.Join(t.TempDir(), "ck.json")
+	store := openToyStore(t, path, false)
+	ref, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 4000, stopAt: 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutoff := ref.folded[len(ref.folded)-1]
+	r, err := runToy(context.Background(), store, toyOpts{workers: 4, trials: 4000, stopAt: 2.5,
+		hook: func(lo int) {
+			if lo == cutoff*16 {
+				time.Sleep(50 * time.Millisecond)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.computed) <= cutoff+1 {
+		t.Fatalf("computed %d chunks, want speculation past cutoff %d", len(r.computed), cutoff)
+	}
+	if !reflect.DeepEqual(r.folded, ref.folded) {
+		t.Fatalf("folded %v, want %v", r.folded, ref.folded)
+	}
+	got := openToyStore(t, path, true).Section("toy", "fp").Indexes()
+	if len(got) != cutoff+1 || got[len(got)-1] != cutoff {
+		t.Errorf("snapshot holds chunks %v, want exactly [0, %d]", got, cutoff)
+	}
+}
+
+func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r, err := runToy(ctx, openToyStore(t, path, false), toyOpts{workers: 3, trials: 4000, gate: true,
+		hook: func(lo int) {
+			if lo >= 10*16 {
+				cancel()
+			}
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	cp := openToyStore(t, path, true).Section("toy", "fp")
+	stored := map[int]bool{}
+	for _, ci := range cp.Indexes() {
+		stored[ci] = true
+	}
+	for lo := range r.computed {
+		if !stored[lo/16] {
+			t.Errorf("computed chunk %d missing from the checkpoint after cancel", lo/16)
+		}
+	}
+	if len(stored) == 0 || len(stored) >= 4000/16 {
+		t.Errorf("checkpoint holds %d chunks, want a strict nonzero subset", len(stored))
+	}
+}
+
+func TestChunkedResumeSkipsStoredChunks(t *testing.T) {
+	want, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	seed := openToyStore(t, path, false)
+	cp := seed.Section("toy", "fp")
+	for ci := 0; ci < 3; ci++ {
+		ch := &toyChunk{Lo: ci * 16, Hi: ci*16 + 16}
+		for i := ch.Lo; i < ch.Hi; i++ {
+			ch.Sum += 1 / float64(i+3)
+		}
+		if err := cp.Put(ci, ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cp.Put(3, "not a chunk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := runToy(context.Background(), openToyStore(t, path, true), toyOpts{workers: 2, trials: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 3; ci++ {
+		if r.computed[ci*16] != 0 {
+			t.Errorf("stored chunk %d was recomputed", ci)
+		}
+	}
+	if r.computed[3*16] != 1 {
+		t.Errorf("undecodable chunk 3 computed %d times, want 1", r.computed[3*16])
+	}
+	if r.total != want.total || !reflect.DeepEqual(r.folded, want.folded) {
+		t.Errorf("resumed total %v folded %v, want %v %v", r.total, r.folded, want.total, want.folded)
+	}
+}
+
+func TestChunkedGateSurvivesSlowChunk(t *testing.T) {
+	// The frontier chunk stalls while fast workers reach the window edge
+	// and wait; the run must still finish, with the same fold.
+	want, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 2000, stopAt: 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waits := obs.New().Counter("gate_waits")
+	done := make(chan error, 1)
+	var r *toyRun
+	go func() {
+		var err error
+		r, err = runToy(context.Background(), nil, toyOpts{workers: 4, trials: 2000, stopAt: 2.5, gate: true, waits: waits,
+			hook: func(lo int) {
+				if lo == 16 {
+					time.Sleep(50 * time.Millisecond)
+				}
+			}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("gated run deadlocked behind a slow chunk")
+	}
+	if waits.Value() == 0 {
+		t.Error("no claim waited at the gate; the slow chunk did not exercise it")
+	}
+	if !reflect.DeepEqual(r.folded, want.folded) || r.total != want.total {
+		t.Errorf("gated fold %v, want %v", r.folded, want.folded)
+	}
+}

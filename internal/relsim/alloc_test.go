@@ -17,7 +17,7 @@ import (
 // large enough. Steady state is therefore exactly reproducible: zero allocs.
 const allocWarmNodes = 2048
 
-// TestCoverageTrialAllocs pins the batched coverage kernel's steady-state
+// TestCoverageTrialAllocs pins the coverage trial kernel's steady-state
 // allocation count at zero: sampling, permanent-fault filtering, planning
 // (all three reusable engines), and outcome accumulation reuse pooled
 // buffers once warmed. A regression here silently multiplies by the millions
@@ -53,7 +53,7 @@ func TestCoverageTrialAllocs(t *testing.T) {
 	node := 0
 	allocs := testing.AllocsPerRun(allocWarmNodes, func() {
 		// Reset the accumulator in place so its growth is not charged to
-		// the kernel (the real engine flushes it every batch).
+		// the trial (a real chunk grows it once per chunk).
 		acc.Faulty, acc.Skipped = 0, 0
 		for c := range acc.Curves {
 			acc.Curves[c].Repairable = 0
@@ -90,15 +90,14 @@ func TestRunTrialAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fk := stats.NewRNG(cfg.Seed).Forker()
 	var res runPayload
 	for i := 0; i < allocWarmNodes; i++ {
-		runTrial(sim, fk, i, &res, &cfg)
+		sim.runTrial(i, &res)
 	}
 	node := 0
 	allocs := testing.AllocsPerRun(allocWarmNodes, func() {
 		res = runPayload{}
-		runTrial(sim, fk, node, &res, &cfg)
+		sim.runTrial(node, &res)
 		node = (node + 1) % allocWarmNodes
 	})
 	if allocs != 0 {

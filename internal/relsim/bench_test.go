@@ -69,11 +69,10 @@ func BenchmarkRunTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fk := stats.NewRNG(cfg.Seed).Forker()
 	var res runPayload
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTrial(sim, fk, i, &res, &cfg)
+		sim.runTrial(i, &res)
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
 	"relaxfault/internal/obs"
 	"relaxfault/internal/repair"
-	"relaxfault/internal/runtrace"
 	"relaxfault/internal/stats"
 )
 
@@ -176,9 +174,6 @@ func (cfg *CoverageConfig) Validate() error {
 	if cfg.FaultyNodes <= 0 || cfg.MaxNodes <= 0 {
 		return fmt.Errorf("relsim: FaultyNodes and MaxNodes must be positive")
 	}
-	if cfg.BatchSize < 0 {
-		return fmt.Errorf("relsim: BatchSize must be non-negative, got %d", cfg.BatchSize)
-	}
 	if err := cfg.Stats.validate(); err != nil {
 		return err
 	}
@@ -200,16 +195,16 @@ func (cfg *CoverageConfig) Validate() error {
 // studies (nodes per chunk).
 const covChunkSize = 2048
 
-// CoverageChunkSize is covChunkSize for callers outside the package (see
-// RunChunkSize).
-const CoverageChunkSize = covChunkSize
-
 // TotalTrials is the number of candidate nodes CoverageStudyCtx scans in
-// the worst case (MaxNodes); the study's chunk index space is
-// [0, ⌈TotalTrials/CoverageChunkSize⌉). The faulty-node budget cuts the
-// scan short, so a completed study's checkpoint usually holds a prefix of
-// that space.
+// the worst case (MaxNodes). The faulty-node budget cuts the scan short, so
+// a completed study's checkpoint usually holds a prefix of its chunks.
 func (cfg *CoverageConfig) TotalTrials() int { return cfg.MaxNodes }
+
+// Chunking is the study's chunk split of [0, TotalTrials) (see
+// Config.Chunking).
+func (cfg *CoverageConfig) Chunking() harness.Chunking {
+	return harness.Chunking{Size: covChunkSize, Trials: cfg.TotalTrials()}
+}
 
 // covCurveChunk is one curve's contribution from one chunk: how many of the
 // chunk's faulty nodes are repairable, and the per-node capacity samples.
@@ -274,257 +269,115 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := fault.NewModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	cfg.est, err = cfg.Stats.newEstimator(model)
-	if err != nil {
-		return nil, err
-	}
-	nCurves := len(cfg.Planners) * len(cfg.WayLimits)
 	cfg.planHists = make([]*obs.Histogram, len(cfg.Planners))
 	for i, pl := range cfg.Planners {
 		cfg.planHists[i] = coveragePlanBytesHist(pl.Name())
 	}
-	nChunks := (cfg.MaxNodes + covChunkSize - 1) / covChunkSize
-	root := stats.NewRNG(cfg.Seed)
-
-	fp := cfg.Fingerprint()
-	resumeStart := cfg.Trace.Now()
-	cp := cfg.Checkpoint.Section(CoverageSection(fp), fp)
-
-	// Final accumulators, filled by the span-reducer fold below; chunk
-	// results stream into them in strict index order as spans complete, so
-	// no whole-campaign chunk table exists any more.
-	res := &CoverageResult{}
-	for i := 0; i < nCurves; i++ {
-		res.Curves = append(res.Curves, &CoverageCurve{})
-	}
-	k := 0
-	for _, pl := range cfg.Planners {
-		for _, wl := range cfg.WayLimits {
-			res.Curves[k].Planner = pl.Name()
-			res.Curves[k].WayLimit = wl
-			k++
-		}
-	}
-
-	// Shared reduction and admission state, all under mu; chunk computation
-	// itself runs outside the lock. The fold visits chunks in exactly the
-	// order the old sequential scan did, so the stopping cutoff — the first
-	// chunk where prefix-cumulative faulty reaches the target — is
-	// discovered inside the fold, and chunks folding after it are the
-	// speculative tail: their results are discarded.
-	var mu sync.Mutex
-	cutoff := -1   // first chunk index where prefix-cumulative faulty >= target
-	cumFaulty := 0 // faulty nodes in folded chunks [0, frontier) up to the cutoff
-	red := harness.NewSpanReducer[*covChunk](func(ci int, ch *covChunk) {
-		if cutoff >= 0 {
-			return // beyond the cutoff: speculative, discarded
-		}
-		res.TotalNodes += ch.Nodes
-		res.FaultyNodes += ch.Faulty
-		res.WTotalNodes += ch.WNodes
-		res.WFaultyNodes += ch.WFaulty
-		res.SkippedTrials += ch.Skipped
-		for _, s := range ch.Skips {
-			if len(res.Skips) < harness.MaxSkipRecords {
-				res.Skips = append(res.Skips, s)
-			}
-		}
-		for c, cc := range ch.Curves {
-			curve := res.Curves[c]
-			curve.faultyNodes += ch.Faulty
-			curve.repairable += cc.Repairable
-			curve.wFaulty += ch.WFaulty
-			curve.wRepairable += cc.WRepairable
-			for _, b := range cc.Caps {
-				curve.caps.Add(b)
-			}
-		}
-		cumFaulty += ch.Faulty
-		if cumFaulty >= cfg.FaultyNodes {
-			cutoff = ci
-		}
-	})
-	red.SetLimit(nChunks)
-	ub := -1                                 // sound upper bound on cutoff (-1 = unknown)
-	specFaulty := 0                          // faulty nodes over every completed chunk, contiguous or not
-	maxStored := -1                          // highest completed chunk index
-	have := make([]bool, nChunks)            // chunks already completed (resume dedup)
-	var foldErr error                        // first reducer rejection (double completion / range)
-	complete := func(ci int, ch *covChunk) { // called with mu held
-		have[ci] = true
-		specFaulty += ch.Faulty
-		if ci > maxStored {
-			maxStored = ci
-		}
-		if err := red.Complete(ci, ch); err != nil && foldErr == nil {
-			foldErr = err
-		}
-		// The prefix [0, maxStored] contains every completed chunk, so once
-		// the completed chunks alone meet the target the true cutoff cannot
-		// lie beyond maxStored; workers stop claiming past the bound.
-		if cutoff >= 0 {
-			ub = cutoff
-		} else if ub < 0 && specFaulty >= cfg.FaultyNodes {
-			ub = maxStored
-		}
-	}
-	resumed := cp.Indexes()
-	for _, ci := range resumed {
-		raw, ok := cp.Get(ci)
-		if !ok || ci >= nChunks {
-			continue
-		}
-		var ch covChunk
-		if err := json.Unmarshal(raw, &ch); err != nil || len(ch.Curves) != nCurves {
-			continue // recompute undecodable or mismatched chunks
-		}
-		mu.Lock()
-		if !have[ci] {
-			complete(ci, &ch)
-		}
-		mu.Unlock()
-		for _, s := range ch.Skips {
-			cfg.Mon.RecordSkip(s)
-		}
-		cfg.Mon.AddSkipped(int64(ch.Skipped - len(ch.Skips)))
-	}
-	if len(resumed) > 0 {
-		cfg.Trace.Span(runtrace.TrackMain, "resume.load", -1, 0, resumeStart)
-	}
-
-	// Claim-admission gate. Before the cutoff is known, workers may only
-	// start chunks within a window ahead of the fold frontier: a faulty-rate
-	// estimate of where the cutoff will land, padded by 25% plus one chunk
-	// per worker. Without the gate, fast workers race arbitrarily far past
-	// the eventual cutoff computing chunks the fold then discards — the
-	// pathology that made parallel coverage studies slower than sequential
-	// ones. Blocked workers wake whenever a chunk folds (the estimate only
-	// improves) or the context is cancelled. The gate cannot deadlock: the
-	// worker holding the lowest in-flight chunk index always satisfies
-	// ci <= frontier + workers + slack, because every lower chunk has
-	// already folded.
-	workers := harness.PoolWorkers(cfg.Workers)
-	const gateSlack = 2
-	cond := sync.NewCond(&mu)
-	cancelled := false
-	stopWatch := context.AfterFunc(ctx, func() {
-		mu.Lock()
-		cancelled = true
-		mu.Unlock()
-		cond.Broadcast()
-	})
-	defer stopWatch()
-	admitLimit := func() int { // called with mu held
-		lim := red.Frontier() + workers + gateSlack
-		if cumFaulty > 0 {
-			est := int(float64(red.Frontier()) * float64(cfg.FaultyNodes) / float64(cumFaulty))
-			est += est/4 + workers + gateSlack
-			if est > lim {
-				lim = est
-			}
-		}
-		return lim
-	}
-
-	// Per-worker trial scratch (sampling, planning, and batch accumulators
-	// all pooled); the reducer and gate state stay under mu.
-	batch := cfg.batch()
-	forker := root.Forker()
-	scratches := make([]*covScratch, workers)
-	eng := harness.Engine{Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace}
-	eng.Run(ctx, nChunks, func(w, ci int) (int64, bool) {
-		mu.Lock()
-		for {
-			if cancelled {
-				mu.Unlock()
-				return 0, false
-			}
-			if ub >= 0 {
-				if ci > ub {
-					mu.Unlock()
-					return 0, false
-				}
-				break // within the proven bound: always admitted
-			}
-			if ci <= admitLimit() {
-				break
-			}
-			rm.covGateWaits.Inc()
-			cond.Wait()
-		}
-		done := have[ci]
-		mu.Unlock()
-		if done {
-			return 0, true
-		}
-		if scratches[w] == nil {
-			scratches[w] = &covScratch{}
-		}
-		ch := cfg.coverageChunk(model, forker, ci, nCurves, batch, scratches[w])
-		mu.Lock()
-		if !have[ci] {
-			complete(ci, ch)
-		}
-		mu.Unlock()
-		cond.Broadcast()
-		lo := ci * covChunkSize
-		hi := lo + covChunkSize
-		if hi > cfg.MaxNodes {
-			hi = cfg.MaxNodes
-		}
-		ckptStart := cfg.Trace.Now()
-		if err := cp.PutSpan(ci, lo, hi, ch); err != nil {
-			cfg.Mon.Warnf("relsim: %v (study continues without this chunk persisted)", err)
-		}
-		cfg.Trace.Span(w, runtrace.SpanCheckpoint, ci, 0, ckptStart)
-		return int64(ch.Nodes), true
-	})
-	if err := ctx.Err(); err != nil {
-		// Cancelled: keep every computed chunk, speculative or not — a
-		// resumed run reuses them all.
-		if ferr := cfg.Checkpoint.Flush(); ferr != nil {
-			cfg.Mon.Warnf("relsim: %v", ferr)
-		}
+	kernel, err := cfg.kernel()
+	if err != nil {
 		return nil, err
 	}
-
-	end := cutoff
-	if end < 0 {
-		end = nChunks - 1 // MaxNodes exhausted before the target was met
+	res := &CoverageResult{}
+	for _, pl := range cfg.Planners {
+		for _, wl := range cfg.WayLimits {
+			res.Curves = append(res.Curves, &CoverageCurve{Planner: pl.Name(), WayLimit: wl})
+		}
 	}
-	// The result aggregated exactly chunks [0, end] (the fold discarded the
-	// speculative tail); drop that tail from the checkpoint too so the
-	// final snapshot is byte-identical for any worker count.
-	cp.PruneAbove(end)
-	if err := cfg.Checkpoint.Flush(); err != nil {
-		cfg.Mon.Warnf("relsim: %v", err)
+	cumFaulty := 0  // faulty nodes in folded chunks
+	specFaulty := 0 // faulty nodes in every completed chunk, folded or not
+	fp := cfg.Fingerprint()
+	study := harness.Chunked[*covChunk]{
+		Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace,
+		Store: cfg.Checkpoint, Section: CoverageSection(fp), Fingerprint: fp,
+		Chunks: cfg.Chunking(), Kernel: kernel,
+		Decode: func(_, _ int, raw json.RawMessage) (*covChunk, bool) {
+			var ch covChunk
+			if json.Unmarshal(raw, &ch) != nil || len(ch.Curves) != len(res.Curves) {
+				return nil, false
+			}
+			adoptSkips(cfg.Mon, ch.Skips, ch.Skipped)
+			return &ch, true
+		},
+		Fold: func(_ int, ch *covChunk) bool {
+			res.add(ch)
+			cumFaulty += ch.Faulty
+			return cumFaulty >= cfg.FaultyNodes
+		},
+		// Before the cutoff is known, the faulty rate folded so far predicts
+		// where it lands; claims may run 25% past that estimate.
+		Gate: true,
+		Ahead: func(frontier int) int {
+			if cumFaulty == 0 {
+				return 0
+			}
+			est := int(float64(frontier) * float64(cfg.FaultyNodes) / float64(cumFaulty))
+			return est + est/4
+		},
+		Enough: func(ch *covChunk) bool {
+			specFaulty += ch.Faulty
+			return specFaulty >= cfg.FaultyNodes
+		},
+		GateWaits: rm.covGateWaits,
 	}
-	reduceStart := cfg.Trace.Now()
-	if foldErr != nil {
-		return nil, fmt.Errorf("relsim: internal error: %w", foldErr)
-	}
-	if f := red.Frontier(); f <= end {
-		return nil, fmt.Errorf("relsim: internal error: reduced %d of %d chunks", f, end+1)
+	if err := study.Run(ctx); err != nil {
+		return nil, err
 	}
 	if res.WTotalNodes > 0 {
 		res.FaultyFraction = res.WFaultyNodes / res.WTotalNodes
 	} else if res.TotalNodes > 0 {
 		res.FaultyFraction = float64(res.FaultyNodes) / float64(res.TotalNodes)
 	}
-	cfg.Trace.Span(runtrace.TrackMain, "reduce", -1, 0, reduceStart)
 	return res, nil
+}
+
+// add folds one chunk into the result and its curves.
+func (r *CoverageResult) add(ch *covChunk) {
+	r.TotalNodes += ch.Nodes
+	r.FaultyNodes += ch.Faulty
+	r.WTotalNodes += ch.WNodes
+	r.WFaultyNodes += ch.WFaulty
+	r.SkippedTrials += ch.Skipped
+	for _, s := range ch.Skips {
+		if len(r.Skips) < harness.MaxSkipRecords {
+			r.Skips = append(r.Skips, s)
+		}
+	}
+	for c, cc := range ch.Curves {
+		curve := r.Curves[c]
+		curve.faultyNodes += ch.Faulty
+		curve.repairable += cc.Repairable
+		curve.wFaulty += ch.WFaulty
+		curve.wRepairable += cc.WRepairable
+		for _, b := range cc.Caps {
+			curve.caps.Add(b)
+		}
+	}
+}
+
+// kernel builds the study's chunk kernel for harness.Chunked: a factory of
+// per-worker chunk functions, each with its own trial scratch. The study and
+// the journal replayer execute chunks through it alike.
+func (cfg *CoverageConfig) kernel() (func() func(lo, hi int) *covChunk, error) {
+	model, err := fault.NewModel(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.est, err = cfg.Stats.newEstimator(model); err != nil {
+		return nil, err
+	}
+	fk := stats.NewRNG(cfg.Seed).Forker()
+	return func() func(lo, hi int) *covChunk {
+		sc := &covScratch{}
+		return func(lo, hi int) *covChunk { return cfg.coverageChunk(model, fk, lo, hi, sc) }
+	}, nil
 }
 
 // covScratch is one worker's reusable coverage-trial state: fault-sampling
 // buffers, the per-trial substream RNG, the permanent-fault filter buffer,
-// one recycled Plan per planner, the per-trial curve outcomes (panic
-// isolation), and the per-batch accumulator the trials flush into. Every
-// buffer is reused across trials and batches, so a steady-state coverage
-// trial with reusable planners allocates nothing.
+// one recycled Plan per planner, and the per-trial curve outcomes (panic
+// isolation). Every buffer is reused across trials, so a steady-state
+// coverage trial with reusable planners allocates nothing; only the chunk
+// payload grows.
 type covScratch struct {
 	sample fault.SampleScratch
 	rng    stats.RNG
@@ -533,32 +386,14 @@ type covScratch struct {
 	trial  []covCurveChunk
 	faulty int
 	w      float64 // current trial's importance weight (0 on the naive path: weighted tallies stay exactly zero)
-	batch  covChunk
 }
 
-// coverageChunk samples and plans one chunk of node indexes through the
-// batched trial kernel: trials run in batches of at most batch nodes, each
-// batch accumulating into pooled scratch that is flushed into the chunk at
-// the batch boundary. Flush order is trial order within the batch and batch
-// order within the chunk, so chunk contents are independent of the batch
-// size. Each node is panic-isolated with one retry, exactly like Run's
-// trials.
-func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, ci, nCurves, batch int, sc *covScratch) *covChunk {
-	lo := ci * covChunkSize
-	hi := lo + covChunkSize
-	if hi > cfg.MaxNodes {
-		hi = cfg.MaxNodes
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	ch := &covChunk{Curves: make([]covCurveChunk, nCurves)}
-	for blo := lo; blo < hi; blo += batch {
-		bhi := blo + batch
-		if bhi > hi {
-			bhi = hi
-		}
-		cfg.coverageBatch(model, fk, blo, bhi, ch, sc)
+// coverageChunk is the coverage trial kernel: nodes [lo, hi) are sampled and
+// planned in index order, each accumulated straight into the chunk.
+func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo, hi int, sc *covScratch) *covChunk {
+	ch := &covChunk{Nodes: hi - lo, Curves: make([]covCurveChunk, len(cfg.Planners)*len(cfg.WayLimits))}
+	for i := lo; i < hi; i++ {
+		cfg.coverageTrial(model, fk, i, ch, sc)
 	}
 	// Sort capacity samples so the chunk payload (and any diff of two
 	// checkpoints) is independent of planner-internal map iteration.
@@ -570,59 +405,23 @@ func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, ci
 	return ch
 }
 
-// coverageBatch runs the trials [lo, hi) into the pooled batch accumulator,
-// then flushes it into ch in trial order.
-func (cfg *CoverageConfig) coverageBatch(model *fault.Model, fk stats.Forker, lo, hi int, ch *covChunk, sc *covScratch) {
-	b := &sc.batch
-	b.Nodes, b.Faulty, b.Skipped = 0, 0, 0
-	b.WNodes, b.WFaulty = 0, 0
-	b.Skips = b.Skips[:0]
-	if len(b.Curves) != len(ch.Curves) {
-		b.Curves = make([]covCurveChunk, len(ch.Curves))
-	}
-	for c := range b.Curves {
-		b.Curves[c].Repairable = 0
-		b.Curves[c].WRepairable = 0
-		b.Curves[c].Caps = b.Curves[c].Caps[:0]
-	}
-	for i := lo; i < hi; i++ {
-		b.Nodes++
-		cfg.coverageTrial(model, fk, i, b, sc)
-	}
-	ch.Nodes += b.Nodes
-	ch.Faulty += b.Faulty
-	ch.WNodes += b.WNodes
-	ch.WFaulty += b.WFaulty
-	ch.Skipped += b.Skipped
-	for _, s := range b.Skips {
-		if len(ch.Skips) < harness.MaxSkipRecords {
-			ch.Skips = append(ch.Skips, s)
-		}
-	}
-	for c := range b.Curves {
-		ch.Curves[c].Repairable += b.Curves[c].Repairable
-		ch.Curves[c].WRepairable += b.Curves[c].WRepairable
-		ch.Curves[c].Caps = append(ch.Curves[c].Caps, b.Curves[c].Caps...)
-	}
-}
-
 // coverageTrial samples node `node` and records each curve's outcome into
-// the batch accumulator b, with panic isolation and one retry.
-func (cfg *CoverageConfig) coverageTrial(model *fault.Model, fk stats.Forker, node int, b *covChunk, sc *covScratch) {
+// ch, with panic isolation and one retry, exactly like Run's trials.
+func (cfg *CoverageConfig) coverageTrial(model *fault.Model, fk stats.Forker, node int, ch *covChunk, sc *covScratch) {
 	for attempt := 0; ; attempt++ {
 		err := cfg.tryCoverageTrial(model, fk, node, sc)
 		if err == nil {
-			b.Faulty += sc.faulty
+			ch.Faulty += sc.faulty
 			// Weighted tallies: sc.w is 0 on the naive path, so these stay
 			// exactly zero (and omitted from the chunk payload) there.
-			b.WNodes += sc.w
+			ch.WNodes += sc.w
 			if sc.faulty > 0 {
-				b.WFaulty += sc.w
+				ch.WFaulty += sc.w
 			}
 			for c := range sc.trial {
-				b.Curves[c].Repairable += sc.trial[c].Repairable
-				b.Curves[c].WRepairable += sc.w * float64(sc.trial[c].Repairable)
-				b.Curves[c].Caps = append(b.Curves[c].Caps, sc.trial[c].Caps...)
+				ch.Curves[c].Repairable += sc.trial[c].Repairable
+				ch.Curves[c].WRepairable += sc.w * float64(sc.trial[c].Repairable)
+				ch.Curves[c].Caps = append(ch.Curves[c].Caps, sc.trial[c].Caps...)
 			}
 			return
 		}
@@ -631,10 +430,10 @@ func (cfg *CoverageConfig) coverageTrial(model *fault.Model, fk stats.Forker, no
 			continue
 		}
 		rm.trialsSkipped.Inc()
-		b.Skipped++
+		ch.Skipped++
 		skip := harness.Skip{Trial: node, Seed: cfg.Seed, Err: err.Error()}
-		if len(b.Skips) < harness.MaxSkipRecords {
-			b.Skips = append(b.Skips, skip)
+		if len(ch.Skips) < harness.MaxSkipRecords {
+			ch.Skips = append(ch.Skips, skip)
 		}
 		cfg.Mon.RecordSkip(skip)
 		return

@@ -44,19 +44,6 @@ func TestStatsConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNegativeBatchSizeRejected(t *testing.T) {
-	cfg := smallCfg()
-	cfg.BatchSize = -1
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "BatchSize") {
-		t.Errorf("run: negative BatchSize got %v, want a BatchSize error", err)
-	}
-	cov := covCfg(t)
-	cov.BatchSize = -8
-	if _, err := CoverageStudy(cov); err == nil || !strings.Contains(err.Error(), "BatchSize") {
-		t.Errorf("coverage: negative BatchSize got %v, want a BatchSize error", err)
-	}
-}
-
 func TestCoverageRejectsStoppingConfig(t *testing.T) {
 	cov := covCfg(t)
 	cov.Stats = &StatsConfig{Estimator: EstimatorImportance, TargetCI: 0.1}
@@ -145,16 +132,15 @@ func stoppingCfg(t *testing.T) Config {
 }
 
 // TestSequentialStoppingInvariance: a stopped run must produce identical
-// results — including the stop point — for every worker count and batch
-// size, because the cutoff is discovered in the index-ordered fold, not in
+// results — including the stop point — for every worker count, because the cutoff is discovered in the index-ordered fold, not in
 // scheduling order.
 func TestSequentialStoppingInvariance(t *testing.T) {
 	cfg := stoppingCfg(t)
 	var want Result
 	for i, exec := range []Exec{
 		{Workers: 1},
-		{Workers: 2, BatchSize: 1},
-		{Workers: 4, BatchSize: 64},
+		{Workers: 2},
+		{Workers: 4},
 		{Workers: 7},
 	} {
 		run := cfg

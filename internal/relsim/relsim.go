@@ -5,22 +5,23 @@
 // plots — repair coverage versus LLC capacity, expected DUEs and SDCs, and
 // expected DIMM replacements.
 //
-// Both simulation entry points (Run and CoverageStudy) are built on the same
-// hardened execution scheme: work is split into fixed node-index chunks,
-// node i always draws from the root RNG's fork(i) stream, and final
-// statistics are reduced in chunk-index order. Results are therefore exactly
-// independent of the worker count and of scheduling, which is what lets the
-// harness checkpoint completed chunks (internal/harness) and resume a killed
-// run with bitwise-identical output. Each trial is panic-isolated: a
-// panicking node is retried once and otherwise recorded as a skipped trial
-// with its reproduction seed (see ReplayNode) instead of crashing the run.
+// Both simulation entry points (Run and CoverageStudy) are set-ups around one
+// harness.Chunked driver: work is split into fixed node-index chunks, node i
+// always draws from the root RNG's fork(i) stream, and final statistics are
+// reduced in chunk-index order. Results are therefore exactly independent of
+// the worker count and of scheduling, which is what lets the harness
+// checkpoint completed chunks and resume a killed run with bitwise-identical
+// output. This package keeps only what is specific to each study: the trial
+// kernels, their chunk payloads and folds, and the final per-system scaling.
+// Each trial is panic-isolated: a panicking node is retried once and
+// otherwise recorded as a skipped trial with its reproduction seed (see
+// ReplayNode) instead of crashing the run.
 package relsim
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
@@ -49,26 +50,6 @@ type Exec struct {
 	// reduce-wait per worker plus resume and reduction on the main track).
 	// Tracing observes the run; it never affects results.
 	Trace *runtrace.Recorder
-	// BatchSize is the trial-batch granularity of the batched kernel: within
-	// a chunk, trials run in batches of this many, and the batch is the unit
-	// of RNG substream re-derivation and scratch reuse. Like every Exec
-	// field it is an execution knob only — results are byte-identical for
-	// every batch size — so it is deliberately excluded from fingerprints.
-	// 0 selects DefaultBatchSize; 1 degenerates to the unbatched kernel.
-	BatchSize int
-}
-
-// DefaultBatchSize is the trial-batch size used when Exec.BatchSize is 0:
-// large enough to amortise per-batch bookkeeping to noise, small enough that
-// per-batch scratch stays cache-resident.
-const DefaultBatchSize = 512
-
-// batch resolves the effective trial-batch size.
-func (e *Exec) batch() int {
-	if e.BatchSize <= 0 {
-		return DefaultBatchSize
-	}
-	return e.BatchSize
 }
 
 // ReplacementPolicy selects when a faulty DIMM is replaced.
@@ -171,9 +152,6 @@ func (cfg *Config) Validate() error {
 	if cfg.Replicas <= 0 {
 		return fmt.Errorf("relsim: Replicas must be positive")
 	}
-	if cfg.BatchSize < 0 {
-		return fmt.Errorf("relsim: BatchSize must be non-negative, got %d", cfg.BatchSize)
-	}
 	if err := cfg.Stats.validate(); err != nil {
 		return err
 	}
@@ -225,28 +203,9 @@ type Result struct {
 	Estimator *EstimatorReport `json:"Estimator,omitempty"`
 }
 
-// add accumulates o's statistics (raw sums and skip records) into r.
-func (r *Result) add(o *Result) {
-	r.FaultyNodes += o.FaultyNodes
-	r.MultiDeviceFaultDIMMs += o.MultiDeviceFaultDIMMs
-	r.DUEs += o.DUEs
-	r.SDCs += o.SDCs
-	r.Replacements += o.Replacements
-	r.RepairedNodes += o.RepairedNodes
-	r.RepairedDIMMs += o.RepairedDIMMs
-	r.FaultyDIMMs += o.FaultyDIMMs
-	r.SkippedTrials += o.SkippedTrials
-	for _, s := range o.Skips {
-		if len(r.Skips) >= harness.MaxSkipRecords {
-			break
-		}
-		r.Skips = append(r.Skips, s)
-	}
-}
-
 // addScaled accumulates o's statistics into r with importance weight w
-// (skip bookkeeping is never weighted). w == 1 is exact in IEEE 754, so
-// the naive estimator's accumulation is bit-identical to add's.
+// (skip bookkeeping is never weighted). Multiplying by w == 1 is exact in
+// IEEE 754, so unweighted accumulation is plain addition.
 func (r *Result) addScaled(o *Result, w float64) {
 	r.FaultyNodes += o.FaultyNodes * w
 	r.MultiDeviceFaultDIMMs += o.MultiDeviceFaultDIMMs * w
@@ -265,20 +224,29 @@ func (r *Result) addScaled(o *Result, w float64) {
 	}
 }
 
+// scale multiplies every expectation of r by f.
+func (r *Result) scale(f float64) {
+	r.FaultyNodes *= f
+	r.MultiDeviceFaultDIMMs *= f
+	r.DUEs *= f
+	r.SDCs *= f
+	r.Replacements *= f
+	r.RepairedNodes *= f
+	r.RepairedDIMMs *= f
+	r.FaultyDIMMs *= f
+}
+
 // chunkSize is the scheduling and checkpointing granularity of Run: workers
 // claim whole chunks, cancellation is observed between chunks, and completed
 // chunks are the unit of checkpoint persistence.
 const chunkSize = 4096
 
-// RunChunkSize is chunkSize for callers outside the package: campaign
-// planning predicts a section's chunk spans from it without running the
-// engine, and seeded resumes use it to decide whether a cached chunk's
-// journaled trial span matches the span a new budget would compute.
+// RunChunkSize is chunkSize for callers outside the package.
 const RunChunkSize = chunkSize
 
 // TotalTrials is the number of Monte Carlo trials RunCtx will execute:
 // Nodes × Replicas, capped by Stats.MaxTrials when the statistics block is
-// active. The run's chunk index space is [0, ⌈TotalTrials/RunChunkSize⌉).
+// active.
 func (cfg *Config) TotalTrials() int {
 	repl := cfg.Replicas
 	if repl <= 0 {
@@ -291,18 +259,11 @@ func (cfg *Config) TotalTrials() int {
 	return total
 }
 
-// chunkSpan returns how many trials chunk ci covers (the last chunk may be
-// short).
-func chunkSpan(ci, totalNodes int) int {
-	lo := ci * chunkSize
-	hi := lo + chunkSize
-	if hi > totalNodes {
-		hi = totalNodes
-	}
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
+// Chunking is the run's chunk split of [0, TotalTrials): campaign planning
+// predicts a section's chunk spans from it without running the engine, and
+// the replayer reproduces them exactly.
+func (cfg *Config) Chunking() harness.Chunking {
+	return harness.Chunking{Size: chunkSize, Trials: cfg.TotalTrials()}
 }
 
 // Fingerprint identifies the statistical content of a run configuration for
@@ -336,6 +297,12 @@ func Run(cfg Config) (Result, error) {
 // RunCtx is Run with cancellation: when ctx is cancelled the simulation
 // stops at the next chunk boundary (at most ~chunkSize trials away per
 // worker), flushes any checkpoint, and returns ctx's error.
+//
+// With sequential stopping the fold is where the stopping rule lives: the
+// cumulative estimator tally advances in exact chunk-index order, so the
+// cutoff — the first chunk whose prefix drives both CI half-widths to the
+// target — is a deterministic function of the configuration, never of
+// scheduling.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -343,290 +310,116 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	model, err := fault.NewModel(cfg.Model)
+	kernel, err := cfg.kernel()
 	if err != nil {
 		return Result{}, err
 	}
 	statsOn := cfg.Stats.active()
-	totalNodes := cfg.Nodes * cfg.Replicas
-	if statsOn && cfg.Stats.MaxTrials > 0 && cfg.Stats.MaxTrials < totalNodes {
-		totalNodes = cfg.Stats.MaxTrials
-	}
 	targetCI := 0.0
-	minTrials := 0
 	if statsOn {
 		targetCI = cfg.Stats.TargetCI
-		minTrials = cfg.Stats.minTrials()
 	}
-	nChunks := (totalNodes + chunkSize - 1) / chunkSize
-	root := stats.NewRNG(cfg.Seed)
-
-	// Tree reduction: chunk results fold into sum in strict chunk-index
-	// order (so float accumulation order is fixed and the result identical
-	// for every worker count), but completions are accepted in any order —
-	// adjacent completed chunks merge into pending spans that fold the
-	// moment they touch the frontier. A straggler chunk pins at most the
-	// spans behind the in-flight window (≤ worker count), not a
-	// whole-campaign results table.
-	//
-	// With sequential stopping the fold is also where the stopping rule
-	// lives: the cumulative estimator tally advances in exact chunk-index
-	// order, so the cutoff — the first chunk whose prefix drives both CI
-	// half-widths to the target — is a deterministic function of the
-	// configuration, never of scheduling. Chunks folding after the cutoff
-	// are the speculative tail; their results are discarded.
+	minTrials := int64(cfg.Stats.minTrials())
+	hwScale := float64(cfg.Nodes) // per-trial mean → per-system expectation
 	var sum Result
 	var cum estTally
-	cutoff := -1                  // first chunk where the stopping rule is met
-	hwScale := float64(cfg.Nodes) // per-trial mean → per-system expectation
-	red := harness.NewSpanReducer[*runPayload](func(ci int, c *runPayload) {
-		if cutoff >= 0 {
-			return // beyond the stopping cutoff: speculative, discarded
-		}
-		sum.add(&c.Result)
-		if c.Est == nil {
-			return
-		}
-		cum.merge(c.Est)
-		if targetCI > 0 && cum.DUE.N >= int64(minTrials) &&
-			ciMet(&cum.DUE, hwScale, targetCI) &&
-			ciMet(&cum.SDC, hwScale, targetCI) {
-			cutoff = ci
-		}
-	})
-	red.SetLimit(nChunks)
-	var redMu sync.Mutex
-	var foldErr error
-	complete := func(ci int, c *runPayload) { // called with redMu held
-		if err := red.Complete(ci, c); err != nil && foldErr == nil {
-			foldErr = err
-		}
-	}
-
-	// Resume: chunks already present in the checkpoint section are adopted
-	// verbatim; only the remainder is simulated. Estimator runs require the
-	// estimator tally in the payload (it is part of the stopping state);
-	// a chunk without one is recomputed.
-	resumeStart := cfg.Trace.Now()
-	cp := cfg.Checkpoint.Section(RunSection(cfg.Fingerprint()), cfg.Fingerprint())
-	var todo []int
-	for ci := 0; ci < nChunks; ci++ {
-		if raw, ok := cp.Get(ci); ok {
-			var r runPayload
-			if err := json.Unmarshal(raw, &r); err == nil && (!statsOn || r.Est != nil) {
-				complete(ci, &r)
-				rm.trialsResumed.Add(int64(chunkSpan(ci, totalNodes)))
-				for _, s := range r.Skips {
-					cfg.Mon.RecordSkip(s)
-				}
-				cfg.Mon.AddSkipped(int64(r.SkippedTrials - len(r.Skips)))
-				continue
+	stopped := false
+	fp := cfg.Fingerprint()
+	run := harness.Chunked[*runPayload]{
+		Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace,
+		Store: cfg.Checkpoint, Section: RunSection(fp), Fingerprint: fp,
+		Chunks: cfg.Chunking(), Expect: true, Kernel: kernel,
+		Decode: func(lo, hi int, raw json.RawMessage) (*runPayload, bool) {
+			// Estimator runs need the tally: it is part of the stopping state.
+			var p runPayload
+			if json.Unmarshal(raw, &p) != nil || (statsOn && p.Est == nil) {
+				return nil, false
 			}
-			// An undecodable chunk is recomputed, not fatal.
-		}
-		todo = append(todo, ci)
-	}
-	if nChunks > len(todo) {
-		cfg.Trace.Span(runtrace.TrackMain, "resume.load", -1, 0, resumeStart)
-	}
-	if cutoff >= 0 {
-		// The resumed prefix already satisfied the stopping rule; nothing
-		// past the cutoff runs.
-		keep := todo[:0]
-		for _, ci := range todo {
-			if ci <= cutoff {
-				keep = append(keep, ci)
+			rm.trialsResumed.Add(int64(hi - lo))
+			adoptSkips(cfg.Mon, p.Skips, p.SkippedTrials)
+			return &p, true
+		},
+		Fold: func(_ int, p *runPayload) bool {
+			sum.addScaled(&p.Result, 1)
+			if p.Est != nil {
+				cum.merge(p.Est)
+				stopped = targetCI > 0 && cum.DUE.N >= minTrials &&
+					ciMet(&cum.DUE, hwScale, targetCI) && ciMet(&cum.SDC, hwScale, targetCI)
 			}
-		}
-		todo = keep
+			return stopped
+		},
+		Gate:      targetCI > 0,
+		GateWaits: rm.estGateWaits,
 	}
-	cfg.Mon.Expect(int64(len(todo)) * chunkSize)
-
-	// Claim-admission gate (sequential stopping only). Before the cutoff is
-	// known, workers may only start chunks within a small window ahead of
-	// the fold frontier; otherwise fast workers would race arbitrarily far
-	// past the eventual cutoff computing chunks the fold then discards.
-	// The gate cannot deadlock: the worker holding the lowest in-flight
-	// chunk always has ci == frontier (every lower chunk has folded), which
-	// is inside the window. Once the cutoff is known, chunks past it are
-	// refused outright and their workers retire.
-	workers := harness.PoolWorkers(cfg.Workers)
-	const gateSlack = 2
-	cond := sync.NewCond(&redMu)
-	cancelled := false
-	if targetCI > 0 {
-		stopWatch := context.AfterFunc(ctx, func() {
-			redMu.Lock()
-			cancelled = true
-			redMu.Unlock()
-			cond.Broadcast()
-		})
-		defer stopWatch()
-	}
-
-	// Per-worker simulators (repair state and sampling scratch); the span
-	// reducer is the only shared mutable state and is serialised by redMu.
-	batch := cfg.batch()
-	forker := root.Forker()
-	sims := make([]*nodeSim, workers)
-	eng := harness.Engine{Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace}
-	runErr := eng.Run(ctx, len(todo), func(w, k int) (int64, bool) {
-		ci := todo[k]
-		if targetCI > 0 {
-			redMu.Lock()
-			for {
-				if cancelled {
-					redMu.Unlock()
-					return 0, false
-				}
-				if cutoff >= 0 {
-					if ci > cutoff {
-						redMu.Unlock()
-						return 0, false
-					}
-					break // at or below the cutoff: always admitted
-				}
-				if ci <= red.Frontier()+workers+gateSlack {
-					break
-				}
-				rm.estGateWaits.Inc()
-				cond.Wait()
-			}
-			redMu.Unlock()
-		}
-		sim := sims[w]
-		if sim == nil {
-			sim, _ = newNodeSim(model, cfg) // planner and estimator validated above
-			sims[w] = sim
-		}
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > totalNodes {
-			hi = totalNodes
-		}
-		res := &runPayload{}
-		if statsOn {
-			res.Est = &estTally{}
-		}
-		sim.runChunk(forker, lo, hi, batch, res, &cfg)
-		rm.trialsDone.Add(int64(hi - lo))
-		ckptStart := cfg.Trace.Now()
-		if err := cp.PutSpan(ci, lo, hi, res); err != nil {
-			cfg.Mon.Warnf("relsim: %v (run continues without this chunk persisted)", err)
-		}
-		cfg.Trace.Span(w, runtrace.SpanCheckpoint, ci, 0, ckptStart)
-		redMu.Lock()
-		complete(ci, res)
-		redMu.Unlock()
-		if targetCI > 0 {
-			cond.Broadcast()
-		}
-		return int64(hi - lo), true
-	})
-	_ = runErr // identical to ctx.Err(), checked below after the flush
-	if err := cfg.Checkpoint.Flush(); err != nil {
-		cfg.Mon.Warnf("relsim: %v", err)
-	}
-	if err := ctx.Err(); err != nil {
+	if err := run.Run(ctx); err != nil {
 		return Result{}, err
 	}
-	if foldErr != nil {
-		return Result{}, fmt.Errorf("relsim: internal error: %w", foldErr)
-	}
-
-	// The reducer folded every chunk up to the stopping cutoff (or all of
-	// them) in index order as it completed; all that remains is scaling to
-	// per-system values.
-	reduceStart := cfg.Trace.Now()
-	end := nChunks - 1
-	if cutoff >= 0 {
-		end = cutoff
-		// The result aggregated exactly chunks [0, end]; drop the
-		// speculative tail from the checkpoint too so the final snapshot is
-		// byte-identical for any worker count.
-		cp.PruneAbove(end)
-		if err := cfg.Checkpoint.Flush(); err != nil {
-			cfg.Mon.Warnf("relsim: %v", err)
-		}
-	}
-	if f := red.Frontier(); f <= end {
-		return Result{}, fmt.Errorf("relsim: internal error: reduced %d of %d chunks", f, end+1)
-	}
-	cfg.Trace.Span(runtrace.TrackMain, "reduce", -1, 0, reduceStart)
-	if statsOn {
-		n := cum.W.N
-		if n == 0 {
-			return Result{}, fmt.Errorf("relsim: estimator run completed zero trials")
-		}
-		// Weighted per-trial sums → per-system expectations: the estimator
-		// makes each weighted trial an unbiased per-node estimate, so the
-		// system expectation is Nodes × the weighted mean over however many
-		// trials actually ran (budget cap or sequential stop).
-		scale := float64(cfg.Nodes) / float64(n)
-		sum.FaultyNodes *= scale
-		sum.MultiDeviceFaultDIMMs *= scale
-		sum.DUEs *= scale
-		sum.SDCs *= scale
-		sum.Replacements *= scale
-		sum.RepairedNodes *= scale
-		sum.RepairedDIMMs *= scale
-		sum.FaultyDIMMs *= scale
-		sum.Replicas = cfg.Replicas
-		budget := int64(cfg.Nodes) * int64(cfg.Replicas)
-		if cfg.Stats.MaxTrials > 0 && int64(cfg.Stats.MaxTrials) < budget {
-			budget = int64(cfg.Stats.MaxTrials)
-		}
-		sum.Estimator = &EstimatorReport{
-			Name:         cfg.Stats.estimatorName(),
-			Trials:       n,
-			BudgetTrials: budget,
-			DUEHalfWidth: hwScale * cum.DUE.HalfWidth95(),
-			SDCHalfWidth: hwScale * cum.SDC.HalfWidth95(),
-			ESS:          cum.W.ESS(),
-			Stopped:      cutoff >= 0,
-		}
-		rm.estTrialsSaved.Add(budget - n)
-		rm.estESS.Set(sum.Estimator.ESS)
-		rm.estHalfWidth.Set(sum.Estimator.DUEHalfWidth)
+	sum.Replicas = cfg.Replicas
+	if !statsOn {
+		sum.scale(1 / float64(cfg.Replicas))
 		return sum, nil
 	}
-	inv := 1 / float64(cfg.Replicas)
-	sum.FaultyNodes *= inv
-	sum.MultiDeviceFaultDIMMs *= inv
-	sum.DUEs *= inv
-	sum.SDCs *= inv
-	sum.Replacements *= inv
-	sum.RepairedNodes *= inv
-	sum.RepairedDIMMs *= inv
-	sum.FaultyDIMMs *= inv
-	sum.Replicas = cfg.Replicas
+	n := cum.W.N
+	if n == 0 {
+		return Result{}, fmt.Errorf("relsim: estimator run completed zero trials")
+	}
+	// Weighted per-trial sums → per-system expectations: the estimator
+	// makes each weighted trial an unbiased per-node estimate, so the
+	// system expectation is Nodes × the weighted mean over however many
+	// trials actually ran (budget cap or sequential stop).
+	sum.scale(float64(cfg.Nodes) / float64(n))
+	sum.Estimator = &EstimatorReport{
+		Name:         cfg.Stats.estimatorName(),
+		Trials:       n,
+		BudgetTrials: int64(cfg.TotalTrials()),
+		DUEHalfWidth: hwScale * cum.DUE.HalfWidth95(),
+		SDCHalfWidth: hwScale * cum.SDC.HalfWidth95(),
+		ESS:          cum.W.ESS(),
+		Stopped:      stopped,
+	}
+	rm.estTrialsSaved.Add(sum.Estimator.BudgetTrials - n)
+	rm.estESS.Set(sum.Estimator.ESS)
+	rm.estHalfWidth.Set(sum.Estimator.DUEHalfWidth)
 	return sum, nil
 }
 
-// runChunk is the batched trial kernel: trials [lo, hi) run in batches of at
-// most batch trials, and each batch re-arms the root Forker and reuses the
-// simulator's substream RNG and trial scratch across its trials. Per-trial
-// results still accumulate into res one trial at a time, in index order —
-// batching restructures the kernel, never the float accumulation order — so
-// the chunk's bytes are identical for every batch size.
-func (s *nodeSim) runChunk(fk stats.Forker, lo, hi, batch int, res *runPayload, cfg *Config) {
-	if batch < 1 {
-		batch = 1
+// adoptSkips replays a checkpointed chunk's skip accounting into mon.
+func adoptSkips(mon *harness.Monitor, skips []harness.Skip, total int) {
+	for _, s := range skips {
+		mon.RecordSkip(s)
 	}
-	for blo := lo; blo < hi; blo += batch {
-		bhi := blo + batch
-		if bhi > hi {
-			bhi = hi
-		}
-		s.runBatch(fk, blo, bhi, res, cfg)
-	}
+	mon.AddSkipped(int64(total - len(skips)))
 }
 
-// runBatch runs the trials of one batch through the reusable trial kernel.
-func (s *nodeSim) runBatch(fk stats.Forker, lo, hi int, res *runPayload, cfg *Config) {
-	for i := lo; i < hi; i++ {
-		runTrial(s, fk, i, res, cfg)
+// kernel builds the run's chunk kernel for harness.Chunked: a factory of
+// per-worker chunk functions, each with its own trial simulator. RunCtx and
+// the journal replayer execute chunks through it alike.
+func (cfg *Config) kernel() (func() func(lo, hi int) *runPayload, error) {
+	model, err := fault.NewModel(cfg.Model)
+	if err != nil {
+		return nil, err
 	}
+	if _, err := newNodeSim(model, *cfg); err != nil {
+		return nil, err
+	}
+	return func() func(lo, hi int) *runPayload {
+		sim, _ := newNodeSim(model, *cfg) // succeeded above
+		return sim.runChunk
+	}, nil
+}
+
+// runChunk is the reliability trial kernel: trials [lo, hi) run in index
+// order, each accumulated straight into the chunk payload.
+func (s *nodeSim) runChunk(lo, hi int) *runPayload {
+	res := &runPayload{}
+	if s.cfg.Stats.active() {
+		res.Est = &estTally{}
+	}
+	for i := lo; i < hi; i++ {
+		s.runTrial(i, res)
+	}
+	rm.trialsDone.Add(int64(hi - lo))
+	return res
 }
 
 // runTrial simulates one node with panic isolation: a panicking trial is
@@ -636,17 +429,13 @@ func (s *nodeSim) runBatch(fk stats.Forker, lo, hi int, res *runPayload, cfg *Co
 // into the simulator's scratch Result so a mid-trial panic cannot corrupt
 // res; the scratch and the substream RNG are reused, so a steady-state trial
 // allocates nothing here.
-func runTrial(sim *nodeSim, fk stats.Forker, node int, res *runPayload, cfg *Config) {
+func (s *nodeSim) runTrial(node int, res *runPayload) {
 	for attempt := 0; ; attempt++ {
-		err := sim.tryTrial(fk, node, cfg)
+		err := s.tryTrial(node)
 		if err == nil {
-			if sim.est == nil {
-				res.add(&sim.trialRes)
-			} else {
-				res.addScaled(&sim.trialRes, sim.trialW)
-			}
+			res.addScaled(&s.trialRes, s.trialW)
 			if res.Est != nil {
-				res.Est.observe(sim.trialW, sim.trialRes.DUEs, sim.trialRes.SDCs)
+				res.Est.observe(s.trialW, s.trialRes.DUEs, s.trialRes.SDCs)
 			}
 			return
 		}
@@ -656,11 +445,11 @@ func runTrial(sim *nodeSim, fk stats.Forker, node int, res *runPayload, cfg *Con
 		}
 		rm.trialsSkipped.Inc()
 		res.SkippedTrials++
-		skip := harness.Skip{Trial: node, Seed: cfg.Seed, Err: err.Error()}
+		skip := harness.Skip{Trial: node, Seed: s.cfg.Seed, Err: err.Error()}
 		if len(res.Skips) < harness.MaxSkipRecords {
 			res.Skips = append(res.Skips, skip)
 		}
-		cfg.Mon.RecordSkip(skip)
+		s.cfg.Mon.RecordSkip(skip)
 		return
 	}
 }
@@ -668,7 +457,7 @@ func runTrial(sim *nodeSim, fk stats.Forker, node int, res *runPayload, cfg *Con
 // tryTrial runs one panic-isolated trial attempt into s.trialRes. The node's
 // RNG stream is derived in place via Forker.Substream — bit-identical to
 // root.Fork(node) without the per-trial allocation.
-func (s *nodeSim) tryTrial(fk stats.Forker, node int, cfg *Config) (err error) {
+func (s *nodeSim) tryTrial(node int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("trial panic: %v", r)
@@ -676,10 +465,10 @@ func (s *nodeSim) tryTrial(fk stats.Forker, node int, cfg *Config) (err error) {
 	}()
 	s.trialRes = Result{}
 	s.trialW = 1
-	if cfg.trialHook != nil {
-		cfg.trialHook(node)
+	if s.cfg.trialHook != nil {
+		s.cfg.trialHook(node)
 	}
-	fk.Substream(uint64(node), &s.trialRNG)
+	s.fk.Substream(uint64(node), &s.trialRNG)
 	s.trialW = s.sampleAndSimulate(&s.trialRNG, node, &s.trialRes)
 	return nil
 }
@@ -743,6 +532,7 @@ type nodeSim struct {
 	// est is the configured sampling strategy; nil selects the original
 	// naive pipeline with its exact code path.
 	est estimator
+	fk  stats.Forker // the root seed's per-trial substreams
 
 	sampleSc fault.SampleScratch
 	// trialRNG is the per-trial substream (seeded in place per trial) and
@@ -765,20 +555,9 @@ type nodeSim struct {
 }
 
 func newNodeSim(model *fault.Model, cfg Config) (*nodeSim, error) {
-	s := &nodeSim{model: model, cfg: cfg}
-	if cfg.Planner != nil {
-		inc, ok := cfg.Planner.(repair.Incremental)
-		if !ok {
-			return nil, fmt.Errorf("relsim: planner %q does not support incremental planning", cfg.Planner.Name())
-		}
-		s.inc = inc
-	}
 	est, err := cfg.Stats.newEstimator(model)
-	if err != nil {
-		return nil, err
-	}
-	s.est = est
-	return s, nil
+	inc, _ := cfg.Planner.(repair.Incremental) // Validate rejects any other planner
+	return &nodeSim{model: model, cfg: cfg, inc: inc, est: est, fk: stats.NewRNG(cfg.Seed).Forker()}, err
 }
 
 // runNode samples one node from the physical fault process and simulates

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"relaxfault/internal/fault"
-	"relaxfault/internal/stats"
+	"relaxfault/internal/harness"
 )
 
 // RunSection names the checkpoint/journal section a reliability run with the
@@ -37,13 +36,43 @@ type Replayer interface {
 	ReplayChunk(ci int) (payload []byte, trialLo, trialHi int, err error)
 }
 
-// runReplayer replays reliability-run chunks (Run / RunCtx).
-type runReplayer struct {
-	cfg        Config
-	model      *fault.Model
-	fp         string
-	totalNodes int
-	sims       sync.Pool // *nodeSim, one per concurrent caller
+// replayer replays one section's chunks through the same chunk kernel and
+// the same harness.Chunking the live run used, so both the payload bytes
+// and the trial spans match the journal by construction.
+type replayer struct {
+	section, fp string
+	chunks      harness.Chunking
+	replay      func(lo, hi int) ([]byte, error)
+}
+
+// newReplayer pools per-caller kernel instances (each owns unsynchronised
+// scratch) behind a replayer.
+func newReplayer[P any](section, fp string, chunks harness.Chunking, kernel func() func(lo, hi int) P) *replayer {
+	var pool sync.Pool
+	return &replayer{section: section, fp: fp, chunks: chunks, replay: func(lo, hi int) ([]byte, error) {
+		k, _ := pool.Get().(func(lo, hi int) P)
+		if k == nil {
+			k = kernel()
+		}
+		defer pool.Put(k)
+		return json.Marshal(k(lo, hi))
+	}}
+}
+
+func (r *replayer) Section() string     { return r.section }
+func (r *replayer) Fingerprint() string { return r.fp }
+func (r *replayer) NumChunks() int      { return r.chunks.Count() }
+
+func (r *replayer) ReplayChunk(ci int) ([]byte, int, int, error) {
+	if ci < 0 || ci >= r.chunks.Count() {
+		return nil, 0, 0, fmt.Errorf("relsim: chunk %d outside [0, %d)", ci, r.chunks.Count())
+	}
+	lo, hi := r.chunks.Span(ci)
+	raw, err := r.replay(lo, hi)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("relsim: encoding replayed chunk %d: %w", ci, err)
+	}
+	return raw, lo, hi, nil
 }
 
 // NewRunReplayer builds a Replayer for the reliability run described by cfg.
@@ -58,67 +87,12 @@ func NewRunReplayer(cfg Config) (Replayer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := fault.NewModel(cfg.Model)
+	kernel, err := cfg.kernel()
 	if err != nil {
 		return nil, err
 	}
-	return &runReplayer{
-		cfg:        cfg,
-		model:      model,
-		fp:         cfg.Fingerprint(),
-		totalNodes: cfg.Nodes * cfg.Replicas,
-	}, nil
-}
-
-func (r *runReplayer) Section() string     { return RunSection(r.fp) }
-func (r *runReplayer) Fingerprint() string { return r.fp }
-func (r *runReplayer) NumChunks() int {
-	return (r.totalNodes + chunkSize - 1) / chunkSize
-}
-
-func (r *runReplayer) ReplayChunk(ci int) ([]byte, int, int, error) {
-	if ci < 0 || ci >= r.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("relsim: chunk %d outside [0, %d)", ci, r.NumChunks())
-	}
-	sim, _ := r.sims.Get().(*nodeSim)
-	if sim == nil {
-		var err error
-		sim, err = newNodeSim(r.model, r.cfg)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	defer r.sims.Put(sim)
-	root := stats.NewRNG(r.cfg.Seed)
-	lo := ci * chunkSize
-	hi := lo + chunkSize
-	if hi > r.totalNodes {
-		hi = r.totalNodes
-	}
-	// Identical to the chunk body of RunCtx: trial i draws from fork(i),
-	// accumulation order is trial order (batch size never changes bytes),
-	// and the payload is the marshalled *runPayload exactly as PutSpan
-	// received it (estimator runs carry their tally; naive payloads are
-	// byte-identical to the historical bare Result encoding).
-	res := &runPayload{}
-	if r.cfg.Stats.active() {
-		res.Est = &estTally{}
-	}
-	sim.runChunk(root.Forker(), lo, hi, r.cfg.batch(), res, &r.cfg)
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("relsim: encoding replayed chunk %d: %w", ci, err)
-	}
-	return raw, lo, hi, nil
-}
-
-// coverageReplayer replays coverage-study chunks (CoverageStudy /
-// CoverageStudyCtx).
-type coverageReplayer struct {
-	cfg       CoverageConfig
-	model     *fault.Model
-	fp        string
-	scratches sync.Pool // *covScratch
+	fp := cfg.Fingerprint()
+	return newReplayer(RunSection(fp), fp, cfg.Chunking(), kernel), nil
 }
 
 // NewCoverageReplayer builds a Replayer for the coverage study described by
@@ -130,43 +104,10 @@ func NewCoverageReplayer(cfg CoverageConfig) (Replayer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := fault.NewModel(cfg.Model)
+	kernel, err := cfg.kernel()
 	if err != nil {
 		return nil, err
 	}
-	cfg.est, err = cfg.Stats.newEstimator(model)
-	if err != nil {
-		return nil, err
-	}
-	return &coverageReplayer{cfg: cfg, model: model, fp: cfg.Fingerprint()}, nil
-}
-
-func (r *coverageReplayer) Section() string     { return CoverageSection(r.fp) }
-func (r *coverageReplayer) Fingerprint() string { return r.fp }
-func (r *coverageReplayer) NumChunks() int {
-	return (r.cfg.MaxNodes + covChunkSize - 1) / covChunkSize
-}
-
-func (r *coverageReplayer) ReplayChunk(ci int) ([]byte, int, int, error) {
-	if ci < 0 || ci >= r.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("relsim: chunk %d outside [0, %d)", ci, r.NumChunks())
-	}
-	sc, _ := r.scratches.Get().(*covScratch)
-	if sc == nil {
-		sc = &covScratch{}
-	}
-	defer r.scratches.Put(sc)
-	root := stats.NewRNG(r.cfg.Seed)
-	nCurves := len(r.cfg.Planners) * len(r.cfg.WayLimits)
-	ch := r.cfg.coverageChunk(r.model, root.Forker(), ci, nCurves, r.cfg.batch(), sc)
-	raw, err := json.Marshal(ch)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("relsim: encoding replayed chunk %d: %w", ci, err)
-	}
-	lo := ci * covChunkSize
-	hi := lo + covChunkSize
-	if hi > r.cfg.MaxNodes {
-		hi = r.cfg.MaxNodes
-	}
-	return raw, lo, hi, nil
+	fp := cfg.Fingerprint()
+	return newReplayer(CoverageSection(fp), fp, cfg.Chunking(), kernel), nil
 }

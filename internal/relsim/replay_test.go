@@ -1,14 +1,19 @@
 package relsim
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/dram"
+	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 	"relaxfault/internal/repair"
+	"relaxfault/internal/stats"
 )
 
 // journaledCampaign runs body against a store with an attached journal and
@@ -97,6 +102,128 @@ func TestRunReplayerMatchesJournal(t *testing.T) {
 	}
 	if journal.Digest(raw) == j.Chunks[0].Digest {
 		t.Fatal("different seed replayed to an identical digest")
+	}
+}
+
+// verifyJournal replays every journaled chunk through rep and requires the
+// journaled trial range and digest.
+func verifyJournal(t *testing.T, j *journal.Journal, rep Replayer) {
+	t.Helper()
+	if j.ChunkRecords == 0 {
+		t.Fatal("campaign journaled no chunks")
+	}
+	for _, rec := range j.Chunks {
+		raw, lo, hi, err := rep.ReplayChunk(rec.Chunk)
+		if err != nil {
+			t.Fatalf("ReplayChunk(%d): %v", rec.Chunk, err)
+		}
+		if lo != rec.TrialLo || hi != rec.TrialHi {
+			t.Fatalf("chunk %d trial range: replay [%d,%d), journal [%d,%d)",
+				rec.Chunk, lo, hi, rec.TrialLo, rec.TrialHi)
+		}
+		if got := journal.Digest(raw); got != rec.Digest {
+			t.Fatalf("chunk %d digest: replay %s, journal %s", rec.Chunk, got, rec.Digest)
+		}
+	}
+}
+
+// TestRunReplayerHonoursMaxTrials: a MaxTrials cap shortens the run's trial
+// space, so the replayer must split the capped space exactly as the run
+// did — chunk 1 is [4096, 5000), not [4096, 8192).
+func TestRunReplayerHonoursMaxTrials(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Nodes = 10000
+	cfg.Stats = &StatsConfig{Estimator: EstimatorNaive, MaxTrials: 5000}
+	j := journaledCampaign(t, func(store *harness.Store) {
+		cfg.Checkpoint = store
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rep, err := NewRunReplayer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NumChunks() != 2 {
+		t.Errorf("replayer reports %d chunks, want 2", rep.NumChunks())
+	}
+	verifyJournal(t, j, rep)
+}
+
+// TestWeightedCoverageDeterminism pins importance-weighted coverage chunks:
+// the weighted tallies accumulate trial by trial in index order, so results
+// and snapshots are byte-identical across worker counts and every journaled
+// chunk verifies against replay.
+func TestWeightedCoverageDeterminism(t *testing.T) {
+	base := covCfg(t)
+	base.Stats = &StatsConfig{Estimator: EstimatorImportance, Boost: 2}
+	model, err := fault.NewModel(base.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := base.Stats.newEstimator(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRes, wantSnap []byte
+	for _, workers := range []int{1, 4} {
+		cfg := base
+		cfg.Workers = workers
+		var res *CoverageResult
+		var snapPath string
+		j := journaledCampaign(t, func(store *harness.Store) {
+			cfg.Checkpoint = store
+			snapPath = store.Path()
+			if res, err = CoverageStudy(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rep, err := NewCoverageReplayer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyJournal(t, j, rep)
+		gotRes, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSnap, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRes == nil {
+			wantRes, wantSnap = gotRes, gotSnap
+		} else if !bytes.Equal(gotRes, wantRes) || !bytes.Equal(gotSnap, wantSnap) {
+			t.Errorf("workers=%d: result or snapshot differs from the 1-worker run", workers)
+		}
+
+		// Each stored chunk's weighted node tally is the trial-order sum of
+		// its trials' importance weights.
+		store, err := harness.OpenStore(snapPath, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := store.Section(rep.Section(), rep.Fingerprint())
+		fk := stats.NewRNG(cfg.Seed).Forker()
+		var rng stats.RNG
+		var sc fault.SampleScratch
+		for _, ci := range cp.Indexes() {
+			raw, _ := cp.Get(ci)
+			var ch covChunk
+			if err := json.Unmarshal(raw, &ch); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := cfg.Chunking().Span(ci)
+			want := 0.0
+			for i := lo; i < hi; i++ {
+				fk.Substream(uint64(i), &rng)
+				_, w := est.sampleNode(&rng, &sc, i)
+				want += w
+			}
+			if ch.WNodes != want {
+				t.Fatalf("chunk %d: w_nodes %v, want the trial-order sum %v", ci, ch.WNodes, want)
+			}
+		}
 	}
 }
 

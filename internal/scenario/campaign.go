@@ -99,25 +99,16 @@ func (sc *Scenario) Sections() ([]SectionInfo, error) {
 		return nil, err
 	}
 	var out []SectionInfo
+	add := func(name, fp string, ch harness.Chunking) {
+		out = append(out, SectionInfo{Name: name, Fingerprint: fp, ChunkSize: ch.Size, TotalTrials: ch.Trials})
+	}
 	for i := range low.Coverage {
-		cfg := &low.Coverage[i]
-		fp := cfg.Fingerprint()
-		out = append(out, SectionInfo{
-			Name:        relsim.CoverageSection(fp),
-			Fingerprint: fp,
-			ChunkSize:   relsim.CoverageChunkSize,
-			TotalTrials: cfg.TotalTrials(),
-		})
+		fp := low.Coverage[i].Fingerprint()
+		add(relsim.CoverageSection(fp), fp, low.Coverage[i].Chunking())
 	}
 	for i := range low.Reliability {
-		cfg := &low.Reliability[i]
-		fp := cfg.Fingerprint()
-		out = append(out, SectionInfo{
-			Name:        relsim.RunSection(fp),
-			Fingerprint: fp,
-			ChunkSize:   relsim.RunChunkSize,
-			TotalTrials: cfg.TotalTrials(),
-		})
+		fp := low.Reliability[i].Fingerprint()
+		add(relsim.RunSection(fp), fp, low.Reliability[i].Chunking())
 	}
 	return out, nil
 }

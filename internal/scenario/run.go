@@ -20,9 +20,6 @@ type Exec struct {
 	Mon     *harness.Monitor
 	Store   *harness.Store
 	Trace   *runtrace.Recorder
-	// BatchSize is the Monte Carlo trial-batch size (0 = engine default).
-	// Like Workers it never affects results.
-	BatchSize int
 }
 
 // PerfUnit is one (workload, prefetch degree) outcome: the weighted
@@ -77,7 +74,7 @@ func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
 		return nil, err
 	}
 	out := &Result{Scenario: sc, Fingerprint: fp}
-	rex := relsim.Exec{Workers: ex.Workers, Mon: ex.Mon, Checkpoint: ex.Store, Trace: ex.Trace, BatchSize: ex.BatchSize}
+	rex := relsim.Exec{Workers: ex.Workers, Mon: ex.Mon, Checkpoint: ex.Store, Trace: ex.Trace}
 
 	scenarioStart := ex.Trace.Now()
 	for i := range low.Coverage {
