@@ -1,6 +1,7 @@
-// Benchmarks: one per table and figure of the paper's evaluation section.
-// Each benchmark regenerates its artifact at a reduced Monte Carlo scale
-// per iteration and logs the resulting rows once, so
+// Benchmarks: one sub-benchmark per experiment of the CLI's table (every
+// table and figure of the paper's evaluation, then the extensions). Each
+// regenerates its artifact at a reduced Monte Carlo scale per iteration and
+// logs it once, so
 //
 //	go test -bench=. -benchmem
 //
@@ -9,6 +10,7 @@
 package relaxfault_test
 
 import (
+	"context"
 	"testing"
 
 	"relaxfault/internal/experiments"
@@ -20,198 +22,26 @@ func benchScale() experiments.Scale {
 	return experiments.Scale{
 		FaultyNodes:  2000,
 		Nodes:        16384,
-		Replicas:     2,
+		Replicas:     1,
 		Instructions: 200_000,
 		Seed:         7,
 	}
 }
 
-func BenchmarkTable1StorageOverhead(b *testing.B) {
-	var out experiments.Table1Result
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table1()
+func BenchmarkExperiments(b *testing.B) {
+	paper, extensions := experiments.Names()
+	for _, name := range append(paper, extensions...) {
+		b.Run(name, func(b *testing.B) {
+			var out string
+			for i := 0; i < b.N; i++ {
+				var err error
+				// A fresh session per iteration: fig13 and fig16 re-run
+				// the simulations they share with fig12 and fig15.
+				if out, err = new(experiments.Session).Render(context.Background(), name, benchScale()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log("\n" + out)
+		})
 	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkTable2FaultRates(b *testing.B) {
-	var out experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table2()
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkTable3SystemParameters(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table3()
-	}
-	b.Log("\n" + out)
-}
-
-func BenchmarkTable4Workloads(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table4()
-	}
-	b.Log("\n" + out)
-}
-
-func BenchmarkFig2FieldFaultRates(b *testing.B) {
-	var out experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		out = experiments.Fig2()
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig8HashingSensitivity(b *testing.B) {
-	var out experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig9FaultModelSensitivity(b *testing.B) {
-	var out experiments.Fig9Result
-	s := benchScale()
-	s.Replicas = 1
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig10CoverageBaseFIT(b *testing.B) {
-	var out experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig11Coverage10xFIT(b *testing.B) {
-	var out experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig12DUE(b *testing.B) {
-	var one, ten experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		r1, r10, err := experiments.Fig12(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		one, ten = r1, r10
-	}
-	b.Log("\n" + one.String() + ten.String())
-}
-
-func BenchmarkFig13SDC(b *testing.B) {
-	var one, ten experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		r1, r10, err := experiments.Fig13(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		one, ten = r1, r10
-	}
-	b.Log("\n" + one.StringSDC() + ten.StringSDC())
-}
-
-func BenchmarkFig14Replacements(b *testing.B) {
-	var out experiments.Fig14Result
-	s := benchScale()
-	s.Replicas = 1
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig14(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig15Performance(b *testing.B) {
-	var out experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15And16(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkFig16Power(b *testing.B) {
-	var out experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15And16(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.StringPower())
-}
-
-// --- Ablation benchmarks (design choices DESIGN.md calls out) ---------------
-
-func BenchmarkAblationMappingAndBaselines(b *testing.B) {
-	var out experiments.AblationResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablations(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkAblationGeometryVariants(b *testing.B) {
-	var out experiments.VariantResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.GeometryVariants(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
-}
-
-func BenchmarkAblationPrefetcher(b *testing.B) {
-	var out experiments.PrefetchResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.PrefetchAblation(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r
-	}
-	b.Log("\n" + out.String())
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +51,28 @@ func TestValidateFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: validateFlags = %v, want error containing %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestUnknownExperimentRejectedBeforeArtifacts pins that experiment names
+// resolve before anything is opened: a typoed name is a usage error (exit
+// 2) that leaves no checkpoint, journal, or manifest behind.
+func TestUnknownExperimentRejectedBeforeArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	_, stderr, code := runBin(t, "-progress", "0",
+		"-checkpoint", filepath.Join(dir, "cp.json"),
+		"-journal", filepath.Join(dir, "cp.journal"), "fig99")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, `unknown experiment "fig99"`) {
+		t.Errorf("stderr does not name the unknown experiment:\n%s", stderr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("artifact %s left behind by a rejected invocation", e.Name())
 	}
 }

@@ -14,18 +14,20 @@
 //	relaxfault list
 //
 // Experiments: tab1 tab2 tab3 tab4 fig2 fig8 fig9 fig10 fig11 fig12 fig13
-// fig14 fig15 fig16 all
+// fig14 fig15 fig16 all, plus the extensions ablate variants prefetch ddr4.
 //
 // Every experiment is a preset scenario in internal/scenario's registry;
 // "list" prints them. -scenario runs any scenario — a preset name or a JSON
 // spec file — through the generic runner, and "sweep" runs the cross-product
 // of -set overrides over a base scenario, writing one manifest per point.
+// Experiment names, a -scenario, and a sweep all resolve to a list of named
+// points before anything is opened, so a typoed name is a usage error.
 //
 // Monte Carlo campaigns run on a sharded worker pool (-parallel N, default
 // all cores). Trials are claimed as fixed-size chunk indexes and every node
 // derives its RNG stream from the root seed alone, so the output is bitwise
-// identical for any worker count — the "bench" experiment measures the
-// speedup and asserts that identity.
+// identical for any worker count; the golden and scheduling-differential
+// tests in internal/experiments pin that identity.
 //
 // The run harness makes long campaigns survivable: ^C or SIGTERM cancels
 // gracefully at the next work-chunk boundary (a second signal force-quits),
@@ -97,167 +99,193 @@ func main() {
 	os.Exit(run())
 }
 
-// allExperiments is the expansion of the "all" pseudo-experiment, in paper
-// order.
-var allExperiments = []string{"tab1", "tab2", "tab3", "tab4", "fig2", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
+// options holds the parsed command line flags.
+type options struct {
+	scale, checkpoint, journal, metrics, events string
+	pprof, trace, scenario, store               string
+	seed                                        uint64
+	seedSet, resume, repairJournal              bool
+	timeout, progress, flushInterval            time.Duration
+	parallel                                    int
+	sets                                        repeatedFlag
+}
 
-func run() int {
-	scaleFlag := flag.String("scale", "quick", "effort level: quick or paper")
-	seed := flag.Uint64("seed", 7, "Monte Carlo seed")
-	timeout := flag.Duration("timeout", 0, "per-experiment deadline (0 = none)")
-	progress := flag.Duration("progress", 10*time.Second, "progress report interval on stderr (0 = silent)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint snapshot file for the Monte Carlo runs")
-	resume := flag.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting fresh")
-	journalFlag := flag.String("journal", "", "append-only replay journal beside the -checkpoint (also the verify subcommand's input)")
-	repairJournal := flag.Bool("repair-journal", false, "on -resume, quarantine snapshot chunks that fail the journal cross-check (recompute) instead of refusing")
-	flushInterval := flag.Duration("flush-interval", harness.DefaultFlushInterval, "checkpoint snapshot rate limit (lower it so short campaigns persist chunks quickly)")
-	metricsOut := flag.String("metrics", "", `write the run manifest (config, timings, metrics snapshot) to FILE; "-" prints JSON to stdout`)
-	eventsOut := flag.String("events", "", "append machine-readable JSONL progress/skip/run events to FILE")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar, Prometheus text metrics, and /debug/status on ADDR (e.g. localhost:6060)")
-	traceFlag := flag.String("trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to FILE (also embeds the scheduler-attribution report in the manifest)")
-	parallel := flag.Int("parallel", 0, "Monte Carlo worker pool size (0 = all cores); results are identical for any value")
-	scenarioFlag := flag.String("scenario", "", "run a scenario: a preset name or a JSON spec file (see the list subcommand)")
-	storeFlag := flag.String("store", "", "content-addressed campaign store DIR: repeated runs are verified cache hits, budget bumps resume from cached checkpoints (conflicts with -checkpoint/-journal/-resume)")
-	var setFlagsRaw repeatedFlag
-	flag.Var(&setFlagsRaw, "set", "sweep axis as path=v1[,v2...]; repeatable, used with the sweep subcommand")
+// parseFlags defines every flag — its help text is the one source usage
+// prints — and parses them interleaved with the positional arguments.
+func parseFlags() (*options, []string) {
+	o := &options{}
+	flag.StringVar(&o.scale, "scale", "quick", "effort level: quick or paper")
+	flag.Uint64Var(&o.seed, "seed", 7, "Monte Carlo seed")
+	flag.DurationVar(&o.timeout, "timeout", 0, "per-experiment deadline, e.g. 30m (0 = none)")
+	flag.DurationVar(&o.progress, "progress", 10*time.Second, "progress/watchdog report interval on stderr (0 = silent)")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "periodically snapshot the Monte Carlo chunks to `FILE`")
+	flag.BoolVar(&o.resume, "resume", false, "restart from the -checkpoint snapshot; the same flags and seed reproduce the uninterrupted output exactly")
+	flag.StringVar(&o.journal, "journal", "", "keep an append-only replay journal `FILE` beside the -checkpoint: one fsync'd, digest-bearing record per chunk, written before the chunk may enter a snapshot; -resume cross-checks the snapshot against it (also the verify subcommand's input)")
+	flag.BoolVar(&o.repairJournal, "repair-journal", false, "with -resume and -journal (or -store), quarantine chunks that fail the journal cross-check (they are recomputed) instead of refusing")
+	flag.DurationVar(&o.flushInterval, "flush-interval", harness.DefaultFlushInterval, "checkpoint snapshot rate limit (lower it so short campaigns persist chunks quickly)")
+	flag.StringVar(&o.metrics, "metrics", "", "write the run manifest (config fingerprint, timings, metrics snapshot) to `FILE`; \"-\" prints JSON to stdout")
+	flag.StringVar(&o.events, "events", "", "append JSONL progress/skip/run events to `FILE`")
+	flag.StringVar(&o.pprof, "pprof", "", "serve /debug/pprof, /debug/vars, Prometheus /metrics, and a live /debug/status snapshot (per-worker chunk, trials/s, ETA, journal health) on `ADDR`, e.g. localhost:6060")
+	flag.StringVar(&o.trace, "trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to `FILE`; the scheduler-attribution report lands in the manifest's \"trace\" block and is printed as a table")
+	flag.IntVar(&o.parallel, "parallel", 0, "Monte Carlo worker pool size (0 = all cores); any value yields bitwise-identical results")
+	flag.StringVar(&o.scenario, "scenario", "", "run the scenario `FILE|PRESET` (a JSON spec file or a registry preset) through the generic runner; spec files carry their own budget and seed, an explicit -seed overrides")
+	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: a repeated run is a verified cache hit (zero trials) and a larger trial budget resumes from the largest cached entry; conflicts with -checkpoint/-journal/-resume")
+	flag.Var(&o.sets, "set", "sweep axis `path=v1[,v2...]` for the sweep subcommand (repeatable); the cross-product runs, one manifest per point next to the -metrics target")
 	flag.Usage = usage
 	args := parseArgs()
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
+	flag.Visit(func(f *flag.Flag) { o.seedSet = o.seedSet || f.Name == "seed" })
+	return o, args
+}
+
+// subcommands maps a leading positional argument to its handler. Anything
+// else is the default run: experiment names or a -scenario.
+var subcommands = map[string]func(o *options, args []string) int{
+	"list": func(_ *options, args []string) int {
+		if len(args) > 0 {
+			fmt.Fprintf(os.Stderr, "relaxfault: list takes no arguments (got %q)\n", args)
+			return 2
 		}
-	})
-	// Subcommand detection feeds the centralized flag validation: every
-	// cross-flag rule is checked here, at parse time, before any artifact is
-	// touched.
+		printPresetList()
+		return 0
+	},
+	"verify": func(o *options, args []string) int { return runVerify(args, o.journal, o.parallel, o.progress) },
+	"cache":  func(o *options, args []string) int { return runCache(args, o.store) },
+	"sweep":  func(o *options, args []string) int { return runPoints(o, args, true) },
+}
+
+func run() int {
+	o, args := parseFlags()
+	// Every cross-flag rule is checked here, at parse time, before any
+	// artifact is touched.
 	sub := ""
-	if len(args) > 0 {
-		switch args[0] {
-		case "verify", "cache", "sweep":
-			sub = args[0]
-		case "list":
-			if len(args) == 1 {
-				sub = "list"
-			}
-		}
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		sub, args = args[0], args[1:]
 	}
 	if err := validateFlags(flagRules{
 		Sub:        sub,
-		Checkpoint: *checkpoint, Journal: *journalFlag, Store: *storeFlag,
-		Resume: *resume, RepairJournal: *repairJournal,
-		Sets: len(setFlagsRaw),
+		Checkpoint: o.checkpoint, Journal: o.journal, Store: o.store,
+		Resume: o.resume, RepairJournal: o.repairJournal,
+		Sets: len(o.sets),
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
 	}
-	switch sub {
-	case "list":
-		printPresetList()
-		return 0
-	case "verify":
-		return runVerify(args[1:], *journalFlag, *parallel, *progress)
-	case "cache":
-		return runCache(args[1:], *storeFlag)
+	if sub != "" {
+		return subcommands[sub](o, args)
 	}
-	if len(args) == 0 && *scenarioFlag == "" {
+	if len(args) == 0 && o.scenario == "" {
 		usage()
 		return 2
 	}
+	return runPoints(o, args, false)
+}
+
+// point is one named unit of a run — an experiment, the -scenario, or one
+// sweep point — with the resolved scenario record the manifest and the
+// journal's open record embed, and the function rendering its artifact.
+type point struct {
+	name string
+	seed uint64
+	rec  *harness.ScenarioRecord
+	run  func(context.Context, experiments.Scale) (string, error)
+}
+
+// resolve turns the positional arguments into the run's points: experiment
+// names ("all" expanded), the -scenario, or the sweep's expansion of it.
+// Every error is a usage error, returned before any artifact is opened.
+func resolve(o *options, args []string, sweep bool, scale experiments.Scale) ([]point, error) {
+	if o.scenario == "" {
+		if sweep {
+			return nil, errors.New("sweep requires -scenario FILE|PRESET")
+		}
+		names, err := experiments.Resolve(args)
+		if err != nil {
+			return nil, err
+		}
+		sess := &experiments.Session{}
+		pts := make([]point, len(names))
+		for i, name := range names {
+			pts[i] = point{name: name, seed: scale.Seed, run: func(ctx context.Context, s experiments.Scale) (string, error) {
+				return sess.Render(ctx, name, s)
+			}}
+			if sc, err := scale.PresetScenario(strings.ToLower(name)); err == nil {
+				if rec, err := sc.Record(); err == nil {
+					pts[i].rec = &rec
+				}
+			}
+		}
+		return pts, nil
+	}
+	if len(args) > 0 {
+		return nil, fmt.Errorf("-scenario and sweep take no experiment names (got %q)", args)
+	}
+	base, err := loadScenarioArg(o.scenario, scale, o.seedSet, o.seed)
+	if err != nil {
+		return nil, err
+	}
+	scs := []*scenario.Scenario{base}
+	if sweep {
+		var axes []scenario.SweepSet
+		for _, raw := range o.sets {
+			ax, err := scenario.ParseSet(raw)
+			if err != nil {
+				return nil, err
+			}
+			axes = append(axes, ax)
+		}
+		if scs, err = scenario.Expand(base, axes); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "relaxfault: sweep expands to %d points\n", len(scs))
+	}
+	pts := make([]point, len(scs))
+	for i, sc := range scs {
+		pts[i] = point{name: sc.Name, seed: *sc.Seed, run: func(ctx context.Context, s experiments.Scale) (string, error) {
+			res, err := s.RunScenario(ctx, sc)
+			if err != nil {
+				return "", err
+			}
+			return res.String(), nil
+		}}
+		if rec, err := sc.Record(); err == nil {
+			pts[i].rec = &rec
+		}
+	}
+	return pts, nil
+}
+
+// runPoints is the default run and the sweep subcommand: resolve the
+// points, open the run's artifacts, execute every point in one loop, then
+// seal the journal and write the manifest. A sweep additionally writes one
+// manifest per point.
+func runPoints(o *options, args []string, sweep bool) int {
 	var scale experiments.Scale
-	switch *scaleFlag {
+	switch o.scale {
 	case "quick":
 		scale = experiments.QuickScale()
 	case "paper":
 		scale = experiments.PaperScale()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or paper)\n", *scaleFlag)
+		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or paper)\n", o.scale)
 		return 2
 	}
-	scale.Seed = *seed
-	scale.Workers = *parallel
+	scale.Seed = o.seed
+	scale.Workers = o.parallel
 
-	// Mode selection: the classic experiment list, one -scenario, or a sweep.
-	const (
-		modeExperiments = iota
-		modeScenario
-		modeSweep
-	)
-	mode := modeExperiments
-	if len(args) > 0 && args[0] == "sweep" {
-		mode = modeSweep
-		args = args[1:]
-	} else if *scenarioFlag != "" {
-		mode = modeScenario
+	points, err := resolve(o, args, sweep, scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
+		return 2
 	}
-	var baseScenario *scenario.Scenario
-	var sweepPoints []*scenario.Scenario
-	switch mode {
-	case modeScenario, modeSweep:
-		if len(args) > 0 {
-			fmt.Fprintf(os.Stderr, "relaxfault: -scenario and sweep take no experiment names (got %q)\n", args)
-			return 2
-		}
-		if *scenarioFlag == "" {
-			fmt.Fprintf(os.Stderr, "relaxfault: sweep requires -scenario FILE|PRESET\n")
-			return 2
-		}
-		var err error
-		baseScenario, err = loadScenarioArg(*scenarioFlag, scale, seedSet, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
-			return 2
-		}
-		if mode == modeSweep {
-			var axes []scenario.SweepSet
-			for _, raw := range setFlagsRaw {
-				ax, err := scenario.ParseSet(raw)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
-					return 2
-				}
-				axes = append(axes, ax)
-			}
-			sweepPoints, err = scenario.Expand(baseScenario, axes)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(os.Stderr, "relaxfault: sweep expands to %d points\n", len(sweepPoints))
-		}
-	}
-	if mode == modeExperiments && len(args) == 1 && args[0] == "all" {
-		args = allExperiments
-	}
-
-	// Resolve every scenario the run will execute up front: the records are
-	// embedded both in the run manifest and — when a journal is kept — in
-	// the journal's open record, which is what makes "relaxfault verify"
-	// self-contained.
+	// Every resolved scenario is embedded both in the run manifest and — when
+	// a journal is kept — in the journal's open record, which is what makes
+	// "relaxfault verify" self-contained.
 	var records []harness.ScenarioRecord
-	sweepRecs := make([]*harness.ScenarioRecord, len(sweepPoints))
-	switch mode {
-	case modeScenario:
-		if rec, err := baseScenario.Record(); err == nil {
-			records = append(records, rec)
-		}
-	case modeSweep:
-		for i, pt := range sweepPoints {
-			if rec, err := pt.Record(); err == nil {
-				sweepRecs[i] = &rec
-				records = append(records, rec)
-			}
-		}
-	default:
-		for _, name := range args {
-			if scenario.IsPreset(strings.ToLower(name)) {
-				if sc, err := scale.PresetScenario(strings.ToLower(name)); err == nil {
-					if rec, err := sc.Record(); err == nil {
-						records = append(records, rec)
-					}
-				}
-			}
+	runNames := make([]string, len(points))
+	for i, p := range points {
+		runNames[i] = p.name
+		if p.rec != nil {
+			records = append(records, *p.rec)
 		}
 	}
 
@@ -282,7 +310,7 @@ func run() int {
 		os.Exit(130)
 	}()
 
-	mon := harness.NewMonitor(os.Stderr, *progress)
+	mon := harness.NewMonitor(os.Stderr, o.progress)
 	// The journal writer opens later (after scenario records resolve); the
 	// status handler reads this pointer so /debug/status reports journal
 	// health as soon as the writer exists.
@@ -291,7 +319,7 @@ func run() int {
 	// tracer is nil (every recording call a no-op) unless -trace was given:
 	// tracing is strictly opt-in so untraced runs pay nothing.
 	var tracer *runtrace.Recorder
-	if *traceFlag != "" {
+	if o.trace != "" {
 		tracer = runtrace.New()
 	}
 	scale.Trace = tracer
@@ -300,8 +328,8 @@ func run() int {
 	// scenario run through the keyed campaign layer. The records every
 	// keyed campaign resolves to are collected for the run manifest.
 	var campRecs []harness.CampaignRecord
-	if *storeFlag != "" {
-		cs, err := cstore.Open(*storeFlag)
+	if o.store != "" {
+		cs, err := cstore.Open(o.store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 			return 1
@@ -311,7 +339,7 @@ func run() int {
 		scale.OnJournal = func(w *journal.Writer) { jwLive.Store(w) }
 	}
 
-	if *pprofAddr != "" {
+	if o.pprof != "" {
 		// Importing obs pulls in expvar, whose init registers /debug/vars on
 		// the default mux; net/http/pprof likewise registers /debug/pprof/*.
 		obs.Default().PublishExpvar("relaxfault")
@@ -321,7 +349,7 @@ func run() int {
 		})
 		http.Handle("/debug/status", harness.StatusHandler(mon, jwLive.Load))
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.pprof, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "relaxfault: pprof server: %v\n", err)
 			}
 		}()
@@ -330,13 +358,13 @@ func run() int {
 	// With -progress 0 the periodic reporter is never launched at all: no
 	// goroutine, no ticker, nothing to stop at exit.
 	stopMon := func() {}
-	if *progress > 0 {
+	if o.progress > 0 {
 		stopMon = mon.Start()
 	}
 	defer stopMon()
 	scale.Mon = mon
-	if *eventsOut != "" {
-		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if o.events != "" {
+		f, err := os.OpenFile(o.events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 			return 1
@@ -350,11 +378,11 @@ func run() int {
 	// opens or resumes the journal (cross-checking the snapshot first), and
 	// embeds the resolved scenario records in the journal's open record.
 	camp, err := campaign.OpenUnkeyed(campaign.UnkeyedConfig{
-		Checkpoint: *checkpoint, Journal: *journalFlag, Resume: *resume,
-		Seed: *seed, Records: records,
+		Checkpoint: o.checkpoint, Journal: o.journal, Resume: o.resume,
+		Seed: o.seed, Records: records,
 	}, campaign.Options{
-		Workers: *parallel, Mon: mon, Trace: tracer,
-		FlushInterval: *flushInterval, RepairJournal: *repairJournal,
+		Workers: o.parallel, Mon: mon, Trace: tracer,
+		FlushInterval: o.flushInterval, RepairJournal: o.repairJournal,
 		OnJournal: func(w *journal.Writer) { jwLive.Store(w) },
 	})
 	if err != nil {
@@ -371,80 +399,40 @@ func run() int {
 		}()
 	}
 	jw := camp.Journal()
-	crossVerified := camp.CrossVerified()
 
-	runNames := args
-	switch mode {
-	case modeScenario:
-		runNames = []string{baseScenario.Name}
-	case modeSweep:
-		runNames = make([]string, len(sweepPoints))
-		for i, pt := range sweepPoints {
-			runNames[i] = pt.Name
-		}
-	}
 	mon.Event("run_start", map[string]any{
 		"experiments": runNames,
-		"scale":       *scaleFlag,
-		"seed":        *seed,
+		"scale":       o.scale,
+		"seed":        o.seed,
 	})
 
-	// Graceful degradation: every requested experiment (or sweep point)
-	// runs; failures are collected and summarised, and only the final exit
-	// code reflects them.
+	// Graceful degradation: every point runs; failures are collected and
+	// summarised, and only the final exit code reflects them.
 	var failures []string
 	interrupted := false
-	runOne := func(name string, f func(context.Context) error) {
+	for i, p := range points {
+		done0, skip0, fail0, camp0 := mon.DoneTrials(), mon.Skipped(), len(failures), len(campRecs)
 		if ctx.Err() != nil {
 			interrupted = true
-			return
-		}
-		mon.SetLabel(name)
-		start := time.Now()
-		expStart := tracer.Now()
-		err := f(ctx)
-		tracer.Span(runtrace.TrackMain, "experiment:"+name, -1, 0, expStart)
-		switch {
-		case err == nil:
-			// Timing goes to stderr: stdout carries only the artifacts, so a
-			// resumed run's stdout is byte-identical to an uninterrupted one.
-			elapsed := time.Since(start)
-			fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", name, elapsed.Round(time.Millisecond))
-			obs.Default().Timer("experiments." + obs.SanitizeName(name) + ".seconds").Observe(elapsed)
-			mon.Event("experiment_done", map[string]any{
-				"experiment": name, "seconds": elapsed.Seconds(),
-			})
-		case errors.Is(err, context.Canceled) && ctx.Err() != nil:
+		} else if err := runPoint(ctx, p, scale, o.timeout, mon, tracer); errors.Is(err, context.Canceled) && ctx.Err() != nil {
 			interrupted = true
-		default:
-			fmt.Fprintf(os.Stderr, "relaxfault: %s: %v\n", name, err)
-			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
+		} else if err != nil {
+			fmt.Fprintf(os.Stderr, "relaxfault: %s: %v\n", p.name, err)
+			failures = append(failures, fmt.Sprintf("%s: %v", p.name, err))
 			mon.Event("experiment_failed", map[string]any{
-				"experiment": name, "err": err.Error(),
+				"experiment": p.name, "err": err.Error(),
 			})
 		}
-	}
-
-	switch mode {
-	case modeScenario:
-		runOne(baseScenario.Name, func(ctx context.Context) error {
-			return runScenarioPoint(ctx, baseScenario, scale, *timeout)
-		})
-	case modeSweep:
-		for i, pt := range sweepPoints {
+		if sweep {
 			pm := harness.NewManifest()
-			pm.Experiments = []string{pt.Name}
-			pm.Scale = *scaleFlag
-			pm.Seed = *pt.Seed
-			pm.Checkpoint = *checkpoint
-			if rec := sweepRecs[i]; rec != nil {
-				pm.Scenarios = []harness.ScenarioRecord{*rec}
-				pm.Fingerprint = rec.Fingerprint
+			pm.Experiments = []string{p.name}
+			pm.Scale = o.scale
+			pm.Seed = p.seed
+			pm.Checkpoint = o.checkpoint
+			if p.rec != nil {
+				pm.Scenarios = []harness.ScenarioRecord{*p.rec}
+				pm.Fingerprint = p.rec.Fingerprint
 			}
-			done0, skip0, fail0, camp0 := mon.DoneTrials(), mon.Skipped(), len(failures), len(campRecs)
-			runOne(pt.Name, func(ctx context.Context) error {
-				return runScenarioPoint(ctx, pt, scale, *timeout)
-			})
 			pm.TrialsDone = mon.DoneTrials() - done0
 			pm.TrialsSkipped = mon.Skipped() - skip0
 			pm.Campaigns = append([]harness.CampaignRecord(nil), campRecs[camp0:]...)
@@ -453,24 +441,14 @@ func run() int {
 				pm.Failures = failures[fail0:]
 			}
 			pm.Finish()
-			if path := sweepManifestPath(*metricsOut, *checkpoint, i); path != "" {
+			if path := sweepManifestPath(o.metrics, o.checkpoint, i); path != "" {
 				if err := pm.WriteFile(path); err != nil {
 					fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 				}
 			}
-			if interrupted {
-				break
-			}
 		}
-	default:
-		runner := &runState{scale: scale}
-		for _, name := range args {
-			runOne(name, func(ctx context.Context) error {
-				return runner.runExperiment(ctx, name, *timeout)
-			})
-			if interrupted {
-				break
-			}
+		if interrupted {
+			break
 		}
 	}
 	mon.SetLabel("")
@@ -502,10 +480,10 @@ func run() int {
 			verb, sig = "terminated", 143
 		}
 		fmt.Fprintf(os.Stderr, "relaxfault: %s", verb)
-		if *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "; partial results checkpointed to %s (restart with -resume)", *checkpoint)
-		} else if *storeFlag != "" {
-			fmt.Fprintf(os.Stderr, "; partial results checkpointed in %s (rerun the same command to resume)", *storeFlag)
+		if o.checkpoint != "" {
+			fmt.Fprintf(os.Stderr, "; partial results checkpointed to %s (restart with -resume)", o.checkpoint)
+		} else if o.store != "" {
+			fmt.Fprintf(os.Stderr, "; partial results checkpointed in %s (rerun the same command to resume)", o.store)
 		}
 		fmt.Fprintf(os.Stderr, "\n")
 		code = sig
@@ -534,27 +512,27 @@ func run() int {
 		rep := runtrace.Analyze(tracer)
 		rep.Publish(obs.Default())
 		manifest.Trace = rep
-		if err := tracer.WriteChromeFile(*traceFlag); err != nil {
+		if err := tracer.WriteChromeFile(o.trace); err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: writing trace: %v\n", err)
 			if code == 0 {
 				code = 1
 			}
 		} else {
-			fmt.Fprintf(os.Stderr, "relaxfault: trace written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *traceFlag)
+			fmt.Fprintf(os.Stderr, "relaxfault: trace written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", o.trace)
 		}
 		fmt.Print(rep.String())
 	}
 
 	manifest.Experiments = runNames
-	manifest.Scale = *scaleFlag
-	manifest.Seed = *seed
-	manifest.Fingerprint = harness.Fingerprint("relaxfault-cli", *scaleFlag, *seed, runNames)
-	manifest.Checkpoint = *checkpoint
+	manifest.Scale = o.scale
+	manifest.Seed = o.seed
+	manifest.Fingerprint = harness.Fingerprint("relaxfault-cli", o.scale, o.seed, runNames)
+	manifest.Checkpoint = o.checkpoint
 	if jw != nil {
-		manifest.Journal = *journalFlag
+		manifest.Journal = o.journal
 		manifest.JournalSealed = jw.Sealed()
 		manifest.JournalChunks = jw.ChunkRecords()
-		manifest.JournalVerifiedChunks = crossVerified
+		manifest.JournalVerifiedChunks = camp.CrossVerified()
 	}
 	manifest.Scenarios = records
 	manifest.Campaigns = campRecs
@@ -569,13 +547,41 @@ func run() int {
 		"trials_done":  manifest.TrialsDone,
 		"wall_seconds": manifest.WallSeconds,
 	})
-	if err := writeManifest(manifest, *metricsOut, *checkpoint); err != nil {
+	if err := writeManifest(manifest, o.metrics, o.checkpoint); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		if code == 0 {
 			code = 1
 		}
 	}
 	return code
+}
+
+// runPoint executes one point under the optional per-point deadline,
+// prints its artifact to stdout, and reports its timing.
+func runPoint(ctx context.Context, p point, scale experiments.Scale, timeout time.Duration, mon *harness.Monitor, tracer *runtrace.Recorder) error {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	mon.SetLabel(p.name)
+	start := time.Now()
+	expStart := tracer.Now()
+	out, err := p.run(ctx, scale)
+	tracer.Span(runtrace.TrackMain, "experiment:"+p.name, -1, 0, expStart)
+	if err != nil {
+		return err
+	}
+	fmt.Print(out)
+	// Timing goes to stderr: stdout carries only the artifacts, so a
+	// resumed run's stdout is byte-identical to an uninterrupted one.
+	elapsed := time.Since(start)
+	fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", p.name, elapsed.Round(time.Millisecond))
+	obs.Default().Timer("experiments." + obs.SanitizeName(p.name) + ".seconds").Observe(elapsed)
+	mon.Event("experiment_done", map[string]any{
+		"experiment": p.name, "seconds": elapsed.Seconds(),
+	})
+	return nil
 }
 
 // runVerify implements the verify subcommand: load the journal (recovering
@@ -702,37 +708,6 @@ func loadScenarioArg(arg string, scale experiments.Scale, seedSet bool, seed uin
 	return sc, nil
 }
 
-// runScenarioPoint executes one scenario — through the keyed campaign
-// layer when a -store is attached, directly on the generic runner
-// otherwise — and prints its generic rendering to stdout. Either path
-// prints byte-identical artifacts.
-func runScenarioPoint(ctx context.Context, sc *scenario.Scenario, scale experiments.Scale, timeout time.Duration) error {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	var res *scenario.Result
-	var err error
-	if scale.Campaigns != nil {
-		var rec *harness.CampaignRecord
-		res, rec, err = campaign.RunStore(ctx, sc, scale.Campaigns, campaign.Options{
-			Workers: scale.Workers, Mon: scale.Mon, Trace: scale.Trace,
-			OnJournal: scale.OnJournal,
-		})
-		if rec != nil && scale.OnCampaign != nil {
-			scale.OnCampaign(*rec)
-		}
-	} else {
-		res, err = scenario.RunCtx(ctx, sc, scenario.Exec{Workers: scale.Workers, Mon: scale.Mon, Store: scale.Store, Trace: scale.Trace})
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(res)
-	return nil
-}
-
 // sweepManifestPath derives the per-point manifest path from the -metrics
 // target (or the checkpoint manifest) by inserting a .sweepNN tag before
 // the extension. Empty when neither target names a file.
@@ -807,164 +782,9 @@ func writeManifest(m *harness.Manifest, target, checkpoint string) error {
 	}
 }
 
-// runState caches results shared between experiments within one invocation:
-// fig15 and fig16 render different views of the same simulations, so when
-// both are requested (e.g. via "all") the workloads run once.
-type runState struct {
-	scale experiments.Scale
-	fig15 *experiments.Fig15Result
-}
-
-// fig15And16 computes (or reuses) the shared Figure 15/16 simulations.
-func (r *runState) fig15And16(ctx context.Context) (experiments.Fig15Result, error) {
-	if r.fig15 != nil {
-		return *r.fig15, nil
-	}
-	res, err := experiments.Fig15And16Ctx(ctx, r.scale)
-	if err != nil {
-		return res, err
-	}
-	r.fig15 = &res
-	return res, nil
-}
-
-// runExperiment executes one experiment under an optional per-experiment
-// deadline and prints its artifact to stdout.
-func (r *runState) runExperiment(ctx context.Context, name string, timeout time.Duration) error {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	scale := r.scale
-	switch strings.ToLower(name) {
-	case "tab1":
-		fmt.Print(experiments.Table1())
-	case "tab2":
-		fmt.Print(experiments.Table2())
-	case "tab3":
-		fmt.Print(experiments.Table3())
-	case "tab4":
-		fmt.Print(experiments.Table4())
-	case "fig2":
-		fmt.Print(experiments.Fig2())
-	case "fig8":
-		res, err := experiments.Fig8Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "fig9":
-		res, err := experiments.Fig9Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "fig10":
-		res, err := experiments.Fig10Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "fig11":
-		res, err := experiments.Fig11Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "fig12":
-		one, ten, err := experiments.Fig12Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(one)
-		fmt.Print(ten)
-	case "fig13":
-		one, ten, err := experiments.Fig13Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(one.StringSDC())
-		fmt.Print(ten.StringSDC())
-	case "fig14":
-		res, err := experiments.Fig14Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "fig15":
-		res, err := r.fig15And16(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "fig16":
-		res, err := r.fig15And16(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.StringPower())
-	case "ablate":
-		res, err := experiments.AblationsCtx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "variants":
-		res, err := experiments.GeometryVariantsCtx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "prefetch":
-		res, err := experiments.PrefetchAblationCtx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "ddr4":
-		res, err := experiments.DDR4PerfCtx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-	case "bench":
-		res, err := experiments.BenchCtx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		file := "BENCH_coverage.json"
-		if err := os.WriteFile(file, append(out, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[bench artifact written to %s]\n", file)
-		d4, err := experiments.BenchDDR4Ctx(ctx, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(d4)
-		out, err = json.MarshalIndent(d4, "", "  ")
-		if err != nil {
-			return err
-		}
-		file = "BENCH_ddr4.json"
-		if err := os.WriteFile(file, append(out, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[bench artifact written to %s]\n", file)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	return nil
-}
-
 func usage() {
-	fmt.Fprintf(os.Stderr, `relaxfault regenerates the evaluation of "RelaxFault Memory Repair" (ISCA 2016).
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, `relaxfault regenerates the evaluation of "RelaxFault Memory Repair" (ISCA 2016).
 
 usage: relaxfault [flags] <experiment> [...]
        relaxfault -scenario FILE|PRESET [-store DIR]
@@ -973,104 +793,35 @@ usage: relaxfault [flags] <experiment> [...]
        relaxfault cache [list|show KEY|evict KEY] -store DIR
        relaxfault list
 
-flags:
-  -scale quick|paper  effort level (default quick)
-  -seed N             Monte Carlo seed (default 7)
-  -timeout D          per-experiment deadline, e.g. 30m (default none)
-  -progress D         stderr progress/watchdog interval (default 10s, 0 = silent)
-  -checkpoint FILE    periodically snapshot Monte Carlo chunks to FILE
-  -resume             restart from FILE's last snapshot (same flags + seed
-                      reproduce the uninterrupted output exactly)
-  -journal FILE       keep an append-only replay journal beside the
-                      checkpoint: one fsync'd, digest-bearing record per
-                      completed chunk, written before the chunk may enter a
-                      snapshot; on -resume the snapshot is cross-checked
-                      against it and mismatches refuse the resume
-  -repair-journal     with -resume and -journal (or -store), quarantine
-                      chunks that fail the cross-check (they are recomputed)
-                      instead of refusing
-  -store DIR          content-addressed campaign store: runs are keyed by
-                      the scenario's budget-free campaign fingerprint + seed;
-                      a repeat of a completed run is a verified cache hit
-                      (digest cross-check, zero trials), and a larger trial
-                      budget resumes from the largest cached entry — output
-                      stays byte-identical to a from-scratch run; conflicts
-                      with -checkpoint/-journal/-resume (the store lays its
-                      own out per entry)
-  -flush-interval D   checkpoint snapshot rate limit (default 2s); lower it
-                      so short campaigns persist chunks quickly
-  -metrics FILE|-     write the run manifest (config fingerprint, timings,
-                      metrics snapshot); "-" prints JSON to stdout
-  -events FILE        append JSONL progress/skip/run events to FILE
-  -pprof ADDR         serve /debug/pprof, /debug/vars, /metrics, and a live
-                      /debug/status JSON snapshot (per-worker chunk, trials/s,
-                      ETA, journal health) on ADDR
-  -trace FILE         record execution spans (chunk/claim/checkpoint/reduce-
-                      wait per worker, fsync stalls, sections) and write a
-                      Chrome trace_event JSON to FILE — load it in
-                      https://ui.perfetto.dev; the scheduler-attribution
-                      report lands in the manifest's "trace" block and is
-                      printed as a table
-  -parallel N         Monte Carlo worker pool size (default 0 = all cores);
-                      any value yields bitwise-identical results
-  -scenario F|P       run a scenario JSON file, or a preset by name, through
-                      the generic runner (spec files carry their own budget
-                      and seed; an explicit -seed overrides)
-  -set path=v1,v2     sweep axis for the sweep subcommand (repeatable); the
-                      cross-product of all -set axes runs, one manifest per
-                      point next to the -metrics target
+flags (they may appear before or after experiment names):
+`)
+	flag.PrintDefaults()
+	desc := map[string]string{}
+	for _, e := range scenario.Presets() {
+		desc[e.Name] = e.Description
+	}
+	paper, extensions := experiments.Names()
+	fmt.Fprintf(out, "\nexperiments (each a preset scenario; \"list\" prints the registry):\n")
+	for _, name := range paper {
+		fmt.Fprintf(out, "  %-9s %s\n", name, desc[name])
+	}
+	fmt.Fprintf(out, "  %-9s everything above in order (failures are collected, not fatal)\n", "all")
+	fmt.Fprintf(out, "\nextensions beyond the paper:\n")
+	for _, name := range extensions {
+		fmt.Fprintf(out, "  %-9s %s\n", name, desc[name])
+	}
+	fmt.Fprintf(out, `
+Every other preset (rare-due, strat-due, ...) and any scenario JSON runs via
+-scenario; a scenario's "statistics" block selects the estimator and its
+"technology" the memory technology. Run manifests embed each executed
+scenario's resolved spec and fingerprint. See EXPERIMENTS.md for the schema
+and OBSERVABILITY.md for the metric catalogue.
 
-Flags may appear before or after experiment names. Every experiment below is
-a preset scenario ("list" prints the registry); run manifests embed each
-executed scenario's resolved spec and fingerprint. See EXPERIMENTS.md for the
-scenario schema and OBSERVABILITY.md for the metric catalogue.
-
-experiments:
-  tab1   Table 1:  RelaxFault storage overhead
-  tab2   Table 2:  DDR3 fault rates (FIT/device)
-  tab3   Table 3:  simulated system parameters
-  tab4   Table 4:  workload inventory
-  fig2   Figure 2: field-study fault rates (Cielo, Hopper)
-  fig8   Figure 8: coverage vs LLC set-index hashing
-  fig9   Figure 9: fault-model sensitivity sweeps
-  fig10  Figure 10: coverage vs LLC capacity (1x FIT)
-  fig11  Figure 11: coverage vs LLC capacity (10x FIT)
-  fig12  Figure 12: expected DUEs per system
-  fig13  Figure 13: expected SDCs per system
-  fig14  Figure 14: expected DIMM replacements
-  fig15  Figure 15: weighted speedup under repair
-  fig16  Figure 16: relative DRAM dynamic power
-  all    everything above in order (failures are collected, not fatal)
-
-extensions beyond the paper:
-  ablate    design-choice ablations + retirement baselines (page retirement, mirroring)
-  variants  RelaxFault coverage on DDR4 / HBM / LPDDR4 organisations
-  ddr4      weighted speedup + relative power on DDR4-2400 (bank-group timing)
-  prefetch  sensitivity of the performance conclusions to a stream prefetcher
-  bench     time a quick coverage study and the DDR4 perf preset sequential vs
-            -parallel N; verifies identical results, measures the rare-event
-            estimator payoff (importance sampling vs naive at matched CI
-            width), and writes BENCH_coverage.json and BENCH_ddr4.json
-
-  rare-due and strat-due (run via -scenario) estimate DUE rates on a rare-
-  event fault model with importance sampling (+ sequential CI stopping) and
-  stratified-by-fault-mode sampling; a scenario's "statistics" block selects
-  the estimator, and manifests record the achieved half-widths.
-
-Scenarios may pin a memory technology ("technology": "ddr3-1600", "ddr4-2400",
-"lpddr4", or "hbm"); timing, energies, FIT table, and PPR provisioning follow,
-and manifests record the resolved name + fingerprint.
-
-The cache subcommand manages a -store DIR: "cache list" prints every
-completed entry (campaign key, seed, trials, scenario, age), "cache show
-KEY" dumps the matching entries' metadata as JSON, and "cache evict KEY"
-removes every entry under a key prefix (refusing keys a live run has
-claimed).
-
-The verify subcommand replays a journal end to end: campaign specs embedded
-in the journal's open record are lowered and every journaled chunk is
-re-executed from its RNG fork coordinates, comparing SHA-256 digests. It
-needs only the journal file — no checkpoint or original command line.
+"cache list" prints every completed -store entry, "cache show KEY" dumps the
+matching entries' metadata as JSON, and "cache evict KEY" removes every entry
+under a key prefix (refusing keys a live run has claimed). "verify" replays a
+journal end to end from the campaign specs embedded in it, comparing chunk
+digests; it needs only the journal file.
 
 exit codes: 0 ok; 1 experiment failure; 2 usage; 3 completed with skipped
 trials or journal verification mismatches; 130 interrupted (SIGINT);

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+
+	"relaxfault/internal/scenario"
 )
 
 // AblationRow is one mechanism's coverage/capacity outcome in the ablation
@@ -26,16 +28,13 @@ type AblationResult struct {
 	FaultyFraction float64
 }
 
-// Ablations runs the coverage study over the ablated mappings and the
+// AblationsCtx runs the coverage study over the ablated mappings and the
 // retirement baselines.
-func Ablations(s Scale) (AblationResult, error) { return AblationsCtx(context.Background(), s) }
-
-// AblationsCtx is Ablations with cancellation.
 func AblationsCtx(ctx context.Context, s Scale) (AblationResult, error) {
-	res, err := runPreset(ctx, "ablate", s)
-	if err != nil {
-		return AblationResult{}, err
-	}
+	return shaped(ctx, s, "ablate", ablationsOf)
+}
+
+func ablationsOf(res *scenario.Result) AblationResult {
 	cov := res.Coverage[0]
 	out := AblationResult{FaultyFraction: cov.FaultyFraction}
 	for _, c := range cov.Curves {
@@ -50,7 +49,7 @@ func AblationsCtx(ctx context.Context, s Scale) (AblationResult, error) {
 			P90Bytes: c.CapacityQuantile(0.90),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // String prints the ablation table.
@@ -80,19 +79,15 @@ type VariantResult struct {
 	Rows []VariantRow
 }
 
-// GeometryVariants runs the RelaxFault coverage study on DDR4, HBM-like,
+// GeometryVariantsCtx runs the RelaxFault coverage study on DDR4, HBM-like,
 // and LPDDR4 organisations.
-func GeometryVariants(s Scale) (VariantResult, error) {
-	return GeometryVariantsCtx(context.Background(), s)
+func GeometryVariantsCtx(ctx context.Context, s Scale) (VariantResult, error) {
+	return shaped(ctx, s, "variants", variantsOf)
 }
 
-// GeometryVariantsCtx is GeometryVariants with cancellation. One study per
-// organisation; the row names come back from the preset's study labels.
-func GeometryVariantsCtx(ctx context.Context, s Scale) (VariantResult, error) {
-	res, err := runPreset(ctx, "variants", s)
-	if err != nil {
-		return VariantResult{}, err
-	}
+// variantsOf shapes the variants preset's result: one study per
+// organisation, the row names read back from the preset's study labels.
+func variantsOf(res *scenario.Result) VariantResult {
 	var out VariantResult
 	for i, cov := range res.Coverage {
 		out.Rows = append(out.Rows, VariantRow{
@@ -102,7 +97,7 @@ func GeometryVariantsCtx(ctx context.Context, s Scale) (VariantResult, error) {
 			FaultyFraction: cov.FaultyFraction,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // String prints the variants table.
@@ -132,21 +127,17 @@ type PrefetchResult struct {
 	Rows []PrefetchRow
 }
 
-// PrefetchAblation runs SP (streaming, prefetch-friendly) and LULESH
+// PrefetchAblationCtx runs SP (streaming, prefetch-friendly) and LULESH
 // (capacity-sensitive) with and without prefetching, at no-repair and
 // 4-way-locked configurations.
-func PrefetchAblation(s Scale) (PrefetchResult, error) {
-	return PrefetchAblationCtx(context.Background(), s)
+func PrefetchAblationCtx(ctx context.Context, s Scale) (PrefetchResult, error) {
+	return shaped(ctx, s, "prefetch", prefetchOf)
 }
 
-// PrefetchAblationCtx is PrefetchAblation with cancellation. The preset's
-// units come workload-major, prefetch-degree-minor: (SP,0), (SP,4),
-// (LULESH,0), (LULESH,4); each unit's locks are [no-repair, 4-way].
-func PrefetchAblationCtx(ctx context.Context, s Scale) (PrefetchResult, error) {
-	res, err := runPreset(ctx, "prefetch", s)
-	if err != nil {
-		return PrefetchResult{}, err
-	}
+// prefetchOf shapes the prefetch preset's result. Its units come
+// workload-major, prefetch-degree-minor: (SP,0), (SP,4), (LULESH,0),
+// (LULESH,4); each unit's locks are [no-repair, 4-way].
+func prefetchOf(res *scenario.Result) PrefetchResult {
 	var out PrefetchResult
 	for i := 0; i+1 < len(res.Perf); i += 2 {
 		off, on := res.Perf[i], res.Perf[i+1]
@@ -159,7 +150,7 @@ func PrefetchAblationCtx(ctx context.Context, s Scale) (PrefetchResult, error) {
 			PrefetchFills: on.Results[0].Prefetches,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // String prints the prefetch ablation.

@@ -80,3 +80,64 @@ func checkAgree(t *testing.T, what string, a, hwA, b, hwB float64) {
 			what, a, hwA, b, hwB, diff, hwA+hwB)
 	}
 }
+
+// TestImportancePayoff gates the rare-event estimator's payoff on the
+// rare-due preset's fault model at QuickScale. The importance leg runs the
+// preset's budget at boost 16 with no CI target, so it does not stop early;
+// the naive leg runs 64x the replicas and still reports a wider interval.
+// Extrapolating the naive budget to the importance half-width with the
+// 1/sqrt(n) law must show at least a 10x trial reduction, and the two
+// estimates must agree within their combined half-widths.
+func TestImportancePayoff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the rare-due fault model at 64x the preset budget")
+	}
+	sc, err := QuickScale().PresetScenario("rare-due")
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := sc.Lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := low.Reliability[0]
+	boost := is.Stats.Boost
+	if boost != 16 {
+		t.Fatalf("rare-due boost = %g, want 16", boost)
+	}
+	is.Stats = &relsim.StatsConfig{Estimator: relsim.EstimatorImportance, Boost: boost}
+	isRes, err := relsim.RunCtx(context.Background(), is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := low.Reliability[0]
+	naive.Replicas *= 64
+	naive.Stats = &relsim.StatsConfig{Estimator: relsim.EstimatorNaive}
+	nvRes, err := relsim.RunCtx(context.Background(), naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	isHW, nvHW := isRes.Estimator.DUEHalfWidth, nvRes.Estimator.DUEHalfWidth
+	if ess := isRes.Estimator.ESS; ess <= 0 {
+		t.Errorf("importance ESS = %g, want > 0", ess)
+	}
+	if isHW <= 0 {
+		t.Fatalf("importance half-width = %g, want > 0", isHW)
+	}
+	if nvHW <= isHW {
+		t.Errorf("naive half-width %g is not wider than importance half-width %g", nvHW, isHW)
+	}
+	ratio := nvHW / isHW
+	required := float64(nvRes.Estimator.Trials) * ratio * ratio
+	reduction := required / float64(isRes.Estimator.Trials)
+	if reduction < 10 {
+		t.Errorf("importance sampling needs only %.1fx fewer trials than naive, want >= 10x", reduction)
+	}
+	if diff := math.Abs(isRes.DUEs - nvRes.DUEs); diff > isHW+nvHW {
+		t.Errorf("importance DUE %g +- %g disagrees with naive %g +- %g", isRes.DUEs, isHW, nvRes.DUEs, nvHW)
+	}
+	t.Logf("importance %d trials (DUE %.4f +- %.4f, ESS %.0f); naive %d trials (DUE %.4f +- %.4f); reduction %.0fx",
+		isRes.Estimator.Trials, isRes.DUEs, isHW, isRes.Estimator.ESS,
+		nvRes.Estimator.Trials, nvRes.DUEs, nvHW, reduction)
+}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is a pure function of a Scale (trial counts /
 // instruction budgets) and returns a result struct whose String method
-// prints the same rows or series the paper reports. The cmd/relaxfault CLI
-// and the top-level benchmarks are thin wrappers over this package, so the
-// numbers in EXPERIMENTS.md are reproducible from either entry point.
+// prints the same rows or series the paper reports. One name→renderer table
+// (Resolve, Session.Render) drives both the cmd/relaxfault CLI and the
+// top-level benchmark, so the numbers in EXPERIMENTS.md are reproducible
+// from either entry point.
 package experiments
 
 import (
@@ -89,16 +90,11 @@ func (s Scale) PresetScenario(name string) (*scenario.Scenario, error) {
 	return sc, nil
 }
 
-// runPreset executes a registry preset at this scale on the generic
-// scenario runner. Every sim experiment below is this call plus a
-// figure-shaped presentation of the result. With a campaign store
-// attached the preset runs as a keyed campaign, so repeated bench/golden
-// runs are incremental (cache hits or seeded resumes).
-func runPreset(ctx context.Context, name string, s Scale) (*scenario.Result, error) {
-	sc, err := s.PresetScenario(name)
-	if err != nil {
-		return nil, err
-	}
+// RunScenario executes one scenario with this scale's plumbing: as a keyed
+// campaign when a campaign store is attached (repeated runs are cache hits
+// or seeded resumes), on the generic runner otherwise. Either path yields
+// byte-identical results.
+func (s Scale) RunScenario(ctx context.Context, sc *scenario.Scenario) (*scenario.Result, error) {
 	if s.Campaigns != nil {
 		res, rec, err := campaign.RunStore(ctx, sc, s.Campaigns, campaign.Options{
 			Workers: s.Workers, Mon: s.Mon, Trace: s.Trace,
@@ -110,6 +106,132 @@ func runPreset(ctx context.Context, name string, s Scale) (*scenario.Result, err
 		return res, err
 	}
 	return scenario.RunCtx(ctx, sc, scenario.Exec{Workers: s.Workers, Mon: s.Mon, Store: s.Store, Trace: s.Trace})
+}
+
+// runPreset executes a registry preset at this scale. Every sim experiment
+// below is this call plus a figure-shaped presentation of the result.
+func runPreset(ctx context.Context, name string, s Scale) (*scenario.Result, error) {
+	sc, err := s.PresetScenario(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunScenario(ctx, sc)
+}
+
+// shaped runs a preset and shapes its result into a figure.
+func shaped[T any](ctx context.Context, s Scale, preset string, shape func(*scenario.Result) T) (T, error) {
+	res, err := runPreset(ctx, preset, s)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return shape(res), nil
+}
+
+// experiment is one entry of the name→renderer table: the registry preset
+// whose result it presents (none for the static tables) and the rendering
+// of that result as the printed artifact.
+type experiment struct {
+	name   string
+	paper  bool // part of the paper's evaluation, which "all" runs
+	preset string
+	render func(*scenario.Result) string
+}
+
+func static(name string, render func() string) experiment {
+	return experiment{name: name, paper: true, render: func(*scenario.Result) string { return render() }}
+}
+
+// table lists every experiment: the paper's evaluation in paper order, then
+// the extensions in registry order. Every name is a registry preset.
+var table = []experiment{
+	static("tab1", func() string { return Table1().String() }),
+	static("tab2", func() string { return Table2().String() }),
+	static("tab3", Table3),
+	static("tab4", Table4),
+	static("fig2", func() string { return Fig2().String() }),
+	{"fig8", true, "fig8", func(r *scenario.Result) string { return fig8Of(r).String() }},
+	{"fig9", true, "fig9", func(r *scenario.Result) string { return fig9Of(r).String() }},
+	{"fig10", true, "fig10", func(r *scenario.Result) string { return fig10Of(r).String() }},
+	{"fig11", true, "fig11", func(r *scenario.Result) string { return fig11Of(r).String() }},
+	{"fig12", true, "fig12", func(r *scenario.Result) string { p := fig12Of(r); return p[0].String() + p[1].String() }},
+	{"fig13", true, "fig12", func(r *scenario.Result) string { p := fig13Of(r); return p[0].StringSDC() + p[1].StringSDC() }},
+	{"fig14", true, "fig14", func(r *scenario.Result) string { return fig14Of(r).String() }},
+	{"fig15", true, "fig15", func(r *scenario.Result) string { return fig15Of(r).String() }},
+	{"fig16", true, "fig15", func(r *scenario.Result) string { return fig15Of(r).StringPower() }},
+	{"ablate", false, "ablate", func(r *scenario.Result) string { return ablationsOf(r).String() }},
+	{"variants", false, "variants", func(r *scenario.Result) string { return variantsOf(r).String() }},
+	{"prefetch", false, "prefetch", func(r *scenario.Result) string { return prefetchOf(r).String() }},
+	{"ddr4", false, "ddr4", (*scenario.Result).String},
+}
+
+func lookup(name string) (experiment, bool) {
+	for _, e := range table {
+		if e.name == strings.ToLower(name) {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// Names returns the experiment table's names: the paper's evaluation in
+// paper order (what "all" expands to), then the extensions.
+func Names() (paper, extensions []string) {
+	for _, e := range table {
+		if e.paper {
+			paper = append(paper, e.name)
+		} else {
+			extensions = append(extensions, e.name)
+		}
+	}
+	return paper, extensions
+}
+
+// Resolve expands an experiment list, replacing "all" with the paper's
+// evaluation in paper order, and rejects any name not in the table.
+func Resolve(names []string) ([]string, error) {
+	var out []string
+	for _, n := range names {
+		if n == "all" {
+			paper, _ := Names()
+			out = append(out, paper...)
+			continue
+		}
+		if _, ok := lookup(n); !ok {
+			return nil, fmt.Errorf("unknown experiment %q (the list subcommand prints the presets; -scenario runs the others)", n)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// Session renders experiments for one invocation. It memoises preset
+// results, so experiments presenting the same simulations — fig12 and
+// fig13, fig15 and fig16 — run them once. Every call on one Session must
+// pass the same Scale.
+type Session struct {
+	results map[string]*scenario.Result
+}
+
+// Render runs the named experiment at scale s and returns its printed
+// artifact.
+func (se *Session) Render(ctx context.Context, name string, s Scale) (string, error) {
+	e, ok := lookup(name)
+	if !ok {
+		return "", fmt.Errorf("unknown experiment %q", name)
+	}
+	res := se.results[e.preset]
+	if e.preset != "" && res == nil {
+		var err error
+		if res, err = runPreset(ctx, e.preset, s); err != nil {
+			return "", err
+		}
+		if se.results == nil {
+			se.results = map[string]*scenario.Result{}
+		}
+		se.results[e.preset] = res
+	}
+	return e.render(res), nil
 }
 
 // PaperScale approaches the paper's statistical resolution (minutes of CPU).
@@ -218,26 +340,22 @@ type Fig8Result struct {
 	FaultyFraction  float64
 }
 
-// Fig8 runs the hashing-sensitivity coverage study. RelaxFault's own
+// Fig8Ctx runs the hashing-sensitivity coverage study. RelaxFault's own
 // mapping spreads repairs by construction, so the LLC hash setting does not
 // matter for it; both columns are evaluated to demonstrate that.
-func Fig8(s Scale) (Fig8Result, error) { return Fig8Ctx(context.Background(), s) }
+func Fig8Ctx(ctx context.Context, s Scale) (Fig8Result, error) { return shaped(ctx, s, "fig8", fig8Of) }
 
-// Fig8Ctx is Fig8 with cancellation. RelaxFault's placement is independent
-// of the LLC's normal-access hash, so its single curve fills both Figure 8
-// columns.
-func Fig8Ctx(ctx context.Context, s Scale) (Fig8Result, error) {
-	res, err := runPreset(ctx, "fig8", s)
-	if err != nil {
-		return Fig8Result{}, err
-	}
+// fig8Of shapes the fig8 preset's result. RelaxFault's placement is
+// independent of the LLC's normal-access hash, so its single curve fills
+// both Figure 8 columns.
+func fig8Of(res *scenario.Result) Fig8Result {
 	cov := res.Coverage[0]
 	out := Fig8Result{FaultyFraction: cov.FaultyFraction}
 	out.RelaxFaultXOR = cov.Curve("RelaxFault", 1).Coverage()
 	out.RelaxFaultNoXOR = out.RelaxFaultXOR
 	out.FreeFaultHash = cov.Curve("FreeFault+hash", 1).Coverage()
 	out.FreeFaultNoHash = cov.Curve("FreeFault", 1).Coverage()
-	return out, nil
+	return out
 }
 
 // String prints the four bars of Figure 8.

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"relaxfault/internal/relsim"
+	"relaxfault/internal/scenario"
 )
 
 // tinyScale keeps experiment smoke tests fast.
@@ -53,7 +55,7 @@ func TestFig8Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := Fig8(tinyScale())
+	r, err := Fig8Ctx(context.Background(), tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestFig10Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := Fig10(tinyScale())
+	r, err := Fig10Ctx(context.Background(), tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestFig9Smoke(t *testing.T) {
 		t.Skip("Monte Carlo experiment")
 	}
 	s := tinyScale()
-	r, err := Fig9(s)
+	r, err := Fig9Ctx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestFig12And13Smoke(t *testing.T) {
 	}
 	s := tinyScale()
 	s.Replicas = 2
-	one, ten, err := Fig12(s)
+	one, ten, err := Fig12Ctx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestFig15SmokeAndPolicyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("performance experiment")
 	}
-	r, err := Fig15And16(tinyScale())
+	r, err := Fig15And16Ctx(context.Background(), tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestFig14Smoke(t *testing.T) {
 		t.Skip("Monte Carlo experiment")
 	}
 	s := tinyScale()
-	r, err := Fig14(s)
+	r, err := Fig14Ctx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := Ablations(tinyScale())
+	r, err := AblationsCtx(context.Background(), tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ func TestGeometryVariantsSmoke(t *testing.T) {
 		t.Skip("Monte Carlo experiment")
 	}
 	s := tinyScale()
-	r, err := GeometryVariants(s)
+	r, err := GeometryVariantsCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +277,29 @@ func TestGeometryVariantsSmoke(t *testing.T) {
 		if row.Coverage1Way < 0.85 || row.Coverage4Way < row.Coverage1Way {
 			t.Errorf("%s: coverage %f/%f out of expected band", row.Name, row.Coverage1Way, row.Coverage4Way)
 		}
+	}
+}
+
+// TestExperimentTable pins the CLI's name→renderer table: "all" expands to
+// the paper's fourteen artifacts in paper order, every name is a registry
+// preset, and the retired bench experiment no longer resolves.
+func TestExperimentTable(t *testing.T) {
+	got, err := Resolve([]string{"all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"tab1", "tab2", "tab3", "tab4", "fig2", "fig8", "fig9",
+		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("all expands to %q, want %q", got, want)
+	}
+	paper, ext := Names()
+	for _, name := range append(paper, ext...) {
+		if !scenario.IsPreset(name) {
+			t.Errorf("table name %q is not a registry preset", name)
+		}
+	}
+	if _, err := Resolve([]string{"fig8", "bench"}); err == nil {
+		t.Error("bench still resolves to an experiment")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -69,68 +70,15 @@ func TestGoldenParallelMatchesSequential(t *testing.T) {
 		t.Skip("golden differential runs each experiment twice")
 	}
 	t.Run("fig10", func(t *testing.T) {
-		runGolden(t, "fig10", func(s Scale) (any, error) { return Fig10(s) })
+		runGolden(t, "fig10", func(s Scale) (any, error) { return Fig10Ctx(context.Background(), s) })
 	})
 	t.Run("fig12", func(t *testing.T) {
 		runGolden(t, "fig12", func(s Scale) (any, error) {
-			one, ten, err := Fig12(s)
+			one, ten, err := Fig12Ctx(context.Background(), s)
 			return []any{one, ten}, err
 		})
 	})
 	t.Run("fig15", func(t *testing.T) {
-		runGolden(t, "fig15", func(s Scale) (any, error) { return Fig15And16(s) })
+		runGolden(t, "fig15", func(s Scale) (any, error) { return Fig15And16Ctx(context.Background(), s) })
 	})
-}
-
-// TestBenchQuick exercises the bench experiment end to end at tiny scale: it
-// must verify the cross-leg identity itself and report a sane sweep.
-func TestBenchQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the coverage study once per sweep leg")
-	}
-	s := tinyScale()
-	s.Workers = 2
-	r, err := Bench(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Schema != BenchSchema {
-		t.Errorf("schema = %q, want %q", r.Schema, BenchSchema)
-	}
-	if !r.Identical {
-		t.Error("bench reported non-identical results")
-	}
-	if r.Workers != 2 {
-		t.Errorf("workers = %d, want 2", r.Workers)
-	}
-	if r.Trials <= 0 {
-		t.Errorf("implausible measurement: %+v", r)
-	}
-	// The sweep at cap 2 is {1, 2, 4} deduplicated and ascending.
-	wantLegs := []int{1, 2, 4}
-	if len(r.Legs) != len(wantLegs) {
-		t.Fatalf("got %d legs, want %d: %+v", len(r.Legs), len(wantLegs), r.Legs)
-	}
-	for i, l := range r.Legs {
-		if l.Workers != wantLegs[i] {
-			t.Errorf("leg %d workers = %d, want %d", i, l.Workers, wantLegs[i])
-		}
-		if l.Seconds <= 0 || l.NsPerTrial <= 0 || l.Speedup <= 0 {
-			t.Errorf("leg %d implausible: %+v", i, l)
-		}
-		if !l.Identical {
-			t.Errorf("leg %d (workers %d) not identical to the sequential leg", i, l.Workers)
-		}
-		if (l.Attribution != nil) != (l.Workers > 1) {
-			t.Errorf("leg %d (workers %d): attribution presence wrong", i, l.Workers)
-		}
-	}
-	if sp := r.Legs[0].Speedup; sp != 1 {
-		t.Errorf("1-worker leg speedup = %v, want exactly 1", sp)
-	}
-	for _, want := range []string{"speedup", "bitwise identical"} {
-		if !bytes.Contains([]byte(r.String()), []byte(want)) {
-			t.Errorf("report missing %q:\n%s", want, r)
-		}
-	}
 }

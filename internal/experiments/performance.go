@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"relaxfault/internal/perf"
+	"relaxfault/internal/scenario"
 	"relaxfault/internal/trace"
 )
 
@@ -65,22 +66,17 @@ type Fig15Result struct {
 	Instructions uint64
 }
 
-// Fig15And16 runs all Table 4 workloads through the four repair
+// Fig15And16Ctx runs all Table 4 workloads through the four repair
 // configurations.
-func Fig15And16(s Scale) (Fig15Result, error) {
-	return Fig15And16Ctx(context.Background(), s)
+func Fig15And16Ctx(ctx context.Context, s Scale) (Fig15Result, error) {
+	return shaped(ctx, s, "fig15", fig15Of)
 }
 
-// Fig15And16Ctx is Fig15And16 with cancellation. The preset runs one unit
-// per Table 4 workload across the four lock configurations; the power
-// columns derive from the same simulation results (Figure 16 shares
-// Figure 15's runs).
-func Fig15And16Ctx(ctx context.Context, s Scale) (Fig15Result, error) {
-	res, err := runPreset(ctx, "fig15", s)
-	if err != nil {
-		return Fig15Result{Instructions: s.Instructions}, err
-	}
-	out := Fig15Result{Instructions: s.Instructions}
+// fig15Of shapes the fig15 preset's result: one unit per Table 4 workload
+// across the four lock configurations; the power columns derive from the
+// same simulation results (Figure 16 shares Figure 15's runs).
+func fig15Of(res *scenario.Result) Fig15Result {
+	out := Fig15Result{Instructions: res.Scenario.Budget.Instructions}
 	for _, u := range res.Perf {
 		// The runner charges relative power with the scenario technology's
 		// energy table (DDR3-1600 here); RelPower[0] is the 100% baseline.
@@ -90,7 +86,7 @@ func Fig15And16Ctx(ctx context.Context, s Scale) (Fig15Result, error) {
 			Power100KiB: u.RelPower[1], Power1Way: u.RelPower[2], Power4Way: u.RelPower[3],
 		})
 	}
-	return out, nil
+	return out
 }
 
 // String prints the Figure 15 weighted-speedup table.
@@ -116,4 +112,11 @@ func (r Fig15Result) StringPower() string {
 			row.Workload, 100.0, row.Power100KiB, row.Power1Way, row.Power4Way)
 	}
 	return b.String()
+}
+
+// DDR4PerfCtx runs the "ddr4" preset — the Figure 15/16 methodology on the
+// DDR4-2400 technology (bank-group tCCD_S/tCCD_L timing, DDR4 energy
+// table) — and returns the generic scenario result.
+func DDR4PerfCtx(ctx context.Context, s Scale) (*scenario.Result, error) {
+	return runPreset(ctx, "ddr4", s)
 }

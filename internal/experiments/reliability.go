@@ -29,18 +29,14 @@ type Fig9Result struct {
 	FracSweep  []Fig9Point
 }
 
-// Fig9 runs the dynamic-FIT-adjustment sensitivity study (no repair,
+// Fig9Ctx runs the dynamic-FIT-adjustment sensitivity study (no repair,
 // replace-after-DUE, as in the paper's model exploration).
-func Fig9(s Scale) (Fig9Result, error) { return Fig9Ctx(context.Background(), s) }
+func Fig9Ctx(ctx context.Context, s Scale) (Fig9Result, error) { return shaped(ctx, s, "fig9", fig9Of) }
 
-// Fig9Ctx is Fig9 with cancellation. The x-axis values are read back from
-// the resolved scenario: the preset's cells carry the raw swept accel/frac
-// pointers, so presentation never re-states the sweep.
-func Fig9Ctx(ctx context.Context, s Scale) (Fig9Result, error) {
-	res, err := runPreset(ctx, "fig9", s)
-	if err != nil {
-		return Fig9Result{}, err
-	}
+// fig9Of shapes the fig9 preset's result. The x-axis values are read back
+// from the resolved scenario: the preset's cells carry the raw swept
+// accel/frac pointers, so presentation never re-states the sweep.
+func fig9Of(res *scenario.Result) Fig9Result {
 	var out Fig9Result
 	cells := res.Scenario.Reliability.Cells
 	for i, r := range res.Reliability {
@@ -60,7 +56,7 @@ func Fig9Ctx(ctx context.Context, s Scale) (Fig9Result, error) {
 			out.FracSweep = append(out.FracSweep, p)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // String prints the four panels of Figure 9 as two tables.
@@ -112,13 +108,9 @@ var coverageCapacities = []int64{
 	192 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20,
 }
 
-// coverageStudy shapes a coverage-vs-capacity preset into the Figure 10/11
-// series layout.
-func coverageStudy(ctx context.Context, s Scale, preset string, fitScale float64, title string) (Fig10Result, error) {
-	res, err := runPreset(ctx, preset, s)
-	if err != nil {
-		return Fig10Result{}, err
-	}
+// coverageStudy shapes a coverage-vs-capacity preset's result into the
+// Figure 10/11 series layout.
+func coverageStudy(res *scenario.Result, fitScale float64, title string) Fig10Result {
 	cov := res.Coverage[0]
 	out := Fig10Result{Title: title, FITScale: fitScale, FaultyFraction: cov.FaultyFraction}
 	series := []struct {
@@ -149,23 +141,25 @@ func coverageStudy(ctx context.Context, s Scale, preset string, fitScale float64
 		}
 		out.Curves = append(out.Curves, curve)
 	}
-	return out, nil
+	return out
 }
 
-// Fig10 reproduces the baseline-FIT coverage-vs-capacity curves.
-func Fig10(s Scale) (Fig10Result, error) { return Fig10Ctx(context.Background(), s) }
-
-// Fig10Ctx is Fig10 with cancellation.
+// Fig10Ctx reproduces the baseline-FIT coverage-vs-capacity curves.
 func Fig10Ctx(ctx context.Context, s Scale) (Fig10Result, error) {
-	return coverageStudy(ctx, s, "fig10", 1, "Figure 10: cumulative repair coverage vs required LLC capacity (1x FIT)")
+	return shaped(ctx, s, "fig10", fig10Of)
 }
 
-// Fig11 reproduces the 10x-FIT curves.
-func Fig11(s Scale) (Fig10Result, error) { return Fig11Ctx(context.Background(), s) }
+func fig10Of(res *scenario.Result) Fig10Result {
+	return coverageStudy(res, 1, "Figure 10: cumulative repair coverage vs required LLC capacity (1x FIT)")
+}
 
-// Fig11Ctx is Fig11 with cancellation.
+// Fig11Ctx reproduces the 10x-FIT curves.
 func Fig11Ctx(ctx context.Context, s Scale) (Fig10Result, error) {
-	return coverageStudy(ctx, s, "fig11", 10, "Figure 11: cumulative repair coverage vs required LLC capacity (10x FIT)")
+	return shaped(ctx, s, "fig11", fig11Of)
+}
+
+func fig11Of(res *scenario.Result) Fig10Result {
+	return coverageStudy(res, 10, "Figure 11: cumulative repair coverage vs required LLC capacity (10x FIT)")
 }
 
 // String prints the curves as a capacity-by-series table.
@@ -239,37 +233,34 @@ func panelFromCells(res *scenario.Result, start int, fitScale float64, policy re
 	return out
 }
 
-// Fig12 reproduces the expected-DUE comparison at 1x and 10x FIT.
-func Fig12(s Scale) (one, ten Fig12Result, err error) {
-	return Fig12Ctx(context.Background(), s)
-}
-
-// Fig12Ctx is Fig12 with cancellation.
+// Fig12Ctx reproduces the expected-DUE comparison at 1x and 10x FIT.
 func Fig12Ctx(ctx context.Context, s Scale) (one, ten Fig12Result, err error) {
-	res, err := runPreset(ctx, "fig12", s)
-	if err != nil {
-		return
+	p, err := shaped(ctx, s, "fig12", fig12Of)
+	return p[0], p[1], err
+}
+
+// fig12Of shapes the fig12 preset's result into its 1x and 10x FIT panels.
+func fig12Of(res *scenario.Result) [2]Fig12Result {
+	return [2]Fig12Result{
+		panelFromCells(res, 0, 1, relsim.ReplaceAfterDUE,
+			"Figure 12a: expected DUEs per 16,384-node system over 6 years (1x FIT)"),
+		panelFromCells(res, 6, 10, relsim.ReplaceAfterDUE,
+			"Figure 12b: expected DUEs per system (10x FIT)"),
 	}
-	one = panelFromCells(res, 0, 1, relsim.ReplaceAfterDUE,
-		"Figure 12a: expected DUEs per 16,384-node system over 6 years (1x FIT)")
-	ten = panelFromCells(res, 6, 10, relsim.ReplaceAfterDUE,
-		"Figure 12b: expected DUEs per system (10x FIT)")
-	return
 }
 
-// Fig13 reuses the same runs but reports SDCs (Figure 13 panels).
-func Fig13(s Scale) (one, ten Fig12Result, err error) {
-	return Fig13Ctx(context.Background(), s)
-}
-
-// Fig13Ctx is Fig13 with cancellation.
+// Fig13Ctx reuses the same runs but reports SDCs (Figure 13 panels).
 func Fig13Ctx(ctx context.Context, s Scale) (one, ten Fig12Result, err error) {
-	one, ten, err = Fig12Ctx(ctx, s)
-	if err == nil {
-		one.Title = "Figure 13a: expected SDCs per system (1x FIT)"
-		ten.Title = "Figure 13b: expected SDCs per system (10x FIT)"
-	}
-	return
+	p, err := shaped(ctx, s, "fig12", fig13Of)
+	return p[0], p[1], err
+}
+
+// fig13Of retitles the fig12 preset's panels for Figure 13.
+func fig13Of(res *scenario.Result) [2]Fig12Result {
+	p := fig12Of(res)
+	p[0].Title = "Figure 13a: expected SDCs per system (1x FIT)"
+	p[1].Title = "Figure 13b: expected SDCs per system (10x FIT)"
+	return p
 }
 
 // Fig14Result carries the four replacement panels.
@@ -277,16 +268,13 @@ type Fig14Result struct {
 	Panels []Fig12Result
 }
 
-// Fig14 reproduces the DIMM-replacement comparison: ReplA (after first DUE)
+// Fig14Ctx reproduces the DIMM-replacement comparison: ReplA (after first DUE)
 // and ReplB (after frequent errors) at 1x and 10x FIT.
-func Fig14(s Scale) (Fig14Result, error) { return Fig14Ctx(context.Background(), s) }
-
-// Fig14Ctx is Fig14 with cancellation.
 func Fig14Ctx(ctx context.Context, s Scale) (Fig14Result, error) {
-	res, err := runPreset(ctx, "fig14", s)
-	if err != nil {
-		return Fig14Result{}, err
-	}
+	return shaped(ctx, s, "fig14", fig14Of)
+}
+
+func fig14Of(res *scenario.Result) Fig14Result {
 	specs := []struct {
 		fit    float64
 		policy relsim.ReplacementPolicy
@@ -301,7 +289,7 @@ func Fig14Ctx(ctx context.Context, s Scale) (Fig14Result, error) {
 	for i, sp := range specs {
 		out.Panels = append(out.Panels, panelFromCells(res, 6*i, sp.fit, sp.policy, sp.title))
 	}
-	return out, nil
+	return out
 }
 
 // String prints a DUE panel.

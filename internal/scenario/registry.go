@@ -233,7 +233,8 @@ var registry = []Entry{
 			// Boost 16 oversamples the fault-arrival process so the DUE CI
 			// half-width 0.02 (per system) is reachable at roughly half the
 			// quick-scale budget; the naive estimator sees zero DUE events
-			// at that budget (see the bench experiment's estimator block).
+			// at that budget (TestImportancePayoff in internal/experiments
+			// gates the payoff).
 			Statistics: &StatisticsSpec{Estimator: "importance", Boost: 16, TargetCI: 0.02},
 		}
 	}),
