@@ -1,9 +1,9 @@
-// Integration tests for the crash-safety contract of the journaled
-// checkpoint pipeline: a campaign SIGKILLed mid-run resumes to byte-identical
-// output, SIGTERM seals the journal gracefully, and `relaxfault verify`
-// detects digest corruption. These build and drive the real binary as a
-// subprocess, so they are skipped under -short (CI runs them in a dedicated
-// robustness job).
+// Integration tests for the crash-safety contract of the campaign log: a
+// campaign SIGKILLed mid-run resumes to byte-identical output, SIGTERM seals
+// the log gracefully, `relaxfault verify` detects digest and payload
+// corruption, and v1 logs still verify but do not resume. These build and
+// drive the real binary as a subprocess, so they are skipped under -short
+// (CI runs them in a dedicated robustness job).
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 )
 
@@ -94,16 +95,12 @@ func runBin(t *testing.T, args ...string) (string, string, int) {
 	return out.String(), errb.String(), code
 }
 
-// campaignArgs are the flags every journaled subprocess campaign shares. The
-// low flush interval makes the checkpoint lag the journal by at most ~50ms,
-// so a kill lands between a journaled chunk and its snapshot — exactly the
-// window the cross-check exists for.
+// campaignArgs are the flags every logged subprocess campaign shares: the
+// campaign log is cp.jsonl in dir.
 func campaignArgs(scPath, dir string) []string {
 	return []string{
 		"-scenario", scPath,
-		"-checkpoint", filepath.Join(dir, "cp.json"),
-		"-journal", filepath.Join(dir, "cp.journal"),
-		"-flush-interval", "50ms",
+		"-checkpoint", filepath.Join(dir, "cp.jsonl"),
 		"-parallel", "2",
 		"-progress", "0",
 	}
@@ -118,7 +115,7 @@ func writeScenario(t *testing.T, dir, body string) string {
 	return path
 }
 
-// chunkRecords counts the chunk records currently readable in the journal.
+// chunkRecords counts the chunk records currently readable in the log.
 func chunkRecords(path string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -127,7 +124,7 @@ func chunkRecords(path string) int {
 	return strings.Count(string(data), `"type":"chunk"`)
 }
 
-// lastRecord decodes the journal's final line.
+// lastRecord decodes the log's final line.
 func lastRecord(t *testing.T, path string) journal.Record {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -144,9 +141,9 @@ func lastRecord(t *testing.T, path string) journal.Record {
 	return env.Rec
 }
 
-// startAndSignal starts a journaled campaign, waits until minChunks chunk
-// records are durably journaled and the checkpoint file exists, then delivers
-// sig. It fails the test if the campaign finishes before the signal lands.
+// startAndSignal starts a logged campaign, waits until minChunks chunk
+// records are durably logged, then delivers sig. It fails the test if the
+// campaign finishes before the signal lands.
 func startAndSignal(t *testing.T, dir, scPath string, minChunks int, sig syscall.Signal) (stdout, stderr string, code int) {
 	t.Helper()
 	cmd := exec.Command(binary(t), campaignArgs(scPath, dir)...)
@@ -158,21 +155,15 @@ func startAndSignal(t *testing.T, dir, scPath string, minChunks int, sig syscall
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	jPath := filepath.Join(dir, "cp.journal")
-	cpPath := filepath.Join(dir, "cp.json")
+	logPath := filepath.Join(dir, "cp.jsonl")
 	deadline := time.After(60 * time.Second)
-	for {
-		if chunkRecords(jPath) >= minChunks {
-			if _, err := os.Stat(cpPath); err == nil {
-				break
-			}
-		}
+	for chunkRecords(logPath) < minChunks {
 		select {
 		case err := <-done:
 			t.Fatalf("campaign finished before the signal could land (sizing bug): err=%v stderr=%s", err, errb.String())
 		case <-deadline:
 			cmd.Process.Kill()
-			t.Fatalf("no checkpointed chunks after 60s; journal has %d chunk records", chunkRecords(jPath))
+			t.Fatalf("fewer than %d logged chunks after 60s; the log has %d", minChunks, chunkRecords(logPath))
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -191,12 +182,30 @@ func startAndSignal(t *testing.T, dir, scPath string, minChunks int, sig syscall
 	return out.String(), errb.String(), code
 }
 
+// view rebuilds from a log.
+func view(t *testing.T, path string) []byte {
+	t.Helper()
+	j, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := harness.LoadStore(j, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestCrashKillResumeByteIdentity is the headline robustness contract:
-// SIGKILL a journaled campaign mid-run (no chance to flush, seal, or clean
-// up), corrupt the journal tail the way a torn write would, and the resumed
-// run must (a) pass the journal/checkpoint cross-check, (b) produce stdout
-// byte-identical to an uninterrupted run, and (c) converge to a byte-identical
-// final checkpoint whose journal then verifies end to end.
+// SIGKILL a logged campaign mid-run (no chance to seal or clean up),
+// corrupt the log tail the way a torn write would, and the resumed run must
+// (a) check every logged payload against its digest, (b) produce stdout
+// byte-identical to an uninterrupted run, and (c) leave a log that rebuilds
+// the uninterrupted run's view and verifies end to end.
 func TestCrashKillResumeByteIdentity(t *testing.T) {
 	bin := binary(t)
 	_ = bin
@@ -208,12 +217,12 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("reference run exit %d\n%s", code, refErr)
 	}
-	if rec := lastRecord(t, filepath.Join(refDir, "cp.journal")); rec.Type != journal.TypeSeal || rec.Status != journal.StatusComplete {
-		t.Fatalf("reference journal tail = %+v, want complete seal", rec)
+	refLog := filepath.Join(refDir, "cp.jsonl")
+	if rec := lastRecord(t, refLog); rec.Type != journal.TypeSeal || rec.Status != journal.StatusComplete {
+		t.Fatalf("reference log tail = %+v, want complete seal", rec)
 	}
 
-	// Killed run: SIGKILL once at least 3 chunks are journaled and a
-	// snapshot exists.
+	// Killed run: SIGKILL once at least 3 chunks are logged.
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, killScenario)
 	kOut, _, code := startAndSignal(t, dir, scPath, 3, syscall.SIGKILL)
@@ -226,7 +235,7 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 
 	// Simulate the torn write a crash can leave behind: a partial line with
 	// no newline, no sum. Resume must truncate it and carry on.
-	jPath := filepath.Join(dir, "cp.journal")
+	jPath := filepath.Join(dir, "cp.jsonl")
 	f, err := os.OpenFile(jPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -236,43 +245,36 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 	}
 	f.Close()
 
-	// Resume: cross-check, recompute the rest, byte-identical output.
+	// Resume: verify the logged payloads, compute the rest, byte-identical
+	// output.
 	resumeArgs := append(campaignArgs(scPath, dir), "-resume")
 	rOut, rErr, code := runBin(t, resumeArgs...)
 	if code != 0 {
 		t.Fatalf("resume exit %d\n%s", code, rErr)
 	}
-	if !strings.Contains(rErr, "journal cross-check:") {
-		t.Fatalf("resume did not cross-check the snapshot:\n%s", rErr)
+	if !strings.Contains(rErr, "logged chunk(s) verified") {
+		t.Fatalf("resume did not verify the logged payloads:\n%s", rErr)
 	}
 	if rOut != refOut {
 		t.Fatalf("resumed stdout differs from uninterrupted run:\n--- resumed ---\n%s--- reference ---\n%s", rOut, refOut)
 	}
 
-	// The recovered campaign must converge to the same checkpoint bytes.
-	refCP, err := os.ReadFile(filepath.Join(refDir, "cp.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCP, err := os.ReadFile(filepath.Join(dir, "cp.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refCP, gotCP) {
-		t.Fatalf("final checkpoint differs from uninterrupted run (%d vs %d bytes)", len(gotCP), len(refCP))
+	// The recovered log must rebuild the uninterrupted run's view.
+	if ref, got := view(t, refLog), view(t, jPath); !bytes.Equal(ref, got) {
+		t.Fatalf("view rebuilt from the resumed log differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(ref))
 	}
 
-	// The resumed journal: resume record present, sealed complete, and the
+	// The resumed log: resume record present, sealed complete, and the
 	// whole thing replays clean through the verify subcommand.
 	jData, err := os.ReadFile(jPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(jData), `"type":"resume"`) {
-		t.Fatal("resumed journal has no resume record")
+		t.Fatal("resumed log has no resume record")
 	}
 	if rec := lastRecord(t, jPath); rec.Type != journal.TypeSeal || rec.Status != journal.StatusComplete {
-		t.Fatalf("resumed journal tail = %+v, want complete seal", rec)
+		t.Fatalf("resumed log tail = %+v, want complete seal", rec)
 	}
 	vOut, vErr, code := runBin(t, "verify", "-journal", jPath, "-progress", "0")
 	if code != 0 {
@@ -284,9 +286,9 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 }
 
 // TestSIGTERMSealsInterrupted checks the graceful-termination path: SIGTERM
-// stops at the next chunk boundary, flushes the checkpoint, seals the journal
-// "interrupted", and exits 143 — and the sealed-interrupted journal accepts a
-// resume that finishes the campaign.
+// stops at the next chunk boundary, seals the log "interrupted", and exits
+// 143 — and the sealed-interrupted log accepts a resume that finishes the
+// campaign.
 func TestSIGTERMSealsInterrupted(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, killScenario)
@@ -297,10 +299,10 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 	if !strings.Contains(stderr, "terminated") {
 		t.Fatalf("stderr does not report termination:\n%s", stderr)
 	}
-	jPath := filepath.Join(dir, "cp.journal")
+	jPath := filepath.Join(dir, "cp.jsonl")
 	rec := lastRecord(t, jPath)
 	if rec.Type != journal.TypeSeal || rec.Status != journal.StatusInterrupted {
-		t.Fatalf("journal tail after SIGTERM = %+v, want interrupted seal", rec)
+		t.Fatalf("log tail after SIGTERM = %+v, want interrupted seal", rec)
 	}
 
 	resumeArgs := append(campaignArgs(scPath, dir), "-resume")
@@ -309,17 +311,47 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 		t.Fatalf("resume after SIGTERM exit %d\n%s", code, rErr)
 	}
 	if rec := lastRecord(t, jPath); rec.Type != journal.TypeSeal || rec.Status != journal.StatusComplete {
-		t.Fatalf("journal tail after resume = %+v, want complete seal", rec)
+		t.Fatalf("log tail after resume = %+v, want complete seal", rec)
+	}
+}
+
+// reframe rewrites the log at path through the journal writer into a new
+// file, applying edit to every chunk record, and seals it with status. A
+// raw byte edit would read as a torn tail; a validly framed lie needs the
+// writer itself.
+func reframe(t *testing.T, path, dst, status string, edit func(i int, rec *journal.Record)) {
+	t.Helper()
+	j, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := journal.Create(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(*j.Open); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range j.Chunks {
+		edit(i, &rec)
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Seal(status); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestVerifySubcommand exercises the verify CLI against one small sealed
-// campaign: clean journal → exit 0; corrupted chunk digest → exit 3 with the
-// mismatch named; torn tail → warned, valid prefix verified.
+// campaign: clean log → exit 0; corrupted chunk digest or payload → exit 3
+// with the mismatch named (and a resume of the corrupted payload refused);
+// torn tail → warned, valid prefix verified.
 func TestVerifySubcommand(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, smokeScenario)
-	jPath := filepath.Join(dir, "cp.journal")
+	jPath := filepath.Join(dir, "cp.jsonl")
 	_, stderr, code := runBin(t, campaignArgs(scPath, dir)...)
 	if code != 0 {
 		t.Fatalf("campaign exit %d\n%s", code, stderr)
@@ -333,39 +365,45 @@ func TestVerifySubcommand(t *testing.T) {
 	})
 
 	t.Run("corrupt-digest", func(t *testing.T) {
-		// The per-line sums mean a raw byte edit reads as a torn tail, not a
-		// bad digest; a validly-framed lie needs the journal writer itself.
-		j, err := journal.Load(jPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lie := filepath.Join(dir, "corrupt.journal")
-		w, err := journal.Create(lie)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(*j.Open); err != nil {
-			t.Fatal(err)
-		}
-		for i, rec := range j.Chunks {
+		lie := filepath.Join(dir, "corrupt.jsonl")
+		reframe(t, jPath, lie, journal.StatusComplete, func(i int, rec *journal.Record) {
 			if i == 1 {
 				rec.Digest = "sha256:deadbeef"
 			}
-			if err := w.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Seal(journal.StatusComplete); err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-
+		})
 		out, stderr, code := runBin(t, "verify", "-journal", lie, "-progress", "0")
 		if code != 3 {
-			t.Fatalf("verify of corrupted journal exit %d, want 3\n%s", code, out)
+			t.Fatalf("verify of corrupted log exit %d, want 3\n%s", code, out)
 		}
 		if !strings.Contains(out, "1 mismatched") || !strings.Contains(stderr, "digest mismatch") {
 			t.Fatalf("mismatch not reported:\nstdout: %s\nstderr: %s", out, stderr)
+		}
+	})
+
+	t.Run("corrupt-payload", func(t *testing.T) {
+		// Chunk 1's payload altered with its digest kept; sealed
+		// interrupted, so only the payload check can refuse the resume.
+		lie := filepath.Join(dir, "payload.jsonl")
+		reframe(t, jPath, lie, journal.StatusInterrupted, func(i int, rec *journal.Record) {
+			if i == 1 {
+				rec.Payload = []byte(`{"tampered":true}`)
+			}
+		})
+		out, stderr, code := runBin(t, "verify", "-journal", lie, "-progress", "0")
+		if code != 3 || !strings.Contains(out, "1 mismatched") || !strings.Contains(stderr, "payload digest mismatch") {
+			t.Fatalf("verify of tampered payload: exit %d\nstdout: %s\nstderr: %s", code, out, stderr)
+		}
+		resumeDir := t.TempDir()
+		data, err := os.ReadFile(lie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(resumeDir, "cp.jsonl"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code = runBin(t, append(campaignArgs(writeScenario(t, resumeDir, smokeScenario), resumeDir), "-resume")...)
+		if code != 1 || !strings.Contains(stderr, "fail their digest check") {
+			t.Fatalf("resume of tampered payload: exit %d, want 1 naming the chunk\n%s", code, stderr)
 		}
 	})
 
@@ -374,17 +412,46 @@ func TestVerifySubcommand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn := filepath.Join(dir, "torn.journal")
+		torn := filepath.Join(dir, "torn.jsonl")
 		// Chop into the seal line: the valid prefix (open + chunks) remains.
 		if err := os.WriteFile(torn, data[:len(data)-10], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		out, stderr, code := runBin(t, "verify", "-journal", torn, "-progress", "0")
 		if code != 0 {
-			t.Fatalf("verify of torn journal exit %d\n%s", code, stderr)
+			t.Fatalf("verify of torn log exit %d\n%s", code, stderr)
 		}
 		if !strings.Contains(stderr, "torn tail") || !strings.Contains(out, "(unsealed)") {
 			t.Fatalf("torn tail not reported:\nstdout: %s\nstderr: %s", out, stderr)
 		}
 	})
+}
+
+// TestV1LogVerifiesButDoesNotResume pins the format boundary with a v1 log
+// written by the previous release for smokeScenario (digests, no payloads):
+// it still verifies, but a resume refuses it by schema and leaves the file
+// untouched.
+func TestV1LogVerifiesButDoesNotResume(t *testing.T) {
+	const fixture = "testdata/smoke-v1.journal"
+	out, stderr, code := runBin(t, "verify", "-journal", fixture, "-progress", "0")
+	if code != 0 || !strings.Contains(out, "3 verified") {
+		t.Fatalf("verify of the v1 log: exit %d\nstdout: %s\nstderr: %s", code, out, stderr)
+	}
+
+	dir := t.TempDir()
+	data, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "cp.jsonl")
+	if err := os.WriteFile(logPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = runBin(t, append(campaignArgs(writeScenario(t, dir, smokeScenario), dir), "-resume")...)
+	if code != 1 || !strings.Contains(stderr, journal.SchemaV1) {
+		t.Fatalf("resume of the v1 log: exit %d, want 1 naming %s\n%s", code, journal.SchemaV1, stderr)
+	}
+	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("refused resume modified the v1 log (%v)", err)
+	}
 }

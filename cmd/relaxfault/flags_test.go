@@ -19,20 +19,16 @@ func TestValidateFlags(t *testing.T) {
 		{"bare run", flagRules{}, ""},
 		{"checkpoint only", flagRules{Checkpoint: "c"}, ""},
 		{"checkpoint+resume", flagRules{Checkpoint: "c", Resume: true}, ""},
-		{"full journal resume", flagRules{Checkpoint: "c", Journal: "j", Resume: true, RepairJournal: true}, ""},
 		{"store only", flagRules{Store: "s"}, ""},
-		{"store with repair", flagRules{Store: "s", RepairJournal: true}, ""},
 		{"sweep with sets", flagRules{Sub: "sweep", Sets: 2}, ""},
 		{"verify", flagRules{Sub: "verify", Journal: "j"}, ""},
 		{"cache", flagRules{Sub: "cache", Store: "s"}, ""},
 
 		{"resume without checkpoint", flagRules{Resume: true}, "-resume requires -checkpoint"},
-		{"journal without checkpoint", flagRules{Journal: "j"}, "-journal requires -checkpoint"},
-		{"repair without resume", flagRules{Checkpoint: "c", Journal: "j", RepairJournal: true}, "-repair-journal requires -resume"},
-		{"repair without journal", flagRules{Checkpoint: "c", Resume: true, RepairJournal: true}, "-repair-journal requires -resume"},
-		{"repair alone", flagRules{RepairJournal: true}, "-repair-journal requires -resume"},
+		{"journal on a run", flagRules{Journal: "j"}, "-checkpoint"},
+		{"journal beside checkpoint", flagRules{Checkpoint: "c", Journal: "j"}, "-journal names the verify subcommand's input"},
+		{"journal on a sweep", flagRules{Sub: "sweep", Journal: "j"}, "-journal names the verify subcommand's input"},
 		{"store+checkpoint", flagRules{Store: "s", Checkpoint: "c"}, "conflicts with -checkpoint"},
-		{"store+journal", flagRules{Store: "s", Journal: "j"}, "conflicts with -checkpoint"},
 		{"store+resume", flagRules{Store: "s", Resume: true}, "conflicts with -checkpoint"},
 		{"sets without sweep", flagRules{Sets: 1}, "-set is only meaningful"},
 		{"verify+resume", flagRules{Sub: "verify", Journal: "j", Resume: true}, "verify replays a journal only"},
@@ -56,12 +52,11 @@ func TestValidateFlags(t *testing.T) {
 
 // TestUnknownExperimentRejectedBeforeArtifacts pins that experiment names
 // resolve before anything is opened: a typoed name is a usage error (exit
-// 2) that leaves no checkpoint, journal, or manifest behind.
+// 2) that leaves no campaign log or manifest behind.
 func TestUnknownExperimentRejectedBeforeArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	_, stderr, code := runBin(t, "-progress", "0",
-		"-checkpoint", filepath.Join(dir, "cp.json"),
-		"-journal", filepath.Join(dir, "cp.journal"), "fig99")
+		"-checkpoint", filepath.Join(dir, "cp.jsonl"), "fig99")
 	if code != 2 {
 		t.Fatalf("exit %d, want 2\n%s", code, stderr)
 	}

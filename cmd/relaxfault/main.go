@@ -4,7 +4,7 @@
 // Usage:
 //
 //	relaxfault [-scale quick|paper] [-seed N] [-parallel N] [-timeout D]
-//	           [-progress D] [-checkpoint FILE [-resume] [-journal FILE]]
+//	           [-progress D] [-checkpoint FILE [-resume]]
 //	           [-metrics FILE|-] [-events FILE] [-pprof ADDR] [-trace FILE]
 //	           <experiment> [...]
 //	relaxfault -scenario FILE|PRESET [-store DIR]
@@ -31,21 +31,20 @@
 //
 // The run harness makes long campaigns survivable: ^C or SIGTERM cancels
 // gracefully at the next work-chunk boundary (a second signal force-quits),
-// -timeout bounds each experiment, -checkpoint/-resume restart a killed run
-// from its last snapshot with bitwise-identical output, and a requested
-// experiment that fails no longer aborts the rest — failures are collected
-// and summarised.
+// -timeout bounds each experiment, -checkpoint FILE keeps the campaign log
+// and -resume restarts a killed run from it with bitwise-identical output,
+// and a requested experiment that fails no longer aborts the rest —
+// failures are collected and summarised.
 //
-// -journal FILE keeps an append-only, fsync'd replay journal beside the
-// checkpoint: one digest-bearing record per completed chunk, durably written
-// before the chunk may enter a snapshot. On -resume the snapshot is
-// cross-checked against the journal and a mismatch refuses the resume
-// (-repair-journal quarantines the bad chunks for recomputation instead).
-// "relaxfault verify -journal FILE" later re-executes every journaled chunk
-// from the campaign specs embedded in the journal itself and compares
-// digests — no checkpoint or original command line needed.
+// The campaign log is the run's one durable artifact: an append-only,
+// fsync'd file with one record per completed chunk, carrying the chunk's
+// payload and its digest. On -resume a torn tail is cut and every payload
+// is checked against its digest before the run trusts it; a mismatch
+// refuses the resume. "relaxfault verify -journal FILE" later re-executes
+// every logged chunk from the campaign specs embedded in the log itself and
+// compares digests — no original command line needed.
 //
-// -store DIR replaces the explicit -checkpoint/-journal plumbing with a
+// -store DIR replaces the explicit -checkpoint plumbing with a
 // content-addressed campaign store: every scenario run is keyed by its
 // budget-free campaign fingerprint and seed, repeated runs are verified
 // cache hits (zero trials execute), and a bumped trial budget resumes from
@@ -104,8 +103,8 @@ type options struct {
 	scale, checkpoint, journal, metrics, events string
 	pprof, trace, scenario, store               string
 	seed                                        uint64
-	seedSet, resume, repairJournal              bool
-	timeout, progress, flushInterval            time.Duration
+	seedSet, resume                             bool
+	timeout, progress                           time.Duration
 	parallel                                    int
 	sets                                        repeatedFlag
 }
@@ -118,18 +117,16 @@ func parseFlags() (*options, []string) {
 	flag.Uint64Var(&o.seed, "seed", 7, "Monte Carlo seed")
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-experiment deadline, e.g. 30m (0 = none)")
 	flag.DurationVar(&o.progress, "progress", 10*time.Second, "progress/watchdog report interval on stderr (0 = silent)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "periodically snapshot the Monte Carlo chunks to `FILE`")
-	flag.BoolVar(&o.resume, "resume", false, "restart from the -checkpoint snapshot; the same flags and seed reproduce the uninterrupted output exactly")
-	flag.StringVar(&o.journal, "journal", "", "keep an append-only replay journal `FILE` beside the -checkpoint: one fsync'd, digest-bearing record per chunk, written before the chunk may enter a snapshot; -resume cross-checks the snapshot against it (also the verify subcommand's input)")
-	flag.BoolVar(&o.repairJournal, "repair-journal", false, "with -resume and -journal (or -store), quarantine chunks that fail the journal cross-check (they are recomputed) instead of refusing")
-	flag.DurationVar(&o.flushInterval, "flush-interval", harness.DefaultFlushInterval, "checkpoint snapshot rate limit (lower it so short campaigns persist chunks quickly)")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "keep the campaign log `FILE`: one fsync'd record per completed Monte Carlo chunk, carrying its payload and digest")
+	flag.BoolVar(&o.resume, "resume", false, "reopen the -checkpoint log and continue; the same flags and seed reproduce the uninterrupted output exactly")
+	flag.StringVar(&o.journal, "journal", "", "the campaign log `FILE` the verify subcommand replays (a run names its log with -checkpoint)")
 	flag.StringVar(&o.metrics, "metrics", "", "write the run manifest (config fingerprint, timings, metrics snapshot) to `FILE`; \"-\" prints JSON to stdout")
 	flag.StringVar(&o.events, "events", "", "append JSONL progress/skip/run events to `FILE`")
 	flag.StringVar(&o.pprof, "pprof", "", "serve /debug/pprof, /debug/vars, Prometheus /metrics, and a live /debug/status snapshot (per-worker chunk, trials/s, ETA, journal health) on `ADDR`, e.g. localhost:6060")
 	flag.StringVar(&o.trace, "trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to `FILE`; the scheduler-attribution report lands in the manifest's \"trace\" block and is printed as a table")
 	flag.IntVar(&o.parallel, "parallel", 0, "Monte Carlo worker pool size (0 = all cores); any value yields bitwise-identical results")
 	flag.StringVar(&o.scenario, "scenario", "", "run the scenario `FILE|PRESET` (a JSON spec file or a registry preset) through the generic runner; spec files carry their own budget and seed, an explicit -seed overrides")
-	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: a repeated run is a verified cache hit (zero trials) and a larger trial budget resumes from the largest cached entry; conflicts with -checkpoint/-journal/-resume")
+	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: a repeated run is a verified cache hit (zero trials) and a larger trial budget resumes from the largest cached entry; conflicts with -checkpoint/-resume")
 	flag.Var(&o.sets, "set", "sweep axis `path=v1[,v2...]` for the sweep subcommand (repeatable); the cross-product runs, one manifest per point next to the -metrics target")
 	flag.Usage = usage
 	args := parseArgs()
@@ -164,8 +161,7 @@ func run() int {
 	if err := validateFlags(flagRules{
 		Sub:        sub,
 		Checkpoint: o.checkpoint, Journal: o.journal, Store: o.store,
-		Resume: o.resume, RepairJournal: o.repairJournal,
-		Sets: len(o.sets),
+		Resume: o.resume, Sets: len(o.sets),
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
@@ -256,8 +252,8 @@ func resolve(o *options, args []string, sweep bool, scale experiments.Scale) ([]
 
 // runPoints is the default run and the sweep subcommand: resolve the
 // points, open the run's artifacts, execute every point in one loop, then
-// seal the journal and write the manifest. A sweep additionally writes one
-// manifest per point.
+// seal the campaign log and write the manifest. A sweep additionally writes
+// one manifest per point.
 func runPoints(o *options, args []string, sweep bool) int {
 	var scale experiments.Scale
 	switch o.scale {
@@ -278,7 +274,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 		return 2
 	}
 	// Every resolved scenario is embedded both in the run manifest and — when
-	// a journal is kept — in the journal's open record, which is what makes
+	// a campaign log is kept — in the log's open record, which is what makes
 	// "relaxfault verify" self-contained.
 	var records []harness.ScenarioRecord
 	runNames := make([]string, len(points))
@@ -289,8 +285,8 @@ func runPoints(o *options, args []string, sweep bool) int {
 		}
 	}
 
-	// First SIGINT/SIGTERM: cancel the context so in-flight chunks finish,
-	// checkpoint, and the journal seals. Second signal: force-quit.
+	// First SIGINT/SIGTERM: cancel the context so in-flight chunks finish
+	// and are logged, and the log seals. Second signal: force-quit.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var gotTerm atomic.Bool
@@ -311,9 +307,9 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}()
 
 	mon := harness.NewMonitor(os.Stderr, o.progress)
-	// The journal writer opens later (after scenario records resolve); the
-	// status handler reads this pointer so /debug/status reports journal
-	// health as soon as the writer exists.
+	// The log writer opens later (after scenario records resolve); the
+	// status handler reads this pointer so /debug/status reports log health
+	// as soon as the writer exists.
 	var jwLive atomic.Pointer[journal.Writer]
 
 	// tracer is nil (every recording call a no-op) unless -trace was given:
@@ -373,16 +369,15 @@ func runPoints(o *options, args []string, sweep bool) int {
 		mon.SetEventWriter(f)
 	}
 	manifest := harness.NewManifest()
-	// The legacy explicit-path artifacts (-checkpoint/-journal/-resume) are
-	// one unkeyed campaign: the campaign layer opens the checkpoint store,
-	// opens or resumes the journal (cross-checking the snapshot first), and
-	// embeds the resolved scenario records in the journal's open record.
+	// An explicit -checkpoint log is one unkeyed campaign: the campaign
+	// layer creates or reopens the log (checking every logged payload
+	// against its digest first) and embeds the resolved scenario records in
+	// its open record.
 	camp, err := campaign.OpenUnkeyed(campaign.UnkeyedConfig{
-		Checkpoint: o.checkpoint, Journal: o.journal, Resume: o.resume,
+		Checkpoint: o.checkpoint, Resume: o.resume,
 		Seed: o.seed, Records: records,
 	}, campaign.Options{
 		Workers: o.parallel, Mon: mon, Trace: tracer,
-		FlushInterval: o.flushInterval, RepairJournal: o.repairJournal,
 		OnJournal: func(w *journal.Writer) { jwLive.Store(w) },
 	})
 	if err != nil {
@@ -391,13 +386,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}
 	defer camp.Close()
 	scale.Store = camp.Store()
-	if st := camp.Store(); st != nil {
-		defer func() {
-			if err := st.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
-			}
-		}()
-	}
 	jw := camp.Journal()
 
 	mon.Event("run_start", map[string]any{
@@ -453,22 +441,17 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}
 	mon.SetLabel("")
 
-	// Seal the journal before the manifest reports on it. "complete"
-	// freezes the campaign; an interrupted or partly-failed run seals
-	// "interrupted" so -resume can reopen it and append more chunks.
+	// Seal the log before the manifest reports on it. "complete" freezes
+	// the campaign; an interrupted or partly-failed run seals "interrupted"
+	// so -resume can reopen it and append more chunks.
 	if jw != nil {
-		// The final checkpoint state must be durable before the seal
-		// asserts anything about the campaign.
-		if err := scale.Store.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
-		}
 		status := journal.StatusComplete
 		if interrupted || len(failures) > 0 {
 			status = journal.StatusInterrupted
 		}
 		if err := jw.Seal(status); err != nil {
-			fmt.Fprintf(os.Stderr, "relaxfault: sealing journal: %v\n", err)
-			failures = append(failures, fmt.Sprintf("journal seal: %v", err))
+			fmt.Fprintf(os.Stderr, "relaxfault: sealing campaign log: %v\n", err)
+			failures = append(failures, fmt.Sprintf("log seal: %v", err))
 		}
 	}
 
@@ -529,10 +512,10 @@ func runPoints(o *options, args []string, sweep bool) int {
 	manifest.Fingerprint = harness.Fingerprint("relaxfault-cli", o.scale, o.seed, runNames)
 	manifest.Checkpoint = o.checkpoint
 	if jw != nil {
-		manifest.Journal = o.journal
+		manifest.Journal = o.checkpoint
 		manifest.JournalSealed = jw.Sealed()
 		manifest.JournalChunks = jw.ChunkRecords()
-		manifest.JournalVerifiedChunks = camp.CrossVerified()
+		manifest.JournalVerifiedChunks = camp.Store().Verified()
 	}
 	manifest.Scenarios = records
 	manifest.Campaigns = campRecs
@@ -584,10 +567,10 @@ func runPoint(ctx context.Context, p point, scale experiments.Scale, timeout tim
 	return nil
 }
 
-// runVerify implements the verify subcommand: load the journal (recovering
-// nothing — a torn tail is reported, not repaired), re-execute every
-// journaled chunk from the campaign specs embedded in its open record, and
-// compare digests. Exit 0 when everything verifies, 3 when any chunk
+// runVerify implements the verify subcommand: load the campaign log
+// (recovering nothing — a torn tail is reported, not repaired), re-execute
+// every logged chunk from the campaign specs embedded in its open record,
+// and compare digests. Exit 0 when everything verifies, 3 when any chunk
 // mismatches or cannot be replayed, 1 on hard errors, 2 on usage errors.
 func runVerify(rest []string, path string, workers int, progress time.Duration) int {
 	if len(rest) > 0 {
@@ -636,7 +619,7 @@ func runVerify(rest []string, path string, workers int, progress time.Duration) 
 type flagRules struct {
 	Sub                        string // "", "list", "verify", "cache", "sweep"
 	Checkpoint, Journal, Store string
-	Resume, RepairJournal      bool
+	Resume                     bool
 	Sets                       int // number of -set occurrences
 }
 
@@ -658,17 +641,14 @@ func validateFlags(r flagRules) error {
 	case "list":
 		return nil
 	}
-	if r.Store != "" && (r.Checkpoint != "" || r.Journal != "" || r.Resume) {
-		return errors.New("-store manages checkpoints, journals, and resume itself; it conflicts with -checkpoint, -journal, and -resume")
+	if r.Journal != "" {
+		return errors.New("-journal names the verify subcommand's input; a run keeps its campaign log at -checkpoint FILE")
+	}
+	if r.Store != "" && (r.Checkpoint != "" || r.Resume) {
+		return errors.New("-store manages campaign logs and resume itself; it conflicts with -checkpoint and -resume")
 	}
 	if r.Resume && r.Checkpoint == "" {
 		return errors.New("-resume requires -checkpoint")
-	}
-	if r.Journal != "" && r.Checkpoint == "" {
-		return errors.New("-journal requires -checkpoint (chunk records are cut when chunks are checkpointed)")
-	}
-	if r.RepairJournal && r.Store == "" && (r.Journal == "" || !r.Resume) {
-		return errors.New("-repair-journal requires -resume and -journal (or -store)")
 	}
 	if r.Sets > 0 && r.Sub != "sweep" {
 		return errors.New("-set is only meaningful with the sweep subcommand")
@@ -820,8 +800,8 @@ and OBSERVABILITY.md for the metric catalogue.
 "cache list" prints every completed -store entry, "cache show KEY" dumps the
 matching entries' metadata as JSON, and "cache evict KEY" removes every entry
 under a key prefix (refusing keys a live run has claimed). "verify" replays a
-journal end to end from the campaign specs embedded in it, comparing chunk
-digests; it needs only the journal file.
+campaign log end to end from the campaign specs embedded in it, comparing
+chunk digests; it needs only the log file.
 
 exit codes: 0 ok; 1 experiment failure; 2 usage; 3 completed with skipped
 trials or journal verification mismatches; 130 interrupted (SIGINT);

@@ -1,20 +1,24 @@
 // Package campaign owns the lifecycle of one simulation campaign: Plan
 // derives the canonical campaign key from a resolved scenario, Open wires
-// the checkpoint store, replay journal, cross-check policy, and telemetry
-// (from explicit paths for the legacy -checkpoint/-journal flags, or from
-// a content-addressed result store for keyed campaigns), Run drives the
-// scenario runner, and Seal freezes the artifacts and records the
-// campaign's store coordinates for the run manifest.
+// the campaign log and telemetry (from an explicit -checkpoint path, or
+// from a content-addressed result store for keyed campaigns), Run drives
+// the scenario runner, and Seal freezes the log and records the campaign's
+// store coordinates for the run manifest.
+//
+// A campaign's one durable artifact is its log (package journal): every
+// completed chunk is appended with its payload, and the harness.Store the
+// runner checkpoints into is the in-memory view rebuilt from the log.
 //
 // Keyed campaigns are budget-aware. The campaign key hashes the scenario
 // with its elastic trial-budget axes cleared (scenario.CampaignFingerprint),
 // so store entries computed at different budgets share a key and serve
-// each other: an entry at the exact budget is a pure cache hit (its
-// sealed checkpoint is digest cross-checked against its journal, then
-// re-reduced — zero trials execute); a completed larger budget or a
-// sequentially-stopped run seeds a resume that reuses every chunk; and a
-// smaller completed budget seeds a resume that computes only the missing
-// tail, byte-identical to a from-scratch run at the new budget.
+// each other: an entry at the exact budget is a pure cache hit (its sealed
+// log is opened read-only with every payload checked against its digest,
+// then re-reduced — zero trials execute and nothing is written); a
+// completed larger budget or a sequentially-stopped run seeds a resume that
+// reuses every chunk; and a smaller completed budget seeds a resume that
+// computes only the missing tail, byte-identical to a from-scratch run at
+// the new budget.
 package campaign
 
 import (
@@ -90,52 +94,41 @@ type Options struct {
 	Workers int
 	Mon     *harness.Monitor
 	Trace   *runtrace.Recorder
-	// FlushInterval overrides the checkpoint snapshot rate limit
-	// (0 keeps harness.DefaultFlushInterval).
-	FlushInterval time.Duration
-	// RepairJournal quarantines (rather than refuses) snapshot chunks that
-	// fail the resume cross-check.
-	RepairJournal bool
-	// OnJournal observes the live journal writer as soon as it exists
-	// (e.g. to feed /debug/status).
+	// OnJournal observes the live log writer as soon as it exists (e.g. to
+	// feed /debug/status).
 	OnJournal func(*journal.Writer)
 }
 
-// Campaign is one open campaign: its artifacts and their lifecycle state.
+// Campaign is one open campaign: its log and its lifecycle state.
 type Campaign struct {
-	// Plan is nil for unkeyed campaigns (legacy explicit paths).
+	// Plan is nil for unkeyed campaigns (explicit -checkpoint path).
 	Plan *Plan
 	opts Options
 
+	// cp is the view over the campaign log (nil when none is kept); a cache
+	// hit's view is read-only.
 	cp *harness.Store
-	jw *journal.Writer
 
 	// Keyed state.
 	st    *cstore.Store
 	dir   string
 	claim *cstore.Claim
-	// hitStore / hitResult serve a pure cache hit: the exact entry's sealed
-	// checkpoint (re-reduced by Run), or its stored perf result.
+	// hit is the exact completed entry serving a cache hit; hitResult is
+	// its stored perf result (perf entries keep no chunks).
 	hit       *cstore.Entry
-	hitStore  *harness.Store
 	hitResult *scenario.Result
 
-	rec           harness.CampaignRecord
-	crossVerified int
-	start         time.Time
-	closed        bool
+	rec    harness.CampaignRecord
+	start  time.Time
+	closed bool
 }
 
-// Store returns the checkpoint store Run attaches (nil when the campaign
-// keeps no checkpoint).
+// Store returns the view Run checkpoints into (nil when the campaign keeps
+// no log).
 func (c *Campaign) Store() *harness.Store { return c.cp }
 
-// Journal returns the live journal writer (nil when no journal is kept).
-func (c *Campaign) Journal() *journal.Writer { return c.jw }
-
-// CrossVerified returns how many snapshot chunks the resume cross-check
-// verified against the journal.
-func (c *Campaign) CrossVerified() int { return c.crossVerified }
+// Journal returns the live log writer (nil without a writable log).
+func (c *Campaign) Journal() *journal.Writer { return c.cp.Journal() }
 
 // CacheHit reports whether Open resolved the campaign to a completed store
 // entry (Run will execute zero trials).
@@ -145,32 +138,23 @@ func (c *Campaign) CacheHit() bool { return c.hit != nil }
 // campaigns).
 func (c *Campaign) Record() harness.CampaignRecord { return c.rec }
 
-// UnkeyedConfig mirrors the legacy explicit-path flags: a checkpoint file,
-// an optional journal beside it, and the resume policy. Records are the
-// scenarios the run will execute, embedded in the journal's open record so
-// "relaxfault verify" is self-contained.
+// UnkeyedConfig mirrors the explicit-path flags: the campaign log file and
+// the resume policy. Records are the scenarios the run will execute,
+// embedded in the log's open record so "relaxfault verify" is
+// self-contained.
 type UnkeyedConfig struct {
 	Checkpoint string
-	Journal    string
 	Resume     bool
 	Seed       uint64
 	Records    []harness.ScenarioRecord
 }
 
-// OpenUnkeyed wires a campaign from explicit artifact paths — the
-// -checkpoint/-journal flag behavior. Both paths are optional; with
-// neither, the campaign is a plain uncheckpointed run.
+// OpenUnkeyed wires a campaign from an explicit log path — the -checkpoint
+// flag behavior. Without a path the campaign is a plain unpersisted run.
 func OpenUnkeyed(cfg UnkeyedConfig, opts Options) (*Campaign, error) {
 	c := &Campaign{opts: opts, start: time.Now()}
 	if cfg.Checkpoint != "" {
-		cp, err := harness.OpenStore(cfg.Checkpoint, cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-		c.attachStore(cp)
-	}
-	if cfg.Journal != "" {
-		if err := c.openJournal(cfg.Journal, cfg.Resume, cfg.Seed, cfg.Records); err != nil {
+		if err := c.openLog(cfg.Checkpoint, cfg.Resume, cfg.Seed, cfg.Records); err != nil {
 			return nil, err
 		}
 	}
@@ -178,8 +162,8 @@ func OpenUnkeyed(cfg UnkeyedConfig, opts Options) (*Campaign, error) {
 }
 
 // Open resolves plan against the store and wires the campaign: a pure
-// cache hit on the exact completed entry, a resume seeded from a covering
-// or smaller completed entry (or from this entry's own crashed attempt),
+// cache hit on the exact completed entry, a resume of this entry's own
+// crashed attempt, a run seeded from a covering or smaller completed entry,
 // or a fresh run. The entry directory is claimed for writing in every
 // non-hit case; a live claim by another process is a clean error.
 func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
@@ -196,18 +180,14 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	forceFresh := false
 	if exact != nil {
-		if err := c.openHit(exact); err == nil {
+		err := c.openHit(exact)
+		if err == nil {
 			cm.hits.Inc()
 			return c, nil
-		} else {
-			fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d/t%d: cached entry unusable (%v); recomputing\n",
-				plan.Key, plan.Seed, plan.Trials, err)
-			// The directory holds a complete-but-unusable entry; ignore its
-			// artifacts rather than trying to resume them.
-			forceFresh = true
 		}
+		fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d/t%d: cached entry unusable (%v); recomputing\n",
+			plan.Key, plan.Seed, plan.Trials, err)
 	}
 	cm.misses.Inc()
 
@@ -218,67 +198,55 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 	}
 	c.claim = claim
 	c.rec.Entry = st.Rel(c.dir)
+	if exact != nil {
+		// Retract the unusable entry's completeness marker before anything
+		// is rewritten: a recompute that dies then leaves an ordinary
+		// in-progress entry, which the next Open resumes.
+		if err := os.Remove(exact.Path(cstore.MetaFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			c.Close()
+			return nil, err
+		}
+	}
 
-	journalPath := filepath.Join(c.dir, cstore.JournalFile)
-	resume := false
+	// A log without an entry is an earlier attempt that died mid-run (its
+	// claim was stale): it resumes exactly like an explicit -resume. An
+	// unusable entry's log is not trusted and is recomputed from scratch.
+	logPath := filepath.Join(c.dir, cstore.CheckpointFile)
+	resume := exact == nil && fileExists(logPath)
+	if err := c.openLog(logPath, resume, plan.Seed, []harness.ScenarioRecord{plan.Record}); err != nil {
+		c.Close()
+		return nil, err
+	}
+	src := cover
+	if src == nil {
+		src = seedE
+	}
 	switch {
-	case forceFresh:
-	case fileExists(journalPath):
-		// Our own earlier attempt crashed mid-run (claim was stale): its
-		// journal and checkpoint resume exactly like an explicit -resume.
-		resume = true
+	case resume:
 		c.rec.Source = harness.CampaignResumed
-	default:
-		src := cover
-		if src == nil {
-			src = seedE
+	case src != nil && len(src.Meta.Sections) > 0:
+		seedStart := opts.Trace.Now()
+		reused, err := c.seedFrom(src)
+		opts.Trace.Span(runtrace.TrackMain, "campaign.seed", -1, 0, seedStart)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d: cannot seed from t%d (%v); computing the rest from scratch\n",
+				plan.Key, plan.Seed, src.Meta.Trials, err)
+			break
 		}
-		if src != nil && len(src.Meta.Sections) > 0 {
-			seedStart := opts.Trace.Now()
-			reused, err := seedArtifacts(c.dir, plan, src, opts.Mon)
-			opts.Trace.Span(runtrace.TrackMain, "campaign.seed", -1, 0, seedStart)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d: cannot seed from t%d (%v); running from scratch\n",
-					plan.Key, plan.Seed, src.Meta.Trials, err)
-				os.Remove(filepath.Join(c.dir, cstore.CheckpointFile))
-				os.Remove(journalPath)
-			} else {
-				resume = true
-				c.rec.Source = harness.CampaignResumed
-				c.rec.ReusedChunks = reused
-				cm.reused.Add(int64(reused))
-			}
-		}
+		c.rec.Source = harness.CampaignResumed
+		c.rec.ReusedChunks = reused
+		cm.reused.Add(int64(reused))
 	}
-	if resume {
+	if c.rec.Source == harness.CampaignResumed {
 		cm.resumes.Inc()
-	}
-
-	cp, err := harness.OpenStore(filepath.Join(c.dir, cstore.CheckpointFile), resume)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.attachStore(cp)
-	if err := c.openJournalKeyed(journalPath, resume); err != nil {
-		c.Close()
-		return nil, err
 	}
 	return c, nil
 }
 
-func (c *Campaign) attachStore(cp *harness.Store) {
-	if c.opts.FlushInterval != 0 && c.opts.FlushInterval != harness.DefaultFlushInterval {
-		cp.SetFlushInterval(c.opts.FlushInterval)
-	}
-	cp.SetTracer(c.opts.Trace)
-	c.cp = cp
-}
-
 // openHit verifies the exact completed entry and adopts it for a pure
-// cache hit. For checkpointed kinds the entry's snapshot must pass the
-// digest cross-check against its sealed journal; for perf the stored
-// result document must match its recorded digest.
+// cache hit. For checkpointed kinds the entry's sealed log is opened as a
+// read-only view, every payload checked against its digest; for perf the
+// stored result document must match its recorded digest.
 func (c *Campaign) openHit(e *cstore.Entry) error {
 	if e.Meta.ScenarioFingerprint != c.Plan.Record.Fingerprint {
 		// Same elastic budget scalar spelled through different knobs: the
@@ -300,27 +268,12 @@ func (c *Campaign) openHit(e *cstore.Entry) error {
 		}
 		c.hitResult = &res
 	} else {
-		cp, err := harness.OpenStore(e.Path(cstore.CheckpointFile), true)
+		cp, err := readLog(e)
 		if err != nil {
 			return err
 		}
-		j, err := journal.Load(e.Path(cstore.JournalFile))
-		if err != nil {
-			return err
-		}
-		if !j.SealedComplete() {
-			return errors.New("entry journal is not sealed complete")
-		}
-		ccStart := c.opts.Trace.Now()
-		res, err := cp.CrossCheck(j, false, c.opts.Mon)
-		c.opts.Trace.Span(runtrace.TrackMain, "campaign.crosscheck", -1, 0, ccStart)
-		if err != nil {
-			return err
-		}
-		cp.SetTracer(c.opts.Trace)
-		c.hitStore = cp
-		c.rec.VerifiedChunks = res.Verified
-		c.crossVerified = res.Verified
+		c.cp = cp
+		c.rec.VerifiedChunks = cp.Verified()
 	}
 	c.hit = e
 	c.rec.Source = harness.CampaignCacheHit
@@ -330,129 +283,82 @@ func (c *Campaign) openHit(e *cstore.Entry) error {
 	return nil
 }
 
-// openJournalKeyed opens (or resumes) the keyed entry's journal with the
-// plan's record as the sole embedded campaign.
-func (c *Campaign) openJournalKeyed(path string, resume bool) error {
-	if !resume {
-		// A fresh run must not inherit a dead attempt's artifacts.
-		os.Remove(path)
+// readLog opens a completed entry's sealed log as a read-only view, every
+// payload checked against its digest.
+func readLog(e *cstore.Entry) (*harness.Store, error) {
+	j, err := journal.Load(e.Path(cstore.CheckpointFile))
+	if err != nil {
+		return nil, err
 	}
-	return c.openJournalWith(path, resume, c.Plan.Seed, []harness.ScenarioRecord{c.Plan.Record})
+	if !j.SealedComplete() {
+		return nil, errors.New("entry log is not sealed complete")
+	}
+	return harness.LoadStore(j, nil)
 }
 
-// openJournal opens (or resumes) an explicit-path journal.
-func (c *Campaign) openJournal(path string, resume bool, seed uint64, records []harness.ScenarioRecord) error {
-	if _, err := os.Stat(path); err != nil {
-		resume = false
-	}
-	return c.openJournalWith(path, resume, seed, records)
-}
-
-func (c *Campaign) openJournalWith(path string, resume bool, seed uint64, records []harness.ScenarioRecord) error {
-	camps := make([]journal.Campaign, len(records))
+// openLog opens (resume: reopens) the campaign log at path with records
+// embedded in its open or resume record, which is what makes "relaxfault
+// verify" self-contained.
+func (c *Campaign) openLog(path string, resume bool, seed uint64, records []harness.ScenarioRecord) error {
+	head := journal.Record{Seed: seed, Campaigns: make([]journal.Campaign, len(records))}
 	for i, r := range records {
-		camps[i] = journal.Campaign{
+		head.Campaigns[i] = journal.Campaign{
 			Name: r.Name, Fingerprint: r.Fingerprint,
 			Technology: r.Technology, TechFingerprint: r.TechFingerprint,
 			Spec: r.Spec,
 		}
 	}
-	var w *journal.Writer
-	if resume {
-		rw, loaded, err := journal.Resume(path)
-		if err != nil {
-			return err
-		}
-		ccStart := c.opts.Trace.Now()
-		res, err := c.cp.CrossCheck(loaded, c.opts.RepairJournal, c.opts.Mon)
-		c.opts.Trace.Span(runtrace.TrackMain, "resume.crosscheck", -1, 0, ccStart)
-		if err != nil {
-			rw.Close()
-			return err
-		}
-		c.crossVerified = res.Verified
-		c.rec.VerifiedChunks = res.Verified
-		fmt.Fprintf(os.Stderr, "relaxfault: journal cross-check: %d chunk(s) verified, %d quarantined, %d foreign section(s)\n",
-			res.Verified, len(res.Quarantined), res.ForeignSections)
-		err = rw.Append(journal.Record{
-			Type: journal.TypeResume, Schema: journal.Schema,
-			Seed: seed, Campaigns: camps,
-		})
-		if err != nil {
-			rw.Close()
-			return err
-		}
-		w = rw
-	} else {
-		cw, err := journal.Create(path)
-		if err != nil {
-			return err
-		}
-		err = cw.Append(journal.Record{
-			Type: journal.TypeOpen, Schema: journal.Schema,
-			Seed: seed, Campaigns: camps,
-		})
-		if err != nil {
-			cw.Close()
-			return err
-		}
-		w = cw
+	cp, err := harness.OpenStore(path, resume, head)
+	if err != nil {
+		return err
 	}
+	if cp.Verified() > 0 {
+		fmt.Fprintf(os.Stderr, "relaxfault: resuming %s: %d logged chunk(s) verified\n", path, cp.Verified())
+	}
+	w := cp.Journal()
 	w.SetTracer(c.opts.Trace)
 	if c.opts.OnJournal != nil {
 		c.opts.OnJournal(w)
 	}
-	c.jw = w
-	c.cp.AttachJournal(w)
+	c.cp = cp
+	c.rec.VerifiedChunks = cp.Verified()
 	return nil
 }
 
-// Run executes the campaign. A cache hit re-reduces the verified entry
-// checkpoint (or returns the stored perf result): every chunk resumes,
-// zero trials execute, and the result is byte-identical to the run that
-// produced the entry. Otherwise the scenario runs normally against the
-// campaign's checkpoint and journal.
+// Run executes the campaign. A cache hit re-reduces the verified entry's
+// view (or returns the stored perf result): every chunk resumes, zero
+// trials execute, and the result is byte-identical to the run that
+// produced the entry. Otherwise the scenario runs normally, logging every
+// chunk it computes.
 func (c *Campaign) Run(ctx context.Context) (*scenario.Result, error) {
 	if c.hitResult != nil {
 		return c.hitResult, nil
 	}
-	ex := scenario.Exec{
-		Workers: c.opts.Workers, Mon: c.opts.Mon, Trace: c.opts.Trace,
-	}
-	if c.hitStore != nil {
-		ex.Store = c.hitStore
-	} else {
-		ex.Store = c.cp
-	}
-	sc := c.Plan.Scenario
-	return scenario.RunCtx(ctx, sc, ex)
+	return scenario.RunCtx(ctx, c.Plan.Scenario, scenario.Exec{
+		Workers: c.opts.Workers, Mon: c.opts.Mon, Store: c.cp, Trace: c.opts.Trace,
+	})
 }
 
-// Seal finishes a keyed campaign: the checkpoint is flushed, the journal
-// sealed ("complete" on success, "interrupted" so a later open can resume
-// otherwise), and on success the entry's result document, manifest, and
-// metadata are written — the atomic metadata write is what flips the entry
-// to complete. Cache hits have nothing to seal.
+// Seal finishes a keyed campaign: the log is sealed ("complete" on
+// success, "interrupted" so a later open can resume otherwise), and on
+// success the entry's result document, manifest, and metadata are written
+// — the atomic metadata write is what flips the entry to complete. Cache
+// hits have nothing to seal.
 func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) error {
 	defer c.Close()
 	if c.hit != nil || c.Plan == nil {
 		return nil
 	}
-	var errs []error
-	if c.cp != nil {
-		if err := c.cp.Flush(); err != nil {
-			errs = append(errs, err)
-		}
-	}
 	status := journal.StatusComplete
 	if interrupted || runErr != nil {
 		status = journal.StatusInterrupted
 	}
-	if err := c.jw.Seal(status); err != nil {
-		errs = append(errs, fmt.Errorf("sealing journal: %w", err))
+	jw := c.Journal()
+	if err := jw.Seal(status); err != nil {
+		return fmt.Errorf("sealing campaign log: %w", err)
 	}
-	if runErr != nil || interrupted || len(errs) > 0 {
-		return errors.Join(errs...)
+	if status != journal.StatusComplete {
+		return nil
 	}
 
 	meta := cstore.Meta{
@@ -480,10 +386,10 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 	man.Seed = c.Plan.Seed
 	man.Fingerprint = c.Plan.Record.Fingerprint
 	man.Checkpoint = filepath.Join(c.dir, cstore.CheckpointFile)
-	man.Journal = filepath.Join(c.dir, cstore.JournalFile)
-	man.JournalSealed = c.jw.Sealed()
-	man.JournalChunks = c.jw.ChunkRecords()
-	man.JournalVerifiedChunks = c.crossVerified
+	man.Journal = man.Checkpoint
+	man.JournalSealed = jw.Sealed()
+	man.JournalChunks = jw.ChunkRecords()
+	man.JournalVerifiedChunks = c.rec.VerifiedChunks
 	man.Scenarios = []harness.ScenarioRecord{c.Plan.Record}
 	man.Campaigns = []harness.CampaignRecord{c.rec}
 	man.Finish()
@@ -493,16 +399,14 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 	return cstore.WriteMeta(c.dir, meta)
 }
 
-// Close releases the campaign's claim and journal. Idempotent; Seal calls
-// it, and callers that bail out before Seal should call it too.
+// Close releases the campaign's claim and log. Idempotent; Seal calls it,
+// and callers that bail out before Seal should call it too.
 func (c *Campaign) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if c.jw != nil {
-		c.jw.Close()
-	}
+	c.Journal().Close()
 	if c.claim != nil {
 		if err := c.claim.Release(); err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)

@@ -1,12 +1,19 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	cstore "relaxfault/internal/campaign/store"
 	"relaxfault/internal/harness"
+	"relaxfault/internal/journal"
 	"relaxfault/internal/scenario"
 )
 
@@ -219,8 +226,8 @@ func TestStoppedEntryCoversLargerBudget(t *testing.T) {
 	}
 }
 
-// TestUnkeyedNoArtifacts: with neither checkpoint nor journal the unkeyed
-// campaign is a plain run wrapper.
+// TestUnkeyedNoArtifacts: without a log the unkeyed campaign is a plain run
+// wrapper.
 func TestUnkeyedNoArtifacts(t *testing.T) {
 	c, err := OpenUnkeyed(UnkeyedConfig{}, Options{})
 	if err != nil {
@@ -229,5 +236,137 @@ func TestUnkeyedNoArtifacts(t *testing.T) {
 	defer c.Close()
 	if c.Store() != nil || c.Journal() != nil || c.CacheHit() {
 		t.Errorf("empty unkeyed campaign has attachments: store=%v journal=%v", c.Store(), c.Journal())
+	}
+}
+
+// entryFile is one file of a store entry: its identity and its bytes.
+type entryFile struct {
+	info os.FileInfo
+	data []byte
+}
+
+// entryFiles stats and reads every file of the store's only entry.
+func entryFiles(t *testing.T, st *cstore.Store) map[string]entryFile {
+	t.Helper()
+	es, err := st.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(es) != 1 {
+		t.Fatalf("store holds %d entries, want 1", len(es))
+	}
+	des, err := os.ReadDir(es[0].Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]entryFile)
+	for _, de := range des {
+		p := filepath.Join(es[0].Dir, de.Name())
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = entryFile{info, data}
+	}
+	return out
+}
+
+// TestCacheHitWritesNothing: a cache hit is a read. Every file of the entry
+// is still the same file with the same bytes afterwards, and none is added.
+func TestCacheHitWritesNothing(t *testing.T) {
+	st, err := cstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runKeyed(t, covScenario(t, 200), st)
+	before := entryFiles(t, st)
+	if _, rec, _ := runKeyed(t, covScenario(t, 200), st); rec.Source != harness.CampaignCacheHit {
+		t.Fatalf("second run source = %q, want cache-hit", rec.Source)
+	}
+	after := entryFiles(t, st)
+	for name, b := range before {
+		a, ok := after[name]
+		switch {
+		case !ok:
+			t.Errorf("cache hit removed %s", name)
+		case !os.SameFile(a.info, b.info) || !bytes.Equal(a.data, b.data):
+			t.Errorf("cache hit rewrote %s", name)
+		}
+	}
+	for name := range after {
+		if _, ok := before[name]; !ok {
+			t.Errorf("cache hit added %s", name)
+		}
+	}
+}
+
+// TestUnusableEntryRecomputeResumes: an exact entry that fails
+// verification is recomputed in place, and a recompute that dies leaves an
+// in-progress entry the next open resumes instead of recomputing again.
+func TestUnusableEntryRecomputeResumes(t *testing.T) {
+	st, err := cstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := func() *scenario.Scenario { return relScenario(t, 4, 0) }
+	want, _, _ := runKeyed(t, sc(), st)
+
+	// Unseal the entry's log: without its final seal record the entry is
+	// complete but unusable.
+	es, err := st.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := es[0].Path(cstore.CheckpointFile)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsealed := data[:bytes.LastIndexByte(data[:len(data)-1], '\n')+1]
+	if err := os.WriteFile(logPath, unsealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The recompute dies once its first chunks are logged.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var live atomic.Pointer[journal.Writer]
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for ctx.Err() == nil {
+			if w := live.Load(); w != nil && w.ChunkRecords() >= 2 {
+				cancel()
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	_, rec, err := RunStore(ctx, sc(), st, Options{
+		Workers: 1, Mon: harness.NewMonitor(io.Discard, 0),
+		OnJournal: func(w *journal.Writer) { live.Store(w) },
+	})
+	cancel()
+	<-watched
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("recompute finished before the cancel landed (err %v); the scenario is too small", err)
+	}
+	if rec.Source != harness.CampaignComputed {
+		t.Fatalf("recompute source = %q, want computed", rec.Source)
+	}
+
+	out, rec, done := runKeyed(t, sc(), st)
+	if rec.Source != harness.CampaignResumed || rec.VerifiedChunks == 0 {
+		t.Fatalf("reopen after the dead recompute: source %q, %d verified chunks; want resumed with verified chunks", rec.Source, rec.VerifiedChunks)
+	}
+	if done == 0 {
+		t.Error("resume executed no trials; the dead recompute cannot have logged them all")
+	}
+	if out != want {
+		t.Errorf("resumed recompute differs from the from-scratch run:\n%s\nvs\n%s", out, want)
 	}
 }

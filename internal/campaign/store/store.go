@@ -1,8 +1,8 @@
 // Package store is the content-addressed campaign result store. Entries
 // live at <root>/<campaign fingerprint>/<seed>/t<trials>/ — one directory
 // per (budget-free scenario identity, seed, elastic trial budget) — and
-// hold the campaign's checkpoint, journal, manifest, and metadata. The
-// entry metadata file is written atomically and last, so its presence is
+// hold the campaign's log, manifest, and metadata. The entry metadata file
+// is written atomically and last, so its presence is
 // the completeness marker: Lookup only ever surfaces entries whose
 // artifacts are fully sealed, which is what lets readers skip locking.
 //
@@ -30,19 +30,20 @@ import (
 	"time"
 )
 
-// MetaSchema versions the entry metadata document.
-const MetaSchema = "relaxfault-campaign-entry/v1"
+// MetaSchema versions the entry metadata document. Version 2 entries keep
+// one payload-bearing log; version 1 entries are invisible to Lookup.
+const MetaSchema = "relaxfault-campaign-entry/v2"
 
 // StatusComplete marks a sealed, fully-written entry. Entries claim their
 // directory while running and only gain a metadata file once complete, so
 // no other status value is ever persisted.
 const StatusComplete = "complete"
 
-// Artifact file names inside an entry directory.
+// Artifact file names inside an entry directory. CheckpointFile is the
+// campaign log (package journal).
 const (
 	MetaFile       = "entry.json"
-	CheckpointFile = "checkpoint.json"
-	JournalFile    = "journal.jsonl"
+	CheckpointFile = "checkpoint.jsonl"
 	ManifestFile   = "manifest.json"
 	ResultFile     = "result.json"
 	claimFile      = ".claim"
@@ -179,7 +180,7 @@ func (s *Store) entriesFor(key string, seed uint64) ([]*Entry, error) {
 // cheapest completed entry whose results contain the request — the
 // smallest budget ≥ the request, or any sequentially-stopped entry (its
 // answer is final for every larger budget). seed is the largest completed
-// smaller budget, whose sealed checkpoint+journal can seed a resume. All
+// smaller budget, whose sealed log can seed a resume. All
 // three may be nil; only complete entries are ever returned, so a
 // concurrent writer's half-built directory is invisible here.
 func (s *Store) Lookup(key string, seed uint64, trials int) (exact, cover, seedE *Entry, err error) {

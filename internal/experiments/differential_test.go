@@ -2,8 +2,9 @@ package experiments
 
 // The scheduling differential suite: every preset id runs under a matrix of
 // worker counts, with and without a run trace recorder, and every observable
-// artifact — result JSON, checkpoint snapshot bytes, and journaled chunk
-// digests — must be byte-identical to the sequential untraced baseline. This
+// artifact — result JSON, the checkpoint view's bytes, and the logged chunk
+// digests and spans — must be identical to the sequential untraced
+// baseline. This
 // is the end-to-end statement of the chunked driver's determinism contract:
 // neither parallelism nor tracing is observable in any output.
 
@@ -12,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -37,39 +37,27 @@ var diffVariants = []diffVariant{
 }
 
 // runDifferential executes one preset under the given variant against a
-// fresh checkpoint store with an attached journal, and returns the three
-// artifacts the matrix compares: the marshalled result, the flushed
-// checkpoint snapshot, and the journal's latest chunk records (digest +
-// trial range per (section, chunk)).
+// fresh campaign log, and returns the three artifacts the matrix compares:
+// the marshalled result, the checkpoint view's snapshot, and the log's
+// latest chunk records (digest + trial range per (section, chunk)).
 func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot []byte, chunks map[journal.ChunkKey]journal.Record) {
 	t.Helper()
-	dir := t.TempDir()
-	store, err := harness.OpenStore(filepath.Join(dir, c.name+".ckpt"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jPath := filepath.Join(dir, c.name+".journal")
-	jw, err := journal.Create(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), c.name+".jsonl")
 	s := equivScale()
 	s.Workers = v.workers
 	if v.traced == 1 {
 		s.Trace = runtrace.New()
 	}
-	s.Store = store
-	if err := jw.Append(journal.Record{Type: journal.TypeOpen, Schema: journal.Schema, Seed: s.Seed}); err != nil {
+	store, err := harness.OpenStore(path, false, journal.Record{Seed: s.Seed})
+	if err != nil {
 		t.Fatal(err)
 	}
-	store.AttachJournal(jw)
+	s.Store = store
 	res, err := c.run(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s workers=%d traced=%d: %v", c.name, v.workers, v.traced, err)
 	}
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	jw := store.Journal()
 	if err := jw.Seal(journal.StatusComplete); err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +65,10 @@ func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot
 	if result, err = json.Marshal(res); err != nil {
 		t.Fatal(err)
 	}
-	if snapshot, err = os.ReadFile(filepath.Join(dir, c.name+".ckpt")); err != nil {
+	if snapshot, err = store.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	j, err := journal.Load(jPath)
+	j, err := journal.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +78,14 @@ func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot
 // TestPresetSchedulingDifferential runs every preset under the worker/trace
 // matrix and compares each variant to the sequential untraced baseline.
 //
-// Journal comparison: a variant's workers may speculatively compute chunks
-// past a coverage study's stopping cutoff; those are journaled before the
-// final snapshot prunes them, so journals legitimately differ in which
-// chunks they mention. Chunk *content* is deterministic per index, however,
-// so every chunk key the baseline journaled must appear in the variant's
-// journal with an identical digest and trial range — and the checkpoint
-// snapshots (which hold exactly the reduced prefix) must match byte for
-// byte.
+// Log comparison: a variant's workers may speculatively compute chunks past
+// a coverage study's stopping cutoff; those are logged before the view
+// prunes them, so logs legitimately differ in which chunks they mention
+// (and their record order follows completion). Chunk *content* is
+// deterministic per index, however, so every chunk key the baseline logged
+// must appear in the variant's log with an identical digest and trial
+// range — and the views (which hold exactly the reduced prefix) must match
+// byte for byte.
 func TestPresetSchedulingDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every preset once per worker/trace matrix point")
@@ -121,7 +109,7 @@ func TestPresetSchedulingDifferential(t *testing.T) {
 						t.Errorf("result JSON differs from sequential baseline:\nbase: %.200s\ngot:  %.200s", baseRes, res)
 					}
 					if !bytes.Equal(snap, baseSnap) {
-						t.Errorf("checkpoint snapshot differs from sequential baseline (%d vs %d bytes)", len(baseSnap), len(snap))
+						t.Errorf("checkpoint view differs from sequential baseline (%d vs %d bytes)", len(baseSnap), len(snap))
 					}
 					for key, want := range baseChunks {
 						got, ok := chunks[key]
@@ -135,11 +123,11 @@ func TestPresetSchedulingDifferential(t *testing.T) {
 						}
 					}
 					// Speculative extras must still be the deterministic
-					// per-index payloads: any key both journals mention
-					// was already checked above; keys only the variant
-					// journaled have no baseline digest to compare, but
-					// the byte-identical snapshot proves none of them
-					// leaked into the final state.
+					// per-index payloads: any key both logs mention was
+					// already checked above; keys only the variant logged
+					// have no baseline digest to compare, but the
+					// byte-identical view proves none of them leaked into
+					// the final state.
 				})
 			}
 		})

@@ -25,8 +25,8 @@ func equivScale() Scale {
 	return Scale{FaultyNodes: 500, Nodes: 2048, Replicas: 1, Instructions: 40_000, Seed: 11}
 }
 
-// equivCase is one experiment id whose result JSON and checkpoint bytes are
-// pinned against the pre-refactor goldens.
+// equivCase is one experiment id whose result JSON and checkpoint view bytes
+// are pinned against the pre-refactor goldens.
 type equivCase struct {
 	name string
 	// fourWorkers also runs the case with Workers=4 and compares against the
@@ -59,15 +59,10 @@ func equivCases() []equivCase {
 }
 
 // runEquivCase executes one case with the given worker count against a fresh
-// checkpoint store and returns the result JSON and checkpoint snapshot.
+// checkpoint view and returns the result JSON and the view's snapshot.
 func runEquivCase(t *testing.T, c equivCase, workers int) (result, snapshot []byte) {
 	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, c.name+".ckpt")
-	store, err := harness.OpenStore(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := harness.NewStore(nil)
 	s := equivScale()
 	s.Workers = workers
 	s.Store = store
@@ -75,20 +70,18 @@ func runEquivCase(t *testing.T, c equivCase, workers int) (result, snapshot []by
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if result, err = json.Marshal(res); err != nil {
 		t.Fatal(err)
 	}
-	if snapshot, err = os.ReadFile(path); err != nil {
+	if snapshot, err = store.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	return result, snapshot
 }
 
 // TestPresetMatchesLegacyGolden pins every experiment id to the result JSON
-// and checkpoint bytes captured from the pre-refactor code: the scenario
+// and checkpoint view bytes (Store.Snapshot) captured from the pre-refactor
+// code: the scenario
 // registry and generic runner must be an exact re-expression of the bespoke
 // per-figure functions, not an approximation of them.
 func TestPresetMatchesLegacyGolden(t *testing.T) {

@@ -45,21 +45,21 @@ type Scale struct {
 	// from the underlying Monte Carlo runs (set by cmd/relaxfault).
 	Mon *harness.Monitor
 	// Store, if non-nil, checkpoints the Monte Carlo runs so a killed
-	// experiment resumes from its last snapshot (-checkpoint/-resume).
+	// experiment resumes from its campaign log (-checkpoint/-resume).
 	Store *harness.Store
 	// Trace, if non-nil, records execution spans from the underlying runs
 	// (-trace). Observation only; never affects results.
 	Trace *runtrace.Recorder
 	// Campaigns, if non-nil, routes every preset run through the keyed
 	// campaign layer (-store): repeated runs of the same preset at the same
-	// scale are verified cache hits, and scale bumps resume from the cached
-	// checkpoints. Mutually exclusive with Store.
+	// scale are verified cache hits, and scale bumps are seeded from the
+	// cached logs. Mutually exclusive with Store.
 	Campaigns *campaignstore.Store
 	// OnCampaign, if non-nil, observes each keyed campaign's manifest
 	// record (cmd/relaxfault collects them into the run manifest).
 	OnCampaign func(harness.CampaignRecord)
-	// OnJournal, if non-nil, observes each keyed campaign's live journal
-	// writer (cmd/relaxfault feeds /debug/status with it).
+	// OnJournal, if non-nil, observes each keyed campaign's live log writer
+	// (cmd/relaxfault feeds /debug/status with it).
 	OnJournal func(*journal.Writer)
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"relaxfault/internal/harness"
@@ -19,35 +17,27 @@ func goldenScale() Scale {
 
 // runGolden executes run with Workers=1 and Workers=4 on the same seed and
 // asserts the result structs marshal to identical JSON and the checkpoint
-// snapshots are byte-identical. This is the engine's determinism contract:
+// views are byte-identical. This is the engine's determinism contract:
 // trials are claimed as fixed chunk indexes, every chunk derives its RNG
 // stream from the root seed alone, and reduction happens in chunk order, so
 // the worker count must be unobservable in every artifact.
 func runGolden(t *testing.T, name string, run func(Scale) (any, error)) {
 	t.Helper()
-	dir := t.TempDir()
 	results := make([][]byte, 2)
 	snaps := make([][]byte, 2)
 	for i, workers := range []int{1, 4} {
 		s := goldenScale()
 		s.Workers = workers
-		path := filepath.Join(dir, name+"-"+string(rune('0'+workers))+".ckpt")
-		store, err := harness.OpenStore(path, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := harness.NewStore(nil)
 		s.Store = store
 		res, err := run(s)
 		if err != nil {
 			t.Fatalf("%s with %d workers: %v", name, workers, err)
 		}
-		if err := store.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		if results[i], err = json.Marshal(res); err != nil {
 			t.Fatal(err)
 		}
-		if snaps[i], err = os.ReadFile(path); err != nil {
+		if snaps[i], err = store.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +46,7 @@ func runGolden(t *testing.T, name string, run func(Scale) (any, error)) {
 			name, results[0], results[1])
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Errorf("%s: sequential and 4-worker checkpoint snapshots differ (%d vs %d bytes)",
+		t.Errorf("%s: sequential and 4-worker checkpoint views differ (%d vs %d bytes)",
 			name, len(snaps[0]), len(snaps[1]))
 	}
 }

@@ -5,40 +5,35 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
-	"time"
 
 	"relaxfault/internal/journal"
-	"relaxfault/internal/runtrace"
 )
 
-// Store is a file-backed checkpoint holding the completed work chunks of one
-// or more simulator runs. Each run owns a Section keyed by a fingerprint of
-// its configuration; within a section, chunks are opaque JSON payloads keyed
-// by chunk index. The file is written atomically (temp file + rename) so a
-// kill at any instant leaves either the previous or the new snapshot, never
-// a torn one.
+// Store is the in-memory view over one campaign log (package journal): the
+// completed work chunks of one or more simulator runs. Each run owns a
+// Section keyed by a fingerprint of its configuration; within a section,
+// chunks are opaque JSON payloads keyed by chunk index. The log is the only
+// durable artifact: PutSpan appends one fsync'd chunk record carrying the
+// payload before the chunk enters the view, and LoadStore rebuilds the view
+// by replaying a log's valid prefix.
 //
 // Chunk payloads are produced and consumed by the simulators; because Go's
 // JSON encoding of float64 uses the shortest round-trippable representation,
 // a resumed run reloads bitwise-identical chunk statistics, and chunk-ordered
 // reduction then reproduces the uninterrupted run's output byte for byte.
 type Store struct {
-	mu         sync.Mutex
-	path       string
-	sections   map[string]*sectionData
-	dirty      bool
-	lastFlush  time.Time
-	flushEvery time.Duration
-	// jw, when attached, receives one digest-bearing chunk record per
-	// PutSpan before the chunk enters the snapshot (journal ⊇ checkpoint).
-	jw *journal.Writer
-	// tr, when attached, records each snapshot flush (marshal + write +
-	// fsync + rename + dir fsync) on the checkpoint trace track.
-	tr *runtrace.Recorder
+	mu       sync.Mutex
+	sections map[string]*sectionData
+	// w receives one chunk record per PutSpan; nil keeps the view in memory
+	// only (cache hits, seeding sources, tests).
+	w *journal.Writer
+	// verified counts the logged chunks LoadStore checked against their
+	// digests.
+	verified int
 }
 
 type sectionData struct {
@@ -46,95 +41,121 @@ type sectionData struct {
 	Chunks      map[string]json.RawMessage `json:"chunks"`
 }
 
+// storeFile is the Snapshot encoding of the view.
 type storeFile struct {
 	Version  int                     `json:"version"`
 	Sections map[string]*sectionData `json:"sections"`
 }
 
-const storeVersion = 1
+// NewStore returns an empty view whose chunks PutSpan appends through w
+// (nil: the view stays in memory).
+func NewStore(w *journal.Writer) *Store {
+	return &Store{sections: make(map[string]*sectionData), w: w}
+}
 
-// DefaultFlushInterval rate-limits snapshot writes triggered by Put; Flush
-// always writes immediately.
-const DefaultFlushInterval = 2 * time.Second
+// LoadStore rebuilds the view of the log j and appends later chunks through
+// w (nil for a read-only view). Each section takes the fingerprint of its
+// last record, and each chunk the latest record under that fingerprint;
+// records of other fingerprints describe an older configuration and are
+// ignored. Every payload the view takes is checked against its digest: a
+// mismatch is an error naming each bad chunk.
+func LoadStore(j *journal.Journal, w *journal.Writer) (*Store, error) {
+	fp := make(map[string]string)
+	for _, rec := range j.Chunks {
+		fp[rec.Section] = rec.SectionFP
+	}
+	latest := make(map[journal.ChunkKey]journal.Record)
+	for _, rec := range j.Chunks {
+		if rec.SectionFP == fp[rec.Section] {
+			latest[journal.ChunkKey{Section: rec.Section, Chunk: rec.Chunk}] = rec
+		}
+	}
+	s := NewStore(w)
+	var bad []string
+	for k, rec := range latest {
+		if d := journal.Digest(rec.Payload); d != rec.Digest {
+			bad = append(bad, fmt.Sprintf("%s chunk %d: payload digest %s, logged %s", k.Section, k.Chunk, d, rec.Digest))
+			continue
+		}
+		sec := s.sections[k.Section]
+		if sec == nil {
+			sec = &sectionData{Fingerprint: rec.SectionFP, Chunks: make(map[string]json.RawMessage)}
+			s.sections[k.Section] = sec
+		}
+		sec.Chunks[strconv.Itoa(k.Chunk)] = rec.Payload
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return nil, fmt.Errorf("harness: %s: %d logged chunk(s) fail their digest check:\n  %s",
+			j.Path, len(bad), strings.Join(bad, "\n  "))
+	}
+	s.verified = len(latest)
+	return s, nil
+}
 
-// OpenStore opens (resume=true) or creates (resume=false) a checkpoint store
-// at path. With resume=false any existing snapshot is ignored and will be
-// overwritten on the first flush; with resume=true a missing file is not an
-// error — the store simply starts empty.
-func OpenStore(path string, resume bool) (*Store, error) {
-	s := &Store{
-		path:       path,
-		sections:   make(map[string]*sectionData),
-		flushEvery: DefaultFlushInterval,
-		lastFlush:  time.Now(),
+// OpenStore opens the campaign log at path as a Store whose PutSpans
+// append to it. With resume=false it creates (or truncates) the log and
+// appends head as the open record. With resume=true it reopens the log —
+// journal.Resume truncates a torn tail and refuses v1 and complete-sealed
+// logs — rebuilds the view with LoadStore, and appends head as a resume
+// record; a missing file starts a fresh log instead. head carries the seed
+// and the embedded campaigns; OpenStore sets its type and schema.
+func OpenStore(path string, resume bool, head journal.Record) (*Store, error) {
+	if _, err := os.Stat(path); err != nil {
+		resume = false
 	}
-	if !resume {
-		return s, nil
+	head.Type, head.Schema = journal.TypeOpen, journal.Schema
+	var s *Store
+	if resume {
+		w, j, err := journal.Resume(path)
+		if err != nil {
+			return nil, err
+		}
+		if s, err = LoadStore(j, w); err != nil {
+			w.Close()
+			return nil, err
+		}
+		head.Type = journal.TypeResume
+	} else {
+		w, err := journal.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		s = NewStore(w)
 	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("harness: reading checkpoint: %w", err)
-	}
-	var f storeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("harness: corrupt checkpoint %s: %w", path, err)
-	}
-	if f.Version != storeVersion {
-		return nil, fmt.Errorf("harness: checkpoint %s has version %d, want %d", path, f.Version, storeVersion)
-	}
-	if f.Sections != nil {
-		s.sections = f.Sections
+	if err := s.w.Append(head); err != nil {
+		s.w.Close()
+		return nil, err
 	}
 	return s, nil
 }
 
-// Path returns the snapshot file path.
-func (s *Store) Path() string {
+// Journal returns the log writer PutSpan appends through (nil for a
+// memory-only view). Safe on a nil Store.
+func (s *Store) Journal() *journal.Writer {
 	if s == nil {
-		return ""
+		return nil
 	}
-	return s.path
+	return s.w
 }
 
-// SetFlushInterval overrides the Put-triggered snapshot rate limit
-// (DefaultFlushInterval). Tests and short-lived campaigns lower it so the
-// first chunks reach disk quickly. Non-positive durations flush on every
-// Put. Safe on a nil Store.
-func (s *Store) SetFlushInterval(d time.Duration) {
+// Verified returns how many logged chunks LoadStore checked against their
+// digests (0 for a fresh view). Safe on a nil Store.
+func (s *Store) Verified() int {
 	if s == nil {
-		return
+		return 0
 	}
-	s.mu.Lock()
-	s.flushEvery = d
-	s.lastFlush = time.Time{} // let the very first Put flush
-	s.mu.Unlock()
+	return s.verified
 }
 
-// AttachJournal directs a digest-bearing journal chunk record through w for
-// every subsequent PutSpan, establishing the invariant that the journal is
-// a superset of the snapshot: a chunk record is durably journaled before
-// the chunk becomes eligible for a snapshot flush. Safe on a nil Store.
-func (s *Store) AttachJournal(w *journal.Writer) {
-	if s == nil {
-		return
-	}
+// Snapshot encodes the view as
+// {"version":1,"sections":{name:{"fingerprint":…,"chunks":{index:payload}}}}.
+// Unlike the log, whose record order follows chunk completion, its bytes
+// are the same for every worker count.
+func (s *Store) Snapshot() ([]byte, error) {
 	s.mu.Lock()
-	s.jw = w
-	s.mu.Unlock()
-}
-
-// SetTracer directs a span per snapshot flush to r's checkpoint track (nil
-// detaches). Safe on a nil Store.
-func (s *Store) SetTracer(r *runtrace.Recorder) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tr = r
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return json.Marshal(storeFile{Version: 1, Sections: s.sections})
 }
 
 // Section returns the checkpoint section named name, creating it if absent.
@@ -147,82 +168,10 @@ func (s *Store) Section(name, fingerprint string) *Checkpoint {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sec := s.sections[name]
-	if sec == nil || sec.Fingerprint != fingerprint {
-		sec = &sectionData{Fingerprint: fingerprint, Chunks: make(map[string]json.RawMessage)}
-		s.sections[name] = sec
-		s.dirty = true
+	if sec := s.sections[name]; sec == nil || sec.Fingerprint != fingerprint {
+		s.sections[name] = &sectionData{Fingerprint: fingerprint, Chunks: make(map[string]json.RawMessage)}
 	}
 	return &Checkpoint{store: s, name: name}
-}
-
-// Flush writes the snapshot to disk immediately (atomic rename).
-func (s *Store) Flush() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *Store) flushLocked() error {
-	flushStart := s.tr.Now()
-	defer func() { s.tr.Span(runtrace.TrackCheckpoint, "checkpoint.flush", -1, 0, flushStart) }()
-	data, err := json.Marshal(storeFile{Version: storeVersion, Sections: s.sections})
-	if err != nil {
-		return fmt.Errorf("harness: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: writing checkpoint: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	// fsync the contents before the rename publishes them: rename-over is
-	// only atomic with respect to bytes that are already durable.
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("harness: writing checkpoint: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: writing checkpoint: %w", err)
-	}
-	// fsync the containing directory so the rename itself (the new
-	// directory entry) survives power loss, not just the file contents.
-	syncDir(dir)
-	s.dirty = false
-	s.lastFlush = time.Now()
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry in it survives power
-// loss. Errors are ignored: some platforms and filesystems cannot fsync
-// directories, and the data itself is already durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
-}
-
-// maybeFlushLocked writes the snapshot if it is dirty and the rate limit has
-// elapsed.
-func (s *Store) maybeFlushLocked() error {
-	if !s.dirty || time.Since(s.lastFlush) < s.flushEvery {
-		return nil
-	}
-	return s.flushLocked()
 }
 
 // Checkpoint is one run's view of a Store section. Methods are safe for
@@ -261,11 +210,11 @@ func (c *Checkpoint) Indexes() []int {
 	return out
 }
 
-// PruneAbove deletes every chunk with index greater than max. Runs that stop
-// early call it once the final reduction prefix is known, so the persisted
-// snapshot holds exactly the chunks the result aggregates — speculative
-// chunks computed by trailing workers are dropped and the file is
-// byte-identical for any worker count.
+// PruneAbove drops every chunk with index greater than max from the view.
+// Runs that stop early call it once the final reduction prefix is known, so
+// the view holds exactly the chunks the result aggregates — speculative
+// chunks computed by trailing workers are dropped and Snapshot is
+// byte-identical for any worker count. The log keeps their records.
 func (c *Checkpoint) PruneAbove(max int) {
 	if c == nil {
 		return
@@ -276,31 +225,16 @@ func (c *Checkpoint) PruneAbove(max int) {
 	for k := range chunks {
 		if i, err := strconv.Atoi(k); err == nil && i > max {
 			delete(chunks, k)
-			c.store.dirty = true
 		}
 	}
 }
 
-// Put stores chunk i's payload (marshalled to JSON) and opportunistically
-// flushes the snapshot under the store's rate limit. Put never journals —
-// callers that know the chunk's trial range use PutSpan so the chunk can be
-// replayed and digest-verified later.
-func (c *Checkpoint) Put(i int, payload any) error {
-	return c.put(i, -1, -1, payload)
-}
-
-// PutSpan is Put plus the chunk's RNG fork coordinates: the trial range
-// [trialLo, trialHi) whose per-trial streams are fork(trial) of the run's
-// root seed. When a journal is attached to the store, a chunk record
-// carrying the payload's SHA-256 digest is durably appended *before* the
-// chunk enters the snapshot; if journaling fails the chunk is not
-// checkpointed either (it will be recomputed on resume) so the journal
-// remains a superset of the snapshot.
+// PutSpan persists chunk i's payload (marshalled to JSON) with its RNG fork
+// coordinates: the trial range [trialLo, trialHi) whose per-trial streams
+// are fork(trial) of the run's root seed. The chunk record is durably
+// appended to the log before the chunk enters the view; if the append fails
+// the chunk stays out of the view too, and a resumed run recomputes it.
 func (c *Checkpoint) PutSpan(i, trialLo, trialHi int, payload any) error {
-	return c.put(i, trialLo, trialHi, payload)
-}
-
-func (c *Checkpoint) put(i, trialLo, trialHi int, payload any) error {
 	if c == nil {
 		return nil
 	}
@@ -309,22 +243,15 @@ func (c *Checkpoint) put(i, trialLo, trialHi int, payload any) error {
 		return fmt.Errorf("harness: encoding chunk %d: %w", i, err)
 	}
 	c.store.mu.Lock()
-	jw := c.store.jw
-	var fp string
-	if sec := c.store.sections[c.name]; sec != nil {
-		fp = sec.Fingerprint
-	}
+	fp := c.store.sections[c.name].Fingerprint
 	c.store.mu.Unlock()
-	if jw != nil && trialLo >= 0 {
-		if err := jw.AppendChunk(c.name, fp, i, trialLo, trialHi, journal.Digest(raw)); err != nil {
-			return fmt.Errorf("harness: journaling chunk %d: %w (chunk left unpersisted)", i, err)
-		}
+	if err := c.store.w.AppendChunk(c.name, fp, i, trialLo, trialHi, raw); err != nil {
+		return fmt.Errorf("harness: logging chunk %d: %w (chunk left unpersisted)", i, err)
 	}
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
 	c.store.sections[c.name].Chunks[strconv.Itoa(i)] = raw
-	c.store.dirty = true
-	return c.store.maybeFlushLocked()
+	return nil
 }
 
 // Fingerprint hashes an arbitrary sequence of configuration values into a

@@ -42,11 +42,11 @@ const gateSlack = 2
 //
 // Run owns the whole lifecycle: it adopts decodable chunks from the
 // checkpoint section (recomputing undecodable ones), computes the rest on
-// the engine, folds completions through a SpanReducer, persists every
-// computed chunk with its trial span, and — once Fold reports the cutoff —
-// prunes the speculative tail so the final snapshot holds exactly the
-// folded prefix. It records the resume.load and reduce spans on the main
-// trace track and one checkpoint span per persisted chunk.
+// the engine, folds completions through a SpanReducer, logs every computed
+// chunk with its trial span, and — once Fold reports the cutoff — prunes
+// the speculative tail so the final view holds exactly the folded prefix.
+// It records the resume.load and reduce spans on the main trace track and
+// one checkpoint span per logged chunk.
 //
 // Fold, Ahead and Enough are called one at a time under the driver's lock,
 // so they may share state without further locking; they must not block.
@@ -56,7 +56,7 @@ type Chunked[P any] struct {
 	Mon     *Monitor
 	Trace   *runtrace.Recorder
 	// Store, if non-nil, persists chunks under the section Section keyed by
-	// Fingerprint; chunk I/O errors degrade to Mon warnings.
+	// Fingerprint; log append errors degrade to Mon warnings.
 	Store       *Store
 	Section     string
 	Fingerprint string
@@ -96,9 +96,8 @@ type Chunked[P any] struct {
 }
 
 // Run executes the campaign. On cancellation every computed chunk stays in
-// the checkpoint (a resumed run reuses them all) and ctx's error is
-// returned; on success every chunk up to the cutoff (or all of them) has
-// been folded.
+// the log (a resumed run reuses them all) and ctx's error is returned; on
+// success every chunk up to the cutoff (or all of them) has been folded.
 func (c *Chunked[P]) Run(ctx context.Context) error {
 	n := c.Chunks.Count()
 	cp := c.Store.Section(c.Section, c.Fingerprint)
@@ -227,7 +226,6 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		return int64(hi - lo), true
 	})
 	if err := ctx.Err(); err != nil {
-		c.flush()
 		return err
 	}
 
@@ -237,10 +235,8 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		end = cutoff
 	}
 	// The fold aggregated exactly chunks [0, end]; dropping the speculative
-	// tail from the checkpoint too makes the final snapshot byte-identical
-	// for any worker count.
+	// tail from the view too makes it byte-identical for any worker count.
 	cp.PruneAbove(end)
-	c.flush()
 	if foldErr != nil {
 		return fmt.Errorf("harness: internal error: %w", foldErr)
 	}
@@ -249,11 +245,4 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 	}
 	c.Trace.Span(runtrace.TrackMain, "reduce", -1, 0, reduceStart)
 	return nil
-}
-
-// flush writes the checkpoint snapshot, degrading a failure to a warning.
-func (c *Chunked[P]) flush() {
-	if err := c.Store.Flush(); err != nil {
-		c.Mon.Warnf("%v", err)
-	}
 }

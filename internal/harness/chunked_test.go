@@ -1,7 +1,7 @@
 package harness
 
 // Tests for the chunked-campaign driver on a toy payload: worker-count
-// invariance of results and snapshot bytes, cutoff pruning, cancellation
+// invariance of results and view bytes, cutoff pruning, cancellation
 // keeping every computed chunk, resume, and the claim-admission gate.
 
 import (
@@ -9,13 +9,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"relaxfault/internal/journal"
 	"relaxfault/internal/obs"
 )
 
@@ -100,27 +100,18 @@ func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 	return r, c.Run(ctx)
 }
 
-func openToyStore(t *testing.T, path string, resume bool) *Store {
-	t.Helper()
-	s, err := OpenStore(path, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestChunkedWorkerInvariance(t *testing.T) {
 	var wantTotal float64
 	var wantFolded []int
 	var wantSnap []byte
 	for i, workers := range []int{1, 2, 7} {
-		path := filepath.Join(t.TempDir(), "ck.json")
-		r, err := runToy(context.Background(), openToyStore(t, path, false),
+		store := NewStore(nil)
+		r, err := runToy(context.Background(), store,
 			toyOpts{workers: workers, trials: 1000, stopAt: 2.5, gate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := os.ReadFile(path)
+		snap, err := store.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +126,7 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 			t.Errorf("workers=%d: folded %v total %v, want %v total %v", workers, r.folded, r.total, wantFolded, wantTotal)
 		}
 		if !bytes.Equal(snap, wantSnap) {
-			t.Errorf("workers=%d: snapshot differs from the 1-worker snapshot", workers)
+			t.Errorf("workers=%d: view differs from the 1-worker view", workers)
 		}
 	}
 }
@@ -143,8 +134,8 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
 	// No gate, and the cutoff chunk is slow: the other workers race past it
 	// computing chunks the fold will discard.
-	path := filepath.Join(t.TempDir(), "ck.json")
-	store := openToyStore(t, path, false)
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	store := openLogStore(t, path, false)
 	ref, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 4000, stopAt: 2.5})
 	if err != nil {
 		t.Fatal(err)
@@ -165,17 +156,25 @@ func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
 	if !reflect.DeepEqual(r.folded, ref.folded) {
 		t.Fatalf("folded %v, want %v", r.folded, ref.folded)
 	}
-	got := openToyStore(t, path, true).Section("toy", "fp").Indexes()
+	got := store.Section("toy", "fp").Indexes()
 	if len(got) != cutoff+1 || got[len(got)-1] != cutoff {
-		t.Errorf("snapshot holds chunks %v, want exactly [0, %d]", got, cutoff)
+		t.Errorf("view holds chunks %v, want exactly [0, %d]", got, cutoff)
+	}
+	// Only the view is pruned: the log keeps every computed chunk.
+	j, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(j.ChunkRecords) != len(r.computed) {
+		t.Errorf("log holds %d chunk records, want all %d computed", j.ChunkRecords, len(r.computed))
 	}
 }
 
 func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := runToy(ctx, openToyStore(t, path, false), toyOpts{workers: 3, trials: 4000, gate: true,
+	r, err := runToy(ctx, openLogStore(t, path, false), toyOpts{workers: 3, trials: 4000, gate: true,
 		hook: func(lo int) {
 			if lo >= 10*16 {
 				cancel()
@@ -184,18 +183,18 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	cp := openToyStore(t, path, true).Section("toy", "fp")
+	cp := openLogStore(t, path, true).Section("toy", "fp")
 	stored := map[int]bool{}
 	for _, ci := range cp.Indexes() {
 		stored[ci] = true
 	}
 	for lo := range r.computed {
 		if !stored[lo/16] {
-			t.Errorf("computed chunk %d missing from the checkpoint after cancel", lo/16)
+			t.Errorf("computed chunk %d missing from the log after cancel", lo/16)
 		}
 	}
 	if len(stored) == 0 || len(stored) >= 4000/16 {
-		t.Errorf("checkpoint holds %d chunks, want a strict nonzero subset", len(stored))
+		t.Errorf("log holds %d chunks, want a strict nonzero subset", len(stored))
 	}
 }
 
@@ -204,25 +203,21 @@ func TestChunkedResumeSkipsStoredChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ck.json")
-	seed := openToyStore(t, path, false)
-	cp := seed.Section("toy", "fp")
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	cp := openLogStore(t, path, false).Section("toy", "fp")
 	for ci := 0; ci < 3; ci++ {
 		ch := &toyChunk{Lo: ci * 16, Hi: ci*16 + 16}
 		for i := ch.Lo; i < ch.Hi; i++ {
 			ch.Sum += 1 / float64(i+3)
 		}
-		if err := cp.Put(ci, ch); err != nil {
+		if err := cp.PutSpan(ci, ch.Lo, ch.Hi, ch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cp.Put(3, "not a chunk"); err != nil {
+	if err := cp.PutSpan(3, 48, 64, "not a chunk"); err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := runToy(context.Background(), openToyStore(t, path, true), toyOpts{workers: 2, trials: 100})
+	r, err := runToy(context.Background(), openLogStore(t, path, true), toyOpts{workers: 2, trials: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 //   - a Monitor that tracks trial throughput, prints progress/ETA lines on
 //     stderr, raises a watchdog warning when workers stall, and accounts for
 //     trials skipped after an isolated panic;
-//   - a checkpoint Store (see checkpoint.go) that persists completed work
-//     chunks to a JSON snapshot so a killed run resumes with bitwise
-//     identical final statistics;
+//   - a checkpoint Store (see checkpoint.go), the in-memory view over a
+//     campaign's one append-only log (package journal): every completed
+//     work chunk is logged with its payload, so a killed run rebuilds the
+//     view from the log and resumes with bitwise identical final statistics;
 //   - signal plumbing so an interactive ^C cancels the run's context and
 //     lets in-flight chunks finish and checkpoint before the process exits.
 //

@@ -3,11 +3,12 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"relaxfault/internal/journal"
 )
 
 type payload struct {
@@ -16,25 +17,28 @@ type payload struct {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	s, err := OpenStore(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	s := openLogStore(t, path, false)
 	cp := s.Section("run", "fp1")
 	chunks := map[int]payload{0: {A: 0.1, B: 1}, 2: {A: 2.5e-17, B: 2}, 5: {A: -3, B: 5}}
 	for i, p := range chunks {
-		if err := cp.Put(i, p); err != nil {
+		if err := cp.PutSpan(i, 10*i, 10*i+10, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	want, err := s.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(path, true)
-	if err != nil {
-		t.Fatal(err)
+	// Rebuilt from the log alone, the view is the same whatever order the
+	// chunks were logged in.
+	s2 := openLogStore(t, path, true)
+	if got, err := s2.Snapshot(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("view rebuilt from the log differs (%v):\n%s\nwant\n%s", err, got, want)
+	}
+	if s2.Verified() != 3 {
+		t.Errorf("Verified() = %d, want 3", s2.Verified())
 	}
 	cp2 := s2.Section("run", "fp1")
 	if got := cp2.Indexes(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 5 {
@@ -58,62 +62,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSectionFingerprintMismatchDiscards(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	s, _ := OpenStore(path, false)
-	if err := s.Section("run", "fp1").Put(0, payload{A: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenStore(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same section name, different configuration fingerprint: the stale
-	// chunks must not be adopted.
-	if got := s2.Section("run", "fp2").Indexes(); len(got) != 0 {
-		t.Errorf("mismatched fingerprint kept chunks %v", got)
-	}
-	// Re-opening with the original fingerprint still works.
-	s3, err := OpenStore(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s3.Section("run", "fp1").Indexes(); len(got) != 1 {
-		t.Errorf("matching fingerprint lost chunks: %v", got)
-	}
-}
-
 func TestOpenStoreResumeMissingFile(t *testing.T) {
-	s, err := OpenStore(filepath.Join(t.TempDir(), "absent.json"), true)
-	if err != nil {
-		t.Fatalf("resume from a missing file must start empty, got %v", err)
-	}
+	path := filepath.Join(t.TempDir(), "absent.jsonl")
+	s := openLogStore(t, path, true)
 	if got := s.Section("x", "fp").Indexes(); len(got) != 0 {
 		t.Errorf("fresh store has chunks %v", got)
 	}
-}
-
-func TestOpenStoreCorruptFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(path, true); err == nil {
-		t.Error("corrupt checkpoint accepted")
-	}
-	// Without -resume the corrupt file is simply overwritten.
-	s, err := OpenStore(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(path, true); err != nil {
-		t.Errorf("flush did not repair the snapshot: %v", err)
+	if j, err := journal.Load(path); err != nil || j.Open.Type != journal.TypeOpen {
+		t.Errorf("resume of a missing log must start a fresh one: %v", err)
 	}
 }
 
@@ -123,20 +79,18 @@ func TestNilSafety(t *testing.T) {
 	if cp != nil {
 		t.Error("nil Store returned a non-nil section")
 	}
-	if err := cp.Put(0, payload{}); err != nil {
+	if err := cp.PutSpan(0, 0, 1, payload{}); err != nil {
 		t.Error(err)
 	}
+	cp.PruneAbove(0)
 	if _, ok := cp.Get(0); ok {
 		t.Error("nil checkpoint returned a chunk")
 	}
 	if cp.Indexes() != nil {
 		t.Error("nil checkpoint returned indexes")
 	}
-	if err := s.Flush(); err != nil {
-		t.Error(err)
-	}
-	if s.Path() != "" {
-		t.Error("nil store has a path")
+	if s.Journal() != nil || s.Verified() != 0 {
+		t.Error("nil store has a log")
 	}
 
 	var m *Monitor

@@ -1,37 +1,32 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"relaxfault/internal/journal"
 )
 
-// openJournaledStore creates a store + journal pair in dir, attached.
-func openJournaledStore(t *testing.T, dir string) (*Store, *journal.Writer, string, string) {
+// openLogStore opens the campaign log at path as a Store and closes its
+// writer when the test ends.
+func openLogStore(t *testing.T, path string, resume bool) *Store {
 	t.Helper()
-	cpPath := filepath.Join(dir, "cp.json")
-	jPath := filepath.Join(dir, "cp.journal")
-	s, err := OpenStore(cpPath, false)
+	s, err := OpenStore(path, resume, journal.Record{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw, err := journal.Create(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Append(journal.Record{Type: journal.TypeOpen, Schema: journal.Schema, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	s.AttachJournal(jw)
-	return s, jw, cpPath, jPath
+	t.Cleanup(func() { s.Journal().Close() })
+	return s
 }
 
 func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
-	s, jw, cpPath, jPath := openJournaledStore(t, t.TempDir())
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	s := openLogStore(t, path, false)
 	cp := s.Section("run-xyz", "xyz")
 	type payload struct{ V int }
 	if err := cp.PutSpan(0, 0, 4096, payload{41}); err != nil {
@@ -40,177 +35,156 @@ func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
 	if err := cp.PutSpan(1, 4096, 8192, payload{42}); err != nil {
 		t.Fatalf("PutSpan: %v", err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
+	raw, ok := cp.Get(1)
+	if !ok || string(raw) != `{"V":42}` {
+		t.Fatalf("view holds %s (%v) after PutSpan", raw, ok)
 	}
-	jw.Close()
 
-	j, err := journal.Load(jPath)
+	j, err := journal.Load(path)
 	if err != nil {
-		t.Fatalf("Load journal: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	if j.ChunkRecords != 2 {
-		t.Fatalf("want 2 chunk records, got %d", j.ChunkRecords)
+	if j.Open.Schema != journal.Schema || j.ChunkRecords != 2 {
+		t.Fatalf("log has schema %s and %d chunk records, want %s and 2", j.Open.Schema, j.ChunkRecords, journal.Schema)
 	}
 	rec := j.Chunks[1]
 	if rec.Section != "run-xyz" || rec.SectionFP != "xyz" || rec.Chunk != 1 ||
 		rec.TrialLo != 4096 || rec.TrialHi != 8192 {
 		t.Fatalf("chunk record wrong: %+v", rec)
 	}
-	want := journal.Digest([]byte(`{"V":42}`))
-	if rec.Digest != want {
-		t.Fatalf("digest = %s, want %s (the exact checkpoint payload bytes)", rec.Digest, want)
-	}
-
-	// Cross-check on a fresh resume passes and counts both chunks.
-	s2, err := OpenStore(cpPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s2.CrossCheck(j, false, nil)
-	if err != nil {
-		t.Fatalf("CrossCheck: %v", err)
-	}
-	if res.Verified != 2 || len(res.Quarantined) != 0 {
-		t.Fatalf("want 2 verified, got %+v", res)
+	if !bytes.Equal(rec.Payload, raw) || rec.Digest != journal.Digest(raw) {
+		t.Fatalf("record carries payload %s digest %s; want the view's bytes %s and their digest", rec.Payload, rec.Digest, raw)
 	}
 }
 
-func TestPlainPutDoesNotJournal(t *testing.T) {
-	s, jw, _, jPath := openJournaledStore(t, t.TempDir())
-	cp := s.Section("run-xyz", "xyz")
-	if err := cp.Put(0, map[string]int{"v": 1}); err != nil {
-		t.Fatal(err)
+// TestOpenStoreCorruptionPaths pins what the open path does with every log
+// that is damaged or does not describe the run: a torn tail is cut and the
+// valid prefix resumes; a file that does not start with a valid open
+// record, or a payload that fails its digest, refuses the resume with an
+// error naming it; and neither another configuration's records nor a chunk
+// whose append failed ever reaches the view.
+func TestOpenStoreCorruptionPaths(t *testing.T) {
+	// writeLog logs chunks 0..n-1 of section run/fp1, unsealed, and returns
+	// the log's path and bytes.
+	writeLog := func(t *testing.T, n int) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "cp.jsonl")
+		cp := openLogStore(t, path, false).Section("run", "fp1")
+		for i := 0; i < n; i++ {
+			if err := cp.PutSpan(i, 10*i, 10*i+10, payload{A: float64(i), B: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, data
 	}
-	jw.Close()
-	j, err := journal.Load(jPath)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"torn tail keeps the valid prefix", func(t *testing.T) {
+			path, data := writeLog(t, 3)
+			// Cut into chunk 2's record: the open record and chunks 0-1 stay.
+			if err := os.WriteFile(path, data[:len(data)-20], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := openLogStore(t, path, true)
+			if got := s.Section("run", "fp1").Indexes(); !reflect.DeepEqual(got, []int{0, 1}) || s.Verified() != 2 {
+				t.Fatalf("view holds %v (%d verified), want [0 1] (2)", got, s.Verified())
+			}
+			j, err := journal.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.TornBytes != 0 || j.Records != 4 {
+				t.Fatalf("log not cut to its prefix plus a resume record: %d records, %d torn bytes", j.Records, j.TornBytes)
+			}
+		}},
+		{"first line not a valid open record", func(t *testing.T) {
+			_, data := writeLog(t, 1)
+			chunkLine := bytes.SplitAfter(data, []byte("\n"))[1]
+			future := filepath.Join(t.TempDir(), "future.jsonl")
+			w, err := journal.Create(future)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(journal.Record{Type: journal.TypeOpen, Schema: "relaxfault-journal/v99"}); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			futureLog, err := os.ReadFile(future)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, body := range [][]byte{nil, data[:1], []byte("{not json\n"), []byte("{}\n"), chunkLine, futureLog} {
+				path := filepath.Join(t.TempDir(), "cp.jsonl")
+				if err := os.WriteFile(path, body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := OpenStore(path, true, journal.Record{}); err == nil || !strings.Contains(err.Error(), path) {
+					t.Errorf("log %q: resume gave %v, want an error naming the file", body, err)
+				}
+			}
+		}},
+		{"mismatched fingerprint is ignored", func(t *testing.T) {
+			path, _ := writeLog(t, 2)
+			j, err := journal.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fp, want := range map[string]int{"fp2": 0, "fp1": 2} {
+				s, err := LoadStore(j, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Section("run", fp).Indexes(); len(got) != want {
+					t.Errorf("section under %s holds chunks %v, want %d", fp, got, want)
+				}
+			}
+		}},
+		{"log write failure keeps the chunk out of the view", func(t *testing.T) {
+			path, _ := writeLog(t, 0)
+			s := openLogStore(t, path, true)
+			s.Journal().Close() // closed handle: the next append fails
+			cp := s.Section("run", "fp1")
+			if err := cp.PutSpan(0, 0, 10, payload{}); err == nil {
+				t.Fatal("PutSpan with a broken log must fail")
+			}
+			if _, ok := cp.Get(0); ok {
+				t.Fatal("chunk entered the view although its record never reached the log")
+			}
+		}},
+		{"payload digest mismatch refuses the resume", func(t *testing.T) {
+			path, _ := writeLog(t, 3)
+			j, err := journal.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A validly framed lie: chunk 1's payload altered, its digest kept.
+			lie := filepath.Join(t.TempDir(), "lie.jsonl")
+			w, err := journal.Create(lie)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			for _, rec := range append([]journal.Record{*j.Open}, j.Chunks...) {
+				if rec.Type == journal.TypeChunk && rec.Chunk == 1 {
+					rec.Payload = json.RawMessage(`{"a":999,"b":1}`)
+				}
+				if err := w.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = OpenStore(lie, true, journal.Record{})
+			if err == nil || !strings.Contains(err.Error(), "run chunk 1") || !strings.Contains(err.Error(), lie) {
+				t.Fatalf("tampered payload not refused by name: %v", err)
+			}
+		}},
 	}
-	if j.ChunkRecords != 0 {
-		t.Fatalf("Put must not journal; got %d chunk records", j.ChunkRecords)
-	}
-}
-
-// tamper rewrites one chunk payload inside the snapshot file on disk.
-func tamper(t *testing.T, cpPath, section, chunk string, payload string) {
-	t.Helper()
-	data, err := os.ReadFile(cpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f map[string]any
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	sec := f["sections"].(map[string]any)[section].(map[string]any)
-	sec["chunks"].(map[string]any)[chunk] = json.RawMessage(payload)
-	out, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cpPath, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCrossCheckDetectsTamperedChunk(t *testing.T) {
-	dir := t.TempDir()
-	s, jw, cpPath, jPath := openJournaledStore(t, dir)
-	cp := s.Section("run-xyz", "xyz")
-	cp.PutSpan(0, 0, 10, map[string]int{"v": 1})
-	cp.PutSpan(1, 10, 20, map[string]int{"v": 2})
-	s.Flush()
-	jw.Close()
-
-	tamper(t, cpPath, "run-xyz", "1", `{"v":999}`)
-
-	j, err := journal.Load(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenStore(cpPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s2.CrossCheck(j, false, nil)
-	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("tampered chunk not refused: %v", err)
-	}
-
-	// Repair mode quarantines exactly the bad chunk and keeps the good one.
-	s3, err := OpenStore(cpPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s3.CrossCheck(j, true, nil)
-	if err != nil {
-		t.Fatalf("repair CrossCheck: %v", err)
-	}
-	if res.Verified != 1 || len(res.Quarantined) != 1 {
-		t.Fatalf("want 1 verified + 1 quarantined, got %+v", res)
-	}
-	if res.Quarantined[0] != (journal.ChunkKey{Section: "run-xyz", Chunk: 1}) {
-		t.Fatalf("wrong chunk quarantined: %+v", res.Quarantined[0])
-	}
-	ck := s3.Section("run-xyz", "xyz")
-	if _, ok := ck.Get(1); ok {
-		t.Fatal("quarantined chunk still present")
-	}
-	if _, ok := ck.Get(0); !ok {
-		t.Fatal("verified chunk was dropped")
-	}
-}
-
-func TestCrossCheckRefusesUnjournaledChunkOfJournaledSection(t *testing.T) {
-	dir := t.TempDir()
-	s, jw, cpPath, jPath := openJournaledStore(t, dir)
-	cp := s.Section("run-xyz", "xyz")
-	cp.PutSpan(0, 0, 10, map[string]int{"v": 1})
-	cp.Put(7, map[string]int{"v": 7}) // checkpointed but never journaled
-	s.Flush()
-	jw.Close()
-
-	j, _ := journal.Load(jPath)
-	s2, _ := OpenStore(cpPath, true)
-	_, err := s2.CrossCheck(j, false, nil)
-	if err == nil || !strings.Contains(err.Error(), "no journal record") {
-		t.Fatalf("unjournaled chunk not refused: %v", err)
-	}
-}
-
-func TestCrossCheckSkipsForeignSections(t *testing.T) {
-	dir := t.TempDir()
-	s, jw, cpPath, jPath := openJournaledStore(t, dir)
-	// One journaled section, one foreign section written pre-journal.
-	s.AttachJournal(nil)
-	s.Section("old-campaign", "old").Put(0, map[string]int{"v": 0})
-	s.AttachJournal(jw)
-	cp := s.Section("run-xyz", "xyz")
-	cp.PutSpan(0, 0, 10, map[string]int{"v": 1})
-	s.Flush()
-	jw.Close()
-
-	j, _ := journal.Load(jPath)
-	s2, _ := OpenStore(cpPath, true)
-	res, err := s2.CrossCheck(j, false, nil)
-	if err != nil {
-		t.Fatalf("foreign section broke cross-check: %v", err)
-	}
-	if res.ForeignSections != 1 || res.Verified != 1 {
-		t.Fatalf("want 1 foreign + 1 verified, got %+v", res)
-	}
-}
-
-func TestJournalFailureKeepsChunkOutOfCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, jw, _, _ := openJournaledStore(t, dir)
-	jw.Close() // closed handle: the next append's fsync fails
-	cp := s.Section("run-xyz", "xyz")
-	if err := cp.PutSpan(0, 0, 10, map[string]int{"v": 1}); err == nil {
-		t.Fatal("PutSpan with a broken journal must fail")
-	}
-	if _, ok := cp.Get(0); ok {
-		t.Fatal("chunk entered the checkpoint despite the journal failure (journal ⊇ checkpoint violated)")
+	for _, tc := range cases {
+		t.Run(tc.name, tc.run)
 	}
 }

@@ -39,9 +39,10 @@ type Manifest struct {
 	Fingerprint string   `json:"fingerprint,omitempty"` // config fingerprint(s), joined
 	Checkpoint  string   `json:"checkpoint,omitempty"`
 	// Journal fields (schema 2) let campaign tooling audit a run without
-	// opening the journal: the journal path, whether the run sealed it
-	// cleanly ("complete"), how many chunk records this process appended,
-	// and how many resumed snapshot chunks passed the digest cross-check.
+	// opening its campaign log: the log path (the same file as Checkpoint),
+	// whether the run sealed it cleanly ("complete"), how many chunk records
+	// this process appended, and how many logged payloads matched their
+	// digests when the log was reopened.
 	Journal               string `json:"journal,omitempty"`
 	JournalSealed         bool   `json:"journal_sealed,omitempty"`
 	JournalChunks         uint64 `json:"journal_chunks,omitempty"`
@@ -95,11 +96,11 @@ type ScenarioRecord struct {
 const (
 	// CampaignComputed: the campaign ran its trials (fresh entry).
 	CampaignComputed = "computed"
-	// CampaignResumed: the campaign resumed from a cached (or crashed)
-	// checkpoint and computed only the missing chunks.
+	// CampaignResumed: the campaign resumed from a cached (or crashed) log
+	// and computed only the missing chunks.
 	CampaignResumed = "resumed"
-	// CampaignCacheHit: a completed store entry served the request after a
-	// digest cross-check; zero trials executed.
+	// CampaignCacheHit: a completed store entry served the request once
+	// every logged payload matched its digest; zero trials executed.
 	CampaignCacheHit = "cache-hit"
 )
 
@@ -121,7 +122,7 @@ type CampaignRecord struct {
 	// Source is computed, resumed, or cache-hit.
 	Source string `json:"source"`
 	// ReusedChunks counts chunks seeded verbatim from another entry;
-	// VerifiedChunks counts chunks that passed the digest cross-check.
+	// VerifiedChunks counts logged payloads that matched their digests.
 	ReusedChunks   int `json:"reused_chunks,omitempty"`
 	VerifiedChunks int `json:"verified_chunks,omitempty"`
 }
@@ -150,9 +151,8 @@ func (m *Manifest) Finish() {
 	m.Metrics = obs.Default().Snapshot()
 }
 
-// WriteFile writes the manifest atomically (temp file + rename), matching
-// the checkpoint Store's crash behaviour: readers see the old manifest or
-// the new one, never a torn file.
+// WriteFile writes the manifest atomically (temp file + rename): readers
+// see the old manifest or the new one, never a torn file.
 func (m *Manifest) WriteFile(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -216,4 +216,16 @@ func buildVersion() string {
 		rev += "+dirty"
 	}
 	return rev
+}
+
+// syncDir fsyncs a directory so a just-renamed entry in it survives power
+// loss. Errors are ignored: some platforms and filesystems cannot fsync
+// directories, and the data itself is already durable.
+func syncDir(dir string) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return
+	}
+	d.Sync()
+	d.Close()
 }

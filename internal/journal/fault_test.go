@@ -1,10 +1,12 @@
 package journal
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"relaxfault/internal/journal/faultfs"
@@ -26,7 +28,7 @@ func appendUntilFault(t *testing.T, path string, trigger int64, mode faultfs.Mod
 	}
 	acked = 1
 	for i := 0; i < 100; i++ {
-		if err := w.AppendChunk("run-x", "x", i, i*10, (i+1)*10, Digest([]byte{byte(i)})); err != nil {
+		if err := w.AppendChunk("run-x", "x", i, i*10, (i+1)*10, json.RawMessage(strconv.Itoa(i))); err != nil {
 			return acked, err
 		}
 		acked++
@@ -97,7 +99,7 @@ func TestShortWriteLatchesWriter(t *testing.T) {
 	under, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	w := NewWriter(faultfs.New(under, -1, faultfs.Crash))
 	w.err = appendErr // simulate the latched writer continuing
-	if err := w.AppendChunk("run-x", "x", 999, 0, 1, "d"); err == nil {
+	if err := w.AppendChunk("run-x", "x", 999, 0, 1, json.RawMessage("999")); err == nil {
 		t.Fatal("latched writer accepted an append")
 	}
 	under.Close()
@@ -123,7 +125,7 @@ func TestWriterLatchesAfterFirstError(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("error not latched")
 	}
-	if err := w.AppendChunk("s", "fp", 0, 0, 1, "d"); err == nil {
+	if err := w.AppendChunk("s", "fp", 0, 0, 1, json.RawMessage("0")); err == nil {
 		t.Fatal("append after latched error succeeded")
 	}
 }

@@ -1,18 +1,19 @@
-// Package journal implements the deterministic-replay campaign journal
-// behind the `relaxfault-journal/v1` format: an append-only, fsync'd JSONL
-// file written alongside the checkpoint store that records one line per
-// completed Monte Carlo chunk — enough (section fingerprint, chunk index,
-// RNG fork coordinates, result digest) to re-execute the chunk on any
-// machine and prove the recomputation byte-identical.
+// Package journal implements the append-only campaign log behind the
+// `relaxfault-journal/v2` format: an fsync'd JSONL file holding one line per
+// completed Monte Carlo chunk — section fingerprint, chunk index, RNG fork
+// coordinates, the chunk's payload, and the payload's digest. The log is a
+// campaign's only durable artifact: harness.Store rebuilds its view of the
+// completed chunks by replaying the log's valid prefix, and `relaxfault
+// verify` re-executes every logged chunk on any machine and proves the
+// recomputation byte-identical.
 //
-// The journal turns the repository's byte-identity guarantee from a
-// test-time property into an operational one (the detectable-recoverability
+// The log turns the repository's byte-identity guarantee from a test-time
+// property into an operational one (the detectable-recoverability
 // discipline of Memento, PLDI 2023): a campaign killed at any instant leaves
-// a journal whose valid prefix names exactly the work that durably
-// completed, a resumed campaign cross-checks every checkpointed payload
-// against its journaled digest before trusting it, and `relaxfault verify`
-// replays a sealed journal end-to-end with no access to the original
-// process.
+// a log whose valid prefix names exactly the work that durably completed, a
+// resumed campaign checks every payload against its digest before trusting
+// it, and `relaxfault verify` replays a sealed log end-to-end with no access
+// to the original process.
 //
 // # On-disk format
 //
@@ -29,19 +30,22 @@
 // Record types, in the order they may legally appear:
 //
 //	open   — first line: schema, seed, and the campaigns (embedded
-//	         canonical scenario specs + fingerprints) this journal covers
+//	         canonical scenario specs + fingerprints) this log covers
 //	chunk  — one completed chunk: section name + fingerprint, chunk index,
 //	         trial range [trial_lo, trial_hi) (the RNG fork coordinates:
-//	         trial i draws from root.Fork(i)), and the SHA-256 digest of
-//	         the chunk's checkpoint payload bytes
-//	resume — a process reopened the journal to continue the campaign
+//	         trial i draws from root.Fork(i)), the chunk's payload, and the
+//	         SHA-256 digest of the payload bytes
+//	resume — a process reopened the log to continue the campaign
 //	seal   — clean shutdown: status "complete" (campaign finished) or
 //	         "interrupted" (graceful SIGINT/SIGTERM; more records may
 //	         follow after a resume)
 //
 // Records after a "complete" seal are treated as torn. Chunk records may
-// repeat an index (a chunk recomputed after a crash that outran the
-// checkpoint flush); the latest record wins.
+// repeat an index (a chunk recomputed because its logged payload did not
+// decode); the latest record wins.
+//
+// Logs of the previous format, `relaxfault-journal/v1`, carry digests but
+// no payloads. They still load and verify, but Resume refuses them.
 package journal
 
 import (
@@ -58,8 +62,13 @@ import (
 	"relaxfault/internal/runtrace"
 )
 
-// Schema is the self-describing format tag carried by every open record.
-const Schema = "relaxfault-journal/v1"
+// Schema is the format tag of the open record of every log this package
+// writes.
+const Schema = "relaxfault-journal/v2"
+
+// SchemaV1 tags the digest-only logs of the previous format: they load and
+// verify, but do not resume.
+const SchemaV1 = "relaxfault-journal/v1"
 
 // Record types (see the package comment for ordering rules).
 const (
@@ -105,13 +114,15 @@ type Record struct {
 	// Chunk fields. Section is the checkpoint section name, SectionFP the
 	// section's configuration fingerprint; TrialLo/TrialHi are the chunk's
 	// RNG fork coordinates (trial i forks stream i of the root seed);
-	// Digest is "sha256:<hex>" over the chunk's checkpoint payload bytes.
-	Section   string `json:"section,omitempty"`
-	SectionFP string `json:"section_fp,omitempty"`
-	Chunk     int    `json:"chunk,omitempty"`
-	TrialLo   int    `json:"trial_lo,omitempty"`
-	TrialHi   int    `json:"trial_hi,omitempty"`
-	Digest    string `json:"digest,omitempty"`
+	// Payload is the chunk's payload (absent in v1 logs) and Digest is
+	// "sha256:<hex>" over its bytes.
+	Section   string          `json:"section,omitempty"`
+	SectionFP string          `json:"section_fp,omitempty"`
+	Chunk     int             `json:"chunk,omitempty"`
+	TrialLo   int             `json:"trial_lo,omitempty"`
+	TrialHi   int             `json:"trial_hi,omitempty"`
+	Digest    string          `json:"digest,omitempty"`
+	Payload   json.RawMessage `json:"payload,omitempty"`
 
 	// Seal fields: Status plus the campaign-wide chunk-record count.
 	Status string `json:"status,omitempty"`
@@ -215,17 +226,23 @@ func Create(path string) (*Writer, error) {
 // NewWriter wraps an already-open sink (tests inject faultfs files here).
 func NewWriter(f File) *Writer { return &Writer{f: f} }
 
-// Resume recovers the journal at path — truncating any torn tail — and
-// returns both the recovered contents and a writer that continues the
-// sequence from the last valid record. A journal sealed "complete" cannot
-// be resumed.
+// Resume recovers the log at path — truncating any torn tail — and returns
+// both the recovered contents and a writer that continues the sequence from
+// the last valid record. A log sealed "complete" cannot be resumed, and
+// neither can a v1 log; both are refused before the file is touched.
 func Resume(path string) (*Writer, *Journal, error) {
-	j, err := Recover(path)
+	j, err := Load(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if j.SealedComplete() {
+	switch {
+	case j.Open.Schema != Schema:
+		return nil, nil, fmt.Errorf("journal: %s is a %s log, which carries no chunk payloads; only %s logs resume", path, j.Open.Schema, Schema)
+	case j.SealedComplete():
 		return nil, nil, fmt.Errorf("journal: %s is sealed complete; refusing to append to a finished campaign", path)
+	}
+	if err := j.truncate(); err != nil {
+		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -297,11 +314,13 @@ func (w *Writer) Append(rec Record) error {
 	return nil
 }
 
-// AppendChunk journals one completed chunk.
-func (w *Writer) AppendChunk(section, sectionFP string, chunk, trialLo, trialHi int, digest string) error {
+// AppendChunk logs one completed chunk: its payload and the payload's
+// digest.
+func (w *Writer) AppendChunk(section, sectionFP string, chunk, trialLo, trialHi int, payload json.RawMessage) error {
 	return w.Append(Record{
 		Type: TypeChunk, Section: section, SectionFP: sectionFP,
-		Chunk: chunk, TrialLo: trialLo, TrialHi: trialHi, Digest: digest,
+		Chunk: chunk, TrialLo: trialLo, TrialHi: trialHi,
+		Digest: Digest(payload), Payload: payload,
 	})
 }
 

@@ -5,13 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // writeSample writes an open record, n chunk records, and optionally a
 // complete seal to a fresh journal at path.
-func writeSample(t *testing.T, path string, n int, seal bool) {
+func writeSample(t testing.TB, path string, n int, seal bool) {
 	t.Helper()
 	w, err := Create(path)
 	if err != nil {
@@ -21,7 +22,7 @@ func writeSample(t *testing.T, path string, n int, seal bool) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		if err := w.AppendChunk("run-abc", "abc", i, i*4096, (i+1)*4096, Digest([]byte{byte(i)})); err != nil {
+		if err := w.AppendChunk("run-abc", "abc", i, i*4096, (i+1)*4096, json.RawMessage(strconv.Itoa(i))); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
@@ -74,15 +75,15 @@ func TestLatestChunkWinsOnDuplicates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.journal")
 	w, _ := Create(path)
 	w.Append(Record{Type: TypeOpen, Schema: Schema})
-	w.AppendChunk("s", "fp", 0, 0, 10, "sha256:old")
-	w.AppendChunk("s", "fp", 0, 0, 10, "sha256:new")
+	w.AppendChunk("s", "fp", 0, 0, 10, json.RawMessage(`"old"`))
+	w.AppendChunk("s", "fp", 0, 0, 10, json.RawMessage(`"new"`))
 	w.Close()
 	j, err := Load(path)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if d := j.LatestChunks()[ChunkKey{"s", 0}].Digest; d != "sha256:new" {
-		t.Fatalf("latest digest = %q, want sha256:new", d)
+	if rec := j.LatestChunks()[ChunkKey{"s", 0}]; string(rec.Payload) != `"new"` || rec.Digest != Digest([]byte(`"new"`)) {
+		t.Fatalf("latest record carries %s (%s), want the second payload and its digest", rec.Payload, rec.Digest)
 	}
 }
 
@@ -132,7 +133,7 @@ func TestTornTailRecovery(t *testing.T) {
 			if j2.TornBytes != 0 {
 				t.Fatalf("second recovery still torn: %d bytes", j2.TornBytes)
 			}
-			if err := w.AppendChunk("run-abc", "abc", 99, 0, 1, Digest(nil)); err != nil {
+			if err := w.AppendChunk("run-abc", "abc", 99, 0, 1, json.RawMessage("99")); err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
 			if err := w.Seal(StatusComplete); err != nil {
@@ -235,7 +236,7 @@ func TestResumeAfterInterruptedSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Append(Record{Type: TypeOpen, Schema: Schema})
-	w.AppendChunk("s", "fp", 0, 0, 10, Digest(nil))
+	w.AppendChunk("s", "fp", 0, 0, 10, json.RawMessage("0"))
 	if err := w.Seal(StatusInterrupted); err != nil {
 		t.Fatalf("interrupted seal: %v", err)
 	}
@@ -254,7 +255,7 @@ func TestResumeAfterInterruptedSeal(t *testing.T) {
 	if err := w2.Append(Record{Type: TypeResume}); err != nil {
 		t.Fatalf("resume record: %v", err)
 	}
-	w2.AppendChunk("s", "fp", 1, 10, 20, Digest(nil))
+	w2.AppendChunk("s", "fp", 1, 10, 20, json.RawMessage("1"))
 	if err := w2.Seal(StatusComplete); err != nil {
 		t.Fatalf("final seal: %v", err)
 	}

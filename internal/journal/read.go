@@ -15,8 +15,8 @@ type Journal struct {
 	// Open is the first record (always TypeOpen in a valid journal).
 	Open *Record
 	// Chunks are the chunk records in append order. A chunk index may
-	// appear more than once (recomputed after a crash); LatestChunks
-	// resolves duplicates.
+	// appear more than once (recomputed after its payload failed to
+	// decode); LatestChunks resolves duplicates.
 	Chunks []Record
 	// Seal is the last seal record, nil while the campaign is live.
 	Seal *Record
@@ -45,7 +45,7 @@ type ChunkKey struct {
 }
 
 // LatestChunks resolves duplicate chunk records to the latest occurrence,
-// which is the record describing the payload a correct checkpoint holds.
+// which is the record whose payload a resumed campaign adopts.
 func (j *Journal) LatestChunks() map[ChunkKey]Record {
 	out := make(map[ChunkKey]Record, len(j.Chunks))
 	for _, rec := range j.Chunks {
@@ -84,24 +84,32 @@ func Recover(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := j.truncate(); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// truncate cuts the file at j.Path back to its valid prefix (fsync'd) when
+// the load found a torn tail.
+func (j *Journal) truncate() error {
 	if j.TornBytes == 0 {
-		return j, nil
+		return nil
 	}
-	info, err := os.Stat(path)
+	info, err := os.Stat(j.Path)
 	if err != nil {
-		return nil, fmt.Errorf("journal: recover %s: %w", path, err)
+		return fmt.Errorf("journal: recover %s: %w", j.Path, err)
 	}
-	validLen := info.Size() - j.TornBytes
-	if err := os.Truncate(path, validLen); err != nil {
-		return nil, fmt.Errorf("journal: recover %s: %w", path, err)
+	if err := os.Truncate(j.Path, info.Size()-j.TornBytes); err != nil {
+		return fmt.Errorf("journal: recover %s: %w", j.Path, err)
 	}
-	if f, err := os.OpenFile(path, os.O_WRONLY, 0); err == nil {
+	if f, err := os.OpenFile(j.Path, os.O_WRONLY, 0); err == nil {
 		f.Sync()
 		f.Close()
 	}
 	jm.recoveries.Inc()
 	jm.tornBytes.Add(j.TornBytes)
-	return j, nil
+	return nil
 }
 
 // parse scans data line by line, accumulating records until the first
@@ -135,8 +143,8 @@ func parse(data []byte) (*Journal, int64, string) {
 			if rec.Type != TypeOpen {
 				return j, off, fmt.Sprintf("first record is %q, want %q", rec.Type, TypeOpen)
 			}
-			if rec.Schema != Schema {
-				return j, off, fmt.Sprintf("schema %q, want %q", rec.Schema, Schema)
+			if rec.Schema != Schema && rec.Schema != SchemaV1 {
+				return j, off, fmt.Sprintf("schema %q, want %q or %q", rec.Schema, Schema, SchemaV1)
 			}
 		} else if rec.Type == TypeOpen {
 			return j, off, "second open record"

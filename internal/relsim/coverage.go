@@ -254,8 +254,8 @@ func CoverageStudy(cfg CoverageConfig) (*CoverageResult, error) {
 }
 
 // CoverageStudyCtx is CoverageStudy with cancellation: when ctx is cancelled
-// the study stops at the next chunk boundary, flushes any checkpoint, and
-// returns ctx's error.
+// the study stops at the next chunk boundary, with every computed chunk
+// logged, and returns ctx's error.
 //
 // Determinism: node i always samples from fork(i), chunks cover fixed index
 // ranges, and the final statistics aggregate exactly the chunk-ordered

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"relaxfault/internal/harness"
+	"relaxfault/internal/journal"
 )
 
 func TestStatsConfigValidation(t *testing.T) {
@@ -167,8 +168,8 @@ func TestSequentialStoppingInvariance(t *testing.T) {
 }
 
 // TestSequentialStoppingResume: an interrupted stopped run resumes from its
-// checkpoint to the exact result of an uninterrupted one, and a fully
-// stopped snapshot resumes without simulating a single extra trial.
+// log to the exact result of an uninterrupted one, and the log of a fully
+// stopped run resumes without simulating a single extra trial.
 func TestSequentialStoppingResume(t *testing.T) {
 	cfg := stoppingCfg(t)
 	cfg.Workers = 2
@@ -177,8 +178,8 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "ck.json")
-	store, err := harness.OpenStore(path, false)
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	store, err := harness.OpenStore(path, false, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Fatalf("interrupted run: got %v, want context.Canceled", err)
 	}
 
-	store2, err := harness.OpenStore(path, true)
+	store2, err := harness.OpenStore(path, true, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +210,9 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Errorf("resumed stopped run differs from uninterrupted run:\n%+v\n%+v", want, got)
 	}
 
-	// Second resume from the pruned final snapshot: the stopping prefix is
+	// Second resume, from the finished run's log: the stopping prefix is
 	// complete, so zero trials run.
-	store3, err := harness.OpenStore(path, true)
+	store3, err := harness.OpenStore(path, true, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +225,10 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameResult(got2, want) {
-		t.Errorf("snapshot-only resume differs:\n%+v\n%+v", want, got2)
+		t.Errorf("log-only resume differs:\n%+v\n%+v", want, got2)
 	}
 	if n := replayed.Load(); n != 0 {
-		t.Errorf("snapshot-only resume simulated %d trials, want 0", n)
+		t.Errorf("log-only resume simulated %d trials, want 0", n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"relaxfault/internal/dram"
 	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
+	"relaxfault/internal/journal"
 	"relaxfault/internal/repair"
 )
 
@@ -138,8 +139,8 @@ func TestRunCheckpointResume(t *testing.T) {
 
 	// Interrupted run: cancel once the third chunk starts, so chunks 0-2
 	// complete and checkpoint while 3-4 never run.
-	path := filepath.Join(t.TempDir(), "ck.json")
-	store, err := harness.OpenStore(path, false)
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	store, err := harness.OpenStore(path, false, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +157,9 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatalf("interrupted run: got %v, want context.Canceled", err)
 	}
 
-	// Resume from the snapshot: only the missing chunks are simulated, and
-	// the final Result is bitwise identical to the uninterrupted run.
-	store2, err := harness.OpenStore(path, true)
+	// Resume from the log: only the missing chunks are simulated, and the
+	// final Result is bitwise identical to the uninterrupted run.
+	store2, err := harness.OpenStore(path, true, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +238,8 @@ func TestCoverageCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "cov.json")
-	store, err := harness.OpenStore(path, false)
+	path := filepath.Join(t.TempDir(), "cov.jsonl")
+	store, err := harness.OpenStore(path, false, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestCoverageCheckpointResume(t *testing.T) {
 		t.Fatalf("interrupted study: got %v, want context.Canceled", err)
 	}
 
-	store2, err := harness.OpenStore(path, true)
+	store2, err := harness.OpenStore(path, true, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type Exec struct {
 	Mon *harness.Monitor
 	// Checkpoint, if non-nil, persists completed chunks so a killed run
 	// can resume. A section keyed by the configuration's fingerprint is
-	// used, so unrelated runs can share one store. Checkpoint I/O errors
+	// used, so unrelated runs can share one store. Log append errors
 	// degrade to warnings; they never abort a run.
 	Checkpoint *harness.Store
 	// Trace, if non-nil, records execution spans (chunk/claim/checkpoint/
@@ -296,7 +296,7 @@ func Run(cfg Config) (Result, error) {
 
 // RunCtx is Run with cancellation: when ctx is cancelled the simulation
 // stops at the next chunk boundary (at most ~chunkSize trials away per
-// worker), flushes any checkpoint, and returns ctx's error.
+// worker), with every computed chunk logged, and returns ctx's error.
 //
 // With sequential stopping the fold is where the stopping rule lives: the
 // cumulative estimator tally advances in exact chunk-index order, so the

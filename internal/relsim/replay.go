@@ -26,7 +26,7 @@ type Replayer interface {
 	// Section is the checkpoint/journal section name this replayer covers.
 	Section() string
 	// Fingerprint is the configuration fingerprint (the section's expected
-	// fingerprint in both snapshot and journal records).
+	// fingerprint in the log's chunk records).
 	Fingerprint() string
 	// NumChunks is the total chunk count of an uninterrupted campaign.
 	NumChunks() int

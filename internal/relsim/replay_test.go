@@ -3,7 +3,6 @@ package relsim
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,25 +15,17 @@ import (
 	"relaxfault/internal/stats"
 )
 
-// journaledCampaign runs body against a store with an attached journal and
-// returns the loaded journal.
+// journaledCampaign runs body against a store over a fresh campaign log,
+// seals the log, and returns it loaded.
 func journaledCampaign(t *testing.T, body func(store *harness.Store)) *journal.Journal {
 	t.Helper()
-	dir := t.TempDir()
-	store, err := harness.OpenStore(filepath.Join(dir, "cp.json"), false)
+	jPath := filepath.Join(t.TempDir(), "cp.jsonl")
+	store, err := harness.OpenStore(jPath, false, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jPath := filepath.Join(dir, "cp.journal")
-	jw, err := journal.Create(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Append(journal.Record{Type: journal.TypeOpen, Schema: journal.Schema}); err != nil {
-		t.Fatal(err)
-	}
-	store.AttachJournal(jw)
 	body(store)
+	jw := store.Journal()
 	if err := jw.Seal(journal.StatusComplete); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +143,7 @@ func TestRunReplayerHonoursMaxTrials(t *testing.T) {
 
 // TestWeightedCoverageDeterminism pins importance-weighted coverage chunks:
 // the weighted tallies accumulate trial by trial in index order, so results
-// and snapshots are byte-identical across worker counts and every journaled
+// and views are byte-identical across worker counts and every journaled
 // chunk verifies against replay.
 func TestWeightedCoverageDeterminism(t *testing.T) {
 	base := covCfg(t)
@@ -170,10 +161,9 @@ func TestWeightedCoverageDeterminism(t *testing.T) {
 		cfg := base
 		cfg.Workers = workers
 		var res *CoverageResult
-		var snapPath string
-		j := journaledCampaign(t, func(store *harness.Store) {
-			cfg.Checkpoint = store
-			snapPath = store.Path()
+		var store *harness.Store
+		j := journaledCampaign(t, func(s *harness.Store) {
+			cfg.Checkpoint, store = s, s
 			if res, err = CoverageStudy(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -187,22 +177,18 @@ func TestWeightedCoverageDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSnap, err := os.ReadFile(snapPath)
+		gotSnap, err := store.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wantRes == nil {
 			wantRes, wantSnap = gotRes, gotSnap
 		} else if !bytes.Equal(gotRes, wantRes) || !bytes.Equal(gotSnap, wantSnap) {
-			t.Errorf("workers=%d: result or snapshot differs from the 1-worker run", workers)
+			t.Errorf("workers=%d: result or view differs from the 1-worker run", workers)
 		}
 
 		// Each stored chunk's weighted node tally is the trial-order sum of
 		// its trials' importance weights.
-		store, err := harness.OpenStore(snapPath, true)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cp := store.Section(rep.Section(), rep.Fingerprint())
 		fk := stats.NewRNG(cfg.Seed).Forker()
 		var rng stats.RNG

@@ -29,7 +29,7 @@ type WorkerAttribution struct {
 	// claim cursor).
 	ClaimSeconds float64 `json:"claim_seconds"`
 	// CheckpointSeconds is synchronous durability stall inside chunks:
-	// journal append + fsync plus snapshot entry/flush (PutSpan).
+	// log append + fsync plus the view update (PutSpan).
 	CheckpointSeconds float64 `json:"checkpoint_seconds"`
 	// ReduceWaitSeconds is time spent retired, waiting for the rest of
 	// the pool to drain (straggler exposure).

@@ -7,8 +7,8 @@
 // The recorder deals only in spans: a named interval on a track, optionally
 // tagged with a chunk/section index and a trial count. Tracks map onto the
 // parallel engine's workers (track = worker id >= 0) plus three synthetic
-// tracks for the main goroutine, the checkpoint store, and the journal
-// writer. Recording happens at chunk granularity and coarser — the
+// tracks for the main goroutine, checkpoint-store work, and the campaign
+// log writer. Recording happens at chunk granularity and coarser — the
 // per-trial hot path is never touched — so an instrumented campaign runs
 // within a few percent of an untraced one, and a nil *Recorder makes every
 // method a no-op so instrumentation can be unconditional (the same contract
@@ -33,8 +33,9 @@ const (
 	// TrackMain carries campaign/experiment/section-level spans recorded
 	// by the main goroutine.
 	TrackMain = -1
-	// TrackCheckpoint carries checkpoint snapshot flushes (marshal +
-	// write + fsync + rename + directory fsync).
+	// TrackCheckpoint carries checkpoint-store work outside a worker's
+	// chunk. The log-backed store records none: its durability cost is the
+	// journal track's appends.
 	TrackCheckpoint = -2
 	// TrackJournal carries journal appends (write + fsync, serialized by
 	// the writer's mutex — the track directly shows fsync serialization).
@@ -52,8 +53,8 @@ const (
 	// cursor) to starting the next chunk.
 	SpanClaim = "claim"
 	// SpanCheckpoint covers a worker's synchronous durability stall: the
-	// PutSpan call (journal append + fsync, then snapshot entry and any
-	// rate-limited flush). Nested inside SpanChunk.
+	// PutSpan call (log append + fsync, then the view update). Nested inside
+	// SpanChunk.
 	SpanCheckpoint = "checkpoint"
 	// SpanReduceWait covers a retired worker waiting for the rest of the
 	// pool to drain: from the worker's last chunk to engine completion.

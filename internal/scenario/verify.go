@@ -48,9 +48,9 @@ type VerifyReport struct {
 	Chunks   int
 	Verified int
 	// Mismatched lists chunks whose deterministic replay produced a
-	// different digest or trial range than the journal records — the
-	// journal (or the code that replays it) does not describe the
-	// computation that actually ran.
+	// different digest or trial range than the journal records, or whose
+	// logged payload does not hash to its digest — the journal (or the code
+	// that replays it) does not describe the computation that actually ran.
 	Mismatched []Mismatch
 	// Unknown lists chunk records belonging to no embedded campaign's
 	// sections; they cannot be replayed from this journal alone.
@@ -119,8 +119,10 @@ func replayers(j *journal.Journal) (map[string]relsim.Replayer, int, error) {
 }
 
 // VerifyJournal deterministically re-executes every chunk the journal
-// acknowledges and checks the results against the recorded digests. The
-// journal is self-contained: its open record embeds the canonical scenario
+// acknowledges and checks the results against the recorded digests, and
+// for v2 logs each logged payload against its digest as well, so a log
+// that verifies is exactly a log that resumes. The journal is
+// self-contained: its open record embeds the canonical scenario
 // specs, so verification needs no checkpoint, preset registry, or original
 // command line — only the journal file and this binary.
 //
@@ -159,6 +161,9 @@ func VerifyJournal(ctx context.Context, j *journal.Journal, ex Exec) (*VerifyRep
 	})
 	rep.Chunks = len(keys)
 	vm.chunks.Add(int64(len(keys)))
+	// v2 logs carry each chunk's payload, which must hash to the digest
+	// too: that is the check a resume makes before trusting the payload.
+	payloads := j.Open.Schema == journal.Schema
 
 	// verdicts[i]: "" = verified, otherwise the mismatch reason; unknown
 	// sections are resolved before the fan-out.
@@ -187,15 +192,16 @@ func VerifyJournal(ctx context.Context, j *journal.Journal, ex Exec) (*VerifyRep
 			reason = fmt.Sprintf("chunk index beyond campaign's %d chunks", r.NumChunks())
 		default:
 			raw, lo, hi, err := r.ReplayChunk(rec.Chunk)
+			got := journal.Digest(raw)
 			switch {
 			case err != nil:
 				reason = fmt.Sprintf("replay failed: %v", err)
 			case lo != rec.TrialLo || hi != rec.TrialHi:
 				reason = fmt.Sprintf("trial range: journal [%d,%d), replay [%d,%d)", rec.TrialLo, rec.TrialHi, lo, hi)
-			default:
-				if got := journal.Digest(raw); got != rec.Digest {
-					reason = fmt.Sprintf("digest mismatch: journal %s, replay %s", rec.Digest, got)
-				}
+			case got != rec.Digest:
+				reason = fmt.Sprintf("digest mismatch: journal %s, replay %s", rec.Digest, got)
+			case payloads && journal.Digest(rec.Payload) != rec.Digest:
+				reason = fmt.Sprintf("payload digest mismatch: journal %s, logged payload %s", rec.Digest, journal.Digest(rec.Payload))
 			}
 		}
 		mu.Lock()

@@ -32,21 +32,12 @@ func verifyScenario(t *testing.T) *Scenario {
 	return sc
 }
 
-// runJournaled executes sc with an attached journal whose open record embeds
+// runJournaled executes sc against a campaign log whose open record embeds
 // the campaign (the self-contained form the CLI writes), seals it, and
-// returns the loaded journal.
+// returns the loaded log.
 func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
 	t.Helper()
-	dir := t.TempDir()
-	store, err := harness.OpenStore(filepath.Join(dir, "cp.json"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jPath := filepath.Join(dir, "cp.journal")
-	jw, err := journal.Create(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jPath := filepath.Join(t.TempDir(), "cp.jsonl")
 	spec, err := sc.Canonical()
 	if err != nil {
 		t.Fatal(err)
@@ -55,10 +46,8 @@ func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = jw.Append(journal.Record{
-		Type:   journal.TypeOpen,
-		Schema: journal.Schema,
-		Seed:   *sc.Seed,
+	store, err := harness.OpenStore(jPath, false, journal.Record{
+		Seed: *sc.Seed,
 		Campaigns: []journal.Campaign{
 			{Name: sc.Name, Fingerprint: fp, Spec: spec},
 		},
@@ -66,10 +55,10 @@ func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.AttachJournal(jw)
 	if _, err := Run(sc, Exec{Store: store}); err != nil {
 		t.Fatal(err)
 	}
+	jw := store.Journal()
 	if err := jw.Seal(journal.StatusComplete); err != nil {
 		t.Fatal(err)
 	}
