@@ -313,13 +313,8 @@ func (s *Store) Claim(dir string) (*Claim, error) {
 	}
 	path := filepath.Join(dir, claimFile)
 	for attempt := 0; ; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		err := publishClaim(dir, path)
 		if err == nil {
-			fmt.Fprintf(f, "%d\n", os.Getpid())
-			if err := f.Close(); err != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("campaign store: %w", err)
-			}
 			return &Claim{path: path}, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
@@ -337,6 +332,26 @@ func (s *Store) Claim(dir string) (*Claim, error) {
 			return nil, fmt.Errorf("campaign store: %w", err)
 		}
 	}
+}
+
+// publishClaim writes this process's pid to a private file and hard-links
+// it to path, which fails with os.ErrExist if a claim is already there. The
+// claim file thus never exists without its pid, so a racer that finds it
+// cannot mistake a claim still being written for a stale one.
+func publishClaim(dir, path string) error {
+	f, err := os.CreateTemp(dir, claimFile+".*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name())
+	_, err = fmt.Fprintf(f, "%d\n", os.Getpid())
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Link(f.Name(), path)
 }
 
 // Release drops the claim.

@@ -57,6 +57,89 @@ func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
 	}
 }
 
+// writeLog logs chunks 0..n-1 of section run/fp1, unsealed, and returns the
+// log's path and bytes.
+func writeLog(t *testing.T, n int) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	cp := openLogStore(t, path, false).Section("run", "fp1")
+	for i := 0; i < n; i++ {
+		if err := cp.PutSpan(i, 10*i, 10*i+10, payload{A: float64(i), B: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// oneRecordLog returns the bytes of a log holding rec alone, framed and
+// summed as the writer frames every record.
+func oneRecordLog(t *testing.T, rec journal.Record) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "one.jsonl")
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// refuseThenRestart writes body as the campaign log and pins the contract
+// for a log that cannot resume: resume=true fails with an error naming the
+// file and mentioning wantErr (never a silent empty resume), and
+// resume=false starts a fresh log over it, which then resumes.
+func refuseThenRestart(t *testing.T, body []byte, wantErr string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenStore(path, true, journal.Record{})
+	if err == nil {
+		t.Fatalf("log %q: resume must fail, not start empty", body)
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("log %q: error %q does not name the file and %q", body, err, wantErr)
+	}
+	s := openLogStore(t, path, false)
+	if err := s.Section("run", "fp1").PutSpan(0, 0, 10, payload{B: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s.Journal().Close()
+	if got := openLogStore(t, path, true).Section("run", "fp1").Indexes(); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("log %q: the fresh log resumes with chunks %v, want [0]", body, got)
+	}
+}
+
+// TestOpenStoreEmptyFile: a zero-length log (creation raced a kill before
+// the open record reached the disk) refuses the resume and is overwritten
+// without one.
+func TestOpenStoreEmptyFile(t *testing.T) {
+	refuseThenRestart(t, nil, "empty journal")
+}
+
+// TestOpenStoreCorruptFile: an open record whose bytes no longer match its
+// line sum refuses the resume and is overwritten without one.
+func TestOpenStoreCorruptFile(t *testing.T) {
+	_, data := writeLog(t, 1)
+	bad := bytes.Replace(data, []byte(`"seed":1`), []byte(`"seed":7`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatalf("open record carries no seed to alter:\n%s", data)
+	}
+	refuseThenRestart(t, bad, "line sum mismatch")
+}
+
 // TestOpenStoreCorruptionPaths pins what the open path does with every log
 // that is damaged or does not describe the run: a torn tail is cut and the
 // valid prefix resumes; a file that does not start with a valid open
@@ -64,23 +147,6 @@ func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
 // error naming it; and neither another configuration's records nor a chunk
 // whose append failed ever reaches the view.
 func TestOpenStoreCorruptionPaths(t *testing.T) {
-	// writeLog logs chunks 0..n-1 of section run/fp1, unsealed, and returns
-	// the log's path and bytes.
-	writeLog := func(t *testing.T, n int) (string, []byte) {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "cp.jsonl")
-		cp := openLogStore(t, path, false).Section("run", "fp1")
-		for i := 0; i < n; i++ {
-			if err := cp.PutSpan(i, 10*i, 10*i+10, payload{A: float64(i), B: i}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return path, data
-	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
@@ -103,31 +169,23 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 				t.Fatalf("log not cut to its prefix plus a resume record: %d records, %d torn bytes", j.Records, j.TornBytes)
 			}
 		}},
-		{"first line not a valid open record", func(t *testing.T) {
+		{"truncated to one byte", func(t *testing.T) {
 			_, data := writeLog(t, 1)
-			chunkLine := bytes.SplitAfter(data, []byte("\n"))[1]
-			future := filepath.Join(t.TempDir(), "future.jsonl")
-			w, err := journal.Create(future)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Append(journal.Record{Type: journal.TypeOpen, Schema: "relaxfault-journal/v99"}); err != nil {
-				t.Fatal(err)
-			}
-			w.Close()
-			futureLog, err := os.ReadFile(future)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, body := range [][]byte{nil, data[:1], []byte("{not json\n"), []byte("{}\n"), chunkLine, futureLog} {
-				path := filepath.Join(t.TempDir(), "cp.jsonl")
-				if err := os.WriteFile(path, body, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := OpenStore(path, true, journal.Record{}); err == nil || !strings.Contains(err.Error(), path) {
-					t.Errorf("log %q: resume gave %v, want an error naming the file", body, err)
-				}
-			}
+			refuseThenRestart(t, data[:1], "truncated line")
+		}},
+		{"invalid JSON", func(t *testing.T) {
+			refuseThenRestart(t, []byte("{not json at all\n"), "undecodable envelope")
+		}},
+		{"empty object (version 0)", func(t *testing.T) {
+			refuseThenRestart(t, []byte("{}\n"), "line sum mismatch")
+		}},
+		{"future version", func(t *testing.T) {
+			future := oneRecordLog(t, journal.Record{Type: journal.TypeOpen, Schema: "relaxfault-journal/v99"})
+			refuseThenRestart(t, future, `schema "relaxfault-journal/v99"`)
+		}},
+		{"first line not a valid open record", func(t *testing.T) {
+			chunk := oneRecordLog(t, journal.Record{Type: journal.TypeChunk, Section: "run", SectionFP: "fp1"})
+			refuseThenRestart(t, chunk, `first record is "chunk"`)
 		}},
 		{"mismatched fingerprint is ignored", func(t *testing.T) {
 			path, _ := writeLog(t, 2)
