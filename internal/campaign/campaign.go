@@ -376,8 +376,8 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 			return err
 		}
 		raw = append(raw, '\n')
-		if err := cstore.WriteFileAtomic(filepath.Join(c.dir, cstore.ResultFile), raw); err != nil {
-			return err
+		if err := journal.WriteFileAtomic(filepath.Join(c.dir, cstore.ResultFile), raw); err != nil {
+			return fmt.Errorf("campaign store: %w", err)
 		}
 		meta.ResultDigest = journal.Digest(raw)
 	}

@@ -28,6 +28,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"relaxfault/internal/journal"
 )
 
 // MetaSchema versions the entry metadata document. Version 2 entries keep
@@ -403,37 +405,8 @@ func WriteMeta(dir string, m Meta) error {
 	if err != nil {
 		return fmt.Errorf("campaign store: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(dir, MetaFile), append(data, '\n'))
-}
-
-// WriteFileAtomic writes an artifact file via temp-file + fsync + rename,
-// so readers only ever observe complete documents.
-func WriteFileAtomic(path string, data []byte) error { return writeFileAtomic(path, data) }
-
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := journal.WriteFileAtomic(filepath.Join(dir, MetaFile), append(data, '\n')); err != nil {
 		return fmt.Errorf("campaign store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaign store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("campaign store: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

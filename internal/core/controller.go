@@ -21,6 +21,7 @@ import (
 	"relaxfault/internal/dram"
 	"relaxfault/internal/ecc"
 	"relaxfault/internal/fault"
+	"relaxfault/internal/repair"
 )
 
 // Mode selects the repair mechanism the controller implements.
@@ -104,6 +105,10 @@ type Controller struct {
 	// remapped. It filters the RelaxFault probe off the common path.
 	faultyBank []uint64 // one bitmap word per DIMM
 
+	// planner places repair lines: RelaxFault's coalescing mapping, or
+	// FreeFault's in-place lines.
+	planner *repair.LLCPlanner
+
 	// rfWays tracks repair pressure per set to enforce the way cap.
 	rfWays []uint8
 
@@ -137,12 +142,17 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Geometry.Banks > 64 {
 		return nil, fmt.Errorf("core: faulty-bank table supports up to 64 banks, got %d", cfg.Geometry.Banks)
 	}
+	planner := repair.NewRelaxFault(mapper, cfg.LLCWays)
+	if cfg.Mode == FreeFaultMode {
+		planner = repair.NewFreeFault(mapper, cfg.LLCWays, cfg.HashSetIndex)
+	}
 	return &Controller{
 		cfg:        cfg,
 		mapper:     mapper,
 		mem:        mem,
 		llc:        llc,
 		faultyBank: make([]uint64, cfg.Geometry.DIMMs()),
+		planner:    planner,
 		rfWays:     make([]uint8, cfg.LLCSets),
 	}, nil
 }
@@ -160,14 +170,8 @@ func (c *Controller) Memory() *dram.Array { return c.mem }
 // (one StuckFault per affected rank for MirrorRanks faults). StuckVal 0xF
 // is used: covered columns read all-ones.
 func (c *Controller) InjectFault(f *fault.Fault) error {
-	ranks := []int{f.Dev.Rank}
-	if f.MirrorRanks {
-		ranks = ranks[:0]
-		for r := 0; r < c.cfg.Geometry.DIMMsPerChan; r++ {
-			ranks = append(ranks, r)
-		}
-	}
-	for _, rk := range ranks {
+	lo, hi := f.Ranks(c.cfg.Geometry)
+	for rk := lo; rk < hi; rk++ {
 		dev := f.Dev
 		dev.Rank = rk
 		if err := c.mem.InjectFault(&dram.StuckFault{Dev: dev, Covers: f.Predicate(), StuckVal: 0xF}); err != nil {
@@ -343,6 +347,28 @@ func (c *Controller) fetchAndMergeFull(loc dram.Location) (dram.Line, ecc.LineRe
 		c.Stats.DUEs++
 	}
 	return line, res, nil
+}
+
+// readForRepair returns the freshest corrected view of a line: a dirty copy
+// in the LLC if present, otherwise the merged-and-decoded DRAM contents.
+func (c *Controller) readForRepair(loc dram.Location) (dram.Line, ecc.Status) {
+	la := c.mapper.Encode(loc)
+	set, tag := c.mapper.CacheIndex(la, c.cfg.HashSetIndex)
+	if way := c.llc.Probe(set, tag, false); way >= 0 {
+		data := c.llc.DataAt(set, way)
+		line, err := dram.BytesToLine(c.cfg.Geometry, data)
+		if err == nil {
+			_ = ecc.EncodeLine(line)
+			return line, ecc.OK
+		}
+	}
+	line, status, err := c.fetchAndMerge(loc)
+	if err != nil {
+		// Treat hard errors as uncorrectable fills.
+		line = make(dram.Line, c.cfg.Geometry.DevicesPerDIMM())
+		status = ecc.DUE
+	}
+	return line, status
 }
 
 // ScrubLine performs a patrol-scrub read of one line: DRAM is read and

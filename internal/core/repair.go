@@ -11,9 +11,9 @@ import (
 
 // RepairOutcome reports what a repair attempt did.
 type RepairOutcome struct {
-	// Accepted is false when the fault exceeded the per-set way cap or the
-	// enumeration bound; nothing is allocated in that case (repair is
-	// all-or-nothing per fault).
+	// Accepted is false when the fault exceeded the per-set way cap or
+	// needs more lines than the LLC holds; nothing is allocated in that
+	// case (repair is all-or-nothing per fault).
 	Accepted bool
 	Reason   string
 	// LinesAllocated counts new remap lines locked for this fault (lines
@@ -24,159 +24,158 @@ type RepairOutcome struct {
 	FillDUEs int
 }
 
+// repairLine is one repair line of a fault as repair's planner places it:
+// the line group of the fault's device it covers and its LLC (set, tag).
+type repairLine struct {
+	rank, bank, row, cg, set int
+	tag                      uint64
+}
+
 // RepairFault allocates, locks, and fills repair lines covering every
 // extent of a permanent fault (Faulty Memory Region Repair Allocation,
-// Section 3.1). In RelaxFault mode the lines are coalesced remap lines; in
-// FreeFault mode every spanned cacheline is locked in place. The repaired
-// regions are immediately masked from subsequent reads.
+// Section 3.1). repair's planner for the controller's mode decides where
+// the lines go: in RelaxFault mode they are coalesced remap lines; in
+// FreeFault mode (Kim & Erez) every spanned cacheline is locked in place at
+// its own (set, tag), one full line per spanned cacheline — 16x more for
+// single-device faults, the overhead the paper's mapping eliminates. The
+// repaired regions are immediately masked from subsequent reads.
 func (c *Controller) RepairFault(f *fault.Fault) (RepairOutcome, error) {
 	if f.Transient {
 		return RepairOutcome{}, fmt.Errorf("core: transient faults are not repaired (ECC handles them)")
 	}
-	if c.cfg.Mode == FreeFaultMode {
-		return c.repairFreeFault(f)
-	}
-	g := c.cfg.Geometry
-	colsPerGroup := g.ColumnsPerBlk * addrmap.SubBlocksPerLine
+	rf := c.cfg.Mode == RelaxFaultMode
+	wayCap := c.cfg.MaxRepairWaysPerSet
 
-	ranks := []int{f.Dev.Rank}
-	if f.MirrorRanks {
-		ranks = ranks[:0]
-		for r := 0; r < g.DIMMsPerChan; r++ {
-			ranks = append(ranks, r)
-		}
-	}
-
-	// Fast reject: more lines than the repair budget could ever hold.
-	budget := int64(c.cfg.LLCSets) * int64(c.cfg.MaxRepairWaysPerSet)
-	var analytic int64
-	for _, e := range f.Extents {
-		analytic += e.LineCount(g, colsPerGroup) * int64(len(ranks))
-	}
-	if analytic > budget {
-		c.Stats.RepairsRejected++
-		return RepairOutcome{Reason: fmt.Sprintf("fault needs %d lines, repair budget is %d", analytic, budget)}, nil
-	}
-
-	// Collect the new keys (dedup against lines already resident).
-	type pending struct {
-		key addrmap.RFKey
-		t   addrmap.RFTarget
-	}
-	var newLines []pending
-	seen := make(map[addrmap.RFTarget]bool)
+	// Collect the new lines (dedup against lines already locked) and
+	// enforce the per-set repair-way cap before allocating anything.
+	var newLines []repairLine
+	seen := make(map[repairLine]bool)
 	setDemand := make(map[int]int)
-	for _, rank := range ranks {
-		for _, e := range f.Extents {
-			e.ForEachLine(g, colsPerGroup, func(bank, row, cg int) bool {
-				key := addrmap.RFKey{
-					Channel: f.Dev.Channel, Rank: rank, Device: f.Dev.Device,
-					Bank: bank, Row: row, CbHi: cg,
-				}
-				t := c.mapper.RFIndex(key)
-				if seen[t] || c.llc.Probe(t.Set, t.Tag, true) >= 0 {
-					return true
-				}
-				seen[t] = true
-				newLines = append(newLines, pending{key, t})
-				setDemand[t.Set]++
-				return true
-			})
+	var reason string
+	mappable := c.planner.ForEachLine(f, func(rank, bank, row, cg int, set int32, tag uint64) bool {
+		l := repairLine{rank: rank, bank: bank, row: row, cg: cg, set: int(set), tag: tag}
+		if seen[l] {
+			return true
 		}
+		if w := c.llc.Probe(l.set, tag, rf); w >= 0 && c.llc.Line(l.set, w).Locked {
+			return true // locked by an earlier repair
+		}
+		seen[l] = true
+		newLines = append(newLines, l)
+		setDemand[l.set]++
+		if n := int(c.rfWays[l.set]) + setDemand[l.set]; n > wayCap {
+			reason = fmt.Sprintf("set %d would hold %d locked repair lines, cap is %d", l.set, n, wayCap)
+			return false
+		}
+		return true
+	})
+	if !mappable {
+		reason = "fault needs more repair lines than the LLC holds"
 	}
-
-	// Enforce the per-set repair-way cap atomically.
-	for set, n := range setDemand {
-		if int(c.rfWays[set])+n > c.cfg.MaxRepairWaysPerSet {
-			c.Stats.RepairsRejected++
-			return RepairOutcome{Reason: fmt.Sprintf(
-				"set %d would hold %d repair ways, cap is %d", set, int(c.rfWays[set])+n, c.cfg.MaxRepairWaysPerSet)}, nil
-		}
+	if reason != "" {
+		c.Stats.RepairsRejected++
+		return RepairOutcome{Reason: reason}, nil
 	}
 
 	out := RepairOutcome{Accepted: true}
-	payload := make([]byte, g.LineBytes)
-	for _, p := range newLines {
-		// Gather the device's corrected data for all 16 sub-blocks,
-		// back-to-back over the open row (one-time fill cost).
-		for sub := 0; sub < addrmap.SubBlocksPerLine; sub++ {
-			loc := c.mapper.LocationFor(p.key, sub)
-			line, status := c.readForRepair(loc)
-			if status == ecc.DUE {
-				out.FillDUEs++
-			}
-			writeSubBlock(payload, sub, line[p.key.Device])
-		}
-		way, evicted := c.llc.Fill(p.t.Set, p.t.Tag, true)
+	for _, l := range newLines {
+		payload, dues := c.repairPayload(f, l)
+		out.FillDUEs += dues
+		way, evicted := c.llc.Fill(l.set, l.tag, rf)
 		if way < 0 {
 			// Unreachable given the cap check, but fail safe.
 			c.Stats.RepairsRejected++
-			return out, fmt.Errorf("core: no victim available in set %d", p.t.Set)
+			return out, fmt.Errorf("core: no victim available in set %d", l.set)
 		}
 		if evicted.Valid && evicted.Dirty && !evicted.RF {
-			c.writeBack(evicted.Tag, p.t.Set, evicted.Data)
+			c.writeBack(evicted.Tag, l.set, evicted.Data)
 		}
-		c.llc.SetData(p.t.Set, way, payload)
-		c.llc.Lock(p.t.Set, way)
-		c.rfWays[p.t.Set]++
+		c.llc.SetData(l.set, way, payload)
+		if !c.llc.Line(l.set, way).Locked { // FreeFault may lock a cached copy
+			c.llc.Lock(l.set, way)
+			c.rfWays[l.set]++
+		}
 		out.LinesAllocated++
 		c.Stats.RFLineFills++
-		c.Stats.SubBlocksRemapped += addrmap.SubBlocksPerLine
-	}
-
-	// Publish the repair in the faulty-bank table.
-	for _, rank := range ranks {
-		for _, e := range f.Extents {
-			for b := e.BankLo; b <= e.BankHi; b++ {
-				loc := dram.Location{Channel: f.Dev.Channel, Rank: rank, Bank: b}
-				dimm, bit := c.bankBit(loc)
-				c.faultyBank[dimm] |= bit
-			}
+		if rf {
+			c.Stats.SubBlocksRemapped += addrmap.SubBlocksPerLine
+			// Publish the repair in the faulty-bank table.
+			dimm, bit := c.bankBit(dram.Location{Channel: f.Dev.Channel, Rank: l.rank, Bank: l.bank})
+			c.faultyBank[dimm] |= bit
 		}
 	}
 	c.Stats.RepairedFaults++
 	return out, nil
 }
 
-// readForRepair returns the freshest corrected view of a line: a dirty copy
-// in the LLC if present, otherwise the merged-and-decoded DRAM contents.
-func (c *Controller) readForRepair(loc dram.Location) (dram.Line, ecc.Status) {
-	la := c.mapper.Encode(loc)
-	set, tag := c.mapper.CacheIndex(la, c.cfg.HashSetIndex)
-	if way := c.llc.Probe(set, tag, false); way >= 0 {
-		data := c.llc.DataAt(set, way)
-		line, err := dram.BytesToLine(c.cfg.Geometry, data)
-		if err == nil {
-			_ = ecc.EncodeLine(line)
-			return line, ecc.OK
+// repairPayload gathers the corrected data repair line l of f holds and
+// counts the fills whose DRAM read was uncorrectable (the line then holds
+// best-effort data). A FreeFault line holds its own cacheline; a RelaxFault
+// remap line holds the faulty device's 16 sub-blocks of the line group,
+// read back-to-back over the open row (one-time fill cost).
+func (c *Controller) repairPayload(f *fault.Fault, l repairLine) (payload []byte, dues int) {
+	if c.cfg.Mode == FreeFaultMode {
+		line, status := c.readForRepair(dram.Location{
+			Channel: f.Dev.Channel, Rank: l.rank, Bank: l.bank, Row: l.row, ColBlock: l.cg,
+		})
+		if status == ecc.DUE {
+			dues++
 		}
+		return dram.LineToBytes(c.cfg.Geometry, line), dues
 	}
-	line, status, err := c.fetchAndMerge(loc)
-	if err != nil {
-		// Treat hard errors as uncorrectable fills.
-		line = make(dram.Line, c.cfg.Geometry.DevicesPerDIMM())
-		status = ecc.DUE
+	key := addrmap.RFKey{
+		Channel: f.Dev.Channel, Rank: l.rank, Device: f.Dev.Device,
+		Bank: l.bank, Row: l.row, CbHi: l.cg,
 	}
-	return line, status
+	payload = make([]byte, c.cfg.Geometry.LineBytes)
+	for sub := 0; sub < addrmap.SubBlocksPerLine; sub++ {
+		line, status := c.readForRepair(c.mapper.LocationFor(key, sub))
+		if status == ecc.DUE {
+			dues++
+		}
+		writeSubBlock(payload, sub, line[f.Dev.Device])
+	}
+	return payload, dues
 }
 
-// RepairNode repairs a node's accumulated permanent faults in order,
-// returning the per-fault outcomes; faults that do not fit the repair
-// budget are skipped (greedy arrival-order policy, as in the reliability
-// simulation).
-func (c *Controller) RepairNode(faults []*fault.Fault) ([]RepairOutcome, error) {
-	outcomes := make([]RepairOutcome, len(faults))
-	for i, f := range faults {
-		if f.Transient {
-			continue
+// ReleaseDIMMRepairs unlocks and invalidates every repair line belonging to
+// the given DIMM — the controller-side counterpart of a DIMM replacement,
+// returning the LLC capacity to normal use. It returns the number of lines
+// released. RelaxFault remap lines are identified by their packed repair
+// tag; FreeFault locked lines by decoding their own address.
+func (c *Controller) ReleaseDIMMRepairs(channel, rank int) int {
+	released := 0
+	for set := 0; set < c.llc.Sets(); set++ {
+		for way := 0; way < c.llc.Ways(); way++ {
+			l := c.llc.Line(set, way)
+			if !l.Valid || !l.Locked {
+				continue
+			}
+			var match bool
+			if l.RF {
+				key := c.mapper.RFKeyFromTarget(addrmap.RFTarget{Set: set, Tag: l.Tag})
+				match = key.Channel == channel && key.Rank == rank
+			} else {
+				loc := c.mapper.Decode(c.lineAddrFromIndex(set, l.Tag))
+				match = loc.Channel == channel && loc.Rank == rank
+			}
+			if !match {
+				continue
+			}
+			c.llc.Invalidate(set, way)
+			if c.rfWays[set] > 0 {
+				c.rfWays[set]--
+			}
+			released++
 		}
-		o, err := c.RepairFault(f)
-		if err != nil {
-			return outcomes, err
-		}
-		outcomes[i] = o
 	}
-	return outcomes, nil
+	// Conservatively clear the DIMM's faulty-bank bits; remaining repairs
+	// on other DIMMs keep their own bits.
+	dimm := channel*c.cfg.Geometry.DIMMsPerChan + rank
+	if dimm >= 0 && dimm < len(c.faultyBank) {
+		c.faultyBank[dimm] = 0
+	}
+	return released
 }
 
 // FaultyBankTableBytes returns the size of the faulty-bank table in bytes

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -28,12 +27,8 @@ type AblationResult struct {
 	FaultyFraction float64
 }
 
-// AblationsCtx runs the coverage study over the ablated mappings and the
+// ablationsOf shapes the coverage study over the ablated mappings and the
 // retirement baselines.
-func AblationsCtx(ctx context.Context, s Scale) (AblationResult, error) {
-	return shaped(ctx, s, "ablate", ablationsOf)
-}
-
 func ablationsOf(res *scenario.Result) AblationResult {
 	cov := res.Coverage[0]
 	out := AblationResult{FaultyFraction: cov.FaultyFraction}
@@ -79,12 +74,6 @@ type VariantResult struct {
 	Rows []VariantRow
 }
 
-// GeometryVariantsCtx runs the RelaxFault coverage study on DDR4, HBM-like,
-// and LPDDR4 organisations.
-func GeometryVariantsCtx(ctx context.Context, s Scale) (VariantResult, error) {
-	return shaped(ctx, s, "variants", variantsOf)
-}
-
 // variantsOf shapes the variants preset's result: one study per
 // organisation, the row names read back from the preset's study labels.
 func variantsOf(res *scenario.Result) VariantResult {
@@ -125,13 +114,6 @@ type PrefetchRow struct {
 // essentially free) survives adding a stream prefetcher to the cores.
 type PrefetchResult struct {
 	Rows []PrefetchRow
-}
-
-// PrefetchAblationCtx runs SP (streaming, prefetch-friendly) and LULESH
-// (capacity-sensitive) with and without prefetching, at no-repair and
-// 4-way-locked configurations.
-func PrefetchAblationCtx(ctx context.Context, s Scale) (PrefetchResult, error) {
-	return shaped(ctx, s, "prefetch", prefetchOf)
 }
 
 // prefetchOf shapes the prefetch preset's result. Its units come

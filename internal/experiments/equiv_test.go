@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"relaxfault/internal/harness"
+	"relaxfault/internal/scenario"
 )
 
 // updateEquiv regenerates the preset-vs-legacy golden files. The committed
@@ -36,25 +37,24 @@ type equivCase struct {
 	run         func(context.Context, Scale) (any, error)
 }
 
+// shapedRun runs preset and shapes its result, as an equivCase body.
+func shapedRun[T any](preset string, shape func(*scenario.Result) T) func(context.Context, Scale) (any, error) {
+	return func(ctx context.Context, s Scale) (any, error) { return shaped(ctx, s, preset, shape) }
+}
+
 func equivCases() []equivCase {
 	return []equivCase{
-		{"fig8", true, func(ctx context.Context, s Scale) (any, error) { return Fig8Ctx(ctx, s) }},
-		{"fig9", false, func(ctx context.Context, s Scale) (any, error) { return Fig9Ctx(ctx, s) }},
-		{"fig10", true, func(ctx context.Context, s Scale) (any, error) { return Fig10Ctx(ctx, s) }},
-		{"fig11", false, func(ctx context.Context, s Scale) (any, error) { return Fig11Ctx(ctx, s) }},
-		{"fig12", true, func(ctx context.Context, s Scale) (any, error) {
-			one, ten, err := Fig12Ctx(ctx, s)
-			return []any{one, ten}, err
-		}},
-		{"fig13", false, func(ctx context.Context, s Scale) (any, error) {
-			one, ten, err := Fig13Ctx(ctx, s)
-			return []any{one, ten}, err
-		}},
-		{"fig14", false, func(ctx context.Context, s Scale) (any, error) { return Fig14Ctx(ctx, s) }},
-		{"fig15", true, func(ctx context.Context, s Scale) (any, error) { return Fig15And16Ctx(ctx, s) }},
-		{"ablate", false, func(ctx context.Context, s Scale) (any, error) { return AblationsCtx(ctx, s) }},
-		{"variants", false, func(ctx context.Context, s Scale) (any, error) { return GeometryVariantsCtx(ctx, s) }},
-		{"prefetch", false, func(ctx context.Context, s Scale) (any, error) { return PrefetchAblationCtx(ctx, s) }},
+		{"fig8", true, shapedRun("fig8", fig8Of)},
+		{"fig9", false, shapedRun("fig9", fig9Of)},
+		{"fig10", true, shapedRun("fig10", fig10Of)},
+		{"fig11", false, shapedRun("fig11", fig11Of)},
+		{"fig12", true, shapedRun("fig12", fig12Of)},
+		{"fig13", false, shapedRun("fig12", fig13Of)},
+		{"fig14", false, shapedRun("fig14", fig14Of)},
+		{"fig15", true, shapedRun("fig15", fig15Of)},
+		{"ablate", false, shapedRun("ablate", ablationsOf)},
+		{"variants", false, shapedRun("variants", variantsOf)},
+		{"prefetch", false, shapedRun("prefetch", prefetchOf)},
 	}
 }
 

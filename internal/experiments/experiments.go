@@ -340,11 +340,6 @@ type Fig8Result struct {
 	FaultyFraction  float64
 }
 
-// Fig8Ctx runs the hashing-sensitivity coverage study. RelaxFault's own
-// mapping spreads repairs by construction, so the LLC hash setting does not
-// matter for it; both columns are evaluated to demonstrate that.
-func Fig8Ctx(ctx context.Context, s Scale) (Fig8Result, error) { return shaped(ctx, s, "fig8", fig8Of) }
-
 // fig8Of shapes the fig8 preset's result. RelaxFault's placement is
 // independent of the LLC's normal-access hash, so its single curve fills
 // both Figure 8 columns.

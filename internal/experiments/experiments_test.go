@@ -55,7 +55,7 @@ func TestFig8Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := Fig8Ctx(context.Background(), tinyScale())
+	r, err := shaped(context.Background(), tinyScale(), "fig8", fig8Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFig10Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := Fig10Ctx(context.Background(), tinyScale())
+	r, err := shaped(context.Background(), tinyScale(), "fig10", fig10Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFig9Smoke(t *testing.T) {
 		t.Skip("Monte Carlo experiment")
 	}
 	s := tinyScale()
-	r, err := Fig9Ctx(context.Background(), s)
+	r, err := shaped(context.Background(), s, "fig9", fig9Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,11 @@ func TestFig12And13Smoke(t *testing.T) {
 	}
 	s := tinyScale()
 	s.Replicas = 2
-	one, ten, err := Fig12Ctx(context.Background(), s)
+	p, err := shaped(context.Background(), s, "fig12", fig12Of)
 	if err != nil {
 		t.Fatal(err)
 	}
+	one, ten := p[0], p[1]
 	if len(one.Columns) != 6 || len(ten.Columns) != 6 {
 		t.Fatal("missing mechanism columns")
 	}
@@ -173,7 +174,7 @@ func TestFig15SmokeAndPolicyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("performance experiment")
 	}
-	r, err := Fig15And16Ctx(context.Background(), tinyScale())
+	r, err := shaped(context.Background(), tinyScale(), "fig15", fig15Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestFig14Smoke(t *testing.T) {
 		t.Skip("Monte Carlo experiment")
 	}
 	s := tinyScale()
-	r, err := Fig14Ctx(context.Background(), s)
+	r, err := shaped(context.Background(), s, "fig14", fig14Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := AblationsCtx(context.Background(), tinyScale())
+	r, err := shaped(context.Background(), tinyScale(), "ablate", ablationsOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestGeometryVariantsSmoke(t *testing.T) {
 		t.Skip("Monte Carlo experiment")
 	}
 	s := tinyScale()
-	r, err := GeometryVariantsCtx(context.Background(), s)
+	r, err := shaped(context.Background(), s, "variants", variantsOf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,15 +60,12 @@ func TestGoldenParallelMatchesSequential(t *testing.T) {
 		t.Skip("golden differential runs each experiment twice")
 	}
 	t.Run("fig10", func(t *testing.T) {
-		runGolden(t, "fig10", func(s Scale) (any, error) { return Fig10Ctx(context.Background(), s) })
+		runGolden(t, "fig10", func(s Scale) (any, error) { return shaped(context.Background(), s, "fig10", fig10Of) })
 	})
 	t.Run("fig12", func(t *testing.T) {
-		runGolden(t, "fig12", func(s Scale) (any, error) {
-			one, ten, err := Fig12Ctx(context.Background(), s)
-			return []any{one, ten}, err
-		})
+		runGolden(t, "fig12", func(s Scale) (any, error) { return shaped(context.Background(), s, "fig12", fig12Of) })
 	})
 	t.Run("fig15", func(t *testing.T) {
-		runGolden(t, "fig15", func(s Scale) (any, error) { return Fig15And16Ctx(context.Background(), s) })
+		runGolden(t, "fig15", func(s Scale) (any, error) { return shaped(context.Background(), s, "fig15", fig15Of) })
 	})
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -66,12 +65,6 @@ type Fig15Result struct {
 	Instructions uint64
 }
 
-// Fig15And16Ctx runs all Table 4 workloads through the four repair
-// configurations.
-func Fig15And16Ctx(ctx context.Context, s Scale) (Fig15Result, error) {
-	return shaped(ctx, s, "fig15", fig15Of)
-}
-
 // fig15Of shapes the fig15 preset's result: one unit per Table 4 workload
 // across the four lock configurations; the power columns derive from the
 // same simulation results (Figure 16 shares Figure 15's runs).
@@ -112,11 +105,4 @@ func (r Fig15Result) StringPower() string {
 			row.Workload, 100.0, row.Power100KiB, row.Power1Way, row.Power4Way)
 	}
 	return b.String()
-}
-
-// DDR4PerfCtx runs the "ddr4" preset — the Figure 15/16 methodology on the
-// DDR4-2400 technology (bank-group tCCD_S/tCCD_L timing, DDR4 energy
-// table) — and returns the generic scenario result.
-func DDR4PerfCtx(ctx context.Context, s Scale) (*scenario.Result, error) {
-	return runPreset(ctx, "ddr4", s)
 }

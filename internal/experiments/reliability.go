@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -28,10 +27,6 @@ type Fig9Result struct {
 	AccelSweep []Fig9Point
 	FracSweep  []Fig9Point
 }
-
-// Fig9Ctx runs the dynamic-FIT-adjustment sensitivity study (no repair,
-// replace-after-DUE, as in the paper's model exploration).
-func Fig9Ctx(ctx context.Context, s Scale) (Fig9Result, error) { return shaped(ctx, s, "fig9", fig9Of) }
 
 // fig9Of shapes the fig9 preset's result. The x-axis values are read back
 // from the resolved scenario: the preset's cells carry the raw swept
@@ -144,20 +139,12 @@ func coverageStudy(res *scenario.Result, fitScale float64, title string) Fig10Re
 	return out
 }
 
-// Fig10Ctx reproduces the baseline-FIT coverage-vs-capacity curves.
-func Fig10Ctx(ctx context.Context, s Scale) (Fig10Result, error) {
-	return shaped(ctx, s, "fig10", fig10Of)
-}
-
+// fig10Of shapes the baseline-FIT coverage-vs-capacity curves.
 func fig10Of(res *scenario.Result) Fig10Result {
 	return coverageStudy(res, 1, "Figure 10: cumulative repair coverage vs required LLC capacity (1x FIT)")
 }
 
-// Fig11Ctx reproduces the 10x-FIT curves.
-func Fig11Ctx(ctx context.Context, s Scale) (Fig10Result, error) {
-	return shaped(ctx, s, "fig11", fig11Of)
-}
-
+// fig11Of shapes the 10x-FIT curves.
 func fig11Of(res *scenario.Result) Fig10Result {
 	return coverageStudy(res, 10, "Figure 11: cumulative repair coverage vs required LLC capacity (10x FIT)")
 }
@@ -233,12 +220,6 @@ func panelFromCells(res *scenario.Result, start int, fitScale float64, policy re
 	return out
 }
 
-// Fig12Ctx reproduces the expected-DUE comparison at 1x and 10x FIT.
-func Fig12Ctx(ctx context.Context, s Scale) (one, ten Fig12Result, err error) {
-	p, err := shaped(ctx, s, "fig12", fig12Of)
-	return p[0], p[1], err
-}
-
 // fig12Of shapes the fig12 preset's result into its 1x and 10x FIT panels.
 func fig12Of(res *scenario.Result) [2]Fig12Result {
 	return [2]Fig12Result{
@@ -247,12 +228,6 @@ func fig12Of(res *scenario.Result) [2]Fig12Result {
 		panelFromCells(res, 6, 10, relsim.ReplaceAfterDUE,
 			"Figure 12b: expected DUEs per system (10x FIT)"),
 	}
-}
-
-// Fig13Ctx reuses the same runs but reports SDCs (Figure 13 panels).
-func Fig13Ctx(ctx context.Context, s Scale) (one, ten Fig12Result, err error) {
-	p, err := shaped(ctx, s, "fig12", fig13Of)
-	return p[0], p[1], err
 }
 
 // fig13Of retitles the fig12 preset's panels for Figure 13.
@@ -268,12 +243,8 @@ type Fig14Result struct {
 	Panels []Fig12Result
 }
 
-// Fig14Ctx reproduces the DIMM-replacement comparison: ReplA (after first DUE)
+// fig14Of shapes the DIMM-replacement comparison: ReplA (after first DUE)
 // and ReplB (after frequent errors) at 1x and 10x FIT.
-func Fig14Ctx(ctx context.Context, s Scale) (Fig14Result, error) {
-	return shaped(ctx, s, "fig14", fig14Of)
-}
-
 func fig14Of(res *scenario.Result) Fig14Result {
 	specs := []struct {
 		fit    float64

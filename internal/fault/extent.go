@@ -240,6 +240,25 @@ type Fault struct {
 // hard-permanent).
 func (f *Fault) Permanent() bool { return !f.Transient }
 
+// Ranks returns the half-open range [lo, hi) of ranks the fault applies to:
+// its own rank, or every rank of its channel for MirrorRanks faults.
+func (f *Fault) Ranks(g dram.Geometry) (lo, hi int) {
+	if f.MirrorRanks {
+		return 0, g.DIMMsPerChan
+	}
+	return f.Dev.Rank, f.Dev.Rank + 1
+}
+
+// LineCount sums Extent.LineCount over the fault's extents and ranks.
+func (f *Fault) LineCount(g dram.Geometry, colsPerGroup int) int64 {
+	var n int64
+	for _, e := range f.Extents {
+		n += e.LineCount(g, colsPerGroup)
+	}
+	lo, hi := f.Ranks(g)
+	return n * int64(hi-lo)
+}
+
 // Contains reports whether the fault covers cell (bank, row, col) on its
 // own device.
 func (f *Fault) Contains(bank, row, col int) bool {

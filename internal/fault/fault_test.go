@@ -137,6 +137,28 @@ func TestExtentForEachLineMatchesCount(t *testing.T) {
 	if n != 3 {
 		t.Errorf("abort after %d", n)
 	}
+	// Fault level: every extent, on every rank the fault applies to.
+	e2 := Extent{BankLo: 5, BankHi: 5, Rows: OneRow(7), ColLo: 0, ColHi: g.Columns - 1}
+	for _, tc := range []struct {
+		mirror bool
+		lo, hi int
+	}{{false, 1, 2}, {true, 0, g.DIMMsPerChan}} {
+		f := &Fault{Dev: dram.DeviceCoord{Channel: 1, Rank: 1, Device: 4}, Extents: []Extent{e, e2}, MirrorRanks: tc.mirror}
+		if lo, hi := f.Ranks(g); lo != tc.lo || hi != tc.hi {
+			t.Errorf("mirror=%v: ranks [%d, %d), want [%d, %d)", tc.mirror, lo, hi, tc.lo, tc.hi)
+		}
+		for _, group := range []int{8, 128} {
+			var n int64
+			for r := tc.lo; r < tc.hi; r++ {
+				for _, ex := range f.Extents {
+					ex.ForEachLine(g, group, func(int, int, int) bool { n++; return true })
+				}
+			}
+			if got := f.LineCount(g, group); got != n {
+				t.Errorf("mirror=%v group %d: enumerated %d, fault LineCount %d", tc.mirror, group, n, got)
+			}
+		}
+	}
 }
 
 func TestExtentContainsAndIntersects(t *testing.T) {

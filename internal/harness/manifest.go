@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"time"
 
+	"relaxfault/internal/journal"
 	"relaxfault/internal/obs"
 	"relaxfault/internal/runtrace"
 )
@@ -151,36 +151,16 @@ func (m *Manifest) Finish() {
 	m.Metrics = obs.Default().Snapshot()
 }
 
-// WriteFile writes the manifest atomically (temp file + rename): readers
-// see the old manifest or the new one, never a torn file.
+// WriteFile writes the manifest atomically (journal.WriteFileAtomic):
+// readers see the old manifest or the new one, never a torn file.
 func (m *Manifest) WriteFile(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("harness: encode manifest: %w", err)
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := journal.WriteFileAtomic(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("harness: write manifest: %w", err)
 	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("harness: write manifest: %w", werr)
-		}
-		return fmt.Errorf("harness: write manifest: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: write manifest: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 
@@ -216,16 +196,4 @@ func buildVersion() string {
 		rev += "+dirty"
 	}
 	return rev
-}
-
-// syncDir fsyncs a directory so a just-renamed entry in it survives power
-// loss. Errors are ignored: some platforms and filesystems cannot fsync
-// directories, and the data itself is already durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }

@@ -375,6 +375,34 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
+// WriteFileAtomic writes data to path through a temp file in the same
+// directory: write, fsync, rename over path, fsync the directory. Readers
+// see the old file or the new one, never a torn one, and the new one
+// survives power loss. Manifests and store entries are written this way.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // a no-op once the rename succeeded
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
 // syncDir fsyncs a directory so a just-created or just-renamed entry in it
 // survives power loss. Errors are ignored: not every platform or filesystem
 // supports directory fsync, and the data-file sync already happened.

@@ -294,3 +294,22 @@ func TestDigestIsStable(t *testing.T) {
 		t.Fatal("digest collision on different payloads")
 	}
 }
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "manifest.json")
+	for _, body := range []string{"first\n", "second\n"} {
+		if err := WriteFileAtomic(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != body {
+			t.Fatalf("read back %q (%v), want %q", got, err, body)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("directory holds %d entries (%v); the temp file must not survive", len(ents), err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "x.json"), nil); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+}

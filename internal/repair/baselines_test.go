@@ -83,12 +83,11 @@ func TestPageRetirementIncrementalMatchesBatch(t *testing.T) {
 			continue
 		}
 		tested++
-		plan := pr.PlanNode(perm)
-		batch, _ := plan.GreedyUnder(1)
+		plan := pr.PlanNode(perm) // retires pages in arrival order
 		st := pr.NewState()
 		for i, f := range perm {
-			if got := pr.TryRepair(st, f, 1); got != batch[i] {
-				t.Fatalf("fault %d (%v): incremental %v batch %v", i, f.Mode, got, batch[i])
+			if got, batch := pr.TryRepair(st, f, 1), plan.PerFault[i].Mappable; got != batch {
+				t.Fatalf("fault %d (%v): incremental %v batch %v", i, f.Mode, got, batch)
 			}
 		}
 	}

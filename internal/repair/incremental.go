@@ -4,8 +4,10 @@ import "relaxfault/internal/fault"
 
 // NodeState is per-node incremental planning state. Obtain one from
 // Incremental.NewState and thread it through TryRepair calls in fault
-// arrival order; the result matches Plan.GreedyUnder exactly because greedy
-// arrival-order decisions are prefix-stable.
+// arrival order. For RelaxFault and FreeFault the decisions match
+// core.Controller's functional repair (the planner-vs-controller
+// differential in internal/core); for PPR and page retirement they match
+// PlanNode's per-fault Mappable, which is arrival-order greedy too.
 type NodeState interface {
 	// Reset clears the state (used when a DIMM replacement removes
 	// faults; callers then replay the surviving faults).
@@ -49,27 +51,15 @@ func (s *llcState) Reset() {
 }
 
 // NewState implements Incremental.
-func (p *llcPlanner) NewState() NodeState {
+func (p *LLCPlanner) NewState() NodeState {
 	n := 1 << p.mapper.SetBits()
 	return &llcState{load: make([]int32, n), demand: make([]int32, n)}
 }
 
 // TryRepair implements Incremental for RelaxFault and FreeFault.
-func (p *llcPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool {
+func (p *LLCPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool {
 	s := st.(*llcState)
-	g := p.mapper.Geometry()
-	ranks := []int{f.Dev.Rank}
-	if f.MirrorRanks {
-		ranks = ranks[:0]
-		for r := 0; r < g.DIMMsPerChan; r++ {
-			ranks = append(ranks, r)
-		}
-	}
-	var analytic int64
-	for _, e := range f.Extents {
-		analytic += e.LineCount(g, p.colsPerGroup) * int64(len(ranks))
-	}
-	if analytic > p.maxEnumerate || wayLimit <= 0 {
+	if wayLimit <= 0 {
 		return false
 	}
 	// First pass: collect the fault's new lines and per-set demand,
@@ -79,32 +69,21 @@ func (p *llcPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool 
 		s.demand[set] = 0
 	}
 	s.demandTouched = s.demandTouched[:0]
-	ok := true
-	for _, rank := range ranks {
-		for _, e := range f.Extents {
-			e.ForEachLine(g, p.colsPerGroup, func(bank, row, cg int) bool {
-				set, tag := p.target(f, rank, bank, row, cg)
-				k := lineKey{set: set, tag: tag}
-				if s.seen.has(k) {
-					return true
-				}
-				if !s.newSeen.insert(k) {
-					return true
-				}
-				if s.demand[set] == 0 {
-					s.demandTouched = append(s.demandTouched, set)
-				}
-				s.demand[set]++
-				if int(s.load[set]+s.demand[set]) > wayLimit {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
-			}
+	fits := true
+	mappable := p.ForEachLine(f, func(_, _, _, _ int, set int32, tag uint64) bool {
+		k := lineKey{set: set, tag: tag}
+		if s.seen.has(k) || !s.newSeen.insert(k) {
+			return true
 		}
+		if s.demand[set] == 0 {
+			s.demandTouched = append(s.demandTouched, set)
+		}
+		s.demand[set]++
+		fits = int(s.load[set]+s.demand[set]) <= wayLimit
+		return fits
+	})
+	if !mappable || !fits {
+		return false
 	}
 	// Commit. Iteration order is insertion order, but the increments
 	// commute, so the resulting state matches the old map-based commit.

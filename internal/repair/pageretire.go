@@ -60,29 +60,17 @@ func (p *pageRetirePlanner) PlanNode(faults []*fault.Fault) *Plan {
 	lpp := p.linesPerPage()
 	for i, f := range faults {
 		fp := &plan.PerFault[i]
-		ranks := []int{f.Dev.Rank}
-		if f.MirrorRanks {
-			ranks = ranks[:0]
-			for r := 0; r < g.DIMMsPerChan; r++ {
-				ranks = append(ranks, r)
-			}
-		}
-		// Analytic bound: every spanned line could be in its own frame.
-		var analytic int64
-		for _, e := range f.Extents {
-			analytic += e.LineCount(g, g.ColumnsPerBlk) * int64(len(ranks))
-		}
-		// Minimum possible loss: perfect packing of 64B lines into frames
-		// still costs analytic*64 bytes; beyond the budget, skip the
-		// enumeration entirely.
-		if analytic*64 > p.maxLossBytes {
+		// Minimum possible loss: perfect packing of the fault's 64B lines
+		// into frames; beyond the budget, skip the enumeration entirely.
+		if f.LineCount(g, g.ColumnsPerBlk)*64 > p.maxLossBytes {
 			fp.Mappable = false
 			plan.AllMappable = false
 			continue
 		}
 		var pages int64
 		newPages := make(map[uint64]struct{})
-		for _, rank := range ranks {
+		lo, hi := f.Ranks(g)
+		for rank := lo; rank < hi; rank++ {
 			for _, e := range f.Extents {
 				e.ForEachLine(g, g.ColumnsPerBlk, func(bank, row, cb int) bool {
 					loc := dram.Location{Channel: f.Dev.Channel, Rank: rank, Bank: bank, Row: row, ColBlock: cb}
@@ -139,22 +127,12 @@ func (p *pageRetirePlanner) TryRepair(st NodeState, f *fault.Fault, _ int) bool 
 	s := st.(*prState)
 	g := p.mapper.Geometry()
 	lpp := p.linesPerPage()
-	ranks := []int{f.Dev.Rank}
-	if f.MirrorRanks {
-		ranks = ranks[:0]
-		for r := 0; r < g.DIMMsPerChan; r++ {
-			ranks = append(ranks, r)
-		}
-	}
-	var analytic int64
-	for _, e := range f.Extents {
-		analytic += e.LineCount(g, g.ColumnsPerBlk) * int64(len(ranks))
-	}
-	if analytic*64 > p.maxLossBytes {
+	if f.LineCount(g, g.ColumnsPerBlk)*64 > p.maxLossBytes {
 		return false
 	}
 	newPages := make(map[uint64]struct{})
-	for _, rank := range ranks {
+	lo, hi := f.Ranks(g)
+	for rank := lo; rank < hi; rank++ {
 		for _, e := range f.Extents {
 			e.ForEachLine(g, g.ColumnsPerBlk, func(bank, row, cb int) bool {
 				loc := dram.Location{Channel: f.Dev.Channel, Rank: rank, Bank: bank, Row: row, ColBlock: cb}

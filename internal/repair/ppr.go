@@ -23,13 +23,12 @@ type pprPlanner struct {
 }
 
 // pprScratch is the reusable working state of one PlanNodeInto/TryRepair
-// call: the per-node fused-spares tally, the candidate fault's demand, and
-// its target ranks. Maps are cleared, not reallocated, so steady-state
-// planning allocates nothing.
+// call: the per-node fused-spares tally and the candidate fault's demand.
+// Maps are cleared, not reallocated, so steady-state planning allocates
+// nothing.
 type pprScratch struct {
-	used  map[pprGroupKey]int
-	need  map[pprGroupKey]int
-	ranks []int
+	used map[pprGroupKey]int
+	need map[pprGroupKey]int
 }
 
 func (p *pprPlanner) scratch() *pprScratch {
@@ -121,14 +120,7 @@ func (p *pprPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 func (p *pprPlanner) sparesNeeded(f *fault.Fault, sc *pprScratch) bool {
 	clear(sc.need)
 	need := sc.need
-	ranks := append(sc.ranks[:0], f.Dev.Rank)
-	if f.MirrorRanks {
-		ranks = ranks[:0]
-		for r := 0; r < p.geo.DIMMsPerChan; r++ {
-			ranks = append(ranks, r)
-		}
-	}
-	sc.ranks = ranks
+	lo, hi := f.Ranks(p.geo)
 	for _, e := range f.Extents {
 		rows := e.Rows.Count(p.geo.Rows)
 		if rows > p.sparesPerGroup*p.banksPerGroup {
@@ -136,7 +128,7 @@ func (p *pprPlanner) sparesNeeded(f *fault.Fault, sc *pprScratch) bool {
 			// rows per bank; reject early (also catches All-rows).
 			return false
 		}
-		for _, rank := range ranks {
+		for rank := lo; rank < hi; rank++ {
 			for b := e.BankLo; b <= e.BankHi; b++ {
 				dev := f.Dev
 				dev.Rank = rank

@@ -18,6 +18,7 @@
 package repair
 
 import (
+	"slices"
 	"sync"
 
 	"relaxfault/internal/addrmap"
@@ -33,9 +34,6 @@ type FaultPlan struct {
 	// Lines is the number of repair cachelines the fault needs (after
 	// dedup against lines the node already uses); 0 for PPR.
 	Lines int64
-	// Sets lists the LLC set index of each of those lines (with
-	// multiplicity, before dedup across faults); nil for PPR.
-	Sets []int32
 	// SpareRows, for PPR, is the number of (device, bank-group) spare rows
 	// the fault consumes.
 	SpareRows int
@@ -74,50 +72,6 @@ func (p *Plan) RepairableUnder(wayLimit int) bool {
 	return p.MaxWaysPerSet <= wayLimit
 }
 
-// GreedyUnder selects faults in input order (arrival order), repairing each
-// fault whose lines still fit under the way limit given previously selected
-// faults. It returns the per-fault repaired flags and the lines consumed.
-// This models the incremental repair-at-fault-arrival policy the
-// reliability simulation uses when a node is not fully repairable.
-func (p *Plan) GreedyUnder(wayLimit int) (repaired []bool, lines int64) {
-	repaired = make([]bool, len(p.PerFault))
-	if wayLimit <= 0 {
-		return repaired, 0
-	}
-	load := make(map[int32]int32)
-	extra := make(map[int32]int32)
-	for i, fp := range p.PerFault {
-		if !fp.Mappable {
-			continue
-		}
-		if fp.Sets == nil { // PPR handled by its own planner
-			repaired[i] = true
-			continue
-		}
-		// Tally this fault's own per-set demand, then test and commit.
-		clear(extra)
-		for _, s := range fp.Sets {
-			extra[s]++
-		}
-		ok := true
-		for s, n := range extra {
-			if int(load[s]+n) > wayLimit {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for s, n := range extra {
-			load[s] += n
-		}
-		repaired[i] = true
-		lines += int64(len(fp.Sets))
-	}
-	return repaired, lines
-}
-
 // Planner plans node-level repairs.
 type Planner interface {
 	Name() string
@@ -126,7 +80,7 @@ type Planner interface {
 }
 
 // ReusablePlanner is implemented by planners that can plan into a
-// caller-owned Plan, recycling its PerFault and Sets backings. The batched
+// caller-owned Plan, recycling its PerFault backing. The batched
 // Monte Carlo kernels keep one Plan per (worker, planner) so steady-state
 // planning allocates nothing.
 type ReusablePlanner interface {
@@ -148,31 +102,11 @@ func PlanInto(p Planner, plan *Plan, faults []*fault.Fault) *Plan {
 	return p.PlanNode(faults)
 }
 
-// reset rewinds a reused Plan for n faults, keeping each PerFault slot's
-// Sets backing so repeated planning does not reallocate line lists.
+// reset rewinds a reused Plan for n faults, keeping its PerFault backing.
 func (p *Plan) reset(engine string, n int, llc bool) {
-	p.Engine = engine
-	p.AllMappable = true
-	p.TotalLines = 0
-	p.Bytes = 0
-	p.MaxWaysPerSet = 0
-	p.llcPlan = llc
-	if cap(p.PerFault) < n {
-		grown := make([]FaultPlan, n)
-		// Carry the recycled Sets backings into the grown slice.
-		for i, fp := range p.PerFault {
-			grown[i].Sets = fp.Sets
-		}
-		p.PerFault = grown
-	}
-	p.PerFault = p.PerFault[:n]
-	for i := range p.PerFault {
-		sets := p.PerFault[i].Sets
-		if sets != nil {
-			sets = sets[:0]
-		}
-		p.PerFault[i] = FaultPlan{Sets: sets}
-	}
+	perFault := slices.Grow(p.PerFault[:0], n)[:n]
+	clear(perFault)
+	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc}
 }
 
 // lineKey identifies one repair cacheline uniquely across the node.
@@ -181,10 +115,12 @@ type lineKey struct {
 	tag uint64
 }
 
-// llcPlanner is the shared machinery of RelaxFault and FreeFault: both
+// LLCPlanner is the shared machinery of RelaxFault and FreeFault: both
 // enumerate repair lines per fault, differing only in how a faulty
-// (device, bank, row, column-block) maps to an LLC (set, tag).
-type llcPlanner struct {
+// (device, bank, row, column-block) maps to an LLC (set, tag). ForEachLine
+// is the one place that decides where a fault's repair lines go; the
+// planners and core.Controller all allocate through it.
+type LLCPlanner struct {
 	name   string
 	mapper *addrmap.Mapper
 	// colsPerGroup is the column granularity one repair line covers for a
@@ -208,17 +144,16 @@ type planScratch struct {
 	seen    lineSet
 	load    []int32 // dense per-set line count, cleared via touched
 	touched []int32
-	ranks   []int // target ranks of the fault under enumeration
 }
 
-func (p *llcPlanner) scratch() *planScratch {
+func (p *LLCPlanner) scratch() *planScratch {
 	if sc, ok := p.scratchPool.Get().(*planScratch); ok {
 		return sc
 	}
 	return &planScratch{load: make([]int32, 1<<p.mapper.SetBits())}
 }
 
-func (p *llcPlanner) release(sc *planScratch) {
+func (p *LLCPlanner) release(sc *planScratch) {
 	for _, set := range sc.touched {
 		sc.load[set] = 0
 	}
@@ -240,13 +175,13 @@ type RelaxFaultOptions struct {
 
 // NewRelaxFault returns the RelaxFault planner for the given mapper and LLC
 // way count.
-func NewRelaxFault(m *addrmap.Mapper, llcWays int) Planner {
+func NewRelaxFault(m *addrmap.Mapper, llcWays int) *LLCPlanner {
 	return NewRelaxFaultAblated(m, llcWays, RelaxFaultOptions{})
 }
 
 // NewRelaxFaultAblated returns a RelaxFault planner with selected design
 // choices disabled (ablation studies).
-func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions) Planner {
+func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions) *LLCPlanner {
 	g := m.Geometry()
 	name := "RelaxFault"
 	colsPerGroup := g.ColumnsPerBlk * addrmap.SubBlocksPerLine
@@ -260,7 +195,7 @@ func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions
 		index = m.RFIndexNoSpread
 	}
 	setMask := (int64(1) << m.SetBits()) - 1
-	return &llcPlanner{
+	return &LLCPlanner{
 		name:         name,
 		mapper:       m,
 		colsPerGroup: colsPerGroup,
@@ -293,13 +228,13 @@ func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions
 
 // NewFreeFault returns the FreeFault planner. hash selects whether the LLC
 // applies XOR set-index hashing (Figure 8 evaluates both).
-func NewFreeFault(m *addrmap.Mapper, llcWays int, hash bool) Planner {
+func NewFreeFault(m *addrmap.Mapper, llcWays int, hash bool) *LLCPlanner {
 	name := "FreeFault"
 	if hash {
 		name = "FreeFault+hash"
 	}
 	g := m.Geometry()
-	return &llcPlanner{
+	return &LLCPlanner{
 		name:         name,
 		mapper:       m,
 		colsPerGroup: g.ColumnsPerBlk,
@@ -318,70 +253,81 @@ func NewFreeFault(m *addrmap.Mapper, llcWays int, hash bool) Planner {
 	}
 }
 
-func (p *llcPlanner) Name() string { return p.name }
+func (p *LLCPlanner) Name() string { return p.name }
 
 // PlanNode enumerates, for each fault, the deduplicated repair lines it
 // adds on top of earlier faults (FreeFault lines repair all devices of a
 // location at once; RelaxFault lines are per device, and the key includes
 // the device, so lines shared between faults on the same device dedup too).
-func (p *llcPlanner) PlanNode(faults []*fault.Fault) *Plan {
+func (p *LLCPlanner) PlanNode(faults []*fault.Fault) *Plan {
 	plan := &Plan{}
 	p.PlanNodeInto(plan, faults)
 	return plan
 }
 
+// ForEachLine calls fn for every repair line of f, across every rank f
+// applies to, until fn returns false: fn gets the line group of f's device
+// the line covers (rank, bank, row, column group) and the line's LLC (set,
+// tag). It returns false without calling fn when f needs more lines than
+// the whole LLC holds: such a fault is unmappable under any way limit, so
+// it is not enumerated.
+//
+// This runs per line in the Monte Carlo kernels, so it costs two indirect
+// calls per line (target and fn): it walks each extent's rows itself rather
+// than nesting fn inside Extent.ForEachLine's callback, and passes the line
+// as scalars, since a six-field struct argument is not kept in registers.
+// Either of those costs slowed the coverage kernel by 20-40% on a 2-vCPU
+// x86-64 host.
+func (p *LLCPlanner) ForEachLine(f *fault.Fault, fn func(rank, bank, row, cg int, set int32, tag uint64) bool) bool {
+	g := p.mapper.Geometry()
+	if f.LineCount(g, p.colsPerGroup) > p.maxEnumerate {
+		return false
+	}
+	lo, hi := f.Ranks(g)
+	for rank := lo; rank < hi; rank++ {
+		for _, e := range f.Extents {
+			cgLo, cgHi := e.ColLo/p.colsPerGroup, e.ColHi/p.colsPerGroup
+			for bank := e.BankLo; bank <= e.BankHi; bank++ {
+				more := true
+				e.Rows.ForEach(g.Rows, func(row int) bool {
+					for cg := cgLo; cg <= cgHi && more; cg++ {
+						set, tag := p.target(f, rank, bank, row, cg)
+						more = fn(rank, bank, row, cg, set, tag)
+					}
+					return more
+				})
+				if !more {
+					return true
+				}
+			}
+		}
+	}
+	return true
+}
+
 // PlanNodeInto implements ReusablePlanner: identical results to PlanNode,
 // planning into a caller-owned Plan whose buffers are recycled.
-func (p *llcPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
-	g := p.mapper.Geometry()
+func (p *LLCPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	plan.reset(p.name, len(faults), true)
 	sc := p.scratch()
 	defer p.release(sc)
-	seen := &sc.seen
-	seen.reset()
+	sc.seen.reset()
 	for i, f := range faults {
 		fp := &plan.PerFault[i]
-		fp.Mappable = true
-		// Which ranks does the fault apply to?
-		ranks := append(sc.ranks[:0], f.Dev.Rank)
-		if f.MirrorRanks {
-			ranks = ranks[:0]
-			for r := 0; r < g.DIMMsPerChan; r++ {
-				ranks = append(ranks, r)
+		fp.Mappable = p.ForEachLine(f, func(_, _, _, _ int, set int32, tag uint64) bool {
+			if !sc.seen.insert(lineKey{set: set, tag: tag}) {
+				return true
 			}
-		}
-		sc.ranks = ranks
-		// Fast reject: analytic line count beyond the whole LLC.
-		var analytic int64
-		for _, e := range f.Extents {
-			analytic += e.LineCount(g, p.colsPerGroup) * int64(len(ranks))
-		}
-		if analytic > p.maxEnumerate {
-			fp.Mappable = false
-			plan.AllMappable = false
-			continue
-		}
-		for _, rank := range ranks {
-			for _, e := range f.Extents {
-				e.ForEachLine(g, p.colsPerGroup, func(bank, row, cg int) bool {
-					set, tag := p.target(f, rank, bank, row, cg)
-					if !seen.insert(lineKey{set: set, tag: tag}) {
-						return true
-					}
-					fp.Lines++
-					fp.Sets = append(fp.Sets, set)
-					if sc.load[set] == 0 {
-						sc.touched = append(sc.touched, set)
-					}
-					sc.load[set]++
-					if int(sc.load[set]) > plan.MaxWaysPerSet {
-						plan.MaxWaysPerSet = int(sc.load[set])
-					}
-					return true
-				})
+			fp.Lines++
+			if sc.load[set] == 0 {
+				sc.touched = append(sc.touched, set)
 			}
-		}
+			sc.load[set]++
+			plan.MaxWaysPerSet = max(plan.MaxWaysPerSet, int(sc.load[set]))
+			return true
+		})
+		plan.AllMappable = plan.AllMappable && fp.Mappable
 		plan.TotalLines += fp.Lines
 	}
-	plan.Bytes = plan.TotalLines * int64(g.LineBytes)
+	plan.Bytes = plan.TotalLines * int64(p.mapper.Geometry().LineBytes)
 }

@@ -138,6 +138,18 @@ func TestDedupAcrossFaults(t *testing.T) {
 	}
 }
 
+// lineSets returns the LLC sets of f's repair lines under p.
+func lineSets(p *LLCPlanner, f *fault.Fault) map[int32]bool {
+	sets := map[int32]bool{}
+	p.ForEachLine(f, func(_, _, _, _ int, set int32, _ uint64) bool {
+		sets[set] = true
+		return true
+	})
+	return sets
+}
+
+// TestGreedyUnderPartialRepair: at a 1-way limit, arrival-order repair
+// keeps the first of two faults that collide in a set and skips the second.
 func TestGreedyUnderPartialRepair(t *testing.T) {
 	m := mapper(t)
 	rf := NewRelaxFault(m, 16)
@@ -146,15 +158,12 @@ func TestGreedyUnderPartialRepair(t *testing.T) {
 	// first row on another bank whose remap lines collide with f1's.
 	d := dev(0, 0, 2)
 	f1 := rowFault(d, 1, 1000)
-	f1Sets := map[int32]bool{}
-	for _, s := range rf.PlanNode([]*fault.Fault{f1}).PerFault[0].Sets {
-		f1Sets[s] = true
-	}
+	f1Sets := lineSets(rf, f1)
 	var f2 *fault.Fault
 search:
 	for r := 0; r < m.Geometry().Rows; r++ {
 		cand := rowFault(d, 2, r)
-		for _, s := range rf.PlanNode([]*fault.Fault{cand}).PerFault[0].Sets {
+		for s := range lineSets(rf, cand) {
 			if f1Sets[s] {
 				f2 = cand
 				break search
@@ -165,25 +174,28 @@ search:
 		t.Fatal("no colliding row found (mapping too perfect to be real)")
 	}
 	f3 := rowFault(d, 3, 9)
-	plan := rf.PlanNode([]*fault.Fault{f1, f2, f3})
+	faults := []*fault.Fault{f1, f2, f3}
+	plan := rf.PlanNode(faults)
 	if plan.RepairableUnder(1) {
 		t.Fatal("conflicting rows should exceed 1 way")
 	}
 	if !plan.RepairableUnder(2) {
 		t.Fatal("two ways should suffice")
 	}
-	repaired, lines := plan.GreedyUnder(1)
-	if !repaired[0] {
-		t.Error("first fault should always be repaired")
+	st := rf.NewState()
+	var repaired []*fault.Fault
+	for _, f := range faults {
+		if rf.TryRepair(st, f, 1) {
+			repaired = append(repaired, f)
+		}
 	}
-	if repaired[1] {
+	if len(repaired) == 0 || repaired[0] != f1 {
+		t.Fatal("first fault should always be repaired")
+	}
+	if len(repaired) > 1 && repaired[1] == f2 {
 		t.Error("colliding second fault should be skipped at 1 way")
 	}
-	want := int64(16)
-	if repaired[2] {
-		want += 16
-	}
-	if lines != want {
+	if lines, want := rf.PlanNode(repaired).TotalLines, int64(16*len(repaired)); lines != want {
 		t.Errorf("greedy lines %d, want %d", lines, want)
 	}
 }
@@ -247,8 +259,12 @@ func TestPPRSemantics(t *testing.T) {
 }
 
 // TestIncrementalMatchesBatchGreedy: TryRepair in arrival order must agree
-// with PlanNode + GreedyUnder on random fault sets — the equivalence the
-// reliability simulator relies on.
+// with batch planning on random fault sets — the equivalence the
+// reliability simulator relies on. For RelaxFault and FreeFault the batch
+// reference repairs a fault when PlanNode of the faults repaired so far
+// plus that fault fits the way limit (core's planner-vs-controller
+// differential checks both against functional repair); for PPR it is
+// PlanNode's per-fault Mappable, which allocates spares in arrival order.
 func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 	m := mapper(t)
 	g := m.Geometry()
@@ -257,11 +273,6 @@ func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(21)
-	planners := []Incremental{
-		NewRelaxFault(m, 16).(Incremental),
-		NewFreeFault(m, 16, true).(Incremental),
-		NewPPR(g).(Incremental),
-	}
 	tested := 0
 	for tested < 60 {
 		nf := model.SampleNode(rng)
@@ -270,18 +281,28 @@ func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 			continue
 		}
 		tested++
-		for _, p := range planners {
+		for _, p := range []*LLCPlanner{NewRelaxFault(m, 16), NewFreeFault(m, 16, true)} {
 			for _, way := range []int{1, 4, 16} {
-				plan := p.PlanNode(perm)
-				batch, _ := plan.GreedyUnder(way)
 				st := p.NewState()
+				var repaired []*fault.Fault
 				for i, f := range perm {
-					inc := p.TryRepair(st, f, way)
-					if inc != batch[i] {
+					batch := p.PlanNode(append(repaired[:len(repaired):len(repaired)], f)).RepairableUnder(way)
+					if inc := p.TryRepair(st, f, way); inc != batch {
 						t.Fatalf("%s way %d fault %d (%v): incremental %v, batch %v",
-							p.Name(), way, i, f.Mode, inc, batch[i])
+							p.Name(), way, i, f.Mode, inc, batch)
+					}
+					if batch {
+						repaired = append(repaired, f)
 					}
 				}
+			}
+		}
+		ppr := NewPPR(g).(Incremental)
+		plan := ppr.PlanNode(perm)
+		st := ppr.NewState()
+		for i, f := range perm {
+			if inc := ppr.TryRepair(st, f, 1); inc != plan.PerFault[i].Mappable {
+				t.Fatalf("PPR fault %d (%v): incremental %v, batch %v", i, f.Mode, inc, plan.PerFault[i].Mappable)
 			}
 		}
 	}
@@ -327,10 +348,13 @@ func TestCapacityOrderingRFvsFF(t *testing.T) {
 func TestGreedyZeroWayLimit(t *testing.T) {
 	m := mapper(t)
 	rf := NewRelaxFault(m, 16)
-	plan := rf.PlanNode([]*fault.Fault{bitFault(dev(0, 0, 0), 0, 0, 0)})
-	repaired, lines := plan.GreedyUnder(0)
-	if repaired[0] || lines != 0 {
+	f := bitFault(dev(0, 0, 0), 0, 0, 0)
+	st := rf.NewState()
+	if rf.TryRepair(st, f, 0) {
 		t.Error("zero way limit repaired something")
+	}
+	if !rf.TryRepair(st, f, 1) {
+		t.Error("a rejected repair left state behind")
 	}
 }
 
