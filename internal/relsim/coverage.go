@@ -395,8 +395,10 @@ func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo
 	for i := lo; i < hi; i++ {
 		cfg.coverageTrial(model, fk, i, ch, sc)
 	}
-	// Sort capacity samples so the chunk payload (and any diff of two
-	// checkpoints) is independent of planner-internal map iteration.
+	// The capacity samples arrive in node order, which is deterministic;
+	// they are sorted because the chunk payload bytes are part of the
+	// contract (campaign logs, equiv goldens, bench digests) and have
+	// always held them sorted.
 	for c := range ch.Curves {
 		sort.Float64s(ch.Curves[c].Caps)
 	}

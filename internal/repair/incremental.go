@@ -23,37 +23,28 @@ type Incremental interface {
 	NewState() NodeState
 	// TryRepair attempts to repair f on top of the repairs recorded in st
 	// under the per-set way limit. On success the state is updated and
-	// true is returned; on failure the state is unchanged.
+	// true is returned; on failure the state is unchanged. The state keeps
+	// the accepted faults until Reset, so they must not change until then.
 	TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool
 }
 
-// llcState is the incremental state of the LLC-based planners. The per-set
-// counters are dense arrays (one slot per LLC set) cleared through touched
-// lists, and the line sets reuse their tables across faults and Resets, so
-// steady-state TryRepair calls allocate nothing.
+// llcState is the incremental state of the LLC-based planners: the
+// accepted faults and their per-set load, which new lines dedup against.
+// The per-set tables are dense (one slot per LLC set) and cleared through
+// the sets they touched, so steady-state TryRepair calls allocate nothing.
 type llcState struct {
-	seen        lineSet // lines committed by accepted repairs
-	load        []int32 // committed per-set line count
-	loadTouched []int32
-	// Per-call working state for the candidate fault.
-	newSeen       lineSet
-	demand        []int32
-	demandTouched []int32
+	placed
+	demand setLoad // the candidate fault's new lines per set
 }
 
 // Reset implements NodeState.
-func (s *llcState) Reset() {
-	s.seen.reset()
-	for _, set := range s.loadTouched {
-		s.load[set] = 0
-	}
-	s.loadTouched = s.loadTouched[:0]
-}
+func (s *llcState) Reset() { s.reset(len(s.load.n)) }
 
 // NewState implements Incremental.
 func (p *LLCPlanner) NewState() NodeState {
-	n := 1 << p.mapper.SetBits()
-	return &llcState{load: make([]int32, n), demand: make([]int32, n)}
+	s := &llcState{}
+	s.reset(1 << p.mapper.SetBits())
+	return s
 }
 
 // TryRepair implements Incremental for RelaxFault and FreeFault.
@@ -62,38 +53,19 @@ func (p *LLCPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool 
 	if wayLimit <= 0 {
 		return false
 	}
-	// First pass: collect the fault's new lines and per-set demand,
-	// deduplicating both against prior repairs and within the fault.
-	s.newSeen.reset()
-	for _, set := range s.demandTouched {
-		s.demand[set] = 0
-	}
-	s.demandTouched = s.demandTouched[:0]
+	s.demand.reset(len(s.load.n))
 	fits := true
-	mappable := p.ForEachLine(f, func(_, _, _, _ int, set int32, tag uint64) bool {
-		k := lineKey{set: set, tag: tag}
-		if s.seen.has(k) || !s.newSeen.insert(k) {
-			return true
-		}
-		if s.demand[set] == 0 {
-			s.demandTouched = append(s.demandTouched, set)
-		}
-		s.demand[set]++
-		fits = int(s.load[set]+s.demand[set]) <= wayLimit
+	mappable := p.walk(f, &s.placed, func(_, _, _, _ int, set int32, _ uint64) bool {
+		fits = int(s.load.n[set]+s.demand.add(set, 1)) <= wayLimit
 		return fits
 	})
 	if !mappable || !fits {
 		return false
 	}
-	// Commit. Iteration order is insertion order, but the increments
-	// commute, so the resulting state matches the old map-based commit.
-	for _, k := range s.newSeen.list {
-		s.seen.insert(k)
-		if s.load[k.set] == 0 {
-			s.loadTouched = append(s.loadTouched, k.set)
-		}
-		s.load[k.set]++
+	for _, set := range s.demand.touched {
+		s.load.add(set, s.demand.n[set])
 	}
+	s.faults = append(s.faults, f)
 	return true
 }
 

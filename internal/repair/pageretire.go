@@ -50,8 +50,8 @@ func (p *pageRetirePlanner) Name() string {
 func (p *pageRetirePlanner) linesPerPage() int64 { return p.pageBytes / 64 }
 
 // PlanNode computes the retired-frame footprint. The Plan reuses the LLC
-// plan structure with Bytes meaning lost DRAM capacity; Sets/MaxWaysPerSet
-// stay empty because way pressure does not apply.
+// plan structure with Bytes meaning lost DRAM capacity; MaxWaysPerSet stays
+// zero because way pressure does not apply.
 func (p *pageRetirePlanner) PlanNode(faults []*fault.Fault) *Plan {
 	plan := &Plan{Engine: p.Name(), AllMappable: true, PerFault: make([]FaultPlan, len(faults))}
 	seen := make(map[uint64]struct{})

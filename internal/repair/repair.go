@@ -19,7 +19,6 @@ package repair
 
 import (
 	"slices"
-	"sync"
 
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/dram"
@@ -57,6 +56,8 @@ type Plan struct {
 	// llcPlan marks plans produced by the LLC-based planners, whose repairs
 	// press on cache sets; PPR-style plans carry no set pressure.
 	llcPlan bool
+	// placed is the LLC planners' working state, kept across reuse.
+	placed placed
 }
 
 // RepairableUnder reports whether the node is *fully* repairable when the
@@ -106,13 +107,52 @@ func PlanInto(p Planner, plan *Plan, faults []*fault.Fault) *Plan {
 func (p *Plan) reset(engine string, n int, llc bool) {
 	perFault := slices.Grow(p.PerFault[:0], n)[:n]
 	clear(perFault)
-	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc}
+	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc, placed: p.placed}
 }
 
-// lineKey identifies one repair cacheline uniquely across the node.
-type lineKey struct {
-	set int32
-	tag uint64
+// setLoad counts lines per LLC set in a dense table, cleared through the
+// sets it touched.
+type setLoad struct {
+	n       []int32
+	touched []int32
+}
+
+// reset empties the table, sizing it for sets sets.
+func (l *setLoad) reset(sets int) {
+	for _, set := range l.touched {
+		l.n[set] = 0
+	}
+	l.touched = l.touched[:0]
+	if len(l.n) != sets {
+		l.n = make([]int32, sets)
+	}
+}
+
+// add adds k lines to set and returns its new count.
+func (l *setLoad) add(set, k int32) int32 {
+	if l.n[set] == 0 {
+		l.touched = append(l.touched, set)
+	}
+	l.n[set] += k
+	return l.n[set]
+}
+
+// placed is the line dedup of a planning pass. Every placement is
+// injective in the line group: (channel, rank, bank, row, column group),
+// plus the device for RelaxFault, whose RFIndex tag packs the whole key
+// (FreeFault's (set, tag) inverts to the line address). So a line repeats
+// exactly when an extent walked before it covers its line group, and the
+// walk tests extents, not lines: a walked extent checks its lines only
+// when it meets a placed one, and then only against those it meets.
+type placed struct {
+	faults []*fault.Fault // faults whose lines are placed
+	met    []fault.Extent // in line groups: what the walked extent meets
+	load   setLoad        // placed lines per set
+}
+
+func (d *placed) reset(sets int) {
+	d.faults = d.faults[:0]
+	d.load.reset(sets)
 }
 
 // LLCPlanner is the shared machinery of RelaxFault and FreeFault: both
@@ -127,38 +167,15 @@ type LLCPlanner struct {
 	// single device: 8 columns (one block) for FreeFault, 128 columns (16
 	// blocks) for RelaxFault.
 	colsPerGroup int
+	// perDevice is set when a line holds one device's data (RelaxFault),
+	// so faults on different devices never share a line.
+	perDevice bool
 	// target maps one faulty line group to its LLC placement.
 	target func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64)
 	// maxEnumerate bounds enumeration: a fault needing more lines than the
 	// entire LLC can hold is unmappable regardless of way limit, so there
 	// is no reason to enumerate it.
 	maxEnumerate int64
-	// scratchPool recycles PlanNode working state. Planners are shared by
-	// all simulation workers (CoverageStudy hands one planner to the whole
-	// pool), so the scratch must not live on the planner itself.
-	scratchPool sync.Pool
-}
-
-// planScratch is the reusable working state of one PlanNode call.
-type planScratch struct {
-	seen    lineSet
-	load    []int32 // dense per-set line count, cleared via touched
-	touched []int32
-}
-
-func (p *LLCPlanner) scratch() *planScratch {
-	if sc, ok := p.scratchPool.Get().(*planScratch); ok {
-		return sc
-	}
-	return &planScratch{load: make([]int32, 1<<p.mapper.SetBits())}
-}
-
-func (p *LLCPlanner) release(sc *planScratch) {
-	for _, set := range sc.touched {
-		sc.load[set] = 0
-	}
-	sc.touched = sc.touched[:0]
-	p.scratchPool.Put(sc)
 }
 
 // RelaxFaultOptions ablate individual design choices of the repair mapping
@@ -199,6 +216,7 @@ func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions
 		name:         name,
 		mapper:       m,
 		colsPerGroup: colsPerGroup,
+		perDevice:    true,
 		maxEnumerate: int64(1) << m.SetBits() * int64(llcWays),
 		target: func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
 			key := addrmap.RFKey{
@@ -272,27 +290,41 @@ func (p *LLCPlanner) PlanNode(faults []*fault.Fault) *Plan {
 // the whole LLC holds: such a fault is unmappable under any way limit, so
 // it is not enumerated.
 //
-// This runs per line in the Monte Carlo kernels, so it costs two indirect
-// calls per line (target and fn): it walks each extent's rows itself rather
-// than nesting fn inside Extent.ForEachLine's callback, and passes the line
-// as scalars, since a six-field struct argument is not kept in registers.
-// Either of those costs slowed the coverage kernel by 20-40% on a 2-vCPU
-// x86-64 host.
+// This runs per line in the Monte Carlo kernels, so a line costs two
+// indirect calls (target and fn) and, in the planners' dedup, a length test
+// of the met extents, which is zero for nearly every extent. It walks each
+// extent's rows itself rather than nesting fn inside Extent.ForEachLine's
+// callback, and passes the line as scalars, since a six-field struct
+// argument is not kept in registers. Either of those costs slowed the
+// coverage kernel by 20-40% on a 2-vCPU x86-64 host.
 func (p *LLCPlanner) ForEachLine(f *fault.Fault, fn func(rank, bank, row, cg int, set int32, tag uint64) bool) bool {
+	return p.walk(f, nil, fn)
+}
+
+// walk is ForEachLine. With d non-nil it skips every line that a fault
+// placed in d, or an earlier extent of f at the same rank, already covers,
+// so fn sees each new line once.
+func (p *LLCPlanner) walk(f *fault.Fault, d *placed, fn func(rank, bank, row, cg int, set int32, tag uint64) bool) bool {
 	g := p.mapper.Geometry()
 	if f.LineCount(g, p.colsPerGroup) > p.maxEnumerate {
 		return false
 	}
 	lo, hi := f.Ranks(g)
 	for rank := lo; rank < hi; rank++ {
-		for _, e := range f.Extents {
-			cgLo, cgHi := e.ColLo/p.colsPerGroup, e.ColHi/p.colsPerGroup
+		for i := range f.Extents {
+			e := p.groups(f.Extents[i])
+			var met []fault.Extent
+			if d != nil {
+				met = d.meet(p, f, e, i, rank)
+			}
 			for bank := e.BankLo; bank <= e.BankHi; bank++ {
 				more := true
 				e.Rows.ForEach(g.Rows, func(row int) bool {
-					for cg := cgLo; cg <= cgHi && more; cg++ {
-						set, tag := p.target(f, rank, bank, row, cg)
-						more = fn(rank, bank, row, cg, set, tag)
+					for cg := e.ColLo; cg <= e.ColHi && more; cg++ {
+						if len(met) == 0 || !covers(met, bank, row, cg) {
+							set, tag := p.target(f, rank, bank, row, cg)
+							more = fn(rank, bank, row, cg, set, tag)
+						}
 					}
 					return more
 				})
@@ -305,27 +337,67 @@ func (p *LLCPlanner) ForEachLine(f *fault.Fault, fn func(rank, bank, row, cg int
 	return true
 }
 
+// groups returns e with its columns replaced by the column groups they
+// span, the coordinates a line group is named in.
+func (p *LLCPlanner) groups(e fault.Extent) fault.Extent {
+	e.ColLo, e.ColHi = e.ColLo/p.colsPerGroup, e.ColHi/p.colsPerGroup
+	return e
+}
+
+// meet returns, in line groups, the extents that share a line group with e,
+// f's extent i at rank: those of the placed faults on f's channel that
+// cover rank (and, for RelaxFault, sit on f's device), and f's extents
+// before i. Two extents are tested once per walked extent, never per line.
+func (d *placed) meet(p *LLCPlanner, f *fault.Fault, e fault.Extent, i, rank int) []fault.Extent {
+	g := p.mapper.Geometry()
+	d.met = d.met[:0]
+	add := func(o fault.Extent) {
+		if o = p.groups(o); o.Intersects(e, g) {
+			d.met = append(d.met, o)
+		}
+	}
+	for _, pf := range d.faults {
+		lo, hi := pf.Ranks(g)
+		if pf.Dev.Channel == f.Dev.Channel && lo <= rank && rank < hi &&
+			(!p.perDevice || pf.Dev.Device == f.Dev.Device) {
+			for _, o := range pf.Extents {
+				add(o)
+			}
+		}
+	}
+	for _, o := range f.Extents[:i] {
+		add(o)
+	}
+	return d.met
+}
+
+// covers reports whether an extent of met covers the line group.
+func covers(met []fault.Extent, bank, row, cg int) bool {
+	for i := range met {
+		if met[i].Contains(bank, row, cg) {
+			return true
+		}
+	}
+	return false
+}
+
 // PlanNodeInto implements ReusablePlanner: identical results to PlanNode,
-// planning into a caller-owned Plan whose buffers are recycled.
+// planning into a caller-owned Plan whose buffers are recycled. A fault's
+// lines dedup against the earlier mappable faults.
 func (p *LLCPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	plan.reset(p.name, len(faults), true)
-	sc := p.scratch()
-	defer p.release(sc)
-	sc.seen.reset()
+	d := &plan.placed
+	d.reset(1 << p.mapper.SetBits())
 	for i, f := range faults {
 		fp := &plan.PerFault[i]
-		fp.Mappable = p.ForEachLine(f, func(_, _, _, _ int, set int32, tag uint64) bool {
-			if !sc.seen.insert(lineKey{set: set, tag: tag}) {
-				return true
-			}
+		fp.Mappable = p.walk(f, d, func(_, _, _, _ int, set int32, _ uint64) bool {
 			fp.Lines++
-			if sc.load[set] == 0 {
-				sc.touched = append(sc.touched, set)
-			}
-			sc.load[set]++
-			plan.MaxWaysPerSet = max(plan.MaxWaysPerSet, int(sc.load[set]))
+			plan.MaxWaysPerSet = max(plan.MaxWaysPerSet, int(d.load.add(set, 1)))
 			return true
 		})
+		if fp.Mappable {
+			d.faults = append(d.faults, f)
+		}
 		plan.AllMappable = plan.AllMappable && fp.Mappable
 		plan.TotalLines += fp.Lines
 	}

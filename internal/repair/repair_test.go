@@ -123,21 +123,6 @@ func TestWholeBankUnmappable(t *testing.T) {
 	}
 }
 
-func TestDedupAcrossFaults(t *testing.T) {
-	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
-	// Two bit faults in the same device row group share one remap line.
-	f1 := bitFault(dev(0, 0, 3), 1, 100, 5)
-	f2 := bitFault(dev(0, 0, 3), 1, 100, 6)
-	plan := rf.PlanNode([]*fault.Fault{f1, f2})
-	if plan.TotalLines != 1 {
-		t.Errorf("duplicate lines not coalesced: %d", plan.TotalLines)
-	}
-	if plan.PerFault[1].Lines != 0 {
-		t.Errorf("second fault charged %d new lines", plan.PerFault[1].Lines)
-	}
-}
-
 // lineSets returns the LLC sets of f's repair lines under p.
 func lineSets(p *LLCPlanner, f *fault.Fault) map[int32]bool {
 	sets := map[int32]bool{}
