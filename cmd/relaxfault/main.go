@@ -52,7 +52,7 @@
 // lists, inspects, and evicts store entries.
 //
 // Telemetry (see OBSERVABILITY.md): -metrics writes a run manifest with the
-// full metrics snapshot, -events streams JSONL progress/skip/run events, and
+// full metrics snapshot, -events streams JSONL progress/run events, and
 // -pprof serves net/http/pprof, expvar, Prometheus text metrics, and a live
 // GET /debug/status JSON snapshot (per-worker current chunk, trials/s, ETA,
 // journal health) while the run is live. -trace FILE records execution spans
@@ -61,10 +61,12 @@
 // scheduler-attribution report as the manifest's "trace" block, and prints
 // it as a table. Flags may appear before or after experiment names.
 //
+// A Monte Carlo trial that panics fails its experiment, with an error naming
+// the campaign section, chunk, trial and seed; relsim.ReplayNode reproduces
+// the trial.
+//
 // Exit codes: 0 success; 1 at least one experiment failed; 2 usage error;
-// 3 all experiments completed but some Monte Carlo trials were skipped
-// after panics (partial success — see the skip report on stderr), or a
-// journal verification found mismatched or unverifiable chunks;
+// 3 a journal verification found mismatched or unverifiable chunks;
 // 130 interrupted (SIGINT); 143 terminated (SIGTERM).
 package main
 
@@ -121,7 +123,7 @@ func parseFlags() (*options, []string) {
 	flag.BoolVar(&o.resume, "resume", false, "reopen the -checkpoint log and continue; the same flags and seed reproduce the uninterrupted output exactly")
 	flag.StringVar(&o.journal, "journal", "", "the campaign log `FILE` the verify subcommand replays (a run names its log with -checkpoint)")
 	flag.StringVar(&o.metrics, "metrics", "", "write the run manifest (config fingerprint, timings, metrics snapshot) to `FILE`; \"-\" prints JSON to stdout")
-	flag.StringVar(&o.events, "events", "", "append JSONL progress/skip/run events to `FILE`")
+	flag.StringVar(&o.events, "events", "", "append JSONL progress/run events to `FILE`")
 	flag.StringVar(&o.pprof, "pprof", "", "serve /debug/pprof, /debug/vars, Prometheus /metrics, and a live /debug/status snapshot (per-worker chunk, trials/s, ETA, journal health) on `ADDR`, e.g. localhost:6060")
 	flag.StringVar(&o.trace, "trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to `FILE`; the scheduler-attribution report lands in the manifest's \"trace\" block and is printed as a table")
 	flag.IntVar(&o.parallel, "parallel", 0, "Monte Carlo worker pool size (0 = all cores); any value yields bitwise-identical results")
@@ -399,7 +401,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 	var failures []string
 	interrupted := false
 	for i, p := range points {
-		done0, skip0, fail0, camp0 := mon.DoneTrials(), mon.Skipped(), len(failures), len(campRecs)
+		done0, fail0, camp0 := mon.DoneTrials(), len(failures), len(campRecs)
 		if ctx.Err() != nil {
 			interrupted = true
 		} else if err := runPoint(ctx, p, scale, o.timeout, mon, tracer); errors.Is(err, context.Canceled) && ctx.Err() != nil {
@@ -422,7 +424,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 				pm.Fingerprint = p.rec.Fingerprint
 			}
 			pm.TrialsDone = mon.DoneTrials() - done0
-			pm.TrialsSkipped = mon.Skipped() - skip0
 			pm.Campaigns = append([]harness.CampaignRecord(nil), campRecs[camp0:]...)
 			if len(failures) > fail0 {
 				pm.ExitCode = 1
@@ -476,12 +477,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 			fmt.Fprintf(os.Stderr, "  %s\n", f)
 		}
 		code = 1
-	case mon.Skipped() > 0:
-		fmt.Fprintf(os.Stderr, "relaxfault: completed with %d skipped trials (partial success):\n", mon.Skipped())
-		for _, s := range mon.Skips() {
-			fmt.Fprintf(os.Stderr, "  %s\n", s)
-		}
-		code = 3
 	}
 
 	// Trace export: close the campaign span, analyze the schedule, embed the
@@ -520,8 +515,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 	manifest.Scenarios = records
 	manifest.Campaigns = campRecs
 	manifest.TrialsDone = mon.DoneTrials()
-	manifest.TrialsSkipped = mon.Skipped()
-	manifest.Skips = mon.Skips()
 	manifest.ExitCode = code
 	manifest.Failures = failures
 	manifest.Finish()
@@ -803,8 +796,8 @@ under a key prefix (refusing keys a live run has claimed). "verify" replays a
 campaign log end to end from the campaign specs embedded in it, comparing
 chunk digests; it needs only the log file.
 
-exit codes: 0 ok; 1 experiment failure; 2 usage; 3 completed with skipped
-trials or journal verification mismatches; 130 interrupted (SIGINT);
-143 terminated (SIGTERM).
+exit codes: 0 ok; 1 experiment failure (a panicking trial fails its
+experiment); 2 usage; 3 journal verification mismatches; 130 interrupted
+(SIGINT); 143 terminated (SIGTERM).
 `)
 }

@@ -41,7 +41,7 @@ type Scale struct {
 	// fixed-index chunks with per-chunk RNG streams and reduced in chunk
 	// order.
 	Workers int
-	// Mon, if non-nil, receives progress/watchdog/skipped-trial events
+	// Mon, if non-nil, receives progress/watchdog events
 	// from the underlying Monte Carlo runs (set by cmd/relaxfault).
 	Mon *harness.Monitor
 	// Store, if non-nil, checkpoints the Monte Carlo runs so a killed

@@ -66,12 +66,13 @@ type Chunked[P any] struct {
 	Expect bool
 
 	// Decode adopts a checkpointed chunk covering [lo, hi); false
-	// recomputes it. It may account the adopted chunk (skips, counters).
+	// recomputes it. It may account the adopted chunk (counters).
 	Decode func(lo, hi int, raw json.RawMessage) (P, bool)
 	// Kernel returns a new per-worker chunk function computing trials
 	// [lo, hi). Each worker calls only its own, so it may keep
-	// unsynchronised scratch; it runs outside every lock.
-	Kernel func() func(lo, hi int) P
+	// unsynchronised scratch; it runs outside every lock. An error fails
+	// the run, and the worker whose kernel returned it claims nothing more.
+	Kernel func() func(lo, hi int) (P, error)
 	// Fold accumulates chunk ci in index order and reports whether ci is
 	// the cutoff: the last chunk the result needs. Chunks after the cutoff
 	// are never folded.
@@ -96,10 +97,14 @@ type Chunked[P any] struct {
 }
 
 // Run executes the campaign. On cancellation every computed chunk stays in
-// the log (a resumed run reuses them all) and ctx's error is returned; on
-// success every chunk up to the cutoff (or all of them) has been folded.
+// the log (a resumed run reuses them all) and ctx's error is returned. A
+// kernel error stops all claiming: chunks in flight finish and are logged,
+// and the first error is returned naming its section and chunk. On success
+// every chunk up to the cutoff (or all of them) has been folded.
 func (c *Chunked[P]) Run(ctx context.Context) error {
 	n := c.Chunks.Count()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	cp := c.Store.Section(c.Section, c.Fingerprint)
 
 	// Reduction and admission state, all under mu; chunk computation and
@@ -114,7 +119,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		}
 	})
 	red.SetLimit(n)
-	var foldErr error
+	var foldErr, kernelErr error
 	complete := func(ci int, p P) {
 		if err := red.Complete(ci, p); err != nil && foldErr == nil {
 			foldErr = err
@@ -195,7 +200,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		}
 	}
 
-	kernels := make([]func(lo, hi int) P, workers)
+	kernels := make([]func(lo, hi int) (P, error), workers)
 	eng := Engine{Workers: c.Workers, Mon: c.Mon, Trace: c.Trace}
 	eng.Run(ctx, len(todo), func(w, k int) (int64, bool) {
 		ci := todo[k]
@@ -211,7 +216,16 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 			kernels[w] = c.Kernel()
 		}
 		lo, hi := c.Chunks.Span(ci)
-		p := kernels[w](lo, hi)
+		p, err := kernels[w](lo, hi)
+		if err != nil {
+			mu.Lock()
+			if kernelErr == nil {
+				kernelErr = fmt.Errorf("harness: section %s chunk %d: %w", c.Section, ci, err)
+			}
+			mu.Unlock()
+			cancel() // stops every claim, and wakes claims waiting at the gate
+			return 0, false
+		}
 		mu.Lock()
 		complete(ci, p)
 		mu.Unlock()
@@ -225,6 +239,9 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		c.Trace.Span(w, runtrace.SpanCheckpoint, ci, 0, ckptStart)
 		return int64(hi - lo), true
 	})
+	if kernelErr != nil {
+		return kernelErr
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -2,7 +2,8 @@ package harness
 
 // Tests for the chunked-campaign driver on a toy payload: worker-count
 // invariance of results and view bytes, cutoff pruning, cancellation
-// keeping every computed chunk, resume, and the claim-admission gate.
+// keeping every computed chunk, a failing kernel failing the run, resume,
+// and the claim-admission gate.
 
 import (
 	"bytes"
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,8 +60,9 @@ type toyOpts struct {
 	stopAt  float64 // fold stops once the running total reaches it (0 = never)
 	gate    bool
 	waits   *obs.Counter
-	// hook runs inside the kernel before chunk [lo, hi) is computed.
-	hook func(lo int)
+	// hook runs inside the kernel before chunk [lo, hi) is computed; an
+	// error fails the chunk.
+	hook func(lo int) error
 }
 
 func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
@@ -74,10 +77,12 @@ func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 			}
 			return &ch, true
 		},
-		Kernel: func() func(lo, hi int) *toyChunk {
-			return func(lo, hi int) *toyChunk {
+		Kernel: func() func(lo, hi int) (*toyChunk, error) {
+			return func(lo, hi int) (*toyChunk, error) {
 				if o.hook != nil {
-					o.hook(lo)
+					if err := o.hook(lo); err != nil {
+						return nil, err
+					}
 				}
 				r.mu.Lock()
 				r.computed[lo]++
@@ -86,7 +91,7 @@ func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 				for i := lo; i < hi; i++ {
 					ch.Sum += 1 / float64(i+3)
 				}
-				return ch
+				return ch, nil
 			}
 		},
 		Fold: func(ci int, ch *toyChunk) bool {
@@ -142,10 +147,11 @@ func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
 	}
 	cutoff := ref.folded[len(ref.folded)-1]
 	r, err := runToy(context.Background(), store, toyOpts{workers: 4, trials: 4000, stopAt: 2.5,
-		hook: func(lo int) {
+		hook: func(lo int) error {
 			if lo == cutoff*16 {
 				time.Sleep(50 * time.Millisecond)
 			}
+			return nil
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +181,11 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r, err := runToy(ctx, openLogStore(t, path, false), toyOpts{workers: 3, trials: 4000, gate: true,
-		hook: func(lo int) {
+		hook: func(lo int) error {
 			if lo >= 10*16 {
 				cancel()
 			}
+			return nil
 		}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -195,6 +202,73 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	}
 	if len(stored) == 0 || len(stored) >= 4000/16 {
 		t.Errorf("log holds %d chunks, want a strict nonzero subset", len(stored))
+	}
+}
+
+func TestChunkedKernelErrorFailsRun(t *testing.T) {
+	const trials, bad = 4000, 20 // the kernel fails chunk 20 of 250
+	boom := errors.New("boom")
+	for _, gate := range []bool{false, true} {
+		ref := NewStore(nil)
+		want, err := runToy(context.Background(), ref, toyOpts{workers: 3, trials: trials, gate: gate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSnap, err := ref.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		path := filepath.Join(t.TempDir(), "cp.jsonl")
+		r, err := runToy(context.Background(), openLogStore(t, path, false), toyOpts{workers: 3, trials: trials, gate: gate,
+			hook: func(lo int) error {
+				if lo == bad*16 {
+					return boom
+				}
+				return nil
+			}})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "section toy chunk 20:") {
+			t.Fatalf("gate=%v: got %v, want the kernel error naming section toy chunk %d", gate, err, bad)
+		}
+		if n := len(r.computed); n >= trials/16 {
+			t.Errorf("gate=%v: computed %d chunks, want the run to stop short of all %d", gate, n, trials/16)
+		}
+		if len(r.folded) > bad {
+			t.Errorf("gate=%v: folded %d chunks, past the failed chunk %d", gate, len(r.folded), bad)
+		}
+
+		// Every chunk computed before the failure stays in the log; the
+		// failed one is not logged, and a resume without the fault
+		// computes it and matches an uninterrupted run.
+		store := openLogStore(t, path, true)
+		stored := map[int]bool{}
+		for _, ci := range store.Section("toy", "fp").Indexes() {
+			stored[ci] = true
+		}
+		for lo := range r.computed {
+			if !stored[lo/16] {
+				t.Errorf("gate=%v: computed chunk %d missing from the log", gate, lo/16)
+			}
+		}
+		if stored[bad] {
+			t.Errorf("gate=%v: the failed chunk was logged", gate)
+		}
+		got, err := runToy(context.Background(), store, toyOpts{workers: 3, trials: trials, gate: gate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := store.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.total != want.total || !bytes.Equal(snap, wantSnap) {
+			t.Errorf("gate=%v: resumed total %v (view equal: %v), want %v", gate, got.total, bytes.Equal(snap, wantSnap), want.total)
+		}
+		for lo, n := range got.computed {
+			if stored[lo/16] {
+				t.Errorf("gate=%v: logged chunk %d recomputed %d times on resume", gate, lo/16, n)
+			}
+		}
 	}
 }
 
@@ -247,10 +321,11 @@ func TestChunkedGateSurvivesSlowChunk(t *testing.T) {
 	go func() {
 		var err error
 		r, err = runToy(context.Background(), nil, toyOpts{workers: 4, trials: 2000, stopAt: 2.5, gate: true, waits: waits,
-			hook: func(lo int) {
+			hook: func(lo int) error {
 				if lo == 16 {
 					time.Sleep(50 * time.Millisecond)
 				}
+				return nil
 			}})
 		done <- err
 	}()

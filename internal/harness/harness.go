@@ -4,8 +4,7 @@
 // paper-scale run needs to survive in practice:
 //
 //   - a Monitor that tracks trial throughput, prints progress/ETA lines on
-//     stderr, raises a watchdog warning when workers stall, and accounts for
-//     trials skipped after an isolated panic;
+//     stderr, and raises a watchdog warning when workers stall;
 //   - a checkpoint Store (see checkpoint.go), the in-memory view over a
 //     campaign's one append-only log (package journal): every completed
 //     work chunk is logged with its payload, so a killed run rebuilds the
@@ -14,9 +13,8 @@
 //     lets in-flight chunks finish and checkpoint before the process exits.
 //
 // The package deliberately knows nothing about DRAM or repair planning: it
-// deals only in chunks (opaque JSON payloads keyed by index), trials
-// (monotone counters), and skips (reproduction records). Both relsim.Run and
-// relsim.CoverageStudy are clients.
+// deals only in chunks (opaque JSON payloads keyed by index) and trials
+// (monotone counters). Both relsim.Run and relsim.CoverageStudy are clients.
 package harness
 
 import (
@@ -28,31 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Skip records one Monte Carlo trial that was abandoned after a panic and an
-// unsuccessful retry. Trial and Seed pin down the exact random stream: a run
-// with the same configuration and Seed replays trial Trial identically (see
-// relsim.ReplayNode), so one record suffices to reproduce the crash.
-type Skip struct {
-	// Experiment labels the run the skip occurred in (CLI experiment name
-	// or caller-chosen tag); empty when the caller set none.
-	Experiment string `json:"experiment,omitempty"`
-	// Trial is the global trial (node) index within the run.
-	Trial int `json:"trial"`
-	// Seed is the run's root RNG seed.
-	Seed uint64 `json:"seed"`
-	// Err is the recovered panic message.
-	Err string `json:"err"`
-}
-
-func (s Skip) String() string {
-	return fmt.Sprintf("trial %d (seed %d): %s", s.Trial, s.Seed, s.Err)
-}
-
-// MaxSkipRecords bounds how many Skip records a single run keeps; beyond
-// this only the count grows. One record is enough to reproduce, a few help
-// spot patterns, and an unbounded list could dwarf the results themselves.
-const MaxSkipRecords = 16
 
 // Monitor aggregates progress across one or more simulator runs and
 // periodically reports it. All methods are safe for concurrent use and safe
@@ -67,13 +40,11 @@ type Monitor struct {
 
 	start        time.Time
 	expected     atomic.Int64 // trials planned (grows as runs are added)
-	done         atomic.Int64 // trials finished (including skipped)
-	skipped      atomic.Int64
+	done         atomic.Int64 // trials finished
 	lastAdvance  atomic.Int64 // unix nanos of the last completed chunk
 	stallWarned  atomic.Bool
 	mu           sync.Mutex
 	label        string
-	skips        []Skip
 	stopReporter chan struct{}
 	reporterDone chan struct{}
 
@@ -91,14 +62,14 @@ type Monitor struct {
 	workerTrials []int64
 	workersStart time.Time
 
-	// outMu serialises every write to out. Progress lines, skip reports,
-	// and warnings race from the reporter goroutine and all workers; each
-	// message is assembled off-lock and written in a single call so lines
-	// never interleave mid-way.
+	// outMu serialises every write to out. Progress lines and warnings
+	// race from the reporter goroutine and all workers; each message is
+	// assembled off-lock and written in a single call so lines never
+	// interleave mid-way.
 	outMu sync.Mutex
 
 	// events, when set, receives one JSON object per line for machine
-	// consumption (progress samples, skips, caller-defined run events).
+	// consumption (progress samples, caller-defined run events).
 	evMu   sync.Mutex
 	events io.Writer
 }
@@ -213,7 +184,7 @@ func (m *Monitor) WorkerDone(w int, n int64) {
 }
 
 // logf writes one complete line to the monitor's writer under outMu, so
-// concurrent progress lines, warnings, and skip reports never interleave.
+// concurrent progress lines and warnings never interleave.
 func (m *Monitor) logf(format string, args ...any) {
 	if m == nil || m.out == nil {
 		return
@@ -270,39 +241,6 @@ func (m *Monitor) Event(typ string, fields map[string]any) {
 	m.evMu.Unlock()
 }
 
-// RecordSkip accounts for one abandoned trial and emits a warning line. Only
-// the first MaxSkipRecords records are retained.
-func (m *Monitor) RecordSkip(s Skip) {
-	if m == nil {
-		return
-	}
-	m.skipped.Add(1)
-	m.mu.Lock()
-	if s.Experiment == "" {
-		s.Experiment = m.label
-	}
-	if len(m.skips) < MaxSkipRecords {
-		m.skips = append(m.skips, s)
-	}
-	m.mu.Unlock()
-	m.logf("harness: skipped %s", s)
-	m.Event("skip", map[string]any{
-		"experiment": s.Experiment,
-		"trial":      s.Trial,
-		"seed":       s.Seed,
-		"err":        s.Err,
-	})
-}
-
-// AddSkipped accounts n additional abandoned trials for which no record is
-// retained (e.g. counts reloaded from a checkpoint beyond the record cap).
-func (m *Monitor) AddSkipped(n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.skipped.Add(n)
-}
-
 // Warnf prints one warning line to the monitor's writer (dropped when the
 // monitor is nil or has no writer). Simulators use it for conditions that
 // must not abort a long campaign, like checkpoint I/O failures.
@@ -310,25 +248,10 @@ func (m *Monitor) Warnf(format string, args ...any) {
 	m.logf("harness: warning: "+format, args...)
 }
 
-// Skipped returns the total number of abandoned trials observed so far.
-func (m *Monitor) Skipped() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.skipped.Load()
-}
-
-// Skips returns a copy of the retained skip records.
-func (m *Monitor) Skips() []Skip {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Skip, len(m.skips))
-	copy(out, m.skips)
-	return out
-}
+// Skipped returns 0: no trial is ever skipped, because a panicking trial
+// fails its run. It stays because the benchmark module (bench/measure.go)
+// still checks it after every leg.
+func (m *Monitor) Skipped() int64 { return 0 }
 
 // DoneTrials returns the number of finished trials.
 func (m *Monitor) DoneTrials() int64 {
@@ -404,10 +327,6 @@ func (m *Monitor) report(now time.Time) {
 	case done > 0:
 		fmt.Fprintf(&b, "%s: %d trials %.0f trials/sec\n", prefix, done, rate)
 	}
-	skipped := m.skipped.Load()
-	if skipped > 0 {
-		fmt.Fprintf(&b, "%s: %d trials skipped after panics\n", prefix, skipped)
-	}
 	idle := now.Sub(time.Unix(0, m.lastAdvance.Load()))
 	stalled := idle >= m.stallAfter && done > 0 && (expected <= 0 || done < expected)
 	if stalled && m.stallWarned.CompareAndSwap(false, true) {
@@ -433,7 +352,7 @@ func (m *Monitor) report(now time.Time) {
 	if b.Len() > 0 {
 		m.logf("%s", b.String())
 	}
-	if done > 0 || skipped > 0 {
+	if done > 0 {
 		// Per-worker liveness: how many workers are inside a chunk right
 		// now, and each worker's trial rate since the pool registered, so
 		// the event stream alone answers "is a worker flat-lining".
@@ -457,7 +376,6 @@ func (m *Monitor) report(now time.Time) {
 			"experiment":     label,
 			"trials_done":    done,
 			"trials_total":   expected,
-			"trials_skipped": skipped,
 			"trials_per_sec": rate,
 			"stalled":        stalled,
 			"busy_workers":   busyWorkers,

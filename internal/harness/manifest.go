@@ -18,12 +18,14 @@ import (
 // journal audit fields (journal path, sealed state, chunk-record and
 // verified-chunk counts); schema 3 added the scheduler-attribution trace
 // block; schema 4 added the campaigns block (campaign key, store
-// coordinates, and cache-hit/resume provenance of keyed -store runs).
-const ManifestSchema = 4
+// coordinates, and cache-hit/resume provenance of keyed -store runs);
+// schema 5 dropped the skipped-trial count and records, because a
+// panicking trial fails its run instead of being skipped.
+const ManifestSchema = 5
 
 // Manifest is the machine-readable record of one CLI run: enough to
 // reproduce it (command, seed, fingerprint, version), audit it (wall/CPU
-// time, skips, failures), and analyse it (the full metrics snapshot). It is
+// time, failures), and analyse it (the full metrics snapshot). It is
 // written next to the checkpoint file and/or to the -metrics target.
 type Manifest struct {
 	Schema    int    `json:"schema"`
@@ -67,9 +69,7 @@ type Manifest struct {
 	// CPUSeconds is user+system process CPU time (0 where unsupported).
 	CPUSeconds float64 `json:"cpu_seconds"`
 
-	TrialsDone    int64  `json:"trials_done"`
-	TrialsSkipped int64  `json:"trials_skipped"`
-	Skips         []Skip `json:"skips,omitempty"`
+	TrialsDone int64 `json:"trials_done"`
 
 	ExitCode int      `json:"exit_code"`
 	Failures []string `json:"failures,omitempty"`

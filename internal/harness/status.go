@@ -39,7 +39,6 @@ type Status struct {
 	Experiment     string  `json:"experiment,omitempty"`
 	TrialsDone     int64   `json:"trials_done"`
 	TrialsTotal    int64   `json:"trials_total"`
-	TrialsSkipped  int64   `json:"trials_skipped"`
 	TrialsPerSec   float64 `json:"trials_per_sec"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// ETASeconds is the remaining-time estimate at the current rate; 0 when
@@ -61,7 +60,6 @@ func (m *Monitor) Status() Status {
 	}
 	st.TrialsDone = m.done.Load()
 	st.TrialsTotal = m.expected.Load()
-	st.TrialsSkipped = m.skipped.Load()
 	st.ElapsedSeconds = now.Sub(m.start).Seconds()
 	if st.ElapsedSeconds > 0 {
 		st.TrialsPerSec = float64(st.TrialsDone) / st.ElapsedSeconds

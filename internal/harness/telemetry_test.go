@@ -39,7 +39,7 @@ func TestEventJSONL(t *testing.T) {
 	m := NewMonitor(nil, 0)
 	m.SetEventWriter(&buf)
 	m.Event("progress", map[string]any{"trials_done": 7})
-	m.RecordSkip(Skip{Trial: 3, Seed: 9, Err: "boom"})
+	m.Event("run_done", map[string]any{"exit_code": 0})
 
 	sc := bufio.NewScanner(strings.NewReader(buf.String()))
 	var types []string
@@ -56,7 +56,7 @@ func TestEventJSONL(t *testing.T) {
 			t.Errorf("%s event time %q: %v", typ, ts, err)
 		}
 	}
-	if want := []string{"progress", "skip"}; fmt.Sprint(types) != fmt.Sprint(want) {
+	if want := []string{"progress", "run_done"}; fmt.Sprint(types) != fmt.Sprint(want) {
 		t.Fatalf("event types %v, want %v", types, want)
 	}
 
@@ -67,8 +67,8 @@ func TestEventJSONL(t *testing.T) {
 }
 
 // TestLogLinesNeverInterleave hammers the monitor's writer from concurrent
-// warnings, skips, and reports; every emitted line must be one of the
-// complete expected forms (the bug this guards against: interleaved partial
+// warnings and reports; every emitted line must be one of the complete
+// expected forms (the bug this guards against: interleaved partial
 // lines from unsynchronised Fprintf calls).
 func TestLogLinesNeverInterleave(t *testing.T) {
 	var buf syncBuffer
@@ -80,11 +80,9 @@ func TestLogLinesNeverInterleave(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				switch w % 3 {
+				switch w % 2 {
 				case 0:
 					m.Warnf("worker %d iteration %d", w, i)
-				case 1:
-					m.RecordSkip(Skip{Trial: i, Seed: uint64(w), Err: "x"})
 				default:
 					m.Done(1)
 					m.report(time.Now())
@@ -96,7 +94,6 @@ func TestLogLinesNeverInterleave(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		switch {
 		case strings.HasPrefix(line, "harness: warning: worker "):
-		case strings.HasPrefix(line, "harness: skipped trial "):
 		case strings.HasPrefix(line, "harness: ") && strings.Contains(line, "trials"):
 		default:
 			t.Fatalf("interleaved or malformed line: %q", line)

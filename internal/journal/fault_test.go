@@ -57,10 +57,11 @@ func TestCrashPointKeepsAckedRecords(t *testing.T) {
 			}
 			continue
 		}
-		j, err := Recover(path)
+		w, j, err := Resume(path)
 		if err != nil {
-			t.Fatalf("trigger %d: Recover: %v", trigger, err)
+			t.Fatalf("trigger %d: Resume: %v", trigger, err)
 		}
+		w.Close()
 		if j.Records != acked {
 			t.Fatalf("trigger %d: recovered %d records, %d were acknowledged", trigger, j.Records, acked)
 		}
@@ -76,10 +77,11 @@ func TestTornWriteDroppedOnRecovery(t *testing.T) {
 	// The torn record's Write claimed success, so its prefix is on disk;
 	// the failed fsync means it was never acknowledged. Recovery must drop
 	// the half-record and keep exactly the acked prefix.
-	j, err := Recover(path)
+	w, j, err := Resume(path)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("Resume: %v", err)
 	}
+	w.Close()
 	if j.Records != acked {
 		t.Fatalf("recovered %d records, %d were acknowledged", j.Records, acked)
 	}
@@ -103,10 +105,11 @@ func TestShortWriteLatchesWriter(t *testing.T) {
 		t.Fatal("latched writer accepted an append")
 	}
 	under.Close()
-	j, err := Recover(path)
+	w, j, err := Resume(path)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("Resume: %v", err)
 	}
+	w.Close()
 	if j.Records != acked {
 		t.Fatalf("recovered %d records, %d were acknowledged", j.Records, acked)
 	}

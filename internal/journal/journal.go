@@ -25,7 +25,7 @@
 // whose trailing newline is missing, whose JSON does not parse, whose sum
 // does not match, or whose record sequence number is not the successor of
 // the previous line is the start of a torn tail: recovery keeps the valid
-// prefix and drops everything from the first bad byte (see Recover).
+// prefix and drops everything from the first bad byte (see Resume).
 //
 // Record types, in the order they may legally appear:
 //

@@ -113,10 +113,11 @@ func TestTornTailRecovery(t *testing.T) {
 			if err := os.WriteFile(p, tc.mut(append([]byte{}, data...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j, err := Recover(p)
+			w, j, err := Resume(p)
 			if err != nil {
-				t.Fatalf("Recover: %v", err)
+				t.Fatalf("Resume: %v", err)
 			}
+			w.Close()
 			if j.TornBytes == 0 || j.TornReason == "" {
 				t.Fatalf("expected torn tail, got %d bytes (%q)", j.TornBytes, j.TornReason)
 			}

@@ -76,20 +76,6 @@ func Load(path string) (*Journal, error) {
 	return j, nil
 }
 
-// Recover loads the journal and, when a torn tail is present, truncates
-// the file to its valid prefix so subsequent appends produce a well-formed
-// journal. The truncation is fsync'd.
-func Recover(path string) (*Journal, error) {
-	j, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.truncate(); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
 // truncate cuts the file at j.Path back to its valid prefix (fsync'd) when
 // the load found a torn tail.
 func (j *Journal) truncate() error {

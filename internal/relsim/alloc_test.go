@@ -54,7 +54,7 @@ func TestCoverageTrialAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(allocWarmNodes, func() {
 		// Reset the accumulator in place so its growth is not charged to
 		// the trial (a real chunk grows it once per chunk).
-		acc.Faulty, acc.Skipped = 0, 0
+		acc.Faulty = 0
 		for c := range acc.Curves {
 			acc.Curves[c].Repairable = 0
 			acc.Curves[c].Caps = acc.Curves[c].Caps[:0]

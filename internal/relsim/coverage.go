@@ -36,7 +36,7 @@ type CoverageConfig struct {
 	Exec
 
 	// trialHook, when set (tests only), runs at the start of every node
-	// attempt with the global node index.
+	// trial with the global node index.
 	trialHook func(node int)
 
 	// est is the instantiated estimator (nil = naive); built from Stats
@@ -135,11 +135,11 @@ type CoverageResult struct {
 	// behind FaultyFraction; zero on the naive pipeline.
 	WFaultyNodes float64 `json:",omitempty"`
 	WTotalNodes  float64 `json:",omitempty"`
-	// SkippedTrials counts sampled nodes abandoned after a panic and one
-	// failed retry; they contribute to TotalNodes but to no curve.
+	// SkippedTrials and Skips are always zero: a panicking trial fails its
+	// study. They stay because result digests hash this struct's JSON,
+	// which carries "SkippedTrials":0,"Skips":null.
 	SkippedTrials int
-	// Skips records the first few skipped trials for reproduction.
-	Skips []harness.Skip
+	Skips         []struct{}
 }
 
 // Curve finds the curve for (planner, wayLimit); nil if absent.
@@ -219,10 +219,12 @@ type covCurveChunk struct {
 
 // covChunk is the persisted result of one node-index chunk.
 type covChunk struct {
-	Nodes   int             `json:"nodes"`
-	Faulty  int             `json:"faulty"`
+	Nodes  int `json:"nodes"`
+	Faulty int `json:"faulty"`
+	// Skipped is never written: it is read only so that a logged chunk
+	// that skipped panicking trials (written before trials failed fast)
+	// is recomputed instead of folded.
 	Skipped int             `json:"skipped,omitempty"`
-	Skips   []harness.Skip  `json:"skips,omitempty"`
 	Curves  []covCurveChunk `json:"curves"`
 	// WNodes and WFaulty are the importance-weighted node and faulty-node
 	// tallies; zero (and omitted) on the naive pipeline.
@@ -292,10 +294,9 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 		Chunks: cfg.Chunking(), Kernel: kernel,
 		Decode: func(_, _ int, raw json.RawMessage) (*covChunk, bool) {
 			var ch covChunk
-			if json.Unmarshal(raw, &ch) != nil || len(ch.Curves) != len(res.Curves) {
+			if json.Unmarshal(raw, &ch) != nil || len(ch.Curves) != len(res.Curves) || ch.Skipped > 0 {
 				return nil, false
 			}
-			adoptSkips(cfg.Mon, ch.Skips, ch.Skipped)
 			return &ch, true
 		},
 		Fold: func(_ int, ch *covChunk) bool {
@@ -336,12 +337,6 @@ func (r *CoverageResult) add(ch *covChunk) {
 	r.FaultyNodes += ch.Faulty
 	r.WTotalNodes += ch.WNodes
 	r.WFaultyNodes += ch.WFaulty
-	r.SkippedTrials += ch.Skipped
-	for _, s := range ch.Skips {
-		if len(r.Skips) < harness.MaxSkipRecords {
-			r.Skips = append(r.Skips, s)
-		}
-	}
 	for c, cc := range ch.Curves {
 		curve := r.Curves[c]
 		curve.faultyNodes += ch.Faulty
@@ -357,7 +352,7 @@ func (r *CoverageResult) add(ch *covChunk) {
 // kernel builds the study's chunk kernel for harness.Chunked: a factory of
 // per-worker chunk functions, each with its own trial scratch. The study and
 // the journal replayer execute chunks through it alike.
-func (cfg *CoverageConfig) kernel() (func() func(lo, hi int) *covChunk, error) {
+func (cfg *CoverageConfig) kernel() (func() func(lo, hi int) (*covChunk, error), error) {
 	model, err := fault.NewModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -366,34 +361,33 @@ func (cfg *CoverageConfig) kernel() (func() func(lo, hi int) *covChunk, error) {
 		return nil, err
 	}
 	fk := stats.NewRNG(cfg.Seed).Forker()
-	return func() func(lo, hi int) *covChunk {
+	return func() func(lo, hi int) (*covChunk, error) {
 		sc := &covScratch{}
-		return func(lo, hi int) *covChunk { return cfg.coverageChunk(model, fk, lo, hi, sc) }
+		return func(lo, hi int) (*covChunk, error) { return cfg.coverageChunk(model, fk, lo, hi, sc) }
 	}, nil
 }
 
 // covScratch is one worker's reusable coverage-trial state: fault-sampling
 // buffers, the per-trial substream RNG, the permanent-fault filter buffer,
-// one recycled Plan per planner, and the per-trial curve outcomes (panic
-// isolation). Every buffer is reused across trials, so a steady-state
-// coverage trial with reusable planners allocates nothing; only the chunk
-// payload grows.
+// and one recycled Plan per planner. Every buffer is reused across trials,
+// so a steady-state coverage trial with reusable planners allocates
+// nothing; only the chunk payload grows.
 type covScratch struct {
 	sample fault.SampleScratch
 	rng    stats.RNG
 	perm   []*fault.Fault
 	plans  []*repair.Plan
-	trial  []covCurveChunk
-	faulty int
-	w      float64 // current trial's importance weight (0 on the naive path: weighted tallies stay exactly zero)
 }
 
 // coverageChunk is the coverage trial kernel: nodes [lo, hi) are sampled and
-// planned in index order, each accumulated straight into the chunk.
-func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo, hi int, sc *covScratch) *covChunk {
-	ch := &covChunk{Nodes: hi - lo, Curves: make([]covCurveChunk, len(cfg.Planners)*len(cfg.WayLimits))}
-	for i := lo; i < hi; i++ {
-		cfg.coverageTrial(model, fk, i, ch, sc)
+// planned in index order, each accumulated straight into the chunk. A
+// panicking trial fails the chunk (see failTrial).
+func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo, hi int, sc *covScratch) (ch *covChunk, err error) {
+	node := lo
+	defer failTrial(&node, cfg.Seed, &err)
+	ch = &covChunk{Nodes: hi - lo, Curves: make([]covCurveChunk, len(cfg.Planners)*len(cfg.WayLimits))}
+	for ; node < hi; node++ {
+		cfg.coverageTrial(model, fk, node, ch, sc)
 	}
 	// The capacity samples arrive in node order, which is deterministic;
 	// they are sorted because the chunk payload bytes are part of the
@@ -404,79 +398,34 @@ func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo
 	}
 	rm.covNodes.Add(int64(ch.Nodes))
 	rm.covFaulty.Add(int64(ch.Faulty))
-	return ch
+	return ch, nil
 }
 
 // coverageTrial samples node `node` and records each curve's outcome into
-// ch, with panic isolation and one retry, exactly like Run's trials.
-func (cfg *CoverageConfig) coverageTrial(model *fault.Model, fk stats.Forker, node int, ch *covChunk, sc *covScratch) {
-	for attempt := 0; ; attempt++ {
-		err := cfg.tryCoverageTrial(model, fk, node, sc)
-		if err == nil {
-			ch.Faulty += sc.faulty
-			// Weighted tallies: sc.w is 0 on the naive path, so these stay
-			// exactly zero (and omitted from the chunk payload) there.
-			ch.WNodes += sc.w
-			if sc.faulty > 0 {
-				ch.WFaulty += sc.w
-			}
-			for c := range sc.trial {
-				ch.Curves[c].Repairable += sc.trial[c].Repairable
-				ch.Curves[c].WRepairable += sc.w * float64(sc.trial[c].Repairable)
-				ch.Curves[c].Caps = append(ch.Curves[c].Caps, sc.trial[c].Caps...)
-			}
-			return
-		}
-		if attempt == 0 {
-			rm.trialRetries.Inc()
-			continue
-		}
-		rm.trialsSkipped.Inc()
-		ch.Skipped++
-		skip := harness.Skip{Trial: node, Seed: cfg.Seed, Err: err.Error()}
-		if len(ch.Skips) < harness.MaxSkipRecords {
-			ch.Skips = append(ch.Skips, skip)
-		}
-		cfg.Mon.RecordSkip(skip)
-		return
-	}
-}
-
-// tryCoverageTrial runs one panic-isolated trial attempt into sc.trial and
-// sc.faulty. The node's RNG stream is derived in place via Forker.Substream
+// ch. The node's RNG stream is derived in place via Forker.Substream
 // (bit-identical to root.Fork(node)), sampling and permanent-fault filtering
 // reuse sc's buffers, and reusable planners plan into recycled Plans.
-func (cfg *CoverageConfig) tryCoverageTrial(model *fault.Model, fk stats.Forker, node int, sc *covScratch) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("trial panic: %v", r)
-		}
-	}()
-	nCurves := len(cfg.Planners) * len(cfg.WayLimits)
-	if len(sc.trial) != nCurves {
-		sc.trial = make([]covCurveChunk, nCurves)
-	}
-	for c := range sc.trial {
-		sc.trial[c].Repairable = 0
-		sc.trial[c].Caps = sc.trial[c].Caps[:0]
-	}
-	sc.faulty = 0
-	sc.w = 0
+func (cfg *CoverageConfig) coverageTrial(model *fault.Model, fk stats.Forker, node int, ch *covChunk, sc *covScratch) {
 	if cfg.trialHook != nil {
 		cfg.trialHook(node)
 	}
 	fk.Substream(uint64(node), &sc.rng)
 	var nf fault.NodeFaults
+	// w is the trial's importance weight: 0 on the naive path, so the
+	// weighted tallies stay exactly zero (and omitted from the payload).
+	w := 0.0
 	if cfg.est != nil {
-		nf, sc.w = cfg.est.sampleNode(&sc.rng, &sc.sample, node)
+		nf, w = cfg.est.sampleNode(&sc.rng, &sc.sample, node)
 	} else {
 		nf = model.SampleNodeScratch(&sc.rng, &sc.sample)
 	}
+	ch.WNodes += w
 	sc.perm = nf.PermanentFaultsInto(sc.perm)
 	if len(sc.perm) == 0 {
-		return nil
+		return
 	}
-	sc.faulty = 1
+	ch.Faulty++
+	ch.WFaulty += w
 	if len(sc.plans) != len(cfg.Planners) {
 		sc.plans = make([]*repair.Plan, len(cfg.Planners))
 		for i := range sc.plans {
@@ -491,11 +440,12 @@ func (cfg *CoverageConfig) tryCoverageTrial(model *fault.Model, fk stats.Forker,
 		}
 		for _, wl := range cfg.WayLimits {
 			if plan.RepairableUnder(wl) {
-				sc.trial[k].Repairable = 1
-				sc.trial[k].Caps = append(sc.trial[k].Caps, float64(plan.Bytes))
+				cc := &ch.Curves[k]
+				cc.Repairable++
+				cc.WRepairable += w
+				cc.Caps = append(cc.Caps, float64(plan.Bytes))
 			}
 			k++
 		}
 	}
-	return nil
 }

@@ -1,13 +1,15 @@
 package relsim
 
 // Tests for the hardened execution scheme shared by Run and CoverageStudy:
-// cancellation latency, per-trial panic isolation with retry and skip
-// accounting, and checkpoint/resume reproducing an uninterrupted run exactly.
+// cancellation latency, a panicking trial failing its run with the trial's
+// coordinates, and checkpoint/resume reproducing an uninterrupted run
+// exactly.
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -20,6 +22,7 @@ import (
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 	"relaxfault/internal/repair"
+	"relaxfault/internal/stats"
 )
 
 // batchPlanner implements repair.Planner but not repair.Incremental — the
@@ -70,62 +73,151 @@ func TestRunCtxCancelLatency(t *testing.T) {
 	}
 }
 
-func TestRunPanicIsolation(t *testing.T) {
-	const bad = 1234
-	var buf bytes.Buffer
-	cfg := smallCfg()
-	cfg.Mon = harness.NewMonitor(&buf, 0)
-	cfg.trialHook = func(node int) {
-		if node == bad {
-			panic("injected trial fault")
-		}
+// tripPlanner is an incremental planner that repairs nothing and panics on
+// the one fault that arrives at hour at. The panic belongs to the trial that
+// samples that fault, in a live run, a chunk replay and ReplayNode alike.
+type tripPlanner struct{ at float64 }
+
+type nopState struct{}
+
+func (nopState) Reset() {}
+
+func (tripPlanner) Name() string                         { return "trip" }
+func (tripPlanner) PlanNode([]*fault.Fault) *repair.Plan { return &repair.Plan{} }
+func (tripPlanner) NewState() repair.NodeState           { return nopState{} }
+func (p tripPlanner) TryRepair(_ repair.NodeState, f *fault.Fault, _ int) bool {
+	if f.AtHours == p.at {
+		panic(fmt.Sprintf("trip at %v h", p.at))
 	}
-	res, err := Run(cfg)
+	return false
+}
+
+// TestRunPanicIsolation pins the fail-fast contract: a panicking trial fails
+// the run with an error naming its section, chunk, trial, seed and panic
+// value; ReplayNode reproduces the panic; and the chunk's replay reports it
+// as an error.
+func TestRunPanicIsolation(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Nodes = 20000 // 5 chunks
+	// The first permanent fault of chunk 2 trips the planner.
+	model, err := fault.NewModel(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SkippedTrials != 1 {
-		t.Fatalf("SkippedTrials = %d, want 1", res.SkippedTrials)
+	var sc fault.SampleScratch
+	trial := -1
+	for node := 2 * chunkSize; trial < 0; node++ {
+		for _, f := range model.SampleNodeScratch(stats.NewRNG(cfg.Seed).Fork(uint64(node)), &sc).Faults {
+			if f.Permanent() {
+				trial, cfg.Planner = node, tripPlanner{at: f.AtHours}
+				break
+			}
+		}
 	}
-	if len(res.Skips) != 1 || res.Skips[0].Trial != bad || res.Skips[0].Seed != cfg.Seed {
-		t.Fatalf("skip record %+v does not pin down trial %d seed %d", res.Skips, bad, cfg.Seed)
+	value := fmt.Sprintf("trip at %v h", cfg.Planner.(tripPlanner).at)
+
+	_, err = RunCtx(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("run with a panicking trial succeeded")
 	}
-	if !strings.Contains(res.Skips[0].Err, "injected trial fault") {
-		t.Errorf("skip error %q lost the panic message", res.Skips[0].Err)
+	for _, want := range []string{
+		"section " + RunSection(cfg.Fingerprint()) + " chunk 2:",
+		fmt.Sprintf("trial %d (seed %d)", trial, cfg.Seed),
+		value,
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
-	if cfg.Mon.Skipped() != 1 {
-		t.Errorf("monitor counted %d skips, want 1", cfg.Mon.Skipped())
+
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		ReplayNode(cfg, trial)
+		return nil
+	}()
+	if got != value {
+		t.Errorf("ReplayNode(%d) panicked with %v, want %q", trial, got, value)
 	}
-	if res.FaultyNodes == 0 {
-		t.Error("no faulty nodes recorded; the run did not survive the panic")
+
+	rep, err := NewRunReplayer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := rep.ReplayChunk(2); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("trial %d (seed %d) panicked: %s", trial, cfg.Seed, value)) {
+		t.Errorf("ReplayChunk(2) = %v, want the trial's panic", err)
+	}
+	// The failure is confined to its chunk: the replayer goes on replaying.
+	if _, _, _, err := rep.ReplayChunk(1); err != nil {
+		t.Errorf("ReplayChunk(1) after the failure: %v", err)
 	}
 }
 
-func TestRunPanicRetrySucceeds(t *testing.T) {
-	cfg := smallCfg()
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A transient panic (first attempt only) is retried from the identical
-	// RNG fork, so the result must match a clean run exactly — including
-	// zero skip records.
-	var fired atomic.Bool
-	cfg.trialHook = func(node int) {
-		if node == 500 && fired.CompareAndSwap(false, true) {
-			panic("transient glitch")
+// TestSkipBearingChunksRecomputed pins that a logged chunk which skipped
+// panicking trials (as runs that skipped instead of failing wrote it) is
+// recomputed, never folded: the result equals a clean run.
+func TestSkipBearingChunksRecomputed(t *testing.T) {
+	t.Run("run", func(t *testing.T) {
+		cfg := smallCfg()
+		cfg.Nodes = 3 * chunkSize
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fired.Load() {
-		t.Fatal("injected panic never fired")
-	}
-	if !sameResult(got, want) {
-		t.Errorf("retried run differs from clean run:\n%+v\n%+v", want, got)
-	}
+		store := harness.NewStore(nil)
+		fp := cfg.Fingerprint()
+		var p runPayload
+		p.DUEs, p.SkippedTrials = 1000, 1
+		if err := store.Section(RunSection(fp), fp).PutSpan(1, chunkSize, 2*chunkSize, &p); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Checkpoint = store
+		var recomputed atomic.Int64
+		cfg.trialHook = func(node int) {
+			if node >= chunkSize && node < 2*chunkSize {
+				recomputed.Add(1)
+			}
+		}
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := recomputed.Load(); n != chunkSize {
+			t.Errorf("recomputed %d of the chunk's %d trials", n, chunkSize)
+		}
+		if !sameResult(got, want) {
+			t.Errorf("result differs from a clean run:\n%+v\n%+v", got, want)
+		}
+	})
+	t.Run("coverage", func(t *testing.T) {
+		cfg := covCfg(t)
+		want, err := CoverageStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := harness.NewStore(nil)
+		fp := cfg.Fingerprint()
+		raw := json.RawMessage(`{"nodes":2048,"faulty":5000,"skipped":1,"curves":[{"repairable":5000},{"repairable":5000}]}`)
+		if err := store.Section(CoverageSection(fp), fp).PutSpan(0, 0, covChunkSize, raw); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Checkpoint = store
+		var recomputed atomic.Int64
+		cfg.trialHook = func(node int) {
+			if node < covChunkSize {
+				recomputed.Add(1)
+			}
+		}
+		got, err := CoverageStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := recomputed.Load(); n != covChunkSize {
+			t.Errorf("recomputed %d of the chunk's %d trials", n, covChunkSize)
+		}
+		if !sameCoverage(got, want) {
+			t.Error("study differs from a clean study")
+		}
+	})
 }
 
 func TestRunCheckpointResume(t *testing.T) {
@@ -199,8 +291,7 @@ func covCfg(t *testing.T) CoverageConfig {
 // counters and capacity samples.
 func sameCoverage(a, b *CoverageResult) bool {
 	if a.FaultyNodes != b.FaultyNodes || a.TotalNodes != b.TotalNodes ||
-		a.FaultyFraction != b.FaultyFraction || a.SkippedTrials != b.SkippedTrials ||
-		len(a.Curves) != len(b.Curves) {
+		a.FaultyFraction != b.FaultyFraction || len(a.Curves) != len(b.Curves) {
 		return false
 	}
 	for i := range a.Curves {
@@ -277,24 +368,23 @@ func TestCoverageCheckpointResume(t *testing.T) {
 }
 
 func TestCoveragePanicIsolation(t *testing.T) {
-	const bad = 100
+	const bad = covChunkSize + 100
 	cfg := covCfg(t)
 	cfg.trialHook = func(node int) {
 		if node == bad {
 			panic("injected coverage fault")
 		}
 	}
-	res, err := CoverageStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, err := CoverageStudy(cfg)
+	if err == nil {
+		t.Fatal("study with a panicking trial succeeded")
 	}
-	if res.SkippedTrials != 1 {
-		t.Fatalf("SkippedTrials = %d, want 1", res.SkippedTrials)
-	}
-	if len(res.Skips) != 1 || res.Skips[0].Trial != bad {
-		t.Fatalf("skip record %+v does not pin down trial %d", res.Skips, bad)
-	}
-	if res.FaultyNodes < cfg.FaultyNodes {
-		t.Errorf("study collected only %d faulty nodes", res.FaultyNodes)
+	for _, want := range []string{
+		"section " + CoverageSection(cfg.Fingerprint()) + " chunk 1:",
+		fmt.Sprintf("trial %d (seed %d) panicked: injected coverage fault", bad, cfg.Seed),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

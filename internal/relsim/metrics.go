@@ -17,8 +17,6 @@ import (
 var rm = struct {
 	trialsDone    *obs.Counter // trials executed in this process
 	trialsResumed *obs.Counter // trials adopted verbatim from a checkpoint
-	trialRetries  *obs.Counter // trials retried after an isolated panic
-	trialsSkipped *obs.Counter // trials abandoned after the retry also failed
 
 	injected  [fault.NumModes]*obs.Counter
 	permanent *obs.Counter
@@ -42,8 +40,6 @@ var rm = struct {
 }{
 	trialsDone:    obs.Default().Counter("relsim.trials_done"),
 	trialsResumed: obs.Default().Counter("relsim.trials_resumed"),
-	trialRetries:  obs.Default().Counter("relsim.trial_retries"),
-	trialsSkipped: obs.Default().Counter("relsim.trials_skipped"),
 
 	permanent: obs.Default().Counter("relsim.faults.permanent"),
 	transient: obs.Default().Counter("relsim.faults.transient"),

@@ -13,9 +13,8 @@
 // checkpoint completed chunks and resume a killed run with bitwise-identical
 // output. This package keeps only what is specific to each study: the trial
 // kernels, their chunk payloads and folds, and the final per-system scaling.
-// Each trial is panic-isolated: a panicking node is retried once and
-// otherwise recorded as a skipped trial with its reproduction seed (see
-// ReplayNode) instead of crashing the run.
+// A panicking trial fails its run: each chunk kernel recovers the panic into
+// an error naming the trial and seed, and ReplayNode reproduces the trial.
 package relsim
 
 import (
@@ -38,8 +37,7 @@ type Exec struct {
 	// Workers bounds parallelism (0 = GOMAXPROCS). The worker count never
 	// affects results.
 	Workers int
-	// Mon, if non-nil, receives progress, watchdog, and skipped-trial
-	// events.
+	// Mon, if non-nil, receives progress and watchdog events.
 	Mon *harness.Monitor
 	// Checkpoint, if non-nil, persists completed chunks so a killed run
 	// can resume. A section keyed by the configuration's fingerprint is
@@ -120,8 +118,8 @@ type Config struct {
 	Exec
 
 	// trialHook, when set (tests only), runs at the start of every trial
-	// attempt with the global node index. It is the injection point for
-	// cancellation-latency and panic-isolation tests.
+	// with the global node index. It is the injection point for
+	// cancellation-latency and fail-fast tests.
 	trialHook func(node int)
 }
 
@@ -191,21 +189,22 @@ type Result struct {
 	// FaultyDIMMs counts DIMMs that saw at least one permanent fault.
 	FaultyDIMMs float64
 	Replicas    int
-	// SkippedTrials counts node trials abandoned after a panic and one
-	// failed retry; their contributions are missing from the statistics
-	// above, making the run a lower bound rather than a crash.
+	// SkippedTrials and Skips are always zero: a panicking trial fails its
+	// run. They stay because reliability chunk payloads embed Result, so
+	// logged payloads, their digests and the equivalence goldens carry
+	// "SkippedTrials":0,"Skips":null. A logged chunk with SkippedTrials > 0
+	// (written before trials failed fast) is missing trials and is
+	// recomputed, never folded.
 	SkippedTrials int
-	// Skips records the first few skipped trials (harness.MaxSkipRecords)
-	// with enough detail to reproduce each one via ReplayNode.
-	Skips []harness.Skip
+	Skips         []struct{}
 	// Estimator summarises the estimator-driven run (trial counts, CI
 	// half-widths, effective sample size); nil on the legacy pipeline.
 	Estimator *EstimatorReport `json:"Estimator,omitempty"`
 }
 
-// addScaled accumulates o's statistics into r with importance weight w
-// (skip bookkeeping is never weighted). Multiplying by w == 1 is exact in
-// IEEE 754, so unweighted accumulation is plain addition.
+// addScaled accumulates o's statistics into r with importance weight w.
+// Multiplying by w == 1 is exact in IEEE 754, so unweighted accumulation is
+// plain addition.
 func (r *Result) addScaled(o *Result, w float64) {
 	r.FaultyNodes += o.FaultyNodes * w
 	r.MultiDeviceFaultDIMMs += o.MultiDeviceFaultDIMMs * w
@@ -215,13 +214,6 @@ func (r *Result) addScaled(o *Result, w float64) {
 	r.RepairedNodes += o.RepairedNodes * w
 	r.RepairedDIMMs += o.RepairedDIMMs * w
 	r.FaultyDIMMs += o.FaultyDIMMs * w
-	r.SkippedTrials += o.SkippedTrials
-	for _, s := range o.Skips {
-		if len(r.Skips) >= harness.MaxSkipRecords {
-			break
-		}
-		r.Skips = append(r.Skips, s)
-	}
 }
 
 // scale multiplies every expectation of r by f.
@@ -332,11 +324,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		Decode: func(lo, hi int, raw json.RawMessage) (*runPayload, bool) {
 			// Estimator runs need the tally: it is part of the stopping state.
 			var p runPayload
-			if json.Unmarshal(raw, &p) != nil || (statsOn && p.Est == nil) {
+			if json.Unmarshal(raw, &p) != nil || (statsOn && p.Est == nil) || p.SkippedTrials > 0 {
 				return nil, false
 			}
 			rm.trialsResumed.Add(int64(hi - lo))
-			adoptSkips(cfg.Mon, p.Skips, p.SkippedTrials)
 			return &p, true
 		},
 		Fold: func(_ int, p *runPayload) bool {
@@ -383,18 +374,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	return sum, nil
 }
 
-// adoptSkips replays a checkpointed chunk's skip accounting into mon.
-func adoptSkips(mon *harness.Monitor, skips []harness.Skip, total int) {
-	for _, s := range skips {
-		mon.RecordSkip(s)
-	}
-	mon.AddSkipped(int64(total - len(skips)))
-}
-
 // kernel builds the run's chunk kernel for harness.Chunked: a factory of
 // per-worker chunk functions, each with its own trial simulator. RunCtx and
 // the journal replayer execute chunks through it alike.
-func (cfg *Config) kernel() (func() func(lo, hi int) *runPayload, error) {
+func (cfg *Config) kernel() (func() func(lo, hi int) (*runPayload, error), error) {
 	model, err := fault.NewModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -402,75 +385,56 @@ func (cfg *Config) kernel() (func() func(lo, hi int) *runPayload, error) {
 	if _, err := newNodeSim(model, *cfg); err != nil {
 		return nil, err
 	}
-	return func() func(lo, hi int) *runPayload {
+	return func() func(lo, hi int) (*runPayload, error) {
 		sim, _ := newNodeSim(model, *cfg) // succeeded above
 		return sim.runChunk
 	}, nil
 }
 
 // runChunk is the reliability trial kernel: trials [lo, hi) run in index
-// order, each accumulated straight into the chunk payload.
-func (s *nodeSim) runChunk(lo, hi int) *runPayload {
-	res := &runPayload{}
+// order, each accumulated into the chunk payload. A panicking trial fails
+// the chunk (see failTrial).
+func (s *nodeSim) runChunk(lo, hi int) (res *runPayload, err error) {
+	node := lo
+	defer failTrial(&node, s.cfg.Seed, &err)
+	res = &runPayload{}
 	if s.cfg.Stats.active() {
 		res.Est = &estTally{}
 	}
-	for i := lo; i < hi; i++ {
-		s.runTrial(i, res)
+	for ; node < hi; node++ {
+		s.runTrial(node, res)
 	}
 	rm.trialsDone.Add(int64(hi - lo))
-	return res
+	return res, nil
 }
 
-// runTrial simulates one node with panic isolation: a panicking trial is
-// retried once from the identical RNG stream (transient failures recover;
-// deterministic ones repeat), and on the second failure the trial is dropped
-// and recorded with its reproduction coordinates. Trial state accumulates
-// into the simulator's scratch Result so a mid-trial panic cannot corrupt
-// res; the scratch and the substream RNG are reused, so a steady-state trial
-// allocates nothing here.
-func (s *nodeSim) runTrial(node int, res *runPayload) {
-	for attempt := 0; ; attempt++ {
-		err := s.tryTrial(node)
-		if err == nil {
-			res.addScaled(&s.trialRes, s.trialW)
-			if res.Est != nil {
-				res.Est.observe(s.trialW, s.trialRes.DUEs, s.trialRes.SDCs)
-			}
-			return
-		}
-		if attempt == 0 {
-			rm.trialRetries.Inc()
-			continue
-		}
-		rm.trialsSkipped.Inc()
-		res.SkippedTrials++
-		skip := harness.Skip{Trial: node, Seed: s.cfg.Seed, Err: err.Error()}
-		if len(res.Skips) < harness.MaxSkipRecords {
-			res.Skips = append(res.Skips, skip)
-		}
-		s.cfg.Mon.RecordSkip(skip)
-		return
+// failTrial, deferred once per chunk kernel, turns a panic in trial *node
+// into the chunk's error, naming the trial and the seed that reproduce it
+// (see ReplayNode). Retrying is pointless: the trial's RNG substream is a
+// pure function of (seed, node), so it would panic again.
+func failTrial(node *int, seed uint64, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("relsim: trial %d (seed %d) panicked: %v", *node, seed, r)
 	}
 }
 
-// tryTrial runs one panic-isolated trial attempt into s.trialRes. The node's
-// RNG stream is derived in place via Forker.Substream — bit-identical to
-// root.Fork(node) without the per-trial allocation.
-func (s *nodeSim) tryTrial(node int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("trial panic: %v", r)
-		}
-	}()
+// runTrial simulates one node and adds it to res. The trial accumulates
+// into the simulator's scratch Result first and is then added with its
+// weight: that grouping fixes the float summation order the payload bytes
+// depend on. The node's RNG stream is derived in place via
+// Forker.Substream, bit-identical to root.Fork(node); the scratch and the
+// substream RNG are reused, so a steady-state trial allocates nothing here.
+func (s *nodeSim) runTrial(node int, res *runPayload) {
 	s.trialRes = Result{}
-	s.trialW = 1
 	if s.cfg.trialHook != nil {
 		s.cfg.trialHook(node)
 	}
 	s.fk.Substream(uint64(node), &s.trialRNG)
-	s.trialW = s.sampleAndSimulate(&s.trialRNG, node, &s.trialRes)
-	return nil
+	w := s.sampleAndSimulate(&s.trialRNG, node, &s.trialRes)
+	res.addScaled(&s.trialRes, w)
+	if res.Est != nil {
+		res.Est.observe(w, s.trialRes.DUEs, s.trialRes.SDCs)
+	}
 }
 
 // sampleAndSimulate runs one trial through the configured estimator (the
@@ -487,8 +451,9 @@ func (s *nodeSim) sampleAndSimulate(rng *stats.RNG, node int, res *Result) float
 }
 
 // ReplayNode re-executes the single trial `node` of the run described by
-// cfg, with no panic isolation: a trial that crashed a campaign (see
-// Result.Skips) crashes here too, under a debugger-friendly single goroutine.
+// cfg, with no recover: a trial whose panic failed a run (the run's error
+// names its trial and seed) panics here too, under a debugger-friendly
+// single goroutine.
 // The returned Result holds just that node's contributions, unscaled.
 func ReplayNode(cfg Config, node int) (Result, error) {
 	if cfg.Replicas <= 0 {
@@ -536,12 +501,10 @@ type nodeSim struct {
 
 	sampleSc fault.SampleScratch
 	// trialRNG is the per-trial substream (seeded in place per trial) and
-	// trialRes the panic-isolation scratch; both live here so steady-state
-	// trials allocate nothing. trialW is the current trial's importance
-	// weight (1 on the naive path).
+	// trialRes the per-trial accumulator (see runTrial); both live here so
+	// steady-state trials allocate nothing.
 	trialRNG stats.RNG
 	trialRes Result
-	trialW   float64
 	// Per-trial working state, cleared at the start of each faulty trial
 	// (fault-free trials never touch it): devSeen is a flat
 	// [dimm*devPerDIMM+device] bit of which devices faulted, devCount the
@@ -576,8 +539,7 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 	nDIMMs := g.DIMMs()
 	devPer := g.DevicesPerDIMM()
 
-	// (Re)size and clear the per-trial scratch. A retried trial (panic
-	// isolation) re-enters here, so clearing happens on entry, never exit.
+	// (Re)size and clear the per-trial scratch.
 	if cap(s.devSeen) < nDIMMs*devPer {
 		s.devSeen = make([]bool, nDIMMs*devPer)
 		s.devCount = make([]int, nDIMMs)

@@ -46,16 +46,21 @@ type replayer struct {
 }
 
 // newReplayer pools per-caller kernel instances (each owns unsynchronised
-// scratch) behind a replayer.
-func newReplayer[P any](section, fp string, chunks harness.Chunking, kernel func() func(lo, hi int) P) *replayer {
+// scratch) behind a replayer. A kernel that failed is not pooled again: its
+// trial panicked midway and may have left its scratch inconsistent.
+func newReplayer[P any](section, fp string, chunks harness.Chunking, kernel func() func(lo, hi int) (P, error)) *replayer {
 	var pool sync.Pool
 	return &replayer{section: section, fp: fp, chunks: chunks, replay: func(lo, hi int) ([]byte, error) {
-		k, _ := pool.Get().(func(lo, hi int) P)
+		k, _ := pool.Get().(func(lo, hi int) (P, error))
 		if k == nil {
 			k = kernel()
 		}
-		defer pool.Put(k)
-		return json.Marshal(k(lo, hi))
+		p, err := k(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		pool.Put(k)
+		return json.Marshal(p)
 	}}
 }
 
@@ -70,7 +75,7 @@ func (r *replayer) ReplayChunk(ci int) ([]byte, int, int, error) {
 	lo, hi := r.chunks.Span(ci)
 	raw, err := r.replay(lo, hi)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("relsim: encoding replayed chunk %d: %w", ci, err)
+		return nil, 0, 0, fmt.Errorf("relsim: replaying chunk %d: %w", ci, err)
 	}
 	return raw, lo, hi, nil
 }
