@@ -308,11 +308,9 @@ func runPoints(o *options, args []string, sweep bool) int {
 		os.Exit(130)
 	}()
 
+	// The campaign layer attaches each log writer to mon as it opens, so
+	// /debug/status reports log health as soon as the writer exists.
 	mon := harness.NewMonitor(os.Stderr, o.progress)
-	// The log writer opens later (after scenario records resolve); the
-	// status handler reads this pointer so /debug/status reports log health
-	// as soon as the writer exists.
-	var jwLive atomic.Pointer[journal.Writer]
 
 	// tracer is nil (every recording call a no-op) unless -trace was given:
 	// tracing is strictly opt-in so untraced runs pay nothing.
@@ -334,7 +332,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 		}
 		scale.Campaigns = cs
 		scale.OnCampaign = func(r harness.CampaignRecord) { campRecs = append(campRecs, r) }
-		scale.OnJournal = func(w *journal.Writer) { jwLive.Store(w) }
 	}
 
 	if o.pprof != "" {
@@ -345,7 +342,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			obs.Default().WriteProm(w)
 		})
-		http.Handle("/debug/status", harness.StatusHandler(mon, jwLive.Load))
+		http.Handle("/debug/status", harness.StatusHandler(mon))
 		go func() {
 			if err := http.ListenAndServe(o.pprof, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "relaxfault: pprof server: %v\n", err)
@@ -378,10 +375,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 	camp, err := campaign.OpenUnkeyed(campaign.UnkeyedConfig{
 		Checkpoint: o.checkpoint, Resume: o.resume,
 		Seed: o.seed, Records: records,
-	}, campaign.Options{
-		Workers: o.parallel, Mon: mon, Trace: tracer,
-		OnJournal: func(w *journal.Writer) { jwLive.Store(w) },
-	})
+	}, campaign.Options{Workers: o.parallel, Mon: mon, Trace: tracer})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 1

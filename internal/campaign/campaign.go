@@ -92,11 +92,10 @@ func NewPlan(sc *scenario.Scenario) (*Plan, error) {
 // None of it affects results.
 type Options struct {
 	Workers int
-	Mon     *harness.Monitor
-	Trace   *runtrace.Recorder
-	// OnJournal observes the live log writer as soon as it exists (e.g. to
-	// feed /debug/status).
-	OnJournal func(*journal.Writer)
+	// Mon, if non-nil, receives progress and holds the live campaign log
+	// for its status snapshot.
+	Mon   *harness.Monitor
+	Trace *runtrace.Recorder
 }
 
 // Campaign is one open campaign: its log and its lifecycle state.
@@ -317,9 +316,7 @@ func (c *Campaign) openLog(path string, resume bool, seed uint64, records []harn
 	}
 	w := cp.Journal()
 	w.SetTracer(c.opts.Trace)
-	if c.opts.OnJournal != nil {
-		c.opts.OnJournal(w)
-	}
+	c.opts.Mon.SetJournal(w)
 	c.cp = cp
 	c.rec.VerifiedChunks = cp.Verified()
 	return nil

@@ -7,13 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	cstore "relaxfault/internal/campaign/store"
 	"relaxfault/internal/harness"
-	"relaxfault/internal/journal"
 	"relaxfault/internal/scenario"
 )
 
@@ -334,22 +332,19 @@ func TestUnusableEntryRecomputeResumes(t *testing.T) {
 	// The recompute dies once its first chunks are logged.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var live atomic.Pointer[journal.Writer]
+	mon := harness.NewMonitor(io.Discard, 0)
 	watched := make(chan struct{})
 	go func() {
 		defer close(watched)
 		for ctx.Err() == nil {
-			if w := live.Load(); w != nil && w.ChunkRecords() >= 2 {
+			if j := mon.Status().Journal; j != nil && j.Chunks >= 2 {
 				cancel()
 				return
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	_, rec, err := RunStore(ctx, sc(), st, Options{
-		Workers: 1, Mon: harness.NewMonitor(io.Discard, 0),
-		OnJournal: func(w *journal.Writer) { live.Store(w) },
-	})
+	_, rec, err := RunStore(ctx, sc(), st, Options{Workers: 1, Mon: mon})
 	cancel()
 	<-watched
 	if !errors.Is(err, context.Canceled) {

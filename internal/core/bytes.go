@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"relaxfault/internal/addrmap"
 	"relaxfault/internal/ecc"
 )
 
@@ -70,11 +69,4 @@ func (c *Controller) Write(pa uint64, data []byte) (ecc.Status, error) {
 		pa += uint64(n)
 	}
 	return worst, nil
-}
-
-// LineAddrOf is a convenience wrapper returning the cacheline address
-// containing pa.
-func (c *Controller) LineAddrOf(pa uint64) addrmap.LineAddr {
-	la, _ := c.mapper.PhysToLine(pa)
-	return la
 }

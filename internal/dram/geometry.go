@@ -150,12 +150,6 @@ func (g Geometry) DIMMDataBytes() uint64 {
 	return uint64(g.DataDevices) * bitsPerDevice / 8
 }
 
-// DeviceBitsPerBank returns the number of data bits one device stores in one
-// bank.
-func (g Geometry) DeviceBitsPerBank() uint64 {
-	return uint64(g.Rows) * uint64(g.Columns) * BitsPerColumn
-}
-
 // NumLineAddresses returns how many cacheline addresses the node decodes.
 func (g Geometry) NumLineAddresses() uint64 {
 	return g.NodeDataBytes() / uint64(g.LineBytes)

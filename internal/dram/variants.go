@@ -6,13 +6,6 @@ package dram
 // organisation"; these constructors let the experiments back that claim by
 // re-running coverage studies on other geometries.
 
-// BankGroups describes DDR4-style bank grouping, which constrains
-// post-package repair (one spare row per bank group) and back-to-back
-// column timing. Groups divides Banks evenly.
-type BankGroups struct {
-	Groups int
-}
-
 // DDR4Node returns an 8-DIMM node of 16GiB DDR4 DIMMs: 18 x4 8Gb devices,
 // 16 banks in 4 bank groups, 128Ki rows of 1KiB device-row each
 // (2Ki columns x4). Capacity doubles relative to the DDR3 node; the bank
@@ -30,9 +23,6 @@ func DDR4Node() Geometry {
 		ColumnsPerBlk: ColumnsPerBlock,
 	}
 }
-
-// DDR4BankGroups returns the bank grouping of DDR4Node.
-func DDR4BankGroups() BankGroups { return BankGroups{Groups: 4} }
 
 // HBMStackNode returns a node built from 4 HBM-like stacks: each "DIMM" is
 // one stack channel group with 16 pseudo-device slices (plus 2 ECC slices,

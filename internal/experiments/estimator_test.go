@@ -39,7 +39,7 @@ func TestEstimatorAgreement(t *testing.T) {
 			cells = cells[:3]
 		}
 		for i, base := range cells {
-			base.Exec = s.Exec()
+			base.Exec = relsim.Exec{Workers: s.Workers}
 			base.Stats = &relsim.StatsConfig{Estimator: relsim.EstimatorNaive}
 			naive, err := relsim.RunCtx(context.Background(), base)
 			if err != nil {

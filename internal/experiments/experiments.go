@@ -17,8 +17,6 @@ import (
 	"relaxfault/internal/core"
 	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
-	"relaxfault/internal/journal"
-	"relaxfault/internal/relsim"
 	"relaxfault/internal/runtrace"
 	"relaxfault/internal/scenario"
 )
@@ -58,17 +56,6 @@ type Scale struct {
 	// OnCampaign, if non-nil, observes each keyed campaign's manifest
 	// record (cmd/relaxfault collects them into the run manifest).
 	OnCampaign func(harness.CampaignRecord)
-	// OnJournal, if non-nil, observes each keyed campaign's live log writer
-	// (cmd/relaxfault feeds /debug/status with it).
-	OnJournal func(*journal.Writer)
-}
-
-// Exec bundles the scale's execution plumbing (worker cap, monitor,
-// checkpoint store, tracer) in the form both relsim.Config and
-// relsim.CoverageConfig embed, so one code path instruments every kind of
-// Monte Carlo run: `cfg.Exec = s.Exec()`.
-func (s Scale) Exec() relsim.Exec {
-	return relsim.Exec{Workers: s.Workers, Mon: s.Mon, Checkpoint: s.Store, Trace: s.Trace}
 }
 
 // PresetScenario resolves the named registry preset at this scale: budget
@@ -98,7 +85,6 @@ func (s Scale) RunScenario(ctx context.Context, sc *scenario.Scenario) (*scenari
 	if s.Campaigns != nil {
 		res, rec, err := campaign.RunStore(ctx, sc, s.Campaigns, campaign.Options{
 			Workers: s.Workers, Mon: s.Mon, Trace: s.Trace,
-			OnJournal: s.OnJournal,
 		})
 		if rec != nil && s.OnCampaign != nil {
 			s.OnCampaign(*rec)

@@ -42,9 +42,10 @@ const gateSlack = 2
 //
 // Run owns the whole lifecycle: it adopts decodable chunks from the
 // checkpoint section (recomputing undecodable ones), computes the rest on
-// the engine, folds completions through a SpanReducer, logs every computed
-// chunk with its trial span, and — once Fold reports the cutoff — prunes
-// the speculative tail so the final view holds exactly the folded prefix.
+// the engine, folds each completed chunk once every lower chunk has folded,
+// logs every computed chunk with its trial span, and — once Fold reports
+// the cutoff — prunes the speculative tail so the final view holds exactly
+// the folded prefix.
 // It records the resume.load and reduce spans on the main trace track and
 // one checkpoint span per logged chunk.
 //
@@ -113,16 +114,26 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 	cutoff := -1 // chunk where Fold stopped
 	bound := -1  // proven upper bound on the cutoff (-1 = unknown)
 	maxDone, enough := -1, false
-	red := NewSpanReducer[P](func(ci int, p P) {
-		if cutoff < 0 && c.Fold(ci, p) {
-			cutoff = ci
-		}
-	})
-	red.SetLimit(n)
+	// A completed chunk waits in pending until every lower chunk has
+	// folded; frontier is the next chunk to fold. Chunks past the cutoff
+	// drain through pending but are never folded.
+	frontier := 0
+	pending := make(map[int]P)
 	var foldErr, kernelErr error
 	complete := func(ci int, p P) {
-		if err := red.Complete(ci, p); err != nil && foldErr == nil {
-			foldErr = err
+		if _, dup := pending[ci]; dup || ci < frontier || ci >= n {
+			if foldErr == nil {
+				foldErr = fmt.Errorf("chunk %d completed twice or outside [0, %d)", ci, n)
+			}
+			return
+		}
+		pending[ci] = p
+		for p, ok := pending[frontier]; ok; p, ok = pending[frontier] {
+			delete(pending, frontier)
+			if cutoff < 0 && c.Fold(frontier, p) {
+				cutoff = frontier
+			}
+			frontier++
 		}
 		maxDone = max(maxDone, ci)
 		if c.Enough != nil && !enough {
@@ -188,7 +199,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 			if !c.Gate {
 				return true
 			}
-			f := red.Frontier()
+			f := frontier
 			if c.Ahead != nil {
 				f = max(f, c.Ahead(f))
 			}
@@ -257,8 +268,8 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 	if foldErr != nil {
 		return fmt.Errorf("harness: internal error: %w", foldErr)
 	}
-	if f := red.Frontier(); f <= end {
-		return fmt.Errorf("harness: internal error: reduced %d of %d chunks", f, end+1)
+	if frontier <= end {
+		return fmt.Errorf("harness: internal error: reduced %d of %d chunks", frontier, end+1)
 	}
 	c.Trace.Span(runtrace.TrackMain, "reduce", -1, 0, reduceStart)
 	return nil

@@ -1,15 +1,17 @@
 package harness
 
-// Tests for the chunked-campaign driver on a toy payload: worker-count
-// invariance of results and view bytes, cutoff pruning, cancellation
-// keeping every computed chunk, a failing kernel failing the run, resume,
-// and the claim-admission gate.
+// Tests for harness.Chunked on a toy payload: the index-ordered fold,
+// worker-count invariance of results and view bytes, cutoff pruning,
+// cancellation keeping every computed chunk, a failing kernel failing the
+// run, resume, the claim-admission gate, and agreement of the run's
+// telemetry.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -19,6 +21,7 @@ import (
 
 	"relaxfault/internal/journal"
 	"relaxfault/internal/obs"
+	"relaxfault/internal/runtrace"
 )
 
 func TestChunkingSpans(t *testing.T) {
@@ -60,6 +63,8 @@ type toyOpts struct {
 	stopAt  float64 // fold stops once the running total reaches it (0 = never)
 	gate    bool
 	waits   *obs.Counter
+	mon     *Monitor
+	trace   *runtrace.Recorder
 	// hook runs inside the kernel before chunk [lo, hi) is computed; an
 	// error fails the chunk.
 	hook func(lo int) error
@@ -68,7 +73,8 @@ type toyOpts struct {
 func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 	r := &toyRun{computed: map[int]int{}}
 	c := Chunked[*toyChunk]{
-		Workers: o.workers, Store: store, Section: "toy", Fingerprint: "fp",
+		Workers: o.workers, Mon: o.mon, Trace: o.trace,
+		Store: store, Section: "toy", Fingerprint: "fp",
 		Chunks: Chunking{Size: 16, Trials: o.trials},
 		Decode: func(lo, hi int, raw json.RawMessage) (*toyChunk, bool) {
 			var ch toyChunk
@@ -103,6 +109,48 @@ func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 		GateWaits: o.waits,
 	}
 	return r, c.Run(ctx)
+}
+
+// TestChunkedFoldsInIndexOrder: chunks finish in a seeded random order
+// across 8 workers, and Fold still sees chunks 0, 1, 2, ... exactly once
+// each, with each chunk's own payload.
+func TestChunkedFoldsInIndexOrder(t *testing.T) {
+	const n = 200
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		delay := make([]time.Duration, n)
+		for ci := range delay {
+			delay[ci] = time.Duration(rng.Intn(1000)) * time.Microsecond
+		}
+		var folded []int
+		c := Chunked[int]{
+			Workers: 8, Chunks: Chunking{Size: 1, Trials: n},
+			Kernel: func() func(lo, hi int) (int, error) {
+				return func(lo, _ int) (int, error) {
+					time.Sleep(delay[lo])
+					return 3*lo + 1, nil
+				}
+			},
+			Fold: func(ci, p int) bool {
+				if p != 3*ci+1 {
+					t.Errorf("seed %d: chunk %d folded with payload %d, want %d", seed, ci, p, 3*ci+1)
+				}
+				folded = append(folded, ci)
+				return false
+			},
+		}
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(folded) != n {
+			t.Fatalf("seed %d: folded %d chunks, want %d", seed, len(folded), n)
+		}
+		for i, ci := range folded {
+			if ci != i {
+				t.Fatalf("seed %d: fold %d saw chunk %d (order %v)", seed, i, ci, folded)
+			}
+		}
+	}
 }
 
 func TestChunkedWorkerInvariance(t *testing.T) {
@@ -342,5 +390,44 @@ func TestChunkedGateSurvivesSlowChunk(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.folded, want.folded) || r.total != want.total {
 		t.Errorf("gated fold %v, want %v", r.folded, want.folded)
+	}
+}
+
+// TestChunkedTelemetryAgrees: after one traced, monitored run, the
+// Monitor's total, its status snapshot, a progress event and the trace
+// attribution each count exactly the campaign's trials.
+func TestChunkedTelemetryAgrees(t *testing.T) {
+	const trials = 1000
+	var events syncBuffer
+	mon := NewMonitor(nil, 0)
+	mon.SetEventWriter(&events)
+	tr := runtrace.New()
+	if _, err := runToy(context.Background(), nil, toyOpts{workers: 4, trials: trials, mon: mon, trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	mon.report(time.Now())
+	var ev struct {
+		Type       string `json:"type"`
+		TrialsDone int64  `json:"trials_done"`
+	}
+	if err := json.Unmarshal([]byte(events.String()), &ev); err != nil || ev.Type != "progress" {
+		t.Fatalf("want one progress event, got %q (%v)", events.String(), err)
+	}
+	var traced int64
+	for _, w := range runtrace.Analyze(tr).Workers {
+		traced += w.Trials
+	}
+	for _, c := range []struct {
+		name string
+		got  int64
+	}{
+		{"DoneTrials", mon.DoneTrials()},
+		{"Status().TrialsDone", mon.Status().TrialsDone},
+		{"progress event trials_done", ev.TrialsDone},
+		{"trace attribution trials", traced},
+	} {
+		if c.got != trials {
+			t.Errorf("%s = %d, want %d", c.name, c.got, trials)
+		}
 	}
 }

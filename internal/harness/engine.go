@@ -2,11 +2,9 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"relaxfault/internal/obs"
 	"relaxfault/internal/runtrace"
@@ -21,14 +19,11 @@ import (
 // the root seed and reduces in chunk-index order), which makes results
 // bitwise-independent of the worker count and of scheduling.
 //
-// The engine feeds the Monitor's per-worker watchdog (StartWorkers /
-// WorkerDone) and publishes pool telemetry to the default obs registry:
-//
-//	harness.engine.workers       gauge: pool size of the current/last Run
-//	harness.engine.busy_workers  gauge: workers currently inside work()
-//	harness.engine.chunks_done   counter: chunks completed process-wide
-//	harness.engine.chunk_seconds timer: per-chunk wall time
-//	harness.worker.trials.<w>    counter: trials completed by worker w
+// The engine books each chunk once, in the Monitor's per-worker record
+// (WorkerClaim / WorkerDone), which the progress lines, the watchdog and
+// /debug/status all read, and, when tracing, as claim and chunk spans. The
+// only obs metric it sets is the gauge harness.engine.workers, the resolved
+// pool size of the current or last Run, once per Run.
 type Engine struct {
 	// Workers bounds parallelism; 0 or negative means GOMAXPROCS.
 	Workers int
@@ -49,45 +44,16 @@ func PoolWorkers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// em is the engine's process-wide telemetry (see Engine doc comment).
-var em = struct {
-	poolSize     *obs.Gauge
-	busyWorkers  *obs.Gauge
-	chunksDone   *obs.Counter
-	chunkSeconds *obs.Timer
-	busy         atomic.Int64
-}{
-	poolSize:     obs.Default().Gauge("harness.engine.workers"),
-	busyWorkers:  obs.Default().Gauge("harness.engine.busy_workers"),
-	chunksDone:   obs.Default().Counter("harness.engine.chunks_done"),
-	chunkSeconds: obs.Default().Timer("harness.engine.chunk_seconds"),
-}
-
-// workerTrialCounter returns the per-worker trial counter, registered on
-// first use and cached (the registry lookup hashes the name; the engine
-// resolves it once per worker per Run, not per chunk).
-var (
-	wtMu       sync.Mutex
-	wtCounters []*obs.Counter
-)
-
-func workerTrialCounter(w int) *obs.Counter {
-	wtMu.Lock()
-	defer wtMu.Unlock()
-	for len(wtCounters) <= w {
-		wtCounters = append(wtCounters,
-			obs.Default().Counter(fmt.Sprintf("harness.worker.trials.%d", len(wtCounters))))
-	}
-	return wtCounters[w]
-}
+// poolSize is the harness.engine.workers gauge (see Engine).
+var poolSize = obs.Default().Gauge("harness.engine.workers")
 
 // Run executes chunks [0, nChunks) across the pool and blocks until every
 // worker returns. work(worker, chunk) runs outside any lock; worker is a
 // dense id in [0, pool size) so callers can index per-worker scratch state.
-// It returns the number of trials the chunk completed (fed to the Monitor
-// and the worker's trial counter) and whether this worker should keep
-// claiming chunks — returning false retires the worker, which is how the
-// coverage study stops the pool once the chunk prefix it needs is complete.
+// It returns the number of trials the chunk completed (fed to the Monitor)
+// and whether this worker should keep claiming chunks — returning false
+// retires the worker, which is how Chunked stops the pool once the chunk
+// prefix it needs is complete.
 //
 // Cancellation is observed between chunks: a cancelled ctx stops every
 // worker at its next claim and Run returns ctx.Err(). In-flight chunks
@@ -100,7 +66,7 @@ func (e *Engine) Run(ctx context.Context, nChunks int, work func(worker, chunk i
 	if workers > nChunks {
 		workers = nChunks
 	}
-	em.poolSize.Set(float64(workers))
+	poolSize.Set(float64(workers))
 	e.Mon.StartWorkers(workers)
 	defer e.Mon.FinishWorkers()
 
@@ -114,7 +80,6 @@ func (e *Engine) Run(ctx context.Context, nChunks int, work func(worker, chunk i
 		go func(w int) {
 			defer wg.Done()
 			defer func() { exits[w] = e.Trace.Now() }()
-			trialsCtr := workerTrialCounter(w)
 			claimStart := e.Trace.Now()
 			for ctx.Err() == nil {
 				k := int(next.Add(1)) - 1
@@ -123,17 +88,9 @@ func (e *Engine) Run(ctx context.Context, nChunks int, work func(worker, chunk i
 				}
 				e.Trace.Span(w, runtrace.SpanClaim, -1, 0, claimStart)
 				e.Mon.WorkerClaim(w, k)
-				em.busyWorkers.Set(float64(em.busy.Add(1)))
-				t0 := time.Now()
 				chunkStart := e.Trace.Now()
 				trials, cont := work(w, k)
 				e.Trace.Span(w, runtrace.SpanChunk, k, trials, chunkStart)
-				em.chunkSeconds.Since(t0)
-				em.busyWorkers.Set(float64(em.busy.Add(-1)))
-				em.chunksDone.Inc()
-				if trials > 0 {
-					trialsCtr.Add(trials)
-				}
 				e.Mon.WorkerDone(w, trials)
 				if !cont {
 					return

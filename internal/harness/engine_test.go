@@ -167,7 +167,9 @@ func TestEngineTraceAttribution(t *testing.T) {
 
 func TestWatchdogNamesStalledWorker(t *testing.T) {
 	var buf bytes.Buffer
+	var events syncBuffer
 	m := NewMonitor(&buf, time.Second)
+	m.SetEventWriter(&events)
 	m.Expect(1000)
 	m.StartWorkers(2)
 	// Worker 0 keeps completing chunks; worker 1 went silent a minute ago.
@@ -183,8 +185,9 @@ func TestWatchdogNamesStalledWorker(t *testing.T) {
 	if strings.Contains(out, "worker 0/2 stalled") {
 		t.Errorf("healthy worker reported stalled:\n%s", out)
 	}
-	if strings.Contains(out, "no worker progress") {
-		t.Errorf("global watchdog fired while worker 0 was advancing:\n%s", out)
+	// The run is stalled only when every worker is.
+	if strings.Contains(events.String(), `"stalled":true`) {
+		t.Errorf("progress event stalled while worker 0 advances:\n%s", events.String())
 	}
 
 	// The warning latches: a second report does not repeat it.
@@ -203,6 +206,13 @@ func TestWatchdogNamesStalledWorker(t *testing.T) {
 	m.report(time.Now())
 	if !strings.Contains(buf.String(), "worker 1/2 stalled") {
 		t.Errorf("per-worker watchdog did not re-arm:\n%s", buf.String())
+	}
+	m.mu.Lock()
+	m.workerLast[0] = time.Now().Add(-time.Minute).UnixNano()
+	m.mu.Unlock()
+	m.report(time.Now())
+	if !strings.Contains(events.String(), `"stalled":true`) {
+		t.Errorf("progress event not stalled with every worker idle:\n%s", events.String())
 	}
 
 	// FinishWorkers ends tracking; an idle pool after the run is silent.

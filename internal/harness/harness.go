@@ -25,24 +25,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"relaxfault/internal/journal"
 )
 
-// Monitor aggregates progress across one or more simulator runs and
-// periodically reports it. All methods are safe for concurrent use and safe
-// on a nil receiver, so simulators can report unconditionally. A zero-ish
-// Monitor (from NewMonitor) works without Start; Start adds the periodic
-// stderr reporter and the stalled-worker watchdog.
+// Monitor is a run's one record of its progress: the engine books every
+// chunk into it (WorkerClaim, WorkerDone), and the progress lines, the
+// watchdog, JSONL progress events and /debug/status are all read from that
+// record. All methods are safe for concurrent use and safe on a nil
+// receiver, so simulators can report unconditionally. A Monitor from
+// NewMonitor works without Start; Start adds the periodic stderr reporter
+// and the stalled-worker watchdog.
 type Monitor struct {
 	out      io.Writer
 	interval time.Duration
-	// stallAfter is how long without a completed chunk counts as stalled.
+	// stallAfter is how long a worker may go without completing a chunk
+	// before the watchdog names it.
 	stallAfter time.Duration
 
 	start        time.Time
 	expected     atomic.Int64 // trials planned (grows as runs are added)
 	done         atomic.Int64 // trials finished
-	lastAdvance  atomic.Int64 // unix nanos of the last completed chunk
-	stallWarned  atomic.Bool
+	jw           atomic.Pointer[journal.Writer]
 	mu           sync.Mutex
 	label        string
 	stopReporter chan struct{}
@@ -54,8 +58,7 @@ type Monitor struct {
 	// chunk the worker is currently executing (-1 between chunks), and
 	// workerTrials[w] counts the trials it has completed since the pool
 	// registered at workersStart. Registered by Engine.Run via
-	// StartWorkers; empty outside an engine run, in which case only the
-	// run-global watchdog above applies.
+	// StartWorkers; empty outside an engine run, when no watchdog applies.
 	workerLast   []int64
 	workerWarned []bool
 	workerChunk  []int
@@ -82,9 +85,7 @@ func NewMonitor(out io.Writer, interval time.Duration) *Monitor {
 	if 3*interval > stall {
 		stall = 3 * interval
 	}
-	m := &Monitor{out: out, interval: interval, stallAfter: stall, start: time.Now()}
-	m.lastAdvance.Store(time.Now().UnixNano())
-	return m
+	return &Monitor{out: out, interval: interval, stallAfter: stall, start: time.Now()}
 }
 
 // SetLabel names the phase shown in progress lines (e.g. the current CLI
@@ -106,14 +107,13 @@ func (m *Monitor) Expect(n int64) {
 	m.expected.Add(n)
 }
 
-// Done records n finished trials and feeds the watchdog.
-func (m *Monitor) Done(n int64) {
+// SetJournal attaches the campaign's live log writer, whose health the
+// status snapshot reports (nil detaches it).
+func (m *Monitor) SetJournal(w *journal.Writer) {
 	if m == nil {
 		return
 	}
-	m.done.Add(n)
-	m.lastAdvance.Store(time.Now().UnixNano())
-	m.stallWarned.Store(false)
+	m.jw.Store(w)
 }
 
 // StartWorkers registers a pool of n workers for per-worker stall tracking.
@@ -164,14 +164,15 @@ func (m *Monitor) WorkerClaim(w, k int) {
 	m.mu.Unlock()
 }
 
-// WorkerDone records that worker w completed a chunk of n trials: it feeds
-// the run-global counters exactly like Done and additionally stamps the
-// worker's own progress clock, so the watchdog can name the one shard that
-// stalls while the rest of the pool keeps the global clock advancing.
+// WorkerDone records that worker w completed a chunk of n trials: it adds
+// them to the run's total and stamps the worker's own progress clock, so
+// the watchdog can name the one shard that stalls while the rest of the
+// pool keeps advancing.
 func (m *Monitor) WorkerDone(w int, n int64) {
 	if m == nil {
 		return
 	}
+	m.done.Add(n)
 	m.mu.Lock()
 	if w >= 0 && w < len(m.workerLast) {
 		m.workerLast[w] = time.Now().UnixNano()
@@ -180,7 +181,6 @@ func (m *Monitor) WorkerDone(w int, n int64) {
 		m.workerTrials[w] += n
 	}
 	m.mu.Unlock()
-	m.Done(n)
 }
 
 // logf writes one complete line to the monitor's writer under outMu, so
@@ -299,89 +299,63 @@ func (m *Monitor) Start() (stop func()) {
 	}
 }
 
-// report prints one progress line, plus a watchdog warning when no chunk has
-// completed for stallAfter.
+// report prints one progress line, runs the per-worker watchdog and emits
+// one progress event, all from one status snapshot. While a registered pool
+// is mid-run, a worker that completes no chunk for stallAfter is named even
+// though the other workers keep advancing, once per stall episode;
+// completing a chunk re-arms it. The event's "stalled" means every
+// registered worker is past the threshold.
 func (m *Monitor) report(now time.Time) {
-	done := m.done.Load()
-	expected := m.expected.Load()
-	elapsed := now.Sub(m.start).Seconds()
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(done) / elapsed
-	}
-	m.mu.Lock()
-	label := m.label
-	m.mu.Unlock()
-	prefix := "harness"
-	if label != "" {
-		prefix = "harness[" + label + "]"
-	}
-	// Build the whole report off-lock and write it once, so a multi-line
-	// report cannot interleave with worker warnings.
+	// The whole report is assembled first and written in one call, so it
+	// cannot interleave with worker warnings.
 	var b strings.Builder
+	m.mu.Lock()
+	st := m.status(now)
+	prefix := "harness"
+	if st.Experiment != "" {
+		prefix = "harness[" + st.Experiment + "]"
+	}
 	switch {
-	case expected > 0 && done < expected && rate > 0:
-		eta := time.Duration(float64(expected-done) / rate * float64(time.Second))
-		fmt.Fprintf(&b, "%s: %d/%d trials (%.1f%%) %.0f trials/sec ETA %s\n",
-			prefix, done, expected, 100*float64(done)/float64(expected), rate, eta.Round(time.Second))
-	case done > 0:
-		fmt.Fprintf(&b, "%s: %d trials %.0f trials/sec\n", prefix, done, rate)
+	case st.TrialsTotal > st.TrialsDone && st.TrialsPerSec > 0:
+		eta := time.Duration(st.ETASeconds * float64(time.Second))
+		fmt.Fprintf(&b, "%s: %d/%d trials (%.1f%%) %.0f trials/sec ETA %s\n", prefix, st.TrialsDone, st.TrialsTotal,
+			100*float64(st.TrialsDone)/float64(st.TrialsTotal), st.TrialsPerSec, eta.Round(time.Second))
+	case st.TrialsDone > 0:
+		fmt.Fprintf(&b, "%s: %d trials %.0f trials/sec\n", prefix, st.TrialsDone, st.TrialsPerSec)
 	}
-	idle := now.Sub(time.Unix(0, m.lastAdvance.Load()))
-	stalled := idle >= m.stallAfter && done > 0 && (expected <= 0 || done < expected)
-	if stalled && m.stallWarned.CompareAndSwap(false, true) {
-		fmt.Fprintf(&b, "%s: watchdog: no worker progress for %s\n", prefix, idle.Round(time.Second))
-	}
-	// Per-worker watchdog: while a registered pool is mid-run, a single
-	// worker that stops completing chunks is named even though the other
-	// workers keep the global progress clock ticking. Each worker warns
-	// once per stall episode; completing a chunk re-arms it.
-	if expected <= 0 || done < expected {
-		m.mu.Lock()
-		nw := len(m.workerLast)
-		for w := 0; w < nw; w++ {
-			wIdle := now.Sub(time.Unix(0, m.workerLast[w]))
-			if wIdle >= m.stallAfter && !m.workerWarned[w] {
-				m.workerWarned[w] = true
-				fmt.Fprintf(&b, "%s: watchdog: worker %d/%d stalled: no chunk completed for %s\n",
-					prefix, w, nw, wIdle.Round(time.Second))
-			}
+	running := st.TrialsTotal <= 0 || st.TrialsDone < st.TrialsTotal
+	stalled := running && len(m.workerLast) > 0
+	for w, last := range m.workerLast {
+		idle := now.Sub(time.Unix(0, last))
+		if !running || idle < m.stallAfter {
+			stalled = false
+			continue
 		}
-		m.mu.Unlock()
+		if !m.workerWarned[w] {
+			m.workerWarned[w] = true
+			fmt.Fprintf(&b, "%s: watchdog: worker %d/%d stalled: no chunk completed for %s\n",
+				prefix, w, len(m.workerLast), idle.Round(time.Second))
+		}
 	}
+	m.mu.Unlock()
 	if b.Len() > 0 {
 		m.logf("%s", b.String())
 	}
-	if done > 0 {
-		// Per-worker liveness: how many workers are inside a chunk right
-		// now, and each worker's trial rate since the pool registered, so
-		// the event stream alone answers "is a worker flat-lining".
-		m.mu.Lock()
-		busyWorkers := 0
-		var workerRates []float64
-		if n := len(m.workerChunk); n > 0 {
-			poolElapsed := now.Sub(m.workersStart).Seconds()
-			workerRates = make([]float64, n)
-			for w := 0; w < n; w++ {
-				if m.workerChunk[w] >= 0 {
-					busyWorkers++
-				}
-				if poolElapsed > 0 {
-					workerRates[w] = float64(m.workerTrials[w]) / poolElapsed
-				}
-			}
-		}
-		m.mu.Unlock()
+	if st.TrialsDone > 0 {
 		fields := map[string]any{
-			"experiment":     label,
-			"trials_done":    done,
-			"trials_total":   expected,
-			"trials_per_sec": rate,
+			"experiment":     st.Experiment,
+			"trials_done":    st.TrialsDone,
+			"trials_total":   st.TrialsTotal,
+			"trials_per_sec": st.TrialsPerSec,
 			"stalled":        stalled,
-			"busy_workers":   busyWorkers,
+			"busy_workers":   st.BusyWorkers,
 		}
-		if workerRates != nil {
-			fields["workers_trials_per_sec"] = workerRates
+		if len(st.Workers) > 0 {
+			rates := make([]float64, len(st.Workers))
+			for w, ws := range st.Workers {
+				rates[w] = ws.TrialsPerSec
+			}
+			fields["workers_trials_per_sec"] = rates
 		}
 		m.Event("progress", fields)
 	}

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
-
-	"relaxfault/internal/journal"
 )
 
 // WorkerStatus is one worker's live state in a Status snapshot.
@@ -49,15 +47,33 @@ type Status struct {
 	Journal     *JournalHealth `json:"journal,omitempty"`
 }
 
-// Status assembles a live snapshot of the monitor's counters and the
-// registered worker pool (empty Workers outside an engine run). Safe for
+// Status assembles a live snapshot of the monitor's counters, the
+// registered worker pool (empty Workers outside an engine run) and the
+// attached campaign log (no Journal block before SetJournal). Safe for
 // concurrent use and on a nil receiver.
 func (m *Monitor) Status() Status {
 	now := time.Now()
-	st := Status{Time: now.UTC().Format(time.RFC3339Nano)}
 	if m == nil {
-		return st
+		return Status{Time: now.UTC().Format(time.RFC3339Nano)}
 	}
+	m.mu.Lock()
+	st := m.status(now)
+	m.mu.Unlock()
+	// Read outside m.mu: the writer's accessors wait out an fsync in
+	// progress, and workers must not wait on that to book a chunk.
+	if j := m.jw.Load(); j != nil {
+		st.Journal = &JournalHealth{Path: j.Path(), Chunks: j.ChunkRecords(), Sealed: j.Sealed()}
+		if err := j.Err(); err != nil {
+			st.Journal.Err = err.Error()
+		}
+	}
+	return st
+}
+
+// status is Status at time now without the Journal block; the caller holds
+// m.mu.
+func (m *Monitor) status(now time.Time) Status {
+	st := Status{Time: now.UTC().Format(time.RFC3339Nano), Experiment: m.label}
 	st.TrialsDone = m.done.Load()
 	st.TrialsTotal = m.expected.Load()
 	st.ElapsedSeconds = now.Sub(m.start).Seconds()
@@ -67,8 +83,6 @@ func (m *Monitor) Status() Status {
 	if st.TrialsPerSec > 0 && st.TrialsTotal > st.TrialsDone {
 		st.ETASeconds = float64(st.TrialsTotal-st.TrialsDone) / st.TrialsPerSec
 	}
-	m.mu.Lock()
-	st.Experiment = m.label
 	if n := len(m.workerChunk); n > 0 {
 		poolElapsed := now.Sub(m.workersStart).Seconds()
 		st.Workers = make([]WorkerStatus, n)
@@ -89,30 +103,16 @@ func (m *Monitor) Status() Status {
 			st.Workers[w] = ws
 		}
 	}
-	m.mu.Unlock()
 	return st
 }
 
-// StatusHandler serves the monitor's live Status as JSON on each GET. jw, if
-// non-nil, is called per request to resolve the campaign journal writer (it
-// may return nil — e.g. before the journal opens); its health is folded into
-// the response. The handler is what the CLI mounts at /debug/status on the
-// -pprof server.
-func StatusHandler(m *Monitor, jw func() *journal.Writer) http.Handler {
+// StatusHandler serves the monitor's live Status as JSON on each GET. It is
+// what the CLI mounts at /debug/status on the -pprof server.
+func StatusHandler(m *Monitor) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := m.Status()
-		if jw != nil {
-			if j := jw(); j != nil {
-				jh := &JournalHealth{Path: j.Path(), Chunks: j.ChunkRecords(), Sealed: j.Sealed()}
-				if err := j.Err(); err != nil {
-					jh.Err = err.Error()
-				}
-				st.Journal = jh
-			}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(st)
+		enc.Encode(m.Status())
 	})
 }

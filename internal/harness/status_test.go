@@ -57,7 +57,19 @@ func TestMonitorStatus(t *testing.T) {
 func TestStatusHandler(t *testing.T) {
 	m := NewMonitor(nil, 0)
 	m.Expect(10)
-	m.Done(4)
+	m.WorkerDone(0, 4)
+	h := StatusHandler(m)
+
+	// Before a log is attached there is no journal block.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status", nil))
+	var st0 Status
+	if err := json.Unmarshal(rec.Body.Bytes(), &st0); err != nil {
+		t.Fatal(err)
+	}
+	if st0.Journal != nil {
+		t.Errorf("journal health reported with no writer: %+v", st0.Journal)
+	}
 
 	path := filepath.Join(t.TempDir(), "run.journal")
 	w, err := journal.Create(path)
@@ -69,8 +81,8 @@ func TestStatusHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := StatusHandler(m, func() *journal.Writer { return w })
-	rec := httptest.NewRecorder()
+	m.SetJournal(w)
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
@@ -87,17 +99,6 @@ func TestStatusHandler(t *testing.T) {
 	}
 	if st.Journal.Path != path || st.Journal.Sealed {
 		t.Errorf("journal health = %+v, want open at %s", st.Journal, path)
-	}
-
-	// Before the journal opens the resolver returns nil: no journal block.
-	rec = httptest.NewRecorder()
-	StatusHandler(m, func() *journal.Writer { return nil }).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status", nil))
-	var st2 Status
-	if err := json.Unmarshal(rec.Body.Bytes(), &st2); err != nil {
-		t.Fatal(err)
-	}
-	if st2.Journal != nil {
-		t.Errorf("journal health reported with no writer: %+v", st2.Journal)
 	}
 }
 

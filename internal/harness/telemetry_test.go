@@ -84,7 +84,7 @@ func TestLogLinesNeverInterleave(t *testing.T) {
 				case 0:
 					m.Warnf("worker %d iteration %d", w, i)
 				default:
-					m.Done(1)
+					m.WorkerDone(0, 1)
 					m.report(time.Now())
 				}
 			}

@@ -54,8 +54,6 @@ type File struct {
 	mode    Mode
 	written int64
 	dead    bool
-	// syncs counts successful Sync calls (test observability).
-	syncs int
 }
 
 // New wraps under with a fault armed at byte offset trigger. A negative
@@ -66,27 +64,6 @@ func New(under interface {
 	Close() error
 }, trigger int64, mode Mode) *File {
 	return &File{under: under, trigger: trigger, mode: mode}
-}
-
-// Written returns how many bytes reached the underlying file.
-func (f *File) Written() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.written
-}
-
-// Syncs returns how many Sync calls succeeded.
-func (f *File) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
-}
-
-// Dead reports whether the simulated crash has fired.
-func (f *File) Dead() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead
 }
 
 func (f *File) Write(p []byte) (int, error) {
@@ -130,11 +107,7 @@ func (f *File) Sync() error {
 	if f.dead {
 		return ErrCrashed
 	}
-	if err := f.under.Sync(); err != nil {
-		return err
-	}
-	f.syncs++
-	return nil
+	return f.under.Sync()
 }
 
 func (f *File) Close() error {

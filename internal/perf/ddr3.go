@@ -164,9 +164,6 @@ func (c *Channel) Enqueue(r *Request) {
 // Busy reports whether the channel still has work queued.
 func (c *Channel) Busy() bool { return len(c.readQ) > 0 || len(c.writeQ) > 0 }
 
-// QueueLen returns the total queued requests.
-func (c *Channel) QueueLen() int { return len(c.readQ) + len(c.writeQ) }
-
 // Tick makes one scheduling decision at memory-clock time nowTck. FR-FCFS:
 // the oldest row-hit request wins; otherwise the oldest request. Writes are
 // serviced when the read queue is empty or the write queue crosses its high

@@ -8,6 +8,7 @@ package relsim
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
+	"relaxfault/internal/obs"
 )
 
 func TestStatsConfigValidation(t *testing.T) {
@@ -133,11 +135,26 @@ func stoppingCfg(t *testing.T) Config {
 }
 
 // TestSequentialStoppingInvariance: a stopped run must produce identical
-// results — including the stop point — for every worker count, because the cutoff is discovered in the index-ordered fold, not in
-// scheduling order.
+// results — including the stop point — for every worker count, because the
+// cutoff is discovered in the index-ordered fold, not in scheduling order.
+// The result metrics must advance by the same amounts too: they are added
+// in the fold, so the chunks workers compute past the cutoff never reach
+// them.
 func TestSequentialStoppingInvariance(t *testing.T) {
 	cfg := stoppingCfg(t)
+	resultMetrics := []string{"relsim.due", "relsim.sdc", "relsim.replacements", "relsim.faulty_nodes"}
+	advance := func(run func()) []float64 {
+		before := obs.Default().Snapshot()
+		run()
+		after := obs.Default().Snapshot()
+		d := make([]float64, len(resultMetrics))
+		for k, name := range resultMetrics {
+			d[k] = *after[name].Value - *before[name].Value
+		}
+		return d
+	}
 	var want Result
+	var wantAdvance []float64
 	for i, exec := range []Exec{
 		{Workers: 1},
 		{Workers: 2},
@@ -146,7 +163,9 @@ func TestSequentialStoppingInvariance(t *testing.T) {
 	} {
 		run := cfg
 		run.Exec = exec
-		got, err := Run(run)
+		var got Result
+		var err error
+		adv := advance(func() { got, err = Run(run) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,11 +177,21 @@ func TestSequentialStoppingInvariance(t *testing.T) {
 				exec, got.Estimator.Trials, got.Estimator.BudgetTrials)
 		}
 		if i == 0 {
-			want = got
+			want, wantAdvance = got, adv
+			for k, name := range resultMetrics {
+				if adv[k] <= 0 {
+					t.Fatalf("%s did not advance; the run exercises nothing", name)
+				}
+			}
 			continue
 		}
 		if !sameResult(got, want) {
 			t.Errorf("exec %+v diverged:\n%+v\n%+v", exec, got, want)
+		}
+		for k, name := range resultMetrics {
+			if math.Abs(adv[k]-wantAdvance[k]) > 1e-9*wantAdvance[k] {
+				t.Errorf("exec %+v: %s advanced by %v, want %v as at 1 worker", exec, name, adv[k], wantAdvance[k])
+			}
 		}
 	}
 }

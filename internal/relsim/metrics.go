@@ -8,12 +8,13 @@ import (
 // Process-wide Monte Carlo telemetry, bound to the default registry at
 // init so the relsim.* families exist (zero-valued) in every snapshot.
 //
-// Trial counters advance once per completed chunk (thousands of trials),
-// so they cost nothing on the trial hot path; the per-fault counters fire
-// only for the small minority of nodes that develop faults. DUE/SDC and
-// replacement tallies are float counters because the simulator accumulates
-// them in expectation (fractional weight per event), exactly as the paper's
-// analysis does.
+// Work counters count computed trials, speculative ones included: the
+// trial counter advances once per chunk, and the per-fault counters fire
+// only for the few nodes that develop faults. The result totals (faulty
+// nodes, DUEs, SDCs, replacements) are added by RunCtx's fold from each
+// chunk's Result in chunk-index order, so they describe exactly the folded
+// result for any worker count; they are float counters because the
+// simulator accumulates in expectation, as the paper's analysis does.
 var rm = struct {
 	trialsDone    *obs.Counter // trials executed in this process
 	trialsResumed *obs.Counter // trials adopted verbatim from a checkpoint
@@ -22,7 +23,7 @@ var rm = struct {
 	permanent *obs.Counter
 	transient *obs.Counter
 
-	faultyNodes  *obs.Counter
+	faultyNodes  *obs.FloatCounter
 	repairs      *obs.Counter // permanent faults masked by the repair engine
 	repairMisses *obs.Counter // permanent faults the engine could not place
 	dues         *obs.FloatCounter
@@ -44,7 +45,7 @@ var rm = struct {
 	permanent: obs.Default().Counter("relsim.faults.permanent"),
 	transient: obs.Default().Counter("relsim.faults.transient"),
 
-	faultyNodes:  obs.Default().Counter("relsim.faulty_nodes"),
+	faultyNodes:  obs.Default().FloatCounter("relsim.faulty_nodes"),
 	repairs:      obs.Default().Counter("relsim.repairs.applied"),
 	repairMisses: obs.Default().Counter("relsim.repairs.missed"),
 	dues:         obs.Default().FloatCounter("relsim.due"),

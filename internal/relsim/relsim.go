@@ -332,6 +332,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		},
 		Fold: func(_ int, p *runPayload) bool {
 			sum.addScaled(&p.Result, 1)
+			rm.faultyNodes.Add(p.FaultyNodes)
+			rm.dues.Add(p.DUEs)
+			rm.sdcs.Add(p.SDCs)
+			rm.replacements.Add(p.Replacements)
 			if p.Est != nil {
 				cum.merge(p.Est)
 				stopped = targetCI > 0 && cum.DUE.N >= minTrials &&
@@ -530,7 +534,7 @@ func (s *nodeSim) runNode(rng *stats.RNG, res *Result) {
 }
 
 // simulate runs one node's sampled fault history through the repair and
-// replacement policies and accumulates metrics.
+// replacement policies and accumulates its outcome into res.
 func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 	if len(nf.Faults) == 0 {
 		return
@@ -633,8 +637,6 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 		if len(hits) > 0 {
 			res.DUEs += 1 - s.cfg.SDCAliasProb
 			res.SDCs += s.cfg.SDCAliasProb
-			rm.dues.Add(1 - s.cfg.SDCAliasProb)
-			rm.sdcs.Add(s.cfg.SDCAliasProb)
 			// Three devices sharing one codeword defeats the detection
 			// guarantee outright; that needs the two older faults to also
 			// overlap each other at the new fault's coordinates.
@@ -643,7 +645,6 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 				for j := i + 1; j < len(hits); j++ {
 					if fault.Overlaps(hits[i], hits[j], g) {
 						res.SDCs += s.cfg.TripleSDCProb
-						rm.sdcs.Add(s.cfg.TripleSDCProb)
 						break tripleScan // count at most one per event
 					}
 				}
@@ -655,7 +656,6 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 			// identifies that DIMM as broken.
 			if s.cfg.Policy == ReplaceAfterDUE {
 				res.Replacements++
-				rm.replacements.Add(1)
 				replaceDIMM(hits[0].Dev.DIMMIndex(g))
 				nodeReplaced = true
 				// The new fault leaves with the replaced DIMM, except in
@@ -673,7 +673,6 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 		// corrected errors triggers replacement.
 		if s.cfg.Policy == ReplaceAfterThreshold && !newRepaired && s.triggersReplB(f) {
 			res.Replacements++
-			rm.replacements.Add(1)
 			replaceDIMM(dimm)
 			nodeReplaced = true
 		}
@@ -686,7 +685,6 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 	}
 	if anyPermanent {
 		res.FaultyNodes++
-		rm.faultyNodes.Inc()
 	}
 	for dimm := 0; dimm < nDIMMs; dimm++ {
 		if s.devCount[dimm] == 0 {

@@ -97,21 +97,6 @@ func (a *Accumulator) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", a.Mean(), a.CI95(), a.n)
 }
 
-// Counter is a simple named tally used by the simulators to report event
-// counts.
-type Counter struct {
-	value int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.value++ }
-
-// Addn adds n to the counter.
-func (c *Counter) Addn(n int64) { c.value += n }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.value }
-
 // Quantiler collects observations and answers quantile queries. It stores
 // all samples; the reliability simulators record at most one value per
 // Monte Carlo trial so the memory footprint is bounded by the trial count.
@@ -167,60 +152,4 @@ func (q *Quantiler) CDFAt(x float64) float64 {
 	}
 	idx := sort.SearchFloat64s(q.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(q.xs))
-}
-
-// Histogram is a fixed-bucket histogram over [lo, hi) with uniform bucket
-// widths, plus underflow/overflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	buckets   []int64
-	underflow int64
-	overflow  int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n uniform buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int(float64(len(h.buckets)) * (x - h.lo) / (h.hi - h.lo))
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Total returns the number of observations including under/overflow.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Underflow returns the count of observations below the histogram range.
-func (h *Histogram) Underflow() int64 { return h.underflow }
-
-// Overflow returns the count of observations at or above the range.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// BucketBounds returns the [lo, hi) bounds of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
 }

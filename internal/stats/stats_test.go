@@ -244,36 +244,6 @@ func TestQuantiler(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 || h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("totals %d/%d/%d", h.Total(), h.Underflow(), h.Overflow())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d", i, h.Bucket(i))
-		}
-		lo, hi := h.BucketBounds(i)
-		if lo != float64(i) || hi != float64(i+1) {
-			t.Errorf("bounds %f %f", lo, hi)
-		}
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Addn(41)
-	if c.Value() != 42 {
-		t.Errorf("counter %d", c.Value())
-	}
-}
-
 // TestForkerMatchesFork pins the amortised substream derivation to Fork: the
 // batched trial kernels rely on Forker.Substream reproducing Fork's streams
 // bit for bit, so checkpointed campaigns stay byte-identical.
