@@ -61,7 +61,7 @@ type Plan struct {
 	Seed uint64
 	// Trials is the elastic budget scalar (scenario.BudgetTrials).
 	Trials   int
-	Sections []scenario.SectionInfo
+	Sections []harness.Section
 	Record   harness.ScenarioRecord
 }
 
@@ -363,7 +363,7 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 		Name:                c.Plan.Scenario.Name,
 		ScenarioFingerprint: c.Plan.Record.Fingerprint,
 		Stopped:             stopped(res),
-		Sections:            metaSections(c.Plan.Sections),
+		Sections:            c.Plan.Sections,
 		Status:              cstore.StatusComplete,
 		WallSeconds:         time.Since(c.start).Seconds(),
 	}
@@ -424,17 +424,6 @@ func stopped(res *scenario.Result) bool {
 		}
 	}
 	return true
-}
-
-func metaSections(secs []scenario.SectionInfo) []cstore.SectionMeta {
-	out := make([]cstore.SectionMeta, len(secs))
-	for i, s := range secs {
-		out[i] = cstore.SectionMeta{
-			Name: s.Name, Fingerprint: s.Fingerprint,
-			ChunkSize: s.ChunkSize, TotalTrials: s.TotalTrials,
-		}
-	}
-	return out
 }
 
 func fileExists(path string) bool {

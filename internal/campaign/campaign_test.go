@@ -12,6 +12,7 @@ import (
 
 	cstore "relaxfault/internal/campaign/store"
 	"relaxfault/internal/harness"
+	"relaxfault/internal/journal"
 	"relaxfault/internal/scenario"
 )
 
@@ -175,6 +176,20 @@ func TestSmallerBudgetSeedsExtend(t *testing.T) {
 	}
 	if out != want {
 		t.Errorf("bumped budget output differs from scratch:\n%s\nvs\n%s", out, want)
+	}
+
+	// Replaying the seeded entry's log checks every copied chunk's logged
+	// span and payload against a recomputation at the new budget.
+	j, err := journal.Load(filepath.Join(rec.StoreRoot, rec.Entry, cstore.CheckpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrep, err := scenario.VerifyJournal(context.Background(), j, scenario.Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vrep.OK() || vrep.Chunks == 0 || vrep.Verified != vrep.Chunks {
+		t.Errorf("seeded entry's log does not verify: %s %v", vrep, vrep.Mismatched)
 	}
 }
 

@@ -5,17 +5,16 @@ import (
 	"os"
 
 	cstore "relaxfault/internal/campaign/store"
-	"relaxfault/internal/harness"
 )
 
 // seedFrom copies into the campaign's live log every chunk of the completed
-// entry src whose trial span is the span the new budget computes for that
-// index. src's sealed log is opened read-only with every payload checked
-// against its digest first (cached chunks are never trusted on bytes
-// alone); each copied chunk is then appended to the new log with its
-// payload, exactly as a computed chunk is. A chunk payload never depends on
-// the trial budget, so the seeded run's output is byte-identical to a
-// from-scratch run at the new budget.
+// entry src to which the old and the new budget give the same trial span —
+// the condition under which the payloads are equal, since a chunk payload
+// is a pure function of its span. src's sealed log is opened read-only
+// with every payload checked against its digest first (cached chunks are
+// never trusted on bytes alone); each copied chunk is then appended to the
+// new log with its payload, exactly as a computed chunk is, so the seeded
+// run's output is byte-identical to a from-scratch run at the new budget.
 //
 // Chunks the new budget would compute over a different span — the
 // trailing partial chunk of a budget that is not chunk-aligned — are
@@ -33,24 +32,15 @@ func (c *Campaign) seedFrom(src *cstore.Entry) (reused int, err error) {
 	}
 	for i, newSec := range plan.Sections {
 		oldSec := src.Meta.Sections[i]
-		if oldSec.ChunkSize != newSec.ChunkSize {
-			// Structurally different section (should not happen for
-			// campaign-equivalent scenarios); recompute it from scratch.
-			continue
-		}
-		oldCp := old.Section(oldSec.Name, oldSec.Fingerprint)
-		newCp := c.cp.Section(newSec.Name, newSec.Fingerprint)
-		oldChunks := harness.Chunking{Size: oldSec.ChunkSize, Trials: oldSec.TotalTrials}
-		newChunks := harness.Chunking{Size: newSec.ChunkSize, Trials: newSec.TotalTrials}
+		oldCp := old.Section(oldSec)
+		newCp := c.cp.Section(newSec)
 		for _, ci := range oldCp.Indexes() {
-			lo, hi := newChunks.Span(ci)
-			if olo, ohi := oldChunks.Span(ci); olo != lo || ohi != hi {
-				// The new budget computes a different span for this index
-				// (or none); its payload would differ.
+			lo, hi := newSec.Span(ci)
+			if olo, ohi := oldSec.Span(ci); olo != lo || ohi != hi {
 				continue
 			}
 			raw, _ := oldCp.Get(ci)
-			if err := newCp.PutSpan(ci, lo, hi, raw); err != nil {
+			if err := newCp.Put(ci, raw); err != nil {
 				return reused, err
 			}
 			reused++

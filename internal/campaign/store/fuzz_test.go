@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"relaxfault/internal/harness"
 )
 
 // FuzzReadEntry feeds arbitrary bytes to the entry.json reader. It must
@@ -13,7 +15,7 @@ func FuzzReadEntry(f *testing.F) {
 	dir := f.TempDir()
 	err := WriteMeta(dir, Meta{
 		Key: "k", Seed: 7, Trials: 9000, Name: "t", ScenarioFingerprint: "fp",
-		Sections: []SectionMeta{{Name: "run-x", Fingerprint: "x", ChunkSize: 4096, TotalTrials: 9000}},
+		Sections: []harness.Section{{Name: "run-x", Fingerprint: "x", Chunking: harness.Chunking{Size: 4096, Trials: 9000}}},
 		Status:   StatusComplete,
 	})
 	if err != nil {

@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 )
 
@@ -51,16 +52,6 @@ const (
 	claimFile      = ".claim"
 )
 
-// SectionMeta records one checkpoint section's identity and span at the
-// budget the entry was computed with; seeding a different budget maps
-// sections by index and re-derives each chunk's expected span from these.
-type SectionMeta struct {
-	Name        string `json:"name"`
-	Fingerprint string `json:"fingerprint"`
-	ChunkSize   int    `json:"chunk_size"`
-	TotalTrials int    `json:"total_trials"`
-}
-
 // Meta is the entry metadata document (MetaFile).
 type Meta struct {
 	Schema string `json:"schema"`
@@ -79,11 +70,14 @@ type Meta struct {
 	Stopped bool `json:"stopped,omitempty"`
 	// ResultDigest verifies checkpoint-free artifacts (perf result
 	// documents) on cache hits.
-	ResultDigest string        `json:"result_digest,omitempty"`
-	Sections     []SectionMeta `json:"sections,omitempty"`
-	Status       string        `json:"status"`
-	Created      string        `json:"created"`
-	WallSeconds  float64       `json:"wall_seconds"`
+	ResultDigest string `json:"result_digest,omitempty"`
+	// Sections are the entry's checkpoint sections at the budget it was
+	// computed with; seeding a different budget maps sections by index and
+	// copies each chunk whose span both budgets agree on.
+	Sections    []harness.Section `json:"sections,omitempty"`
+	Status      string            `json:"status"`
+	Created     string            `json:"created"`
+	WallSeconds float64           `json:"wall_seconds"`
 }
 
 // Entry is one completed store entry: its directory and parsed metadata.

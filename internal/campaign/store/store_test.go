@@ -1,13 +1,17 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"relaxfault/internal/harness"
 )
 
 // putEntry writes a minimal completed entry plus a sentinel artifact file,
@@ -30,6 +34,67 @@ func putEntry(t *testing.T, st *Store, key string, seed uint64, trials int, stop
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// TestMetaSectionsJSON pins the entry metadata's section records: a
+// harness.Section encodes as {name, fingerprint, chunk_size, total_trials},
+// and an entry.json written in that format reads back with its sections and
+// re-encodes to the same bytes, so entries stay cache hits and seeds across
+// versions.
+func TestMetaSectionsJSON(t *testing.T) {
+	secs := []harness.Section{{Name: "coverage-0ccadec1e283a709", Fingerprint: "0ccadec1e283a709",
+		Chunking: harness.Chunking{Size: 2048, Trials: 5000000}}}
+	raw, err := json.Marshal(Meta{Sections: secs}.Sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"name":"coverage-0ccadec1e283a709","fingerprint":"0ccadec1e283a709","chunk_size":2048,"total_trials":5000000}]`
+	if string(raw) != want {
+		t.Errorf("sections encode as\n%s\nwant\n%s", raw, want)
+	}
+
+	const entry = `{
+  "schema": "relaxfault-campaign-entry/v2",
+  "key": "8408abb69450bbee",
+  "seed": 11,
+  "trials": 2000,
+  "name": "hopper-ppr-budget",
+  "scenario_fingerprint": "ed5678dd1efbc78b",
+  "sections": [
+    {
+      "name": "coverage-0ccadec1e283a709",
+      "fingerprint": "0ccadec1e283a709",
+      "chunk_size": 2048,
+      "total_trials": 5000000
+    }
+  ],
+  "status": "complete",
+  "created": "2026-10-17T09:37:42Z",
+  "wall_seconds": 0.094096803
+}
+`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, MetaFile), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := readEntry(dir)
+	if err != nil || e == nil {
+		t.Fatalf("entry not read back: %v", err)
+	}
+	if !reflect.DeepEqual(e.Meta.Sections, secs) {
+		t.Errorf("sections read back as %+v, want %+v", e.Meta.Sections, secs)
+	}
+	out := t.TempDir()
+	if err := WriteMeta(out, e.Meta); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(filepath.Join(out, MetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != entry {
+		t.Errorf("entry re-encodes as\n%s\nwant\n%s", again, entry)
+	}
 }
 
 func TestLookupBudgetAxes(t *testing.T) {

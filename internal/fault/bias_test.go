@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -38,6 +41,57 @@ func TestSampleNodeBiasedBoostOneBitIdentical(t *testing.T) {
 				t.Fatalf("node %d fault %d differs:\n%+v\n%+v", node, i, *nfA.Faults[i], *nfB.Faults[i])
 			}
 		}
+	}
+}
+
+// samplerDigest is the SHA-256 of TestSamplerDigest's transcript.
+const samplerDigest = "05e3813aca23d0614979745fc1ec72babdfd123626bd412ad4857eef4f97cb89"
+
+// TestSamplerDigest pins the arrival kernel's RNG order: 20,000 substreams
+// through the unbiased, boosted (×8) and stratified samplers, at 1× and 10×
+// FIT, hash to samplerDigest. The transcript holds every sampled field, the
+// returned weight and the substream's next draw, so any change to what the
+// kernel draws, or in which order, fails it. No benchmark workload or golden
+// covers stratified sampling, so this is its byte-identity check.
+func TestSamplerDigest(t *testing.T) {
+	h := sha256.New()
+	for _, fit := range []float64{1, 10} {
+		cfg := DefaultConfig()
+		cfg.Rates = cfg.Rates.Scale(fit)
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var strata []int
+		for s := 0; s < m.NumStrata(); s++ {
+			if m.StratumProb(s) > 0 {
+				strata = append(strata, s)
+			}
+		}
+		root := stats.NewRNG(2016)
+		var sc SampleScratch
+		for node := 0; node < 20_000; node++ {
+			for kind := 0; kind < 3; kind++ {
+				rng := root.Fork(uint64(node))
+				var nf NodeFaults
+				var w float64
+				switch kind {
+				case 0:
+					nf = m.SampleNodeScratch(rng, &sc)
+				case 1:
+					nf, w = m.SampleNodeBiased(rng, &sc, 8)
+				default:
+					nf, w = m.SampleNodeStratified(rng, &sc, strata[node%len(strata)])
+				}
+				fmt.Fprintf(h, "%v %d %d %v %v %v %d\n", fit, node, kind, w, nf.NodeAccelerated, nf.AcceleratedDIMMs, rng.Uint64())
+				for _, f := range nf.Faults {
+					fmt.Fprintf(h, "%+v\n", *f)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != samplerDigest {
+		t.Errorf("sampler digest %s, want %s", got, samplerDigest)
 	}
 }
 

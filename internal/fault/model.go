@@ -262,7 +262,7 @@ func (m *Model) SampleNode(rng *stats.RNG) NodeFaults {
 // allocates fresh ones). The sampled history — and the RNG stream consumed —
 // is bit-identical to SampleNode's; only the scratch allocations differ.
 func (m *Model) SampleNodeScratch(rng *stats.RNG, sc *SampleScratch) NodeFaults {
-	nf, _ := m.sampleNode(rng, sc, 1)
+	nf, _ := m.sampleNode(rng, sc, 1, -1)
 	return nf
 }
 
@@ -273,7 +273,7 @@ func (m *Model) SampleNodeScratch(rng *stats.RNG, sc *SampleScratch) NodeFaults 
 // arrival count — the trial's reweighting factor. Boost 1 consumes an RNG
 // stream bit-identical to SampleNodeScratch and returns log-ratio 0.
 func (m *Model) SampleNodeBiased(rng *stats.RNG, sc *SampleScratch, boost float64) (NodeFaults, float64) {
-	return m.sampleNode(rng, sc, boost)
+	return m.sampleNode(rng, sc, boost, -1)
 }
 
 // maxISLogWeight bounds the per-trial importance weight of the boosted
@@ -282,11 +282,15 @@ func (m *Model) SampleNodeBiased(rng *stats.RNG, sc *SampleScratch, boost float6
 // estimator's variance finite for every node class.
 const maxISLogWeight = 2.0
 
-// sampleNode is the shared arrival-process kernel behind the unbiased and
-// boosted samplers: only the Poisson mean differs (lambda vs lambda times
-// the weight-capped effective boost); given the arrival count, the
-// per-fault details are drawn identically.
-func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64) (NodeFaults, float64) {
+// sampleNode is the one arrival-process kernel behind the unbiased, boosted
+// and stratified samplers. With stratum < 0 only the Poisson mean differs
+// (lambda vs lambda times the weight-capped effective boost) and the second
+// result is the log likelihood ratio; with stratum s ≥ 0 boost is ignored,
+// the count is drawn from the Poisson's positive tail, the first fault's
+// class is forced to s, and the second result is the stratum weight (see
+// SampleNodeStratified). Given the arrival count, the per-fault details are
+// drawn identically.
+func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64, stratum int) (NodeFaults, float64) {
 	if sc == nil {
 		sc = &SampleScratch{}
 	}
@@ -317,26 +321,34 @@ func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64) (No
 	if len(accel) > 0 {
 		nf.AcceleratedDIMMs = accel
 	}
-	// Weight-bounded boosting: cap the effective boost so the zero-count
-	// weight e^{λ(b−1)} never exceeds e^maxISLogWeight. Nodes whose arrival
-	// rate is already large (the accelerated 0.1%) are thereby barely
-	// boosted — they need no oversampling, and boosting them uncapped gives
-	// the likelihood-ratio weights unbounded variance (the estimator then
-	// systematically underestimates in any finite sample).
-	b := boost
-	if b > 1 && lambda > 0 {
-		if bCap := 1 + maxISLogWeight/lambda; b > bCap {
-			b = bCap
+	var n int
+	var weight float64
+	if stratum >= 0 {
+		weight = -math.Expm1(-lambda) * m.StratumProb(stratum) // (1 − e^{−λ}) · p_s
+		n = poissonAtLeast1(rng, lambda)
+	} else {
+		// Weight-bounded boosting: cap the effective boost so the
+		// zero-count weight e^{λ(b−1)} never exceeds e^maxISLogWeight.
+		// Nodes whose arrival rate is already large (the accelerated 0.1%)
+		// are thereby barely boosted — they need no oversampling, and
+		// boosting them uncapped gives the likelihood-ratio weights
+		// unbounded variance (the estimator then systematically
+		// underestimates in any finite sample).
+		b := boost
+		if b > 1 && lambda > 0 {
+			if bCap := 1 + maxISLogWeight/lambda; b > bCap {
+				b = bCap
+			}
 		}
-	}
-	mean := lambda
-	if b != 1 {
-		mean = lambda * b
-	}
-	n := rng.Poisson(mean)
-	logLR := stats.PoissonLogLR(lambda, b, n)
-	if n == 0 {
-		return nf, logLR
+		mean := lambda
+		if b != 1 {
+			mean = lambda * b
+		}
+		n = rng.Poisson(mean)
+		weight = stats.PoissonLogLR(lambda, b, n)
+		if n == 0 {
+			return nf, weight
+		}
 	}
 
 	// Materialise per-device lognormal weights only for nodes that have
@@ -371,7 +383,12 @@ func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64) (No
 			Device:  devIdx % m.devPerDMM,
 		}
 		slot, rowBuf := sc.fault(i)
-		f := m.sampleFault(rng, dev, slot, rowBuf)
+		var f *Fault
+		if i == 0 && stratum >= 0 {
+			f = m.sampleFaultClass(rng, dev, slot, rowBuf, stratum)
+		} else {
+			f = m.sampleFault(rng, dev, slot, rowBuf)
+		}
 		f.AtHours = rng.Float64() * m.cfg.Hours
 		faults = append(faults, f)
 	}
@@ -389,7 +406,7 @@ func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64) (No
 		faults[j+1] = f
 	}
 	nf.Faults = faults
-	return nf, logLR
+	return nf, weight
 }
 
 // NumStrata returns the number of (mode, persistence) fault classes the
@@ -421,86 +438,7 @@ func (m *Model) StratumProb(s int) float64 {
 // "no faults" stratum contributes zero to every tallied metric and is never
 // simulated, which is where the variance reduction comes from.
 func (m *Model) SampleNodeStratified(rng *stats.RNG, sc *SampleScratch, s int) (NodeFaults, float64) {
-	if sc == nil {
-		sc = &SampleScratch{}
-	}
-	ps := m.StratumProb(s)
-	g := m.cfg.Geometry
-	nDIMMs := g.DIMMs()
-	nf := NodeFaults{}
-	nodeMult := m.adjustedMult
-	if rng.Bool(m.cfg.AccelNodeFrac) {
-		nf.NodeAccelerated = true
-		nodeMult = m.cfg.AccelFactor
-	}
-	sc.dimmMult = grow(sc.dimmMult, nDIMMs)
-	dimmMult := sc.dimmMult
-	accel := sc.accel[:0]
-	lambda := 0.0
-	perDevRate := FITToRate(m.totalFIT) * m.cfg.Hours
-	for d := 0; d < nDIMMs; d++ {
-		mult := nodeMult
-		if !nf.NodeAccelerated && rng.Bool(m.cfg.AccelDIMMFrac) {
-			mult = m.cfg.AccelFactor
-			accel = append(accel, d)
-		}
-		dimmMult[d] = mult
-		lambda += mult * float64(m.devPerDMM) * perDevRate
-	}
-	sc.accel = accel
-	if len(accel) > 0 {
-		nf.AcceleratedDIMMs = accel
-	}
-	weight := -math.Expm1(-lambda) * ps // (1 − e^{−λ}) · p_s
-	n := poissonAtLeast1(rng, lambda)
-
-	sc.weights = grow(sc.weights, nDIMMs*m.devPerDMM)
-	weights := sc.weights
-	var totalW float64
-	for i := range weights {
-		w := rng.Lognormal(1, m.cfg.VarianceFrac) * dimmMult[i/m.devPerDMM]
-		weights[i] = w
-		totalW += w
-	}
-
-	faults := sc.ptrs[:0]
-	for i := 0; i < n; i++ {
-		target := rng.Float64() * totalW
-		devIdx := 0
-		for acc := 0.0; devIdx < len(weights)-1; devIdx++ {
-			acc += weights[devIdx]
-			if target < acc {
-				break
-			}
-		}
-		dimm := devIdx / m.devPerDMM
-		dev := dram.DeviceCoord{
-			Channel: dimm / g.DIMMsPerChan,
-			Rank:    dimm % g.DIMMsPerChan,
-			Device:  devIdx % m.devPerDMM,
-		}
-		slot, rowBuf := sc.fault(i)
-		var f *Fault
-		if i == 0 {
-			f = m.sampleFaultClass(rng, dev, slot, rowBuf, s)
-		} else {
-			f = m.sampleFault(rng, dev, slot, rowBuf)
-		}
-		f.AtHours = rng.Float64() * m.cfg.Hours
-		faults = append(faults, f)
-	}
-	sc.ptrs = faults
-	for i := 1; i < len(faults); i++ {
-		f := faults[i]
-		j := i - 1
-		for j >= 0 && faults[j].AtHours > f.AtHours {
-			faults[j+1] = faults[j]
-			j--
-		}
-		faults[j+1] = f
-	}
-	nf.Faults = faults
-	return nf, weight
+	return m.sampleNode(rng, sc, 1, s)
 }
 
 // poissonAtLeast1 draws from Poisson(mean) conditioned on a positive count.

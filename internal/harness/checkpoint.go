@@ -17,7 +17,7 @@ import (
 // completed work chunks of one or more simulator runs. Each run owns a
 // Section keyed by a fingerprint of its configuration; within a section,
 // chunks are opaque JSON payloads keyed by chunk index. The log is the only
-// durable artifact: PutSpan appends one fsync'd chunk record carrying the
+// durable artifact: Put appends one fsync'd chunk record carrying the
 // payload before the chunk enters the view, and LoadStore rebuilds the view
 // by replaying a log's valid prefix.
 //
@@ -28,7 +28,7 @@ import (
 type Store struct {
 	mu       sync.Mutex
 	sections map[string]*sectionData
-	// w receives one chunk record per PutSpan; nil keeps the view in memory
+	// w receives one chunk record per Put; nil keeps the view in memory
 	// only (cache hits, seeding sources, tests).
 	w *journal.Writer
 	// verified counts the logged chunks LoadStore checked against their
@@ -47,7 +47,7 @@ type storeFile struct {
 	Sections map[string]*sectionData `json:"sections"`
 }
 
-// NewStore returns an empty view whose chunks PutSpan appends through w
+// NewStore returns an empty view whose chunks Put appends through w
 // (nil: the view stays in memory).
 func NewStore(w *journal.Writer) *Store {
 	return &Store{sections: make(map[string]*sectionData), w: w}
@@ -93,8 +93,8 @@ func LoadStore(j *journal.Journal, w *journal.Writer) (*Store, error) {
 	return s, nil
 }
 
-// OpenStore opens the campaign log at path as a Store whose PutSpans
-// append to it. With resume=false it creates (or truncates) the log and
+// OpenStore opens the campaign log at path as a Store whose Puts append
+// to it. With resume=false it creates (or truncates) the log and
 // appends head as the open record. With resume=true it reopens the log —
 // journal.Resume truncates a torn tail and refuses v1 and complete-sealed
 // logs — rebuilds the view with LoadStore, and appends head as a resume
@@ -130,7 +130,7 @@ func OpenStore(path string, resume bool, head journal.Record) (*Store, error) {
 	return s, nil
 }
 
-// Journal returns the log writer PutSpan appends through (nil for a
+// Journal returns the log writer Put appends through (nil for a
 // memory-only view). Safe on a nil Store.
 func (s *Store) Journal() *journal.Writer {
 	if s == nil {
@@ -158,20 +158,20 @@ func (s *Store) Snapshot() ([]byte, error) {
 	return json.Marshal(storeFile{Version: 1, Sections: s.sections})
 }
 
-// Section returns the checkpoint section named name, creating it if absent.
-// A pre-existing section whose fingerprint does not match is discarded: the
+// Section returns the checkpoint of section sec, creating it if absent. A
+// pre-existing section whose fingerprint does not match is discarded: the
 // configuration changed, so its chunks no longer describe this run. Safe on
 // a nil Store (returns a nil Checkpoint whose methods are no-ops).
-func (s *Store) Section(name, fingerprint string) *Checkpoint {
+func (s *Store) Section(sec Section) *Checkpoint {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sec := s.sections[name]; sec == nil || sec.Fingerprint != fingerprint {
-		s.sections[name] = &sectionData{Fingerprint: fingerprint, Chunks: make(map[string]json.RawMessage)}
+	if d := s.sections[sec.Name]; d == nil || d.Fingerprint != sec.Fingerprint {
+		s.sections[sec.Name] = &sectionData{Fingerprint: sec.Fingerprint, Chunks: make(map[string]json.RawMessage)}
 	}
-	return &Checkpoint{store: s, name: name}
+	return &Checkpoint{store: s, sec: sec}
 }
 
 // Checkpoint is one run's view of a Store section. Methods are safe for
@@ -179,7 +179,7 @@ func (s *Store) Section(name, fingerprint string) *Checkpoint {
 // checkpoint unconditionally.
 type Checkpoint struct {
 	store *Store
-	name  string
+	sec   Section
 }
 
 // Get returns the payload of chunk i, if present.
@@ -189,7 +189,7 @@ func (c *Checkpoint) Get(i int) (json.RawMessage, bool) {
 	}
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
-	raw, ok := c.store.sections[c.name].Chunks[strconv.Itoa(i)]
+	raw, ok := c.store.sections[c.sec.Name].Chunks[strconv.Itoa(i)]
 	return raw, ok
 }
 
@@ -201,7 +201,7 @@ func (c *Checkpoint) Indexes() []int {
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
 	var out []int
-	for k := range c.store.sections[c.name].Chunks {
+	for k := range c.store.sections[c.sec.Name].Chunks {
 		if i, err := strconv.Atoi(k); err == nil {
 			out = append(out, i)
 		}
@@ -221,7 +221,7 @@ func (c *Checkpoint) PruneAbove(max int) {
 	}
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
-	chunks := c.store.sections[c.name].Chunks
+	chunks := c.store.sections[c.sec.Name].Chunks
 	for k := range chunks {
 		if i, err := strconv.Atoi(k); err == nil && i > max {
 			delete(chunks, k)
@@ -229,12 +229,12 @@ func (c *Checkpoint) PruneAbove(max int) {
 	}
 }
 
-// PutSpan persists chunk i's payload (marshalled to JSON) with its RNG fork
-// coordinates: the trial range [trialLo, trialHi) whose per-trial streams
+// Put persists chunk i's payload (marshalled to JSON) with its RNG fork
+// coordinates: the section's trial range Span(i), whose per-trial streams
 // are fork(trial) of the run's root seed. The chunk record is durably
 // appended to the log before the chunk enters the view; if the append fails
 // the chunk stays out of the view too, and a resumed run recomputes it.
-func (c *Checkpoint) PutSpan(i, trialLo, trialHi int, payload any) error {
+func (c *Checkpoint) Put(i int, payload any) error {
 	if c == nil {
 		return nil
 	}
@@ -242,15 +242,13 @@ func (c *Checkpoint) PutSpan(i, trialLo, trialHi int, payload any) error {
 	if err != nil {
 		return fmt.Errorf("harness: encoding chunk %d: %w", i, err)
 	}
-	c.store.mu.Lock()
-	fp := c.store.sections[c.name].Fingerprint
-	c.store.mu.Unlock()
-	if err := c.store.w.AppendChunk(c.name, fp, i, trialLo, trialHi, raw); err != nil {
+	lo, hi := c.sec.Span(i)
+	if err := c.store.w.AppendChunk(c.sec.Name, c.sec.Fingerprint, i, lo, hi, raw); err != nil {
 		return fmt.Errorf("harness: logging chunk %d: %w (chunk left unpersisted)", i, err)
 	}
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
-	c.store.sections[c.name].Chunks[strconv.Itoa(i)] = raw
+	c.store.sections[c.sec.Name].Chunks[strconv.Itoa(i)] = raw
 	return nil
 }
 

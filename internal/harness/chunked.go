@@ -16,8 +16,19 @@ import (
 // replayers, and campaign seeding agree on every chunk's trial range by
 // construction.
 type Chunking struct {
-	Size   int
-	Trials int
+	Size   int `json:"chunk_size"`
+	Trials int `json:"total_trials"`
+}
+
+// Section is one campaign section: the checkpoint/journal section name, the
+// fingerprint of the configuration that computes it, and its chunk split.
+// It is one value from lowering to the log: the simulators derive it, the
+// driver runs it, the view logs each chunk with its span, and a store entry
+// records it (its JSON is the entry metadata's section record).
+type Section struct {
+	Name        string `json:"name"`
+	Fingerprint string `json:"fingerprint"`
+	Chunking
 }
 
 // Count returns the number of chunks.
@@ -34,7 +45,7 @@ func (c Chunking) Span(ci int) (lo, hi int) {
 const gateSlack = 2
 
 // Chunked drives one fixed-index chunked campaign on an Engine: chunk ci
-// covers the trials Chunks.Span(ci), its payload P is a pure function of
+// covers the trials Section.Span(ci), its payload P is a pure function of
 // that span, and payloads fold into the caller's accumulator in strict
 // chunk-index order. Results are therefore independent of the worker count
 // and of scheduling, which is what lets a killed run resume from its
@@ -56,12 +67,10 @@ type Chunked[P any] struct {
 	Workers int
 	Mon     *Monitor
 	Trace   *runtrace.Recorder
-	// Store, if non-nil, persists chunks under the section Section keyed by
-	// Fingerprint; log append errors degrade to Mon warnings.
-	Store       *Store
-	Section     string
-	Fingerprint string
-	Chunks      Chunking
+	// Store, if non-nil, persists chunks under Section; log append errors
+	// degrade to Mon warnings.
+	Store   *Store
+	Section Section
 	// Expect announces the trials left to compute to Mon. Campaigns whose
 	// chunk space is only a worst-case cap (coverage studies) leave it off.
 	Expect bool
@@ -103,10 +112,10 @@ type Chunked[P any] struct {
 // and the first error is returned naming its section and chunk. On success
 // every chunk up to the cutoff (or all of them) has been folded.
 func (c *Chunked[P]) Run(ctx context.Context) error {
-	n := c.Chunks.Count()
+	n := c.Section.Count()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	cp := c.Store.Section(c.Section, c.Fingerprint)
+	cp := c.Store.Section(c.Section)
 
 	// Reduction and admission state, all under mu; chunk computation and
 	// persistence run outside the lock.
@@ -154,7 +163,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 			continue
 		}
 		raw, _ := cp.Get(ci)
-		lo, hi := c.Chunks.Span(ci)
+		lo, hi := c.Section.Span(ci)
 		if p, ok := c.Decode(lo, hi, raw); ok {
 			complete(ci, p)
 			have[ci] = true
@@ -168,7 +177,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 	for ci := 0; ci < n && (bound < 0 || ci <= bound); ci++ {
 		if !have[ci] {
 			todo = append(todo, ci)
-			lo, hi := c.Chunks.Span(ci)
+			lo, hi := c.Section.Span(ci)
 			expect += int64(hi - lo)
 		}
 	}
@@ -226,12 +235,12 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		if kernels[w] == nil {
 			kernels[w] = c.Kernel()
 		}
-		lo, hi := c.Chunks.Span(ci)
+		lo, hi := c.Section.Span(ci)
 		p, err := kernels[w](lo, hi)
 		if err != nil {
 			mu.Lock()
 			if kernelErr == nil {
-				kernelErr = fmt.Errorf("harness: section %s chunk %d: %w", c.Section, ci, err)
+				kernelErr = fmt.Errorf("harness: section %s chunk %d: %w", c.Section.Name, ci, err)
 			}
 			mu.Unlock()
 			cancel() // stops every claim, and wakes claims waiting at the gate
@@ -244,7 +253,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 			cond.Broadcast()
 		}
 		ckptStart := c.Trace.Now()
-		if err := cp.PutSpan(ci, lo, hi, p); err != nil {
+		if err := cp.Put(ci, p); err != nil {
 			c.Mon.Warnf("%v (run continues without this chunk persisted)", err)
 		}
 		c.Trace.Span(w, runtrace.SpanCheckpoint, ci, 0, ckptStart)

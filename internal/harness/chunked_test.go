@@ -70,12 +70,17 @@ type toyOpts struct {
 	hook func(lo int) error
 }
 
+// toySection is the toy campaign's section over trials [0, trials), in
+// chunks of 16.
+func toySection(trials int) Section {
+	return Section{Name: "toy", Fingerprint: "fp", Chunking: Chunking{Size: 16, Trials: trials}}
+}
+
 func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 	r := &toyRun{computed: map[int]int{}}
 	c := Chunked[*toyChunk]{
 		Workers: o.workers, Mon: o.mon, Trace: o.trace,
-		Store: store, Section: "toy", Fingerprint: "fp",
-		Chunks: Chunking{Size: 16, Trials: o.trials},
+		Store: store, Section: toySection(o.trials),
 		Decode: func(lo, hi int, raw json.RawMessage) (*toyChunk, bool) {
 			var ch toyChunk
 			if json.Unmarshal(raw, &ch) != nil || ch.Lo != lo || ch.Hi != hi {
@@ -124,7 +129,7 @@ func TestChunkedFoldsInIndexOrder(t *testing.T) {
 		}
 		var folded []int
 		c := Chunked[int]{
-			Workers: 8, Chunks: Chunking{Size: 1, Trials: n},
+			Workers: 8, Section: Section{Chunking: Chunking{Size: 1, Trials: n}},
 			Kernel: func() func(lo, hi int) (int, error) {
 				return func(lo, _ int) (int, error) {
 					time.Sleep(delay[lo])
@@ -210,7 +215,7 @@ func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
 	if !reflect.DeepEqual(r.folded, ref.folded) {
 		t.Fatalf("folded %v, want %v", r.folded, ref.folded)
 	}
-	got := store.Section("toy", "fp").Indexes()
+	got := store.Section(toySection(4000)).Indexes()
 	if len(got) != cutoff+1 || got[len(got)-1] != cutoff {
 		t.Errorf("view holds chunks %v, want exactly [0, %d]", got, cutoff)
 	}
@@ -238,7 +243,7 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	cp := openLogStore(t, path, true).Section("toy", "fp")
+	cp := openLogStore(t, path, true).Section(toySection(4000))
 	stored := map[int]bool{}
 	for _, ci := range cp.Indexes() {
 		stored[ci] = true
@@ -290,7 +295,7 @@ func TestChunkedKernelErrorFailsRun(t *testing.T) {
 		// computes it and matches an uninterrupted run.
 		store := openLogStore(t, path, true)
 		stored := map[int]bool{}
-		for _, ci := range store.Section("toy", "fp").Indexes() {
+		for _, ci := range store.Section(toySection(4000)).Indexes() {
 			stored[ci] = true
 		}
 		for lo := range r.computed {
@@ -326,17 +331,17 @@ func TestChunkedResumeSkipsStoredChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp := openLogStore(t, path, false).Section("toy", "fp")
+	cp := openLogStore(t, path, false).Section(toySection(100))
 	for ci := 0; ci < 3; ci++ {
 		ch := &toyChunk{Lo: ci * 16, Hi: ci*16 + 16}
 		for i := ch.Lo; i < ch.Hi; i++ {
 			ch.Sum += 1 / float64(i+3)
 		}
-		if err := cp.PutSpan(ci, ch.Lo, ch.Hi, ch); err != nil {
+		if err := cp.Put(ci, ch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cp.PutSpan(3, 48, 64, "not a chunk"); err != nil {
+	if err := cp.Put(3, "not a chunk"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := runToy(context.Background(), openLogStore(t, path, true), toyOpts{workers: 2, trials: 100})
@@ -350,6 +355,47 @@ func TestChunkedResumeSkipsStoredChunks(t *testing.T) {
 	}
 	if r.computed[3*16] != 1 {
 		t.Errorf("undecodable chunk 3 computed %d times, want 1", r.computed[3*16])
+	}
+	if r.total != want.total || !reflect.DeepEqual(r.folded, want.folded) {
+		t.Errorf("resumed total %v folded %v, want %v %v", r.total, r.folded, want.total, want.folded)
+	}
+}
+
+// TestChunkedResumeDropsNegativeIndex: a validly framed record of chunk -1,
+// whose payload Decode would adopt for the span [-16, 0), never reaches the
+// driver. The log's valid prefix ends at it, so a resume keeps the chunks
+// before it, recomputes the chunk logged after it, and matches an
+// uninterrupted run.
+func TestChunkedResumeDropsNegativeIndex(t *testing.T) {
+	want, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	if _, err := runToy(context.Background(), openLogStore(t, path, false), toyOpts{workers: 1, trials: 48}); err != nil {
+		t.Fatal(err)
+	}
+	s := openLogStore(t, path, true)
+	raw := json.RawMessage(`{"Lo":-16,"Hi":0,"Sum":1}`)
+	if err := s.Journal().AppendChunk("toy", "fp", -1, -16, 0, raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Section(toySection(100)).Put(3, &toyChunk{Lo: 48, Hi: 64}); err != nil {
+		t.Fatal(err)
+	}
+	s.Journal().Close()
+
+	r, err := runToy(context.Background(), openLogStore(t, path, true), toyOpts{workers: 2, trials: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 3; ci++ {
+		if r.computed[ci*16] != 0 {
+			t.Errorf("logged chunk %d was recomputed", ci)
+		}
+	}
+	if r.computed[3*16] != 1 {
+		t.Errorf("chunk 3, logged after the negative index, computed %d times, want 1", r.computed[3*16])
 	}
 	if r.total != want.total || !reflect.DeepEqual(r.folded, want.folded) {
 		t.Errorf("resumed total %v folded %v, want %v %v", r.total, r.folded, want.total, want.folded)

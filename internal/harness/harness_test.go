@@ -16,13 +16,17 @@ type payload struct {
 	B int     `json:"b"`
 }
 
+// runSec is the test section "run" under fingerprint fp1: chunk i covers
+// trials [10i, 10i+10).
+var runSec = Section{Name: "run", Fingerprint: "fp1", Chunking: Chunking{Size: 10, Trials: 100}}
+
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	s := openLogStore(t, path, false)
-	cp := s.Section("run", "fp1")
+	cp := s.Section(runSec)
 	chunks := map[int]payload{0: {A: 0.1, B: 1}, 2: {A: 2.5e-17, B: 2}, 5: {A: -3, B: 5}}
 	for i, p := range chunks {
-		if err := cp.PutSpan(i, 10*i, 10*i+10, p); err != nil {
+		if err := cp.Put(i, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +44,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if s2.Verified() != 3 {
 		t.Errorf("Verified() = %d, want 3", s2.Verified())
 	}
-	cp2 := s2.Section("run", "fp1")
+	cp2 := s2.Section(runSec)
 	if got := cp2.Indexes(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 5 {
 		t.Fatalf("Indexes() = %v, want [0 2 5]", got)
 	}
@@ -65,7 +69,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestOpenStoreResumeMissingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.jsonl")
 	s := openLogStore(t, path, true)
-	if got := s.Section("x", "fp").Indexes(); len(got) != 0 {
+	if got := s.Section(Section{Name: "x", Fingerprint: "fp"}).Indexes(); len(got) != 0 {
 		t.Errorf("fresh store has chunks %v", got)
 	}
 	if j, err := journal.Load(path); err != nil || j.Open.Type != journal.TypeOpen {
@@ -75,11 +79,11 @@ func TestOpenStoreResumeMissingFile(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var s *Store
-	cp := s.Section("x", "fp")
+	cp := s.Section(runSec)
 	if cp != nil {
 		t.Error("nil Store returned a non-nil section")
 	}
-	if err := cp.PutSpan(0, 0, 1, payload{}); err != nil {
+	if err := cp.Put(0, payload{}); err != nil {
 		t.Error(err)
 	}
 	cp.PruneAbove(0)

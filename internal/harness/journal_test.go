@@ -24,20 +24,23 @@ func openLogStore(t *testing.T, path string, resume bool) *Store {
 	return s
 }
 
-func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
+// TestPutJournalsBeforeCheckpoint: Put logs each chunk with the section's
+// own span for it (the short last chunk included) before the chunk enters
+// the view, and the record carries the view's payload bytes.
+func TestPutJournalsBeforeCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	s := openLogStore(t, path, false)
-	cp := s.Section("run-xyz", "xyz")
+	cp := s.Section(Section{Name: "run-xyz", Fingerprint: "xyz", Chunking: Chunking{Size: 4096, Trials: 6000}})
 	type payload struct{ V int }
-	if err := cp.PutSpan(0, 0, 4096, payload{41}); err != nil {
-		t.Fatalf("PutSpan: %v", err)
+	if err := cp.Put(0, payload{41}); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	if err := cp.PutSpan(1, 4096, 8192, payload{42}); err != nil {
-		t.Fatalf("PutSpan: %v", err)
+	if err := cp.Put(1, payload{42}); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
 	raw, ok := cp.Get(1)
 	if !ok || string(raw) != `{"V":42}` {
-		t.Fatalf("view holds %s (%v) after PutSpan", raw, ok)
+		t.Fatalf("view holds %s (%v) after Put", raw, ok)
 	}
 
 	j, err := journal.Load(path)
@@ -49,7 +52,7 @@ func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
 	}
 	rec := j.Chunks[1]
 	if rec.Section != "run-xyz" || rec.SectionFP != "xyz" || rec.Chunk != 1 ||
-		rec.TrialLo != 4096 || rec.TrialHi != 8192 {
+		rec.TrialLo != 4096 || rec.TrialHi != 6000 {
 		t.Fatalf("chunk record wrong: %+v", rec)
 	}
 	if !bytes.Equal(rec.Payload, raw) || rec.Digest != journal.Digest(raw) {
@@ -62,9 +65,9 @@ func TestPutSpanJournalsBeforeCheckpoint(t *testing.T) {
 func writeLog(t *testing.T, n int) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp := openLogStore(t, path, false).Section("run", "fp1")
+	cp := openLogStore(t, path, false).Section(runSec)
 	for i := 0; i < n; i++ {
-		if err := cp.PutSpan(i, 10*i, 10*i+10, payload{A: float64(i), B: i}); err != nil {
+		if err := cp.Put(i, payload{A: float64(i), B: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,11 +116,11 @@ func refuseThenRestart(t *testing.T, body []byte, wantErr string) {
 		t.Fatalf("log %q: error %q does not name the file and %q", body, err, wantErr)
 	}
 	s := openLogStore(t, path, false)
-	if err := s.Section("run", "fp1").PutSpan(0, 0, 10, payload{B: 1}); err != nil {
+	if err := s.Section(runSec).Put(0, payload{B: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s.Journal().Close()
-	if got := openLogStore(t, path, true).Section("run", "fp1").Indexes(); !reflect.DeepEqual(got, []int{0}) {
+	if got := openLogStore(t, path, true).Section(runSec).Indexes(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("log %q: the fresh log resumes with chunks %v, want [0]", body, got)
 	}
 }
@@ -158,7 +161,7 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := openLogStore(t, path, true)
-			if got := s.Section("run", "fp1").Indexes(); !reflect.DeepEqual(got, []int{0, 1}) || s.Verified() != 2 {
+			if got := s.Section(runSec).Indexes(); !reflect.DeepEqual(got, []int{0, 1}) || s.Verified() != 2 {
 				t.Fatalf("view holds %v (%d verified), want [0 1] (2)", got, s.Verified())
 			}
 			j, err := journal.Load(path)
@@ -198,7 +201,7 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := s.Section("run", fp).Indexes(); len(got) != want {
+				if got := s.Section(Section{Name: "run", Fingerprint: fp}).Indexes(); len(got) != want {
 					t.Errorf("section under %s holds chunks %v, want %d", fp, got, want)
 				}
 			}
@@ -207,9 +210,9 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 			path, _ := writeLog(t, 0)
 			s := openLogStore(t, path, true)
 			s.Journal().Close() // closed handle: the next append fails
-			cp := s.Section("run", "fp1")
-			if err := cp.PutSpan(0, 0, 10, payload{}); err == nil {
-				t.Fatal("PutSpan with a broken log must fail")
+			cp := s.Section(runSec)
+			if err := cp.Put(0, payload{}); err == nil {
+				t.Fatal("Put with a broken log must fail")
 			}
 			if _, ok := cp.Get(0); ok {
 				t.Fatal("chunk entered the view although its record never reached the log")

@@ -41,6 +41,24 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add(data)
 
+	neg := filepath.Join(dir, "neg.jsonl")
+	if w, err = Create(neg); err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Type: TypeOpen, Schema: Schema, Seed: 7},
+		{Type: TypeChunk, Section: "run-abc", SectionFP: "abc", Chunk: -1, Payload: []byte("0"), Digest: Digest([]byte("0"))},
+	} {
+		if err := w.Append(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Close()
+	if data, err = os.ReadFile(neg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data) // a chunk record with a negative index
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, n, _ := parse(data)
 		if n < 0 || n > int64(len(data)) {

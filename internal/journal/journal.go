@@ -23,9 +23,10 @@
 //
 // where sum is the FNV-64a hash of the exact bytes of the rec value. A line
 // whose trailing newline is missing, whose JSON does not parse, whose sum
-// does not match, or whose record sequence number is not the successor of
-// the previous line is the start of a torn tail: recovery keeps the valid
-// prefix and drops everything from the first bad byte (see Resume).
+// does not match, whose record sequence number is not the successor of the
+// previous line, or which is a chunk record with a negative index is the
+// start of a torn tail: recovery keeps the valid prefix and drops
+// everything from the first bad byte (see Resume).
 //
 // Record types, in the order they may legally appear:
 //

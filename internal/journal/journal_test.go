@@ -222,6 +222,44 @@ func TestSequenceGapDetected(t *testing.T) {
 	}
 }
 
+// TestNegativeChunkIndexIsTorn: a validly framed chunk record with a
+// negative index ends the valid prefix like a sequence gap, so Load reports
+// it as the torn tail and Resume cuts it with everything after it.
+func TestNegativeChunkIndexIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.journal")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(Record{Type: TypeOpen, Schema: Schema, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ci := range []int{0, -1, 1} {
+		if err := w.AppendChunk("run-abc", "abc", ci, ci*4096, (ci+1)*4096, json.RawMessage(`0`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	j, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(j.Chunks) != 1 || j.TornBytes == 0 || !strings.Contains(j.TornReason, "negative index -1") {
+		t.Fatalf("negative index not torn: chunks=%d torn=%d reason=%q", len(j.Chunks), j.TornBytes, j.TornReason)
+	}
+	w, rj, err := Resume(path)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	w.Close()
+	if len(rj.Chunks) != 1 || rj.Chunks[0].Chunk != 0 {
+		t.Fatalf("Resume kept chunks %+v, want chunk 0 alone", rj.Chunks)
+	}
+	if j, err = Load(path); err != nil || j.TornBytes != 0 || len(j.Chunks) != 1 {
+		t.Fatalf("Resume did not cut the tail: %v, %d torn bytes, %d chunks", err, j.TornBytes, len(j.Chunks))
+	}
+}
+
 func TestResumeRefusesCompleteSeal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.journal")
 	writeSample(t, path, 1, true)

@@ -143,6 +143,9 @@ func parse(data []byte) (*Journal, int64, string) {
 			r := rec
 			j.Open = &r
 		case TypeChunk:
+			if rec.Chunk < 0 {
+				return j, off, fmt.Sprintf("chunk record with negative index %d", rec.Chunk)
+			}
 			j.Chunks = append(j.Chunks, rec)
 			j.ChunkRecords++
 			j.Seal = nil

@@ -104,8 +104,9 @@ type MemConfig struct {
 	// BankXORHash applies permutation-based bank interleaving in the
 	// memory controller (Table 3).
 	BankXORHash bool
-	// Timing is the channel timing spec; the zero value means DDR3-1600
-	// (the legacy hard-coded timing).
+	// Timing is the channel timing spec (DDR3Timing in DefaultMemConfig,
+	// the technology's timing in a lowered scenario); a zero spec fails
+	// Validate.
 	Timing TimingSpec
 }
 
@@ -122,18 +123,8 @@ func DefaultMemConfig() MemConfig {
 	}
 }
 
-// normalized fills the zero-value timing with the DDR3 default, so
-// hand-built MemConfigs that predate the technology layer keep working.
-func (cfg MemConfig) normalized() MemConfig {
-	if cfg.Timing == (TimingSpec{}) {
-		cfg.Timing = DDR3Timing()
-	}
-	return cfg
-}
-
 // Validate reports the first configuration error, if any.
 func (cfg MemConfig) Validate() error {
-	cfg = cfg.normalized()
 	if err := cfg.Geometry.Validate(); err != nil {
 		return fmt.Errorf("perf: %w", err)
 	}
@@ -155,7 +146,6 @@ func (cfg MemConfig) Validate() error {
 
 // NewMemSystem builds the shared hierarchy.
 func NewMemSystem(cfg MemConfig) (*MemSystem, error) {
-	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"strings"
 	"testing"
 
 	"relaxfault/internal/addrmap"
@@ -16,6 +17,11 @@ func TestMemSystemValidation(t *testing.T) {
 	cfg.LLCSets = 1000
 	if _, err := NewMemSystem(cfg); err == nil {
 		t.Error("non-power-of-two sets accepted")
+	}
+	cfg = DefaultMemConfig()
+	cfg.Timing = TimingSpec{}
+	if _, err := NewMemSystem(cfg); err == nil || !strings.Contains(err.Error(), "tRCD must be positive") {
+		t.Errorf("zero timing spec: got %v, want a tRCD error", err)
 	}
 }
 

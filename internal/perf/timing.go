@@ -44,8 +44,8 @@ type TimingSpec struct {
 
 // DDR3Timing returns the paper's DDR3-1600 11-11-11 timing (tCK = 1.25ns,
 // Micron MT41J datasheet) — the values the channel model hard-coded before
-// the technology layer existed. It is the zero-Timing default everywhere,
-// so legacy configurations lower onto it unchanged.
+// the technology layer existed. DefaultMemConfig and the ddr3-1600
+// technology use it.
 func DDR3Timing() TimingSpec {
 	return TimingSpec{
 		TCKNS:      1.25,

@@ -200,10 +200,13 @@ const covChunkSize = 2048
 // a completed study's checkpoint usually holds a prefix of its chunks.
 func (cfg *CoverageConfig) TotalTrials() int { return cfg.MaxNodes }
 
-// Chunking is the study's chunk split of [0, TotalTrials) (see
-// Config.Chunking).
-func (cfg *CoverageConfig) Chunking() harness.Chunking {
-	return harness.Chunking{Size: covChunkSize, Trials: cfg.TotalTrials()}
+// Section is the study's checkpoint/journal section:
+// "coverage-"+Fingerprint(), split into chunks of covChunkSize over
+// [0, TotalTrials) (see Config.Section).
+func (cfg *CoverageConfig) Section() harness.Section {
+	fp := cfg.Fingerprint()
+	return harness.Section{Name: "coverage-" + fp, Fingerprint: fp,
+		Chunking: harness.Chunking{Size: covChunkSize, Trials: cfg.TotalTrials()}}
 }
 
 // covCurveChunk is one curve's contribution from one chunk: how many of the
@@ -233,8 +236,7 @@ type covChunk struct {
 }
 
 // Fingerprint identifies the statistical content of the study configuration
-// for checkpoint compatibility and journal replay. The checkpoint/journal
-// section of a study is "coverage-"+Fingerprint() (see CoverageSection).
+// for checkpoint compatibility and journal replay.
 func (cfg *CoverageConfig) Fingerprint() string {
 	names := make([]string, len(cfg.Planners))
 	for i, p := range cfg.Planners {
@@ -287,11 +289,9 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 	}
 	cumFaulty := 0  // faulty nodes in folded chunks
 	specFaulty := 0 // faulty nodes in every completed chunk, folded or not
-	fp := cfg.Fingerprint()
 	study := harness.Chunked[*covChunk]{
 		Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace,
-		Store: cfg.Checkpoint, Section: CoverageSection(fp), Fingerprint: fp,
-		Chunks: cfg.Chunking(), Kernel: kernel,
+		Store: cfg.Checkpoint, Section: cfg.Section(), Kernel: kernel,
 		Decode: func(_, _ int, raw json.RawMessage) (*covChunk, bool) {
 			var ch covChunk
 			if json.Unmarshal(raw, &ch) != nil || len(ch.Curves) != len(res.Curves) || ch.Skipped > 0 {

@@ -127,14 +127,11 @@ func (s *StatsConfig) validate() error {
 // deterministic functions of (rng stream, node) so that replay, checkpoint
 // resume, and the scheduling differential all reproduce identical bytes.
 type estimator interface {
-	name() string
 	sampleNode(rng *stats.RNG, sc *fault.SampleScratch, node int) (fault.NodeFaults, float64)
 }
 
 // naiveEstimator samples the physical process with weight 1.
 type naiveEstimator struct{ model *fault.Model }
-
-func (naiveEstimator) name() string { return EstimatorNaive }
 
 func (e naiveEstimator) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, _ int) (fault.NodeFaults, float64) {
 	return e.model.SampleNodeScratch(rng, sc), 1
@@ -146,8 +143,6 @@ type importanceEstimator struct {
 	model *fault.Model
 	boost float64
 }
-
-func (importanceEstimator) name() string { return EstimatorImportance }
 
 func (e importanceEstimator) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, _ int) (fault.NodeFaults, float64) {
 	nf, logLR := e.model.SampleNodeBiased(rng, sc, e.boost)
@@ -162,8 +157,6 @@ type stratifiedEstimator struct {
 	model  *fault.Model
 	strata []int
 }
-
-func (stratifiedEstimator) name() string { return EstimatorStratified }
 
 func (e stratifiedEstimator) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, node int) (fault.NodeFaults, float64) {
 	s := e.strata[node%len(e.strata)]

@@ -121,7 +121,7 @@ func TestRunPanicIsolation(t *testing.T) {
 		t.Fatal("run with a panicking trial succeeded")
 	}
 	for _, want := range []string{
-		"section " + RunSection(cfg.Fingerprint()) + " chunk 2:",
+		"section " + cfg.Section().Name + " chunk 2:",
 		fmt.Sprintf("trial %d (seed %d)", trial, cfg.Seed),
 		value,
 	} {
@@ -143,12 +143,12 @@ func TestRunPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := rep.ReplayChunk(2); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("trial %d (seed %d) panicked: %s", trial, cfg.Seed, value)) {
-		t.Errorf("ReplayChunk(2) = %v, want the trial's panic", err)
+	if _, err := rep.Kernel()(rep.Section.Span(2)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("trial %d (seed %d) panicked: %s", trial, cfg.Seed, value)) {
+		t.Errorf("replaying chunk 2 = %v, want the trial's panic", err)
 	}
-	// The failure is confined to its chunk: the replayer goes on replaying.
-	if _, _, _, err := rep.ReplayChunk(1); err != nil {
-		t.Errorf("ReplayChunk(1) after the failure: %v", err)
+	// The failure is confined to its chunk: a new kernel goes on replaying.
+	if _, err := rep.Kernel()(rep.Section.Span(1)); err != nil {
+		t.Errorf("replaying chunk 1 after the failure: %v", err)
 	}
 }
 
@@ -164,10 +164,9 @@ func TestSkipBearingChunksRecomputed(t *testing.T) {
 			t.Fatal(err)
 		}
 		store := harness.NewStore(nil)
-		fp := cfg.Fingerprint()
 		var p runPayload
 		p.DUEs, p.SkippedTrials = 1000, 1
-		if err := store.Section(RunSection(fp), fp).PutSpan(1, chunkSize, 2*chunkSize, &p); err != nil {
+		if err := store.Section(cfg.Section()).Put(1, &p); err != nil {
 			t.Fatal(err)
 		}
 		cfg.Checkpoint = store
@@ -195,9 +194,8 @@ func TestSkipBearingChunksRecomputed(t *testing.T) {
 			t.Fatal(err)
 		}
 		store := harness.NewStore(nil)
-		fp := cfg.Fingerprint()
 		raw := json.RawMessage(`{"nodes":2048,"faulty":5000,"skipped":1,"curves":[{"repairable":5000},{"repairable":5000}]}`)
-		if err := store.Section(CoverageSection(fp), fp).PutSpan(0, 0, covChunkSize, raw); err != nil {
+		if err := store.Section(cfg.Section()).Put(0, raw); err != nil {
 			t.Fatal(err)
 		}
 		cfg.Checkpoint = store
@@ -380,7 +378,7 @@ func TestCoveragePanicIsolation(t *testing.T) {
 		t.Fatal("study with a panicking trial succeeded")
 	}
 	for _, want := range []string{
-		"section " + CoverageSection(cfg.Fingerprint()) + " chunk 1:",
+		"section " + cfg.Section().Name + " chunk 1:",
 		fmt.Sprintf("trial %d (seed %d) panicked: injected coverage fault", bad, cfg.Seed),
 	} {
 		if !strings.Contains(err.Error(), want) {

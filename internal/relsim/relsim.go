@@ -251,18 +251,21 @@ func (cfg *Config) TotalTrials() int {
 	return total
 }
 
-// Chunking is the run's chunk split of [0, TotalTrials): campaign planning
-// predicts a section's chunk spans from it without running the engine, and
-// the replayer reproduces them exactly.
-func (cfg *Config) Chunking() harness.Chunking {
-	return harness.Chunking{Size: chunkSize, Trials: cfg.TotalTrials()}
+// Section is the run's checkpoint/journal section: "run-"+Fingerprint(),
+// split into chunks of chunkSize over [0, TotalTrials). It is the one
+// derivation of the section: the driver runs it, campaign planning predicts
+// every chunk's span from it without running the engine, and the replayer
+// reproduces those spans exactly.
+func (cfg *Config) Section() harness.Section {
+	fp := cfg.Fingerprint()
+	return harness.Section{Name: "run-" + fp, Fingerprint: fp,
+		Chunking: harness.Chunking{Size: chunkSize, Trials: cfg.TotalTrials()}}
 }
 
 // Fingerprint identifies the statistical content of a run configuration for
 // checkpoint compatibility and journal replay. Anything that changes sampled
 // histories or their interpretation must be included; Workers and Mon
-// deliberately are not. The checkpoint/journal section of a run is
-// "run-"+Fingerprint() (see RunSection).
+// deliberately are not.
 func (cfg *Config) Fingerprint() string {
 	planner := "none"
 	if cfg.Planner != nil {
@@ -316,11 +319,9 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	var sum Result
 	var cum estTally
 	stopped := false
-	fp := cfg.Fingerprint()
 	run := harness.Chunked[*runPayload]{
 		Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace,
-		Store: cfg.Checkpoint, Section: RunSection(fp), Fingerprint: fp,
-		Chunks: cfg.Chunking(), Expect: true, Kernel: kernel,
+		Store: cfg.Checkpoint, Section: cfg.Section(), Expect: true, Kernel: kernel,
 		Decode: func(lo, hi int, raw json.RawMessage) (*runPayload, bool) {
 			// Estimator runs need the tally: it is part of the stopping state.
 			var p runPayload

@@ -58,26 +58,10 @@ func TestRunReplayerMatchesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.NumChunks() != 3 || rep.Section() != RunSection(cfg.Fingerprint()) {
-		t.Fatalf("replayer shape wrong: %d chunks, section %s", rep.NumChunks(), rep.Section())
+	if rep.Section.Count() != 3 || rep.Section.Name != "run-"+cfg.Fingerprint() {
+		t.Fatalf("replayer shape wrong: %d chunks, section %s", rep.Section.Count(), rep.Section.Name)
 	}
-	for _, rec := range j.Chunks {
-		if rec.Section != rep.Section() || rec.SectionFP != rep.Fingerprint() {
-			t.Fatalf("journal record names section %s/%s, replayer %s/%s",
-				rec.Section, rec.SectionFP, rep.Section(), rep.Fingerprint())
-		}
-		raw, lo, hi, err := rep.ReplayChunk(rec.Chunk)
-		if err != nil {
-			t.Fatalf("ReplayChunk(%d): %v", rec.Chunk, err)
-		}
-		if lo != rec.TrialLo || hi != rec.TrialHi {
-			t.Fatalf("chunk %d trial range: replay [%d,%d), journal [%d,%d)",
-				rec.Chunk, lo, hi, rec.TrialLo, rec.TrialHi)
-		}
-		if got := journal.Digest(raw); got != rec.Digest {
-			t.Fatalf("chunk %d digest: replay %s, journal %s", rec.Chunk, got, rec.Digest)
-		}
-	}
+	verifyJournal(t, j, rep)
 
 	// A different seed must NOT reproduce the digests (the test would be
 	// vacuous if digests did not depend on the sampled histories).
@@ -87,7 +71,7 @@ func TestRunReplayerMatchesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _, _, err := orep.ReplayChunk(j.Chunks[0].Chunk)
+	raw, err := orep.Kernel()(orep.Section.Span(j.Chunks[0].Chunk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +80,23 @@ func TestRunReplayerMatchesJournal(t *testing.T) {
 	}
 }
 
-// verifyJournal replays every journaled chunk through rep and requires the
-// journaled trial range and digest.
+// verifyJournal replays every journaled chunk through one kernel of rep and
+// requires the journaled section, trial range and digest.
 func verifyJournal(t *testing.T, j *journal.Journal, rep Replayer) {
 	t.Helper()
 	if j.ChunkRecords == 0 {
 		t.Fatal("campaign journaled no chunks")
 	}
+	kernel := rep.Kernel()
 	for _, rec := range j.Chunks {
-		raw, lo, hi, err := rep.ReplayChunk(rec.Chunk)
+		if rec.Section != rep.Section.Name || rec.SectionFP != rep.Section.Fingerprint {
+			t.Fatalf("journal record names section %s/%s, replayer %s/%s",
+				rec.Section, rec.SectionFP, rep.Section.Name, rep.Section.Fingerprint)
+		}
+		lo, hi := rep.Section.Span(rec.Chunk)
+		raw, err := kernel(lo, hi)
 		if err != nil {
-			t.Fatalf("ReplayChunk(%d): %v", rec.Chunk, err)
+			t.Fatalf("replaying chunk %d: %v", rec.Chunk, err)
 		}
 		if lo != rec.TrialLo || hi != rec.TrialHi {
 			t.Fatalf("chunk %d trial range: replay [%d,%d), journal [%d,%d)",
@@ -135,8 +125,8 @@ func TestRunReplayerHonoursMaxTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.NumChunks() != 2 {
-		t.Errorf("replayer reports %d chunks, want 2", rep.NumChunks())
+	if n := rep.Section.Count(); n != 2 {
+		t.Errorf("replayer reports %d chunks, want 2", n)
 	}
 	verifyJournal(t, j, rep)
 }
@@ -189,7 +179,7 @@ func TestWeightedCoverageDeterminism(t *testing.T) {
 
 		// Each stored chunk's weighted node tally is the trial-order sum of
 		// its trials' importance weights.
-		cp := store.Section(rep.Section(), rep.Fingerprint())
+		cp := store.Section(rep.Section)
 		fk := stats.NewRNG(cfg.Seed).Forker()
 		var rng stats.RNG
 		var sc fault.SampleScratch
@@ -199,7 +189,7 @@ func TestWeightedCoverageDeterminism(t *testing.T) {
 			if err := json.Unmarshal(raw, &ch); err != nil {
 				t.Fatal(err)
 			}
-			lo, hi := cfg.Chunking().Span(ci)
+			lo, hi := rep.Section.Span(ci)
 			want := 0.0
 			for i := lo; i < hi; i++ {
 				fk.Substream(uint64(i), &rng)
@@ -238,20 +228,8 @@ func TestCoverageReplayerMatchesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Section() != CoverageSection(cfg.Fingerprint()) {
-		t.Fatalf("replayer section %s", rep.Section())
+	if rep.Section.Name != "coverage-"+cfg.Fingerprint() {
+		t.Fatalf("replayer section %s", rep.Section.Name)
 	}
-	for _, rec := range j.Chunks {
-		raw, lo, hi, err := rep.ReplayChunk(rec.Chunk)
-		if err != nil {
-			t.Fatalf("ReplayChunk(%d): %v", rec.Chunk, err)
-		}
-		if lo != rec.TrialLo || hi != rec.TrialHi {
-			t.Fatalf("chunk %d trial range: replay [%d,%d), journal [%d,%d)",
-				rec.Chunk, lo, hi, rec.TrialLo, rec.TrialHi)
-		}
-		if got := journal.Digest(raw); got != rec.Digest {
-			t.Fatalf("chunk %d digest: replay %s, journal %s", rec.Chunk, got, rec.Digest)
-		}
-	}
+	verifyJournal(t, j, rep)
 }

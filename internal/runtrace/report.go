@@ -29,7 +29,7 @@ type WorkerAttribution struct {
 	// claim cursor).
 	ClaimSeconds float64 `json:"claim_seconds"`
 	// CheckpointSeconds is synchronous durability stall inside chunks:
-	// log append + fsync plus the view update (PutSpan).
+	// log append + fsync plus the view update (Checkpoint.Put).
 	CheckpointSeconds float64 `json:"checkpoint_seconds"`
 	// ReduceWaitSeconds is time spent retired, waiting for the rest of
 	// the pool to drain (straggler exposure).

@@ -53,8 +53,8 @@ const (
 	// cursor) to starting the next chunk.
 	SpanClaim = "claim"
 	// SpanCheckpoint covers a worker's synchronous durability stall: the
-	// PutSpan call (log append + fsync, then the view update). Nested inside
-	// SpanChunk.
+	// Checkpoint.Put call (log append + fsync, then the view update).
+	// Nested inside SpanChunk.
 	SpanCheckpoint = "checkpoint"
 	// SpanReduceWait covers a retired worker waiting for the rest of the
 	// pool to drain: from the worker's last chunk to engine completion.

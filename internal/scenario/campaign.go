@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"relaxfault/internal/harness"
-	"relaxfault/internal/relsim"
 )
 
 // This file derives a scenario's campaign identity: the budget-free
@@ -76,39 +75,23 @@ func (sc *Scenario) BudgetTrials() int {
 	}
 }
 
-// SectionInfo describes one checkpoint/journal section the scenario will
-// produce: its name and fingerprint (budget-dependent), the engine's chunk
-// granularity, and the total trial index space, from which the expected
-// journal span of every chunk follows.
-type SectionInfo struct {
-	Name        string
-	Fingerprint string
-	ChunkSize   int
-	TotalTrials int
-}
-
 // Sections plans the scenario's checkpoint sections without running it, in
 // the exact order RunCtx executes them (coverage studies, then reliability
 // cells; perf units do not checkpoint). Two lowerings of campaign-
 // equivalent scenarios produce index-aligned section lists, which is what
 // lets a store entry's chunks be re-journaled under a new budget's section
 // names.
-func (sc *Scenario) Sections() ([]SectionInfo, error) {
+func (sc *Scenario) Sections() ([]harness.Section, error) {
 	low, err := sc.Lower()
 	if err != nil {
 		return nil, err
 	}
-	var out []SectionInfo
-	add := func(name, fp string, ch harness.Chunking) {
-		out = append(out, SectionInfo{Name: name, Fingerprint: fp, ChunkSize: ch.Size, TotalTrials: ch.Trials})
-	}
+	var out []harness.Section
 	for i := range low.Coverage {
-		fp := low.Coverage[i].Fingerprint()
-		add(relsim.CoverageSection(fp), fp, low.Coverage[i].Chunking())
+		out = append(out, low.Coverage[i].Section())
 	}
 	for i := range low.Reliability {
-		fp := low.Reliability[i].Fingerprint()
-		add(relsim.RunSection(fp), fp, low.Reliability[i].Chunking())
+		out = append(out, low.Reliability[i].Section())
 	}
 	return out, nil
 }

@@ -118,11 +118,11 @@ func TestSections(t *testing.T) {
 	if !strings.HasPrefix(s.Name, "coverage-") {
 		t.Errorf("section name = %q, want coverage- prefix", s.Name)
 	}
-	if s.ChunkSize != 2048 {
-		t.Errorf("coverage chunk size = %d, want 2048", s.ChunkSize)
+	if s.Size != 2048 {
+		t.Errorf("coverage chunk size = %d, want 2048", s.Size)
 	}
-	if s.TotalTrials != 5_000_000 {
-		t.Errorf("coverage total trials = %d, want the 5M node cap", s.TotalTrials)
+	if s.Trials != 5_000_000 {
+		t.Errorf("coverage total trials = %d, want the 5M node cap", s.Trials)
 	}
 
 	rel := &Scenario{
@@ -144,11 +144,11 @@ func TestSections(t *testing.T) {
 		if !strings.HasPrefix(s.Name, "run-") {
 			t.Errorf("section name = %q, want run- prefix", s.Name)
 		}
-		if s.ChunkSize != 4096 {
-			t.Errorf("reliability chunk size = %d, want 4096", s.ChunkSize)
+		if s.Size != 4096 {
+			t.Errorf("reliability chunk size = %d, want 4096", s.Size)
 		}
-		if s.TotalTrials != 18000 {
-			t.Errorf("reliability total trials = %d, want 18000", s.TotalTrials)
+		if s.Trials != 18000 {
+			t.Errorf("reliability total trials = %d, want 18000", s.Trials)
 		}
 	}
 	if secs[0].Name == secs[1].Name {

@@ -4,27 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
-	"relaxfault/internal/obs"
 	"relaxfault/internal/relsim"
 )
-
-// vm is the journal-verification telemetry (journal.verify.* namespace, see
-// OBSERVABILITY.md).
-var vm = struct {
-	chunks     *obs.Counter
-	verified   *obs.Counter
-	mismatched *obs.Counter
-	unknown    *obs.Counter
-}{
-	chunks:     obs.Default().Counter("journal.verify.chunks"),
-	verified:   obs.Default().Counter("journal.verify.verified"),
-	mismatched: obs.Default().Counter("journal.verify.mismatched"),
-	unknown:    obs.Default().Counter("journal.verify.unknown"),
-}
 
 // Mismatch is one journaled chunk whose replay disagrees with the record.
 type Mismatch struct {
@@ -77,7 +61,7 @@ func (r *VerifyReport) String() string {
 }
 
 // replayers compiles the journal's embedded campaigns into one Replayer per
-// simulation section. The embedded spec is integrity-checked against the
+// simulation section, keyed by section name. The embedded spec is integrity-checked against the
 // fingerprint recorded beside it before anything is executed.
 func replayers(j *journal.Journal) (map[string]relsim.Replayer, int, error) {
 	bysec := make(map[string]relsim.Replayer)
@@ -105,14 +89,14 @@ func replayers(j *journal.Journal) (map[string]relsim.Replayer, int, error) {
 			if err != nil {
 				return nil, n, fmt.Errorf("campaign %s: cell %d: %w", c.Name, i, err)
 			}
-			bysec[rep.Section()] = rep
+			bysec[rep.Section.Name] = rep
 		}
 		for i := range low.Coverage {
 			rep, err := relsim.NewCoverageReplayer(low.Coverage[i])
 			if err != nil {
 				return nil, n, fmt.Errorf("campaign %s: study %d: %w", c.Name, i, err)
 			}
-			bysec[rep.Section()] = rep
+			bysec[rep.Section.Name] = rep
 		}
 	}
 	return bysec, n, nil
@@ -160,66 +144,79 @@ func VerifyJournal(ctx context.Context, j *journal.Journal, ex Exec) (*VerifyRep
 		return keys[a].Chunk < keys[b].Chunk
 	})
 	rep.Chunks = len(keys)
-	vm.chunks.Add(int64(len(keys)))
 	// v2 logs carry each chunk's payload, which must hash to the digest
 	// too: that is the check a resume makes before trusting the payload.
 	payloads := j.Open.Schema == journal.Schema
 
-	// verdicts[i]: "" = verified, otherwise the mismatch reason; unknown
-	// sections are resolved before the fan-out.
+	// verdicts[i]: "" = verified, otherwise the mismatch reason. A record
+	// of an unknown section, of another fingerprint or of a chunk index
+	// outside the section is settled here; todo holds the chunks to replay,
+	// and the Monitor expects their trials.
 	verdicts := make([]string, len(keys))
 	var todo []int
-	var mu sync.Mutex
+	var expect int64
 	for i, k := range keys {
-		if _, ok := bysec[k.Section]; ok {
-			todo = append(todo, i)
-			continue
-		}
-		rep.Unknown = append(rep.Unknown, k)
-		vm.unknown.Inc()
-	}
-	eng := harness.Engine{Workers: ex.Workers, Mon: ex.Mon, Trace: ex.Trace}
-	eng.Run(ctx, len(todo), func(_, t int) (int64, bool) {
-		i := todo[t]
-		k := keys[i]
+		r, ok := bysec[k.Section]
 		rec := latest[k]
-		r := bysec[k.Section]
-		var reason string
 		switch {
-		case rec.SectionFP != r.Fingerprint():
-			reason = fmt.Sprintf("journal section fingerprint %s, campaign lowers to %s", rec.SectionFP, r.Fingerprint())
-		case rec.Chunk >= r.NumChunks():
-			reason = fmt.Sprintf("chunk index beyond campaign's %d chunks", r.NumChunks())
+		case !ok:
+			rep.Unknown = append(rep.Unknown, k)
+		case rec.SectionFP != r.Section.Fingerprint:
+			verdicts[i] = fmt.Sprintf("journal section fingerprint %s, campaign lowers to %s", rec.SectionFP, r.Section.Fingerprint)
+		case rec.Chunk < 0 || rec.Chunk >= r.Section.Count():
+			verdicts[i] = fmt.Sprintf("chunk index outside campaign's %d chunks", r.Section.Count())
 		default:
-			raw, lo, hi, err := r.ReplayChunk(rec.Chunk)
-			got := journal.Digest(raw)
-			switch {
-			case err != nil:
-				reason = fmt.Sprintf("replay failed: %v", err)
-			case lo != rec.TrialLo || hi != rec.TrialHi:
-				reason = fmt.Sprintf("trial range: journal [%d,%d), replay [%d,%d)", rec.TrialLo, rec.TrialHi, lo, hi)
-			case got != rec.Digest:
-				reason = fmt.Sprintf("digest mismatch: journal %s, replay %s", rec.Digest, got)
-			case payloads && journal.Digest(rec.Payload) != rec.Digest:
-				reason = fmt.Sprintf("payload digest mismatch: journal %s, logged payload %s", rec.Digest, journal.Digest(rec.Payload))
-			}
+			todo = append(todo, i)
+			lo, hi := r.Section.Span(rec.Chunk)
+			expect += int64(hi - lo)
 		}
-		mu.Lock()
-		verdicts[i] = reason
-		mu.Unlock()
-		return 1, true
+	}
+	ex.Mon.Expect(expect)
+	// Each worker keeps one kernel per section, as harness.Chunked keeps
+	// one per worker, and drops a kernel whose replay failed. Each verdict
+	// slot has one writer and is read after Run returns.
+	kernels := make([]map[string]func(lo, hi int) ([]byte, error), harness.PoolWorkers(ex.Workers))
+	eng := harness.Engine{Workers: ex.Workers, Mon: ex.Mon, Trace: ex.Trace}
+	eng.Run(ctx, len(todo), func(w, t int) (int64, bool) {
+		i := todo[t]
+		rec := latest[keys[i]]
+		r := bysec[rec.Section]
+		if kernels[w] == nil {
+			kernels[w] = make(map[string]func(lo, hi int) ([]byte, error))
+		}
+		kernel := kernels[w][rec.Section]
+		if kernel == nil {
+			kernel = r.Kernel()
+			kernels[w][rec.Section] = kernel
+		}
+		lo, hi := r.Section.Span(rec.Chunk)
+		raw, err := kernel(lo, hi)
+		got := journal.Digest(raw)
+		switch {
+		case err != nil:
+			delete(kernels[w], rec.Section)
+			verdicts[i] = fmt.Sprintf("replay failed: %v", err)
+		case lo != rec.TrialLo || hi != rec.TrialHi:
+			verdicts[i] = fmt.Sprintf("trial range: journal [%d,%d), replay [%d,%d)", rec.TrialLo, rec.TrialHi, lo, hi)
+		case got != rec.Digest:
+			verdicts[i] = fmt.Sprintf("digest mismatch: journal %s, replay %s", rec.Digest, got)
+		case payloads && journal.Digest(rec.Payload) != rec.Digest:
+			verdicts[i] = fmt.Sprintf("payload digest mismatch: journal %s, logged payload %s", rec.Digest, journal.Digest(rec.Payload))
+		}
+		return int64(hi - lo), true
 	})
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
-	for _, i := range todo {
-		if verdicts[i] == "" {
-			rep.Verified++
-			vm.verified.Inc()
+	for i, k := range keys {
+		if _, ok := bysec[k.Section]; !ok {
 			continue
 		}
-		rep.Mismatched = append(rep.Mismatched, Mismatch{Key: keys[i], Reason: verdicts[i]})
-		vm.mismatched.Inc()
+		if verdicts[i] == "" {
+			rep.Verified++
+		} else {
+			rep.Mismatched = append(rep.Mismatched, Mismatch{Key: k, Reason: verdicts[i]})
+		}
 	}
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,6 +87,55 @@ func TestVerifyJournalEndToEnd(t *testing.T) {
 	}
 	if rep.Sealed != journal.StatusComplete {
 		t.Fatalf("sealed = %q", rep.Sealed)
+	}
+}
+
+// TestVerifyJournalBooksTrials: verify books each replayed chunk's trials
+// with the Monitor and expects their total before replaying, so progress
+// reads in trials and has an ETA.
+func TestVerifyJournalBooksTrials(t *testing.T) {
+	j := runJournaled(t, verifyScenario(t))
+	var spans int64
+	for _, rec := range j.Chunks {
+		spans += int64(rec.TrialHi - rec.TrialLo)
+	}
+	mon := harness.NewMonitor(io.Discard, 0)
+	rep, err := VerifyJournal(context.Background(), j, Exec{Workers: 2, Mon: mon})
+	if err != nil || !rep.OK() {
+		t.Fatalf("clean journal did not verify: %v %+v", err, rep)
+	}
+	if done, total := mon.DoneTrials(), mon.Status().TrialsTotal; spans != 9000 || done != spans || total != spans {
+		t.Errorf("monitor booked %d of %d trials, want the %d trials of the replayed records", done, total, spans)
+	}
+}
+
+// TestVerifyJournalChunkIndexOutsideSection: a logged chunk index past the
+// section's chunk count, or below 0, is reported mismatched and never
+// replayed; the other chunks still verify.
+func TestVerifyJournalChunkIndexOutsideSection(t *testing.T) {
+	j := runJournaled(t, verifyScenario(t))
+	byChunk := map[int]*journal.Record{}
+	for i := range j.Chunks {
+		byChunk[j.Chunks[i].Chunk] = &j.Chunks[i]
+	}
+	byChunk[0].Chunk = -1
+	byChunk[2].Chunk = 3 // the section has chunks 0-2
+	mon := harness.NewMonitor(io.Discard, 0)
+	rep, err := VerifyJournal(context.Background(), j, Exec{Mon: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || rep.Verified != 1 || len(rep.Mismatched) != 2 {
+		t.Fatalf("out-of-range indexes not flagged: %+v", rep)
+	}
+	for i, want := range []int{-1, 3} {
+		if m := rep.Mismatched[i]; m.Key.Chunk != want || !strings.Contains(m.Reason, "chunk index outside campaign's 3 chunks") {
+			t.Errorf("mismatch %d = %v, want chunk %d outside the section", i, m, want)
+		}
+	}
+	// Only chunk 1, [4096, 8192), was replayed.
+	if done := mon.DoneTrials(); done != 4096 {
+		t.Errorf("replayed %d trials, want chunk 1's 4096", done)
 	}
 }
 
