@@ -1,7 +1,7 @@
 // Benchmarks: one sub-benchmark per experiment of the CLI's table (every
 // table and figure of the paper's evaluation, then the extensions). Each
-// regenerates its artifact at a reduced Monte Carlo scale per iteration and
-// logs it once, so
+// regenerates its artifact at a reduced Monte Carlo budget per iteration
+// and logs it once, so
 //
 //	go test -bench=. -benchmem
 //
@@ -14,32 +14,41 @@ import (
 	"testing"
 
 	"relaxfault/internal/experiments"
+	"relaxfault/internal/scenario"
 )
 
-// benchScale keeps per-iteration cost at a few hundred milliseconds to a
+// benchBudget keeps per-iteration cost at a few hundred milliseconds to a
 // few seconds.
-func benchScale() experiments.Scale {
-	return experiments.Scale{
-		FaultyNodes:  2000,
-		Nodes:        16384,
-		Replicas:     1,
-		Instructions: 200_000,
-		Seed:         7,
-	}
+var benchBudget = scenario.Budget{
+	FaultyNodes:  2000,
+	Nodes:        16384,
+	Replicas:     1,
+	Instructions: 200_000,
 }
 
 func BenchmarkExperiments(b *testing.B) {
 	paper, extensions := experiments.Names()
 	for _, name := range append(paper, extensions...) {
+		e, _ := experiments.Lookup(name)
 		b.Run(name, func(b *testing.B) {
 			var out string
 			for i := 0; i < b.N; i++ {
-				var err error
-				// A fresh session per iteration: fig13 and fig16 re-run
-				// the simulations they share with fig12 and fig15.
-				if out, err = new(experiments.Session).Render(context.Background(), name, benchScale()); err != nil {
-					b.Fatal(err)
+				// Every iteration runs the experiment's preset: fig13 and
+				// fig16 re-run the simulations they share with fig12 and
+				// fig15.
+				var res *scenario.Result
+				if e.Preset != "" {
+					sc, err := scenario.Preset(e.Preset)
+					if err != nil {
+						b.Fatal(err)
+					}
+					seed := uint64(7)
+					sc.Budget, sc.Seed = benchBudget, &seed
+					if res, err = scenario.RunCtx(context.Background(), sc, scenario.Exec{}); err != nil {
+						b.Fatal(err)
+					}
 				}
+				out = e.Render(res)
 			}
 			b.Log("\n" + out)
 		})

@@ -1,9 +1,10 @@
 // Integration tests for the crash-safety contract of the campaign log: a
-// campaign SIGKILLed mid-run resumes to byte-identical output, SIGTERM seals
-// the log gracefully, `relaxfault verify` detects digest and payload
-// corruption, and v1 logs still verify but do not resume. These build and
-// drive the real binary as a subprocess, so they are skipped under -short
-// (CI runs them in a dedicated robustness job).
+// campaign SIGKILLed mid-run resumes to byte-identical output when the same
+// command is rerun, SIGTERM seals the log gracefully, `relaxfault verify`
+// detects digest and payload corruption, and logs of the retired v1 format
+// are refused. These build and drive the real binary as a subprocess, so
+// they are skipped under -short (CI runs them in a dedicated robustness
+// job).
 package main
 
 import (
@@ -245,10 +246,9 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 	}
 	f.Close()
 
-	// Resume: verify the logged payloads, compute the rest, byte-identical
-	// output.
-	resumeArgs := append(campaignArgs(scPath, dir), "-resume")
-	rOut, rErr, code := runBin(t, resumeArgs...)
+	// Rerun the same command: it resumes the log, verifies the logged
+	// payloads, computes the rest, and prints byte-identical output.
+	rOut, rErr, code := runBin(t, campaignArgs(scPath, dir)...)
 	if code != 0 {
 		t.Fatalf("resume exit %d\n%s", code, rErr)
 	}
@@ -287,8 +287,8 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 
 // TestSIGTERMSealsInterrupted checks the graceful-termination path: SIGTERM
 // stops at the next chunk boundary, seals the log "interrupted", and exits
-// 143 — and the sealed-interrupted log accepts a resume that finishes the
-// campaign.
+// 143 — and rerunning the same command resumes the sealed-interrupted log
+// and finishes the campaign.
 func TestSIGTERMSealsInterrupted(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, killScenario)
@@ -296,8 +296,8 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 	if code != 143 {
 		t.Fatalf("SIGTERM exit %d, want 143\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "terminated") {
-		t.Fatalf("stderr does not report termination:\n%s", stderr)
+	if !strings.Contains(stderr, "terminated") || !strings.Contains(stderr, "rerun the same command") {
+		t.Fatalf("stderr does not report termination and how to resume:\n%s", stderr)
 	}
 	jPath := filepath.Join(dir, "cp.jsonl")
 	rec := lastRecord(t, jPath)
@@ -305,8 +305,7 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 		t.Fatalf("log tail after SIGTERM = %+v, want interrupted seal", rec)
 	}
 
-	resumeArgs := append(campaignArgs(scPath, dir), "-resume")
-	_, rErr, code := runBin(t, resumeArgs...)
+	_, rErr, code := runBin(t, campaignArgs(scPath, dir)...)
 	if code != 0 {
 		t.Fatalf("resume after SIGTERM exit %d\n%s", code, rErr)
 	}
@@ -346,8 +345,8 @@ func reframe(t *testing.T, path, dst, status string, edit func(i int, rec *journ
 
 // TestVerifySubcommand exercises the verify CLI against one small sealed
 // campaign: clean log → exit 0; corrupted chunk digest or payload → exit 3
-// with the mismatch named (and a resume of the corrupted payload refused);
-// torn tail → warned, valid prefix verified.
+// with the mismatch named (and a run over the corrupted payload refused,
+// the log left as it was); torn tail → warned, valid prefix verified.
 func TestVerifySubcommand(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, smokeScenario)
@@ -401,9 +400,12 @@ func TestVerifySubcommand(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(resumeDir, "cp.jsonl"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, stderr, code = runBin(t, append(campaignArgs(writeScenario(t, resumeDir, smokeScenario), resumeDir), "-resume")...)
+		_, stderr, code = runBin(t, campaignArgs(writeScenario(t, resumeDir, smokeScenario), resumeDir)...)
 		if code != 1 || !strings.Contains(stderr, "fail their digest check") {
 			t.Fatalf("resume of tampered payload: exit %d, want 1 naming the chunk\n%s", code, stderr)
+		}
+		if after, err := os.ReadFile(filepath.Join(resumeDir, "cp.jsonl")); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("refused resume modified the tampered log (%v)", err)
 		}
 	})
 
@@ -427,15 +429,15 @@ func TestVerifySubcommand(t *testing.T) {
 	})
 }
 
-// TestV1LogVerifiesButDoesNotResume pins the format boundary with a v1 log
-// written by the previous release for smokeScenario (digests, no payloads):
-// it still verifies, but a resume refuses it by schema and leaves the file
-// untouched.
-func TestV1LogVerifiesButDoesNotResume(t *testing.T) {
-	const fixture = "testdata/smoke-v1.journal"
-	out, stderr, code := runBin(t, "verify", "-journal", fixture, "-progress", "0")
-	if code != 0 || !strings.Contains(out, "3 verified") {
-		t.Fatalf("verify of the v1 log: exit %d\nstdout: %s\nstderr: %s", code, out, stderr)
+// TestV1LogRefused pins the format boundary with a log of the retired v1
+// format, written by an earlier release for smokeScenario (digests, no
+// payloads): verify and a run over a copy both refuse it naming its
+// schema, and the file stays as it was.
+func TestV1LogRefused(t *testing.T) {
+	const fixture, v1 = "testdata/smoke-v1.journal", "relaxfault-journal/v1"
+	_, stderr, code := runBin(t, "verify", "-journal", fixture, "-progress", "0")
+	if code != 1 || !strings.Contains(stderr, v1) {
+		t.Fatalf("verify of the v1 log: exit %d, want 1 naming %s\n%s", code, v1, stderr)
 	}
 
 	dir := t.TempDir()
@@ -447,11 +449,11 @@ func TestV1LogVerifiesButDoesNotResume(t *testing.T) {
 	if err := os.WriteFile(logPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = runBin(t, append(campaignArgs(writeScenario(t, dir, smokeScenario), dir), "-resume")...)
-	if code != 1 || !strings.Contains(stderr, journal.SchemaV1) {
-		t.Fatalf("resume of the v1 log: exit %d, want 1 naming %s\n%s", code, journal.SchemaV1, stderr)
+	_, stderr, code = runBin(t, campaignArgs(writeScenario(t, dir, smokeScenario), dir)...)
+	if code != 1 || !strings.Contains(stderr, v1) {
+		t.Fatalf("run over the v1 log: exit %d, want 1 naming %s\n%s", code, v1, stderr)
 	}
 	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, data) {
-		t.Fatalf("refused resume modified the v1 log (%v)", err)
+		t.Fatalf("refused run modified the v1 log (%v)", err)
 	}
 }

@@ -18,20 +18,16 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"bare run", flagRules{}, ""},
 		{"checkpoint only", flagRules{Checkpoint: "c"}, ""},
-		{"checkpoint+resume", flagRules{Checkpoint: "c", Resume: true}, ""},
 		{"store only", flagRules{Store: "s"}, ""},
 		{"sweep with sets", flagRules{Sub: "sweep", Sets: 2}, ""},
 		{"verify", flagRules{Sub: "verify", Journal: "j"}, ""},
 		{"cache", flagRules{Sub: "cache", Store: "s"}, ""},
 
-		{"resume without checkpoint", flagRules{Resume: true}, "-resume requires -checkpoint"},
 		{"journal on a run", flagRules{Journal: "j"}, "-checkpoint"},
 		{"journal beside checkpoint", flagRules{Checkpoint: "c", Journal: "j"}, "-journal names the verify subcommand's input"},
 		{"journal on a sweep", flagRules{Sub: "sweep", Journal: "j"}, "-journal names the verify subcommand's input"},
 		{"store+checkpoint", flagRules{Store: "s", Checkpoint: "c"}, "conflicts with -checkpoint"},
-		{"store+resume", flagRules{Store: "s", Resume: true}, "conflicts with -checkpoint"},
 		{"sets without sweep", flagRules{Sets: 1}, "-set is only meaningful"},
-		{"verify+resume", flagRules{Sub: "verify", Journal: "j", Resume: true}, "verify replays a journal only"},
 		{"verify+checkpoint", flagRules{Sub: "verify", Journal: "j", Checkpoint: "c"}, "verify replays a journal only"},
 		{"verify+store", flagRules{Sub: "verify", Journal: "j", Store: "s"}, "verify replays a journal only"},
 		{"cache without store", flagRules{Sub: "cache"}, "cache requires -store"},
@@ -52,22 +48,28 @@ func TestValidateFlags(t *testing.T) {
 
 // TestUnknownExperimentRejectedBeforeArtifacts pins that experiment names
 // resolve before anything is opened: a typoed name is a usage error (exit
-// 2) that leaves no campaign log or manifest behind.
+// 2) that leaves no campaign log or manifest behind. So is -resume, which
+// is not a flag: a run continues an existing -checkpoint log by itself.
 func TestUnknownExperimentRejectedBeforeArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	_, stderr, code := runBin(t, "-progress", "0",
-		"-checkpoint", filepath.Join(dir, "cp.jsonl"), "fig99")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, `unknown experiment "fig99"`) {
-		t.Errorf("stderr does not name the unknown experiment:\n%s", stderr)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("artifact %s left behind by a rejected invocation", e.Name())
+	for _, tc := range []struct{ arg, wantErr string }{
+		{"fig99", `unknown experiment "fig99"`},
+		{"-resume", "flag provided but not defined: -resume"},
+	} {
+		dir := t.TempDir()
+		_, stderr, code := runBin(t, "-progress", "0",
+			"-checkpoint", filepath.Join(dir, "cp.jsonl"), tc.arg, "tab1")
+		if code != 2 {
+			t.Fatalf("%s: exit %d, want 2\n%s", tc.arg, code, stderr)
+		}
+		if !strings.Contains(stderr, tc.wantErr) {
+			t.Errorf("%s: stderr does not name the rejected argument:\n%s", tc.arg, stderr)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%s: artifact %s left behind by a rejected invocation", tc.arg, e.Name())
+		}
 	}
 }

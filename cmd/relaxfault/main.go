@@ -4,7 +4,7 @@
 // Usage:
 //
 //	relaxfault [-scale quick|paper] [-seed N] [-parallel N] [-timeout D]
-//	           [-progress D] [-checkpoint FILE [-resume]]
+//	           [-progress D] [-checkpoint FILE]
 //	           [-metrics FILE|-] [-events FILE] [-pprof ADDR] [-trace FILE]
 //	           <experiment> [...]
 //	relaxfault -scenario FILE|PRESET [-store DIR]
@@ -32,15 +32,17 @@
 // The run harness makes long campaigns survivable: ^C or SIGTERM cancels
 // gracefully at the next work-chunk boundary (a second signal force-quits),
 // -timeout bounds each experiment, -checkpoint FILE keeps the campaign log
-// and -resume restarts a killed run from it with bitwise-identical output,
-// and a requested experiment that fails no longer aborts the rest —
-// failures are collected and summarised.
+// — rerunning the same command continues a killed run from it with
+// bitwise-identical output — and a requested experiment that fails no
+// longer aborts the rest: failures are collected and summarised.
 //
 // The campaign log is the run's one durable artifact: an append-only,
 // fsync'd file with one record per completed chunk, carrying the chunk's
-// payload and its digest. On -resume a torn tail is cut and every payload
-// is checked against its digest before the run trusts it; a mismatch
-// refuses the resume. "relaxfault verify -journal FILE" later re-executes
+// payload and its digest. A run whose -checkpoint file exists resumes it:
+// a torn tail is cut and every payload is checked against its digest
+// before the run trusts it. A log that cannot be continued — no valid open
+// record, sealed complete, or a payload failing its digest — is refused
+// and left as it was. "relaxfault verify -journal FILE" later re-executes
 // every logged chunk from the campaign specs embedded in the log itself and
 // compares digests — no original command line needed.
 //
@@ -105,7 +107,7 @@ type options struct {
 	scale, checkpoint, journal, metrics, events string
 	pprof, trace, scenario, store               string
 	seed                                        uint64
-	seedSet, resume                             bool
+	seedSet                                     bool
 	timeout, progress                           time.Duration
 	parallel                                    int
 	sets                                        repeatedFlag
@@ -119,8 +121,7 @@ func parseFlags() (*options, []string) {
 	flag.Uint64Var(&o.seed, "seed", 7, "Monte Carlo seed")
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-experiment deadline, e.g. 30m (0 = none)")
 	flag.DurationVar(&o.progress, "progress", 10*time.Second, "progress/watchdog report interval on stderr (0 = silent)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "keep the campaign log `FILE`: one fsync'd record per completed Monte Carlo chunk, carrying its payload and digest")
-	flag.BoolVar(&o.resume, "resume", false, "reopen the -checkpoint log and continue; the same flags and seed reproduce the uninterrupted output exactly")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "keep the campaign log `FILE`: one fsync'd record per completed Monte Carlo chunk, carrying its payload and digest; an existing log is continued, and the same command reproduces the uninterrupted output exactly")
 	flag.StringVar(&o.journal, "journal", "", "the campaign log `FILE` the verify subcommand replays (a run names its log with -checkpoint)")
 	flag.StringVar(&o.metrics, "metrics", "", "write the run manifest (config fingerprint, timings, metrics snapshot) to `FILE`; \"-\" prints JSON to stdout")
 	flag.StringVar(&o.events, "events", "", "append JSONL progress/run events to `FILE`")
@@ -128,7 +129,7 @@ func parseFlags() (*options, []string) {
 	flag.StringVar(&o.trace, "trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to `FILE`; the scheduler-attribution report lands in the manifest's \"trace\" block and is printed as a table")
 	flag.IntVar(&o.parallel, "parallel", 0, "Monte Carlo worker pool size (0 = all cores); any value yields bitwise-identical results")
 	flag.StringVar(&o.scenario, "scenario", "", "run the scenario `FILE|PRESET` (a JSON spec file or a registry preset) through the generic runner; spec files carry their own budget and seed, an explicit -seed overrides")
-	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: a repeated run is a verified cache hit (zero trials) and a larger trial budget resumes from the largest cached entry; conflicts with -checkpoint/-resume")
+	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: a repeated run is a verified cache hit (zero trials) and a larger trial budget resumes from the largest cached entry; conflicts with -checkpoint")
 	flag.Var(&o.sets, "set", "sweep axis `path=v1[,v2...]` for the sweep subcommand (repeatable); the cross-product runs, one manifest per point next to the -metrics target")
 	flag.Usage = usage
 	args := parseArgs()
@@ -163,7 +164,7 @@ func run() int {
 	if err := validateFlags(flagRules{
 		Sub:        sub,
 		Checkpoint: o.checkpoint, Journal: o.journal, Store: o.store,
-		Resume: o.resume, Sets: len(o.sets),
+		Sets: len(o.sets),
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
@@ -180,18 +181,29 @@ func run() int {
 
 // point is one named unit of a run — an experiment, the -scenario, or one
 // sweep point — with the resolved scenario record the manifest and the
-// journal's open record embed, and the function rendering its artifact.
+// journal's open record embed, the scenario it runs (nil for the static
+// tables), and the rendering of that scenario's result as its artifact.
 type point struct {
-	name string
-	seed uint64
-	rec  *harness.ScenarioRecord
-	run  func(context.Context, experiments.Scale) (string, error)
+	name   string
+	rec    *harness.ScenarioRecord
+	sc     *scenario.Scenario
+	render func(*scenario.Result) string
+}
+
+// presetAt resolves the named registry preset at the run's budget and seed.
+func presetAt(name string, b scenario.Budget, seed uint64) (*scenario.Scenario, error) {
+	sc, err := scenario.Preset(name)
+	if err != nil {
+		return nil, err
+	}
+	sc.Budget, sc.Seed = b, &seed
+	return sc, nil
 }
 
 // resolve turns the positional arguments into the run's points: experiment
 // names ("all" expanded), the -scenario, or the sweep's expansion of it.
 // Every error is a usage error, returned before any artifact is opened.
-func resolve(o *options, args []string, sweep bool, scale experiments.Scale) ([]point, error) {
+func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]point, error) {
 	if o.scenario == "" {
 		if sweep {
 			return nil, errors.New("sweep requires -scenario FILE|PRESET")
@@ -200,24 +212,34 @@ func resolve(o *options, args []string, sweep bool, scale experiments.Scale) ([]
 		if err != nil {
 			return nil, err
 		}
-		sess := &experiments.Session{}
+		// Experiments presenting one preset's results share its scenario,
+		// so the runner runs it once.
+		shared := map[string]*scenario.Scenario{}
 		pts := make([]point, len(names))
 		for i, name := range names {
-			pts[i] = point{name: name, seed: scale.Seed, run: func(ctx context.Context, s experiments.Scale) (string, error) {
-				return sess.Render(ctx, name, s)
-			}}
-			if sc, err := scale.PresetScenario(strings.ToLower(name)); err == nil {
+			e, _ := experiments.Lookup(name)
+			pts[i] = point{name: name, render: e.Render}
+			if sc, err := presetAt(e.Name, budget, o.seed); err == nil {
 				if rec, err := sc.Record(); err == nil {
 					pts[i].rec = &rec
 				}
 			}
+			if e.Preset == "" {
+				continue
+			}
+			if shared[e.Preset] == nil {
+				if shared[e.Preset], err = presetAt(e.Preset, budget, o.seed); err != nil {
+					return nil, err
+				}
+			}
+			pts[i].sc = shared[e.Preset]
 		}
 		return pts, nil
 	}
 	if len(args) > 0 {
 		return nil, fmt.Errorf("-scenario and sweep take no experiment names (got %q)", args)
 	}
-	base, err := loadScenarioArg(o.scenario, scale, o.seedSet, o.seed)
+	base, err := loadScenarioArg(o.scenario, budget, o.seedSet, o.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -238,13 +260,7 @@ func resolve(o *options, args []string, sweep bool, scale experiments.Scale) ([]
 	}
 	pts := make([]point, len(scs))
 	for i, sc := range scs {
-		pts[i] = point{name: sc.Name, seed: *sc.Seed, run: func(ctx context.Context, s experiments.Scale) (string, error) {
-			res, err := s.RunScenario(ctx, sc)
-			if err != nil {
-				return "", err
-			}
-			return res.String(), nil
-		}}
+		pts[i] = point{name: sc.Name, sc: sc, render: (*scenario.Result).String}
 		if rec, err := sc.Record(); err == nil {
 			pts[i].rec = &rec
 		}
@@ -252,25 +268,63 @@ func resolve(o *options, args []string, sweep bool, scale experiments.Scale) ([]
 	return pts, nil
 }
 
+// runner runs the points' scenarios: through the keyed campaign layer
+// under -store, on the generic runner with the -checkpoint log otherwise.
+// It keeps results by scenario, so points presenting one simulation —
+// fig12 and fig13, fig15 and fig16 — share one run.
+type runner struct {
+	ex      scenario.Exec
+	store   *cstore.Store
+	results map[*scenario.Scenario]*scenario.Result
+	// campaigns collects the record of every keyed campaign for the run
+	// manifest.
+	campaigns []harness.CampaignRecord
+}
+
+// run renders p's artifact, running its scenario unless an earlier point
+// already did.
+func (r *runner) run(ctx context.Context, p point) (string, error) {
+	if p.sc == nil {
+		return p.render(nil), nil
+	}
+	res := r.results[p.sc]
+	if res == nil {
+		var err error
+		if r.store != nil {
+			var rec *harness.CampaignRecord
+			res, rec, err = campaign.RunStore(ctx, p.sc, r.store, campaign.Options{
+				Workers: r.ex.Workers, Mon: r.ex.Mon, Trace: r.ex.Trace,
+			})
+			if rec != nil {
+				r.campaigns = append(r.campaigns, *rec)
+			}
+		} else {
+			res, err = scenario.RunCtx(ctx, p.sc, r.ex)
+		}
+		if err != nil {
+			return "", err
+		}
+		r.results[p.sc] = res
+	}
+	return p.render(res), nil
+}
+
 // runPoints is the default run and the sweep subcommand: resolve the
 // points, open the run's artifacts, execute every point in one loop, then
 // seal the campaign log and write the manifest. A sweep additionally writes
 // one manifest per point.
 func runPoints(o *options, args []string, sweep bool) int {
-	var scale experiments.Scale
+	budget := scenario.DefaultBudget()
 	switch o.scale {
 	case "quick":
-		scale = experiments.QuickScale()
 	case "paper":
-		scale = experiments.PaperScale()
+		budget = scenario.PaperBudget()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or paper)\n", o.scale)
 		return 2
 	}
-	scale.Seed = o.seed
-	scale.Workers = o.parallel
 
-	points, err := resolve(o, args, sweep, scale)
+	points, err := resolve(o, args, sweep, budget)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
@@ -318,20 +372,15 @@ func runPoints(o *options, args []string, sweep bool) int {
 	if o.trace != "" {
 		tracer = runtrace.New()
 	}
-	scale.Trace = tracer
 
 	// -store: open the content-addressed campaign store and route every
-	// scenario run through the keyed campaign layer. The records every
-	// keyed campaign resolves to are collected for the run manifest.
-	var campRecs []harness.CampaignRecord
+	// scenario run through the keyed campaign layer.
+	r := &runner{results: map[*scenario.Scenario]*scenario.Result{}}
 	if o.store != "" {
-		cs, err := cstore.Open(o.store)
-		if err != nil {
+		if r.store, err = cstore.Open(o.store); err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 			return 1
 		}
-		scale.Campaigns = cs
-		scale.OnCampaign = func(r harness.CampaignRecord) { campRecs = append(campRecs, r) }
 	}
 
 	if o.pprof != "" {
@@ -357,7 +406,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 		stopMon = mon.Start()
 	}
 	defer stopMon()
-	scale.Mon = mon
 	if o.events != "" {
 		f, err := os.OpenFile(o.events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -369,19 +417,18 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}
 	manifest := harness.NewManifest()
 	// An explicit -checkpoint log is one unkeyed campaign: the campaign
-	// layer creates or reopens the log (checking every logged payload
-	// against its digest first) and embeds the resolved scenario records in
-	// its open record.
+	// layer creates the log, or reopens an existing one (checking every
+	// logged payload against its digest first), and embeds the resolved
+	// scenario records in its open or resume record.
 	camp, err := campaign.OpenUnkeyed(campaign.UnkeyedConfig{
-		Checkpoint: o.checkpoint, Resume: o.resume,
-		Seed: o.seed, Records: records,
+		Checkpoint: o.checkpoint, Seed: o.seed, Records: records,
 	}, campaign.Options{Workers: o.parallel, Mon: mon, Trace: tracer})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 1
 	}
 	defer camp.Close()
-	scale.Store = camp.Store()
+	r.ex = scenario.Exec{Workers: o.parallel, Mon: mon, Store: camp.Store(), Trace: tracer}
 	jw := camp.Journal()
 
 	mon.Event("run_start", map[string]any{
@@ -395,10 +442,10 @@ func runPoints(o *options, args []string, sweep bool) int {
 	var failures []string
 	interrupted := false
 	for i, p := range points {
-		done0, fail0, camp0 := mon.DoneTrials(), len(failures), len(campRecs)
+		done0, fail0, camp0 := mon.DoneTrials(), len(failures), len(r.campaigns)
 		if ctx.Err() != nil {
 			interrupted = true
-		} else if err := runPoint(ctx, p, scale, o.timeout, mon, tracer); errors.Is(err, context.Canceled) && ctx.Err() != nil {
+		} else if err := runPoint(ctx, p, r, o.timeout); errors.Is(err, context.Canceled) && ctx.Err() != nil {
 			interrupted = true
 		} else if err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %s: %v\n", p.name, err)
@@ -411,14 +458,14 @@ func runPoints(o *options, args []string, sweep bool) int {
 			pm := harness.NewManifest()
 			pm.Experiments = []string{p.name}
 			pm.Scale = o.scale
-			pm.Seed = p.seed
+			pm.Seed = *p.sc.Seed // every sweep point runs a scenario
 			pm.Checkpoint = o.checkpoint
 			if p.rec != nil {
 				pm.Scenarios = []harness.ScenarioRecord{*p.rec}
 				pm.Fingerprint = p.rec.Fingerprint
 			}
 			pm.TrialsDone = mon.DoneTrials() - done0
-			pm.Campaigns = append([]harness.CampaignRecord(nil), campRecs[camp0:]...)
+			pm.Campaigns = append([]harness.CampaignRecord(nil), r.campaigns[camp0:]...)
 			if len(failures) > fail0 {
 				pm.ExitCode = 1
 				pm.Failures = failures[fail0:]
@@ -438,7 +485,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 
 	// Seal the log before the manifest reports on it. "complete" freezes
 	// the campaign; an interrupted or partly-failed run seals "interrupted"
-	// so -resume can reopen it and append more chunks.
+	// so a rerun can reopen it and append more chunks.
 	if jw != nil {
 		status := journal.StatusComplete
 		if interrupted || len(failures) > 0 {
@@ -459,7 +506,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 		}
 		fmt.Fprintf(os.Stderr, "relaxfault: %s", verb)
 		if o.checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "; partial results checkpointed to %s (restart with -resume)", o.checkpoint)
+			fmt.Fprintf(os.Stderr, "; partial results checkpointed to %s (rerun the same command to resume)", o.checkpoint)
 		} else if o.store != "" {
 			fmt.Fprintf(os.Stderr, "; partial results checkpointed in %s (rerun the same command to resume)", o.store)
 		}
@@ -507,7 +554,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 		manifest.JournalVerifiedChunks = camp.Store().Verified()
 	}
 	manifest.Scenarios = records
-	manifest.Campaigns = campRecs
+	manifest.Campaigns = r.campaigns
 	manifest.TrialsDone = mon.DoneTrials()
 	manifest.ExitCode = code
 	manifest.Failures = failures
@@ -528,7 +575,8 @@ func runPoints(o *options, args []string, sweep bool) int {
 
 // runPoint executes one point under the optional per-point deadline,
 // prints its artifact to stdout, and reports its timing.
-func runPoint(ctx context.Context, p point, scale experiments.Scale, timeout time.Duration, mon *harness.Monitor, tracer *runtrace.Recorder) error {
+func runPoint(ctx context.Context, p point, r *runner, timeout time.Duration) error {
+	mon, tracer := r.ex.Mon, r.ex.Trace
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -537,7 +585,7 @@ func runPoint(ctx context.Context, p point, scale experiments.Scale, timeout tim
 	mon.SetLabel(p.name)
 	start := time.Now()
 	expStart := tracer.Now()
-	out, err := p.run(ctx, scale)
+	out, err := r.run(ctx, p)
 	tracer.Span(runtrace.TrackMain, "experiment:"+p.name, -1, 0, expStart)
 	if err != nil {
 		return err
@@ -606,7 +654,6 @@ func runVerify(rest []string, path string, workers int, progress time.Duration) 
 type flagRules struct {
 	Sub                        string // "", "list", "verify", "cache", "sweep"
 	Checkpoint, Journal, Store string
-	Resume                     bool
 	Sets                       int // number of -set occurrences
 }
 
@@ -616,8 +663,8 @@ type flagRules struct {
 func validateFlags(r flagRules) error {
 	switch r.Sub {
 	case "verify":
-		if r.Resume || r.Checkpoint != "" || r.Store != "" {
-			return errors.New("verify replays a journal only; -resume, -checkpoint, and -store do not apply")
+		if r.Checkpoint != "" || r.Store != "" {
+			return errors.New("verify replays a journal only; -checkpoint and -store do not apply")
 		}
 		return nil
 	case "cache":
@@ -631,11 +678,8 @@ func validateFlags(r flagRules) error {
 	if r.Journal != "" {
 		return errors.New("-journal names the verify subcommand's input; a run keeps its campaign log at -checkpoint FILE")
 	}
-	if r.Store != "" && (r.Checkpoint != "" || r.Resume) {
-		return errors.New("-store manages campaign logs and resume itself; it conflicts with -checkpoint and -resume")
-	}
-	if r.Resume && r.Checkpoint == "" {
-		return errors.New("-resume requires -checkpoint")
+	if r.Store != "" && r.Checkpoint != "" {
+		return errors.New("-store manages campaign logs and resume itself; it conflicts with -checkpoint")
 	}
 	if r.Sets > 0 && r.Sub != "sweep" {
 		return errors.New("-set is only meaningful with the sweep subcommand")
@@ -657,9 +701,9 @@ func (r *repeatedFlag) Set(v string) error {
 // or a path to a scenario JSON spec. Presets take their budget and seed
 // from -scale/-seed; a spec file is authoritative for both, except that an
 // explicitly passed -seed still overrides the file.
-func loadScenarioArg(arg string, scale experiments.Scale, seedSet bool, seed uint64) (*scenario.Scenario, error) {
+func loadScenarioArg(arg string, budget scenario.Budget, seedSet bool, seed uint64) (*scenario.Scenario, error) {
 	if scenario.IsPreset(arg) {
-		return scale.PresetScenario(arg)
+		return presetAt(arg, budget, seed)
 	}
 	data, err := os.ReadFile(arg)
 	if err != nil {

@@ -137,23 +137,23 @@ func (c *Campaign) CacheHit() bool { return c.hit != nil }
 // campaigns).
 func (c *Campaign) Record() harness.CampaignRecord { return c.rec }
 
-// UnkeyedConfig mirrors the explicit-path flags: the campaign log file and
-// the resume policy. Records are the scenarios the run will execute,
-// embedded in the log's open record so "relaxfault verify" is
-// self-contained.
+// UnkeyedConfig mirrors the explicit-path flag: the campaign log file.
+// Records are the scenarios the run will execute, embedded in the log's
+// open or resume record so "relaxfault verify" is self-contained.
 type UnkeyedConfig struct {
 	Checkpoint string
-	Resume     bool
 	Seed       uint64
 	Records    []harness.ScenarioRecord
 }
 
 // OpenUnkeyed wires a campaign from an explicit log path — the -checkpoint
-// flag behavior. Without a path the campaign is a plain unpersisted run.
+// flag behavior: a new path starts a log, an existing log resumes, and a
+// log that cannot resume is refused untouched. Without a path the campaign
+// is a plain unpersisted run.
 func OpenUnkeyed(cfg UnkeyedConfig, opts Options) (*Campaign, error) {
 	c := &Campaign{opts: opts, start: time.Now()}
 	if cfg.Checkpoint != "" {
-		if err := c.openLog(cfg.Checkpoint, cfg.Resume, cfg.Seed, cfg.Records); err != nil {
+		if err := c.openLog(cfg.Checkpoint, cfg.Seed, cfg.Records); err != nil {
 			return nil, err
 		}
 	}
@@ -197,22 +197,36 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 	}
 	c.claim = claim
 	c.rec.Entry = st.Rel(c.dir)
+	logPath := filepath.Join(c.dir, cstore.CheckpointFile)
 	if exact != nil {
 		// Retract the unusable entry's completeness marker before anything
-		// is rewritten: a recompute that dies then leaves an ordinary
-		// in-progress entry, which the next Open resumes.
-		if err := os.Remove(exact.Path(cstore.MetaFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			c.Close()
-			return nil, err
+		// is rewritten, then its untrusted log: a recompute that dies then
+		// leaves an ordinary in-progress entry, which the next Open resumes.
+		for _, path := range []string{exact.Path(cstore.MetaFile), logPath} {
+			if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+				c.Close()
+				return nil, err
+			}
 		}
 	}
 
 	// A log without an entry is an earlier attempt that died mid-run (its
-	// claim was stale): it resumes exactly like an explicit -resume. An
-	// unusable entry's log is not trusted and is recomputed from scratch.
-	logPath := filepath.Join(c.dir, cstore.CheckpointFile)
-	resume := exact == nil && fileExists(logPath)
-	if err := c.openLog(logPath, resume, plan.Seed, []harness.ScenarioRecord{plan.Record}); err != nil {
+	// claim was stale): it resumes, as an existing -checkpoint log does.
+	// The store owns its entry logs, so one that cannot resume — empty,
+	// sealed complete, or failing its digest checks — is removed and
+	// recomputed.
+	records := []harness.ScenarioRecord{plan.Record}
+	resume := fileExists(logPath)
+	err = c.openLog(logPath, plan.Seed, records)
+	if err != nil && resume {
+		fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d/t%d: entry log unusable (%v); recomputing\n",
+			plan.Key, plan.Seed, plan.Trials, err)
+		resume = false
+		if err = os.Remove(logPath); err == nil {
+			err = c.openLog(logPath, plan.Seed, records)
+		}
+	}
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -295,10 +309,10 @@ func readLog(e *cstore.Entry) (*harness.Store, error) {
 	return harness.LoadStore(j, nil)
 }
 
-// openLog opens (resume: reopens) the campaign log at path with records
-// embedded in its open or resume record, which is what makes "relaxfault
-// verify" self-contained.
-func (c *Campaign) openLog(path string, resume bool, seed uint64, records []harness.ScenarioRecord) error {
+// openLog opens the campaign log at path — starting it, or resuming an
+// existing one — with records embedded in its open or resume record, which
+// is what makes "relaxfault verify" self-contained.
+func (c *Campaign) openLog(path string, seed uint64, records []harness.ScenarioRecord) error {
 	head := journal.Record{Seed: seed, Campaigns: make([]journal.Campaign, len(records))}
 	for i, r := range records {
 		head.Campaigns[i] = journal.Campaign{
@@ -307,7 +321,7 @@ func (c *Campaign) openLog(path string, resume bool, seed uint64, records []harn
 			Spec: r.Spec,
 		}
 	}
-	cp, err := harness.OpenStore(path, resume, head)
+	cp, err := harness.OpenStore(path, head)
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	cstore "relaxfault/internal/campaign/store"
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
+	"relaxfault/internal/relsim"
 	"relaxfault/internal/scenario"
 )
 
@@ -51,7 +52,7 @@ func relScenario(t *testing.T, replicas int, targetCI float64) *scenario.Scenari
 		},
 	}
 	if targetCI != 0 {
-		sc.Statistics = &scenario.StatisticsSpec{Estimator: "naive", TargetCI: targetCI, MinTrials: 100}
+		sc.Statistics = &relsim.StatsConfig{Estimator: "naive", TargetCI: targetCI, MinTrials: 100}
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
@@ -378,5 +379,73 @@ func TestUnusableEntryRecomputeResumes(t *testing.T) {
 	}
 	if out != want {
 		t.Errorf("resumed recompute differs from the from-scratch run:\n%s\nvs\n%s", out, want)
+	}
+}
+
+// TestStuckEntryLogRecomputes: the store owns its entry logs, so a log an
+// attempt left behind that cannot resume is removed and the entry
+// recomputed, instead of failing every later run. The log is empty when
+// the attempt died before its open record reached the disk, sealed
+// complete when it died between the seal and the entry metadata, or holds
+// a payload that fails its digest.
+func TestStuckEntryLogRecomputes(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(t *testing.T, logPath string)
+	}{
+		{"empty log", func(t *testing.T, logPath string) {
+			if err := os.Truncate(logPath, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"complete-sealed log", func(*testing.T, string) {}},
+		{"payload digest mismatch", func(t *testing.T, logPath string) {
+			j, err := journal.Load(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := journal.Create(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			for _, rec := range append([]journal.Record{*j.Open}, j.Chunks...) {
+				if rec.Type == journal.TypeChunk && rec.Chunk == 1 {
+					rec.Payload = []byte(`{"tampered":true}`)
+				}
+				if err := w.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := cstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := func() *scenario.Scenario { return relScenario(t, 1, 0) }
+			want, _, _ := runKeyed(t, sc(), st)
+			es, err := st.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(t, es[0].Path(cstore.CheckpointFile))
+			if err := os.Remove(es[0].Path(cstore.MetaFile)); err != nil {
+				t.Fatal(err)
+			}
+
+			out, rec, done := runKeyed(t, sc(), st)
+			if rec.Source != harness.CampaignComputed || done == 0 {
+				t.Fatalf("rerun over the stuck log: source %q, %d trials; want a recompute", rec.Source, done)
+			}
+			if out != want {
+				t.Errorf("recompute differs from the first run:\n%s\nvs\n%s", out, want)
+			}
+			if _, rec, _ := runKeyed(t, sc(), st); rec.Source != harness.CampaignCacheHit {
+				t.Errorf("the recomputed entry is not complete: next source %q, want cache-hit", rec.Source)
+			}
+		})
 	}
 }

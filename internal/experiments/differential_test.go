@@ -19,6 +19,7 @@ import (
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 	"relaxfault/internal/runtrace"
+	"relaxfault/internal/scenario"
 )
 
 // diffVariant is one point of the scheduling matrix.
@@ -43,17 +44,16 @@ var diffVariants = []diffVariant{
 func runDifferential(t *testing.T, c equivCase, v diffVariant) (result, snapshot []byte, chunks map[journal.ChunkKey]journal.Record) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), c.name+".jsonl")
-	s := equivScale()
-	s.Workers = v.workers
+	ex := scenario.Exec{Workers: v.workers}
 	if v.traced == 1 {
-		s.Trace = runtrace.New()
+		ex.Trace = runtrace.New()
 	}
-	store, err := harness.OpenStore(path, false, journal.Record{Seed: s.Seed})
+	store, err := harness.OpenStore(path, journal.Record{Seed: equivSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store = store
-	res, err := c.run(context.Background(), s)
+	ex.Store = store
+	res, err := c.run(context.Background(), ex)
 	if err != nil {
 		t.Fatalf("%s workers=%d traced=%d: %v", c.name, v.workers, v.traced, err)
 	}

@@ -20,11 +20,14 @@ import (
 // content of an experiment deliberately changes.
 var updateEquiv = flag.Bool("update-equiv", false, "regenerate testdata/equiv golden files")
 
-// equivScale is small enough to run the full suite in about a minute while
-// still spanning multiple work chunks on the bigger experiments.
-func equivScale() Scale {
-	return Scale{FaultyNodes: 500, Nodes: 2048, Replicas: 1, Instructions: 40_000, Seed: 11}
+// equivBudget and equivSeed are small enough to run the full suite in
+// about a minute while still spanning multiple work chunks on the bigger
+// experiments.
+func equivBudget() scenario.Budget {
+	return scenario.Budget{FaultyNodes: 500, Nodes: 2048, Replicas: 1, Instructions: 40_000}
 }
+
+const equivSeed = 11
 
 // equivCase is one experiment id whose result JSON and checkpoint view bytes
 // are pinned against the pre-refactor goldens.
@@ -34,12 +37,15 @@ type equivCase struct {
 	// same golden, asserting worker-count independence through the scenario
 	// path (the four ids the refactor issue names).
 	fourWorkers bool
-	run         func(context.Context, Scale) (any, error)
+	run         func(context.Context, scenario.Exec) (any, error)
 }
 
-// shapedRun runs preset and shapes its result, as an equivCase body.
-func shapedRun[T any](preset string, shape func(*scenario.Result) T) func(context.Context, Scale) (any, error) {
-	return func(ctx context.Context, s Scale) (any, error) { return shaped(ctx, s, preset, shape) }
+// shapedRun runs preset at the equivalence budget and seed with the given
+// attachments and shapes its result, as an equivCase body.
+func shapedRun[T any](preset string, shape func(*scenario.Result) T) func(context.Context, scenario.Exec) (any, error) {
+	return func(ctx context.Context, ex scenario.Exec) (any, error) {
+		return runShaped(ctx, preset, equivBudget(), equivSeed, ex, shape)
+	}
 }
 
 func equivCases() []equivCase {
@@ -63,10 +69,7 @@ func equivCases() []equivCase {
 func runEquivCase(t *testing.T, c equivCase, workers int) (result, snapshot []byte) {
 	t.Helper()
 	store := harness.NewStore(nil)
-	s := equivScale()
-	s.Workers = workers
-	s.Store = store
-	res, err := c.run(context.Background(), s)
+	res, err := c.run(context.Background(), scenario.Exec{Workers: workers, Store: store})
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}

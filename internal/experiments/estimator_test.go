@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"relaxfault/internal/relsim"
+	"relaxfault/internal/scenario"
 )
 
 // TestEstimatorAgreement is the differential acceptance check for the
@@ -19,14 +20,14 @@ func TestEstimatorAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("estimator agreement runs full Monte Carlo legs")
 	}
-	s := Scale{FaultyNodes: 500, Nodes: 16384, Replicas: 1, Instructions: 40_000, Seed: 7}
+	budget := scenario.Budget{FaultyNodes: 500, Nodes: 16384, Replicas: 1, Instructions: 40_000}
 	presets := []string{"fig9", "fig12", "fig14"}
 	alts := []*relsim.StatsConfig{
 		{Estimator: relsim.EstimatorImportance, Boost: 8},
 		{Estimator: relsim.EstimatorStratified},
 	}
 	for _, name := range presets {
-		sc, err := s.PresetScenario(name)
+		sc, err := presetAt(name, budget, 7)
 		if err != nil {
 			t.Fatalf("preset %s: %v", name, err)
 		}
@@ -39,7 +40,6 @@ func TestEstimatorAgreement(t *testing.T) {
 			cells = cells[:3]
 		}
 		for i, base := range cells {
-			base.Exec = relsim.Exec{Workers: s.Workers}
 			base.Stats = &relsim.StatsConfig{Estimator: relsim.EstimatorNaive}
 			naive, err := relsim.RunCtx(context.Background(), base)
 			if err != nil {
@@ -82,17 +82,18 @@ func checkAgree(t *testing.T, what string, a, hwA, b, hwB float64) {
 }
 
 // TestImportancePayoff gates the rare-event estimator's payoff on the
-// rare-due preset's fault model at QuickScale. The importance leg runs the
-// preset's budget at boost 16 with no CI target, so it does not stop early;
-// the naive leg runs 64x the replicas and still reports a wider interval.
-// Extrapolating the naive budget to the importance half-width with the
-// 1/sqrt(n) law must show at least a 10x trial reduction, and the two
-// estimates must agree within their combined half-widths.
+// rare-due preset's fault model at the default budget. The importance leg
+// runs the preset's budget at boost 16 with no CI target, so it does not
+// stop early; the naive leg runs 64x the replicas and still reports a
+// wider interval. Extrapolating the naive budget to the importance
+// half-width with the 1/sqrt(n) law must show at least a 10x trial
+// reduction, and the two estimates must agree within their combined
+// half-widths.
 func TestImportancePayoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the rare-due fault model at 64x the preset budget")
 	}
-	sc, err := QuickScale().PresetScenario("rare-due")
+	sc, err := scenario.Preset("rare-due")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,136 +1,40 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment is a pure function of a Scale (trial counts /
-// instruction budgets) and returns a result struct whose String method
-// prints the same rows or series the paper reports. One name→renderer table
-// (Resolve, Session.Render) drives both the cmd/relaxfault CLI and the
+// Package experiments presents every table and figure of the paper's
+// evaluation. Each experiment is a registry preset (internal/scenario)
+// plus a figure-shaped presentation of that preset's result, whose String
+// method prints the same rows or series the paper reports. One name→renderer
+// table (Lookup, Resolve) drives both the cmd/relaxfault CLI and the
 // top-level benchmark, so the numbers in EXPERIMENTS.md are reproducible
 // from either entry point.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"relaxfault/internal/campaign"
-	campaignstore "relaxfault/internal/campaign/store"
 	"relaxfault/internal/core"
 	"relaxfault/internal/fault"
-	"relaxfault/internal/harness"
-	"relaxfault/internal/runtrace"
 	"relaxfault/internal/scenario"
 )
 
-// Scale sets how much Monte Carlo and simulation effort an experiment
-// spends. Paper-fidelity runs use PaperScale; tests and benchmarks use
-// QuickScale.
-type Scale struct {
-	// FaultyNodes is the coverage-study sample size.
-	FaultyNodes int
-	// Nodes and Replicas size the full-system reliability runs.
-	Nodes    int
-	Replicas int
-	// Instructions is the per-core budget of performance runs.
-	Instructions uint64
-	// Seed makes every experiment deterministic.
-	Seed uint64
-	// Workers caps the Monte Carlo worker pool (0 = GOMAXPROCS). Results
-	// are bitwise independent of the value: trials are sharded into
-	// fixed-index chunks with per-chunk RNG streams and reduced in chunk
-	// order.
-	Workers int
-	// Mon, if non-nil, receives progress/watchdog events
-	// from the underlying Monte Carlo runs (set by cmd/relaxfault).
-	Mon *harness.Monitor
-	// Store, if non-nil, checkpoints the Monte Carlo runs so a killed
-	// experiment resumes from its campaign log (-checkpoint/-resume).
-	Store *harness.Store
-	// Trace, if non-nil, records execution spans from the underlying runs
-	// (-trace). Observation only; never affects results.
-	Trace *runtrace.Recorder
-	// Campaigns, if non-nil, routes every preset run through the keyed
-	// campaign layer (-store): repeated runs of the same preset at the same
-	// scale are verified cache hits, and scale bumps are seeded from the
-	// cached logs. Mutually exclusive with Store.
-	Campaigns *campaignstore.Store
-	// OnCampaign, if non-nil, observes each keyed campaign's manifest
-	// record (cmd/relaxfault collects them into the run manifest).
-	OnCampaign func(harness.CampaignRecord)
-}
-
-// PresetScenario resolves the named registry preset at this scale: budget
-// and seed applied, defaults normalized. This is the spec the experiment
-// functions below execute and the CLI embeds in run manifests.
-func (s Scale) PresetScenario(name string) (*scenario.Scenario, error) {
-	sc, err := scenario.Preset(name)
-	if err != nil {
-		return nil, err
-	}
-	sc.Budget = scenario.Budget{
-		FaultyNodes:  s.FaultyNodes,
-		Nodes:        s.Nodes,
-		Replicas:     s.Replicas,
-		Instructions: s.Instructions,
-	}
-	seed := s.Seed
-	sc.Seed = &seed
-	return sc, nil
-}
-
-// RunScenario executes one scenario with this scale's plumbing: as a keyed
-// campaign when a campaign store is attached (repeated runs are cache hits
-// or seeded resumes), on the generic runner otherwise. Either path yields
-// byte-identical results.
-func (s Scale) RunScenario(ctx context.Context, sc *scenario.Scenario) (*scenario.Result, error) {
-	if s.Campaigns != nil {
-		res, rec, err := campaign.RunStore(ctx, sc, s.Campaigns, campaign.Options{
-			Workers: s.Workers, Mon: s.Mon, Trace: s.Trace,
-		})
-		if rec != nil && s.OnCampaign != nil {
-			s.OnCampaign(*rec)
-		}
-		return res, err
-	}
-	return scenario.RunCtx(ctx, sc, scenario.Exec{Workers: s.Workers, Mon: s.Mon, Store: s.Store, Trace: s.Trace})
-}
-
-// runPreset executes a registry preset at this scale. Every sim experiment
-// below is this call plus a figure-shaped presentation of the result.
-func runPreset(ctx context.Context, name string, s Scale) (*scenario.Result, error) {
-	sc, err := s.PresetScenario(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunScenario(ctx, sc)
-}
-
-// shaped runs a preset and shapes its result into a figure.
-func shaped[T any](ctx context.Context, s Scale, preset string, shape func(*scenario.Result) T) (T, error) {
-	res, err := runPreset(ctx, preset, s)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return shape(res), nil
-}
-
-// experiment is one entry of the name→renderer table: the registry preset
+// Experiment is one entry of the name→renderer table: the registry preset
 // whose result it presents (none for the static tables) and the rendering
-// of that result as the printed artifact.
-type experiment struct {
-	name   string
+// of that result as the printed artifact. Experiments presenting the same
+// simulations name the same preset — fig12 and fig13, fig15 and fig16 — so
+// a caller that keeps results by preset runs them once.
+type Experiment struct {
+	Name   string
 	paper  bool // part of the paper's evaluation, which "all" runs
-	preset string
-	render func(*scenario.Result) string
+	Preset string
+	Render func(*scenario.Result) string
 }
 
-func static(name string, render func() string) experiment {
-	return experiment{name: name, paper: true, render: func(*scenario.Result) string { return render() }}
+func static(name string, render func() string) Experiment {
+	return Experiment{Name: name, paper: true, Render: func(*scenario.Result) string { return render() }}
 }
 
 // table lists every experiment: the paper's evaluation in paper order, then
 // the extensions in registry order. Every name is a registry preset.
-var table = []experiment{
+var table = []Experiment{
 	static("tab1", func() string { return Table1().String() }),
 	static("tab2", func() string { return Table2().String() }),
 	static("tab3", Table3),
@@ -151,13 +55,14 @@ var table = []experiment{
 	{"ddr4", false, "ddr4", (*scenario.Result).String},
 }
 
-func lookup(name string) (experiment, bool) {
+// Lookup returns the named experiment (names are case-insensitive).
+func Lookup(name string) (Experiment, bool) {
 	for _, e := range table {
-		if e.name == strings.ToLower(name) {
+		if e.Name == strings.ToLower(name) {
 			return e, true
 		}
 	}
-	return experiment{}, false
+	return Experiment{}, false
 }
 
 // Names returns the experiment table's names: the paper's evaluation in
@@ -165,9 +70,9 @@ func lookup(name string) (experiment, bool) {
 func Names() (paper, extensions []string) {
 	for _, e := range table {
 		if e.paper {
-			paper = append(paper, e.name)
+			paper = append(paper, e.Name)
 		} else {
-			extensions = append(extensions, e.name)
+			extensions = append(extensions, e.Name)
 		}
 	}
 	return paper, extensions
@@ -183,51 +88,12 @@ func Resolve(names []string) ([]string, error) {
 			out = append(out, paper...)
 			continue
 		}
-		if _, ok := lookup(n); !ok {
+		if _, ok := Lookup(n); !ok {
 			return nil, fmt.Errorf("unknown experiment %q (the list subcommand prints the presets; -scenario runs the others)", n)
 		}
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// Session renders experiments for one invocation. It memoises preset
-// results, so experiments presenting the same simulations — fig12 and
-// fig13, fig15 and fig16 — run them once. Every call on one Session must
-// pass the same Scale.
-type Session struct {
-	results map[string]*scenario.Result
-}
-
-// Render runs the named experiment at scale s and returns its printed
-// artifact.
-func (se *Session) Render(ctx context.Context, name string, s Scale) (string, error) {
-	e, ok := lookup(name)
-	if !ok {
-		return "", fmt.Errorf("unknown experiment %q", name)
-	}
-	res := se.results[e.preset]
-	if e.preset != "" && res == nil {
-		var err error
-		if res, err = runPreset(ctx, e.preset, s); err != nil {
-			return "", err
-		}
-		if se.results == nil {
-			se.results = map[string]*scenario.Result{}
-		}
-		se.results[e.preset] = res
-	}
-	return e.render(res), nil
-}
-
-// PaperScale approaches the paper's statistical resolution (minutes of CPU).
-func PaperScale() Scale {
-	return Scale{FaultyNodes: 30000, Nodes: 16384, Replicas: 24, Instructions: 1_200_000, Seed: 7}
-}
-
-// QuickScale runs every experiment in seconds with coarser error bars.
-func QuickScale() Scale {
-	return Scale{FaultyNodes: 4000, Nodes: 16384, Replicas: 4, Instructions: 300_000, Seed: 7}
 }
 
 // --- Table 1 ---------------------------------------------------------------

@@ -9,9 +9,36 @@ import (
 	"relaxfault/internal/scenario"
 )
 
-// tinyScale keeps experiment smoke tests fast.
-func tinyScale() Scale {
-	return Scale{FaultyNodes: 600, Nodes: 4096, Replicas: 1, Instructions: 60_000, Seed: 3}
+// tinyBudget and tinySeed keep experiment smoke tests fast.
+func tinyBudget() scenario.Budget {
+	return scenario.Budget{FaultyNodes: 600, Nodes: 4096, Replicas: 1, Instructions: 60_000}
+}
+
+const tinySeed = 3
+
+// presetAt resolves the named preset at budget b and seed, as the CLI does.
+func presetAt(name string, b scenario.Budget, seed uint64) (*scenario.Scenario, error) {
+	sc, err := scenario.Preset(name)
+	if err != nil {
+		return nil, err
+	}
+	sc.Budget, sc.Seed = b, &seed
+	return sc, nil
+}
+
+// runShaped runs preset at budget b and seed with ex attached and shapes
+// its result into a figure.
+func runShaped[T any](ctx context.Context, preset string, b scenario.Budget, seed uint64, ex scenario.Exec, shape func(*scenario.Result) T) (T, error) {
+	var zero T
+	sc, err := presetAt(preset, b, seed)
+	if err != nil {
+		return zero, err
+	}
+	res, err := scenario.RunCtx(ctx, sc, ex)
+	if err != nil {
+		return zero, err
+	}
+	return shape(res), nil
 }
 
 func TestTable1MatchesPaperExactly(t *testing.T) {
@@ -55,7 +82,7 @@ func TestFig8Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := shaped(context.Background(), tinyScale(), "fig8", fig8Of)
+	r, err := runShaped(context.Background(), "fig8", tinyBudget(), tinySeed, scenario.Exec{}, fig8Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +100,7 @@ func TestFig10Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := shaped(context.Background(), tinyScale(), "fig10", fig10Of)
+	r, err := runShaped(context.Background(), "fig10", tinyBudget(), tinySeed, scenario.Exec{}, fig10Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +147,7 @@ func TestFig9Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	s := tinyScale()
-	r, err := shaped(context.Background(), s, "fig9", fig9Of)
+	r, err := runShaped(context.Background(), "fig9", tinyBudget(), tinySeed, scenario.Exec{}, fig9Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +169,9 @@ func TestFig12And13Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	s := tinyScale()
-	s.Replicas = 2
-	p, err := shaped(context.Background(), s, "fig12", fig12Of)
+	b := tinyBudget()
+	b.Replicas = 2
+	p, err := runShaped(context.Background(), "fig12", b, tinySeed, scenario.Exec{}, fig12Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +200,7 @@ func TestFig15SmokeAndPolicyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("performance experiment")
 	}
-	r, err := shaped(context.Background(), tinyScale(), "fig15", fig15Of)
+	r, err := runShaped(context.Background(), "fig15", tinyBudget(), tinySeed, scenario.Exec{}, fig15Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +232,7 @@ func TestFig14Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	s := tinyScale()
-	r, err := shaped(context.Background(), s, "fig14", fig14Of)
+	r, err := runShaped(context.Background(), "fig14", tinyBudget(), tinySeed, scenario.Exec{}, fig14Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +259,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	r, err := shaped(context.Background(), tinyScale(), "ablate", ablationsOf)
+	r, err := runShaped(context.Background(), "ablate", tinyBudget(), tinySeed, scenario.Exec{}, ablationsOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +291,7 @@ func TestGeometryVariantsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo experiment")
 	}
-	s := tinyScale()
-	r, err := shaped(context.Background(), s, "variants", variantsOf)
+	r, err := runShaped(context.Background(), "variants", tinyBudget(), tinySeed, scenario.Exec{}, variantsOf)
 	if err != nil {
 		t.Fatal(err)
 	}

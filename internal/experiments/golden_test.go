@@ -7,12 +7,22 @@ import (
 	"testing"
 
 	"relaxfault/internal/harness"
+	"relaxfault/internal/scenario"
 )
 
-// goldenScale is small enough that each experiment runs twice in seconds yet
-// still spans several work chunks, so the 4-worker run genuinely interleaves.
-func goldenScale() Scale {
-	return Scale{FaultyNodes: 600, Nodes: 2048, Replicas: 1, Instructions: 40_000, Seed: 11}
+// goldenBudget is small enough that each experiment runs twice in seconds
+// yet still spans several work chunks, so the 4-worker run genuinely
+// interleaves.
+func goldenBudget() scenario.Budget {
+	return scenario.Budget{FaultyNodes: 600, Nodes: 2048, Replicas: 1, Instructions: 40_000}
+}
+
+// goldenShaped runs preset at the golden budget and seed 11 with ex
+// attached and shapes its result, as a runGolden body.
+func goldenShaped[T any](preset string, shape func(*scenario.Result) T) func(scenario.Exec) (any, error) {
+	return func(ex scenario.Exec) (any, error) {
+		return runShaped(context.Background(), preset, goldenBudget(), 11, ex, shape)
+	}
 }
 
 // runGolden executes run with Workers=1 and Workers=4 on the same seed and
@@ -21,16 +31,13 @@ func goldenScale() Scale {
 // trials are claimed as fixed chunk indexes, every chunk derives its RNG
 // stream from the root seed alone, and reduction happens in chunk order, so
 // the worker count must be unobservable in every artifact.
-func runGolden(t *testing.T, name string, run func(Scale) (any, error)) {
+func runGolden(t *testing.T, name string, run func(scenario.Exec) (any, error)) {
 	t.Helper()
 	results := make([][]byte, 2)
 	snaps := make([][]byte, 2)
 	for i, workers := range []int{1, 4} {
-		s := goldenScale()
-		s.Workers = workers
 		store := harness.NewStore(nil)
-		s.Store = store
-		res, err := run(s)
+		res, err := run(scenario.Exec{Workers: workers, Store: store})
 		if err != nil {
 			t.Fatalf("%s with %d workers: %v", name, workers, err)
 		}
@@ -59,13 +66,7 @@ func TestGoldenParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden differential runs each experiment twice")
 	}
-	t.Run("fig10", func(t *testing.T) {
-		runGolden(t, "fig10", func(s Scale) (any, error) { return shaped(context.Background(), s, "fig10", fig10Of) })
-	})
-	t.Run("fig12", func(t *testing.T) {
-		runGolden(t, "fig12", func(s Scale) (any, error) { return shaped(context.Background(), s, "fig12", fig12Of) })
-	})
-	t.Run("fig15", func(t *testing.T) {
-		runGolden(t, "fig15", func(s Scale) (any, error) { return shaped(context.Background(), s, "fig15", fig15Of) })
-	})
+	t.Run("fig10", func(t *testing.T) { runGolden(t, "fig10", goldenShaped("fig10", fig10Of)) })
+	t.Run("fig12", func(t *testing.T) { runGolden(t, "fig12", goldenShaped("fig12", fig12Of)) })
+	t.Run("fig15", func(t *testing.T) { runGolden(t, "fig15", goldenShaped("fig15", fig15Of)) })
 }

@@ -93,20 +93,19 @@ func LoadStore(j *journal.Journal, w *journal.Writer) (*Store, error) {
 	return s, nil
 }
 
-// OpenStore opens the campaign log at path as a Store whose Puts append
-// to it. With resume=false it creates (or truncates) the log and
-// appends head as the open record. With resume=true it reopens the log —
-// journal.Resume truncates a torn tail and refuses v1 and complete-sealed
-// logs — rebuilds the view with LoadStore, and appends head as a resume
-// record; a missing file starts a fresh log instead. head carries the seed
-// and the embedded campaigns; OpenStore sets its type and schema.
-func OpenStore(path string, resume bool, head journal.Record) (*Store, error) {
-	if _, err := os.Stat(path); err != nil {
-		resume = false
-	}
+// OpenStore opens the campaign log at path as a Store whose Puts append to
+// it, deciding from the file whether to start or continue. With no file at
+// path it creates the log and appends head as the open record. An existing
+// log is continued: journal.Resume cuts a torn tail and refuses a
+// complete-sealed log, LoadStore rebuilds the view and checks every payload
+// against its digest, and head is appended as a resume record. A file that
+// cannot be continued is an error, and OpenStore appends nothing to it.
+// head carries the seed and the embedded campaigns; OpenStore sets its
+// type and schema.
+func OpenStore(path string, head journal.Record) (*Store, error) {
 	head.Type, head.Schema = journal.TypeOpen, journal.Schema
 	var s *Store
-	if resume {
+	if _, err := os.Stat(path); err == nil {
 		w, j, err := journal.Resume(path)
 		if err != nil {
 			return nil, err

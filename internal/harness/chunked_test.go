@@ -193,7 +193,7 @@ func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
 	// No gate, and the cutoff chunk is slow: the other workers race past it
 	// computing chunks the fold will discard.
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	store := openLogStore(t, path, false)
+	store := openLogStore(t, path)
 	ref, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 4000, stopAt: 2.5})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := runToy(ctx, openLogStore(t, path, false), toyOpts{workers: 3, trials: 4000, gate: true,
+	r, err := runToy(ctx, openLogStore(t, path), toyOpts{workers: 3, trials: 4000, gate: true,
 		hook: func(lo int) error {
 			if lo >= 10*16 {
 				cancel()
@@ -243,7 +243,7 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	cp := openLogStore(t, path, true).Section(toySection(4000))
+	cp := openLogStore(t, path).Section(toySection(4000))
 	stored := map[int]bool{}
 	for _, ci := range cp.Indexes() {
 		stored[ci] = true
@@ -273,7 +273,7 @@ func TestChunkedKernelErrorFailsRun(t *testing.T) {
 		}
 
 		path := filepath.Join(t.TempDir(), "cp.jsonl")
-		r, err := runToy(context.Background(), openLogStore(t, path, false), toyOpts{workers: 3, trials: trials, gate: gate,
+		r, err := runToy(context.Background(), openLogStore(t, path), toyOpts{workers: 3, trials: trials, gate: gate,
 			hook: func(lo int) error {
 				if lo == bad*16 {
 					return boom
@@ -293,7 +293,7 @@ func TestChunkedKernelErrorFailsRun(t *testing.T) {
 		// Every chunk computed before the failure stays in the log; the
 		// failed one is not logged, and a resume without the fault
 		// computes it and matches an uninterrupted run.
-		store := openLogStore(t, path, true)
+		store := openLogStore(t, path)
 		stored := map[int]bool{}
 		for _, ci := range store.Section(toySection(4000)).Indexes() {
 			stored[ci] = true
@@ -331,7 +331,7 @@ func TestChunkedResumeSkipsStoredChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp := openLogStore(t, path, false).Section(toySection(100))
+	cp := openLogStore(t, path).Section(toySection(100))
 	for ci := 0; ci < 3; ci++ {
 		ch := &toyChunk{Lo: ci * 16, Hi: ci*16 + 16}
 		for i := ch.Lo; i < ch.Hi; i++ {
@@ -344,7 +344,7 @@ func TestChunkedResumeSkipsStoredChunks(t *testing.T) {
 	if err := cp.Put(3, "not a chunk"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := runToy(context.Background(), openLogStore(t, path, true), toyOpts{workers: 2, trials: 100})
+	r, err := runToy(context.Background(), openLogStore(t, path), toyOpts{workers: 2, trials: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +372,10 @@ func TestChunkedResumeDropsNegativeIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	if _, err := runToy(context.Background(), openLogStore(t, path, false), toyOpts{workers: 1, trials: 48}); err != nil {
+	if _, err := runToy(context.Background(), openLogStore(t, path), toyOpts{workers: 1, trials: 48}); err != nil {
 		t.Fatal(err)
 	}
-	s := openLogStore(t, path, true)
+	s := openLogStore(t, path)
 	raw := json.RawMessage(`{"Lo":-16,"Hi":0,"Sum":1}`)
 	if err := s.Journal().AppendChunk("toy", "fp", -1, -16, 0, raw); err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestChunkedResumeDropsNegativeIndex(t *testing.T) {
 	}
 	s.Journal().Close()
 
-	r, err := runToy(context.Background(), openLogStore(t, path, true), toyOpts{workers: 2, trials: 100})
+	r, err := runToy(context.Background(), openLogStore(t, path), toyOpts{workers: 2, trials: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

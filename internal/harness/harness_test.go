@@ -22,7 +22,7 @@ var runSec = Section{Name: "run", Fingerprint: "fp1", Chunking: Chunking{Size: 1
 
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	s := openLogStore(t, path, false)
+	s := openLogStore(t, path)
 	cp := s.Section(runSec)
 	chunks := map[int]payload{0: {A: 0.1, B: 1}, 2: {A: 2.5e-17, B: 2}, 5: {A: -3, B: 5}}
 	for i, p := range chunks {
@@ -37,7 +37,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	// Rebuilt from the log alone, the view is the same whatever order the
 	// chunks were logged in.
-	s2 := openLogStore(t, path, true)
+	s2 := openLogStore(t, path)
 	if got, err := s2.Snapshot(); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("view rebuilt from the log differs (%v):\n%s\nwant\n%s", err, got, want)
 	}
@@ -68,12 +68,12 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestOpenStoreResumeMissingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.jsonl")
-	s := openLogStore(t, path, true)
+	s := openLogStore(t, path)
 	if got := s.Section(Section{Name: "x", Fingerprint: "fp"}).Indexes(); len(got) != 0 {
 		t.Errorf("fresh store has chunks %v", got)
 	}
 	if j, err := journal.Load(path); err != nil || j.Open.Type != journal.TypeOpen {
-		t.Errorf("resume of a missing log must start a fresh one: %v", err)
+		t.Errorf("opening a missing log must start a fresh one: %v", err)
 	}
 }
 

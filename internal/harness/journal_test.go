@@ -14,9 +14,9 @@ import (
 
 // openLogStore opens the campaign log at path as a Store and closes its
 // writer when the test ends.
-func openLogStore(t *testing.T, path string, resume bool) *Store {
+func openLogStore(t *testing.T, path string) *Store {
 	t.Helper()
-	s, err := OpenStore(path, resume, journal.Record{Seed: 1})
+	s, err := OpenStore(path, journal.Record{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func openLogStore(t *testing.T, path string, resume bool) *Store {
 // the view, and the record carries the view's payload bytes.
 func TestPutJournalsBeforeCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	s := openLogStore(t, path, false)
+	s := openLogStore(t, path)
 	cp := s.Section(Section{Name: "run-xyz", Fingerprint: "xyz", Chunking: Chunking{Size: 4096, Trials: 6000}})
 	type payload struct{ V int }
 	if err := cp.Put(0, payload{41}); err != nil {
@@ -65,7 +65,7 @@ func TestPutJournalsBeforeCheckpoint(t *testing.T) {
 func writeLog(t *testing.T, n int) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp := openLogStore(t, path, false).Section(runSec)
+	cp := openLogStore(t, path).Section(runSec)
 	for i := 0; i < n; i++ {
 		if err := cp.Put(i, payload{A: float64(i), B: i}); err != nil {
 			t.Fatal(err)
@@ -99,41 +99,48 @@ func oneRecordLog(t *testing.T, rec journal.Record) []byte {
 }
 
 // refuseThenRestart writes body as the campaign log and pins the contract
-// for a log that cannot resume: resume=true fails with an error naming the
-// file and mentioning wantErr (never a silent empty resume), and
-// resume=false starts a fresh log over it, which then resumes.
+// for a log that cannot resume: opening it fails with an error naming the
+// file and mentioning wantErr (never a silent empty resume) and leaves the
+// file as it was; once the file is removed, the path starts a fresh log,
+// which then resumes.
 func refuseThenRestart(t *testing.T, body []byte, wantErr string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenStore(path, true, journal.Record{})
+	_, err := OpenStore(path, journal.Record{})
 	if err == nil {
 		t.Fatalf("log %q: resume must fail, not start empty", body)
 	}
 	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), wantErr) {
 		t.Fatalf("log %q: error %q does not name the file and %q", body, err, wantErr)
 	}
-	s := openLogStore(t, path, false)
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, body) {
+		t.Fatalf("log %q: the refused open changed the file to %q (%v)", body, after, err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	s := openLogStore(t, path)
 	if err := s.Section(runSec).Put(0, payload{B: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s.Journal().Close()
-	if got := openLogStore(t, path, true).Section(runSec).Indexes(); !reflect.DeepEqual(got, []int{0}) {
+	if got := openLogStore(t, path).Section(runSec).Indexes(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("log %q: the fresh log resumes with chunks %v, want [0]", body, got)
 	}
 }
 
 // TestOpenStoreEmptyFile: a zero-length log (creation raced a kill before
-// the open record reached the disk) refuses the resume and is overwritten
-// without one.
+// the open record reached the disk) refuses the resume and is left as it
+// was.
 func TestOpenStoreEmptyFile(t *testing.T) {
 	refuseThenRestart(t, nil, "empty journal")
 }
 
 // TestOpenStoreCorruptFile: an open record whose bytes no longer match its
-// line sum refuses the resume and is overwritten without one.
+// line sum refuses the resume and is left as it was.
 func TestOpenStoreCorruptFile(t *testing.T) {
 	_, data := writeLog(t, 1)
 	bad := bytes.Replace(data, []byte(`"seed":1`), []byte(`"seed":7`), 1)
@@ -146,9 +153,10 @@ func TestOpenStoreCorruptFile(t *testing.T) {
 // TestOpenStoreCorruptionPaths pins what the open path does with every log
 // that is damaged or does not describe the run: a torn tail is cut and the
 // valid prefix resumes; a file that does not start with a valid open
-// record, or a payload that fails its digest, refuses the resume with an
-// error naming it; and neither another configuration's records nor a chunk
-// whose append failed ever reaches the view.
+// record, a complete-sealed log, or a payload that fails its digest,
+// refuses the resume with an error naming it and stays as it was; and
+// neither another configuration's records nor a chunk whose append failed
+// ever reaches the view.
 func TestOpenStoreCorruptionPaths(t *testing.T) {
 	cases := []struct {
 		name string
@@ -160,7 +168,7 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 			if err := os.WriteFile(path, data[:len(data)-20], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s := openLogStore(t, path, true)
+			s := openLogStore(t, path)
 			if got := s.Section(runSec).Indexes(); !reflect.DeepEqual(got, []int{0, 1}) || s.Verified() != 2 {
 				t.Fatalf("view holds %v (%d verified), want [0 1] (2)", got, s.Verified())
 			}
@@ -190,6 +198,26 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 			chunk := oneRecordLog(t, journal.Record{Type: journal.TypeChunk, Section: "run", SectionFP: "fp1"})
 			refuseThenRestart(t, chunk, `first record is "chunk"`)
 		}},
+		{"v1 log", func(t *testing.T) {
+			v1 := oneRecordLog(t, journal.Record{Type: journal.TypeOpen, Schema: "relaxfault-journal/v1"})
+			refuseThenRestart(t, v1, `schema "relaxfault-journal/v1"`)
+		}},
+		{"complete seal", func(t *testing.T) {
+			path, _ := writeLog(t, 2)
+			w, _, err := journal.Resume(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Seal(journal.StatusComplete); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refuseThenRestart(t, data, "sealed complete")
+		}},
 		{"mismatched fingerprint is ignored", func(t *testing.T) {
 			path, _ := writeLog(t, 2)
 			j, err := journal.Load(path)
@@ -208,7 +236,7 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 		}},
 		{"log write failure keeps the chunk out of the view", func(t *testing.T) {
 			path, _ := writeLog(t, 0)
-			s := openLogStore(t, path, true)
+			s := openLogStore(t, path)
 			s.Journal().Close() // closed handle: the next append fails
 			cp := s.Section(runSec)
 			if err := cp.Put(0, payload{}); err == nil {
@@ -239,10 +267,11 @@ func TestOpenStoreCorruptionPaths(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, err = OpenStore(lie, true, journal.Record{})
-			if err == nil || !strings.Contains(err.Error(), "run chunk 1") || !strings.Contains(err.Error(), lie) {
-				t.Fatalf("tampered payload not refused by name: %v", err)
+			data, err := os.ReadFile(lie)
+			if err != nil {
+				t.Fatal(err)
 			}
+			refuseThenRestart(t, data, "run chunk 1")
 		}},
 	}
 	for _, tc := range cases {

@@ -36,17 +36,16 @@
 //	         trial range [trial_lo, trial_hi) (the RNG fork coordinates:
 //	         trial i draws from root.Fork(i)), the chunk's payload, and the
 //	         SHA-256 digest of the payload bytes
-//	resume — a process reopened the log to continue the campaign
+//	resume — a process reopened the log to continue the campaign, with
+//	         the campaigns it covers embedded as in the open record
 //	seal   — clean shutdown: status "complete" (campaign finished) or
 //	         "interrupted" (graceful SIGINT/SIGTERM; more records may
 //	         follow after a resume)
 //
 // Records after a "complete" seal are treated as torn. Chunk records may
 // repeat an index (a chunk recomputed because its logged payload did not
-// decode); the latest record wins.
-//
-// Logs of the previous format, `relaxfault-journal/v1`, carry digests but
-// no payloads. They still load and verify, but Resume refuses them.
+// decode); the latest record wins. A log whose open record names any
+// schema but Schema does not load.
 package journal
 
 import (
@@ -66,10 +65,6 @@ import (
 // Schema is the format tag of the open record of every log this package
 // writes.
 const Schema = "relaxfault-journal/v2"
-
-// SchemaV1 tags the digest-only logs of the previous format: they load and
-// verify, but do not resume.
-const SchemaV1 = "relaxfault-journal/v1"
 
 // Record types (see the package comment for ordering rules).
 const (
@@ -104,7 +99,7 @@ type Record struct {
 	// gap or repeat marks the torn tail.
 	Seq uint64 `json:"seq"`
 
-	// Open fields.
+	// Open fields (a resume record carries Campaigns too).
 	Schema    string     `json:"schema,omitempty"`
 	Seed      uint64     `json:"seed,omitempty"`
 	Campaigns []Campaign `json:"campaigns,omitempty"`
@@ -115,8 +110,8 @@ type Record struct {
 	// Chunk fields. Section is the checkpoint section name, SectionFP the
 	// section's configuration fingerprint; TrialLo/TrialHi are the chunk's
 	// RNG fork coordinates (trial i forks stream i of the root seed);
-	// Payload is the chunk's payload (absent in v1 logs) and Digest is
-	// "sha256:<hex>" over its bytes.
+	// Payload is the chunk's payload and Digest is "sha256:<hex>" over its
+	// bytes.
 	Section   string          `json:"section,omitempty"`
 	SectionFP string          `json:"section_fp,omitempty"`
 	Chunk     int             `json:"chunk,omitempty"`
@@ -229,17 +224,14 @@ func NewWriter(f File) *Writer { return &Writer{f: f} }
 
 // Resume recovers the log at path — truncating any torn tail — and returns
 // both the recovered contents and a writer that continues the sequence from
-// the last valid record. A log sealed "complete" cannot be resumed, and
-// neither can a v1 log; both are refused before the file is touched.
+// the last valid record. A log sealed "complete" cannot be resumed; it is
+// refused before the file is touched.
 func Resume(path string) (*Writer, *Journal, error) {
 	j, err := Load(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch {
-	case j.Open.Schema != Schema:
-		return nil, nil, fmt.Errorf("journal: %s is a %s log, which carries no chunk payloads; only %s logs resume", path, j.Open.Schema, Schema)
-	case j.SealedComplete():
+	if j.SealedComplete() {
 		return nil, nil, fmt.Errorf("journal: %s is sealed complete; refusing to append to a finished campaign", path)
 	}
 	if err := j.truncate(); err != nil {

@@ -14,6 +14,11 @@ type Journal struct {
 	Path string
 	// Open is the first record (always TypeOpen in a valid journal).
 	Open *Record
+	// Campaigns are the campaigns embedded in the open record and in every
+	// resume record, in log order: a rerun may resume the log under a
+	// different scenario, and its chunks replay from the spec its resume
+	// record embeds.
+	Campaigns []Campaign
 	// Chunks are the chunk records in append order. A chunk index may
 	// appear more than once (recomputed after its payload failed to
 	// decode); LatestChunks resolves duplicates.
@@ -129,8 +134,8 @@ func parse(data []byte) (*Journal, int64, string) {
 			if rec.Type != TypeOpen {
 				return j, off, fmt.Sprintf("first record is %q, want %q", rec.Type, TypeOpen)
 			}
-			if rec.Schema != Schema && rec.Schema != SchemaV1 {
-				return j, off, fmt.Sprintf("schema %q, want %q or %q", rec.Schema, Schema, SchemaV1)
+			if rec.Schema != Schema {
+				return j, off, fmt.Sprintf("schema %q, want %q", rec.Schema, Schema)
 			}
 		} else if rec.Type == TypeOpen {
 			return j, off, "second open record"
@@ -142,6 +147,7 @@ func parse(data []byte) (*Journal, int64, string) {
 		case TypeOpen:
 			r := rec
 			j.Open = &r
+			j.Campaigns = append(j.Campaigns, rec.Campaigns...)
 		case TypeChunk:
 			if rec.Chunk < 0 {
 				return j, off, fmt.Sprintf("chunk record with negative index %d", rec.Chunk)
@@ -154,6 +160,7 @@ func parse(data []byte) (*Journal, int64, string) {
 			j.Seal = &r
 		case TypeResume:
 			j.Seal = nil
+			j.Campaigns = append(j.Campaigns, rec.Campaigns...)
 		default:
 			return j, off, fmt.Sprintf("unknown record type %q", rec.Type)
 		}

@@ -23,8 +23,6 @@ type SystemConfig struct {
 	LockWays  int
 	LockBytes int64
 	Seed      uint64
-	// MaxCycles aborts runaway simulations (0 = no limit).
-	MaxCycles int64
 	// Trace, if non-nil, records one "perf.run" span per Run on TraceTrack
 	// (a worker id, or a runtrace synthetic track). Execution-environment
 	// attachment: never part of any configuration fingerprint, never
@@ -67,9 +65,6 @@ func (cfg SystemConfig) Validate() error {
 	}
 	if max := int64(cfg.Mem.LLCSets) * 64; cfg.LockBytes > max {
 		return fmt.Errorf("perf: LockBytes %d exceeds one way of the LLC (%dB)", cfg.LockBytes, max)
-	}
-	if cfg.MaxCycles < 0 {
-		return fmt.Errorf("perf: negative MaxCycles")
 	}
 	return nil
 }
@@ -145,9 +140,6 @@ func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	var cycle int64
 	for {
 		cycle++
-		if cfg.MaxCycles > 0 && cycle > cfg.MaxCycles {
-			break
-		}
 		ms.Tick(cycle)
 		allDone := true
 		for _, c := range cores {

@@ -3,6 +3,7 @@ package relsim
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"relaxfault/internal/fault"
 	"relaxfault/internal/stats"
@@ -41,26 +42,52 @@ const DefaultMinTrials = 2 * chunkSize
 // optionally, a Chow–Robbins sequential stopping rule. A nil (or zero)
 // StatsConfig reproduces the original pipeline byte for byte and is
 // excluded from fingerprints, so every pre-existing configuration keeps
-// its fingerprint, checkpoints, and journals.
+// its fingerprint, checkpoints, and journals. It is also a scenario's
+// "statistics" block, under the JSON names below.
 type StatsConfig struct {
 	// Estimator is one of EstimatorNaive, EstimatorImportance, or
 	// EstimatorStratified ("" selects naive).
-	Estimator string
+	Estimator string `json:"estimator"`
 	// Boost is the importance estimator's arrival-count multiplier
 	// (0 selects DefaultBoost; ignored by the other estimators).
-	Boost float64
+	Boost float64 `json:"boost,omitempty"`
 	// TargetCI, when positive, enables sequential stopping: the run stops
 	// at the first chunk boundary where the 95% CI half-widths of both the
 	// per-system DUE and SDC expectations fall to TargetCI or below.
-	TargetCI float64
+	TargetCI float64 `json:"target_ci,omitempty"`
 	// MinTrials is the minimum number of trials before the stopping rule
 	// may fire (0 selects DefaultMinTrials). It guards against the
 	// stopping rule firing off an early variance estimate of zero.
-	MinTrials int
+	MinTrials int `json:"min_trials,omitempty"`
 	// MaxTrials, when positive, caps the total trial budget (the run
 	// simulates min(Nodes*Replicas, MaxTrials) trials and scales the
 	// expectations back to per-system values).
-	MaxTrials int
+	MaxTrials int `json:"max_trials,omitempty"`
+}
+
+// Summary renders the configuration for listings: "naive" for nil,
+// otherwise the estimator name with its non-default knobs.
+func (s *StatsConfig) Summary() string {
+	if s == nil {
+		return EstimatorNaive
+	}
+	var opts []string
+	if s.Boost != 0 {
+		opts = append(opts, fmt.Sprintf("boost=%g", s.Boost))
+	}
+	if s.TargetCI != 0 {
+		opts = append(opts, fmt.Sprintf("target_ci=%g", s.TargetCI))
+	}
+	if s.MinTrials != 0 {
+		opts = append(opts, fmt.Sprintf("min_trials=%d", s.MinTrials))
+	}
+	if s.MaxTrials != 0 {
+		opts = append(opts, fmt.Sprintf("max_trials=%d", s.MaxTrials))
+	}
+	if len(opts) == 0 {
+		return s.estimatorName()
+	}
+	return s.estimatorName() + "(" + strings.Join(opts, " ") + ")"
 }
 
 // active reports whether s selects anything beyond the legacy pipeline.

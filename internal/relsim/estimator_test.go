@@ -208,7 +208,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	store, err := harness.OpenStore(path, false, journal.Record{})
+	store, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Fatalf("interrupted run: got %v, want context.Canceled", err)
 	}
 
-	store2, err := harness.OpenStore(path, true, journal.Record{})
+	store2, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 
 	// Second resume, from the finished run's log: the stopping prefix is
 	// complete, so zero trials run.
-	store3, err := harness.OpenStore(path, true, journal.Record{})
+	store3, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}

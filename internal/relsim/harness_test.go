@@ -230,7 +230,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	// Interrupted run: cancel once the third chunk starts, so chunks 0-2
 	// complete and checkpoint while 3-4 never run.
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	store, err := harness.OpenStore(path, false, journal.Record{})
+	store, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRunCheckpointResume(t *testing.T) {
 
 	// Resume from the log: only the missing chunks are simulated, and the
 	// final Result is bitwise identical to the uninterrupted run.
-	store2, err := harness.OpenStore(path, true, journal.Record{})
+	store2, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCoverageCheckpointResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "cov.jsonl")
-	store, err := harness.OpenStore(path, false, journal.Record{})
+	store, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestCoverageCheckpointResume(t *testing.T) {
 		t.Fatalf("interrupted study: got %v, want context.Canceled", err)
 	}
 
-	store2, err := harness.OpenStore(path, true, journal.Record{})
+	store2, err := harness.OpenStore(path, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}

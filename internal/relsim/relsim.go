@@ -80,6 +80,25 @@ func (p ReplacementPolicy) String() string {
 	}
 }
 
+// The paper's chipkill-escape rates and ReplB threshold. They are fixed
+// model constants, not configuration: every run and fingerprint uses them.
+const (
+	// sdcAliasProb is the probability a two-device overlap escapes the
+	// chipkill detector and silently corrupts data instead of raising a
+	// DUE. SDC counts are accumulated in expectation so the tiny rates
+	// the paper reports resolve without enormous trial counts.
+	sdcAliasProb float64 = 0.002
+	// tripleSDCProb is the probability a three-device codeword overlap
+	// defeats detection (three-symbol errors exceed the code's guarantee
+	// but are still often flagged).
+	tripleSDCProb float64 = 0.25
+	// replBActivationsPerHour is the CE-rate threshold of ReplB (about one
+	// activation burst a day): an unrepaired permanent fault whose
+	// error-producing rate meets it triggers replacement. Hard-permanent
+	// faults always trigger.
+	replBActivationsPerHour float64 = 1.0 / 24
+)
+
 // Config describes one reliability experiment.
 type Config struct {
 	Model fault.Config
@@ -92,19 +111,6 @@ type Config struct {
 	// WayLimit caps repair lines per LLC set (1, 4, or 16 in the paper).
 	WayLimit int
 	Policy   ReplacementPolicy
-	// ReplBActivationsPerHour is the CE-rate threshold of ReplB: an
-	// unrepaired permanent fault whose error-producing rate meets it
-	// triggers replacement. Hard-permanent faults always trigger.
-	ReplBActivationsPerHour float64
-	// SDCAliasProb is the probability a two-device overlap escapes the
-	// chipkill detector and silently corrupts data instead of raising a
-	// DUE. SDC counts are accumulated in expectation so the tiny rates
-	// the paper reports resolve without enormous trial counts.
-	SDCAliasProb float64
-	// TripleSDCProb is the probability a three-device codeword overlap
-	// defeats detection (three-symbol errors exceed the code's guarantee
-	// but are still often flagged).
-	TripleSDCProb float64
 	// Replicas repeats the whole-system simulation to tighten expectation
 	// estimates; results are reported per system.
 	Replicas int
@@ -127,16 +133,13 @@ type Config struct {
 // replace-after-DUE.
 func DefaultConfig() Config {
 	return Config{
-		Model:                   fault.DefaultConfig(),
-		Nodes:                   16384,
-		Planner:                 nil,
-		WayLimit:                1,
-		Policy:                  ReplaceAfterDUE,
-		ReplBActivationsPerHour: 1.0 / 24, // about one activation burst a day
-		SDCAliasProb:            0.002,
-		TripleSDCProb:           0.25,
-		Replicas:                1,
-		Seed:                    1,
+		Model:    fault.DefaultConfig(),
+		Nodes:    16384,
+		Planner:  nil,
+		WayLimit: 1,
+		Policy:   ReplaceAfterDUE,
+		Replicas: 1,
+		Seed:     1,
 	}
 }
 
@@ -272,8 +275,8 @@ func (cfg *Config) Fingerprint() string {
 		planner = cfg.Planner.Name()
 	}
 	args := []any{"relsim.Run", cfg.Model, cfg.Nodes, planner,
-		cfg.WayLimit, cfg.Policy, cfg.ReplBActivationsPerHour,
-		cfg.SDCAliasProb, cfg.TripleSDCProb, cfg.Replicas, cfg.Seed, chunkSize}
+		cfg.WayLimit, cfg.Policy, replBActivationsPerHour,
+		sdcAliasProb, tripleSDCProb, cfg.Replicas, cfg.Seed, chunkSize}
 	// The statistics block changes which trials run and how they are
 	// interpreted, so it is part of the statistical identity — but only
 	// when active, so every pre-estimator configuration keeps its exact
@@ -636,8 +639,8 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 			}
 		}
 		if len(hits) > 0 {
-			res.DUEs += 1 - s.cfg.SDCAliasProb
-			res.SDCs += s.cfg.SDCAliasProb
+			res.DUEs += 1 - sdcAliasProb
+			res.SDCs += sdcAliasProb
 			// Three devices sharing one codeword defeats the detection
 			// guarantee outright; that needs the two older faults to also
 			// overlap each other at the new fault's coordinates.
@@ -645,7 +648,7 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 			for i := 0; i < len(hits); i++ {
 				for j := i + 1; j < len(hits); j++ {
 					if fault.Overlaps(hits[i], hits[j], g) {
-						res.SDCs += s.cfg.TripleSDCProb
+						res.SDCs += tripleSDCProb
 						break tripleScan // count at most one per event
 					}
 				}
@@ -716,5 +719,5 @@ func (s *nodeSim) triggersReplB(f *fault.Fault) bool {
 	if !f.Intermittent {
 		return true // hard-permanent faults error on nearly every access
 	}
-	return f.ActivationsPerHour >= s.cfg.ReplBActivationsPerHour
+	return f.ActivationsPerHour >= replBActivationsPerHour
 }

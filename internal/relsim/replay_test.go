@@ -20,7 +20,7 @@ import (
 func journaledCampaign(t *testing.T, body func(store *harness.Store)) *journal.Journal {
 	t.Helper()
 	jPath := filepath.Join(t.TempDir(), "cp.jsonl")
-	store, err := harness.OpenStore(jPath, false, journal.Record{})
+	store, err := harness.OpenStore(jPath, journal.Record{})
 	if err != nil {
 		t.Fatal(err)
 	}

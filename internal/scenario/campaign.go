@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"relaxfault/internal/harness"
+	"relaxfault/internal/relsim"
 )
 
 // This file derives a scenario's campaign identity: the budget-free
@@ -37,7 +38,7 @@ func (sc *Scenario) CampaignFingerprint() (string, error) {
 	if c.Statistics != nil {
 		st := *c.Statistics
 		st.MaxTrials = 0
-		if st == (StatisticsSpec{Estimator: "naive"}) {
+		if st == (relsim.StatsConfig{Estimator: relsim.EstimatorNaive}) {
 			// A statistics block that only capped trials is equivalent to
 			// no block at all once the cap is cleared (Normalize defaults
 			// the estimator to naive either way).

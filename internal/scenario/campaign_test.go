@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"relaxfault/internal/relsim"
 )
 
 // campaignCov is a coverage scenario with every knob the campaign key must
@@ -26,7 +28,7 @@ func TestCampaignFingerprintElasticAxes(t *testing.T) {
 		"faulty_nodes": func(sc *Scenario) { sc.Budget.FaultyNodes = 99999 },
 		"replicas":     func(sc *Scenario) { sc.Budget.Replicas = 99 },
 		"seed":         func(sc *Scenario) { s := uint64(123); sc.Seed = &s },
-		"max_trials":   func(sc *Scenario) { sc.Statistics = &StatisticsSpec{Estimator: "naive", MaxTrials: 5000} },
+		"max_trials":   func(sc *Scenario) { sc.Statistics = &relsim.StatsConfig{Estimator: "naive", MaxTrials: 5000} },
 	}
 	for name, mutate := range elastic {
 		sc := campaignCov()
@@ -43,8 +45,8 @@ func TestCampaignFingerprintElasticAxes(t *testing.T) {
 	structural := map[string]func(*Scenario){
 		"nodes":        func(sc *Scenario) { sc.Budget.Nodes = 1000 },
 		"instructions": func(sc *Scenario) { sc.Budget.Instructions = 42 },
-		"target_ci":    func(sc *Scenario) { sc.Statistics = &StatisticsSpec{Estimator: "naive", TargetCI: 0.5} },
-		"estimator":    func(sc *Scenario) { sc.Statistics = &StatisticsSpec{Estimator: "importance"} },
+		"target_ci":    func(sc *Scenario) { sc.Statistics = &relsim.StatsConfig{Estimator: "naive", TargetCI: 0.5} },
+		"estimator":    func(sc *Scenario) { sc.Statistics = &relsim.StatsConfig{Estimator: "importance"} },
 		"technology":   func(sc *Scenario) { sc.Technology = "ddr4-2400" },
 		"planner":      func(sc *Scenario) { sc.Coverage.Studies[0].Planners[0].Kind = "freefault" },
 	}
@@ -96,7 +98,7 @@ func TestBudgetTrials(t *testing.T) {
 	if got := rel.BudgetTrials(); got != 27000 {
 		t.Errorf("reliability BudgetTrials = %d, want 27000", got)
 	}
-	rel.Statistics = &StatisticsSpec{Estimator: "naive", MaxTrials: 10000}
+	rel.Statistics = &relsim.StatsConfig{Estimator: "naive", MaxTrials: 10000}
 	if got := rel.BudgetTrials(); got != 10000 {
 		t.Errorf("reliability BudgetTrials with cap = %d, want 10000", got)
 	}

@@ -19,10 +19,10 @@ import (
 // GeometryDefault is the paper's evaluated node.
 const GeometryDefault = "ddr3-8gib"
 
-// llcSets is the LLC set count remap planners index against — derived from
-// the performance model's LLC configuration so the two paths cannot drift
-// (8MiB 16-way 64B lines: 8192 sets).
-var llcSets = perf.DefaultMemConfig().LLCSets
+// llc is the LLC remap planners index against: the performance model's LLC
+// configuration, so the two paths cannot drift (8MiB 16-way 64B lines:
+// 8192 sets).
+var llc = perf.DefaultMemConfig()
 
 // GeometryByName resolves a geometry name against the memtech registry.
 func GeometryByName(name string) (dram.Geometry, error) {
@@ -144,15 +144,6 @@ func faultConfig(tech memtech.Tech, geo dram.Geometry, spec *FaultSpec) (fault.C
 	if spec.AccelDIMMFrac != nil {
 		cfg.AccelDIMMFrac = *spec.AccelDIMMFrac
 	}
-	if spec.HorizonYears != 0 {
-		if spec.HorizonYears < 0 {
-			return cfg, fmt.Errorf("scenario: negative horizon_years %v", spec.HorizonYears)
-		}
-		cfg.Hours = spec.HorizonYears * fault.HoursPerYear
-	}
-	if spec.VarianceFrac != nil {
-		cfg.VarianceFrac = *spec.VarianceFrac
-	}
 	return cfg, nil
 }
 
@@ -161,22 +152,18 @@ func faultConfig(tech memtech.Tech, geo dram.Geometry, spec *FaultSpec) (fault.C
 // a clamp or a downstream panic. PPR spare budgets default to the
 // technology's provisioning.
 func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repair.Planner, error) {
-	ways := spec.LLCWays
-	if ways == 0 {
-		ways = 16
-	}
 	needsMapper := spec.Kind == "relaxfault" || spec.Kind == "freefault" || spec.Kind == "page-retire"
 	var m *addrmap.Mapper
 	if needsMapper {
 		var err error
-		m, err = addrmap.New(geo, llcSets)
+		m, err = addrmap.New(geo, llc.LLCSets)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: planner %s: %w", spec.Kind, err)
 		}
 	}
 	switch spec.Kind {
 	case "relaxfault":
-		return repair.NewRelaxFaultChecked(m, ways, repair.RelaxFaultOptions{
+		return repair.NewRelaxFaultChecked(m, llc.LLCWays, repair.RelaxFaultOptions{
 			NoCoalescing: spec.NoCoalescing,
 			NoSpread:     spec.NoSpread,
 		})
@@ -185,7 +172,7 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 		if spec.Hash != nil {
 			hash = *spec.Hash
 		}
-		return repair.NewFreeFaultChecked(m, ways, hash)
+		return repair.NewFreeFaultChecked(m, llc.LLCWays, hash)
 	case "ppr":
 		bpg, spares := tech.PPRBudget(geo)
 		if spec.BanksPerGroup != 0 {
@@ -196,7 +183,7 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 		}
 		return repair.NewPPRChecked(geo, bpg, spares)
 	case "page-retire":
-		return repair.NewPageRetirementChecked(m, spec.PageBytes, spec.MaxLossBytes)
+		return repair.NewPageRetirementChecked(m, spec.PageBytes, 0) // 0: 1% of node capacity
 	case "mirroring":
 		return repair.NewMirroringChecked(geo)
 	default:
@@ -204,21 +191,15 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 	}
 }
 
-// statsConfig lowers the scenario's statistics block onto the simulator's
-// estimator configuration. nil stays nil, so scenarios without the block
-// lower onto configurations whose fingerprints are bit-identical to the
-// pre-estimator era.
-func statsConfig(sp *StatisticsSpec) *relsim.StatsConfig {
+// statsConfig copies the scenario's statistics block for one lowered run.
+// nil stays nil, so scenarios without the block lower onto configurations
+// whose fingerprints are bit-identical to the pre-estimator era.
+func statsConfig(sp *relsim.StatsConfig) *relsim.StatsConfig {
 	if sp == nil {
 		return nil
 	}
-	return &relsim.StatsConfig{
-		Estimator: sp.Estimator,
-		Boost:     sp.Boost,
-		TargetCI:  sp.TargetCI,
-		MinTrials: sp.MinTrials,
-		MaxTrials: sp.MaxTrials,
-	}
+	c := *sp
+	return &c
 }
 
 // PerfUnitConfig is one lowered (workload, prefetch degree) simulation
@@ -340,17 +321,6 @@ func (sc *Scenario) lowerReliability(out *Lowered, tech memtech.Tech) error {
 				return fmt.Errorf("scenario %s: cell %d (%s): %w", sc.Name, i, cell.Label, err)
 			}
 			cfg.Planner = p
-		}
-		if sc.ECC != nil {
-			if sc.ECC.SDCAliasProb != nil {
-				cfg.SDCAliasProb = *sc.ECC.SDCAliasProb
-			}
-			if sc.ECC.TripleSDCProb != nil {
-				cfg.TripleSDCProb = *sc.ECC.TripleSDCProb
-			}
-			if sc.ECC.ReplBActivationsPerHour != nil {
-				cfg.ReplBActivationsPerHour = *sc.ECC.ReplBActivationsPerHour
-			}
 		}
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("scenario %s: cell %d (%s): %w", sc.Name, i, cell.Label, err)

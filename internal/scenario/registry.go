@@ -10,6 +10,8 @@ package scenario
 import (
 	"fmt"
 	"sort"
+
+	"relaxfault/internal/relsim"
 )
 
 // Entry describes one registry preset.
@@ -235,7 +237,7 @@ var registry = []Entry{
 			// quick-scale budget; the naive estimator sees zero DUE events
 			// at that budget (TestImportancePayoff in internal/experiments
 			// gates the payoff).
-			Statistics: &StatisticsSpec{Estimator: "importance", Boost: 16, TargetCI: 0.02},
+			Statistics: &relsim.StatsConfig{Estimator: "importance", Boost: 16, TargetCI: 0.02},
 		}
 	}),
 	sim("strat-due", KindReliability, "rare-event DUE estimation: stratified-by-fault-mode sampling", func() *Scenario {
@@ -246,7 +248,7 @@ var registry = []Entry{
 				WayLimit: 1,
 				Fault:    rareFault(),
 			}}},
-			Statistics: &StatisticsSpec{Estimator: "stratified"},
+			Statistics: &relsim.StatsConfig{Estimator: "stratified"},
 		}
 	}),
 	sim("bench", KindCoverage, "quick coverage study timed sequential vs parallel", func() *Scenario {

@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"relaxfault/internal/relsim"
 )
 
 // minimalCoverage is a small valid coverage scenario used across tests.
@@ -212,6 +215,31 @@ func TestDecodeRejectsUnknownFieldsAndSchemas(t *testing.T) {
 	if _, err := Decode(foreign); err == nil || !strings.Contains(err.Error(), "unsupported schema") {
 		t.Errorf("Decode(foreign schema) = %v, want unsupported-schema error", err)
 	}
+
+	// The settings the model fixes are not spec keys: each is rejected as
+	// an unknown field, at the top level, in the fault block or in a
+	// planner.
+	spec := func(top, planner string) []byte {
+		return []byte(fmt.Sprintf(`{"schema": %q, "name": "t", "kind": "coverage", %s
+			"coverage": {"studies": [{"planners": [{"kind": "page-retire"%s}], "way_limits": [1]}]}}`,
+			Schema, top, planner))
+	}
+	if _, err := Decode(spec("", "")); err != nil {
+		t.Fatalf("base spec: %v", err)
+	}
+	for _, key := range []struct{ top, planner string }{
+		{`"ecc": {"sdc_alias_prob": 0.01},`, ""},
+		{`"ecc": {"triple_sdc_prob": 0.5},`, ""},
+		{`"ecc": {"replb_activations_per_hour": 1},`, ""},
+		{`"fault": {"horizon_years": 3},`, ""},
+		{`"fault": {"variance_frac": 0.5},`, ""},
+		{"", `, "llc_ways": 8`},
+		{"", `, "max_loss_bytes": 4096`},
+	} {
+		if _, err := Decode(spec(key.top, key.planner)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("Decode with %s%s = %v, want unknown-field error", key.top, key.planner, err)
+		}
+	}
 }
 
 // TestLowerFig9AccelClamp: spec values at or below 1 lower to exactly 1
@@ -233,6 +261,56 @@ func TestLowerFig9AccelClamp(t *testing.T) {
 	}
 	if got := low.Reliability[2].Model.AccelFactor; got != 100 {
 		t.Errorf("lowered accel = %v, want 100", got)
+	}
+}
+
+// TestPresetFingerprintsPinned pins every preset's scenario and campaign
+// fingerprints. They name run manifests, campaign logs and store entries,
+// so a change to any of them is a deliberate contract change that
+// regenerates this table.
+func TestPresetFingerprintsPinned(t *testing.T) {
+	want := []struct{ name, fingerprint, campaign string }{
+		{"tab1", "025df892eade88ce", "871bae17842c8dee"},
+		{"tab2", "e9d6e09d02e8a32e", "441dec2fb057157e"},
+		{"tab3", "e17ab2787e90ad3a", "4106807df4b82e12"},
+		{"tab4", "1f9567cb2f22ecaa", "478f7fd75a7d3caa"},
+		{"fig2", "d8ea82217bbcf958", "b249de5815934a10"},
+		{"fig8", "80ef8e9d841617a2", "c41a3701d8cef3be"},
+		{"fig9", "c3952fc8673a4fb4", "cf14c72105e3d8b4"},
+		{"fig10", "a16e1cd34a465e44", "13af824fd0566574"},
+		{"fig11", "a3efb6ed136d4454", "9df10ba0f9539380"},
+		{"fig12", "aefb96dfeedcef0e", "49803df68b8f96de"},
+		{"fig13", "eb687279790d8d8a", "d0b942225f6181ca"},
+		{"fig14", "0de8879ee808089d", "45ad28ca2713fb27"},
+		{"fig15", "b6841e99ed2469db", "ba211f98f9539a11"},
+		{"fig16", "c7e9613f58638c42", "c3f5f69a1ef53f7e"},
+		{"ablate", "65a76b2f0909511d", "7c102ef745f3e9f3"},
+		{"variants", "326bdb0fb7aa9d89", "431c64b334027e57"},
+		{"prefetch", "a80bfb997d044e70", "8c17218b9710f63c"},
+		{"ddr4", "2d4766c1c3016c8f", "df159de1bcd08961"},
+		{"rare-due", "99c057dcc2a76f6f", "0611361fd6045a69"},
+		{"strat-due", "0ef86e42bc970484", "02d540bbabcd092c"},
+		{"bench", "bb671851b16a0cf8", "6a8ba9227c3fb110"},
+	}
+	if len(want) != len(Presets()) {
+		t.Errorf("%d presets pinned, registry has %d", len(want), len(Presets()))
+	}
+	for _, w := range want {
+		sc, err := Preset(w.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := sc.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfp, err := sc.CampaignFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != w.fingerprint || cfp != w.campaign {
+			t.Errorf("%s: fingerprint %s campaign %s, pinned %s and %s", w.name, fp, cfp, w.fingerprint, w.campaign)
+		}
 	}
 }
 
@@ -271,7 +349,7 @@ func TestPresetsAllValidateAndAreFresh(t *testing.T) {
 func TestStatisticsBlock(t *testing.T) {
 	// Normalize defaults an empty estimator name to naive.
 	sc := minimalCoverage()
-	sc.Statistics = &StatisticsSpec{}
+	sc.Statistics = &relsim.StatsConfig{}
 	sc.Normalize()
 	if got := sc.Statistics.Estimator; got != "naive" {
 		t.Errorf("normalized estimator = %q, want naive", got)
@@ -279,7 +357,7 @@ func TestStatisticsBlock(t *testing.T) {
 
 	// Coverage lowering carries the block onto every study config.
 	sc = minimalCoverage()
-	sc.Statistics = &StatisticsSpec{Estimator: "importance", Boost: 4}
+	sc.Statistics = &relsim.StatsConfig{Estimator: "importance", Boost: 4}
 	low, err := sc.Lower()
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +400,7 @@ func TestStatisticsBlock(t *testing.T) {
 		Name:       "p",
 		Kind:       KindPerf,
 		Perf:       &PerfSpec{Locks: []LockSpec{{Label: "base"}}},
-		Statistics: &StatisticsSpec{Estimator: "importance"},
+		Statistics: &relsim.StatsConfig{Estimator: "importance"},
 	}
 	if err := pf.Validate(); err == nil || !strings.Contains(err.Error(), "statistics block") {
 		t.Errorf("Validate() = %v, want statistics-block kind error", err)
@@ -330,20 +408,20 @@ func TestStatisticsBlock(t *testing.T) {
 
 	// A bad estimator name fails at Validate (through cfg.Validate in Lower).
 	bad := minimalCoverage()
-	bad.Statistics = &StatisticsSpec{Estimator: "magic"}
+	bad.Statistics = &relsim.StatsConfig{Estimator: "magic"}
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "unknown estimator") {
 		t.Errorf("Validate() = %v, want unknown-estimator error", err)
 	}
 
 	// Summary renders for listings.
-	if got := (*StatisticsSpec)(nil).Summary(); got != "naive" {
+	if got := (*relsim.StatsConfig)(nil).Summary(); got != "naive" {
 		t.Errorf("nil summary = %q, want naive", got)
 	}
-	sp := &StatisticsSpec{Estimator: "importance", Boost: 16, TargetCI: 0.02}
+	sp := &relsim.StatsConfig{Estimator: "importance", Boost: 16, TargetCI: 0.02}
 	if got := sp.Summary(); got != "importance(boost=16 target_ci=0.02)" {
 		t.Errorf("summary = %q", got)
 	}
-	if got := (&StatisticsSpec{Estimator: "stratified"}).Summary(); got != "stratified" {
+	if got := (&relsim.StatsConfig{Estimator: "stratified"}).Summary(); got != "stratified" {
 		t.Errorf("summary = %q, want stratified", got)
 	}
 }

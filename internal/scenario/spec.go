@@ -18,10 +18,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"relaxfault/internal/harness"
 	"relaxfault/internal/memtech"
+	"relaxfault/internal/relsim"
 )
 
 // Schema is the versioned identifier every scenario document must carry.
@@ -70,15 +70,13 @@ type Scenario struct {
 	// Fault adjusts the fault model for the whole scenario; sections and
 	// cells may override individual knobs.
 	Fault *FaultSpec `json:"fault,omitempty"`
-	// ECC adjusts the error-detection escape probabilities and the ReplB
-	// threshold (reliability scenarios only).
-	ECC *ECCSpec `json:"ecc,omitempty"`
 	// Statistics selects the Monte Carlo estimator and the optional
-	// sequential-stopping rule (coverage and reliability scenarios).
-	// Absent means the naive pipeline; because the field is omitted from
-	// canonical forms when nil, every pre-existing scenario keeps its
-	// canonical bytes and fingerprint.
-	Statistics *StatisticsSpec `json:"statistics,omitempty"`
+	// sequential-stopping rule (coverage and reliability scenarios); it
+	// lowers onto every run's relsim.Config.Stats. Absent means the naive
+	// pipeline; because the field is omitted from canonical forms when nil,
+	// every pre-existing scenario keeps its canonical bytes and
+	// fingerprint.
+	Statistics *relsim.StatsConfig `json:"statistics,omitempty"`
 
 	Coverage    *CoverageSpec    `json:"coverage,omitempty"`
 	Reliability *ReliabilitySpec `json:"reliability,omitempty"`
@@ -116,69 +114,6 @@ type FaultSpec struct {
 	// AccelNodeFrac and AccelDIMMFrac are the unlucky fractions.
 	AccelNodeFrac *float64 `json:"accel_node_frac,omitempty"`
 	AccelDIMMFrac *float64 `json:"accel_dimm_frac,omitempty"`
-	// HorizonYears is the simulated horizon (default 6, per the paper).
-	HorizonYears float64 `json:"horizon_years,omitempty"`
-	// VarianceFrac is the per-device lognormal rate variance (default
-	// 0.25).
-	VarianceFrac *float64 `json:"variance_frac,omitempty"`
-}
-
-// ECCSpec overrides the chipkill-escape probabilities and replacement
-// threshold of reliability runs; nil fields keep relsim.DefaultConfig's
-// values.
-type ECCSpec struct {
-	SDCAliasProb            *float64 `json:"sdc_alias_prob,omitempty"`
-	TripleSDCProb           *float64 `json:"triple_sdc_prob,omitempty"`
-	ReplBActivationsPerHour *float64 `json:"replb_activations_per_hour,omitempty"`
-}
-
-// StatisticsSpec selects the estimator driving the Monte Carlo trial
-// pipeline and, for reliability scenarios, a sequential CI stopping rule.
-// It lowers onto relsim.StatsConfig.
-type StatisticsSpec struct {
-	// Estimator is "naive", "importance", or "stratified" (Normalize
-	// defaults an empty name to "naive").
-	Estimator string `json:"estimator"`
-	// Boost is the importance estimator's fault-arrival multiplier
-	// (0 = relsim.DefaultBoost).
-	Boost float64 `json:"boost,omitempty"`
-	// TargetCI enables Chow–Robbins sequential stopping: the run stops
-	// once the per-system 95% CI half-widths of both the DUE and SDC
-	// expectations reach it (reliability scenarios only).
-	TargetCI float64 `json:"target_ci,omitempty"`
-	// MinTrials is the stopping rule's warm-up floor (0 = default).
-	MinTrials int `json:"min_trials,omitempty"`
-	// MaxTrials caps the trial budget below nodes x replicas.
-	MaxTrials int `json:"max_trials,omitempty"`
-}
-
-// Summary renders the statistics configuration for listings: "naive" for
-// an absent block, otherwise the estimator name with its non-default knobs.
-func (sp *StatisticsSpec) Summary() string {
-	if sp == nil {
-		return "naive"
-	}
-	name := sp.Estimator
-	if name == "" {
-		name = "naive"
-	}
-	var opts []string
-	if sp.Boost != 0 {
-		opts = append(opts, fmt.Sprintf("boost=%g", sp.Boost))
-	}
-	if sp.TargetCI != 0 {
-		opts = append(opts, fmt.Sprintf("target_ci=%g", sp.TargetCI))
-	}
-	if sp.MinTrials != 0 {
-		opts = append(opts, fmt.Sprintf("min_trials=%d", sp.MinTrials))
-	}
-	if sp.MaxTrials != 0 {
-		opts = append(opts, fmt.Sprintf("max_trials=%d", sp.MaxTrials))
-	}
-	if len(opts) == 0 {
-		return name
-	}
-	return name + "(" + strings.Join(opts, " ") + ")"
 }
 
 // PlannerSpec names a repair engine and its budget. Unknown kinds and
@@ -187,10 +122,9 @@ func (sp *StatisticsSpec) Summary() string {
 // silent clamps.
 type PlannerSpec struct {
 	// Kind is one of "relaxfault", "freefault", "ppr", "page-retire",
-	// "mirroring".
+	// "mirroring". The remap engines plan against the performance model's
+	// LLC.
 	Kind string `json:"kind"`
-	// LLCWays sizes the LLC the remap engines plan against (default 16).
-	LLCWays int `json:"llc_ways,omitempty"`
 	// NoCoalescing / NoSpread disable RelaxFault design choices (the
 	// ablation studies).
 	NoCoalescing bool `json:"no_coalescing,omitempty"`
@@ -201,10 +135,9 @@ type PlannerSpec struct {
 	// banks/4 per group, 1 spare per group — the paper's device).
 	BanksPerGroup  int `json:"banks_per_group,omitempty"`
 	SparesPerGroup int `json:"spares_per_group,omitempty"`
-	// PageBytes and MaxLossBytes parameterise OS page retirement
-	// (defaults: 4KiB frames, 1% of node capacity).
-	PageBytes    int64 `json:"page_bytes,omitempty"`
-	MaxLossBytes int64 `json:"max_loss_bytes,omitempty"`
+	// PageBytes is OS page retirement's frame size (default 4KiB); its
+	// budget is 1% of node capacity.
+	PageBytes int64 `json:"page_bytes,omitempty"`
 }
 
 // CoverageSpec runs one coverage study per entry in Studies (a multi-study
@@ -284,6 +217,12 @@ type LockSpec struct {
 // error bars.
 func DefaultBudget() Budget {
 	return Budget{FaultyNodes: 4000, Nodes: 16384, Replicas: 4, Instructions: 300_000}
+}
+
+// PaperBudget approaches the paper's statistical resolution (minutes of
+// CPU).
+func PaperBudget() Budget {
+	return Budget{FaultyNodes: 30000, Nodes: 16384, Replicas: 24, Instructions: 1_200_000}
 }
 
 // Normalize fills defaulted fields in place: schema, seed, budget,
@@ -459,12 +398,6 @@ func mergeFault(dst *FaultSpec, src *FaultSpec) *FaultSpec {
 	}
 	if src.AccelDIMMFrac != nil {
 		out.AccelDIMMFrac = src.AccelDIMMFrac
-	}
-	if src.HorizonYears != 0 {
-		out.HorizonYears = src.HorizonYears
-	}
-	if src.VarianceFrac != nil {
-		out.VarianceFrac = src.VarianceFrac
 	}
 	return &out
 }

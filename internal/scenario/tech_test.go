@@ -201,12 +201,14 @@ func TestResolverErrorsDeriveFromRegistries(t *testing.T) {
 }
 
 // TestLLCSetsDerivedFromPerfConfig is the magic-number satellite: the remap
-// planners must index the same LLC the performance model simulates.
+// planners must index the same LLC the performance model simulates, sets
+// and ways alike.
 func TestLLCSetsDerivedFromPerfConfig(t *testing.T) {
-	if llcSets != perf.DefaultMemConfig().LLCSets {
-		t.Errorf("llcSets %d != perf LLCSets %d", llcSets, perf.DefaultMemConfig().LLCSets)
+	mem := perf.DefaultMemConfig()
+	if llc.LLCSets != mem.LLCSets || llc.LLCWays != mem.LLCWays {
+		t.Errorf("planner LLC %d sets x %d ways != perf LLC %d x %d", llc.LLCSets, llc.LLCWays, mem.LLCSets, mem.LLCWays)
 	}
-	if llcSets != 8192 {
-		t.Errorf("llcSets %d, want the 8MiB/16-way/64B value 8192", llcSets)
+	if llc.LLCSets != 8192 || llc.LLCWays != 16 {
+		t.Errorf("planner LLC %d sets x %d ways, want the 8MiB/16-way/64B values 8192 x 16", llc.LLCSets, llc.LLCWays)
 	}
 }

@@ -22,9 +22,9 @@ func (m Mismatch) String() string {
 
 // VerifyReport is the outcome of replaying a journal end to end.
 type VerifyReport struct {
-	// Campaigns is the number of scenario specs decoded from the journal's
-	// open record; Sections how many distinct journaled sections a replayer
-	// was built for.
+	// Campaigns is the number of distinct scenario specs decoded from the
+	// journal's open and resume records; Sections how many distinct
+	// journaled sections a replayer was built for.
 	Campaigns int
 	Sections  int
 	// Chunks counts the chunk records replayed (the latest record per
@@ -60,55 +60,60 @@ func (r *VerifyReport) String() string {
 		r.Campaigns, r.Sections, r.Chunks, r.Verified, len(r.Mismatched), len(r.Unknown), sealed)
 }
 
-// replayers compiles the journal's embedded campaigns into one Replayer per
-// simulation section, keyed by section name. The embedded spec is integrity-checked against the
-// fingerprint recorded beside it before anything is executed.
+// replayers compiles the journal's embedded campaigns — those of its open
+// record and of every resume record, each fingerprint once — into one
+// Replayer per simulation section, keyed by section name. Every embedded
+// spec is integrity-checked against the fingerprint recorded beside it
+// before anything is executed.
 func replayers(j *journal.Journal) (map[string]relsim.Replayer, int, error) {
 	bysec := make(map[string]relsim.Replayer)
-	n := 0
-	for _, c := range j.Open.Campaigns {
-		n++
+	seen := make(map[string]bool)
+	for _, c := range j.Campaigns {
 		sc, err := Decode(c.Spec)
 		if err != nil {
-			return nil, n, fmt.Errorf("campaign %s: embedded spec: %w", c.Name, err)
+			return nil, 0, fmt.Errorf("campaign %s: embedded spec: %w", c.Name, err)
 		}
 		fp, err := sc.Fingerprint()
 		if err != nil {
-			return nil, n, fmt.Errorf("campaign %s: %w", c.Name, err)
+			return nil, 0, fmt.Errorf("campaign %s: %w", c.Name, err)
 		}
 		if c.Fingerprint != "" && fp != c.Fingerprint {
-			return nil, n, fmt.Errorf("campaign %s: embedded spec fingerprints to %s but the journal recorded %s (spec or journal tampered)",
+			return nil, 0, fmt.Errorf("campaign %s: embedded spec fingerprints to %s but the journal recorded %s (spec or journal tampered)",
 				c.Name, fp, c.Fingerprint)
 		}
+		if seen[fp] {
+			continue
+		}
+		seen[fp] = true
 		low, err := sc.Lower()
 		if err != nil {
-			return nil, n, fmt.Errorf("campaign %s: %w", c.Name, err)
+			return nil, 0, fmt.Errorf("campaign %s: %w", c.Name, err)
 		}
 		for i := range low.Reliability {
 			rep, err := relsim.NewRunReplayer(low.Reliability[i])
 			if err != nil {
-				return nil, n, fmt.Errorf("campaign %s: cell %d: %w", c.Name, i, err)
+				return nil, 0, fmt.Errorf("campaign %s: cell %d: %w", c.Name, i, err)
 			}
 			bysec[rep.Section.Name] = rep
 		}
 		for i := range low.Coverage {
 			rep, err := relsim.NewCoverageReplayer(low.Coverage[i])
 			if err != nil {
-				return nil, n, fmt.Errorf("campaign %s: study %d: %w", c.Name, i, err)
+				return nil, 0, fmt.Errorf("campaign %s: study %d: %w", c.Name, i, err)
 			}
 			bysec[rep.Section.Name] = rep
 		}
 	}
-	return bysec, n, nil
+	return bysec, len(seen), nil
 }
 
 // VerifyJournal deterministically re-executes every chunk the journal
 // acknowledges and checks the results against the recorded digests, and
-// for v2 logs each logged payload against its digest as well, so a log
-// that verifies is exactly a log that resumes. The journal is
-// self-contained: its open record embeds the canonical scenario
-// specs, so verification needs no checkpoint, preset registry, or original
-// command line — only the journal file and this binary.
+// each logged payload against its digest as well, so a log that verifies
+// is exactly a log that resumes. The journal is self-contained: its open
+// and resume records embed the canonical scenario specs, so verification
+// needs no checkpoint, preset registry, or original command line — only
+// the journal file and this binary.
 //
 // Replay fans out on the shared worker engine; results are index-collected,
 // so the report is identical for every worker count. A mismatch is a
@@ -144,9 +149,6 @@ func VerifyJournal(ctx context.Context, j *journal.Journal, ex Exec) (*VerifyRep
 		return keys[a].Chunk < keys[b].Chunk
 	})
 	rep.Chunks = len(keys)
-	// v2 logs carry each chunk's payload, which must hash to the digest
-	// too: that is the check a resume makes before trusting the payload.
-	payloads := j.Open.Schema == journal.Schema
 
 	// verdicts[i]: "" = verified, otherwise the mismatch reason. A record
 	// of an unknown section, of another fingerprint or of a chunk index
@@ -200,7 +202,9 @@ func VerifyJournal(ctx context.Context, j *journal.Journal, ex Exec) (*VerifyRep
 			verdicts[i] = fmt.Sprintf("trial range: journal [%d,%d), replay [%d,%d)", rec.TrialLo, rec.TrialHi, lo, hi)
 		case got != rec.Digest:
 			verdicts[i] = fmt.Sprintf("digest mismatch: journal %s, replay %s", rec.Digest, got)
-		case payloads && journal.Digest(rec.Payload) != rec.Digest:
+		// The logged payload must hash to the digest too: that is the
+		// check a resume makes before trusting the payload.
+		case journal.Digest(rec.Payload) != rec.Digest:
 			verdicts[i] = fmt.Sprintf("payload digest mismatch: journal %s, logged payload %s", rec.Digest, journal.Digest(rec.Payload))
 		}
 		return int64(hi - lo), true

@@ -33,12 +33,11 @@ func verifyScenario(t *testing.T) *Scenario {
 	return sc
 }
 
-// runJournaled executes sc against a campaign log whose open record embeds
-// the campaign (the self-contained form the CLI writes), seals it, and
-// returns the loaded log.
-func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
+// appendRun runs sc against the campaign log at path — starting it, or
+// resuming it — with sc embedded in the log's open or resume record (the
+// self-contained form the CLI writes), and seals the log with status.
+func appendRun(t *testing.T, path string, sc *Scenario, status string) {
 	t.Helper()
-	jPath := filepath.Join(t.TempDir(), "cp.jsonl")
 	spec, err := sc.Canonical()
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := harness.OpenStore(jPath, false, journal.Record{
+	store, err := harness.OpenStore(path, journal.Record{
 		Seed: *sc.Seed,
 		Campaigns: []journal.Campaign{
 			{Name: sc.Name, Fingerprint: fp, Spec: spec},
@@ -60,10 +59,18 @@ func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
 		t.Fatal(err)
 	}
 	jw := store.Journal()
-	if err := jw.Seal(journal.StatusComplete); err != nil {
+	if err := jw.Seal(status); err != nil {
 		t.Fatal(err)
 	}
 	jw.Close()
+}
+
+// runJournaled executes sc against a new campaign log, seals it complete,
+// and returns the loaded log.
+func runJournaled(t *testing.T, sc *Scenario) *journal.Journal {
+	t.Helper()
+	jPath := filepath.Join(t.TempDir(), "cp.jsonl")
+	appendRun(t, jPath, sc, journal.StatusComplete)
 	j, err := journal.Load(jPath)
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +94,32 @@ func TestVerifyJournalEndToEnd(t *testing.T) {
 	}
 	if rep.Sealed != journal.StatusComplete {
 		t.Fatalf("sealed = %q", rep.Sealed)
+	}
+}
+
+// TestVerifyJournalResumedUnderSecondScenario: a rerun may resume a log
+// under another scenario. Its resume record embeds that scenario, so verify
+// replays the chunks of both, and a second resume under the first scenario
+// adds no campaign.
+func TestVerifyJournalResumedUnderSecondScenario(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	first := verifyScenario(t)
+	second := verifyScenario(t)
+	second.Name = "verify-test-5x"
+	second.Fault = &FaultSpec{FITScale: 5}
+	appendRun(t, path, first, journal.StatusInterrupted)
+	appendRun(t, path, second, journal.StatusInterrupted)
+	appendRun(t, path, first, journal.StatusComplete)
+	j, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := VerifyJournal(context.Background(), j, Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Unknown) != 0 || rep.Verified != 6 || rep.Campaigns != 2 || rep.Sections != 2 {
+		t.Fatalf("log resumed under a second scenario: %s, want 2 campaigns and 6 verified chunks", rep)
 	}
 }
 
@@ -180,11 +213,11 @@ func TestVerifyJournalRejectsTamperedSpec(t *testing.T) {
 	// Change the embedded spec without updating the recorded fingerprint:
 	// verification must refuse to replay rather than validate the wrong
 	// campaign.
-	tampered := strings.Replace(string(j.Open.Campaigns[0].Spec), `"fit_scale":10`, `"fit_scale":5`, 1)
-	if tampered == string(j.Open.Campaigns[0].Spec) {
+	tampered := strings.Replace(string(j.Campaigns[0].Spec), `"fit_scale":10`, `"fit_scale":5`, 1)
+	if tampered == string(j.Campaigns[0].Spec) {
 		t.Fatal("tamper edit did not apply")
 	}
-	j.Open.Campaigns[0].Spec = []byte(tampered)
+	j.Campaigns[0].Spec = []byte(tampered)
 
 	_, err := VerifyJournal(context.Background(), j, Exec{})
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
