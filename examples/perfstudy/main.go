@@ -54,7 +54,7 @@ func main() {
 			if baseline == nil {
 				baseline = res
 			} else {
-				rel = power.RelativeDynamicPower(res.Ops, baseline.Ops, res.Seconds, baseline.Seconds)
+				rel = power.DDR3Energies().RelativeDynamicPower(res.Ops, baseline.Ops, res.Seconds, baseline.Seconds)
 			}
 			rowHitRate := float64(res.RowHits) / float64(res.RowHits+res.RowMisses+1)
 			fmt.Printf("%-22s %10.3f %12d %11.1f%% %9.1f%%\n",

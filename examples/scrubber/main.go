@@ -97,7 +97,10 @@ func main() {
 		}
 	}
 
-	// Verify: re-scrub the faulty regions; they must now be clean.
+	// Verify: re-scrub the faulty regions; they must now be clean. Flush
+	// first, as each patrol pass does, so the reads reach DRAM and the
+	// remap merge instead of the lines the last pass left in the LLC.
+	ctrl.Flush()
 	dirty := 0
 	for _, f := range faults {
 		for _, e := range f.Extents {

@@ -64,9 +64,6 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
 // CapacityBytes returns the total data capacity.
 func (c *Cache) CapacityBytes() int { return c.sets * c.ways * c.lineBytes }
 

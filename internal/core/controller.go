@@ -163,9 +163,6 @@ func (c *Controller) Mapper() *addrmap.Mapper { return c.mapper }
 // LLC exposes the cache for inspection.
 func (c *Controller) LLC() *cache.Cache { return c.llc }
 
-// Memory exposes the DRAM array for inspection and fault injection hooks.
-func (c *Controller) Memory() *dram.Array { return c.mem }
-
 // InjectFault registers a fault's stuck-cell behaviour in the DRAM array
 // (one StuckFault per affected rank for MirrorRanks faults). StuckVal 0xF
 // is used: covered columns read all-ones.
@@ -302,17 +299,10 @@ func (c *Controller) writeBack(tag uint64, set int, data []byte) {
 // fetchAndMerge reads a line from DRAM, substitutes remapped sub-blocks
 // from the LLC (Figure 6a/6b), and ECC-decodes the result.
 func (c *Controller) fetchAndMerge(loc dram.Location) (dram.Line, ecc.Status, error) {
-	line, res, err := c.fetchAndMergeFull(loc)
-	return line, res.Status, err
-}
-
-// fetchAndMergeFull is fetchAndMerge returning the complete ECC result,
-// including which devices were corrected (scrubbers use the attribution).
-func (c *Controller) fetchAndMergeFull(loc dram.Location) (dram.Line, ecc.LineResult, error) {
 	c.Stats.DRAMReads++
 	line, err := c.mem.Read(loc)
 	if err != nil {
-		return nil, ecc.LineResult{Status: ecc.DUE}, err
+		return nil, ecc.DUE, err
 	}
 	dimm, bit := c.bankBit(loc)
 	c.Stats.BankTableProbes++
@@ -338,7 +328,7 @@ func (c *Controller) fetchAndMergeFull(loc dram.Location) (dram.Line, ecc.LineRe
 	}
 	res, err := ecc.DecodeLine(line)
 	if err != nil {
-		return nil, ecc.LineResult{Status: ecc.DUE}, err
+		return nil, ecc.DUE, err
 	}
 	switch res.Status {
 	case ecc.Corrected:
@@ -346,7 +336,7 @@ func (c *Controller) fetchAndMergeFull(loc dram.Location) (dram.Line, ecc.LineRe
 	case ecc.DUE:
 		c.Stats.DUEs++
 	}
-	return line, res, nil
+	return line, res.Status, nil
 }
 
 // readForRepair returns the freshest corrected view of a line: a dirty copy
@@ -369,18 +359,6 @@ func (c *Controller) readForRepair(loc dram.Location) (dram.Line, ecc.Status) {
 		status = ecc.DUE
 	}
 	return line, status
-}
-
-// ScrubLine performs a patrol-scrub read of one line: DRAM is read and
-// merged with any remap lines, the ECC result (with per-device correction
-// attribution) is returned, and — unlike ReadLine — nothing is allocated in
-// the LLC and no LRU state is disturbed, so scrubbing does not pollute the
-// cache. A dirty cached copy shadows the DRAM content for the program, but
-// the scrub still exercises the DRAM cells underneath it.
-func (c *Controller) ScrubLine(la addrmap.LineAddr) (ecc.LineResult, error) {
-	loc := c.mapper.Decode(la)
-	_, res, err := c.fetchAndMergeFull(loc)
-	return res, err
 }
 
 // readSubBlock extracts sub-block i (4 bytes) from a remap line payload.

@@ -6,7 +6,6 @@ import (
 
 	"relaxfault/internal/dram"
 	"relaxfault/internal/ecc"
-	"relaxfault/internal/fault"
 )
 
 func freeFaultController(t *testing.T) *Controller {
@@ -106,39 +105,5 @@ func TestFreeFaultVsRelaxFaultFootprint(t *testing.T) {
 	}
 	if of.LinesAllocated != 16*or.LinesAllocated {
 		t.Errorf("footprint ratio %d/%d, want 16x", of.LinesAllocated, or.LinesAllocated)
-	}
-}
-
-func TestReleaseDIMMRepairs(t *testing.T) {
-	for _, mode := range []Mode{RelaxFaultMode, FreeFaultMode} {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := c.cfg.Geometry
-		fA := rowFaultAt(g, dram.DeviceCoord{Channel: 0, Rank: 0, Device: 1}, 1, 10)
-		fB := rowFaultAt(g, dram.DeviceCoord{Channel: 2, Rank: 1, Device: 2}, 3, 20)
-		for _, f := range []*fault.Fault{fA, fB} {
-			if err := c.InjectFault(f); err != nil {
-				t.Fatal(err)
-			}
-			if out, err := c.RepairFault(f); err != nil || !out.Accepted {
-				t.Fatalf("%v: repair failed: %+v err=%v", mode, out, err)
-			}
-		}
-		before := c.RepairedLines()
-		released := c.ReleaseDIMMRepairs(0, 0)
-		if released == 0 {
-			t.Fatalf("%v: nothing released", mode)
-		}
-		if c.RepairedLines() != before-released {
-			t.Fatalf("%v: locked-line accounting off: %d - %d != %d", mode, before, released, c.RepairedLines())
-		}
-		// The other DIMM's repair must survive.
-		if c.RepairedLines() == 0 {
-			t.Fatalf("%v: released repairs of the wrong DIMM", mode)
-		}
 	}
 }

@@ -138,46 +138,6 @@ func (c *Controller) repairPayload(f *fault.Fault, l repairLine) (payload []byte
 	return payload, dues
 }
 
-// ReleaseDIMMRepairs unlocks and invalidates every repair line belonging to
-// the given DIMM — the controller-side counterpart of a DIMM replacement,
-// returning the LLC capacity to normal use. It returns the number of lines
-// released. RelaxFault remap lines are identified by their packed repair
-// tag; FreeFault locked lines by decoding their own address.
-func (c *Controller) ReleaseDIMMRepairs(channel, rank int) int {
-	released := 0
-	for set := 0; set < c.llc.Sets(); set++ {
-		for way := 0; way < c.llc.Ways(); way++ {
-			l := c.llc.Line(set, way)
-			if !l.Valid || !l.Locked {
-				continue
-			}
-			var match bool
-			if l.RF {
-				key := c.mapper.RFKeyFromTarget(addrmap.RFTarget{Set: set, Tag: l.Tag})
-				match = key.Channel == channel && key.Rank == rank
-			} else {
-				loc := c.mapper.Decode(c.lineAddrFromIndex(set, l.Tag))
-				match = loc.Channel == channel && loc.Rank == rank
-			}
-			if !match {
-				continue
-			}
-			c.llc.Invalidate(set, way)
-			if c.rfWays[set] > 0 {
-				c.rfWays[set]--
-			}
-			released++
-		}
-	}
-	// Conservatively clear the DIMM's faulty-bank bits; remaining repairs
-	// on other DIMMs keep their own bits.
-	dimm := channel*c.cfg.Geometry.DIMMsPerChan + rank
-	if dimm >= 0 && dimm < len(c.faultyBank) {
-		c.faultyBank[dimm] = 0
-	}
-	return released
-}
-
 // FaultyBankTableBytes returns the size of the faulty-bank table in bytes
 // (Table 1: one bit per bank per DIMM).
 func (c *Controller) FaultyBankTableBytes() int {

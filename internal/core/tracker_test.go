@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"relaxfault/internal/dram"
+	"relaxfault/internal/ecc"
 	"relaxfault/internal/fault"
+	"relaxfault/internal/stats"
 )
 
 func trackerGeom() dram.Geometry { return dram.Default8GiBNode() }
@@ -177,5 +179,87 @@ func TestTrackerDrivenRepairEndToEnd(t *testing.T) {
 	}
 	if st != 0 { // ecc.OK
 		t.Fatalf("post-repair status %v, want OK", st)
+	}
+}
+
+// TestTrackerDrivenRepairSampledNodes closes the patrol -> tracker -> repair
+// loop on faults sampled from the field-data model: each patrol pass flushes
+// the LLC so its reads reach DRAM, corrected errors feed the tracker, and a
+// firing tracker's inferred extent is repaired online. Every fault must be
+// repaired at least once, and a post-repair re-read through DRAM and the
+// remap merge must come back clean.
+func TestTrackerDrivenRepairSampledNodes(t *testing.T) {
+	model, err := fault.NewModel(fault.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(55)
+	for tested := 0; tested < 6; {
+		nf := model.SampleNode(rng)
+		var small []*fault.Fault
+		for _, f := range nf.PermanentFaults() {
+			if f.Mode == fault.SingleBit || f.Mode == fault.SingleRow {
+				small = append(small, f)
+			}
+		}
+		if len(small) == 0 {
+			continue
+		}
+		tested++
+		c := testController(t)
+		g := c.cfg.Geometry
+		tr := NewTracker(g, 2)
+		for _, f := range small {
+			if err := c.InjectFault(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// patrol reads every line of f's first extent from DRAM.
+		patrol := func(f *fault.Fault, fn func(loc dram.Location, st ecc.Status)) {
+			c.Flush()
+			f.Extents[0].ForEachLine(g, g.ColumnsPerBlk, func(bank, row, cb int) bool {
+				loc := dram.Location{Channel: f.Dev.Channel, Rank: f.Dev.Rank, Bank: bank, Row: row, ColBlock: cb}
+				_, st, err := c.ReadLine(c.Mapper().Encode(loc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fn(loc, st)
+				return true
+			})
+		}
+		// A fault can need more than one inference (a two-row fault is
+		// found one row at a time), so patrol past the threshold.
+		repairs := make([]int, len(small))
+		for pass := 0; pass < 3; pass++ {
+			for i, f := range small {
+				patrol(f, func(loc dram.Location, st ecc.Status) {
+					if st != ecc.Corrected {
+						return
+					}
+					inferred, fired := tr.Observe(f.Dev, loc)
+					if !fired {
+						return
+					}
+					tr.Reset(f.Dev)
+					out, err := c.RepairFault(inferred)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Accepted {
+						repairs[i]++
+					}
+				})
+			}
+		}
+		for i, f := range small {
+			if repairs[i] == 0 {
+				t.Fatalf("node %d: %v fault on %v never repaired", tested, f.Mode, f.Dev)
+			}
+			patrol(f, func(loc dram.Location, st ecc.Status) {
+				if st != ecc.OK {
+					t.Fatalf("node %d: %v after repair reads %v", tested, loc, st)
+				}
+			})
+		}
 	}
 }

@@ -49,9 +49,6 @@ func NewArray(g Geometry) (*Array, error) {
 	}, nil
 }
 
-// Geometry returns the array's geometry.
-func (a *Array) Geometry() Geometry { return a.geo }
-
 // InjectFault registers a permanent stuck-at fault. Cells already written
 // are corrupted retroactively (their stored value is unchanged, but reads
 // will see the stuck value), exactly as a real fault would behave.
@@ -66,15 +63,6 @@ func (a *Array) InjectFault(f *StuckFault) error {
 	}
 	a.faults[f.Dev] = append(a.faults[f.Dev], f)
 	return nil
-}
-
-// FaultCount returns the number of injected faults.
-func (a *Array) FaultCount() int {
-	n := 0
-	for _, fs := range a.faults {
-		n += len(fs)
-	}
-	return n
 }
 
 // Write stores the cacheline at loc. len(line) must equal the device count
@@ -115,20 +103,6 @@ func (a *Array) Read(loc Location) (Line, error) {
 		out[dev] = corrupt(out[dev], loc, faults)
 	}
 	return out, nil
-}
-
-// DeviceFaultyAt reports whether any registered fault on dev covers any
-// column of the block at loc.
-func (a *Array) DeviceFaultyAt(dev DeviceCoord, loc Location) bool {
-	for _, f := range a.faults[dev] {
-		for c := 0; c < BurstLength; c++ {
-			col := loc.ColBlock*ColumnsPerBlock + c
-			if f.Covers(loc.Bank, loc.Row, col) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // corrupt replaces each faulty column's nibble with the fault's stuck value.

@@ -236,6 +236,3 @@ func (d DeviceCoord) IsCheck(g Geometry) bool { return d.Device >= g.DataDevices
 func (d DeviceCoord) String() string {
 	return fmt.Sprintf("ch%d/rk%d/dev%d", d.Channel, d.Rank, d.Device)
 }
-
-// SubarrayOfRow returns the subarray (tile) index containing the given row.
-func SubarrayOfRow(row int) int { return row / SubarrayRows }

@@ -56,14 +56,6 @@ func Div(a, b byte) byte {
 	return gfExp[gfLog[a]-gfLog[b]+255]
 }
 
-// Inv returns the multiplicative inverse of a. It panics if a == 0.
-func Inv(a byte) byte {
-	if a == 0 {
-		panic("ecc: inverse of zero in GF(2^8)")
-	}
-	return gfExp[255-gfLog[a]]
-}
-
 // Exp returns alpha^i for i >= 0.
 func Exp(i int) byte { return gfExp[i%255] }
 

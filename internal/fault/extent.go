@@ -208,11 +208,6 @@ func (e Extent) Intersects(other Extent, g dram.Geometry) bool {
 	return e.Rows.Intersects(other.Rows, g.Rows)
 }
 
-// Predicate returns a dram.CellPredicate equivalent to the extent.
-func (e Extent) Predicate() dram.CellPredicate {
-	return func(bank, row, col int) bool { return e.Contains(bank, row, col) }
-}
-
 // Fault is one fault event on one device.
 type Fault struct {
 	Dev  dram.DeviceCoord

@@ -44,7 +44,7 @@ func TestAllWorkloadsFigure15Shape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			relPower := power.RelativeDynamicPower(res4.Ops, baseRes.Ops, res4.Seconds, baseRes.Seconds)
+			relPower := power.DDR3Energies().RelativeDynamicPower(res4.Ops, baseRes.Ops, res4.Seconds, baseRes.Seconds)
 			t.Logf("%-7s WS none=%.2f 100KiB=%.2f 1way=%.2f 4way=%.2f relPower(4way)=%.1f%%",
 				w.Name, base, wsK, ws1, ws4, relPower)
 

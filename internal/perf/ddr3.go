@@ -116,11 +116,6 @@ type Channel struct {
 	pool *reqPool
 }
 
-// NewChannel builds a DDR3-1600 channel for the geometry's ranks and banks.
-func NewChannel(ranks, banks int) *Channel {
-	return NewChannelSpec(ranks, banks, DDR3Timing())
-}
-
 // NewChannelSpec builds a channel with an explicit timing spec.
 func NewChannelSpec(ranks, banks int, spec TimingSpec) *Channel {
 	ch := &Channel{t: spec, writeDrainHigh: 32, writeDrainLow: 8}
@@ -145,9 +140,6 @@ func NewChannelSpec(ranks, banks int, spec TimingSpec) *Channel {
 	}
 	return ch
 }
-
-// Timing returns the channel's timing spec.
-func (c *Channel) Timing() TimingSpec { return c.t }
 
 // Enqueue adds a request to the appropriate queue and samples the queue's
 // occupancy into the FR-FCFS depth histograms.
@@ -198,17 +190,17 @@ func (c *Channel) Tick(nowTck int64) {
 		pick = 0 // FCFS fallback: oldest
 	}
 	r := (*q)[pick]
-	if c.schedule(r, nowTck) {
-		*q = append((*q)[:pick], (*q)[pick+1:]...)
-		if !r.retained {
-			c.pool.put(r)
-		}
+	c.schedule(r, nowTck)
+	*q = append((*q)[:pick], (*q)[pick+1:]...)
+	if !r.retained {
+		c.pool.put(r)
 	}
 }
 
-// schedule assigns the full command timeline of a request, returning false
-// when the bank cannot accept a new row command yet.
-func (c *Channel) schedule(r *Request, nowTck int64) bool {
+// schedule assigns the full command timeline of a request. Every request is
+// accepted: a bank that is still busy pushes the request's commands later
+// in time rather than deferring the decision.
+func (c *Channel) schedule(r *Request, nowTck int64) {
 	t := &c.t
 	b := &c.banks[r.Loc.Rank][r.Loc.Bank]
 	var casAt int64
@@ -272,7 +264,6 @@ func (c *Channel) schedule(r *Request, nowTck int64) bool {
 	}
 	r.DoneAt = (dataStart + t.TBurst) * t.CPUPerMC
 	r.Scheduled = true
-	return true
 }
 
 func maxi64(a, b int64) int64 {

@@ -42,7 +42,7 @@ func TestChannelRowHitStreams(t *testing.T) {
 // stream, a row hit completes faster than a row miss, and every request
 // eventually completes.
 func TestChannelTimingMonotonic(t *testing.T) {
-	ch := NewChannel(2, 8)
+	ch := NewChannelSpec(2, 8, DDR3Timing())
 	mkReq := func(rank, bank, row, cb int) *Request {
 		return &Request{Loc: dram.Location{Rank: rank, Bank: bank, Row: row, ColBlock: cb}}
 	}
@@ -78,7 +78,7 @@ func TestChannelTimingMonotonic(t *testing.T) {
 // TestWriteDrainWatermarks checks that queued writes are eventually
 // serviced and the write queue drains below its watermark.
 func TestWriteDrainWatermarks(t *testing.T) {
-	ch := NewChannel(1, 8)
+	ch := NewChannelSpec(1, 8, DDR3Timing())
 	var reqs []*Request
 	for i := 0; i < 64; i++ {
 		r := &Request{Loc: dram.Location{Bank: i % 8, Row: i / 8, ColBlock: i % 32}, Write: true}
@@ -101,7 +101,7 @@ func TestWriteDrainWatermarks(t *testing.T) {
 // TestBusBandwidthBound: the data bus transfers one 64B burst per 4 tCK at
 // most, so no schedule may complete more requests than elapsed-time/4.
 func TestBusBandwidthBound(t *testing.T) {
-	ch := NewChannel(2, 8)
+	ch := NewChannelSpec(2, 8, DDR3Timing())
 	var reqs []*Request
 	for i := 0; i < 512; i++ {
 		reqs = append(reqs, &Request{Loc: dram.Location{
@@ -121,7 +121,7 @@ func TestBusBandwidthBound(t *testing.T) {
 			lastDone = r.DoneAt
 		}
 	}
-	spec := ch.Timing()
+	spec := DDR3Timing()
 	elapsedTck := lastDone / spec.CPUPerMC
 	if int64(len(reqs))*spec.TBurst > elapsedTck {
 		t.Errorf("512 bursts completed in %d tCK; bus allows at most %d", elapsedTck, elapsedTck/spec.TBurst)
@@ -136,7 +136,7 @@ func TestBusBandwidthBound(t *testing.T) {
 // TestNoTwoBurstsOverlapOnBus: reconstructed data-bus occupancy intervals
 // must be disjoint.
 func TestNoTwoBurstsOverlapOnBus(t *testing.T) {
-	ch := NewChannel(2, 8)
+	ch := NewChannelSpec(2, 8, DDR3Timing())
 	var reqs []*Request
 	for i := 0; i < 200; i++ {
 		reqs = append(reqs, &Request{Loc: dram.Location{
@@ -147,7 +147,7 @@ func TestNoTwoBurstsOverlapOnBus(t *testing.T) {
 	for tck := int64(0); tck < 100000 && ch.Busy(); tck++ {
 		ch.Tick(tck)
 	}
-	spec := ch.Timing()
+	spec := DDR3Timing()
 	ends := map[int64]bool{}
 	for _, r := range reqs {
 		end := r.DoneAt / spec.CPUPerMC

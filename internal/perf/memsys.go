@@ -79,9 +79,7 @@ func (t *timingCache) install(la addrmap.LineAddr, dirty bool) (addrmap.LineAddr
 // and the memory channels.
 type MemSystem struct {
 	mapper   *addrmap.Mapper
-	geo      dram.Geometry
 	llc      *cache.Cache
-	setBits  uint
 	hash     bool
 	bankHash bool
 	channels []*Channel
@@ -159,7 +157,6 @@ func NewMemSystem(cfg MemConfig) (*MemSystem, error) {
 	}
 	ms := &MemSystem{
 		mapper:   mapper,
-		geo:      cfg.Geometry,
 		llc:      llc,
 		hash:     cfg.HashSetIndex,
 		bankHash: cfg.BankXORHash,
@@ -175,9 +172,6 @@ func NewMemSystem(cfg MemConfig) (*MemSystem, error) {
 
 // LLC exposes the shared cache (for way locking).
 func (m *MemSystem) LLC() *cache.Cache { return m.llc }
-
-// Mapper exposes the address mapper.
-func (m *MemSystem) Mapper() *addrmap.Mapper { return m.mapper }
 
 // Channels exposes the memory channels.
 func (m *MemSystem) Channels() []*Channel { return m.channels }
@@ -343,12 +337,4 @@ func (m *MemSystem) TotalOps() OpCounts {
 		o.Add(ch.Ops)
 	}
 	return o
-}
-
-// CheckCapacity validates that a line address fits the geometry.
-func (m *MemSystem) CheckCapacity(la addrmap.LineAddr) error {
-	if uint64(la) >= m.geo.NumLineAddresses() {
-		return fmt.Errorf("perf: line address %#x beyond node capacity", uint64(la))
-	}
-	return nil
 }

@@ -102,19 +102,6 @@ func TestWritebackRequestsGenerated(t *testing.T) {
 	}
 }
 
-func TestCheckCapacity(t *testing.T) {
-	ms, err := NewMemSystem(DefaultMemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.CheckCapacity(0); err != nil {
-		t.Error("address 0 rejected")
-	}
-	if err := ms.CheckCapacity(addrmap.LineAddr(1 << 62)); err == nil {
-		t.Error("out-of-range address accepted")
-	}
-}
-
 // TestBankHashPreservedRoundTrip: writeback locations must use the same
 // hash as fills, or a writeback would go to a different bank than its data.
 func TestBankHashConsistency(t *testing.T) {

@@ -3,8 +3,7 @@
 // burst, and write burst is charged the energy the Micron power methodology
 // (TN-41-01) assigns for DDR3-1600 x4 devices, summed over the rank's 18
 // devices. Only relative power matters for Figure 16, but the constants are
-// kept physical so absolute numbers are plausible too. The package also
-// carries the RelaxFault metadata-energy accounting of Section 3.3.
+// kept physical so absolute numbers are plausible too.
 package power
 
 import "relaxfault/internal/perf"
@@ -18,9 +17,8 @@ const (
 )
 
 // OpEnergies is one memory technology's per-rank operation energy table.
-// The technology layer (internal/memtech) registers a table per part; the
-// package-level functions below evaluate the DDR3-1600 table and remain the
-// single source of truth for its constants.
+// The technology layer (internal/memtech) registers a table per part;
+// DDR3Energies is the DDR3-1600 one.
 type OpEnergies struct {
 	ActPreNJ float64 // one activate+precharge pair
 	ReadNJ   float64 // one burst read
@@ -51,50 +49,12 @@ func (e OpEnergies) DynamicPowerW(ops perf.OpCounts, seconds float64) float64 {
 }
 
 // RelativeDynamicPower returns the percentage of baseline dynamic power a
-// configuration consumes under this energy table.
+// configuration consumes under this energy table (Figure 16 reports this
+// per workload).
 func (e OpEnergies) RelativeDynamicPower(cfg, baseline perf.OpCounts, cfgSeconds, baseSeconds float64) float64 {
 	base := e.DynamicPowerW(baseline, baseSeconds)
 	if base == 0 {
 		return 0
 	}
 	return 100 * e.DynamicPowerW(cfg, cfgSeconds) / base
-}
-
-// RelaxFault metadata energies (Section 3.3).
-const (
-	// TagLookupNJ is the augmented LLC tag probe (9pJ per 1MiB bank,
-	// scaled to the 8-bank 8MiB LLC worst case).
-	TagLookupNJ = 0.009
-	// LLCAccessNJ is a full LLC data access.
-	LLCAccessNJ = 0.641
-	// DRAMMissNJ is the paper's quoted energy to service a miss from
-	// DDR3 DRAM.
-	DRAMMissNJ = 36.0
-)
-
-// DynamicEnergyNJ returns total DDR3-1600 DRAM dynamic energy for the op
-// counts.
-func DynamicEnergyNJ(ops perf.OpCounts) float64 {
-	return DDR3Energies().DynamicEnergyNJ(ops)
-}
-
-// DynamicPowerW returns average DDR3-1600 DRAM dynamic power over the
-// interval.
-func DynamicPowerW(ops perf.OpCounts, seconds float64) float64 {
-	return DDR3Energies().DynamicPowerW(ops, seconds)
-}
-
-// RelativeDynamicPower returns the percentage of baseline dynamic power a
-// configuration consumes (Figure 16 reports this per workload), under the
-// DDR3-1600 energy table.
-func RelativeDynamicPower(cfg, baseline perf.OpCounts, cfgSeconds, baseSeconds float64) float64 {
-	return DDR3Energies().RelativeDynamicPower(cfg, baseline, cfgSeconds, baseSeconds)
-}
-
-// MetadataOverheadFraction returns the worst-case fraction of LLC access
-// energy the RelaxFault metadata costs (paper: < 1.5% of an LLC access and
-// < 0.03% of a DRAM miss).
-func MetadataOverheadFraction() (ofLLCAccess, ofDRAMMiss float64) {
-	meta := TagLookupNJ // faulty-bank table lookup energy is negligible
-	return meta / LLCAccessNJ, meta / DRAMMissNJ
 }

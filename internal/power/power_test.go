@@ -10,51 +10,43 @@ import (
 func TestDynamicEnergyArithmetic(t *testing.T) {
 	ops := perf.OpCounts{Activates: 10, Precharges: 10, Reads: 100, Writes: 50}
 	want := 10*ActPreEnergyNJ + 100*ReadEnergyNJ + 50*WriteEnergyNJ
-	if got := DynamicEnergyNJ(ops); math.Abs(got-want) > 1e-9 {
+	e := DDR3Energies()
+	if got := e.DynamicEnergyNJ(ops); math.Abs(got-want) > 1e-9 {
 		t.Errorf("energy %f, want %f", got, want)
 	}
-	if DynamicEnergyNJ(perf.OpCounts{}) != 0 {
+	if e.DynamicEnergyNJ(perf.OpCounts{}) != 0 {
 		t.Error("zero ops should cost nothing")
 	}
 }
 
 func TestDynamicPower(t *testing.T) {
 	ops := perf.OpCounts{Activates: 1_000_000, Reads: 8_000_000, Writes: 2_000_000}
-	p := DynamicPowerW(ops, 1.0)
+	e := DDR3Energies()
+	p := e.DynamicPowerW(ops, 1.0)
 	// 1M*13.2 + 8M*4.4 + 2M*4.6 nJ over 1s = ~57.6 mW.
 	want := (1e6*ActPreEnergyNJ + 8e6*ReadEnergyNJ + 2e6*WriteEnergyNJ) * 1e-9
 	if math.Abs(p-want) > 1e-12 {
 		t.Errorf("power %g, want %g", p, want)
 	}
-	if DynamicPowerW(ops, 0) != 0 {
+	if e.DynamicPowerW(ops, 0) != 0 {
 		t.Error("zero interval should yield zero power")
 	}
 }
 
 func TestRelativeDynamicPower(t *testing.T) {
+	e := DDR3Energies()
 	base := perf.OpCounts{Activates: 100, Reads: 1000, Writes: 200}
 	// Identical ops and time -> 100%.
-	if r := RelativeDynamicPower(base, base, 2.0, 2.0); math.Abs(r-100) > 1e-9 {
+	if r := e.RelativeDynamicPower(base, base, 2.0, 2.0); math.Abs(r-100) > 1e-9 {
 		t.Errorf("identity relative power %f", r)
 	}
 	// Same ops in half the time -> 200%.
-	if r := RelativeDynamicPower(base, base, 1.0, 2.0); math.Abs(r-200) > 1e-9 {
+	if r := e.RelativeDynamicPower(base, base, 1.0, 2.0); math.Abs(r-200) > 1e-9 {
 		t.Errorf("half-time relative power %f", r)
 	}
 	// Zero baseline is safe.
-	if r := RelativeDynamicPower(base, perf.OpCounts{}, 1, 1); r != 0 {
+	if r := e.RelativeDynamicPower(base, perf.OpCounts{}, 1, 1); r != 0 {
 		t.Errorf("zero baseline relative power %f", r)
-	}
-}
-
-func TestMetadataOverheadMatchesPaper(t *testing.T) {
-	ofLLC, ofMiss := MetadataOverheadFraction()
-	// Paper Section 3.3: < 1.5% of an LLC access, < 0.03% of a DRAM miss.
-	if ofLLC <= 0 || ofLLC > 0.015 {
-		t.Errorf("metadata/LLC fraction %f outside (0, 0.015]", ofLLC)
-	}
-	if ofMiss <= 0 || ofMiss > 0.0003 {
-		t.Errorf("metadata/miss fraction %f outside (0, 0.0003]", ofMiss)
 	}
 }
 

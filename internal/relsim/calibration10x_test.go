@@ -36,8 +36,8 @@ func TestCoverageCalibration10x(t *testing.T) {
 	}
 	t.Logf("faulty fraction: %.3f (paper: ~0.71)", res.FaultyFraction)
 	for _, c := range res.Curves {
-		t.Logf("%-16s way<=%-2d coverage=%.3f cap84=%.0fB",
-			c.Planner, c.WayLimit, c.Coverage(), c.CapacityForCoverage(0.84))
+		t.Logf("%-16s way<=%-2d coverage=%.3f repairable-p90=%.0fB",
+			c.Planner, c.WayLimit, c.Coverage(), c.CapacityQuantile(0.90))
 	}
 	check := func(planner string, wl int, lo, hi float64) {
 		c := res.Curve(planner, wl)

@@ -107,21 +107,6 @@ func (c *CoverageCurve) CapacityQuantile(p float64) float64 {
 	return c.caps.Quantile(p)
 }
 
-// CapacityForCoverage returns the smallest capacity achieving the target
-// coverage fraction (over faulty nodes), or -1 when unreachable.
-func (c *CoverageCurve) CapacityForCoverage(target float64) float64 {
-	if c.Coverage() < target || c.repairable == 0 {
-		return -1
-	}
-	// target over faulty nodes = quantile target*faulty/repairable over
-	// repairable nodes.
-	q := target * float64(c.faultyNodes) / float64(c.repairable)
-	if q > 1 {
-		return -1
-	}
-	return c.caps.Quantile(q)
-}
-
 // CoverageResult holds one curve per (planner, way limit).
 type CoverageResult struct {
 	Curves      []*CoverageCurve

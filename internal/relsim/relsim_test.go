@@ -204,11 +204,8 @@ func TestCoverageCapacityAccessors(t *testing.T) {
 	if c.CoverageAt(0) > c.CoverageAt(1<<20) {
 		t.Error("CoverageAt not monotone")
 	}
-	if cap90 := c.CapacityForCoverage(0.90); cap90 < 0 {
-		t.Error("90% coverage should be reachable at 4 ways")
-	}
-	if c.CapacityForCoverage(0.999) != -1 {
-		t.Error("99.9% coverage should be unreachable")
+	if cov := c.Coverage(); cov < 0.90 || cov >= 0.999 {
+		t.Errorf("coverage %f at 4 ways, want 90%% reachable and 99.9%% not", cov)
 	}
 	if res.Curve("nonexistent", 1) != nil {
 		t.Error("found nonexistent curve")

@@ -2,7 +2,7 @@
 // low-overhead span recorder whose output explains where parallel wall time
 // actually goes — chunk execution, claim overhead, checkpoint/journal fsync
 // stalls, and straggler-induced reduce waits. (The name avoids colliding
-// with internal/trace, the memory-workload parser.)
+// with internal/trace, the memory-workload generator.)
 //
 // The recorder deals only in spans: a named interval on a track, optionally
 // tagged with a chunk/section index and a trial count. Tracks map onto the

@@ -3,12 +3,12 @@ package stats
 import "math"
 
 // MeanVar is a serialisable Welford accumulator: the running count, mean,
-// and sum of squared deviations of a stream of observations. It is the
-// persistence-friendly sibling of Accumulator — exported fields with JSON
-// tags so chunk checkpoints and journal records can carry per-chunk moments
-// and merge them in a fixed order on resume. Go's shortest-round-trip float
-// encoding makes a marshal/unmarshal cycle exact, which is what keeps
-// estimator state byte-identical across crash-kill resume and replay.
+// and sum of squared deviations of a stream of observations. Its fields are
+// exported with JSON tags so chunk checkpoints and journal records can carry
+// per-chunk moments and merge them in a fixed order on resume. Go's
+// shortest-round-trip float encoding makes a marshal/unmarshal cycle exact,
+// which is what keeps estimator state byte-identical across crash-kill
+// resume and replay.
 type MeanVar struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
@@ -59,7 +59,7 @@ func (m *MeanVar) StdErr() float64 {
 }
 
 // HalfWidth95 returns the half-width of an approximate 95% confidence
-// interval for the mean (same normal approximation as Accumulator.CI95).
+// interval for the mean (normal approximation).
 func (m *MeanVar) HalfWidth95() float64 { return 1.96 * m.StdErr() }
 
 // WeightStats tracks the importance weights of a weighted Monte Carlo
@@ -106,15 +106,4 @@ func PoissonLogLR(lambda, boost float64, n int) float64 {
 		return 0
 	}
 	return lambda*(boost-1) - float64(n)*math.Log(boost)
-}
-
-// BernoulliLogLR returns the log likelihood ratio log(p(x)/q(x)) of one coin
-// flip drawn with success probability q but scored under target probability
-// p — the closed-form toy model the estimator layer's reweighting tests pin
-// against.
-func BernoulliLogLR(p, q float64, hit bool) float64 {
-	if hit {
-		return math.Log(p / q)
-	}
-	return math.Log((1 - p) / (1 - q))
 }

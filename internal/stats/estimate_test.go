@@ -6,28 +6,56 @@ import (
 	"testing"
 )
 
-// TestMeanVarMatchesAccumulator pins MeanVar to the existing Accumulator on
-// the same stream: identical mean, variance, and CI half-width.
+// TestMeanVarMatchesAccumulator pins MeanVar to a reference accumulation of
+// the same stream. The reference is the textbook Welford recurrence with a
+// CI half-width of 1.96 * stddev / sqrt(n); MeanVar must match it bit for bit,
+// since the golden outputs depend on the exact arithmetic. A two-pass mean and
+// variance over the stored stream then checks the recurrence itself.
 func TestMeanVarMatchesAccumulator(t *testing.T) {
 	rng := NewRNG(42)
 	var mv MeanVar
-	var acc Accumulator
-	for i := 0; i < 10_000; i++ {
+	xs := make([]float64, 10_000)
+	var n int64
+	var mean, m2 float64
+	for i := range xs {
 		x := rng.NormFloat64()*3 + 1
+		xs[i] = x
 		mv.Add(x)
-		acc.Add(x)
+		n++
+		d := x - mean
+		mean += d / float64(n)
+		m2 += d * (x - mean)
 	}
-	if mv.N != acc.N() {
-		t.Fatalf("N: MeanVar %d, Accumulator %d", mv.N, acc.N())
+	variance := m2 / float64(n-1)
+	ci95 := 1.96 * math.Sqrt(variance) / math.Sqrt(float64(n))
+	if mv.N != n {
+		t.Fatalf("N: MeanVar %d, reference %d", mv.N, n)
 	}
-	if mv.Mean != acc.Mean() {
-		t.Fatalf("Mean: MeanVar %v, Accumulator %v", mv.Mean, acc.Mean())
+	if mv.Mean != mean {
+		t.Fatalf("Mean: MeanVar %v, reference %v", mv.Mean, mean)
 	}
-	if mv.Variance() != acc.Variance() {
-		t.Fatalf("Variance: MeanVar %v, Accumulator %v", mv.Variance(), acc.Variance())
+	if mv.Variance() != variance {
+		t.Fatalf("Variance: MeanVar %v, reference %v", mv.Variance(), variance)
 	}
-	if mv.HalfWidth95() != acc.CI95() {
-		t.Fatalf("CI: MeanVar %v, Accumulator %v", mv.HalfWidth95(), acc.CI95())
+	if mv.HalfWidth95() != ci95 {
+		t.Fatalf("CI: MeanVar %v, reference %v", mv.HalfWidth95(), ci95)
+	}
+
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean2 := sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean2) * (x - mean2)
+	}
+	variance2 := ss / float64(len(xs)-1)
+	if math.Abs(mv.Mean-mean2) > 1e-12 {
+		t.Errorf("Mean: MeanVar %v, two-pass %v", mv.Mean, mean2)
+	}
+	if math.Abs(mv.Variance()-variance2) > 1e-12*variance2 {
+		t.Errorf("Variance: MeanVar %v, two-pass %v", mv.Variance(), variance2)
 	}
 }
 
@@ -149,7 +177,7 @@ func TestBiasedCoinLikelihoodRatio(t *testing.T) {
 			hit := rng.Bool(q)
 			x := 0.0
 			if hit {
-				x = math.Exp(BernoulliLogLR(p, q, true))
+				x = p / q
 			}
 			mv.Add(x)
 		}

@@ -173,17 +173,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Exp returns an exponentially distributed variate with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	// 1-u is in (0,1], so the log is finite.
-	return -math.Log(1-u) / rate
-}
-
 // Poisson returns a Poisson variate with the given mean. For small means it
 // uses Knuth's product method; for large means it uses the PTRS rejection
 // sampler (Hörmann), which is O(1).
@@ -249,23 +238,4 @@ func (r *RNG) Lognormal(mean, variance float64) float64 {
 	sigma2 := math.Log(1 + variance/(mean*mean))
 	mu := math.Log(mean) - sigma2/2
 	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function (Fisher-Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -103,30 +103,30 @@ func TestUniformity(t *testing.T) {
 
 func TestNormalMoments(t *testing.T) {
 	rng := NewRNG(4)
-	var acc Accumulator
+	var mv MeanVar
 	for i := 0; i < 200000; i++ {
-		acc.Add(rng.NormFloat64())
+		mv.Add(rng.NormFloat64())
 	}
-	if math.Abs(acc.Mean()) > 0.02 {
-		t.Errorf("normal mean %f", acc.Mean())
+	if math.Abs(mv.Mean) > 0.02 {
+		t.Errorf("normal mean %f", mv.Mean)
 	}
-	if math.Abs(acc.StdDev()-1) > 0.02 {
-		t.Errorf("normal stddev %f", acc.StdDev())
+	if sd := math.Sqrt(mv.Variance()); math.Abs(sd-1) > 0.02 {
+		t.Errorf("normal stddev %f", sd)
 	}
 }
 
 func TestPoissonMoments(t *testing.T) {
 	rng := NewRNG(5)
 	for _, mean := range []float64{0.001, 0.5, 5, 29.9, 30.1, 200} {
-		var acc Accumulator
+		var mv MeanVar
 		for i := 0; i < 100000; i++ {
-			acc.Add(float64(rng.Poisson(mean)))
+			mv.Add(float64(rng.Poisson(mean)))
 		}
-		if math.Abs(acc.Mean()-mean) > 5*math.Sqrt(mean/100000)+0.01 {
-			t.Errorf("Poisson(%g) mean %f", mean, acc.Mean())
+		if math.Abs(mv.Mean-mean) > 5*math.Sqrt(mean/100000)+0.01 {
+			t.Errorf("Poisson(%g) mean %f", mean, mv.Mean)
 		}
-		if mean >= 0.5 && math.Abs(acc.Variance()-mean) > mean*0.1 {
-			t.Errorf("Poisson(%g) variance %f", mean, acc.Variance())
+		if mean >= 0.5 && math.Abs(mv.Variance()-mean) > mean*0.1 {
+			t.Errorf("Poisson(%g) variance %f", mean, mv.Variance())
 		}
 	}
 	if NewRNG(1).Poisson(0) != 0 {
@@ -134,34 +134,22 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestExpMoments(t *testing.T) {
-	rng := NewRNG(6)
-	var acc Accumulator
-	rate := 2.5
-	for i := 0; i < 200000; i++ {
-		acc.Add(rng.Exp(rate))
-	}
-	if math.Abs(acc.Mean()-1/rate) > 0.01 {
-		t.Errorf("Exp mean %f, want %f", acc.Mean(), 1/rate)
-	}
-}
-
 func TestLognormalMoments(t *testing.T) {
 	rng := NewRNG(7)
 	mean, variance := 13.0, 13.0/4
-	var acc Accumulator
+	var mv MeanVar
 	for i := 0; i < 300000; i++ {
 		v := rng.Lognormal(mean, variance)
 		if v <= 0 {
 			t.Fatal("lognormal produced non-positive value")
 		}
-		acc.Add(v)
+		mv.Add(v)
 	}
-	if math.Abs(acc.Mean()-mean) > 0.05 {
-		t.Errorf("lognormal mean %f, want %f", acc.Mean(), mean)
+	if math.Abs(mv.Mean-mean) > 0.05 {
+		t.Errorf("lognormal mean %f, want %f", mv.Mean, mean)
 	}
-	if math.Abs(acc.Variance()-variance) > variance*0.1 {
-		t.Errorf("lognormal variance %f, want %f", acc.Variance(), variance)
+	if math.Abs(mv.Variance()-variance) > variance*0.1 {
+		t.Errorf("lognormal variance %f, want %f", mv.Variance(), variance)
 	}
 	// Degenerate parameters.
 	if rng.Lognormal(0, 1) != 0 {
@@ -172,56 +160,22 @@ func TestLognormalMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	rng := NewRNG(8)
-	p := rng.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatal("Perm not a permutation")
-		}
-		seen[v] = true
-	}
-}
-
+// TestAccumulatorWelford checks MeanVar, the package's Welford accumulator,
+// against hand-computed moments: mean 5 and sample variance 32/7.
 func TestAccumulatorWelford(t *testing.T) {
-	var acc Accumulator
+	var mv MeanVar
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, x := range xs {
-		acc.Add(x)
+		mv.Add(x)
 	}
-	if acc.Mean() != 5 {
-		t.Errorf("mean %f, want 5", acc.Mean())
+	if mv.Mean != 5 {
+		t.Errorf("mean %f, want 5", mv.Mean)
 	}
-	if math.Abs(acc.Variance()-4.571428571) > 1e-9 {
-		t.Errorf("variance %f", acc.Variance())
+	if math.Abs(mv.Variance()-32.0/7) > 1e-9 {
+		t.Errorf("variance %f, want 32/7", mv.Variance())
 	}
-	if acc.Min() != 2 || acc.Max() != 9 {
-		t.Errorf("min/max %f/%f", acc.Min(), acc.Max())
-	}
-	if acc.N() != 8 {
-		t.Errorf("n %d", acc.N())
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	var a, b, whole Accumulator
-	rng := NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		v := rng.Float64() * 10
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-		t.Errorf("merged mean %f vs %f", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merged variance %f vs %f", a.Variance(), whole.Variance())
+	if mv.N != 8 {
+		t.Errorf("n %d", mv.N)
 	}
 }
 
