@@ -55,19 +55,21 @@ func runCache(args []string, storeDir string) int {
 	}
 }
 
-// cacheList prints one row per completed store entry.
+// cacheList prints one row per completed store entry, ending in the entry's
+// directory under the store root, where its campaign log (checkpoint.jsonl)
+// is the input of the verify subcommand.
 func cacheList(st *cstore.Store) int {
 	es, err := st.Entries()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 1
 	}
-	fmt.Printf("%-16s %-6s %12s %-10s %-7s %8s  %s\n",
-		"key", "seed", "trials", "scenario", "stopped", "wall", "created")
+	fmt.Printf("%-16s %-6s %12s %-10s %-7s %8s  %-20s  %s\n",
+		"key", "seed", "trials", "scenario", "stopped", "wall", "created", "entry")
 	for _, e := range es {
 		m := e.Meta
-		fmt.Printf("%-16s %-6d %12d %-10s %-7v %7.1fs  %s\n",
-			m.Key, m.Seed, m.Trials, m.Name, m.Stopped, m.WallSeconds, m.Created)
+		fmt.Printf("%-16s %-6d %12d %-10s %-7v %7.1fs  %-20s  %s\n",
+			m.Key, m.Seed, m.Trials, m.Name, m.Stopped, m.WallSeconds, m.Created, st.Rel(e.Dir))
 	}
 	fmt.Fprintf(os.Stderr, "%d entr%s in %s\n", len(es), plural(len(es), "y", "ies"), st.Root())
 	return 0

@@ -1,10 +1,11 @@
-// Integration tests for the crash-safety contract of the campaign log: a
-// campaign SIGKILLed mid-run resumes to byte-identical output when the same
-// command is rerun, SIGTERM seals the log gracefully, `relaxfault verify`
-// detects digest and payload corruption, and logs of the retired v1 format
-// are refused. These build and drive the real binary as a subprocess, so
-// they are skipped under -short (CI runs them in a dedicated robustness
-// job).
+// Integration tests for the crash-safety contract of the campaign log each
+// -store entry keeps: a campaign SIGKILLed mid-run resumes to
+// byte-identical output when the same command is rerun, also in the middle
+// of a run of several points, SIGTERM seals the log gracefully,
+// `relaxfault verify` detects digest and payload corruption, and logs of
+// the retired v1 format are refused. These build and drive the real binary
+// as a subprocess, so they are skipped under -short (CI runs them in a
+// dedicated robustness job).
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	cstore "relaxfault/internal/campaign/store"
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 )
@@ -97,14 +99,43 @@ func runBin(t *testing.T, args ...string) (string, string, int) {
 }
 
 // campaignArgs are the flags every logged subprocess campaign shares: the
-// campaign log is cp.jsonl in dir.
+// campaign store is the directory store in dir.
 func campaignArgs(scPath, dir string) []string {
 	return []string{
 		"-scenario", scPath,
-		"-checkpoint", filepath.Join(dir, "cp.jsonl"),
+		"-store", filepath.Join(dir, "store"),
 		"-parallel", "2",
 		"-progress", "0",
 	}
+}
+
+// entryLogs lists the campaign logs of the store in dir, one per entry.
+func entryLogs(dir string) []string {
+	logs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*", "*", cstore.CheckpointFile))
+	return logs
+}
+
+// entryLog returns the log of the store's only entry.
+func entryLog(t *testing.T, dir string) string {
+	t.Helper()
+	logs := entryLogs(dir)
+	if len(logs) != 1 {
+		t.Fatalf("store in %s holds %d entry logs, want 1: %v", dir, len(logs), logs)
+	}
+	return logs[0]
+}
+
+// storeProgress reports how many entry logs the store in dir holds, and
+// how many chunk records the log of the entry still in progress (no entry
+// metadata yet) has.
+func storeProgress(dir string) (logs, pending int) {
+	for _, log := range entryLogs(dir) {
+		logs++
+		if _, err := os.Stat(filepath.Join(filepath.Dir(log), cstore.MetaFile)); err != nil {
+			pending = chunkRecords(log)
+		}
+	}
+	return logs, pending
 }
 
 func writeScenario(t *testing.T, dir, body string) string {
@@ -142,12 +173,13 @@ func lastRecord(t *testing.T, path string) journal.Record {
 	return env.Rec
 }
 
-// startAndSignal starts a logged campaign, waits until minChunks chunk
-// records are durably logged, then delivers sig. It fails the test if the
-// campaign finishes before the signal lands.
-func startAndSignal(t *testing.T, dir, scPath string, minChunks int, sig syscall.Signal) (stdout, stderr string, code int) {
+// startAndSignal starts the binary with args, waits until the store in dir
+// holds the given number of entry logs and the entry in progress has
+// minChunks chunk records durably logged, then delivers sig. It fails the
+// test if the run finishes before the signal lands.
+func startAndSignal(t *testing.T, dir string, args []string, logs, minChunks int, sig syscall.Signal) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(binary(t), campaignArgs(scPath, dir)...)
+	cmd := exec.Command(binary(t), args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Start(); err != nil {
@@ -156,15 +188,14 @@ func startAndSignal(t *testing.T, dir, scPath string, minChunks int, sig syscall
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	logPath := filepath.Join(dir, "cp.jsonl")
 	deadline := time.After(60 * time.Second)
-	for chunkRecords(logPath) < minChunks {
+	for n, pending := storeProgress(dir); n < logs || pending < minChunks; n, pending = storeProgress(dir) {
 		select {
 		case err := <-done:
 			t.Fatalf("campaign finished before the signal could land (sizing bug): err=%v stderr=%s", err, errb.String())
 		case <-deadline:
 			cmd.Process.Kill()
-			t.Fatalf("fewer than %d logged chunks after 60s; the log has %d", minChunks, chunkRecords(logPath))
+			t.Fatalf("after 60s the store has %d entry log(s) and %d chunk(s) pending, want %d and %d", n, pending, logs, minChunks)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -203,10 +234,10 @@ func view(t *testing.T, path string) []byte {
 
 // TestCrashKillResumeByteIdentity is the headline robustness contract:
 // SIGKILL a logged campaign mid-run (no chance to seal or clean up),
-// corrupt the log tail the way a torn write would, and the resumed run must
-// (a) check every logged payload against its digest, (b) produce stdout
-// byte-identical to an uninterrupted run, and (c) leave a log that rebuilds
-// the uninterrupted run's view and verifies end to end.
+// corrupt the entry log's tail the way a torn write would, and the resumed
+// run must (a) check every logged payload against its digest, (b) produce
+// stdout byte-identical to an uninterrupted run, and (c) leave a log that
+// rebuilds the uninterrupted run's view and verifies end to end.
 func TestCrashKillResumeByteIdentity(t *testing.T) {
 	bin := binary(t)
 	_ = bin
@@ -218,7 +249,7 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("reference run exit %d\n%s", code, refErr)
 	}
-	refLog := filepath.Join(refDir, "cp.jsonl")
+	refLog := entryLog(t, refDir)
 	if rec := lastRecord(t, refLog); rec.Type != journal.TypeSeal || rec.Status != journal.StatusComplete {
 		t.Fatalf("reference log tail = %+v, want complete seal", rec)
 	}
@@ -226,7 +257,7 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 	// Killed run: SIGKILL once at least 3 chunks are logged.
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, killScenario)
-	kOut, _, code := startAndSignal(t, dir, scPath, 3, syscall.SIGKILL)
+	kOut, _, code := startAndSignal(t, dir, campaignArgs(scPath, dir), 1, 3, syscall.SIGKILL)
 	if code != -1 {
 		t.Fatalf("SIGKILLed run exited with code %d, want signal death", code)
 	}
@@ -236,7 +267,7 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 
 	// Simulate the torn write a crash can leave behind: a partial line with
 	// no newline, no sum. Resume must truncate it and carry on.
-	jPath := filepath.Join(dir, "cp.jsonl")
+	jPath := entryLog(t, dir)
 	f, err := os.OpenFile(jPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +277,8 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 	}
 	f.Close()
 
-	// Rerun the same command: it resumes the log, verifies the logged
-	// payloads, computes the rest, and prints byte-identical output.
+	// Rerun the same command: it resumes the entry's log, verifies the
+	// logged payloads, computes the rest, and prints byte-identical output.
 	rOut, rErr, code := runBin(t, campaignArgs(scPath, dir)...)
 	if code != 0 {
 		t.Fatalf("resume exit %d\n%s", code, rErr)
@@ -286,20 +317,20 @@ func TestCrashKillResumeByteIdentity(t *testing.T) {
 }
 
 // TestSIGTERMSealsInterrupted checks the graceful-termination path: SIGTERM
-// stops at the next chunk boundary, seals the log "interrupted", and exits
-// 143 — and rerunning the same command resumes the sealed-interrupted log
-// and finishes the campaign.
+// stops at the next chunk boundary, seals the entry log "interrupted", and
+// exits 143 — and rerunning the same command resumes the sealed-interrupted
+// log and finishes the campaign.
 func TestSIGTERMSealsInterrupted(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, killScenario)
-	_, stderr, code := startAndSignal(t, dir, scPath, 1, syscall.SIGTERM)
+	_, stderr, code := startAndSignal(t, dir, campaignArgs(scPath, dir), 1, 1, syscall.SIGTERM)
 	if code != 143 {
 		t.Fatalf("SIGTERM exit %d, want 143\n%s", code, stderr)
 	}
 	if !strings.Contains(stderr, "terminated") || !strings.Contains(stderr, "rerun the same command") {
 		t.Fatalf("stderr does not report termination and how to resume:\n%s", stderr)
 	}
-	jPath := filepath.Join(dir, "cp.jsonl")
+	jPath := entryLog(t, dir)
 	rec := lastRecord(t, jPath)
 	if rec.Type != journal.TypeSeal || rec.Status != journal.StatusInterrupted {
 		t.Fatalf("log tail after SIGTERM = %+v, want interrupted seal", rec)
@@ -344,17 +375,18 @@ func reframe(t *testing.T, path, dst, status string, edit func(i int, rec *journ
 }
 
 // TestVerifySubcommand exercises the verify CLI against one small sealed
-// campaign: clean log → exit 0; corrupted chunk digest or payload → exit 3
-// with the mismatch named (and a run over the corrupted payload refused,
-// the log left as it was); torn tail → warned, valid prefix verified.
+// campaign's entry log: clean log → exit 0; corrupted chunk digest or
+// payload → exit 3 with the mismatch named (and an entry whose log holds
+// the corrupted payload recomputed, since the store owns its logs); torn
+// tail → warned, valid prefix verified.
 func TestVerifySubcommand(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, smokeScenario)
-	jPath := filepath.Join(dir, "cp.jsonl")
-	_, stderr, code := runBin(t, campaignArgs(scPath, dir)...)
+	refOut, stderr, code := runBin(t, campaignArgs(scPath, dir)...)
 	if code != 0 {
 		t.Fatalf("campaign exit %d\n%s", code, stderr)
 	}
+	jPath := entryLog(t, dir)
 
 	t.Run("clean", func(t *testing.T) {
 		out, _, code := runBin(t, "verify", "-journal", jPath, "-progress", "0")
@@ -392,20 +424,34 @@ func TestVerifySubcommand(t *testing.T) {
 		if code != 3 || !strings.Contains(out, "1 mismatched") || !strings.Contains(stderr, "payload digest mismatch") {
 			t.Fatalf("verify of tampered payload: exit %d\nstdout: %s\nstderr: %s", code, out, stderr)
 		}
-		resumeDir := t.TempDir()
+
+		// The tampered log as the log of an entry still in progress: the
+		// rerun finds the entry unusable and recomputes it.
+		runDir := t.TempDir()
+		args := campaignArgs(writeScenario(t, runDir, smokeScenario), runDir)
+		if _, stderr, code := runBin(t, args...); code != 0 {
+			t.Fatalf("campaign exit %d\n%s", code, stderr)
+		}
+		runLog := entryLog(t, runDir)
 		data, err := os.ReadFile(lie)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(resumeDir, "cp.jsonl"), data, 0o644); err != nil {
+		if err := os.WriteFile(runLog, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, stderr, code = runBin(t, campaignArgs(writeScenario(t, resumeDir, smokeScenario), resumeDir)...)
-		if code != 1 || !strings.Contains(stderr, "fail their digest check") {
-			t.Fatalf("resume of tampered payload: exit %d, want 1 naming the chunk\n%s", code, stderr)
+		if err := os.Remove(filepath.Join(filepath.Dir(runLog), cstore.MetaFile)); err != nil {
+			t.Fatal(err)
 		}
-		if after, err := os.ReadFile(filepath.Join(resumeDir, "cp.jsonl")); err != nil || !bytes.Equal(after, data) {
-			t.Fatalf("refused resume modified the tampered log (%v)", err)
+		out, stderr, code = runBin(t, args...)
+		if code != 0 || !strings.Contains(stderr, "fail their digest check") || !strings.Contains(stderr, "recomputing") {
+			t.Fatalf("rerun over the tampered entry log: exit %d, want 0 recomputing it\n%s", code, stderr)
+		}
+		if out != refOut {
+			t.Fatalf("recomputed stdout differs from the first run:\n--- recomputed ---\n%s--- first ---\n%s", out, refOut)
+		}
+		if out, stderr, code := runBin(t, "verify", "-journal", runLog, "-progress", "0"); code != 0 || !strings.Contains(out, "3 verified, 0 mismatched") {
+			t.Fatalf("verify of the recomputed log: exit %d\nstdout: %s\nstderr: %s", code, out, stderr)
 		}
 	})
 
@@ -431,29 +477,49 @@ func TestVerifySubcommand(t *testing.T) {
 
 // TestV1LogRefused pins the format boundary with a log of the retired v1
 // format, written by an earlier release for smokeScenario (digests, no
-// payloads): verify and a run over a copy both refuse it naming its
-// schema, and the file stays as it was.
+// payloads): verify refuses it naming its schema. (A store entry whose log
+// is of the v1 format is recomputed; campaign.TestStuckEntryLogRecomputes
+// pins that.)
 func TestV1LogRefused(t *testing.T) {
 	const fixture, v1 = "testdata/smoke-v1.journal", "relaxfault-journal/v1"
 	_, stderr, code := runBin(t, "verify", "-journal", fixture, "-progress", "0")
 	if code != 1 || !strings.Contains(stderr, v1) {
 		t.Fatalf("verify of the v1 log: exit %d, want 1 naming %s\n%s", code, v1, stderr)
 	}
+}
 
+// TestCrashKillSweepResumes is the case a run of several points puts to the
+// store: a two-point sweep of killScenario is SIGKILLed during its second
+// point. The rerun serves the first point as a cache hit, resumes the
+// second from its entry log, and prints stdout byte-identical to an
+// unpersisted run of the same sweep.
+func TestCrashKillSweepResumes(t *testing.T) {
 	dir := t.TempDir()
-	data, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
+	scPath := writeScenario(t, dir, killScenario)
+	sweep := []string{"sweep", "-set", "seed=7,8"}
+
+	refOut, refErr, code := runBin(t, append(sweep, "-scenario", scPath, "-parallel", "2", "-progress", "0")...)
+	if code != 0 {
+		t.Fatalf("unpersisted sweep exit %d\n%s", code, refErr)
 	}
-	logPath := filepath.Join(dir, "cp.jsonl")
-	if err := os.WriteFile(logPath, data, 0o644); err != nil {
-		t.Fatal(err)
+
+	args := append(sweep, campaignArgs(scPath, dir)...)
+	kOut, _, code := startAndSignal(t, dir, args, 2, 3, syscall.SIGKILL)
+	if code != -1 {
+		t.Fatalf("SIGKILLed sweep exited with code %d, want signal death", code)
 	}
-	_, stderr, code = runBin(t, campaignArgs(writeScenario(t, dir, smokeScenario), dir)...)
-	if code != 1 || !strings.Contains(stderr, v1) {
-		t.Fatalf("run over the v1 log: exit %d, want 1 naming %s\n%s", code, v1, stderr)
+	if strings.Count(kOut, "Scenario ") != 1 {
+		t.Fatalf("killed sweep printed %d point(s), want the first only:\n%s", strings.Count(kOut, "Scenario "), kOut)
 	}
-	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, data) {
-		t.Fatalf("refused run modified the v1 log (%v)", err)
+
+	rOut, rErr, code := runBin(t, args...)
+	if code != 0 {
+		t.Fatalf("rerun exit %d\n%s", code, rErr)
+	}
+	if !strings.Contains(rErr, "cache hit") || !strings.Contains(rErr, "logged chunk(s) verified") {
+		t.Fatalf("rerun did not serve the first point from the store and resume the second:\n%s", rErr)
+	}
+	if rOut != refOut {
+		t.Fatalf("rerun stdout differs from the unpersisted sweep:\n--- rerun ---\n%s--- unpersisted ---\n%s", rOut, refOut)
 	}
 }

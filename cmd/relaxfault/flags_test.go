@@ -17,18 +17,14 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // empty = must pass
 	}{
 		{"bare run", flagRules{}, ""},
-		{"checkpoint only", flagRules{Checkpoint: "c"}, ""},
 		{"store only", flagRules{Store: "s"}, ""},
 		{"sweep with sets", flagRules{Sub: "sweep", Sets: 2}, ""},
 		{"verify", flagRules{Sub: "verify", Journal: "j"}, ""},
 		{"cache", flagRules{Sub: "cache", Store: "s"}, ""},
 
-		{"journal on a run", flagRules{Journal: "j"}, "-checkpoint"},
-		{"journal beside checkpoint", flagRules{Checkpoint: "c", Journal: "j"}, "-journal names the verify subcommand's input"},
+		{"journal on a run", flagRules{Journal: "j"}, "a run keeps its campaign logs in -store"},
 		{"journal on a sweep", flagRules{Sub: "sweep", Journal: "j"}, "-journal names the verify subcommand's input"},
-		{"store+checkpoint", flagRules{Store: "s", Checkpoint: "c"}, "conflicts with -checkpoint"},
 		{"sets without sweep", flagRules{Sets: 1}, "-set is only meaningful"},
-		{"verify+checkpoint", flagRules{Sub: "verify", Journal: "j", Checkpoint: "c"}, "verify replays a journal only"},
 		{"verify+store", flagRules{Sub: "verify", Journal: "j", Store: "s"}, "verify replays a journal only"},
 		{"cache without store", flagRules{Sub: "cache"}, "cache requires -store"},
 	}
@@ -48,16 +44,22 @@ func TestValidateFlags(t *testing.T) {
 
 // TestUnknownExperimentRejectedBeforeArtifacts pins that experiment names
 // resolve before anything is opened: a typoed name is a usage error (exit
-// 2) that leaves no campaign log or manifest behind. So is -resume, which
-// is not a flag: a run continues an existing -checkpoint log by itself.
+// 2) that leaves no campaign store or manifest behind. So are -resume and
+// -checkpoint, which are not flags: a run persists only through -store,
+// and continues a killed run's store entry by itself.
 func TestUnknownExperimentRejectedBeforeArtifacts(t *testing.T) {
-	for _, tc := range []struct{ arg, wantErr string }{
-		{"fig99", `unknown experiment "fig99"`},
-		{"-resume", "flag provided but not defined: -resume"},
+	for _, tc := range []struct{ arg, file, wantErr string }{
+		{"fig99", "", `unknown experiment "fig99"`},
+		{"-resume", "", "flag provided but not defined: -resume"},
+		{"-checkpoint", "x.jsonl", "flag provided but not defined: -checkpoint"},
 	} {
 		dir := t.TempDir()
-		_, stderr, code := runBin(t, "-progress", "0",
-			"-checkpoint", filepath.Join(dir, "cp.jsonl"), tc.arg, "tab1")
+		args := []string{"-progress", "0", "-metrics", filepath.Join(dir, "m.json"),
+			"-store", filepath.Join(dir, "store"), tc.arg}
+		if tc.file != "" {
+			args = append(args, filepath.Join(dir, tc.file))
+		}
+		_, stderr, code := runBin(t, append(args, "tab1")...)
 		if code != 2 {
 			t.Fatalf("%s: exit %d, want 2\n%s", tc.arg, code, stderr)
 		}

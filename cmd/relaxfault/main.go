@@ -4,7 +4,7 @@
 // Usage:
 //
 //	relaxfault [-scale quick|paper] [-seed N] [-parallel N] [-timeout D]
-//	           [-progress D] [-checkpoint FILE]
+//	           [-progress D] [-store DIR]
 //	           [-metrics FILE|-] [-events FILE] [-pprof ADDR] [-trace FILE]
 //	           <experiment> [...]
 //	relaxfault -scenario FILE|PRESET [-store DIR]
@@ -31,27 +31,24 @@
 //
 // The run harness makes long campaigns survivable: ^C or SIGTERM cancels
 // gracefully at the next work-chunk boundary (a second signal force-quits),
-// -timeout bounds each experiment, -checkpoint FILE keeps the campaign log
-// — rerunning the same command continues a killed run from it with
+// -timeout bounds each experiment, -store DIR keeps every campaign's log —
+// rerunning the same command continues a killed run from it with
 // bitwise-identical output — and a requested experiment that fails no
 // longer aborts the rest: failures are collected and summarised.
 //
-// The campaign log is the run's one durable artifact: an append-only,
+// -store DIR is a content-addressed campaign store: every scenario run is
+// one entry, keyed by its budget-free campaign fingerprint and seed.
+// The entry's campaign log is its one durable artifact: an append-only,
 // fsync'd file with one record per completed chunk, carrying the chunk's
-// payload and its digest. A run whose -checkpoint file exists resumes it:
-// a torn tail is cut and every payload is checked against its digest
-// before the run trusts it. A log that cannot be continued — no valid open
-// record, sealed complete, or a payload failing its digest — is refused
-// and left as it was. "relaxfault verify -journal FILE" later re-executes
-// every logged chunk from the campaign specs embedded in the log itself and
-// compares digests — no original command line needed.
-//
-// -store DIR replaces the explicit -checkpoint plumbing with a
-// content-addressed campaign store: every scenario run is keyed by its
-// budget-free campaign fingerprint and seed, repeated runs are verified
-// cache hits (zero trials execute), and a bumped trial budget resumes from
-// the largest cached entry instead of starting over. "relaxfault cache"
-// lists, inspects, and evicts store entries.
+// payload and its digest. A rerun resumes an entry whose run was killed: a
+// torn tail is cut and every payload is checked against its digest before
+// the run trusts it; a log that cannot be continued is recomputed. A
+// repeated run is a verified cache hit (zero trials execute), and a bumped
+// trial budget resumes from the largest cached entry instead of starting
+// over. "relaxfault cache" lists, inspects, and evicts store entries, and
+// "relaxfault verify -journal FILE" re-executes every chunk of an entry's
+// log from the campaign spec embedded in the log itself and compares
+// digests — no original command line needed.
 //
 // Telemetry (see OBSERVABILITY.md): -metrics writes a run manifest with the
 // full metrics snapshot, -events streams JSONL progress/run events, and
@@ -104,13 +101,13 @@ func main() {
 
 // options holds the parsed command line flags.
 type options struct {
-	scale, checkpoint, journal, metrics, events string
-	pprof, trace, scenario, store               string
-	seed                                        uint64
-	seedSet                                     bool
-	timeout, progress                           time.Duration
-	parallel                                    int
-	sets                                        repeatedFlag
+	scale, journal, metrics, events string
+	pprof, trace, scenario, store   string
+	seed                            uint64
+	seedSet                         bool
+	timeout, progress               time.Duration
+	parallel                        int
+	sets                            repeatedFlag
 }
 
 // parseFlags defines every flag — its help text is the one source usage
@@ -121,15 +118,14 @@ func parseFlags() (*options, []string) {
 	flag.Uint64Var(&o.seed, "seed", 7, "Monte Carlo seed")
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-experiment deadline, e.g. 30m (0 = none)")
 	flag.DurationVar(&o.progress, "progress", 10*time.Second, "progress/watchdog report interval on stderr (0 = silent)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "keep the campaign log `FILE`: one fsync'd record per completed Monte Carlo chunk, carrying its payload and digest; an existing log is continued, and the same command reproduces the uninterrupted output exactly")
-	flag.StringVar(&o.journal, "journal", "", "the campaign log `FILE` the verify subcommand replays (a run names its log with -checkpoint)")
+	flag.StringVar(&o.journal, "journal", "", "the campaign log `FILE` the verify subcommand replays (a run keeps one log per scenario in its -store entry)")
 	flag.StringVar(&o.metrics, "metrics", "", "write the run manifest (config fingerprint, timings, metrics snapshot) to `FILE`; \"-\" prints JSON to stdout")
 	flag.StringVar(&o.events, "events", "", "append JSONL progress/run events to `FILE`")
 	flag.StringVar(&o.pprof, "pprof", "", "serve /debug/pprof, /debug/vars, Prometheus /metrics, and a live /debug/status snapshot (per-worker chunk, trials/s, ETA, journal health) on `ADDR`, e.g. localhost:6060")
 	flag.StringVar(&o.trace, "trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to `FILE`; the scheduler-attribution report lands in the manifest's \"trace\" block and is printed as a table")
 	flag.IntVar(&o.parallel, "parallel", 0, "Monte Carlo worker pool size (0 = all cores); any value yields bitwise-identical results")
 	flag.StringVar(&o.scenario, "scenario", "", "run the scenario `FILE|PRESET` (a JSON spec file or a registry preset) through the generic runner; spec files carry their own budget and seed, an explicit -seed overrides")
-	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: a repeated run is a verified cache hit (zero trials) and a larger trial budget resumes from the largest cached entry; conflicts with -checkpoint")
+	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: each scenario keeps its campaign log (one fsync'd record per completed chunk, carrying its payload and digest) in its own entry; rerunning the same command resumes a killed run with identical output, a repeated run is a verified cache hit (zero trials), and a larger trial budget resumes from the largest cached entry")
 	flag.Var(&o.sets, "set", "sweep axis `path=v1[,v2...]` for the sweep subcommand (repeatable); the cross-product runs, one manifest per point next to the -metrics target")
 	flag.Usage = usage
 	args := parseArgs()
@@ -162,9 +158,7 @@ func run() int {
 		sub, args = args[0], args[1:]
 	}
 	if err := validateFlags(flagRules{
-		Sub:        sub,
-		Checkpoint: o.checkpoint, Journal: o.journal, Store: o.store,
-		Sets: len(o.sets),
+		Sub: sub, Journal: o.journal, Store: o.store, Sets: len(o.sets),
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
@@ -180,9 +174,9 @@ func run() int {
 }
 
 // point is one named unit of a run — an experiment, the -scenario, or one
-// sweep point — with the resolved scenario record the manifest and the
-// journal's open record embed, the scenario it runs (nil for the static
-// tables), and the rendering of that scenario's result as its artifact.
+// sweep point — with the resolved scenario record the manifest embeds, the
+// scenario it runs (nil for the static tables), and the rendering of that
+// scenario's result as its artifact.
 type point struct {
 	name   string
 	rec    *harness.ScenarioRecord
@@ -202,15 +196,17 @@ func presetAt(name string, b scenario.Budget, seed uint64) (*scenario.Scenario, 
 
 // resolve turns the positional arguments into the run's points: experiment
 // names ("all" expanded), the -scenario, or the sweep's expansion of it.
-// Every error is a usage error, returned before any artifact is opened.
-func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]point, error) {
+// It also returns the run's seed: -seed for experiments, the resolved
+// seed of the -scenario otherwise. Every error is a usage error, returned
+// before any artifact is opened.
+func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]point, uint64, error) {
 	if o.scenario == "" {
 		if sweep {
-			return nil, errors.New("sweep requires -scenario FILE|PRESET")
+			return nil, 0, errors.New("sweep requires -scenario FILE|PRESET")
 		}
 		names, err := experiments.Resolve(args)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		// Experiments presenting one preset's results share its scenario,
 		// so the runner runs it once.
@@ -229,19 +225,19 @@ func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]p
 			}
 			if shared[e.Preset] == nil {
 				if shared[e.Preset], err = presetAt(e.Preset, budget, o.seed); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 			pts[i].sc = shared[e.Preset]
 		}
-		return pts, nil
+		return pts, o.seed, nil
 	}
 	if len(args) > 0 {
-		return nil, fmt.Errorf("-scenario and sweep take no experiment names (got %q)", args)
+		return nil, 0, fmt.Errorf("-scenario and sweep take no experiment names (got %q)", args)
 	}
 	base, err := loadScenarioArg(o.scenario, budget, o.seedSet, o.seed)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	scs := []*scenario.Scenario{base}
 	if sweep {
@@ -249,12 +245,12 @@ func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]p
 		for _, raw := range o.sets {
 			ax, err := scenario.ParseSet(raw)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			axes = append(axes, ax)
 		}
 		if scs, err = scenario.Expand(base, axes); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		fmt.Fprintf(os.Stderr, "relaxfault: sweep expands to %d points\n", len(scs))
 	}
@@ -265,18 +261,18 @@ func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]p
 			pts[i].rec = &rec
 		}
 	}
-	return pts, nil
+	return pts, *base.Seed, nil
 }
 
-// runner runs the points' scenarios: through the keyed campaign layer
-// under -store, on the generic runner with the -checkpoint log otherwise.
-// It keeps results by scenario, so points presenting one simulation —
-// fig12 and fig13, fig15 and fig16 — share one run.
+// runner runs the points' scenarios through the campaign layer, which
+// keeps each one's log in its -store entry, or runs it directly without
+// -store. It keeps results by scenario, so points presenting one
+// simulation — fig12 and fig13, fig15 and fig16 — share one run.
 type runner struct {
-	ex      scenario.Exec
+	opts    campaign.Options
 	store   *cstore.Store
 	results map[*scenario.Scenario]*scenario.Result
-	// campaigns collects the record of every keyed campaign for the run
+	// campaigns collects the record of every stored campaign for the run
 	// manifest.
 	campaigns []harness.CampaignRecord
 }
@@ -287,32 +283,22 @@ func (r *runner) run(ctx context.Context, p point) (string, error) {
 	if p.sc == nil {
 		return p.render(nil), nil
 	}
-	res := r.results[p.sc]
-	if res == nil {
-		var err error
-		if r.store != nil {
-			var rec *harness.CampaignRecord
-			res, rec, err = campaign.RunStore(ctx, p.sc, r.store, campaign.Options{
-				Workers: r.ex.Workers, Mon: r.ex.Mon, Trace: r.ex.Trace,
-			})
-			if rec != nil {
-				r.campaigns = append(r.campaigns, *rec)
-			}
-		} else {
-			res, err = scenario.RunCtx(ctx, p.sc, r.ex)
+	if r.results[p.sc] == nil {
+		res, rec, err := campaign.RunStore(ctx, p.sc, r.store, r.opts)
+		if rec != nil {
+			r.campaigns = append(r.campaigns, *rec)
 		}
 		if err != nil {
 			return "", err
 		}
 		r.results[p.sc] = res
 	}
-	return p.render(res), nil
+	return p.render(r.results[p.sc]), nil
 }
 
 // runPoints is the default run and the sweep subcommand: resolve the
 // points, open the run's artifacts, execute every point in one loop, then
-// seal the campaign log and write the manifest. A sweep additionally writes
-// one manifest per point.
+// write the manifest. A sweep additionally writes one manifest per point.
 func runPoints(o *options, args []string, sweep bool) int {
 	budget := scenario.DefaultBudget()
 	switch o.scale {
@@ -324,14 +310,12 @@ func runPoints(o *options, args []string, sweep bool) int {
 		return 2
 	}
 
-	points, err := resolve(o, args, sweep, budget)
+	points, seed, err := resolve(o, args, sweep, budget)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
 	}
-	// Every resolved scenario is embedded both in the run manifest and — when
-	// a campaign log is kept — in the log's open record, which is what makes
-	// "relaxfault verify" self-contained.
+	// Every resolved scenario is embedded in the run manifest.
 	var records []harness.ScenarioRecord
 	runNames := make([]string, len(points))
 	for i, p := range points {
@@ -342,7 +326,8 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}
 
 	// First SIGINT/SIGTERM: cancel the context so in-flight chunks finish
-	// and are logged, and the log seals. Second signal: force-quit.
+	// and are logged, and the campaign's log seals. Second signal:
+	// force-quit.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var gotTerm atomic.Bool
@@ -373,9 +358,10 @@ func runPoints(o *options, args []string, sweep bool) int {
 		tracer = runtrace.New()
 	}
 
-	// -store: open the content-addressed campaign store and route every
-	// scenario run through the keyed campaign layer.
-	r := &runner{results: map[*scenario.Scenario]*scenario.Result{}}
+	r := &runner{
+		opts:    campaign.Options{Workers: o.parallel, Mon: mon, Trace: tracer},
+		results: map[*scenario.Scenario]*scenario.Result{},
+	}
 	if o.store != "" {
 		if r.store, err = cstore.Open(o.store); err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
@@ -416,25 +402,10 @@ func runPoints(o *options, args []string, sweep bool) int {
 		mon.SetEventWriter(f)
 	}
 	manifest := harness.NewManifest()
-	// An explicit -checkpoint log is one unkeyed campaign: the campaign
-	// layer creates the log, or reopens an existing one (checking every
-	// logged payload against its digest first), and embeds the resolved
-	// scenario records in its open or resume record.
-	camp, err := campaign.OpenUnkeyed(campaign.UnkeyedConfig{
-		Checkpoint: o.checkpoint, Seed: o.seed, Records: records,
-	}, campaign.Options{Workers: o.parallel, Mon: mon, Trace: tracer})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
-		return 1
-	}
-	defer camp.Close()
-	r.ex = scenario.Exec{Workers: o.parallel, Mon: mon, Store: camp.Store(), Trace: tracer}
-	jw := camp.Journal()
-
 	mon.Event("run_start", map[string]any{
 		"experiments": runNames,
 		"scale":       o.scale,
-		"seed":        o.seed,
+		"seed":        seed,
 	})
 
 	// Graceful degradation: every point runs; failures are collected and
@@ -459,7 +430,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 			pm.Experiments = []string{p.name}
 			pm.Scale = o.scale
 			pm.Seed = *p.sc.Seed // every sweep point runs a scenario
-			pm.Checkpoint = o.checkpoint
 			if p.rec != nil {
 				pm.Scenarios = []harness.ScenarioRecord{*p.rec}
 				pm.Fingerprint = p.rec.Fingerprint
@@ -471,7 +441,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 				pm.Failures = failures[fail0:]
 			}
 			pm.Finish()
-			if path := sweepManifestPath(o.metrics, o.checkpoint, i); path != "" {
+			if path := sweepManifestPath(o.metrics, i); path != "" {
 				if err := pm.WriteFile(path); err != nil {
 					fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 				}
@@ -483,20 +453,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}
 	mon.SetLabel("")
 
-	// Seal the log before the manifest reports on it. "complete" freezes
-	// the campaign; an interrupted or partly-failed run seals "interrupted"
-	// so a rerun can reopen it and append more chunks.
-	if jw != nil {
-		status := journal.StatusComplete
-		if interrupted || len(failures) > 0 {
-			status = journal.StatusInterrupted
-		}
-		if err := jw.Seal(status); err != nil {
-			fmt.Fprintf(os.Stderr, "relaxfault: sealing campaign log: %v\n", err)
-			failures = append(failures, fmt.Sprintf("log seal: %v", err))
-		}
-	}
-
 	code := 0
 	switch {
 	case interrupted:
@@ -505,9 +461,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 			verb, sig = "terminated", 143
 		}
 		fmt.Fprintf(os.Stderr, "relaxfault: %s", verb)
-		if o.checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "; partial results checkpointed to %s (rerun the same command to resume)", o.checkpoint)
-		} else if o.store != "" {
+		if o.store != "" {
 			fmt.Fprintf(os.Stderr, "; partial results checkpointed in %s (rerun the same command to resume)", o.store)
 		}
 		fmt.Fprintf(os.Stderr, "\n")
@@ -544,15 +498,8 @@ func runPoints(o *options, args []string, sweep bool) int {
 
 	manifest.Experiments = runNames
 	manifest.Scale = o.scale
-	manifest.Seed = o.seed
-	manifest.Fingerprint = harness.Fingerprint("relaxfault-cli", o.scale, o.seed, runNames)
-	manifest.Checkpoint = o.checkpoint
-	if jw != nil {
-		manifest.Journal = o.checkpoint
-		manifest.JournalSealed = jw.Sealed()
-		manifest.JournalChunks = jw.ChunkRecords()
-		manifest.JournalVerifiedChunks = camp.Store().Verified()
-	}
+	manifest.Seed = seed
+	manifest.Fingerprint = harness.Fingerprint("relaxfault-cli", o.scale, seed, runNames)
 	manifest.Scenarios = records
 	manifest.Campaigns = r.campaigns
 	manifest.TrialsDone = mon.DoneTrials()
@@ -564,7 +511,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 		"trials_done":  manifest.TrialsDone,
 		"wall_seconds": manifest.WallSeconds,
 	})
-	if err := writeManifest(manifest, o.metrics, o.checkpoint); err != nil {
+	if err := writeManifest(manifest, o.metrics); err != nil {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		if code == 0 {
 			code = 1
@@ -576,7 +523,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 // runPoint executes one point under the optional per-point deadline,
 // prints its artifact to stdout, and reports its timing.
 func runPoint(ctx context.Context, p point, r *runner, timeout time.Duration) error {
-	mon, tracer := r.ex.Mon, r.ex.Trace
+	mon, tracer := r.opts.Mon, r.opts.Trace
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -652,9 +599,9 @@ func runVerify(rest []string, path string, workers int, progress time.Duration) 
 // flagRules is the cross-flag validation input: the detected subcommand
 // plus every flag that participates in a cross-flag rule.
 type flagRules struct {
-	Sub                        string // "", "list", "verify", "cache", "sweep"
-	Checkpoint, Journal, Store string
-	Sets                       int // number of -set occurrences
+	Sub            string // "", "list", "verify", "cache", "sweep"
+	Journal, Store string
+	Sets           int // number of -set occurrences
 }
 
 // validateFlags enforces every cross-flag rule in one place, at parse time,
@@ -663,8 +610,8 @@ type flagRules struct {
 func validateFlags(r flagRules) error {
 	switch r.Sub {
 	case "verify":
-		if r.Checkpoint != "" || r.Store != "" {
-			return errors.New("verify replays a journal only; -checkpoint and -store do not apply")
+		if r.Store != "" {
+			return errors.New("verify replays a journal only; -store does not apply")
 		}
 		return nil
 	case "cache":
@@ -676,10 +623,7 @@ func validateFlags(r flagRules) error {
 		return nil
 	}
 	if r.Journal != "" {
-		return errors.New("-journal names the verify subcommand's input; a run keeps its campaign log at -checkpoint FILE")
-	}
-	if r.Store != "" && r.Checkpoint != "" {
-		return errors.New("-store manages campaign logs and resume itself; it conflicts with -checkpoint")
+		return errors.New("-journal names the verify subcommand's input; a run keeps its campaign logs in -store DIR")
 	}
 	if r.Sets > 0 && r.Sub != "sweep" {
 		return errors.New("-set is only meaningful with the sweep subcommand")
@@ -720,20 +664,14 @@ func loadScenarioArg(arg string, budget scenario.Budget, seedSet bool, seed uint
 }
 
 // sweepManifestPath derives the per-point manifest path from the -metrics
-// target (or the checkpoint manifest) by inserting a .sweepNN tag before
-// the extension. Empty when neither target names a file.
-func sweepManifestPath(metricsOut, checkpoint string, i int) string {
-	var base string
-	switch {
-	case metricsOut != "" && metricsOut != "-":
-		base = metricsOut
-	case checkpoint != "":
-		base = checkpoint + ".manifest.json"
-	default:
+// target by inserting a .sweepNN tag before the extension. Empty when the
+// target names no file.
+func sweepManifestPath(metricsOut string, i int) string {
+	if metricsOut == "" || metricsOut == "-" {
 		return ""
 	}
-	ext := filepath.Ext(base)
-	return fmt.Sprintf("%s.sweep%02d%s", strings.TrimSuffix(base, ext), i, ext)
+	ext := filepath.Ext(metricsOut)
+	return fmt.Sprintf("%s.sweep%02d%s", strings.TrimSuffix(metricsOut, ext), i, ext)
 }
 
 // printPresetList prints the scenario registry (the list subcommand),
@@ -772,15 +710,9 @@ func parseArgs() []string {
 	return positional
 }
 
-// writeManifest persists the run manifest: always next to the checkpoint
-// when one is in use, and additionally to the -metrics target ("-" prints
-// JSON to stdout, after the experiment artifacts).
-func writeManifest(m *harness.Manifest, target, checkpoint string) error {
-	if checkpoint != "" {
-		if err := m.WriteFile(checkpoint + ".manifest.json"); err != nil {
-			return err
-		}
-	}
+// writeManifest persists the run manifest to the -metrics target ("-"
+// prints JSON to stdout, after the experiment artifacts).
+func writeManifest(m *harness.Manifest, target string) error {
 	switch target {
 	case "":
 		return nil
@@ -828,11 +760,12 @@ Every other preset (rare-due, strat-due, ...) and any scenario JSON runs via
 scenario's resolved spec and fingerprint. See EXPERIMENTS.md for the schema
 and OBSERVABILITY.md for the metric catalogue.
 
-"cache list" prints every completed -store entry, "cache show KEY" dumps the
-matching entries' metadata as JSON, and "cache evict KEY" removes every entry
-under a key prefix (refusing keys a live run has claimed). "verify" replays a
-campaign log end to end from the campaign specs embedded in it, comparing
-chunk digests; it needs only the log file.
+"cache list" prints every completed -store entry with its directory under the
+store, "cache show KEY" dumps the matching entries' metadata as JSON, and
+"cache evict KEY" removes every entry under a key prefix (refusing keys a live
+run has claimed). "verify" replays a campaign log end to end from the campaign
+spec embedded in it, comparing chunk digests; it needs only the log file (an
+entry's checkpoint.jsonl).
 
 exit codes: 0 ok; 1 experiment failure (a panicking trial fails its
 experiment); 2 usage; 3 journal verification mismatches; 130 interrupted

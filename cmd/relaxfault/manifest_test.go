@@ -1,0 +1,88 @@
+package main
+
+import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"relaxfault/internal/harness"
+)
+
+// seededScenario is a small spec that names its own seed.
+const seededScenario = `{
+  "schema": "relaxfault-scenario/v1",
+  "name": "seeded",
+  "kind": "reliability",
+  "seed": 11,
+  "budget": {"nodes": 9000, "replicas": 1},
+  "fault": {"fit_scale": 10},
+  "reliability": {"cells": [{"label": "no-repair", "way_limit": 0}]}
+}
+`
+
+// TestRunSeedRecorded pins the seed a run records in its manifest, its
+// manifest fingerprint and its run_start event: a -scenario run records
+// the seed its resolved scenario ran (a spec file's own, unless -seed
+// overrides it), and a run by experiment name records -seed.
+func TestRunSeedRecorded(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeScenario(t, dir, seededScenario)
+	for _, tc := range []struct {
+		name string
+		args []string
+		seed uint64
+	}{
+		{"seeded", []string{"-scenario", spec}, 11},
+		{"seeded", []string{"-scenario", spec, "-seed", "3"}, 3},
+		{"tab1", []string{"-seed", "3", "tab1"}, 3},
+	} {
+		man, events := filepath.Join(dir, "m.json"), filepath.Join(dir, "e.jsonl")
+		os.Remove(events)
+		_, stderr, code := runBin(t, append(tc.args, "-progress", "0", "-metrics", man, "-events", events)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", tc.args, code, stderr)
+		}
+		data, err := os.ReadFile(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m harness.Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if want := harness.Fingerprint("relaxfault-cli", "quick", tc.seed, []string{tc.name}); m.Seed != tc.seed || m.Fingerprint != want {
+			t.Errorf("%v: manifest seed %d, fingerprint %s; want %d, %s", tc.args, m.Seed, m.Fingerprint, tc.seed, want)
+		}
+		if got := runStartSeed(t, events); got != tc.seed {
+			t.Errorf("%v: run_start event seed %d, want %d", tc.args, got, tc.seed)
+		}
+	}
+}
+
+// runStartSeed returns the seed of the run_start event in the JSONL events
+// file at path.
+func runStartSeed(t *testing.T, path string) uint64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var ev struct {
+			Type string `json:"type"`
+			Seed uint64 `json:"seed"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == "run_start" {
+			return ev.Seed
+		}
+	}
+	t.Fatalf("no run_start event in %s", path)
+	return 0
+}

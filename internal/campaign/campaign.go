@@ -1,15 +1,16 @@
 // Package campaign owns the lifecycle of one simulation campaign: Plan
-// derives the canonical campaign key from a resolved scenario, Open wires
-// the campaign log and telemetry (from an explicit -checkpoint path, or
-// from a content-addressed result store for keyed campaigns), Run drives
-// the scenario runner, and Seal freezes the log and records the campaign's
-// store coordinates for the run manifest.
+// derives the canonical campaign key from a resolved scenario, Open
+// resolves it against a content-addressed result store and wires the
+// campaign log and telemetry, Run drives the scenario runner, and Seal
+// freezes the log and records the campaign's store coordinates for the run
+// manifest.
 //
-// A campaign's one durable artifact is its log (package journal): every
-// completed chunk is appended with its payload, and the harness.Store the
-// runner checkpoints into is the in-memory view rebuilt from the log.
+// A campaign's one durable artifact is its log (package journal), kept in
+// its store entry: every completed chunk is appended with its payload, and
+// the harness.Store the runner checkpoints into is the in-memory view
+// rebuilt from the log.
 //
-// Keyed campaigns are budget-aware. The campaign key hashes the scenario
+// Campaigns are budget-aware. The campaign key hashes the scenario
 // with its elastic trial-budget axes cleared (scenario.CampaignFingerprint),
 // so store entries computed at different budgets share a key and serve
 // each other: an entry at the exact budget is a pure cache hit (its sealed
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	cstore "relaxfault/internal/campaign/store"
@@ -88,27 +90,18 @@ func NewPlan(sc *scenario.Scenario) (*Plan, error) {
 	}, nil
 }
 
-// Options carries the execution-environment attachments of a campaign.
-// None of it affects results.
-type Options struct {
-	Workers int
-	// Mon, if non-nil, receives progress and holds the live campaign log
-	// for its status snapshot.
-	Mon   *harness.Monitor
-	Trace *runtrace.Recorder
-}
+// Options is the execution environment a campaign runs in. None of it
+// affects results. Open ignores its Store: the campaign's own log view
+// takes its place.
+type Options = harness.Exec
 
 // Campaign is one open campaign: its log and its lifecycle state.
 type Campaign struct {
-	// Plan is nil for unkeyed campaigns (explicit -checkpoint path).
 	Plan *Plan
-	opts Options
+	// ex is the environment Run executes in. Its Store is the view over
+	// the campaign log: read-only for a cache hit, nil for a perf hit.
+	ex harness.Exec
 
-	// cp is the view over the campaign log (nil when none is kept); a cache
-	// hit's view is read-only.
-	cp *harness.Store
-
-	// Keyed state.
 	st    *cstore.Store
 	dir   string
 	claim *cstore.Claim
@@ -122,43 +115,8 @@ type Campaign struct {
 	closed bool
 }
 
-// Store returns the view Run checkpoints into (nil when the campaign keeps
-// no log).
-func (c *Campaign) Store() *harness.Store { return c.cp }
-
-// Journal returns the live log writer (nil without a writable log).
-func (c *Campaign) Journal() *journal.Writer { return c.cp.Journal() }
-
-// CacheHit reports whether Open resolved the campaign to a completed store
-// entry (Run will execute zero trials).
-func (c *Campaign) CacheHit() bool { return c.hit != nil }
-
-// Record returns the campaign's manifest record (zero Key for unkeyed
-// campaigns).
+// Record returns the campaign's manifest record.
 func (c *Campaign) Record() harness.CampaignRecord { return c.rec }
-
-// UnkeyedConfig mirrors the explicit-path flag: the campaign log file.
-// Records are the scenarios the run will execute, embedded in the log's
-// open or resume record so "relaxfault verify" is self-contained.
-type UnkeyedConfig struct {
-	Checkpoint string
-	Seed       uint64
-	Records    []harness.ScenarioRecord
-}
-
-// OpenUnkeyed wires a campaign from an explicit log path — the -checkpoint
-// flag behavior: a new path starts a log, an existing log resumes, and a
-// log that cannot resume is refused untouched. Without a path the campaign
-// is a plain unpersisted run.
-func OpenUnkeyed(cfg UnkeyedConfig, opts Options) (*Campaign, error) {
-	c := &Campaign{opts: opts, start: time.Now()}
-	if cfg.Checkpoint != "" {
-		if err := c.openLog(cfg.Checkpoint, cfg.Seed, cfg.Records); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
 
 // Open resolves plan against the store and wires the campaign: a pure
 // cache hit on the exact completed entry, a resume of this entry's own
@@ -166,7 +124,8 @@ func OpenUnkeyed(cfg UnkeyedConfig, opts Options) (*Campaign, error) {
 // or a fresh run. The entry directory is claimed for writing in every
 // non-hit case; a live claim by another process is a clean error.
 func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
-	c := &Campaign{Plan: plan, opts: opts, st: st, start: time.Now()}
+	opts.Store = nil
+	c := &Campaign{Plan: plan, ex: opts, st: st, start: time.Now()}
 	c.rec = harness.CampaignRecord{
 		Key: plan.Key, Seed: plan.Seed, Scenario: plan.Scenario.Name,
 		Fingerprint: plan.Record.Fingerprint, StoreRoot: st.Root(),
@@ -211,19 +170,17 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 	}
 
 	// A log without an entry is an earlier attempt that died mid-run (its
-	// claim was stale): it resumes, as an existing -checkpoint log does.
-	// The store owns its entry logs, so one that cannot resume — empty,
-	// sealed complete, or failing its digest checks — is removed and
-	// recomputed.
-	records := []harness.ScenarioRecord{plan.Record}
+	// claim was stale): it resumes. The store owns its entry logs, so one
+	// that cannot resume — empty, of a retired format, sealed complete, or
+	// failing its digest checks — is removed and recomputed.
 	resume := fileExists(logPath)
-	err = c.openLog(logPath, plan.Seed, records)
+	err = c.openLog(logPath)
 	if err != nil && resume {
 		fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d/t%d: entry log unusable (%v); recomputing\n",
 			plan.Key, plan.Seed, plan.Trials, err)
 		resume = false
 		if err = os.Remove(logPath); err == nil {
-			err = c.openLog(logPath, plan.Seed, records)
+			err = c.openLog(logPath)
 		}
 	}
 	if err != nil {
@@ -267,6 +224,12 @@ func (c *Campaign) openHit(e *cstore.Entry) error {
 		// it.
 		return fmt.Errorf("entry fingerprint %s != scenario %s", e.Meta.ScenarioFingerprint, c.Plan.Record.Fingerprint)
 	}
+	if !slices.Equal(e.Meta.Sections, c.Plan.Sections) {
+		// A code change renamed a section: the entry's log holds no chunk
+		// of the plan's sections, so a hit would recompute every trial and
+		// keep none of them.
+		return errors.New("entry sections differ from the plan's")
+	}
 	if c.Plan.Scenario.Kind == scenario.KindPerf {
 		raw, err := os.ReadFile(e.Path(cstore.ResultFile))
 		if err != nil {
@@ -285,7 +248,7 @@ func (c *Campaign) openHit(e *cstore.Entry) error {
 		if err != nil {
 			return err
 		}
-		c.cp = cp
+		c.ex.Store = cp
 		c.rec.VerifiedChunks = cp.Verified()
 	}
 	c.hit = e
@@ -310,18 +273,15 @@ func readLog(e *cstore.Entry) (*harness.Store, error) {
 }
 
 // openLog opens the campaign log at path — starting it, or resuming an
-// existing one — with records embedded in its open or resume record, which
-// is what makes "relaxfault verify" self-contained.
-func (c *Campaign) openLog(path string, seed uint64, records []harness.ScenarioRecord) error {
-	head := journal.Record{Seed: seed, Campaigns: make([]journal.Campaign, len(records))}
-	for i, r := range records {
-		head.Campaigns[i] = journal.Campaign{
-			Name: r.Name, Fingerprint: r.Fingerprint,
-			Technology: r.Technology, TechFingerprint: r.TechFingerprint,
-			Spec: r.Spec,
-		}
-	}
-	cp, err := harness.OpenStore(path, head)
+// existing one — with the plan's scenario embedded in its open or resume
+// record, which is what makes "relaxfault verify" self-contained.
+func (c *Campaign) openLog(path string) error {
+	r := c.Plan.Record
+	cp, err := harness.OpenStore(path, journal.Record{Seed: c.Plan.Seed, Campaigns: []journal.Campaign{{
+		Name: r.Name, Fingerprint: r.Fingerprint,
+		Technology: r.Technology, TechFingerprint: r.TechFingerprint,
+		Spec: r.Spec,
+	}}})
 	if err != nil {
 		return err
 	}
@@ -329,9 +289,9 @@ func (c *Campaign) openLog(path string, seed uint64, records []harness.ScenarioR
 		fmt.Fprintf(os.Stderr, "relaxfault: resuming %s: %d logged chunk(s) verified\n", path, cp.Verified())
 	}
 	w := cp.Journal()
-	w.SetTracer(c.opts.Trace)
-	c.opts.Mon.SetJournal(w)
-	c.cp = cp
+	w.SetTracer(c.ex.Trace)
+	c.ex.Mon.SetJournal(w)
+	c.ex.Store = cp
 	c.rec.VerifiedChunks = cp.Verified()
 	return nil
 }
@@ -345,26 +305,24 @@ func (c *Campaign) Run(ctx context.Context) (*scenario.Result, error) {
 	if c.hitResult != nil {
 		return c.hitResult, nil
 	}
-	return scenario.RunCtx(ctx, c.Plan.Scenario, scenario.Exec{
-		Workers: c.opts.Workers, Mon: c.opts.Mon, Store: c.cp, Trace: c.opts.Trace,
-	})
+	return scenario.RunCtx(ctx, c.Plan.Scenario, c.ex)
 }
 
-// Seal finishes a keyed campaign: the log is sealed ("complete" on
+// Seal finishes the campaign: the log is sealed ("complete" on
 // success, "interrupted" so a later open can resume otherwise), and on
 // success the entry's result document, manifest, and metadata are written
 // — the atomic metadata write is what flips the entry to complete. Cache
 // hits have nothing to seal.
 func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) error {
 	defer c.Close()
-	if c.hit != nil || c.Plan == nil {
+	if c.hit != nil {
 		return nil
 	}
 	status := journal.StatusComplete
 	if interrupted || runErr != nil {
 		status = journal.StatusInterrupted
 	}
-	jw := c.Journal()
+	jw := c.ex.Store.Journal()
 	if err := jw.Seal(status); err != nil {
 		return fmt.Errorf("sealing campaign log: %w", err)
 	}
@@ -396,8 +354,7 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 	man.Experiments = []string{c.Plan.Scenario.Name}
 	man.Seed = c.Plan.Seed
 	man.Fingerprint = c.Plan.Record.Fingerprint
-	man.Checkpoint = filepath.Join(c.dir, cstore.CheckpointFile)
-	man.Journal = man.Checkpoint
+	man.Journal = filepath.Join(c.dir, cstore.CheckpointFile)
 	man.JournalSealed = jw.Sealed()
 	man.JournalChunks = jw.ChunkRecords()
 	man.JournalVerifiedChunks = c.rec.VerifiedChunks
@@ -417,7 +374,7 @@ func (c *Campaign) Close() {
 		return
 	}
 	c.closed = true
-	c.Journal().Close()
+	c.ex.Store.Journal().Close()
 	if c.claim != nil {
 		if err := c.claim.Release(); err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
@@ -445,14 +402,12 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// RunStore is the whole keyed lifecycle in one call: plan, open against
-// the store, run, seal. Static scenarios (and a nil store) bypass the
-// store and run directly; the returned record is nil in that case.
+// RunStore is the whole lifecycle in one call: plan, open against the
+// store, run, seal. Static scenarios (and a nil store) bypass the store and
+// run directly in opts; the returned record is nil in that case.
 func RunStore(ctx context.Context, sc *scenario.Scenario, st *cstore.Store, opts Options) (*scenario.Result, *harness.CampaignRecord, error) {
 	if st == nil || sc.Kind == scenario.KindStatic {
-		res, err := scenario.RunCtx(ctx, sc, scenario.Exec{
-			Workers: opts.Workers, Mon: opts.Mon, Trace: opts.Trace,
-		})
+		res, err := scenario.RunCtx(ctx, sc, opts)
 		return res, nil, err
 	}
 	plan, err := NewPlan(sc)

@@ -240,16 +240,71 @@ func TestStoppedEntryCoversLargerBudget(t *testing.T) {
 	}
 }
 
-// TestUnkeyedNoArtifacts: without a log the unkeyed campaign is a plain run
-// wrapper.
-func TestUnkeyedNoArtifacts(t *testing.T) {
-	c, err := OpenUnkeyed(UnkeyedConfig{}, Options{})
+// TestRunStoreWithoutStore: with no store, RunStore is a plain run. It
+// returns no campaign record, attaches no log, and writes no file.
+func TestRunStoreWithoutStore(t *testing.T) {
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Store() != nil || c.Journal() != nil || c.CacheHit() {
-		t.Errorf("empty unkeyed campaign has attachments: store=%v journal=%v", c.Store(), c.Journal())
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	want, err := scenario.Run(covScenario(t, 100), scenario.Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := harness.NewMonitor(io.Discard, 0)
+	res, rec, err := RunStore(context.Background(), covScenario(t, 100), nil, Options{Mon: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil {
+		t.Errorf("RunStore without a store returned campaign record %+v", rec)
+	}
+	if res.String() != want.String() {
+		t.Errorf("RunStore without a store differs from a plain run:\n%s\nvs\n%s", res, want)
+	}
+	if j := mon.Status().Journal; j != nil {
+		t.Errorf("RunStore without a store attached a campaign log: %+v", j)
+	}
+	if des, err := os.ReadDir(dir); err != nil || len(des) > 0 {
+		t.Errorf("RunStore without a store wrote files: %v (%v)", des, err)
+	}
+}
+
+// TestRenamedSectionsRecompute: an exact entry whose recorded sections no
+// longer match the plan's, as after a code change renames a section, is
+// recomputed once. It is not served as a hit that recomputes every trial
+// and persists none of them on every later run.
+func TestRenamedSectionsRecompute(t *testing.T) {
+	st, err := cstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _ := runKeyed(t, covScenario(t, 200), st)
+	es, err := st.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := es[0].Meta
+	meta.Sections[0].Fingerprint = "renamed"
+	if err := cstore.WriteMeta(es[0].Dir, meta); err != nil {
+		t.Fatal(err)
+	}
+
+	out, rec, done := runKeyed(t, covScenario(t, 200), st)
+	if rec.Source != harness.CampaignComputed || done == 0 {
+		t.Fatalf("run over the renamed entry: source %q, %d trials; want a recompute", rec.Source, done)
+	}
+	if out != want {
+		t.Errorf("recompute differs from the first run:\n%s\nvs\n%s", out, want)
+	}
+	if _, rec, done := runKeyed(t, covScenario(t, 200), st); rec.Source != harness.CampaignCacheHit || done != 0 {
+		t.Errorf("run after the recompute: source %q, %d trials; want a cache hit with 0 trials", rec.Source, done)
 	}
 }
 
@@ -382,12 +437,34 @@ func TestUnusableEntryRecomputeResumes(t *testing.T) {
 	}
 }
 
+// rewriteLog rewrites the log at path through the journal writer, applying
+// edit to its open and chunk records and dropping its seal. A raw byte edit
+// would read as a torn tail; a validly framed lie needs the writer itself.
+func rewriteLog(t *testing.T, path string, edit func(rec *journal.Record)) {
+	t.Helper()
+	j, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, rec := range append([]journal.Record{*j.Open}, j.Chunks...) {
+		edit(&rec)
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestStuckEntryLogRecomputes: the store owns its entry logs, so a log an
 // attempt left behind that cannot resume is removed and the entry
 // recomputed, instead of failing every later run. The log is empty when
 // the attempt died before its open record reached the disk, sealed
-// complete when it died between the seal and the entry metadata, or holds
-// a payload that fails its digest.
+// complete when it died between the seal and the entry metadata, holds a
+// payload that fails its digest, or is of the retired v1 format.
 func TestStuckEntryLogRecomputes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -400,23 +477,21 @@ func TestStuckEntryLogRecomputes(t *testing.T) {
 		}},
 		{"complete-sealed log", func(*testing.T, string) {}},
 		{"payload digest mismatch", func(t *testing.T, logPath string) {
-			j, err := journal.Load(logPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := journal.Create(logPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			for _, rec := range append([]journal.Record{*j.Open}, j.Chunks...) {
+			rewriteLog(t, logPath, func(rec *journal.Record) {
 				if rec.Type == journal.TypeChunk && rec.Chunk == 1 {
 					rec.Payload = []byte(`{"tampered":true}`)
 				}
-				if err := w.Append(rec); err != nil {
-					t.Fatal(err)
+			})
+		}},
+		{"v1 log", func(t *testing.T, logPath string) {
+			// The retired format: its open record names schema v1, and its
+			// chunk records carry digests but no payloads.
+			rewriteLog(t, logPath, func(rec *journal.Record) {
+				if rec.Type == journal.TypeOpen {
+					rec.Schema = "relaxfault-journal/v1"
 				}
-			}
+				rec.Payload = nil
+			})
 		}},
 	}
 	for _, tc := range cases {

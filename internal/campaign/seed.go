@@ -33,7 +33,7 @@ func (c *Campaign) seedFrom(src *cstore.Entry) (reused int, err error) {
 	for i, newSec := range plan.Sections {
 		oldSec := src.Meta.Sections[i]
 		oldCp := old.Section(oldSec)
-		newCp := c.cp.Section(newSec)
+		newCp := c.ex.Store.Section(newSec)
 		for _, ci := range oldCp.Indexes() {
 			lo, hi := newSec.Span(ci)
 			if olo, ohi := oldSec.Span(ci); olo != lo || ohi != hi {

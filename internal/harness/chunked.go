@@ -63,13 +63,9 @@ const gateSlack = 2
 // Fold, Ahead and Enough are called one at a time under the driver's lock,
 // so they may share state without further locking; they must not block.
 type Chunked[P any] struct {
-	// Workers, Mon, and Trace configure the engine (see Engine).
-	Workers int
-	Mon     *Monitor
-	Trace   *runtrace.Recorder
-	// Store, if non-nil, persists chunks under Section; log append errors
-	// degrade to Mon warnings.
-	Store   *Store
+	// Exec configures the engine; its Store, if non-nil, persists chunks
+	// under Section.
+	Exec
 	Section Section
 	// Expect announces the trials left to compute to Mon. Campaigns whose
 	// chunk space is only a worst-case cap (coverage studies) leave it off.
@@ -221,7 +217,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 	}
 
 	kernels := make([]func(lo, hi int) (P, error), workers)
-	eng := Engine{Workers: c.Workers, Mon: c.Mon, Trace: c.Trace}
+	eng := Engine{c.Exec}
 	eng.Run(ctx, len(todo), func(w, k int) (int64, bool) {
 		ci := todo[k]
 		mu.Lock()

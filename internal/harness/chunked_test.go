@@ -79,8 +79,8 @@ func toySection(trials int) Section {
 func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 	r := &toyRun{computed: map[int]int{}}
 	c := Chunked[*toyChunk]{
-		Workers: o.workers, Mon: o.mon, Trace: o.trace,
-		Store: store, Section: toySection(o.trials),
+		Exec:    Exec{Workers: o.workers, Mon: o.mon, Store: store, Trace: o.trace},
+		Section: toySection(o.trials),
 		Decode: func(lo, hi int, raw json.RawMessage) (*toyChunk, bool) {
 			var ch toyChunk
 			if json.Unmarshal(raw, &ch) != nil || ch.Lo != lo || ch.Hi != hi {
@@ -129,7 +129,7 @@ func TestChunkedFoldsInIndexOrder(t *testing.T) {
 		}
 		var folded []int
 		c := Chunked[int]{
-			Workers: 8, Section: Section{Chunking: Chunking{Size: 1, Trials: n}},
+			Exec: Exec{Workers: 8}, Section: Section{Chunking: Chunking{Size: 1, Trials: n}},
 			Kernel: func() func(lo, hi int) (int, error) {
 				return func(lo, _ int) (int, error) {
 					time.Sleep(delay[lo])

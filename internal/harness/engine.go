@@ -23,12 +23,27 @@ import (
 // (WorkerClaim / WorkerDone), which the progress lines, the watchdog and
 // /debug/status all read, and, when tracing, as claim and chunk spans. The
 // only obs metric it sets is the gauge harness.engine.workers, the resolved
-// pool size of the current or last Run, once per Run.
+// pool size of the current or last Run, once per Run. Of its Exec the
+// engine reads Workers, Mon and Trace; only Chunked reads Store.
 type Engine struct {
+	Exec
+}
+
+// Exec is the execution environment of a run: one value carries it from
+// the command line through the campaign, scenario and simulator layers to
+// the engine. None of it affects results — the engine is bitwise
+// independent of the worker count, the log only persists chunks, and
+// tracing only observes — so no configuration fingerprint includes it.
+type Exec struct {
 	// Workers bounds parallelism; 0 or negative means GOMAXPROCS.
 	Workers int
-	// Mon, if non-nil, receives per-worker progress for the watchdog.
+	// Mon, if non-nil, receives per-worker progress for the watchdog and
+	// holds the live campaign log for its status snapshot.
 	Mon *Monitor
+	// Store, if non-nil, persists every chunk Chunked computes, under the
+	// chunk's section, so a killed run resumes; log append errors degrade
+	// to Mon warnings.
+	Store *Store
 	// Trace, if non-nil, records claim/chunk/reduce-wait spans per worker
 	// (chunk granularity only — the per-trial path is untouched).
 	Trace *runtrace.Recorder

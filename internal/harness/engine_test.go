@@ -17,7 +17,7 @@ func TestEngineRunsEveryChunkExactlyOnce(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[int]int)
 	workersSeen := make(map[int]bool)
-	e := Engine{Workers: 4}
+	e := Engine{Exec{Workers: 4}}
 	err := e.Run(context.Background(), n, func(w, k int) (int64, bool) {
 		mu.Lock()
 		seen[k]++
@@ -47,7 +47,7 @@ func TestEngineWorkerRetire(t *testing.T) {
 	// A worker returning cont=false stops claiming; with one worker the
 	// remaining chunks are never run.
 	var ran atomic.Int64
-	e := Engine{Workers: 1}
+	e := Engine{Exec{Workers: 1}}
 	err := e.Run(context.Background(), 100, func(_, k int) (int64, bool) {
 		ran.Add(1)
 		return 0, k < 4
@@ -63,7 +63,7 @@ func TestEngineWorkerRetire(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	e := Engine{Workers: 2}
+	e := Engine{Exec{Workers: 2}}
 	err := e.Run(ctx, 1000, func(_, k int) (int64, bool) {
 		if ran.Add(1) == 3 {
 			cancel()
@@ -80,7 +80,7 @@ func TestEngineCancellation(t *testing.T) {
 
 func TestEnginePoolClampedToChunks(t *testing.T) {
 	var maxW atomic.Int64
-	e := Engine{Workers: 16}
+	e := Engine{Exec{Workers: 16}}
 	if err := e.Run(context.Background(), 3, func(w, _ int) (int64, bool) {
 		if int64(w) > maxW.Load() {
 			maxW.Store(int64(w))
@@ -98,7 +98,7 @@ func TestEngineFeedsMonitor(t *testing.T) {
 	var buf bytes.Buffer
 	m := NewMonitor(&buf, 0)
 	m.Expect(8)
-	e := Engine{Workers: 2, Mon: m}
+	e := Engine{Exec{Workers: 2, Mon: m}}
 	if err := e.Run(context.Background(), 8, func(_, _ int) (int64, bool) {
 		return 1, true
 	}); err != nil {
@@ -116,7 +116,7 @@ func TestEngineFeedsMonitor(t *testing.T) {
 func TestEngineTraceAttribution(t *testing.T) {
 	const chunks, workers = 12, 3
 	tr := runtrace.New()
-	e := Engine{Workers: workers, Trace: tr}
+	e := Engine{Exec{Workers: workers, Trace: tr}}
 	if err := e.Run(context.Background(), chunks, func(_, _ int) (int64, bool) {
 		time.Sleep(2 * time.Millisecond)
 		return 5, true
@@ -159,7 +159,7 @@ func TestEngineTraceAttribution(t *testing.T) {
 	}
 
 	// A nil tracer on the engine is the untraced default: no spans, no cost.
-	e2 := Engine{Workers: 2}
+	e2 := Engine{Exec{Workers: 2}}
 	if err := e2.Run(context.Background(), 4, func(_, _ int) (int64, bool) { return 1, true }); err != nil {
 		t.Fatal(err)
 	}

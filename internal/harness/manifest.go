@@ -20,13 +20,16 @@ import (
 // block; schema 4 added the campaigns block (campaign key, store
 // coordinates, and cache-hit/resume provenance of keyed -store runs);
 // schema 5 dropped the skipped-trial count and records, because a
-// panicking trial fails its run instead of being skipped.
-const ManifestSchema = 5
+// panicking trial fails its run instead of being skipped; schema 6 dropped
+// the checkpoint path, which always named the same file as the journal
+// path, because a run persists only through its store entries.
+const ManifestSchema = 6
 
 // Manifest is the machine-readable record of one CLI run: enough to
 // reproduce it (command, seed, fingerprint, version), audit it (wall/CPU
-// time, failures), and analyse it (the full metrics snapshot). It is
-// written next to the checkpoint file and/or to the -metrics target.
+// time, failures), and analyse it (the full metrics snapshot). The CLI
+// writes it to the -metrics target, and every store entry keeps the
+// manifest of its own campaign.
 type Manifest struct {
 	Schema    int    `json:"schema"`
 	Version   string `json:"version"`    // VCS revision of the binary, or "unknown"
@@ -39,12 +42,11 @@ type Manifest struct {
 	Scale       string   `json:"scale,omitempty"`
 	Seed        uint64   `json:"seed"`
 	Fingerprint string   `json:"fingerprint,omitempty"` // config fingerprint(s), joined
-	Checkpoint  string   `json:"checkpoint,omitempty"`
-	// Journal fields (schema 2) let campaign tooling audit a run without
-	// opening its campaign log: the log path (the same file as Checkpoint),
-	// whether the run sealed it cleanly ("complete"), how many chunk records
-	// this process appended, and how many logged payloads matched their
-	// digests when the log was reopened.
+	// Journal fields (schema 2) let campaign tooling audit a campaign
+	// without opening its log: the log path, whether the run sealed it
+	// cleanly ("complete"), how many chunk records this process appended,
+	// and how many logged payloads matched their digests when the log was
+	// reopened. A store entry's manifest sets them for its campaign.
 	Journal               string `json:"journal,omitempty"`
 	JournalSealed         bool   `json:"journal_sealed,omitempty"`
 	JournalChunks         uint64 `json:"journal_chunks,omitempty"`

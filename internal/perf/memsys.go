@@ -2,22 +2,20 @@ package perf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/cache"
 	"relaxfault/internal/dram"
 )
 
-// timingCache wraps cache.Cache with simple modulo indexing for the private
-// levels (the LLC uses the node mapper's hashed indexing instead). For the
-// usual power-of-two set counts the modulo/divide pair reduces to mask and
-// shift, which matters on a lookup made for every instruction of the trace.
+// timingCache wraps cache.Cache with plain mask-and-shift indexing for the
+// private levels (the LLC uses the node mapper's hashed indexing instead);
+// cache.New admits only power-of-two set counts.
 type timingCache struct {
 	c    *cache.Cache
-	sets uint64
-	mask uint64 // sets-1 when sets is a power of two
-	bits uint   // log2(sets) when pow2
-	pow2 bool
+	mask uint64 // sets-1
+	bits uint   // log2(sets)
 }
 
 func newTimingCache(sets, ways int) (*timingCache, error) {
@@ -25,22 +23,11 @@ func newTimingCache(sets, ways int) (*timingCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &timingCache{c: c, sets: uint64(sets)}
-	if sets > 0 && sets&(sets-1) == 0 {
-		t.pow2 = true
-		t.mask = uint64(sets - 1)
-		for 1<<t.bits < sets {
-			t.bits++
-		}
-	}
-	return t, nil
+	return &timingCache{c: c, mask: uint64(sets - 1), bits: uint(bits.TrailingZeros(uint(sets)))}, nil
 }
 
 func (t *timingCache) index(la addrmap.LineAddr) (int, uint64) {
-	if t.pow2 {
-		return int(uint64(la) & t.mask), uint64(la) >> t.bits
-	}
-	return int(uint64(la) % t.sets), uint64(la) / t.sets
+	return int(uint64(la) & t.mask), uint64(la) >> t.bits
 }
 
 // access returns hit; on miss the line is NOT installed (callers install
@@ -69,8 +56,7 @@ func (t *timingCache) install(la addrmap.LineAddr, dirty bool) (addrmap.LineAddr
 		t.c.MarkDirty(set, way)
 	}
 	if evicted.Valid {
-		victimLA := addrmap.LineAddr(evicted.Tag*t.sets + uint64(set))
-		return victimLA, evicted.Dirty, true
+		return addrmap.LineAddr(evicted.Tag<<t.bits | uint64(set)), evicted.Dirty, true
 	}
 	return 0, false, false
 }
@@ -225,34 +211,8 @@ func (m *MemSystem) Access(la addrmap.LineAddr, write bool, nowCPU int64) (bool,
 		return true, nil
 	}
 	m.LLCMisses++
-	loc := m.mapper.Decode(la)
-	if m.bankHash {
-		loc = m.mapper.BankXORHash(loc)
-	}
-	req := m.pool.get()
-	req.Loc, req.Arrival, req.retained = loc, nowCPU, true
-	m.channels[loc.Channel].Enqueue(req)
-
-	// Install now (state-wise); eviction may produce a writeback.
-	way, evicted := m.llc.Fill(set, tag, false)
-	if way >= 0 {
-		if write {
-			m.llc.MarkDirty(set, way)
-		}
-		if evicted.Valid {
-			m.LLCEvictions++
-		}
-		if evicted.Valid && evicted.Dirty {
-			evLA := m.lineAddrFromIndex(set, evicted.Tag)
-			evLoc := m.mapper.Decode(evLA)
-			if m.bankHash {
-				evLoc = m.mapper.BankXORHash(evLoc)
-			}
-			wb := m.pool.get()
-			wb.Loc, wb.Write, wb.Arrival = evLoc, true, nowCPU
-			m.channels[evLoc.Channel].Enqueue(wb)
-		}
-	}
+	req := m.miss(la, set, tag, write, nowCPU)
+	req.retained = true
 	return false, req
 }
 
@@ -266,27 +226,40 @@ func (m *MemSystem) Prefetch(la addrmap.LineAddr, nowCPU int64) *Request {
 		return nil
 	}
 	m.Prefetches++
+	return m.miss(la, set, tag, false, nowCPU) // not retained: callers only nil-check
+}
+
+// miss serves a line that missed the LLC at (set, tag): it enqueues the
+// DRAM fill, installs the line at once (state-wise; dirty for a write),
+// and enqueues the writeback of a dirty victim. It returns the fill.
+func (m *MemSystem) miss(la addrmap.LineAddr, set int, tag uint64, write bool, nowCPU int64) *Request {
+	req := m.enqueue(la, false, nowCPU)
+	way, evicted := m.llc.Fill(set, tag, false)
+	if way < 0 {
+		return req
+	}
+	if write {
+		m.llc.MarkDirty(set, way)
+	}
+	if evicted.Valid {
+		m.LLCEvictions++
+		if evicted.Dirty {
+			m.enqueue(m.lineAddrFromIndex(set, evicted.Tag), true, nowCPU)
+		}
+	}
+	return req
+}
+
+// enqueue queues a DRAM read or write of the line on its channel, at the
+// location the controller's (optionally bank-hashed) decode gives it.
+func (m *MemSystem) enqueue(la addrmap.LineAddr, write bool, nowCPU int64) *Request {
 	loc := m.mapper.Decode(la)
 	if m.bankHash {
 		loc = m.mapper.BankXORHash(loc)
 	}
 	req := m.pool.get()
-	req.Loc, req.Arrival = loc, nowCPU // not retained: callers only nil-check
+	req.Loc, req.Write, req.Arrival = loc, write, nowCPU
 	m.channels[loc.Channel].Enqueue(req)
-	way, evicted := m.llc.Fill(set, tag, false)
-	if way >= 0 && evicted.Valid {
-		m.LLCEvictions++
-	}
-	if way >= 0 && evicted.Valid && evicted.Dirty {
-		evLA := m.lineAddrFromIndex(set, evicted.Tag)
-		evLoc := m.mapper.Decode(evLA)
-		if m.bankHash {
-			evLoc = m.mapper.BankXORHash(evLoc)
-		}
-		wb := m.pool.get()
-		wb.Loc, wb.Write, wb.Arrival = evLoc, true, nowCPU
-		m.channels[evLoc.Channel].Enqueue(wb)
-	}
 	return req
 }
 

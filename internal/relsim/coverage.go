@@ -32,8 +32,9 @@ type CoverageConfig struct {
 	// (TargetCI) is a reliability-run feature; coverage studies already
 	// stop on their faulty-node target and reject it.
 	Stats *StatsConfig
-	// Exec attaches the worker pool, monitor, and checkpoint store.
-	Exec
+	// Exec attaches the worker pool, monitor, checkpoint store and trace
+	// recorder; none of it enters the fingerprint.
+	harness.Exec
 
 	// trialHook, when set (tests only), runs at the start of every node
 	// trial with the global node index.
@@ -275,8 +276,7 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 	cumFaulty := 0  // faulty nodes in folded chunks
 	specFaulty := 0 // faulty nodes in every completed chunk, folded or not
 	study := harness.Chunked[*covChunk]{
-		Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace,
-		Store: cfg.Checkpoint, Section: cfg.Section(), Kernel: kernel,
+		Exec: cfg.Exec, Section: cfg.Section(), Kernel: kernel,
 		Decode: func(_, _ int, raw json.RawMessage) (*covChunk, bool) {
 			var ch covChunk
 			if json.Unmarshal(raw, &ch) != nil || len(ch.Curves) != len(res.Curves) || ch.Skipped > 0 {

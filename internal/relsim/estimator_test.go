@@ -155,7 +155,7 @@ func TestSequentialStoppingInvariance(t *testing.T) {
 	}
 	var want Result
 	var wantAdvance []float64
-	for i, exec := range []Exec{
+	for i, exec := range []harness.Exec{
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 4},
@@ -215,7 +215,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted := cfg
-	interrupted.Checkpoint = store
+	interrupted.Store = store
 	interrupted.trialHook = func(node int) {
 		if node >= 2*chunkSize {
 			cancel()
@@ -230,7 +230,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := cfg
-	resumed.Checkpoint = store2
+	resumed.Store = store2
 	got, err := Run(resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestSequentialStoppingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	again := cfg
-	again.Checkpoint = store3
+	again.Store = store3
 	var replayed atomic.Int64
 	again.trialHook = func(int) { replayed.Add(1) }
 	got2, err := Run(again)

@@ -169,7 +169,7 @@ func TestSkipBearingChunksRecomputed(t *testing.T) {
 		if err := store.Section(cfg.Section()).Put(1, &p); err != nil {
 			t.Fatal(err)
 		}
-		cfg.Checkpoint = store
+		cfg.Store = store
 		var recomputed atomic.Int64
 		cfg.trialHook = func(node int) {
 			if node >= chunkSize && node < 2*chunkSize {
@@ -198,7 +198,7 @@ func TestSkipBearingChunksRecomputed(t *testing.T) {
 		if err := store.Section(cfg.Section()).Put(0, raw); err != nil {
 			t.Fatal(err)
 		}
-		cfg.Checkpoint = store
+		cfg.Store = store
 		var recomputed atomic.Int64
 		cfg.trialHook = func(node int) {
 			if node < covChunkSize {
@@ -237,7 +237,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted := base
-	interrupted.Checkpoint = store
+	interrupted.Store = store
 	interrupted.trialHook = func(node int) {
 		if node >= 2*chunkSize {
 			cancel()
@@ -254,7 +254,7 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := base
-	resumed.Checkpoint = store2
+	resumed.Store = store2
 	var replayed atomic.Int64
 	resumed.trialHook = func(int) { replayed.Add(1) }
 	got, err := Run(resumed)
@@ -335,7 +335,7 @@ func TestCoverageCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted := base
-	interrupted.Checkpoint = store
+	interrupted.Store = store
 	interrupted.trialHook = func(node int) {
 		if node >= covChunkSize {
 			cancel()
@@ -350,7 +350,7 @@ func TestCoverageCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := base
-	resumed.Checkpoint = store2
+	resumed.Store = store2
 	var replayed atomic.Int64
 	resumed.trialHook = func(int) { replayed.Add(1) }
 	got, err := CoverageStudy(resumed)

@@ -25,30 +25,8 @@ import (
 	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
 	"relaxfault/internal/repair"
-	"relaxfault/internal/runtrace"
 	"relaxfault/internal/stats"
 )
-
-// Exec bundles the execution-environment attachments every simulation entry
-// point shares: worker-pool size, progress monitor, and checkpoint store.
-// None of its fields affect results — they steer how a run executes, not
-// what it computes — so configuration fingerprints deliberately exclude it.
-type Exec struct {
-	// Workers bounds parallelism (0 = GOMAXPROCS). The worker count never
-	// affects results.
-	Workers int
-	// Mon, if non-nil, receives progress and watchdog events.
-	Mon *harness.Monitor
-	// Checkpoint, if non-nil, persists completed chunks so a killed run
-	// can resume. A section keyed by the configuration's fingerprint is
-	// used, so unrelated runs can share one store. Log append errors
-	// degrade to warnings; they never abort a run.
-	Checkpoint *harness.Store
-	// Trace, if non-nil, records execution spans (chunk/claim/checkpoint/
-	// reduce-wait per worker plus resume and reduction on the main track).
-	// Tracing observes the run; it never affects results.
-	Trace *runtrace.Recorder
-}
 
 // ReplacementPolicy selects when a faulty DIMM is replaced.
 type ReplacementPolicy int
@@ -120,8 +98,9 @@ type Config struct {
 	// original naive pipeline, byte for byte, with an unchanged
 	// fingerprint.
 	Stats *StatsConfig
-	// Exec attaches the worker pool, monitor, and checkpoint store.
-	Exec
+	// Exec attaches the worker pool, monitor, checkpoint store and trace
+	// recorder; none of it enters the fingerprint.
+	harness.Exec
 
 	// trialHook, when set (tests only), runs at the start of every trial
 	// with the global node index. It is the injection point for
@@ -323,8 +302,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	var cum estTally
 	stopped := false
 	run := harness.Chunked[*runPayload]{
-		Workers: cfg.Workers, Mon: cfg.Mon, Trace: cfg.Trace,
-		Store: cfg.Checkpoint, Section: cfg.Section(), Expect: true, Kernel: kernel,
+		Exec: cfg.Exec, Section: cfg.Section(), Expect: true, Kernel: kernel,
 		Decode: func(lo, hi int, raw json.RawMessage) (*runPayload, bool) {
 			// Estimator runs need the tally: it is part of the stopping state.
 			var p runPayload

@@ -40,7 +40,7 @@ func NewRunReplayer(cfg Config) (Replayer, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
 	}
-	cfg.Exec = Exec{}
+	cfg.Exec = harness.Exec{}
 	cfg.trialHook = nil
 	if err := cfg.Validate(); err != nil {
 		return Replayer{}, err
@@ -55,7 +55,7 @@ func NewRunReplayer(cfg Config) (Replayer, error) {
 // NewCoverageReplayer builds a Replayer for the coverage study described by
 // cfg. Execution attachments (Exec) are ignored.
 func NewCoverageReplayer(cfg CoverageConfig) (Replayer, error) {
-	cfg.Exec = Exec{}
+	cfg.Exec = harness.Exec{}
 	cfg.trialHook = nil
 	cfg.planHists = nil // replay must not pollute live campaign histograms
 	if err := cfg.Validate(); err != nil {

@@ -45,7 +45,7 @@ func TestRunReplayerMatchesJournal(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Nodes = 9000 // 3 chunks of 4096
 	j := journaledCampaign(t, func(store *harness.Store) {
-		cfg.Checkpoint = store
+		cfg.Store = store
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestRunReplayerHonoursMaxTrials(t *testing.T) {
 	cfg.Nodes = 10000
 	cfg.Stats = &StatsConfig{Estimator: EstimatorNaive, MaxTrials: 5000}
 	j := journaledCampaign(t, func(store *harness.Store) {
-		cfg.Checkpoint = store
+		cfg.Store = store
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestWeightedCoverageDeterminism(t *testing.T) {
 		var res *CoverageResult
 		var store *harness.Store
 		j := journaledCampaign(t, func(s *harness.Store) {
-			cfg.Checkpoint, store = s, s
+			cfg.Store, store = s, s
 			if res, err = CoverageStudy(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestCoverageReplayerMatchesJournal(t *testing.T) {
 	cfg.FaultyNodes = 400
 	cfg.MaxNodes = 50000
 	j := journaledCampaign(t, func(store *harness.Store) {
-		cfg.Checkpoint = store
+		cfg.Store = store
 		if _, err := CoverageStudy(cfg); err != nil {
 			t.Fatal(err)
 		}

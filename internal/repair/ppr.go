@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"sync"
 
 	"relaxfault/internal/dram"
@@ -17,6 +18,7 @@ type pprPlanner struct {
 	geo            dram.Geometry
 	banksPerGroup  int
 	sparesPerGroup int
+	name           string
 	// scratchPool recycles planning working state; the planner itself is
 	// shared by every simulation worker.
 	scratchPool sync.Pool
@@ -45,17 +47,17 @@ func (p *pprPlanner) scratch() *pprScratch {
 // model 4 bank groups per device (banksPerGroup = Banks/4) with one spare
 // each.
 func NewPPR(g dram.Geometry) Planner {
-	bpg := g.Banks / 4
-	if bpg < 1 {
-		bpg = 1
-	}
-	return &pprPlanner{geo: g, banksPerGroup: bpg, sparesPerGroup: 1}
+	return NewPPRWithBudget(g, max(g.Banks/4, 1), 1)
 }
 
 // NewPPRWithBudget returns a PPR planner with an explicit spare-row budget:
 // banksPerGroup banks share sparesPerGroup one-shot spare rows per device.
 // LPDDR4 exposes one spare per bank (banksPerGroup = 1); hypothetical
 // future devices may fuse more.
+//
+// The planner is named "PPR" at NewPPR's budget and by its budget
+// otherwise, e.g. "PPR-2spare-per-2banks": the name labels results and
+// enters configuration fingerprints, so two budgets never share either.
 func NewPPRWithBudget(g dram.Geometry, banksPerGroup, sparesPerGroup int) Planner {
 	if banksPerGroup < 1 {
 		banksPerGroup = 1
@@ -63,10 +65,14 @@ func NewPPRWithBudget(g dram.Geometry, banksPerGroup, sparesPerGroup int) Planne
 	if sparesPerGroup < 1 {
 		sparesPerGroup = 1
 	}
-	return &pprPlanner{geo: g, banksPerGroup: banksPerGroup, sparesPerGroup: sparesPerGroup}
+	name := "PPR"
+	if banksPerGroup != max(g.Banks/4, 1) || sparesPerGroup != 1 {
+		name = fmt.Sprintf("PPR-%dspare-per-%dbanks", sparesPerGroup, banksPerGroup)
+	}
+	return &pprPlanner{geo: g, banksPerGroup: banksPerGroup, sparesPerGroup: sparesPerGroup, name: name}
 }
 
-func (p *pprPlanner) Name() string { return "PPR" }
+func (p *pprPlanner) Name() string { return p.name }
 
 // pprGroupKey identifies one (device, bank group) spare-row pool.
 type pprGroupKey struct {

@@ -355,7 +355,14 @@ func TestPlannerNames(t *testing.T) {
 	if NewFreeFault(m, 16, false).Name() != "FreeFault" {
 		t.Error("FreeFault name")
 	}
-	if NewPPR(g).Name() != "PPR" {
-		t.Error("PPR name")
+	// g has 8 banks, so NewPPR's budget is one spare per 2 banks.
+	if NewPPR(g).Name() != "PPR" || NewPPRWithBudget(g, 2, 1).Name() != "PPR" {
+		t.Error("PPR name at NewPPR's budget")
+	}
+	if got := NewPPRWithBudget(g, 2, 2).Name(); got != "PPR-2spare-per-2banks" {
+		t.Errorf("PPR name at 2 spares per 2 banks: %q", got)
+	}
+	if got := NewPPRWithBudget(g, 1, 1).Name(); got != "PPR-1spare-per-1banks" {
+		t.Errorf("PPR name at 1 spare per bank: %q", got)
 	}
 }

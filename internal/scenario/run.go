@@ -11,16 +11,9 @@ import (
 	"relaxfault/internal/runtrace"
 )
 
-// Exec carries the execution-environment attachments of a run — worker
-// pool size, monitor, checkpoint store, trace recorder. None of it affects
-// results (the Monte Carlo engine is bitwise independent of worker count,
-// and tracing only observes), so none of it lives in the Scenario spec.
-type Exec struct {
-	Workers int
-	Mon     *harness.Monitor
-	Store   *harness.Store
-	Trace   *runtrace.Recorder
-}
+// Exec is a run's execution environment (harness.Exec). None of it
+// affects results, so none of it lives in the Scenario spec.
+type Exec = harness.Exec
 
 // PerfUnit is one (workload, prefetch degree) outcome: the weighted
 // speedup and full simulation result per lock configuration, plus the
@@ -74,12 +67,11 @@ func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
 		return nil, err
 	}
 	out := &Result{Scenario: sc, Fingerprint: fp}
-	rex := relsim.Exec{Workers: ex.Workers, Mon: ex.Mon, Checkpoint: ex.Store, Trace: ex.Trace}
 
 	scenarioStart := ex.Trace.Now()
 	for i := range low.Coverage {
 		cfg := low.Coverage[i]
-		cfg.Exec = rex
+		cfg.Exec = ex
 		sectionStart := ex.Trace.Now()
 		res, err := relsim.CoverageStudyCtx(ctx, cfg)
 		ex.Trace.Span(runtrace.TrackMain, "section:coverage", i, 0, sectionStart)
@@ -90,7 +82,7 @@ func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
 	}
 	for i := range low.Reliability {
 		cfg := low.Reliability[i]
-		cfg.Exec = rex
+		cfg.Exec = ex
 		sectionStart := ex.Trace.Now()
 		res, err := relsim.RunCtx(ctx, cfg)
 		ex.Trace.Span(runtrace.TrackMain, "section:reliability", i, 0, sectionStart)
@@ -119,7 +111,7 @@ func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
 func runPerf(ctx context.Context, units []PerfUnitConfig, ex Exec) ([]PerfUnit, error) {
 	outs := make([]PerfUnit, len(units))
 	errs := make([]error, len(units))
-	eng := harness.Engine{Workers: ex.Workers, Mon: ex.Mon, Trace: ex.Trace}
+	eng := harness.Engine{Exec: ex}
 	runErr := eng.Run(ctx, len(units), func(w, k int) (int64, bool) {
 		u := units[k]
 		// Each perf.Run inside this unit records onto the executing

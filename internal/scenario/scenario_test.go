@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"relaxfault/internal/harness"
 	"relaxfault/internal/relsim"
 )
 
@@ -504,5 +507,71 @@ func TestCanonicalEmbedsInJSON(t *testing.T) {
 	}
 	if back.Spec.Name != "t" {
 		t.Errorf("embedded spec name = %q, want t", back.Spec.Name)
+	}
+}
+
+// TestPPRBudgetsKeepTheirOwnResults: two reliability cells that differ only
+// in their PPR budget lower to different sections, so a checkpoint store
+// shared by the run keeps each cell's results apart. Run with a store, each
+// cell reads what it reads without one.
+func TestPPRBudgetsKeepTheirOwnResults(t *testing.T) {
+	seed := uint64(5)
+	sc := func() *Scenario {
+		return &Scenario{
+			Name: "ppr-budgets", Kind: KindReliability, Seed: &seed,
+			Budget: Budget{Nodes: 4096, Replicas: 2},
+			Fault:  &FaultSpec{FITScale: 10},
+			Reliability: &ReliabilitySpec{Cells: []ReliabilityCell{
+				{Label: "ppr-1", Planner: &PlannerSpec{Kind: "ppr", SparesPerGroup: 1}, WayLimit: 1},
+				{Label: "ppr-4", Planner: &PlannerSpec{Kind: "ppr", SparesPerGroup: 4}, WayLimit: 1},
+			}},
+		}
+	}
+	secs, err := sc().Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if secs[0].Name == secs[1].Name {
+		t.Fatalf("both PPR budgets lower to section %s", secs[0].Name)
+	}
+	want, err := Run(sc(), Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(sc(), Exec{Store: harness.NewStore(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Reliability {
+		if !reflect.DeepEqual(got.Reliability[i], want.Reliability[i]) {
+			t.Errorf("cell %d with a store: %+v, want %+v", i, got.Reliability[i], want.Reliability[i])
+		}
+	}
+}
+
+// TestHopperPPRCurvesNamed: the hopper PPR-budget example's two PPR
+// planners carry distinct names, so its output tells their curves apart.
+func TestHopperPPRCurvesNamed(t *testing.T) {
+	data, err := os.ReadFile("../../examples/hopper-ppr-budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := sc.Lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, p := range low.Coverage[0].Planners {
+		if seen[p.Name()] {
+			t.Errorf("two planners named %q", p.Name())
+		}
+		seen[p.Name()] = true
+	}
+	if !seen["PPR"] || !seen["PPR-2spare-per-2banks"] {
+		t.Errorf("planner names %v, want PPR and PPR-2spare-per-2banks", seen)
 	}
 }

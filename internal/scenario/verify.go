@@ -178,7 +178,7 @@ func VerifyJournal(ctx context.Context, j *journal.Journal, ex Exec) (*VerifyRep
 	// one per worker, and drops a kernel whose replay failed. Each verdict
 	// slot has one writer and is read after Run returns.
 	kernels := make([]map[string]func(lo, hi int) ([]byte, error), harness.PoolWorkers(ex.Workers))
-	eng := harness.Engine{Workers: ex.Workers, Mon: ex.Mon, Trace: ex.Trace}
+	eng := harness.Engine{Exec: ex}
 	eng.Run(ctx, len(todo), func(w, t int) (int64, bool) {
 		i := todo[t]
 		rec := latest[keys[i]]
