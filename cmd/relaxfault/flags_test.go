@@ -27,6 +27,9 @@ func TestValidateFlags(t *testing.T) {
 		{"sets without sweep", flagRules{Sets: 1}, "-set is only meaningful"},
 		{"verify+store", flagRules{Sub: "verify", Journal: "j", Store: "s"}, "verify replays a journal only"},
 		{"cache without store", flagRules{Sub: "cache"}, "cache requires -store"},
+		{"sets on list", flagRules{Sub: "list", Sets: 1}, "-set is only meaningful"},
+		{"sets on cache", flagRules{Sub: "cache", Store: "s", Sets: 1}, "-set is only meaningful"},
+		{"sets on verify", flagRules{Sub: "verify", Journal: "j", Sets: 1}, "-set is only meaningful"},
 	}
 	for _, tc := range cases {
 		err := validateFlags(tc.r)

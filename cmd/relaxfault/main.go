@@ -608,6 +608,9 @@ type flagRules struct {
 // so an inconsistent invocation fails fast with a usage error instead of
 // surfacing mid-run after artifacts were touched.
 func validateFlags(r flagRules) error {
+	if r.Sets > 0 && r.Sub != "sweep" {
+		return errors.New("-set is only meaningful with the sweep subcommand")
+	}
 	switch r.Sub {
 	case "verify":
 		if r.Store != "" {
@@ -624,9 +627,6 @@ func validateFlags(r flagRules) error {
 	}
 	if r.Journal != "" {
 		return errors.New("-journal names the verify subcommand's input; a run keeps its campaign logs in -store DIR")
-	}
-	if r.Sets > 0 && r.Sub != "sweep" {
-		return errors.New("-set is only meaningful with the sweep subcommand")
 	}
 	return nil
 }

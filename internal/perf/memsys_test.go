@@ -127,11 +127,11 @@ func TestBankHashConsistency(t *testing.T) {
 		t.Fatal("no fill request found")
 	}
 	// Evict it by filling the same set with a conflicting line.
-	set, _ := ms.mapper.CacheIndex(la, cfg.HashSetIndex)
+	set, _ := ms.mapper.CacheIndex(la, true)
 	conflict := addrmap.LineAddr(uint64(set) | 1<<20)
 	for i := 0; i < 64; i++ {
 		cand := conflict + addrmap.LineAddr(i)
-		if s, _ := ms.mapper.CacheIndex(cand, cfg.HashSetIndex); s == set {
+		if s, _ := ms.mapper.CacheIndex(cand, true); s == set {
 			ms.Access(cand, false, 1)
 			break
 		}

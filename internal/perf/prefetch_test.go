@@ -22,7 +22,7 @@ func TestPrefetcherHelpsStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf := base
-	pf.Core.PrefetchDegree = 4
+	pf.PrefetchDegree = 4
 	on, err := Run(pf, w.Threads)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestPrefetcherHarmlessOnPointerChase(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf := base
-	pf.Core.PrefetchDegree = 4
+	pf.PrefetchDegree = 4
 	on, err := Run(pf, w.Threads)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,10 @@ import (
 
 // SystemConfig describes one simulation run.
 type SystemConfig struct {
-	Mem  MemConfig
-	Core CoreConfig
+	Mem MemConfig
+	// PrefetchDegree is each core's next-line prefetch depth (see NewCore);
+	// 0, the Table 3 system, disables the prefetcher.
+	PrefetchDegree int
 	// TargetInstructions is the per-core retirement budget; statistics
 	// freeze per core once it is reached, but all cores keep running so
 	// shared-resource contention stays realistic.
@@ -35,7 +37,6 @@ type SystemConfig struct {
 func DefaultSystemConfig() SystemConfig {
 	return SystemConfig{
 		Mem:                DefaultMemConfig(),
-		Core:               DefaultCoreConfig(),
 		TargetInstructions: 2_000_000,
 		Seed:               1,
 	}
@@ -48,8 +49,8 @@ func (cfg SystemConfig) Validate() error {
 	if err := cfg.Mem.Validate(); err != nil {
 		return err
 	}
-	if err := cfg.Core.Validate(); err != nil {
-		return err
+	if cfg.PrefetchDegree < 0 {
+		return fmt.Errorf("perf: negative prefetch degree")
 	}
 	if cfg.TargetInstructions == 0 {
 		return fmt.Errorf("perf: zero instruction target")
@@ -129,7 +130,7 @@ func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	for i, tp := range threads {
 		tp.Seed ^= cfg.Seed * 0x9E3779B9
 		gen := trace.NewThread(tp)
-		c, err := NewCore(i, cfg.Core, gen)
+		c, err := NewCore(i, cfg.PrefetchDegree, gen)
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,7 @@ const allocWarmNodes = 2048
 
 // TestCoverageTrialAllocs pins the coverage trial kernel's steady-state
 // allocation count at zero: sampling, permanent-fault filtering, planning
-// (all three reusable engines), and outcome accumulation reuse pooled
+// (RelaxFault, FreeFault and PPR), and outcome accumulation reuse pooled
 // buffers once warmed. A regression here silently multiplies by the millions
 // of trials a campaign runs.
 func TestCoverageTrialAllocs(t *testing.T) {
@@ -35,12 +35,15 @@ func TestCoverageTrialAllocs(t *testing.T) {
 	// sampler — are on the measured path.
 	cfg.Model.Rates = cfg.Model.Rates.Scale(10)
 	cfg.Planners = []repair.Planner{
-		repair.NewPPR(m.Geometry()),
-		repair.NewFreeFault(m, 16, true),
-		repair.NewRelaxFault(m, 16),
+		must(repair.NewPPR(m.Geometry(), 0, 0)),
+		must(repair.NewFreeFault(m, 16, true)),
+		must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})),
 	}
 	model, err := fault.NewModel(cfg.Model)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.est, err = cfg.Stats.newEstimator(model); err != nil {
 		t.Fatal(err)
 	}
 	nCurves := len(cfg.Planners) * len(cfg.WayLimits)
@@ -48,7 +51,7 @@ func TestCoverageTrialAllocs(t *testing.T) {
 	sc := &covScratch{}
 	acc := &covChunk{Curves: make([]covCurveChunk, nCurves)}
 	for i := 0; i < allocWarmNodes; i++ {
-		cfg.coverageTrial(model, fk, i, acc, sc)
+		cfg.coverageTrial(fk, i, acc, sc)
 	}
 	node := 0
 	allocs := testing.AllocsPerRun(allocWarmNodes, func() {
@@ -59,7 +62,7 @@ func TestCoverageTrialAllocs(t *testing.T) {
 			acc.Curves[c].Repairable = 0
 			acc.Curves[c].Caps = acc.Curves[c].Caps[:0]
 		}
-		cfg.coverageTrial(model, fk, node, acc, sc)
+		cfg.coverageTrial(fk, node, acc, sc)
 		node = (node + 1) % allocWarmNodes
 	})
 	if allocs != 0 {
@@ -80,7 +83,7 @@ func TestRunTrialAllocs(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Model.Rates = cfg.Model.Rates.Scale(10)
-	cfg.Planner = repair.NewRelaxFault(m, 16)
+	cfg.Planner = must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))
 	cfg.WayLimit = 1
 	model, err := fault.NewModel(cfg.Model)
 	if err != nil {

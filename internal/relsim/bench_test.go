@@ -25,9 +25,9 @@ func benchCoverageConfig(b *testing.B) CoverageConfig {
 	cfg := DefaultCoverageConfig()
 	cfg.Model.Rates = cfg.Model.Rates.Scale(10)
 	cfg.Planners = []repair.Planner{
-		repair.NewPPR(m.Geometry()),
-		repair.NewFreeFault(m, 16, true),
-		repair.NewRelaxFault(m, 16),
+		must(repair.NewPPR(m.Geometry(), 0, 0)),
+		must(repair.NewFreeFault(m, 16, true)),
+		must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})),
 	}
 	cfg.FaultyNodes = 200
 	cfg.MaxNodes = 1 << 20
@@ -42,6 +42,9 @@ func BenchmarkCoverageTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if cfg.est, err = cfg.Stats.newEstimator(model); err != nil {
+		b.Fatal(err)
+	}
 	nCurves := len(cfg.Planners) * len(cfg.WayLimits)
 	cfg.planHists = make([]*obs.Histogram, len(cfg.Planners))
 	fk := stats.NewRNG(cfg.Seed).Forker()
@@ -50,7 +53,7 @@ func BenchmarkCoverageTrial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.coverageTrial(model, fk, i, acc, sc)
+		cfg.coverageTrial(fk, i, acc, sc)
 	}
 }
 
@@ -62,7 +65,7 @@ func BenchmarkRunTrial(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Planner = repair.NewRelaxFault(m, 16)
+	cfg.Planner = must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))
 	cfg.WayLimit = 1
 	model, err := fault.NewModel(cfg.Model)
 	if err != nil {

@@ -26,9 +26,9 @@ func TestCoverageCalibration10x(t *testing.T) {
 	cfg.Model.Rates = fault.CieloRates().Scale(10)
 	cfg.FaultyNodes = 8000
 	cfg.Planners = []repair.Planner{
-		repair.NewRelaxFault(m, 16),
-		repair.NewFreeFault(m, 16, true),
-		repair.NewPPR(g),
+		must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})),
+		must(repair.NewFreeFault(m, 16, true)),
+		must(repair.NewPPR(g, 0, 0)),
 	}
 	res, err := CoverageStudy(cfg)
 	if err != nil {

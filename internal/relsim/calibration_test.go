@@ -24,10 +24,10 @@ func TestCoverageCalibration(t *testing.T) {
 	cfg := DefaultCoverageConfig()
 	cfg.FaultyNodes = 8000
 	cfg.Planners = []repair.Planner{
-		repair.NewRelaxFault(m, 16),
-		repair.NewFreeFault(m, 16, true),
-		repair.NewFreeFault(m, 16, false),
-		repair.NewPPR(g),
+		must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})),
+		must(repair.NewFreeFault(m, 16, true)),
+		must(repair.NewFreeFault(m, 16, false)),
+		must(repair.NewPPR(g, 0, 0)),
 	}
 	res, err := CoverageStudy(cfg)
 	if err != nil {

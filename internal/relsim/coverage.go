@@ -40,8 +40,8 @@ type CoverageConfig struct {
 	// trial with the global node index.
 	trialHook func(node int)
 
-	// est is the instantiated estimator (nil = naive); built from Stats
-	// once the fault model exists.
+	// est is the instantiated estimator, built from Stats once the fault
+	// model exists.
 	est estimator
 
 	// planHists caches the per-planner plan-capacity histograms so the
@@ -348,14 +348,14 @@ func (cfg *CoverageConfig) kernel() (func() func(lo, hi int) (*covChunk, error),
 	fk := stats.NewRNG(cfg.Seed).Forker()
 	return func() func(lo, hi int) (*covChunk, error) {
 		sc := &covScratch{}
-		return func(lo, hi int) (*covChunk, error) { return cfg.coverageChunk(model, fk, lo, hi, sc) }
+		return func(lo, hi int) (*covChunk, error) { return cfg.coverageChunk(fk, lo, hi, sc) }
 	}, nil
 }
 
 // covScratch is one worker's reusable coverage-trial state: fault-sampling
 // buffers, the per-trial substream RNG, the permanent-fault filter buffer,
 // and one recycled Plan per planner. Every buffer is reused across trials,
-// so a steady-state coverage trial with reusable planners allocates
+// so a steady-state coverage trial with the LLC and PPR planners allocates
 // nothing; only the chunk payload grows.
 type covScratch struct {
 	sample fault.SampleScratch
@@ -367,12 +367,12 @@ type covScratch struct {
 // coverageChunk is the coverage trial kernel: nodes [lo, hi) are sampled and
 // planned in index order, each accumulated straight into the chunk. A
 // panicking trial fails the chunk (see failTrial).
-func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo, hi int, sc *covScratch) (ch *covChunk, err error) {
+func (cfg *CoverageConfig) coverageChunk(fk stats.Forker, lo, hi int, sc *covScratch) (ch *covChunk, err error) {
 	node := lo
 	defer failTrial(&node, cfg.Seed, &err)
 	ch = &covChunk{Nodes: hi - lo, Curves: make([]covCurveChunk, len(cfg.Planners)*len(cfg.WayLimits))}
 	for ; node < hi; node++ {
-		cfg.coverageTrial(model, fk, node, ch, sc)
+		cfg.coverageTrial(fk, node, ch, sc)
 	}
 	// The capacity samples arrive in node order, which is deterministic;
 	// they are sorted because the chunk payload bytes are part of the
@@ -389,20 +389,18 @@ func (cfg *CoverageConfig) coverageChunk(model *fault.Model, fk stats.Forker, lo
 // coverageTrial samples node `node` and records each curve's outcome into
 // ch. The node's RNG stream is derived in place via Forker.Substream
 // (bit-identical to root.Fork(node)), sampling and permanent-fault filtering
-// reuse sc's buffers, and reusable planners plan into recycled Plans.
-func (cfg *CoverageConfig) coverageTrial(model *fault.Model, fk stats.Forker, node int, ch *covChunk, sc *covScratch) {
+// reuse sc's buffers, and the planners plan into recycled Plans.
+func (cfg *CoverageConfig) coverageTrial(fk stats.Forker, node int, ch *covChunk, sc *covScratch) {
 	if cfg.trialHook != nil {
 		cfg.trialHook(node)
 	}
 	fk.Substream(uint64(node), &sc.rng)
-	var nf fault.NodeFaults
-	// w is the trial's importance weight: 0 on the naive path, so the
-	// weighted tallies stay exactly zero (and omitted from the payload).
-	w := 0.0
-	if cfg.est != nil {
-		nf, w = cfg.est.sampleNode(&sc.rng, &sc.sample, node)
-	} else {
-		nf = model.SampleNodeScratch(&sc.rng, &sc.sample)
+	// w is the trial's importance weight. Without a statistics block it is
+	// 0, so the weighted tallies stay exactly zero (and omitted from the
+	// payload).
+	nf, w := cfg.est.sampleNode(&sc.rng, &sc.sample, node)
+	if !cfg.Stats.active() {
+		w = 0
 	}
 	ch.WNodes += w
 	sc.perm = nf.PermanentFaultsInto(sc.perm)

@@ -204,13 +204,9 @@ func newStratifiedEstimator(model *fault.Model) (*stratifiedEstimator, error) {
 	return &stratifiedEstimator{model: model, strata: strata}, nil
 }
 
-// newEstimator builds the configured estimator, or nil when s selects the
-// legacy pipeline (nil StatsConfig ⇒ no estimator object at all, so the
-// hot path keeps its original shape).
+// newEstimator builds the configured estimator; an inactive block selects
+// the naive one, whose trials are the original pipeline's.
 func (s *StatsConfig) newEstimator(model *fault.Model) (estimator, error) {
-	if !s.active() {
-		return nil, nil
-	}
 	switch s.estimatorName() {
 	case EstimatorNaive:
 		return naiveEstimator{model: model}, nil

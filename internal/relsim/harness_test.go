@@ -25,31 +25,6 @@ import (
 	"relaxfault/internal/stats"
 )
 
-// batchPlanner implements repair.Planner but not repair.Incremental — the
-// shape of planner the fleet simulator must reject instead of panicking.
-type batchPlanner struct{}
-
-func (batchPlanner) Name() string                           { return "batch-only" }
-func (batchPlanner) PlanNode(f []*fault.Fault) *repair.Plan { return &repair.Plan{} }
-
-func TestRunRejectsBatchOnlyPlanner(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Planner = batchPlanner{}
-	_, err := Run(cfg)
-	if err == nil {
-		t.Fatal("batch-only planner accepted")
-	}
-	msg := strings.ToLower(err.Error())
-	for _, want := range []string{"batch-only", "incremental"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	if _, err := ReplayNode(cfg, 0); err == nil {
-		t.Error("ReplayNode accepted batch-only planner")
-	}
-}
-
 func TestRunCtxCancelLatency(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Nodes = 20000
@@ -82,9 +57,9 @@ type nopState struct{}
 
 func (nopState) Reset() {}
 
-func (tripPlanner) Name() string                         { return "trip" }
-func (tripPlanner) PlanNode([]*fault.Fault) *repair.Plan { return &repair.Plan{} }
-func (tripPlanner) NewState() repair.NodeState           { return nopState{} }
+func (tripPlanner) Name() string                              { return "trip" }
+func (tripPlanner) PlanNodeInto(*repair.Plan, []*fault.Fault) {}
+func (tripPlanner) NewState() repair.NodeState                { return nopState{} }
 func (p tripPlanner) TryRepair(_ repair.NodeState, f *fault.Fault, _ int) bool {
 	if f.AtHours == p.at {
 		panic(fmt.Sprintf("trip at %v h", p.at))
@@ -281,7 +256,7 @@ func covCfg(t *testing.T) CoverageConfig {
 	cfg := DefaultCoverageConfig()
 	cfg.FaultyNodes = 600
 	cfg.WayLimits = []int{1, 4}
-	cfg.Planners = []repair.Planner{repair.NewRelaxFault(m, 16)}
+	cfg.Planners = []repair.Planner{must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))}
 	return cfg
 }
 

@@ -82,15 +82,13 @@ type Config struct {
 	Model fault.Config
 	// Nodes per system (paper: 16,384).
 	Nodes int
-	// Planner is the repair engine; nil disables repair. It must support
-	// incremental planning (repair.Incremental); Run reports an error
-	// otherwise.
+	// Planner is the repair engine; nil disables repair.
 	Planner repair.Planner
 	// WayLimit caps repair lines per LLC set (1, 4, or 16 in the paper).
 	WayLimit int
 	Policy   ReplacementPolicy
 	// Replicas repeats the whole-system simulation to tighten expectation
-	// estimates; results are reported per system.
+	// estimates; results are reported per system. It must be positive.
 	Replicas int
 	Seed     uint64
 	// Stats selects the estimator driving the trial pipeline and the
@@ -122,8 +120,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first configuration error, if any. RunCtx applies it
-// after defaulting Replicas; the scenario layer calls it directly so bad
+// Validate reports the first configuration error, if any. RunCtx, ReplayNode
+// and NewRunReplayer apply it; the scenario layer calls it directly so bad
 // specs fail before any simulation work starts.
 func (cfg *Config) Validate() error {
 	if cfg.Nodes <= 0 {
@@ -135,13 +133,8 @@ func (cfg *Config) Validate() error {
 	if err := cfg.Stats.validate(); err != nil {
 		return err
 	}
-	if cfg.Planner != nil {
-		if _, ok := cfg.Planner.(repair.Incremental); !ok {
-			return fmt.Errorf("relsim: planner %q does not support incremental planning (repair.Incremental); the fleet simulator consumes faults in arrival order and cannot drive a batch-only planner", cfg.Planner.Name())
-		}
-		if cfg.WayLimit < 0 {
-			return fmt.Errorf("relsim: WayLimit must be non-negative")
-		}
+	if cfg.Planner != nil && cfg.WayLimit < 0 {
+		return fmt.Errorf("relsim: WayLimit must be non-negative")
 	}
 	if err := cfg.Model.Geometry.Validate(); err != nil {
 		return fmt.Errorf("relsim: %w", err)
@@ -222,11 +215,7 @@ const RunChunkSize = chunkSize
 // Nodes × Replicas, capped by Stats.MaxTrials when the statistics block is
 // active.
 func (cfg *Config) TotalTrials() int {
-	repl := cfg.Replicas
-	if repl <= 0 {
-		repl = 1
-	}
-	total := cfg.Nodes * repl
+	total := cfg.Nodes * cfg.Replicas
 	if cfg.Stats.active() && cfg.Stats.MaxTrials > 0 && cfg.Stats.MaxTrials < total {
 		total = cfg.Stats.MaxTrials
 	}
@@ -281,9 +270,6 @@ func Run(cfg Config) (Result, error) {
 // target — is a deterministic function of the configuration, never of
 // scheduling.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -423,14 +409,9 @@ func (s *nodeSim) runTrial(node int, res *runPayload) {
 	}
 }
 
-// sampleAndSimulate runs one trial through the configured estimator (the
-// physical process with weight 1 when none is configured), returning the
-// trial's importance weight.
+// sampleAndSimulate runs one trial through the configured estimator,
+// returning the trial's importance weight.
 func (s *nodeSim) sampleAndSimulate(rng *stats.RNG, node int, res *Result) float64 {
-	if s.est == nil {
-		s.runNode(rng, res)
-		return 1
-	}
 	nf, w := s.est.sampleNode(rng, &s.sampleSc, node)
 	s.simulate(nf, res)
 	return w
@@ -442,14 +423,11 @@ func (s *nodeSim) sampleAndSimulate(rng *stats.RNG, node int, res *Result) float
 // single goroutine.
 // The returned Result holds just that node's contributions, unscaled.
 func ReplayNode(cfg Config, node int) (Result, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
 	}
 	if node < 0 || node >= cfg.Nodes*cfg.Replicas {
 		return Result{}, fmt.Errorf("relsim: node %d outside [0, %d)", node, cfg.Nodes*cfg.Replicas)
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
 	}
 	model, err := fault.NewModel(cfg.Model)
 	if err != nil {
@@ -478,12 +456,9 @@ type liveFault struct {
 type nodeSim struct {
 	model *fault.Model
 	cfg   Config
-	inc   repair.Incremental // nil when no repair is configured
-	state repair.NodeState   // reused across trials (Reset per node)
-	// est is the configured sampling strategy; nil selects the original
-	// naive pipeline with its exact code path.
-	est estimator
-	fk  stats.Forker // the root seed's per-trial substreams
+	state repair.NodeState // reused across trials (Reset per node)
+	est   estimator        // the configured sampling strategy
+	fk    stats.Forker     // the root seed's per-trial substreams
 
 	sampleSc fault.SampleScratch
 	// trialRNG is the per-trial substream (seeded in place per trial) and
@@ -505,14 +480,7 @@ type nodeSim struct {
 
 func newNodeSim(model *fault.Model, cfg Config) (*nodeSim, error) {
 	est, err := cfg.Stats.newEstimator(model)
-	inc, _ := cfg.Planner.(repair.Incremental) // Validate rejects any other planner
-	return &nodeSim{model: model, cfg: cfg, inc: inc, est: est, fk: stats.NewRNG(cfg.Seed).Forker()}, err
-}
-
-// runNode samples one node from the physical fault process and simulates
-// its 6-year history (the original, naive trial).
-func (s *nodeSim) runNode(rng *stats.RNG, res *Result) {
-	s.simulate(s.model.SampleNodeScratch(rng, &s.sampleSc), res)
+	return &nodeSim{model: model, cfg: cfg, est: est, fk: stats.NewRNG(cfg.Seed).Forker()}, err
 }
 
 // simulate runs one node's sampled fault history through the repair and
@@ -540,10 +508,11 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 
 	// Live permanent faults in arrival order (all DIMMs of the node).
 	live := s.live[:0]
+	planner := s.cfg.Planner
 	var state repair.NodeState
-	if s.inc != nil {
+	if planner != nil {
 		if s.state == nil {
-			s.state = s.inc.NewState()
+			s.state = planner.NewState()
 		}
 		s.state.Reset()
 		state = s.state
@@ -563,10 +532,10 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 		}
 		live = keep
 		s.replaced[dimm] = true
-		if s.inc != nil {
+		if planner != nil {
 			state.Reset()
 			for i := range live {
-				live[i].repaired = s.inc.TryRepair(state, live[i].f, s.cfg.WayLimit)
+				live[i].repaired = planner.TryRepair(state, live[i].f, s.cfg.WayLimit)
 			}
 		}
 	}
@@ -588,8 +557,8 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 			// fault never contributes to a DUE, even when it lands on top
 			// of an older unrepairable fault, because its data stops being
 			// served from the faulty cells.
-			if s.inc != nil {
-				newRepaired = s.inc.TryRepair(state, f, s.cfg.WayLimit)
+			if planner != nil {
+				newRepaired = planner.TryRepair(state, f, s.cfg.WayLimit)
 				if newRepaired {
 					rm.repairs.Inc()
 				} else {
@@ -680,13 +649,13 @@ func (s *nodeSim) simulate(nf fault.NodeFaults, res *Result) {
 		// faults, was never replaced, and none remain unrepaired.
 		if s.unrepaired[dimm] {
 			nodeUnrepaired = true
-		} else if s.cfg.Planner != nil && !s.replaced[dimm] {
+		} else if planner != nil && !s.replaced[dimm] {
 			res.RepairedDIMMs++
 		}
 	}
 	s.live = live[:0]
 	s.hits = hits[:0]
-	if anyPermanent && s.cfg.Planner != nil && !nodeUnrepaired && !nodeReplaced {
+	if anyPermanent && planner != nil && !nodeUnrepaired && !nodeReplaced {
 		res.RepairedNodes++
 	}
 }

@@ -2,6 +2,7 @@ package relsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"relaxfault/internal/addrmap"
@@ -9,6 +10,14 @@ import (
 	"relaxfault/internal/fault"
 	"relaxfault/internal/repair"
 )
+
+// must returns v, panicking on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // sameResult compares two Results exactly (bitwise on the float fields,
 // including skip records).
@@ -35,6 +44,19 @@ func TestRunValidation(t *testing.T) {
 	cfg.Model.Hours = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("invalid model accepted")
+	}
+	// Validate is the one Replicas rule: every entry point rejects what it
+	// rejects, and ReplayNode before its trial range check.
+	cfg = DefaultConfig()
+	cfg.Replicas = 0
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Replicas") {
+		t.Errorf("Run with zero replicas: %v", err)
+	}
+	if _, err := ReplayNode(cfg, 0); err == nil || !strings.Contains(err.Error(), "Replicas") {
+		t.Errorf("ReplayNode with zero replicas: %v", err)
+	}
+	if _, err := NewRunReplayer(cfg); err == nil || !strings.Contains(err.Error(), "Replicas") {
+		t.Errorf("NewRunReplayer with zero replicas: %v", err)
 	}
 }
 
@@ -126,7 +148,7 @@ func TestRepairReducesReplacementsUnderReplB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Planner = repair.NewRelaxFault(m, 16)
+	cfg.Planner = must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))
 	cfg.WayLimit = 4
 	withRepair, err := Run(cfg)
 	if err != nil {
@@ -148,7 +170,10 @@ func TestCoverageMonotoneInWayLimit(t *testing.T) {
 	}
 	cfg := DefaultCoverageConfig()
 	cfg.FaultyNodes = 1500
-	cfg.Planners = []repair.Planner{repair.NewRelaxFault(m, 16), repair.NewFreeFault(m, 16, true)}
+	cfg.Planners = []repair.Planner{
+		must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})),
+		must(repair.NewFreeFault(m, 16, true)),
+	}
 	res, err := CoverageStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +197,7 @@ func TestCoverageStudyValidation(t *testing.T) {
 	g := dram.Default8GiBNode()
 	m, _ := addrmap.New(g, 8192)
 	cfg = DefaultCoverageConfig()
-	cfg.Planners = []repair.Planner{repair.NewRelaxFault(m, 16)}
+	cfg.Planners = []repair.Planner{must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))}
 	cfg.FaultyNodes = 0
 	if _, err := CoverageStudy(cfg); err == nil {
 		t.Error("zero faulty-node target accepted")
@@ -186,7 +211,7 @@ func TestCoverageCapacityAccessors(t *testing.T) {
 	cfg := DefaultCoverageConfig()
 	cfg.FaultyNodes = 800
 	cfg.WayLimits = []int{4}
-	cfg.Planners = []repair.Planner{repair.NewRelaxFault(m, 16)}
+	cfg.Planners = []repair.Planner{must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))}
 	res, err := CoverageStudy(cfg)
 	if err != nil {
 		t.Fatal(err)

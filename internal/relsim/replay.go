@@ -37,9 +37,6 @@ func replayer[P any](sec harness.Section, kernel func() func(lo, hi int) (P, err
 // Execution attachments (Exec) are ignored; only the statistical
 // configuration matters.
 func NewRunReplayer(cfg Config) (Replayer, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
 	cfg.Exec = harness.Exec{}
 	cfg.trialHook = nil
 	if err := cfg.Validate(); err != nil {

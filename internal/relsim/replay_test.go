@@ -210,7 +210,7 @@ func TestCoverageReplayerMatchesJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultCoverageConfig()
-	cfg.Planners = []repair.Planner{repair.NewRelaxFault(m, 16)}
+	cfg.Planners = []repair.Planner{must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{}))}
 	cfg.WayLimits = []int{4}
 	cfg.FaultyNodes = 400
 	cfg.MaxNodes = 50000

@@ -35,10 +35,10 @@ func TestSystemRunShapes(t *testing.T) {
 		return res
 	}
 	noRepairA := run(nil, 0, ReplaceAfterDUE)
-	rf4A := run(repair.NewRelaxFault(m, 16), 4, ReplaceAfterDUE)
-	ppr4A := run(repair.NewPPR(g), 4, ReplaceAfterDUE)
+	rf4A := run(must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})), 4, ReplaceAfterDUE)
+	ppr4A := run(must(repair.NewPPR(g, 0, 0)), 4, ReplaceAfterDUE)
 	noRepairB := run(nil, 0, ReplaceAfterThreshold)
-	rf4B := run(repair.NewRelaxFault(m, 16), 4, ReplaceAfterThreshold)
+	rf4B := run(must(repair.NewRelaxFault(m, 16, repair.RelaxFaultOptions{})), 4, ReplaceAfterThreshold)
 
 	t.Logf("no-repair/ReplA: faulty=%.0f multiDIMM=%.1f DUE=%.2f SDC=%.4f repl=%.2f",
 		noRepairA.FaultyNodes, noRepairA.MultiDeviceFaultDIMMs, noRepairA.DUEs, noRepairA.SDCs, noRepairA.Replacements)

@@ -13,8 +13,8 @@ import (
 
 func TestPageRetirementBitFault(t *testing.T) {
 	m := mapper(t)
-	pr := NewPageRetirement(m, 4<<10, 0)
-	plan := pr.PlanNode([]*fault.Fault{bitFault(dev(0, 0, 3), 1, 100, 5)})
+	pr := must(NewPageRetirement(m, 4<<10, 0))
+	plan := PlanInto(pr, nil, []*fault.Fault{bitFault(dev(0, 0, 3), 1, 100, 5)})
 	if !plan.AllMappable {
 		t.Fatal("bit fault should be retirable")
 	}
@@ -28,8 +28,8 @@ func TestPageRetirementBitFault(t *testing.T) {
 // spreads over many 4KiB frames because of address interleaving.
 func TestPageRetirementRowFaultSpreads(t *testing.T) {
 	m := mapper(t)
-	pr := NewPageRetirement(m, 4<<10, 1<<30)
-	plan := pr.PlanNode([]*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
+	pr := must(NewPageRetirement(m, 4<<10, 1<<30))
+	plan := PlanInto(pr, nil, []*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
 	if !plan.AllMappable {
 		t.Fatal("row fault should fit a 1GiB budget")
 	}
@@ -42,8 +42,8 @@ func TestPageRetirementRowFaultSpreads(t *testing.T) {
 	if plan.Bytes < 16*4096 {
 		t.Errorf("capacity loss %d bytes implausibly small", plan.Bytes)
 	}
-	rf := NewRelaxFault(m, 16)
-	rfPlan := rf.PlanNode([]*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
+	rfPlan := PlanInto(rf, nil, []*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
 	if plan.Bytes < 32*rfPlan.Bytes {
 		t.Errorf("retirement (%dB) should cost far more than RelaxFault (%dB)", plan.Bytes, rfPlan.Bytes)
 	}
@@ -51,8 +51,8 @@ func TestPageRetirementRowFaultSpreads(t *testing.T) {
 
 func TestPageRetirementBudgetRefusesMassiveFaults(t *testing.T) {
 	m := mapper(t)
-	pr := NewPageRetirement(m, 4<<10, 0) // default 1% budget
-	plan := pr.PlanNode([]*fault.Fault{wholeBankFault(dev(0, 0, 5), 3)})
+	pr := must(NewPageRetirement(m, 4<<10, 0)) // default 1% budget
+	plan := PlanInto(pr, nil, []*fault.Fault{wholeBankFault(dev(0, 0, 5), 3)})
 	if plan.AllMappable {
 		t.Error("whole-bank fault should exceed the retirement budget")
 	}
@@ -60,11 +60,11 @@ func TestPageRetirementBudgetRefusesMassiveFaults(t *testing.T) {
 
 func TestPageRetirementHugePagesWorse(t *testing.T) {
 	m := mapper(t)
-	small := NewPageRetirement(m, 4<<10, 1<<40)
-	huge := NewPageRetirement(m, 2<<20, 1<<40)
+	small := must(NewPageRetirement(m, 4<<10, 1<<40))
+	huge := must(NewPageRetirement(m, 2<<20, 1<<40))
 	f := []*fault.Fault{rowFault(dev(1, 1, 2), 4, 9)}
-	ps := small.PlanNode(f)
-	ph := huge.PlanNode(f)
+	ps := PlanInto(small, nil, f)
+	ph := PlanInto(huge, nil, f)
 	if ph.Bytes <= ps.Bytes {
 		t.Errorf("huge pages should lose more capacity: %d vs %d", ph.Bytes, ps.Bytes)
 	}
@@ -72,7 +72,7 @@ func TestPageRetirementHugePagesWorse(t *testing.T) {
 
 func TestPageRetirementIncrementalMatchesBatch(t *testing.T) {
 	m := mapper(t)
-	pr := NewPageRetirement(m, 4<<10, 0).(Incremental)
+	pr := must(NewPageRetirement(m, 4<<10, 0))
 	model, _ := fault.NewModel(fault.DefaultConfig())
 	rng := stats.NewRNG(31)
 	tested := 0
@@ -83,7 +83,7 @@ func TestPageRetirementIncrementalMatchesBatch(t *testing.T) {
 			continue
 		}
 		tested++
-		plan := pr.PlanNode(perm) // retires pages in arrival order
+		plan := PlanInto(pr, nil, perm) // retires pages in arrival order
 		st := pr.NewState()
 		for i, f := range perm {
 			if got, batch := pr.TryRepair(st, f, 1), plan.PerFault[i].Mappable; got != batch {
@@ -97,22 +97,21 @@ func TestPageRetirementIncrementalMatchesBatch(t *testing.T) {
 
 func TestMirroringAbsorbsEverythingAtHalfCapacity(t *testing.T) {
 	g := dram.Default8GiBNode()
-	mir := NewMirroring(g)
+	mir := must(NewMirroring(g))
 	faults := []*fault.Fault{
 		wholeBankFault(dev(0, 0, 5), 3),
 		rowFault(dev(1, 1, 2), 4, 9),
 	}
-	plan := mir.PlanNode(faults)
+	plan := PlanInto(mir, nil, faults)
 	if !plan.AllMappable || !plan.RepairableUnder(1) {
 		t.Error("mirroring should absorb any fault")
 	}
 	if plan.Bytes != int64(g.NodeDataBytes()/2) {
 		t.Errorf("mirroring cost %d bytes, want half the node", plan.Bytes)
 	}
-	inc := mir.(Incremental)
-	st := inc.NewState()
+	st := mir.NewState()
 	for _, f := range faults {
-		if !inc.TryRepair(st, f, 1) {
+		if !mir.TryRepair(st, f, 1) {
 			t.Error("incremental mirroring rejected a fault")
 		}
 	}
@@ -124,11 +123,11 @@ func TestMirroringAbsorbsEverythingAtHalfCapacity(t *testing.T) {
 // row-fault footprint by 16 — quantifying the core design choice.
 func TestAblationNoCoalescing(t *testing.T) {
 	m := mapper(t)
-	full := NewRelaxFault(m, 16)
-	ab := NewRelaxFaultAblated(m, 16, RelaxFaultOptions{NoCoalescing: true})
+	full := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
+	ab := must(NewRelaxFault(m, 16, RelaxFaultOptions{NoCoalescing: true}))
 	f := []*fault.Fault{rowFault(dev(0, 1, 7), 2, 300)}
-	pf := full.PlanNode(f)
-	pa := ab.PlanNode(f)
+	pf := PlanInto(full, nil, f)
+	pa := PlanInto(ab, nil, f)
 	if pa.TotalLines != 16*pf.TotalLines {
 		t.Errorf("ablated footprint %d, want 16x %d", pa.TotalLines, pf.TotalLines)
 	}
@@ -142,17 +141,17 @@ func TestAblationNoCoalescing(t *testing.T) {
 // multi-fault way behaviour.
 func TestAblationNoSpread(t *testing.T) {
 	m := mapper(t)
-	ab := NewRelaxFaultAblated(m, 16, RelaxFaultOptions{NoSpread: true})
+	ab := must(NewRelaxFault(m, 16, RelaxFaultOptions{NoSpread: true}))
 	// Two row faults with identical low row bits on different banks: with
 	// the spread hash these nearly never collide; without it they MUST.
 	f1 := rowFault(dev(0, 0, 2), 1, 1000)
 	f2 := rowFault(dev(0, 0, 5), 6, 1000)
-	plan := ab.PlanNode([]*fault.Fault{f1, f2})
+	plan := PlanInto(ab, nil, []*fault.Fault{f1, f2})
 	if plan.MaxWaysPerSet < 2 {
 		t.Errorf("no-spread placement should collide: max ways %d", plan.MaxWaysPerSet)
 	}
-	full := NewRelaxFault(m, 16)
-	planFull := full.PlanNode([]*fault.Fault{f1, f2})
+	full := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
+	planFull := PlanInto(full, nil, []*fault.Fault{f1, f2})
 	if planFull.MaxWaysPerSet != 1 {
 		t.Errorf("spread placement should not collide: max ways %d", planFull.MaxWaysPerSet)
 	}
@@ -169,7 +168,7 @@ func TestVariantGeometriesPlanConsistently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf := NewRelaxFault(m, 16)
+		rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
 		f := &fault.Fault{
 			Dev:  dram.DeviceCoord{Channel: 0, Rank: 0, Device: 1},
 			Mode: fault.SingleRow,
@@ -179,7 +178,7 @@ func TestVariantGeometriesPlanConsistently(t *testing.T) {
 				ColLo: 0, ColHi: g.Columns - 1,
 			}},
 		}
-		plan := rf.PlanNode([]*fault.Fault{f})
+		plan := PlanInto(rf, nil, []*fault.Fault{f})
 		wantLines := int64(g.ColBlocks() / addrmap.SubBlocksPerLine)
 		if plan.TotalLines != wantLines {
 			t.Errorf("%d-bank geometry: row fault uses %d lines, want %d", g.Banks, plan.TotalLines, wantLines)
@@ -193,19 +192,19 @@ func TestVariantGeometriesPlanConsistently(t *testing.T) {
 func TestPPRBudgetVariants(t *testing.T) {
 	g := dram.LPDDR4Node()
 	// LPDDR4: one spare per bank -> two rows in adjacent banks repairable.
-	perBank := NewPPRWithBudget(g, 1, 1)
+	perBank := must(NewPPR(g, 1, 1))
 	d := dev(0, 0, 4)
-	plan := perBank.PlanNode([]*fault.Fault{rowFault(d, 0, 1), rowFault(d, 1, 2)})
+	plan := PlanInto(perBank, nil, []*fault.Fault{rowFault(d, 0, 1), rowFault(d, 1, 2)})
 	if !plan.AllMappable {
 		t.Error("per-bank spares should repair rows in adjacent banks")
 	}
 	// Two spares per group absorb the two-row fault that defeats default
 	// PPR.
-	roomy := NewPPRWithBudget(dram.Default8GiBNode(), 2, 2)
+	roomy := must(NewPPR(dram.Default8GiBNode(), 2, 2))
 	two := &fault.Fault{Dev: d, Mode: fault.SingleRow, Extents: []fault.Extent{{
 		BankLo: 4, BankHi: 4, Rows: fault.RowRange(10, 11), ColLo: 0, ColHi: dram.Default8GiBNode().Columns - 1,
 	}}}
-	if !roomy.PlanNode([]*fault.Fault{two}).AllMappable {
+	if !PlanInto(roomy, nil, []*fault.Fault{two}).AllMappable {
 		t.Error("2-spare budget should absorb a two-row fault")
 	}
 }

@@ -43,7 +43,7 @@ func newRefNode(p *LLCPlanner, faults []*fault.Fault) refNode {
 	return r
 }
 
-// plan is PlanNode by the reference: each fault is charged the lines no
+// plan is PlanNodeInto by the reference: each fault is charged the lines no
 // earlier fault enumerated.
 func (r refNode) plan() (lines []int64, total int64, maxWays int) {
 	seen := make([]bool, len(r.sets))
@@ -95,14 +95,14 @@ func (r refNode) repairs(wayCap int) []bool {
 	return out
 }
 
-// checkDedup compares p's PlanNode (per-fault Lines and Mappable,
+// checkDedup compares p's PlanNodeInto (per-fault Lines and Mappable,
 // TotalLines, MaxWaysPerSet) and its TryRepair decisions at way caps 1, 2,
 // 4 and 16 on faults against the reference.
 func checkDedup(t *testing.T, label string, p *LLCPlanner, faults []*fault.Fault) {
 	t.Helper()
 	ref := newRefNode(p, faults)
 	lines, total, maxWays := ref.plan()
-	plan := p.PlanNode(faults)
+	plan := PlanInto(p, nil, faults)
 	for i, fp := range plan.PerFault {
 		if fp.Lines != lines[i] || fp.Mappable != ref.mappable[i] {
 			t.Errorf("%s %s fault %d (%v %+v): plan charges %d lines, mappable %v; reference %d, %v",
@@ -127,11 +127,12 @@ func checkDedup(t *testing.T, label string, p *LLCPlanner, faults []*fault.Fault
 }
 
 // TestDedupAcrossFaults pins hand-built nodes where lines do or do not
-// coincide: PlanNode's per-fault charge and, where a cap is given, the
+// coincide: PlanNodeInto's per-fault charge and, where a cap is given, the
 // TryRepair decisions, each also checked against the reference.
 func TestDedupAcrossFaults(t *testing.T) {
 	m := mapper(t)
-	rf, ff, ffh := NewRelaxFault(m, 16), NewFreeFault(m, 16, false), NewFreeFault(m, 16, true)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
+	ff, ffh := must(NewFreeFault(m, 16, false)), must(NewFreeFault(m, 16, true))
 	d3 := dev(0, 0, 3)
 	mirrored := func(d dram.DeviceCoord, bank, row int) *fault.Fault {
 		f := rowFault(d, bank, row)
@@ -152,7 +153,7 @@ func TestDedupAcrossFaults(t *testing.T) {
 		name   string
 		p      *LLCPlanner
 		faults []*fault.Fault
-		lines  []int64 // PlanNode's per-fault charge
+		lines  []int64 // PlanNodeInto's per-fault charge
 		wayCap int     // 0: no TryRepair expectation
 		accept []bool
 	}{
@@ -189,13 +190,13 @@ func TestDedupAcrossFaults(t *testing.T) {
 			[]*fault.Fault{wholeBankFault(d3, 1), rowFault(d3, 1, 100)}, []int64{0, 16}, 16, []bool{false, true}},
 		// Unhashed, the column's 512 lines share one set, so it is rejected
 		// at one way; the bit faults inside it then need their own lines.
-		// PlanNode still charges them nothing: the column was enumerated.
+		// PlanNodeInto still charges them nothing: the column was enumerated.
 		{"earlier rejected candidate", ff, []*fault.Fault{
 			colFault(dev(0, 0, 0), 0, 40), bitFault(dev(0, 0, 0), 0, 600, 40), bitFault(dev(0, 0, 0), 0, 601, 40),
 		}, []int64{512, 0, 0}, 1, []bool{false, true, false}},
 	} {
 		t.Run(tc.p.Name()+"/"+tc.name, func(t *testing.T) {
-			plan := tc.p.PlanNode(tc.faults)
+			plan := PlanInto(tc.p, nil, tc.faults)
 			for i, fp := range plan.PerFault {
 				if fp.Lines != tc.lines[i] {
 					t.Errorf("fault %d charged %d lines, want %d", i, fp.Lines, tc.lines[i])
@@ -237,11 +238,11 @@ func TestDedupMatchesMapReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		planners := []*LLCPlanner{
-			NewRelaxFault(m, 16),
-			NewRelaxFaultAblated(m, 16, RelaxFaultOptions{NoCoalescing: true}),
-			NewRelaxFaultAblated(m, 16, RelaxFaultOptions{NoSpread: true}),
-			NewFreeFault(m, 16, false),
-			NewFreeFault(m, 16, true),
+			must(NewRelaxFault(m, 16, RelaxFaultOptions{})),
+			must(NewRelaxFault(m, 16, RelaxFaultOptions{NoCoalescing: true})),
+			must(NewRelaxFault(m, 16, RelaxFaultOptions{NoSpread: true})),
+			must(NewFreeFault(m, 16, false)),
+			must(NewFreeFault(m, 16, true)),
 		}
 		for _, fit := range []float64{1, 10} {
 			for _, boost := range []float64{1, 16} {

@@ -3,30 +3,20 @@ package repair
 import "relaxfault/internal/fault"
 
 // NodeState is per-node incremental planning state. Obtain one from
-// Incremental.NewState and thread it through TryRepair calls in fault
-// arrival order. For RelaxFault and FreeFault the decisions match
-// core.Controller's functional repair (the planner-vs-controller
-// differential in internal/core); for PPR and page retirement they match
-// PlanNode's per-fault Mappable, which is arrival-order greedy too.
+// Planner.NewState and thread it through TryRepair calls in fault arrival
+// order. For RelaxFault and FreeFault the decisions match core.Controller's
+// functional repair (the planner-vs-controller differential in
+// internal/core); for PPR and page retirement they match PlanNodeInto's
+// per-fault Mappable, which is arrival-order greedy too.
 type NodeState interface {
 	// Reset clears the state (used when a DIMM replacement removes
 	// faults; callers then replay the surviving faults).
 	Reset()
 }
 
-// Incremental is implemented by every planner in this package: it repairs
-// faults one at a time, which is how the reliability simulation consumes
-// them (a full PlanNode per arrival would be quadratic in the node's fault
-// count and re-enumerate large extents every time).
-type Incremental interface {
-	Planner
-	NewState() NodeState
-	// TryRepair attempts to repair f on top of the repairs recorded in st
-	// under the per-set way limit. On success the state is updated and
-	// true is returned; on failure the state is unchanged. The state keeps
-	// the accepted faults until Reset, so they must not change until then.
-	TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool
-}
+// Incremental is Planner: every planner repairs faults one at a time. The
+// name stays for the benchmark harness, which asserts it.
+type Incremental = Planner
 
 // llcState is the incremental state of the LLC-based planners: the
 // accepted faults and their per-set load, which new lines dedup against.
@@ -40,14 +30,14 @@ type llcState struct {
 // Reset implements NodeState.
 func (s *llcState) Reset() { s.reset(len(s.load.n)) }
 
-// NewState implements Incremental.
+// NewState implements Planner.
 func (p *LLCPlanner) NewState() NodeState {
 	s := &llcState{}
 	s.reset(1 << p.mapper.SetBits())
 	return s
 }
 
-// TryRepair implements Incremental for RelaxFault and FreeFault.
+// TryRepair implements Planner for RelaxFault and FreeFault.
 func (p *LLCPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool {
 	s := st.(*llcState)
 	if wayLimit <= 0 {
@@ -78,12 +68,12 @@ type pprState struct {
 // models DIMM replacement, where the new module arrives with fresh spares.
 func (s *pprState) Reset() { clear(s.used) }
 
-// NewState implements Incremental.
+// NewState implements Planner.
 func (p *pprPlanner) NewState() NodeState {
 	return &pprState{used: make(map[pprGroupKey]int)}
 }
 
-// TryRepair implements Incremental for PPR.
+// TryRepair implements Planner for PPR.
 func (p *pprPlanner) TryRepair(st NodeState, f *fault.Fault, _ int) bool {
 	s := st.(*pprState)
 	sc := p.scratch()

@@ -27,16 +27,30 @@ type pageRetirePlanner struct {
 }
 
 // NewPageRetirement returns the OS page-retirement baseline with the given
-// frame size and per-node retirement budget (bytes). A zero budget defaults
-// to 1% of node capacity, a typical operational cap.
-func NewPageRetirement(m *addrmap.Mapper, pageBytes, maxLossBytes int64) Planner {
-	if pageBytes <= 0 {
+// frame size and per-node retirement budget (bytes). A zero frame size
+// selects 4KiB frames, and a zero budget 1% of node capacity, a typical
+// operational cap. A nil mapper, an invalid geometry, a frame size that is
+// not a multiple of the 64B line and a negative budget are errors.
+func NewPageRetirement(m *addrmap.Mapper, pageBytes, maxLossBytes int64) (Planner, error) {
+	if m == nil {
+		return nil, fmt.Errorf("repair: page retirement: nil address mapper")
+	}
+	if err := m.Geometry().Validate(); err != nil {
+		return nil, fmt.Errorf("repair: page retirement: %w", err)
+	}
+	if pageBytes < 0 || pageBytes%64 != 0 {
+		return nil, fmt.Errorf("repair: page retirement: frame size %dB must be a positive multiple of the 64B line", pageBytes)
+	}
+	if maxLossBytes < 0 {
+		return nil, fmt.Errorf("repair: page retirement: negative retirement budget %dB", maxLossBytes)
+	}
+	if pageBytes == 0 {
 		pageBytes = 4 << 10
 	}
-	if maxLossBytes <= 0 {
+	if maxLossBytes == 0 {
 		maxLossBytes = int64(m.Geometry().NodeDataBytes() / 100)
 	}
-	return &pageRetirePlanner{mapper: m, pageBytes: pageBytes, maxLossBytes: maxLossBytes}
+	return &pageRetirePlanner{mapper: m, pageBytes: pageBytes, maxLossBytes: maxLossBytes}, nil
 }
 
 func (p *pageRetirePlanner) Name() string {
@@ -49,11 +63,11 @@ func (p *pageRetirePlanner) Name() string {
 // linesPerPage returns how many cachelines one frame holds.
 func (p *pageRetirePlanner) linesPerPage() int64 { return p.pageBytes / 64 }
 
-// PlanNode computes the retired-frame footprint. The Plan reuses the LLC
-// plan structure with Bytes meaning lost DRAM capacity; MaxWaysPerSet stays
-// zero because way pressure does not apply.
-func (p *pageRetirePlanner) PlanNode(faults []*fault.Fault) *Plan {
-	plan := &Plan{Engine: p.Name(), AllMappable: true, PerFault: make([]FaultPlan, len(faults))}
+// PlanNodeInto computes the retired-frame footprint. The Plan reuses the
+// LLC plan structure with Bytes meaning lost DRAM capacity; MaxWaysPerSet
+// stays zero because way pressure does not apply.
+func (p *pageRetirePlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
+	plan.reset(p.Name(), len(faults), false)
 	seen := make(map[uint64]struct{})
 	var budget int64
 	g := p.mapper.Geometry()
@@ -101,7 +115,6 @@ func (p *pageRetirePlanner) PlanNode(faults []*fault.Fault) *Plan {
 		plan.TotalLines += pages
 	}
 	plan.Bytes = budget
-	return plan
 }
 
 // prState tracks retired pages incrementally.
@@ -116,12 +129,12 @@ func (s *prState) Reset() {
 	s.loss = 0
 }
 
-// NewState implements Incremental.
+// NewState implements Planner.
 func (p *pageRetirePlanner) NewState() NodeState {
 	return &prState{seen: make(map[uint64]struct{})}
 }
 
-// TryRepair implements Incremental for page retirement; the way limit is
+// TryRepair implements Planner for page retirement; the way limit is
 // ignored (frames are not cache ways).
 func (p *pageRetirePlanner) TryRepair(st NodeState, f *fault.Fault, _ int) bool {
 	s := st.(*prState)
@@ -163,19 +176,25 @@ type mirrorPlanner struct {
 	geo dram.Geometry
 }
 
-// NewMirroring returns the channel-mirroring baseline.
-func NewMirroring(g dram.Geometry) Planner { return &mirrorPlanner{geo: g} }
+// NewMirroring returns the channel-mirroring baseline; an invalid geometry
+// is an error.
+func NewMirroring(g dram.Geometry) (Planner, error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("repair: mirroring: %w", err)
+	}
+	return &mirrorPlanner{geo: g}, nil
+}
 
 func (p *mirrorPlanner) Name() string { return "Mirroring" }
 
-// PlanNode: everything repairs; Bytes reports the mirroring capacity cost.
-func (p *mirrorPlanner) PlanNode(faults []*fault.Fault) *Plan {
-	plan := &Plan{Engine: p.Name(), AllMappable: true, PerFault: make([]FaultPlan, len(faults))}
+// PlanNodeInto: everything repairs; Bytes reports the mirroring capacity
+// cost.
+func (p *mirrorPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
+	plan.reset(p.Name(), len(faults), false)
 	for i := range plan.PerFault {
 		plan.PerFault[i].Mappable = true
 	}
 	plan.Bytes = int64(p.geo.NodeDataBytes() / 2)
-	return plan
 }
 
 // mirrorState needs no state.
@@ -184,8 +203,8 @@ type mirrorState struct{}
 // Reset implements NodeState.
 func (mirrorState) Reset() {}
 
-// NewState implements Incremental.
+// NewState implements Planner.
 func (p *mirrorPlanner) NewState() NodeState { return mirrorState{} }
 
-// TryRepair implements Incremental: mirroring absorbs everything.
+// TryRepair implements Planner: mirroring absorbs everything.
 func (p *mirrorPlanner) TryRepair(NodeState, *fault.Fault, int) bool { return true }

@@ -24,7 +24,7 @@ type pprPlanner struct {
 	scratchPool sync.Pool
 }
 
-// pprScratch is the reusable working state of one PlanNodeInto/TryRepair
+// pprScratch is the reusable working state of one PlanNodeInto or TryRepair
 // call: the per-node fused-spares tally and the candidate fault's demand.
 // Maps are cleared, not reallocated, so steady-state planning allocates
 // nothing.
@@ -42,34 +42,43 @@ func (p *pprPlanner) scratch() *pprScratch {
 	return &pprScratch{used: make(map[pprGroupKey]int), need: make(map[pprGroupKey]int)}
 }
 
-// NewPPR returns a PPR planner. For the evaluated 8-bank DDR3-like devices
-// the paper applies the DDR4 allowance of one spare row per bank group; we
-// model 4 bank groups per device (banksPerGroup = Banks/4) with one spare
-// each.
-func NewPPR(g dram.Geometry) Planner {
-	return NewPPRWithBudget(g, max(g.Banks/4, 1), 1)
-}
-
-// NewPPRWithBudget returns a PPR planner with an explicit spare-row budget:
-// banksPerGroup banks share sparesPerGroup one-shot spare rows per device.
-// LPDDR4 exposes one spare per bank (banksPerGroup = 1); hypothetical
-// future devices may fuse more.
+// NewPPR returns a PPR planner: banksPerGroup banks of each device share
+// sparesPerGroup one-shot spare rows. Zero selects the default: for the
+// evaluated 8-bank DDR3-like devices the paper applies the DDR4 allowance
+// of one spare row per bank group, modelled as Banks/4 banks per group with
+// one spare. LPDDR4 exposes one spare per bank (banksPerGroup = 1). A
+// negative budget, more banks per group than the device has, and an
+// invalid geometry are errors, so a budget sweep cannot quietly evaluate
+// the wrong point.
 //
-// The planner is named "PPR" at NewPPR's budget and by its budget
+// The planner is named "PPR" at the default budget and by its budget
 // otherwise, e.g. "PPR-2spare-per-2banks": the name labels results and
 // enters configuration fingerprints, so two budgets never share either.
-func NewPPRWithBudget(g dram.Geometry, banksPerGroup, sparesPerGroup int) Planner {
-	if banksPerGroup < 1 {
-		banksPerGroup = 1
+func NewPPR(g dram.Geometry, banksPerGroup, sparesPerGroup int) (Planner, error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("repair: PPR: %w", err)
 	}
-	if sparesPerGroup < 1 {
+	defaultBanks := max(g.Banks/4, 1)
+	if banksPerGroup == 0 {
+		banksPerGroup = defaultBanks
+	}
+	if sparesPerGroup == 0 {
 		sparesPerGroup = 1
 	}
+	if banksPerGroup < 1 {
+		return nil, fmt.Errorf("repair: PPR: banks per group must be positive, got %d", banksPerGroup)
+	}
+	if banksPerGroup > g.Banks {
+		return nil, fmt.Errorf("repair: PPR: banks per group %d exceeds the device's %d banks", banksPerGroup, g.Banks)
+	}
+	if sparesPerGroup < 1 {
+		return nil, fmt.Errorf("repair: PPR: spares per group must be positive, got %d", sparesPerGroup)
+	}
 	name := "PPR"
-	if banksPerGroup != max(g.Banks/4, 1) || sparesPerGroup != 1 {
+	if banksPerGroup != defaultBanks || sparesPerGroup != 1 {
 		name = fmt.Sprintf("PPR-%dspare-per-%dbanks", sparesPerGroup, banksPerGroup)
 	}
-	return &pprPlanner{geo: g, banksPerGroup: banksPerGroup, sparesPerGroup: sparesPerGroup, name: name}
+	return &pprPlanner{geo: g, banksPerGroup: banksPerGroup, sparesPerGroup: sparesPerGroup, name: name}, nil
 }
 
 func (p *pprPlanner) Name() string { return p.name }
@@ -80,17 +89,9 @@ type pprGroupKey struct {
 	group int
 }
 
-// PlanNode allocates spare rows to faults in arrival order. A fault is
+// PlanNodeInto allocates spare rows to faults in arrival order. A fault is
 // mappable when every extent covers at most one row per affected bank and
 // the needed spares are still unused.
-func (p *pprPlanner) PlanNode(faults []*fault.Fault) *Plan {
-	plan := &Plan{}
-	p.PlanNodeInto(plan, faults)
-	return plan
-}
-
-// PlanNodeInto implements ReusablePlanner: identical results to PlanNode,
-// planning into a caller-owned Plan whose buffers are recycled.
 func (p *pprPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	plan.reset(p.Name(), len(faults), false)
 	sc := p.scratch()

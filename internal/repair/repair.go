@@ -18,6 +18,7 @@
 package repair
 
 import (
+	"fmt"
 	"slices"
 
 	"relaxfault/internal/addrmap"
@@ -73,34 +74,36 @@ func (p *Plan) RepairableUnder(wayLimit int) bool {
 	return p.MaxWaysPerSet <= wayLimit
 }
 
-// Planner plans node-level repairs.
+// Planner is a node-level repair engine. It answers both questions the
+// paper asks: is a node's set of faults repairable within a way limit
+// (PlanNodeInto), and does each newly arrived fault fit (TryRepair).
 type Planner interface {
 	Name() string
-	// PlanNode computes the joint footprint of the given permanent faults.
-	PlanNode(faults []*fault.Fault) *Plan
-}
-
-// ReusablePlanner is implemented by planners that can plan into a
-// caller-owned Plan, recycling its PerFault backing. The batched
-// Monte Carlo kernels keep one Plan per (worker, planner) so steady-state
-// planning allocates nothing.
-type ReusablePlanner interface {
-	Planner
-	// PlanNodeInto computes the same result PlanNode would, overwriting
-	// plan in place. The plan's buffers are reused; its previous contents
-	// are invalid afterwards.
+	// PlanNodeInto computes the joint footprint of the given permanent
+	// faults into plan, recycling its buffers: the batched Monte Carlo
+	// kernels keep one Plan per (worker, planner), so steady-state planning
+	// allocates nothing. The plan's previous contents are invalid
+	// afterwards.
 	PlanNodeInto(plan *Plan, faults []*fault.Fault)
+	// NewState returns empty per-node state for TryRepair.
+	NewState() NodeState
+	// TryRepair attempts to repair f on top of the repairs recorded in st
+	// under the per-set way limit. On success the state is updated and
+	// true is returned; on failure the state is unchanged. The state keeps
+	// the accepted faults until Reset, so they must not change until then.
+	// The reliability simulation repairs faults as they arrive: planning
+	// the whole node per arrival would be quadratic in its fault count.
+	TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool
 }
 
-// PlanInto plans into plan when the planner supports buffer reuse and plan
-// is non-nil, falling back to a fresh PlanNode otherwise. It returns the
-// plan holding the result.
+// PlanInto plans faults into plan, or into a fresh Plan when plan is nil,
+// and returns the plan holding the result.
 func PlanInto(p Planner, plan *Plan, faults []*fault.Fault) *Plan {
-	if rp, ok := p.(ReusablePlanner); ok && plan != nil {
-		rp.PlanNodeInto(plan, faults)
-		return plan
+	if plan == nil {
+		plan = &Plan{}
 	}
-	return p.PlanNode(faults)
+	p.PlanNodeInto(plan, faults)
+	return plan
 }
 
 // reset rewinds a reused Plan for n faults, keeping its PerFault backing.
@@ -191,14 +194,13 @@ type RelaxFaultOptions struct {
 }
 
 // NewRelaxFault returns the RelaxFault planner for the given mapper and LLC
-// way count.
-func NewRelaxFault(m *addrmap.Mapper, llcWays int) *LLCPlanner {
-	return NewRelaxFaultAblated(m, llcWays, RelaxFaultOptions{})
-}
-
-// NewRelaxFaultAblated returns a RelaxFault planner with selected design
-// choices disabled (ablation studies).
-func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions) *LLCPlanner {
+// way count; opts disables design choices for the ablation studies. It
+// reports a nil mapper, a non-positive way count and an invalid geometry
+// as errors.
+func NewRelaxFault(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions) (*LLCPlanner, error) {
+	if err := checkLLCPlanner("RelaxFault", m, llcWays); err != nil {
+		return nil, err
+	}
 	g := m.Geometry()
 	name := "RelaxFault"
 	colsPerGroup := g.ColumnsPerBlk * addrmap.SubBlocksPerLine
@@ -241,47 +243,63 @@ func NewRelaxFaultAblated(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions
 			set := (int64(t.Set) ^ int64(sub)) & setMask
 			return int32(set), t.Tag<<addrmap.SubBlockBits | uint64(sub)
 		},
-	}
+	}, nil
 }
 
 // NewFreeFault returns the FreeFault planner. hash selects whether the LLC
-// applies XOR set-index hashing (Figure 8 evaluates both).
-func NewFreeFault(m *addrmap.Mapper, llcWays int, hash bool) *LLCPlanner {
+// applies XOR set-index hashing (Figure 8 evaluates both). It rejects the
+// inputs NewRelaxFault rejects.
+func NewFreeFault(m *addrmap.Mapper, llcWays int, hash bool) (*LLCPlanner, error) {
+	if err := checkLLCPlanner("FreeFault", m, llcWays); err != nil {
+		return nil, err
+	}
 	name := "FreeFault"
 	if hash {
 		name = "FreeFault+hash"
 	}
-	g := m.Geometry()
 	return &LLCPlanner{
 		name:         name,
 		mapper:       m,
-		colsPerGroup: g.ColumnsPerBlk,
+		colsPerGroup: m.Geometry().ColumnsPerBlk,
 		maxEnumerate: int64(1) << m.SetBits() * int64(llcWays),
-		target: func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
-			loc := dram.Location{
-				Channel:  f.Dev.Channel,
-				Rank:     rank,
-				Bank:     bank,
-				Row:      row,
-				ColBlock: cg,
-			}
-			set, tag := m.CacheIndex(m.Encode(loc), hash)
-			return int32(set), tag
-		},
+		target:       freeFaultTarget(m, hash),
+	}, nil
+}
+
+// freeFaultTarget is FreeFault's per-line placement, built outside
+// NewFreeFault because the compiler's inlining decides its speed: this way
+// the closure calls Encode. Written inside NewFreeFault, the closure had
+// Encode inlined into it, and BenchmarkCoverageTrial ran 15-25% slower on
+// a 2-vCPU x86-64 host with Go 1.24.
+func freeFaultTarget(m *addrmap.Mapper, hash bool) func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
+	return func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
+		loc := dram.Location{
+			Channel:  f.Dev.Channel,
+			Rank:     rank,
+			Bank:     bank,
+			Row:      row,
+			ColBlock: cg,
+		}
+		set, tag := m.CacheIndex(m.Encode(loc), hash)
+		return int32(set), tag
 	}
 }
 
-func (p *LLCPlanner) Name() string { return p.name }
-
-// PlanNode enumerates, for each fault, the deduplicated repair lines it
-// adds on top of earlier faults (FreeFault lines repair all devices of a
-// location at once; RelaxFault lines are per device, and the key includes
-// the device, so lines shared between faults on the same device dedup too).
-func (p *LLCPlanner) PlanNode(faults []*fault.Fault) *Plan {
-	plan := &Plan{}
-	p.PlanNodeInto(plan, faults)
-	return plan
+// checkLLCPlanner validates the inputs shared by RelaxFault and FreeFault.
+func checkLLCPlanner(engine string, m *addrmap.Mapper, llcWays int) error {
+	if m == nil {
+		return fmt.Errorf("repair: %s: nil address mapper", engine)
+	}
+	if llcWays <= 0 {
+		return fmt.Errorf("repair: %s: LLC ways must be positive, got %d", engine, llcWays)
+	}
+	if err := m.Geometry().Validate(); err != nil {
+		return fmt.Errorf("repair: %s: %w", engine, err)
+	}
+	return nil
 }
+
+func (p *LLCPlanner) Name() string { return p.name }
 
 // ForEachLine calls fn for every repair line of f, across every rank f
 // applies to, until fn returns false: fn gets the line group of f's device
@@ -381,9 +399,11 @@ func covers(met []fault.Extent, bank, row, cg int) bool {
 	return false
 }
 
-// PlanNodeInto implements ReusablePlanner: identical results to PlanNode,
-// planning into a caller-owned Plan whose buffers are recycled. A fault's
-// lines dedup against the earlier mappable faults.
+// PlanNodeInto enumerates, for each fault, the deduplicated repair lines it
+// adds on top of the earlier mappable faults (FreeFault lines repair all
+// devices of a location at once; RelaxFault lines are per device, and the
+// key includes the device, so lines shared between faults on the same
+// device dedup too).
 func (p *LLCPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	plan.reset(p.name, len(faults), true)
 	d := &plan.placed

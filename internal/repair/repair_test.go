@@ -1,6 +1,8 @@
 package repair
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"relaxfault/internal/addrmap"
@@ -8,6 +10,15 @@ import (
 	"relaxfault/internal/fault"
 	"relaxfault/internal/stats"
 )
+
+// must returns v, panicking on err: the constructors reject only the inputs
+// TestConstructorsRejectBadInput covers.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func mapper(t *testing.T) *addrmap.Mapper {
 	t.Helper()
@@ -52,14 +63,14 @@ func wholeBankFault(d dram.DeviceCoord, bank int) *fault.Fault {
 
 func TestRelaxFaultLineBudgets(t *testing.T) {
 	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
 
-	plan := rf.PlanNode([]*fault.Fault{bitFault(dev(0, 0, 3), 1, 100, 5)})
+	plan := PlanInto(rf, nil, []*fault.Fault{bitFault(dev(0, 0, 3), 1, 100, 5)})
 	if !plan.AllMappable || plan.TotalLines != 1 || plan.MaxWaysPerSet != 1 {
 		t.Errorf("bit fault plan: %+v", plan)
 	}
 
-	plan = rf.PlanNode([]*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
+	plan = PlanInto(rf, nil, []*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
 	if plan.TotalLines != 16 {
 		t.Errorf("row fault uses %d RF lines, want 16", plan.TotalLines)
 	}
@@ -70,7 +81,7 @@ func TestRelaxFaultLineBudgets(t *testing.T) {
 		t.Errorf("row fault bytes %d", plan.Bytes)
 	}
 
-	plan = rf.PlanNode([]*fault.Fault{colFault(dev(1, 1, 7), 2, 99)})
+	plan = PlanInto(rf, nil, []*fault.Fault{colFault(dev(1, 1, 7), 2, 99)})
 	if plan.TotalLines != int64(dram.SubarrayRows) {
 		t.Errorf("column fault uses %d lines, want %d", plan.TotalLines, dram.SubarrayRows)
 	}
@@ -81,8 +92,8 @@ func TestRelaxFaultLineBudgets(t *testing.T) {
 
 func TestFreeFaultNeeds16xMoreLinesForRows(t *testing.T) {
 	m := mapper(t)
-	ff := NewFreeFault(m, 16, true)
-	plan := ff.PlanNode([]*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
+	ff := must(NewFreeFault(m, 16, true))
+	plan := PlanInto(ff, nil, []*fault.Fault{rowFault(dev(0, 0, 3), 1, 100)})
 	if plan.TotalLines != 256 {
 		t.Errorf("FreeFault row fault uses %d lines, want 256", plan.TotalLines)
 	}
@@ -93,8 +104,8 @@ func TestFreeFaultNeeds16xMoreLinesForRows(t *testing.T) {
 
 func TestFreeFaultUnhashedColumnCollapse(t *testing.T) {
 	m := mapper(t)
-	ff := NewFreeFault(m, 16, false)
-	plan := ff.PlanNode([]*fault.Fault{colFault(dev(0, 0, 0), 0, 40)})
+	ff := must(NewFreeFault(m, 16, false))
+	plan := PlanInto(ff, nil, []*fault.Fault{colFault(dev(0, 0, 0), 0, 40)})
 	// Un-hashed, all 512 rows of a column land in one set: unrepairable
 	// even at 16 ways.
 	if plan.MaxWaysPerSet != dram.SubarrayRows {
@@ -103,8 +114,8 @@ func TestFreeFaultUnhashedColumnCollapse(t *testing.T) {
 	if plan.RepairableUnder(16) {
 		t.Error("un-hashed FreeFault should not repair a column fault at 16 ways")
 	}
-	ffh := NewFreeFault(m, 16, true)
-	plan = ffh.PlanNode([]*fault.Fault{colFault(dev(0, 0, 0), 0, 40)})
+	ffh := must(NewFreeFault(m, 16, true))
+	plan = PlanInto(ffh, nil, []*fault.Fault{colFault(dev(0, 0, 0), 0, 40)})
 	if !plan.RepairableUnder(1) {
 		t.Error("hashed FreeFault should repair a column fault at 1 way")
 	}
@@ -112,8 +123,8 @@ func TestFreeFaultUnhashedColumnCollapse(t *testing.T) {
 
 func TestWholeBankUnmappable(t *testing.T) {
 	m := mapper(t)
-	for _, p := range []Planner{NewRelaxFault(m, 16), NewFreeFault(m, 16, true)} {
-		plan := p.PlanNode([]*fault.Fault{wholeBankFault(dev(0, 0, 5), 3)})
+	for _, p := range []Planner{must(NewRelaxFault(m, 16, RelaxFaultOptions{})), must(NewFreeFault(m, 16, true))} {
+		plan := PlanInto(p, nil, []*fault.Fault{wholeBankFault(dev(0, 0, 5), 3)})
 		if plan.AllMappable {
 			t.Errorf("%s: whole-bank fault mappable", p.Name())
 		}
@@ -137,7 +148,7 @@ func lineSets(p *LLCPlanner, f *fault.Fault) map[int32]bool {
 // keeps the first of two faults that collide in a set and skips the second.
 func TestGreedyUnderPartialRepair(t *testing.T) {
 	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
 	// The repair mapping deliberately spreads faults, so a same-set
 	// conflict between two row faults must be found by search: take the
 	// first row on another bank whose remap lines collide with f1's.
@@ -160,7 +171,7 @@ search:
 	}
 	f3 := rowFault(d, 3, 9)
 	faults := []*fault.Fault{f1, f2, f3}
-	plan := rf.PlanNode(faults)
+	plan := PlanInto(rf, nil, faults)
 	if plan.RepairableUnder(1) {
 		t.Fatal("conflicting rows should exceed 1 way")
 	}
@@ -180,17 +191,17 @@ search:
 	if len(repaired) > 1 && repaired[1] == f2 {
 		t.Error("colliding second fault should be skipped at 1 way")
 	}
-	if lines, want := rf.PlanNode(repaired).TotalLines, int64(16*len(repaired)); lines != want {
+	if lines, want := PlanInto(rf, nil, repaired).TotalLines, int64(16*len(repaired)); lines != want {
 		t.Errorf("greedy lines %d, want %d", lines, want)
 	}
 }
 
 func TestMirrorRanksDoublesLines(t *testing.T) {
 	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
 	f := rowFault(dev(2, 0, 1), 4, 77)
 	f.MirrorRanks = true
-	plan := rf.PlanNode([]*fault.Fault{f})
+	plan := PlanInto(rf, nil, []*fault.Fault{f})
 	if plan.TotalLines != 32 {
 		t.Errorf("mirrored row fault uses %d lines, want 32", plan.TotalLines)
 	}
@@ -198,11 +209,11 @@ func TestMirrorRanksDoublesLines(t *testing.T) {
 
 func TestPPRSemantics(t *testing.T) {
 	g := dram.Default8GiBNode()
-	ppr := NewPPR(g)
+	ppr := must(NewPPR(g, 0, 0))
 	d := dev(0, 0, 4)
 
 	// Bit and row faults are repairable.
-	plan := ppr.PlanNode([]*fault.Fault{bitFault(d, 0, 5, 5), rowFault(d, 7, 9)})
+	plan := PlanInto(ppr, nil, []*fault.Fault{bitFault(d, 0, 5, 5), rowFault(d, 7, 9)})
 	if !plan.AllMappable {
 		t.Error("PPR should repair bit and row faults")
 	}
@@ -210,13 +221,13 @@ func TestPPRSemantics(t *testing.T) {
 		t.Error("PPR repairability must ignore way limits")
 	}
 	// Column faults span too many rows.
-	plan = ppr.PlanNode([]*fault.Fault{colFault(d, 0, 5)})
+	plan = PlanInto(ppr, nil, []*fault.Fault{colFault(d, 0, 5)})
 	if plan.AllMappable {
 		t.Error("PPR should not repair a column fault")
 	}
 	// Spare exhaustion: two row faults in the same bank group (banks 0 and
 	// 1 share a group with 8 banks / 4 groups).
-	plan = ppr.PlanNode([]*fault.Fault{rowFault(d, 0, 1), rowFault(d, 1, 2)})
+	plan = PlanInto(ppr, nil, []*fault.Fault{rowFault(d, 0, 1), rowFault(d, 1, 2)})
 	if plan.AllMappable {
 		t.Error("PPR should exhaust the bank group's single spare")
 	}
@@ -224,12 +235,12 @@ func TestPPRSemantics(t *testing.T) {
 		t.Error("PPR should repair first-come fault only")
 	}
 	// Different groups have their own spares.
-	plan = ppr.PlanNode([]*fault.Fault{rowFault(d, 0, 1), rowFault(d, 2, 2)})
+	plan = PlanInto(ppr, nil, []*fault.Fault{rowFault(d, 0, 1), rowFault(d, 2, 2)})
 	if !plan.AllMappable {
 		t.Error("PPR should repair rows in distinct bank groups")
 	}
 	// Different devices have their own spares too.
-	plan = ppr.PlanNode([]*fault.Fault{rowFault(d, 0, 1), rowFault(dev(0, 0, 5), 0, 2)})
+	plan = PlanInto(ppr, nil, []*fault.Fault{rowFault(d, 0, 1), rowFault(dev(0, 0, 5), 0, 2)})
 	if !plan.AllMappable {
 		t.Error("PPR spares are per device")
 	}
@@ -237,7 +248,7 @@ func TestPPRSemantics(t *testing.T) {
 	two := &fault.Fault{Dev: d, Mode: fault.SingleRow, Extents: []fault.Extent{{
 		BankLo: 4, BankHi: 4, Rows: fault.RowRange(10, 11), ColLo: 0, ColHi: g.Columns - 1,
 	}}}
-	plan = ppr.PlanNode([]*fault.Fault{two})
+	plan = PlanInto(ppr, nil, []*fault.Fault{two})
 	if plan.AllMappable {
 		t.Error("two-row fault should exceed one spare")
 	}
@@ -246,10 +257,10 @@ func TestPPRSemantics(t *testing.T) {
 // TestIncrementalMatchesBatchGreedy: TryRepair in arrival order must agree
 // with batch planning on random fault sets — the equivalence the
 // reliability simulator relies on. For RelaxFault and FreeFault the batch
-// reference repairs a fault when PlanNode of the faults repaired so far
+// reference repairs a fault when PlanNodeInto of the faults repaired so far
 // plus that fault fits the way limit (core's planner-vs-controller
 // differential checks both against functional repair); for PPR it is
-// PlanNode's per-fault Mappable, which allocates spares in arrival order.
+// PlanNodeInto's per-fault Mappable, which allocates spares in arrival order.
 func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 	m := mapper(t)
 	g := m.Geometry()
@@ -266,12 +277,12 @@ func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 			continue
 		}
 		tested++
-		for _, p := range []*LLCPlanner{NewRelaxFault(m, 16), NewFreeFault(m, 16, true)} {
+		for _, p := range []*LLCPlanner{must(NewRelaxFault(m, 16, RelaxFaultOptions{})), must(NewFreeFault(m, 16, true))} {
 			for _, way := range []int{1, 4, 16} {
 				st := p.NewState()
 				var repaired []*fault.Fault
 				for i, f := range perm {
-					batch := p.PlanNode(append(repaired[:len(repaired):len(repaired)], f)).RepairableUnder(way)
+					batch := PlanInto(p, nil, append(repaired[:len(repaired):len(repaired)], f)).RepairableUnder(way)
 					if inc := p.TryRepair(st, f, way); inc != batch {
 						t.Fatalf("%s way %d fault %d (%v): incremental %v, batch %v",
 							p.Name(), way, i, f.Mode, inc, batch)
@@ -282,8 +293,8 @@ func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 				}
 			}
 		}
-		ppr := NewPPR(g).(Incremental)
-		plan := ppr.PlanNode(perm)
+		ppr := must(NewPPR(g, 0, 0))
+		plan := PlanInto(ppr, nil, perm)
 		st := ppr.NewState()
 		for i, f := range perm {
 			if inc := ppr.TryRepair(st, f, 1); inc != plan.PerFault[i].Mappable {
@@ -296,10 +307,10 @@ func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 // TestPlanDeterminism: planning is a pure function.
 func TestPlanDeterminism(t *testing.T) {
 	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
 	fs := []*fault.Fault{rowFault(dev(1, 0, 9), 3, 42), colFault(dev(1, 0, 9), 3, 7)}
-	a := rf.PlanNode(fs)
-	b := rf.PlanNode(fs)
+	a := PlanInto(rf, nil, fs)
+	b := PlanInto(rf, nil, fs)
 	if a.TotalLines != b.TotalLines || a.MaxWaysPerSet != b.MaxWaysPerSet || a.Bytes != b.Bytes {
 		t.Error("plans differ across runs")
 	}
@@ -310,8 +321,8 @@ func TestPlanDeterminism(t *testing.T) {
 // per line).
 func TestCapacityOrderingRFvsFF(t *testing.T) {
 	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
-	ff := NewFreeFault(m, 16, true)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
+	ff := must(NewFreeFault(m, 16, true))
 	model, _ := fault.NewModel(fault.DefaultConfig())
 	rng := stats.NewRNG(22)
 	tested := 0
@@ -322,8 +333,8 @@ func TestCapacityOrderingRFvsFF(t *testing.T) {
 			continue
 		}
 		tested++
-		prf := rf.PlanNode(perm)
-		pff := ff.PlanNode(perm)
+		prf := PlanInto(rf, nil, perm)
+		pff := PlanInto(ff, nil, perm)
 		if prf.AllMappable && pff.AllMappable && prf.TotalLines > pff.TotalLines {
 			t.Fatalf("RelaxFault used more lines (%d) than FreeFault (%d)", prf.TotalLines, pff.TotalLines)
 		}
@@ -332,7 +343,7 @@ func TestCapacityOrderingRFvsFF(t *testing.T) {
 
 func TestGreedyZeroWayLimit(t *testing.T) {
 	m := mapper(t)
-	rf := NewRelaxFault(m, 16)
+	rf := must(NewRelaxFault(m, 16, RelaxFaultOptions{}))
 	f := bitFault(dev(0, 0, 0), 0, 0, 0)
 	st := rf.NewState()
 	if rf.TryRepair(st, f, 0) {
@@ -346,23 +357,87 @@ func TestGreedyZeroWayLimit(t *testing.T) {
 func TestPlannerNames(t *testing.T) {
 	m := mapper(t)
 	g := m.Geometry()
-	if NewRelaxFault(m, 16).Name() != "RelaxFault" {
+	if must(NewRelaxFault(m, 16, RelaxFaultOptions{})).Name() != "RelaxFault" {
 		t.Error("RelaxFault name")
 	}
-	if NewFreeFault(m, 16, true).Name() != "FreeFault+hash" {
+	if must(NewFreeFault(m, 16, true)).Name() != "FreeFault+hash" {
 		t.Error("FreeFault hashed name")
 	}
-	if NewFreeFault(m, 16, false).Name() != "FreeFault" {
+	if must(NewFreeFault(m, 16, false)).Name() != "FreeFault" {
 		t.Error("FreeFault name")
 	}
 	// g has 8 banks, so NewPPR's budget is one spare per 2 banks.
-	if NewPPR(g).Name() != "PPR" || NewPPRWithBudget(g, 2, 1).Name() != "PPR" {
+	if must(NewPPR(g, 0, 0)).Name() != "PPR" || must(NewPPR(g, 2, 1)).Name() != "PPR" {
 		t.Error("PPR name at NewPPR's budget")
 	}
-	if got := NewPPRWithBudget(g, 2, 2).Name(); got != "PPR-2spare-per-2banks" {
+	if got := must(NewPPR(g, 2, 2)).Name(); got != "PPR-2spare-per-2banks" {
 		t.Errorf("PPR name at 2 spares per 2 banks: %q", got)
 	}
-	if got := NewPPRWithBudget(g, 1, 1).Name(); got != "PPR-1spare-per-1banks" {
+	if got := must(NewPPR(g, 1, 1)).Name(); got != "PPR-1spare-per-1banks" {
 		t.Errorf("PPR name at 1 spare per bank: %q", got)
 	}
 }
+
+// TestConstructorsRejectBadInput: each constructor reports the inputs it
+// cannot plan with as errors, where it once clamped them or left them to a
+// later panic, and zero still selects the documented defaults.
+func TestConstructorsRejectBadInput(t *testing.T) {
+	m := mapper(t)
+	g := m.Geometry()
+	bad := g
+	bad.Banks = 3
+	badMapper := &addrmap.Mapper{} // zero geometry
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"relaxfault nil mapper", errOf(NewRelaxFault(nil, 16, RelaxFaultOptions{})), "nil address mapper"},
+		{"freefault nil mapper", errOf(NewFreeFault(nil, 16, true)), "nil address mapper"},
+		{"page-retire nil mapper", errOf(NewPageRetirement(nil, 0, 0)), "nil address mapper"},
+		{"relaxfault zero ways", errOf(NewRelaxFault(m, 0, RelaxFaultOptions{})), "LLC ways must be positive"},
+		{"relaxfault negative ways", errOf(NewRelaxFault(m, -1, RelaxFaultOptions{NoSpread: true})), "LLC ways must be positive"},
+		{"freefault zero ways", errOf(NewFreeFault(m, 0, false)), "LLC ways must be positive"},
+		{"ppr negative banks", errOf(NewPPR(g, -1, 1)), "banks per group must be positive"},
+		{"ppr negative spares", errOf(NewPPR(g, 2, -1)), "spares per group must be positive"},
+		{"ppr banks beyond device", errOf(NewPPR(g, g.Banks+1, 1)), "exceeds the device's 8 banks"},
+		{"page-retire odd frame", errOf(NewPageRetirement(m, 100, 0)), "multiple of the 64B line"},
+		{"page-retire negative frame", errOf(NewPageRetirement(m, -4, 0)), "multiple of the 64B line"},
+		{"page-retire negative budget", errOf(NewPageRetirement(m, 0, -1)), "negative retirement budget"},
+		{"relaxfault invalid geometry", errOf(NewRelaxFault(badMapper, 16, RelaxFaultOptions{})), "RelaxFault: dram:"},
+		{"freefault invalid geometry", errOf(NewFreeFault(badMapper, 16, true)), "FreeFault: dram:"},
+		{"page-retire invalid geometry", errOf(NewPageRetirement(badMapper, 0, 0)), "page retirement: dram:"},
+		{"ppr invalid geometry", errOf(NewPPR(bad, 0, 0)), "PPR: dram: Banks"},
+		{"mirroring invalid geometry", errOf(NewMirroring(bad)), "mirroring: dram: Banks"},
+	} {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, tc.err, tc.want)
+		}
+	}
+
+	// Zero budgets select the defaults: Banks/4 banks per spare row, and
+	// 4KiB frames with a 1% retirement budget.
+	d := dev(0, 0, 3)
+	faults := []*fault.Fault{
+		rowFault(d, 0, 1), rowFault(d, 1, 2), rowFault(d, 2, 3),
+		bitFault(d, 4, 5, 6), colFault(d, 5, 7), rowFault(dev(1, 1, 9), 7, 8),
+	}
+	def, explicit := must(NewPPR(g, 0, 0)), must(NewPPR(g, g.Banks/4, 1))
+	if def.Name() != "PPR" {
+		t.Errorf("NewPPR(g, 0, 0) named %q, want PPR", def.Name())
+	}
+	if a, b := PlanInto(def, nil, faults), PlanInto(explicit, nil, faults); !reflect.DeepEqual(a, b) {
+		t.Errorf("default PPR budget plans %+v, explicit Banks/4 budget %+v", a, b)
+	}
+	pr := must(NewPageRetirement(m, 0, 0))
+	if pr.Name() != "PageRetire-4KiB" {
+		t.Errorf("NewPageRetirement(m, 0, 0) named %q, want PageRetire-4KiB", pr.Name())
+	}
+	onePct := must(NewPageRetirement(m, 4<<10, int64(g.NodeDataBytes()/100)))
+	if a, b := PlanInto(pr, nil, faults), PlanInto(onePct, nil, faults); !reflect.DeepEqual(a, b) {
+		t.Errorf("default page retirement plans %+v, explicit 4KiB/1%% %+v", a, b)
+	}
+}
+
+// errOf returns a constructor's error.
+func errOf[T any](_ T, err error) error { return err }

@@ -147,10 +147,10 @@ func faultConfig(tech memtech.Tech, geo dram.Geometry, spec *FaultSpec) (fault.C
 	return cfg, nil
 }
 
-// buildPlanner constructs the named repair engine through the repair
-// package's validating constructors, so a bad budget is an error here, not
-// a clamp or a downstream panic. PPR spare budgets default to the
-// technology's provisioning.
+// buildPlanner constructs the named repair engine. The repair constructors
+// validate their inputs, so a bad budget is an error here, not a clamp or a
+// downstream panic. PPR spare budgets default to the technology's
+// provisioning.
 func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repair.Planner, error) {
 	needsMapper := spec.Kind == "relaxfault" || spec.Kind == "freefault" || spec.Kind == "page-retire"
 	var m *addrmap.Mapper
@@ -163,7 +163,7 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 	}
 	switch spec.Kind {
 	case "relaxfault":
-		return repair.NewRelaxFaultChecked(m, llc.LLCWays, repair.RelaxFaultOptions{
+		return repair.NewRelaxFault(m, llc.LLCWays, repair.RelaxFaultOptions{
 			NoCoalescing: spec.NoCoalescing,
 			NoSpread:     spec.NoSpread,
 		})
@@ -172,7 +172,7 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 		if spec.Hash != nil {
 			hash = *spec.Hash
 		}
-		return repair.NewFreeFaultChecked(m, llc.LLCWays, hash)
+		return repair.NewFreeFault(m, llc.LLCWays, hash)
 	case "ppr":
 		bpg, spares := tech.PPRBudget(geo)
 		if spec.BanksPerGroup != 0 {
@@ -181,11 +181,11 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 		if spec.SparesPerGroup != 0 {
 			spares = spec.SparesPerGroup
 		}
-		return repair.NewPPRChecked(geo, bpg, spares)
+		return repair.NewPPR(geo, bpg, spares)
 	case "page-retire":
-		return repair.NewPageRetirementChecked(m, spec.PageBytes, 0) // 0: 1% of node capacity
+		return repair.NewPageRetirement(m, spec.PageBytes, 0) // 0: 1% of node capacity
 	case "mirroring":
-		return repair.NewMirroringChecked(geo)
+		return repair.NewMirroring(geo)
 	default:
 		return nil, fmt.Errorf("scenario: unknown planner kind %q (want relaxfault, freefault, ppr, page-retire, or mirroring)", spec.Kind)
 	}
@@ -356,7 +356,7 @@ func (sc *Scenario) lowerPerf(out *Lowered, tech memtech.Tech) error {
 			cfg.Mem.Timing = tech.Timing
 			cfg.TargetInstructions = sc.Budget.Instructions
 			cfg.Seed = *sc.Seed
-			cfg.Core.PrefetchDegree = deg
+			cfg.PrefetchDegree = deg
 			if err := cfg.Validate(); err != nil {
 				return fmt.Errorf("scenario %s: workload %s: %w", sc.Name, w.Name, err)
 			}
