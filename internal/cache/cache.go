@@ -7,7 +7,7 @@ package cache
 
 import "fmt"
 
-// Line is the state of one cache line frame.
+// Line is a copy of one cache line frame's state.
 type Line struct {
 	Valid  bool
 	Tag    uint64
@@ -15,27 +15,33 @@ type Line struct {
 	Locked bool // locked lines are ineligible for eviction
 	Dirty  bool
 	Data   []byte // optional payload; nil when the cache is used purely for timing
-	lru    uint64 // last-touch stamp; larger = more recent
 }
 
-// Stats counts cache events.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	Writebacks uint64 // dirty evictions
-}
+// Frame state bits.
+const (
+	stValid uint8 = 1 << iota
+	stRF
+	stLocked
+	stDirty
+)
 
 // Cache is a single-level set-associative cache with LRU replacement.
 // It is not safe for concurrent use.
+//
+// The frames are kept column-wise, row-major by set: a tag row that Probe
+// scans, a state byte and an LRU stamp per frame — 17 bytes, none of them
+// pointers, so the garbage collector never scans a timing cache. Payloads
+// live in a side table the first SetData allocates.
 type Cache struct {
 	sets      int
 	ways      int
 	lineBytes int
-	lines     []Line // sets*ways, row-major by set
+	tags      []uint64
+	state     []uint8
+	lru       []uint64 // last-touch stamps; larger = more recent
+	data      [][]byte // nil until the first SetData
 	clock     uint64
 	locked    int // total locked lines
-	Stats     Stats
 }
 
 // New creates a cache with the given organisation. sets must be a power of
@@ -50,11 +56,14 @@ func New(sets, ways, lineBytes int) (*Cache, error) {
 	if lineBytes <= 0 {
 		return nil, fmt.Errorf("cache: lineBytes must be positive, got %d", lineBytes)
 	}
+	n := sets * ways
 	return &Cache{
 		sets:      sets,
 		ways:      ways,
 		lineBytes: lineBytes,
-		lines:     make([]Line, sets*ways),
+		tags:      make([]uint64, n),
+		state:     make([]uint8, n),
+		lru:       make([]uint64, n),
 	}, nil
 }
 
@@ -70,20 +79,34 @@ func (c *Cache) CapacityBytes() int { return c.sets * c.ways * c.lineBytes }
 // LockedLines returns the number of currently locked lines.
 func (c *Cache) LockedLines() int { return c.locked }
 
-// line returns the frame at (set, way).
-func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
+// frame returns the index of (set, way) in the frame columns.
+func (c *Cache) frame(set, way int) int { return set*c.ways + way }
 
 // Line returns a copy of the frame at (set, way) for inspection.
-func (c *Cache) Line(set, way int) Line { return *c.line(set, way) }
+func (c *Cache) Line(set, way int) Line { return c.lineAt(c.frame(set, way)) }
 
-// Probe looks for (tag, rf) in the set without updating LRU state or
-// statistics. It returns the way index, or -1 on miss. The rf flag selects
-// the tag namespace: a normal lookup never hits a RelaxFault line and vice
-// versa (Figure 4's match behaviour).
+// lineAt returns a copy of frame i.
+func (c *Cache) lineAt(i int) Line {
+	s := c.state[i]
+	l := Line{Valid: s&stValid != 0, Tag: c.tags[i], RF: s&stRF != 0, Locked: s&stLocked != 0, Dirty: s&stDirty != 0}
+	if c.data != nil {
+		l.Data = c.data[i]
+	}
+	return l
+}
+
+// Probe looks for (tag, rf) in the set without updating LRU state. It
+// returns the way index, or -1 on miss. The rf flag selects the tag
+// namespace: a normal lookup never hits a RelaxFault line and vice versa
+// (Figure 4's match behaviour).
 func (c *Cache) Probe(set int, tag uint64, rf bool) int {
-	for w := 0; w < c.ways; w++ {
-		l := c.line(set, w)
-		if l.Valid && l.Tag == tag && l.RF == rf {
+	want := stValid
+	if rf {
+		want |= stRF
+	}
+	base := c.frame(set, 0)
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag && c.state[base+w]&(stValid|stRF) == want {
 			return w
 		}
 	}
@@ -91,26 +114,23 @@ func (c *Cache) Probe(set int, tag uint64, rf bool) int {
 }
 
 // Access performs a full lookup: on hit it refreshes LRU and returns the
-// way; on miss it returns -1. Statistics are updated either way.
+// way; on miss it returns -1.
 func (c *Cache) Access(set int, tag uint64, rf bool) int {
 	w := c.Probe(set, tag, rf)
-	if w < 0 {
-		c.Stats.Misses++
-		return -1
+	if w >= 0 {
+		c.Touch(set, w)
 	}
-	c.Stats.Hits++
-	c.Touch(set, w)
 	return w
 }
 
 // Touch marks (set, way) as most recently used.
 func (c *Cache) Touch(set, way int) {
 	c.clock++
-	c.line(set, way).lru = c.clock
+	c.lru[c.frame(set, way)] = c.clock
 }
 
 // MarkDirty sets the dirty bit of (set, way).
-func (c *Cache) MarkDirty(set, way int) { c.line(set, way).Dirty = true }
+func (c *Cache) MarkDirty(set, way int) { c.state[c.frame(set, way)] |= stDirty }
 
 // Victim selects the replacement victim in the set: an invalid frame if one
 // exists, otherwise the least recently used unlocked frame. It returns -1
@@ -118,16 +138,16 @@ func (c *Cache) MarkDirty(set, way int) { c.line(set, way).Dirty = true }
 func (c *Cache) Victim(set int) int {
 	victim := -1
 	var oldest uint64
-	for w := 0; w < c.ways; w++ {
-		l := c.line(set, w)
-		if !l.Valid {
+	base := c.frame(set, 0)
+	for w, s := range c.state[base : base+c.ways] {
+		if s&stValid == 0 {
 			return w
 		}
-		if l.Locked {
+		if s&stLocked != 0 {
 			continue
 		}
-		if victim < 0 || l.lru < oldest {
-			victim, oldest = w, l.lru
+		if stamp := c.lru[base+w]; victim < 0 || stamp < oldest {
+			victim, oldest = w, stamp
 		}
 	}
 	return victim
@@ -135,9 +155,11 @@ func (c *Cache) Victim(set int) int {
 
 // Fill installs (tag, rf) into the set, evicting the LRU unlocked frame if
 // needed. It returns the way used and a copy of the evicted line (Valid is
-// false if nothing was evicted). Filling an already-resident line refreshes
-// it in place, so a set never holds duplicate (tag, rf) pairs. Fill fails
-// (way == -1) only when every frame in the set is locked.
+// false if nothing was evicted); the copy takes over the frame's payload
+// buffer, so the frame's next SetData writes a fresh one. Filling an
+// already-resident line refreshes it in place, so a set never holds
+// duplicate (tag, rf) pairs. Fill fails (way == -1) only when every frame
+// in the set is locked.
 func (c *Cache) Fill(set int, tag uint64, rf bool) (way int, evicted Line) {
 	if w := c.Probe(set, tag, rf); w >= 0 {
 		c.Touch(set, w)
@@ -147,44 +169,45 @@ func (c *Cache) Fill(set int, tag uint64, rf bool) (way int, evicted Line) {
 	if w < 0 {
 		return -1, Line{}
 	}
-	l := c.line(set, w)
-	evicted = *l
-	if evicted.Valid {
-		c.Stats.Evictions++
-		if evicted.Dirty {
-			c.Stats.Writebacks++
-		}
+	i := c.frame(set, w)
+	evicted = c.empty(i)
+	c.tags[i] = tag
+	c.state[i] = stValid
+	if rf {
+		c.state[i] |= stRF
 	}
-	*l = Line{Valid: true, Tag: tag, RF: rf}
 	c.Touch(set, w)
 	return w, evicted
+}
+
+// empty clears frame i and returns its prior contents, payload included.
+// It leaves the locked-line count alone.
+func (c *Cache) empty(i int) Line {
+	old := c.lineAt(i)
+	c.tags[i], c.state[i], c.lru[i] = 0, 0, 0
+	if c.data != nil {
+		c.data[i] = nil
+	}
+	return old
 }
 
 // Lock pins the frame at (set, way) so it can never be chosen as a victim,
 // adjusting the locked-line count. Locking an already-locked line is a
 // no-op.
 func (c *Cache) Lock(set, way int) {
-	l := c.line(set, way)
-	if !l.Locked {
-		l.Locked = true
+	i := c.frame(set, way)
+	if c.state[i]&stLocked == 0 {
+		c.state[i] |= stLocked
 		c.locked++
-	}
-}
-
-// Unlock releases the frame at (set, way).
-func (c *Cache) Unlock(set, way int) {
-	l := c.line(set, way)
-	if l.Locked {
-		l.Locked = false
-		c.locked--
 	}
 }
 
 // LockedWays returns how many frames in the set are locked.
 func (c *Cache) LockedWays(set int) int {
 	n := 0
-	for w := 0; w < c.ways; w++ {
-		if c.line(set, w).Locked {
+	base := c.frame(set, 0)
+	for _, s := range c.state[base : base+c.ways] {
+		if s&stLocked != 0 {
 			n++
 		}
 	}
@@ -193,25 +216,31 @@ func (c *Cache) LockedWays(set int) int {
 
 // SetData attaches a payload to (set, way), allocating lazily.
 func (c *Cache) SetData(set, way int, data []byte) {
-	l := c.line(set, way)
-	if l.Data == nil {
-		l.Data = make([]byte, c.lineBytes)
+	if c.data == nil {
+		c.data = make([][]byte, len(c.tags))
 	}
-	copy(l.Data, data)
+	i := c.frame(set, way)
+	if c.data[i] == nil {
+		c.data[i] = make([]byte, c.lineBytes)
+	}
+	copy(c.data[i], data)
 }
 
 // DataAt returns the payload of (set, way); it may be nil for timing-only
 // caches. The returned slice aliases the cache's storage.
-func (c *Cache) DataAt(set, way int) []byte { return c.line(set, way).Data }
+func (c *Cache) DataAt(set, way int) []byte {
+	if c.data == nil {
+		return nil
+	}
+	return c.data[c.frame(set, way)]
+}
 
 // Invalidate clears the frame at (set, way) and returns its prior contents.
 func (c *Cache) Invalidate(set, way int) Line {
-	l := c.line(set, way)
-	old := *l
+	old := c.empty(c.frame(set, way))
 	if old.Locked {
 		c.locked--
 	}
-	*l = Line{}
 	return old
 }
 
@@ -221,13 +250,12 @@ func (c *Cache) Invalidate(set, way int) Line {
 func (c *Cache) LockRandomWays(set, n int) int {
 	locked := 0
 	for w := 0; w < c.ways && locked < n; w++ {
-		l := c.line(set, w)
-		if !l.Locked {
+		i := c.frame(set, w)
+		if c.state[i]&stLocked == 0 {
 			// Mark the frame valid so it occupies capacity, and lock it.
-			if !l.Valid {
-				l.Valid = true
-				l.RF = true
-				l.Tag = ^uint64(0) - uint64(set)
+			if c.state[i]&stValid == 0 {
+				c.state[i] |= stValid | stRF
+				c.tags[i] = ^uint64(0) - uint64(set)
 			}
 			c.Lock(set, w)
 			locked++

@@ -113,6 +113,31 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
+// AddTally merges a tally taken against the histogram's bounds: counts[i]
+// observations in bucket i (len(bounds)+1 entries, the last the +Inf
+// bucket) whose values sum to sum. A caller that keeps its own
+// single-goroutine tally pays one atomic op per bucket at the end instead
+// of three per sample. A counts slice of another length panics.
+func (h *Histogram) AddTally(counts []int64, sum float64) {
+	if h == nil {
+		return
+	}
+	if len(counts) != len(h.counts) {
+		panic(fmt.Sprintf("obs: tally of %d buckets for a histogram of %d", len(counts), len(h.counts)))
+	}
+	var n int64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
+		}
+	}
+	if n != 0 {
+		h.total.Add(n)
+		h.sum.Add(sum)
+	}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

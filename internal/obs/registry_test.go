@@ -2,6 +2,8 @@ package obs
 
 import (
 	"io"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +106,7 @@ func TestNilSafety(t *testing.T) {
 	f.Add(1.5)
 	g.Set(2)
 	h.Observe(1)
+	h.AddTally(nil, 1)
 	tm.Observe(time.Second)
 	tm.Since(time.Now())
 	if c.Value() != 0 || f.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -115,6 +118,33 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WriteProm(io.Discard); err != nil {
 		t.Errorf("nil registry WriteProm: %v", err)
 	}
+}
+
+// TestAddTallyMatchesObserve: merging a pre-bucketed tally leaves the
+// histogram exactly as observing the same samples one by one does.
+func TestAddTallyMatchesObserve(t *testing.T) {
+	bounds := []float64{0, 1, 2, 4, 8}
+	r := New()
+	one, merged := r.Histogram("one", bounds), r.Histogram("merged", bounds)
+	counts := make([]int64, len(bounds)+1)
+	var sum float64
+	for _, v := range []float64{0, 1, 1, 3, 4, 5, 8, 9, 40} {
+		one.Observe(v)
+		counts[sort.SearchFloat64s(bounds, v)]++
+		sum += v
+	}
+	merged.AddTally(counts, sum)
+	merged.AddTally(make([]int64, len(counts)), 0) // an empty tally is a no-op
+	snap := r.Snapshot()
+	if a, b := snap["one"], snap["merged"]; !reflect.DeepEqual(a, b) {
+		t.Errorf("merged tally %+v, observed samples %+v", b, a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a tally with the wrong bucket count was accepted")
+		}
+	}()
+	merged.AddTally(counts[1:], 0)
 }
 
 // TestKindMismatchPanics: registering one name as two kinds is a

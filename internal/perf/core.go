@@ -44,6 +44,8 @@ type Core struct {
 	StallLatCycles uint64
 	ComputeCycles  uint64
 	blockStart     int64
+	// mshrDepth tallies the MSHR window's depth at every new miss.
+	mshrDepth depthTally
 }
 
 // The private hierarchy and its stall costs, from Table 3. The L1 is 32KiB
@@ -151,7 +153,7 @@ func (c *Core) Tick(now int64, ms *MemSystem) {
 			c.retireDone(now, ms)
 			req.inWindow = true
 			c.outstanding = append(c.outstanding, req)
-			pm.mshrDepth.Observe(float64(len(c.outstanding)))
+			c.mshrDepth.observe(len(c.outstanding))
 			if op.Critical {
 				c.blocked = req
 				c.blockStart = now

@@ -101,6 +101,9 @@ type Channel struct {
 	Ops       OpCounts
 	RowHits   uint64
 	RowMisses uint64
+	// readQDepth and writeQDepth tally each queue's depth at every
+	// enqueue (publishRun folds them into the queue-depth histograms).
+	readQDepth, writeQDepth depthTally
 	// writeDrainHigh/Low are the write-queue watermarks.
 	writeDrainHigh int
 	writeDrainLow  int
@@ -142,14 +145,14 @@ func NewChannelSpec(ranks, banks int, spec TimingSpec) *Channel {
 }
 
 // Enqueue adds a request to the appropriate queue and samples the queue's
-// occupancy into the FR-FCFS depth histograms.
+// occupancy into the FR-FCFS depth tallies.
 func (c *Channel) Enqueue(r *Request) {
 	if r.Write {
 		c.writeQ = append(c.writeQ, r)
-		pm.writeQDepth.Observe(float64(len(c.writeQ)))
+		c.writeQDepth.observe(len(c.writeQ))
 	} else {
 		c.readQ = append(c.readQ, r)
-		pm.readQDepth.Observe(float64(len(c.readQ)))
+		c.readQDepth.observe(len(c.readQ))
 	}
 }
 

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"sort"
 
 	"relaxfault/internal/obs"
 )
@@ -12,9 +13,9 @@ import (
 // The simulators keep their per-run tallies in plain (non-atomic) fields —
 // each Run owns its cores and memory system on one goroutine — and publish
 // the totals here when the run completes, so the hot loop pays nothing for
-// the counters. Only the occupancy histograms record inline, on events that
-// are already rare relative to the cycle loop (an LLC miss, a controller
-// enqueue), at one uncontended atomic op each.
+// them. That holds for the occupancy histograms too: a queue's depth
+// samples go into a depthTally, which publishRun adds to the shared
+// histogram in one call.
 var pm = struct {
 	l1Hits, l1Misses   *obs.Counter
 	l2Hits, l2Misses   *obs.Counter
@@ -76,7 +77,39 @@ func publishRun(res *Result, cores []*Core, channels []*Channel) {
 			}
 		}
 	}
+	for _, ch := range channels {
+		ch.readQDepth.publish(pm.readQDepth)
+		ch.writeQDepth.publish(pm.writeQDepth)
+	}
+	for _, c := range cores {
+		c.mshrDepth.publish(pm.mshrDepth)
+	}
 	publishTotals(res, cores)
+}
+
+// depthTally counts one queue's occupancy samples by depth: t[d] samples
+// saw depth d.
+type depthTally []int64
+
+// observe records one sample.
+func (t *depthTally) observe(depth int) {
+	for depth >= len(*t) {
+		*t = append(*t, 0)
+	}
+	(*t)[depth]++
+}
+
+// publish adds the tally to h, a histogram with obs.DepthBuckets bounds.
+// Depths are integers, so the sum is exact and h ends as it would have
+// had every sample been observed on its own.
+func (t depthTally) publish(h *obs.Histogram) {
+	counts := make([]int64, len(obs.DepthBuckets)+1)
+	var sum int64
+	for d, n := range t {
+		counts[sort.SearchFloat64s(obs.DepthBuckets, float64(d))] += n
+		sum += int64(d) * n
+	}
+	h.AddTally(counts, float64(sum))
 }
 
 // publishTotals folds the aggregate counters.

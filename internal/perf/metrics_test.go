@@ -101,11 +101,28 @@ func TestRunMetricsConsistentWithResult(t *testing.T) {
 		t.Errorf("metrics IPC %v inconsistent with reported per-core IPC sum %v", metricIPC, sumIPC)
 	}
 
-	// Queue-depth histograms must have absorbed one sample per DRAM read
-	// and write enqueue.
-	rq := after["perf.mc.read_queue_depth"]
-	if rq.Count == nil || *rq.Count == 0 {
-		t.Error("perf.mc.read_queue_depth recorded no samples")
+	// The queue-depth histograms hold one sample per enqueue: a DRAM read
+	// per demand miss or prefetch, an MSHR entry per core memory access,
+	// and a write per dirty LLC eviction.
+	samples := func(name string) int64 {
+		a, b := after[name], before[name]
+		if a.Count == nil || b.Count == nil {
+			t.Fatalf("%s is not a histogram", name)
+		}
+		return *a.Count - *b.Count
+	}
+	var memAccesses uint64
+	for _, c := range res.Cores {
+		memAccesses += c.MemAccesses
+	}
+	if got, want := samples("perf.mc.read_queue_depth"), int64(res.LLCMisses+res.Prefetches); got != want {
+		t.Errorf("perf.mc.read_queue_depth: %d samples, want LLC misses + prefetches = %d", got, want)
+	}
+	if got, want := samples("perf.core.mshr_depth"), int64(memAccesses); got != want {
+		t.Errorf("perf.core.mshr_depth: %d samples, want the cores' memory accesses = %d", got, want)
+	}
+	if got, most := samples("perf.mc.write_queue_depth"), int64(res.LLCEvictions); got > most {
+		t.Errorf("perf.mc.write_queue_depth: %d samples, more than the %d LLC evictions", got, most)
 	}
 
 	// The lazily-registered per-bank families must partition the aggregate

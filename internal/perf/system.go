@@ -208,9 +208,22 @@ func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	return res, nil
 }
 
-// WeightedSpeedup evaluates Equation (2) for a workload under a
-// repair-capacity configuration: each thread's shared-mode IPC is divided
-// by its IPC when run alone on the full-capacity system.
+// SpeedupOf evaluates Equation (2), the weighted speedup of a shared run:
+// the sum over its threads, in core order, of each one's shared-mode IPC
+// divided by aloneIPC, its IPC when run alone on the full-capacity system.
+// A thread with no alone IPC adds nothing.
+func SpeedupOf(shared *Result, aloneIPC []float64) float64 {
+	var ws float64
+	for i, c := range shared.Cores {
+		if aloneIPC[i] > 0 {
+			ws += c.IPC / aloneIPC[i]
+		}
+	}
+	return ws
+}
+
+// WeightedSpeedup runs a workload's threads alone and together under a
+// repair-capacity configuration and evaluates Equation (2) (SpeedupOf).
 //
 // aloneIPC may be supplied (from a previous call) to avoid recomputing the
 // baselines; pass nil to compute them here.
@@ -232,10 +245,5 @@ func WeightedSpeedup(cfg SystemConfig, threads []trace.ThreadParams, aloneIPC []
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	for i, c := range shared.Cores {
-		if aloneIPC[i] > 0 {
-			ws += c.IPC / aloneIPC[i]
-		}
-	}
-	return ws, aloneIPC, shared, nil
+	return SpeedupOf(shared, aloneIPC), aloneIPC, shared, nil
 }

@@ -93,6 +93,37 @@ func TestPageRetirementIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestPageRetirementAllocationFree: once its working sets have grown,
+// page retirement plans into a reused Plan and repairs into a reused state
+// without allocating, like the LLC and PPR planners.
+func TestPageRetirementAllocationFree(t *testing.T) {
+	m := mapper(t)
+	faults := []*fault.Fault{rowFault(dev(0, 0, 3), 1, 100), rowFault(dev(1, 1, 2), 4, 9), bitFault(dev(0, 1, 7), 2, 50, 3)}
+	for _, pageBytes := range []int64{4 << 10, 2 << 20} {
+		pr := must(NewPageRetirement(m, pageBytes, 1<<40))
+		plan := PlanInto(pr, nil, faults)
+		if !plan.AllMappable || plan.TotalLines == 0 {
+			t.Fatalf("%s: the faults should retire within a 1TiB budget", pr.Name())
+		}
+		if n := testing.AllocsPerRun(20, func() { pr.PlanNodeInto(plan, faults) }); n != 0 {
+			t.Errorf("%s: PlanNodeInto allocates %v times per call", pr.Name(), n)
+		}
+		st := pr.NewState()
+		repairAll := func() {
+			st.Reset()
+			for _, f := range faults {
+				if !pr.TryRepair(st, f, 1) {
+					t.Fatalf("%s: TryRepair refused a fault within budget", pr.Name())
+				}
+			}
+		}
+		repairAll()
+		if n := testing.AllocsPerRun(20, repairAll); n != 0 {
+			t.Errorf("%s: TryRepair allocates %v times per node", pr.Name(), n)
+		}
+	}
+}
+
 // --- Mirroring -----------------------------------------------------------
 
 func TestMirroringAbsorbsEverythingAtHalfCapacity(t *testing.T) {

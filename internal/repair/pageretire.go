@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/dram"
@@ -24,6 +25,7 @@ type pageRetirePlanner struct {
 	// maxLossBytes is the retirement budget per node; IBM AIX-style
 	// limits cap how much physical memory the OS may unmap.
 	maxLossBytes int64
+	name         string
 }
 
 // NewPageRetirement returns the OS page-retirement baseline with the given
@@ -50,122 +52,100 @@ func NewPageRetirement(m *addrmap.Mapper, pageBytes, maxLossBytes int64) (Planne
 	if maxLossBytes == 0 {
 		maxLossBytes = int64(m.Geometry().NodeDataBytes() / 100)
 	}
-	return &pageRetirePlanner{mapper: m, pageBytes: pageBytes, maxLossBytes: maxLossBytes}, nil
+	name := fmt.Sprintf("PageRetire-%dKiB", pageBytes>>10)
+	if pageBytes >= 1<<20 {
+		name = fmt.Sprintf("PageRetire-%dMiB", pageBytes>>20)
+	}
+	return &pageRetirePlanner{mapper: m, pageBytes: pageBytes, maxLossBytes: maxLossBytes, name: name}, nil
 }
 
-func (p *pageRetirePlanner) Name() string {
-	if p.pageBytes >= 1<<20 {
-		return fmt.Sprintf("PageRetire-%dMiB", p.pageBytes>>20)
-	}
-	return fmt.Sprintf("PageRetire-%dKiB", p.pageBytes>>10)
-}
+func (p *pageRetirePlanner) Name() string { return p.name }
 
 // linesPerPage returns how many cachelines one frame holds.
 func (p *pageRetirePlanner) linesPerPage() int64 { return p.pageBytes / 64 }
 
-// PlanNodeInto computes the retired-frame footprint. The Plan reuses the
-// LLC plan structure with Bytes meaning lost DRAM capacity; MaxWaysPerSet
-// stays zero because way pressure does not apply.
+// PlanNodeInto computes the retired-frame footprint, retiring the faults'
+// frames in arrival order as TryRepair does. The Plan reuses the LLC plan
+// structure with Bytes meaning lost DRAM capacity; MaxWaysPerSet stays zero
+// because way pressure does not apply.
 func (p *pageRetirePlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	plan.reset(p.Name(), len(faults), false)
-	seen := make(map[uint64]struct{})
-	var budget int64
-	g := p.mapper.Geometry()
-	lpp := p.linesPerPage()
+	s := &plan.retired
+	s.Reset()
 	for i, f := range faults {
-		fp := &plan.PerFault[i]
-		// Minimum possible loss: perfect packing of the fault's 64B lines
-		// into frames; beyond the budget, skip the enumeration entirely.
-		if f.LineCount(g, g.ColumnsPerBlk)*64 > p.maxLossBytes {
-			fp.Mappable = false
-			plan.AllMappable = false
-			continue
-		}
-		var pages int64
-		newPages := make(map[uint64]struct{})
-		lo, hi := f.Ranks(g)
-		for rank := lo; rank < hi; rank++ {
-			for _, e := range f.Extents {
-				e.ForEachLine(g, g.ColumnsPerBlk, func(bank, row, cb int) bool {
-					loc := dram.Location{Channel: f.Dev.Channel, Rank: rank, Bank: bank, Row: row, ColBlock: cb}
-					page := uint64(p.mapper.Encode(loc)) / uint64(lpp)
-					if _, dup := seen[page]; dup {
-						return true
-					}
-					if _, dup := newPages[page]; dup {
-						return true
-					}
-					newPages[page] = struct{}{}
-					pages++
-					return true
-				})
-			}
-		}
-		if budget+pages*p.pageBytes > p.maxLossBytes {
-			fp.Mappable = false
-			plan.AllMappable = false
-			continue
-		}
-		for page := range newPages {
-			seen[page] = struct{}{}
-		}
-		budget += pages * p.pageBytes
-		fp.Mappable = true
-		fp.Lines = pages
+		pages, ok := p.retire(s, f)
+		plan.PerFault[i] = FaultPlan{Mappable: ok, Lines: pages}
+		plan.AllMappable = plan.AllMappable && ok
 		plan.TotalLines += pages
 	}
-	plan.Bytes = budget
+	plan.Bytes = s.loss
 }
 
-// prState tracks retired pages incrementally.
+// prState tracks retired pages incrementally. Its page lists are kept
+// across calls and truncated, so retiring allocates nothing once they have
+// grown. (Sets kept as maps would cost their capacity on every clear: a
+// column fault's tens of thousands of frames made each later fault pay for
+// clearing them.)
 type prState struct {
-	seen map[uint64]struct{}
-	loss int64
+	retired []uint64 // sorted
+	fresh   []uint64 // the frames a fault adds, while it is tried
+	loss    int64
 }
 
 // Reset implements NodeState.
 func (s *prState) Reset() {
-	clear(s.seen)
+	s.retired = s.retired[:0]
 	s.loss = 0
 }
 
 // NewState implements Planner.
-func (p *pageRetirePlanner) NewState() NodeState {
-	return &prState{seen: make(map[uint64]struct{})}
-}
+func (p *pageRetirePlanner) NewState() NodeState { return &prState{} }
 
 // TryRepair implements Planner for page retirement; the way limit is
 // ignored (frames are not cache ways).
 func (p *pageRetirePlanner) TryRepair(st NodeState, f *fault.Fault, _ int) bool {
-	s := st.(*prState)
+	_, ok := p.retire(st.(*prState), f)
+	return ok
+}
+
+// retire retires the frames f touches that s has not, unless the loss
+// would exceed the budget. It returns how many frames it retired and
+// whether it did.
+func (p *pageRetirePlanner) retire(s *prState, f *fault.Fault) (int64, bool) {
 	g := p.mapper.Geometry()
-	lpp := p.linesPerPage()
+	// Minimum possible loss: perfect packing of the fault's 64B lines
+	// into frames; beyond the budget, skip the enumeration entirely.
 	if f.LineCount(g, g.ColumnsPerBlk)*64 > p.maxLossBytes {
-		return false
+		return 0, false
 	}
-	newPages := make(map[uint64]struct{})
+	s.fresh = s.fresh[:0]
+	lpp := uint64(p.linesPerPage())
 	lo, hi := f.Ranks(g)
 	for rank := lo; rank < hi; rank++ {
 		for _, e := range f.Extents {
 			e.ForEachLine(g, g.ColumnsPerBlk, func(bank, row, cb int) bool {
 				loc := dram.Location{Channel: f.Dev.Channel, Rank: rank, Bank: bank, Row: row, ColBlock: cb}
-				page := uint64(p.mapper.Encode(loc)) / uint64(lpp)
-				if _, dup := s.seen[page]; !dup {
-					newPages[page] = struct{}{}
+				page := uint64(p.mapper.Encode(loc)) / lpp
+				if n := len(s.fresh); n > 0 && s.fresh[n-1] == page {
+					return true // the line before shares the frame
+				}
+				if _, dup := slices.BinarySearch(s.retired, page); !dup {
+					s.fresh = append(s.fresh, page)
 				}
 				return true
 			})
 		}
 	}
-	loss := int64(len(newPages)) * p.pageBytes
-	if s.loss+loss > p.maxLossBytes {
-		return false
+	slices.Sort(s.fresh)
+	s.fresh = slices.Compact(s.fresh)
+	pages := int64(len(s.fresh))
+	if s.loss+pages*p.pageBytes > p.maxLossBytes {
+		return 0, false
 	}
-	for page := range newPages {
-		s.seen[page] = struct{}{}
-	}
-	s.loss += loss
-	return true
+	s.retired = append(s.retired, s.fresh...)
+	slices.Sort(s.retired)
+	s.loss += pages * p.pageBytes
+	return pages, true
 }
 
 // mirrorPlanner models channel mirroring / DIMM sparing (Section 6): every

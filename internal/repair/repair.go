@@ -57,8 +57,10 @@ type Plan struct {
 	// llcPlan marks plans produced by the LLC-based planners, whose repairs
 	// press on cache sets; PPR-style plans carry no set pressure.
 	llcPlan bool
-	// placed is the LLC planners' working state, kept across reuse.
-	placed placed
+	// placed and retired are the working state of the LLC planners and of
+	// page retirement, kept across reuse.
+	placed  placed
+	retired prState
 }
 
 // RepairableUnder reports whether the node is *fully* repairable when the
@@ -110,7 +112,7 @@ func PlanInto(p Planner, plan *Plan, faults []*fault.Fault) *Plan {
 func (p *Plan) reset(engine string, n int, llc bool) {
 	perFault := slices.Grow(p.PerFault[:0], n)[:n]
 	clear(perFault)
-	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc, placed: p.placed}
+	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc, placed: p.placed, retired: p.retired}
 }
 
 // setLoad counts lines per LLC set in a dense table, cleared through the

@@ -3,12 +3,14 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"relaxfault/internal/harness"
 	"relaxfault/internal/perf"
 	"relaxfault/internal/relsim"
 	"relaxfault/internal/runtrace"
+	"relaxfault/internal/trace"
 )
 
 // Exec is a run's execution environment (harness.Exec). None of it
@@ -51,9 +53,10 @@ func Run(sc *Scenario, ex Exec) (*Result, error) { return RunCtx(context.Backgro
 
 // RunCtx validates, lowers, and executes the scenario on the shared
 // simulation engines. Coverage studies and reliability cells run in spec
-// order on the checkpointing Monte Carlo engine; perf units fan out on the
-// sharded work engine (results are index-collected, so output is identical
-// to a sequential sweep).
+// order on the checkpointing Monte Carlo engine; the perf section runs
+// each perf.Run of its units as one chunk of the sharded work engine and
+// folds the weighted speedups in unit order (runPerf), so output is
+// identical to a sequential sweep.
 func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -104,58 +107,84 @@ func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
 	return out, nil
 }
 
-// runPerf fans the perf units out on the sharded engine, one chunk per
-// unit. Each unit measures its unlocked baseline first (computing the
-// alone-IPC denominators), then every other lock against it — the
-// weighted-speedup methodology of Figure 15.
+// perfRun is one perf.Run of a perf section: the unit's shared run under
+// Locks[lock] when thread < 0, otherwise the alone run of that thread on
+// the unlocked system. threads are the cores it simulates.
+type perfRun struct {
+	unit, lock, thread int
+	threads            []trace.ThreadParams
+}
+
+// runPerf runs every perf.Run of the units as its own chunk on the sharded
+// engine: per unit, one shared run per lock and one alone run per thread.
+// The runs with the most threads are claimed first, so the short alone runs
+// fill the tail. Each run writes its own slot, and the fold then computes,
+// unit by unit, the weighted speedup under every lock against the alone-IPC
+// denominators (Equation 2, the methodology of Figure 15) and the relative
+// DRAM power against the unlocked baseline; so the output is identical to
+// a sequential sweep.
 func runPerf(ctx context.Context, units []PerfUnitConfig, ex Exec) ([]PerfUnit, error) {
 	outs := make([]PerfUnit, len(units))
-	errs := make([]error, len(units))
+	var runs []perfRun
+	for u, uc := range units {
+		th := uc.Workload.Threads
+		outs[u] = PerfUnit{
+			Workload:       uc.Workload.Name,
+			PrefetchDegree: uc.PrefetchDegree,
+			Tech:           uc.Tech,
+			Locks:          uc.Locks,
+			Speedups:       make([]float64, len(uc.Locks)),
+			Results:        make([]*perf.Result, len(uc.Locks)),
+			Alone:          make([]float64, len(th)),
+			RelPower:       make([]float64, len(uc.Locks)),
+		}
+		for l := range uc.Locks {
+			runs = append(runs, perfRun{unit: u, lock: l, thread: -1, threads: th})
+		}
+		for t := range th {
+			runs = append(runs, perfRun{unit: u, thread: t, threads: th[t : t+1]})
+		}
+	}
+	sort.SliceStable(runs, func(i, j int) bool { return len(runs[i].threads) > len(runs[j].threads) })
+	errs := make([]error, len(runs))
 	eng := harness.Engine{Exec: ex}
-	runErr := eng.Run(ctx, len(units), func(w, k int) (int64, bool) {
-		u := units[k]
-		// Each perf.Run inside this unit records onto the executing
-		// worker's track, nested under the engine's chunk span.
-		u.Base.Trace = ex.Trace
-		u.Base.TraceTrack = w
-		res := PerfUnit{
-			Workload:       u.Workload.Name,
-			PrefetchDegree: u.PrefetchDegree,
-			Tech:           u.Tech,
-			Locks:          u.Locks,
-			Speedups:       make([]float64, len(u.Locks)),
-			Results:        make([]*perf.Result, len(u.Locks)),
-			RelPower:       make([]float64, len(u.Locks)),
-		}
-		ws, alone, shared, err := perf.WeightedSpeedup(u.Base, u.Workload.Threads, nil)
-		if err != nil {
+	runErr := eng.Run(ctx, len(runs), func(w, k int) (int64, bool) {
+		r := runs[k]
+		cfg := units[r.unit].Base
+		// Locks[0], the alone runs' system, is the unlocked baseline.
+		lock := units[r.unit].Locks[r.lock]
+		cfg.LockWays, cfg.LockBytes = lock.Ways, lock.Bytes
+		// The run records its perf.run span on the executing worker's
+		// track, nested under the engine's chunk span.
+		cfg.Trace, cfg.TraceTrack = ex.Trace, w
+		res, err := perf.Run(cfg, r.threads)
+		switch {
+		case err != nil:
 			errs[k] = err
-			return 0, true
+		case r.thread < 0:
+			outs[r.unit].Results[r.lock] = res
+		default:
+			outs[r.unit].Alone[r.thread] = res.Cores[0].IPC
 		}
-		res.Speedups[0], res.Results[0], res.Alone = ws, shared, alone
-		res.RelPower[0] = 100
-		for i, l := range u.Locks[1:] {
-			cfg := u.Base
-			cfg.LockWays = l.Ways
-			cfg.LockBytes = l.Bytes
-			ws, _, shared, err := perf.WeightedSpeedup(cfg, u.Workload.Threads, alone)
-			if err != nil {
-				errs[k] = err
-				return 0, true
-			}
-			res.Speedups[i+1], res.Results[i+1] = ws, shared
-			res.RelPower[i+1] = u.Energy.RelativeDynamicPower(
-				shared.Ops, res.Results[0].Ops, shared.Seconds, res.Results[0].Seconds)
-		}
-		outs[k] = res
 		return 1, true
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	for k := range units {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("workload %s: %w", units[k].Workload.Name, errs[k])
+	for k, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", units[runs[k].unit].Workload.Name, err)
+		}
+	}
+	for u := range outs {
+		o := &outs[u]
+		base := o.Results[0]
+		for l, res := range o.Results {
+			o.Speedups[l] = perf.SpeedupOf(res, o.Alone)
+			o.RelPower[l] = 100
+			if l > 0 {
+				o.RelPower[l] = units[u].Energy.RelativeDynamicPower(res.Ops, base.Ops, res.Seconds, base.Seconds)
+			}
 		}
 	}
 	return outs, nil
