@@ -83,9 +83,17 @@ func New(g dram.Geometry, llcSets int) (*Mapper, error) {
 	for 1<<m.setBits < llcSets {
 		m.setBits++
 	}
+	// The fold is XOR-linear, so each table is its eight single-bit
+	// entries and XORs of them: v's entry is its lowest set bit's entry
+	// XOR the entry of v without that bit, which a smaller v already has.
 	for i := 0; i < 8; i++ {
-		for v := 0; v < 256; v++ {
-			m.fold[i][v] = uint32(m.foldRef(uint64(v) << (8 * i)))
+		t := &m.fold[i]
+		for b := 0; b < 8; b++ {
+			t[1<<b] = uint32(m.foldRef(uint64(1) << (8*i + b)))
+		}
+		for v := 1; v < 256; v++ {
+			low := v & -v
+			t[v] = t[low] ^ t[v^low]
 		}
 	}
 	return m, nil
@@ -231,12 +239,7 @@ func (m *Mapper) LocationFor(key RFKey, subBlock int) dram.Location {
 // Section 3.2.
 func (m *Mapper) RFIndexNoSpread(key RFKey) RFTarget {
 	full := m.RFIndex(key)
-	b := m.bits
-	rowLoBits := m.setBits - SubBlockBits
-	if rowLoBits > b.Row {
-		rowLoBits = b.Row
-	}
-	rowLo := uint64(key.Row) & mask(rowLoBits)
+	rowLo := uint64(key.Row) & mask(m.RFLowRowBits())
 	base := rowLo<<SubBlockBits | uint64(key.CbHi)&mask(SubBlockBits)
 	full.Set = int(base & mask(m.setBits))
 	return full
@@ -251,10 +254,7 @@ func (m *Mapper) RFIndexNoSpread(key RFKey) RFTarget {
 // packs the full key, so the mapping is injective.
 func (m *Mapper) RFIndex(key RFKey) RFTarget {
 	b := m.bits
-	rowLoBits := m.setBits - SubBlockBits // e.g. 9 for 8192 sets
-	if rowLoBits > b.Row {
-		rowLoBits = b.Row
-	}
+	rowLoBits := m.RFLowRowBits()
 	rowLo := uint64(key.Row) & mask(rowLoBits)
 	base := rowLo<<SubBlockBits | uint64(key.CbHi)&mask(SubBlockBits)
 
@@ -281,6 +281,20 @@ func (m *Mapper) RFIndex(key RFKey) RFTarget {
 	tag = tag<<b.Row | uint64(key.Row)
 	tag = tag<<m.cbHiTagBits() | uint64(key.CbHi)
 	return RFTarget{Set: set, Tag: tag}
+}
+
+// RFLowRowBits returns how many low row bits RFIndex places in the set
+// index directly: the set-index width less SubBlockBits (9 for 8192 sets),
+// capped at the row width (an LLC of fewer than 16 sets wraps the
+// difference, so it takes every row bit). The set is XOR-linear in these
+// bits and in CbHi's low SubBlockBits bits; the key's other bits enter it
+// only through the multiplicative spread.
+func (m *Mapper) RFLowRowBits() uint {
+	n := m.setBits - SubBlockBits
+	if n > m.bits.Row {
+		n = m.bits.Row
+	}
+	return n
 }
 
 // cbHiTagBits returns the width of the CbHi field (zero for geometries with

@@ -121,6 +121,9 @@ type Model struct {
 	modeCDF   []float64
 	totalFIT  float64
 	devPerDMM int
+	// weight is the per-device rate multiplier: mean 1, variance
+	// VarianceFrac.
+	weight stats.Lognormal
 }
 
 // NewModel validates the configuration and precomputes sampling tables.
@@ -134,7 +137,7 @@ func NewModel(cfg Config) (*Model, error) {
 	if cfg.AccelNodeFrac+cfg.AccelDIMMFrac >= 1 {
 		return nil, fmt.Errorf("fault: acceleration fractions must sum below 1")
 	}
-	m := &Model{cfg: cfg, devPerDMM: cfg.Geometry.DevicesPerDIMM()}
+	m := &Model{cfg: cfg, devPerDMM: cfg.Geometry.DevicesPerDIMM(), weight: stats.NewLognormal(1, cfg.VarianceFrac)}
 	pn, pd, a := cfg.AccelNodeFrac, cfg.AccelDIMMFrac, cfg.AccelFactor
 	if a <= 0 {
 		a = 1
@@ -360,7 +363,7 @@ func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64, str
 	weights := sc.weights
 	var totalW float64
 	for i := range weights {
-		w := rng.Lognormal(1, m.cfg.VarianceFrac) * dimmMult[i/m.devPerDMM]
+		w := m.weight.Draw(rng) * dimmMult[i/m.devPerDMM]
 		weights[i] = w
 		totalW += w
 	}

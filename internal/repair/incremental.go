@@ -45,13 +45,20 @@ func (p *LLCPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool 
 	}
 	s.demand.reset(len(s.load.n))
 	fits := true
-	mappable := p.walk(f, &s.placed, func(_, _, _, _ int, set int32, _ uint64) bool {
-		fits = int(s.load.n[set]+s.demand.add(set, 1)) <= wayLimit
-		return fits
+	mappable := p.walk(f, &s.placed, true, func(sets []int32) bool {
+		s.demand.reserve(len(sets))
+		for _, set := range sets {
+			if int(s.load.n[set]+s.demand.add(set, 1)) > wayLimit {
+				fits = false
+				return false
+			}
+		}
+		return true
 	})
 	if !mappable || !fits {
 		return false
 	}
+	s.load.reserve(len(s.demand.touched))
 	for _, set := range s.demand.touched {
 		s.load.add(set, s.demand.n[set])
 	}
@@ -59,9 +66,16 @@ func (p *LLCPlanner) TryRepair(st NodeState, f *fault.Fault, wayLimit int) bool 
 	return true
 }
 
-// pprState tracks fused spare rows per (device, bank group).
+// pprState tracks fused spare rows per (device, bank group), with the
+// candidate fault's demand. Its maps are cleared, not reallocated, so
+// steady-state planning allocates nothing.
 type pprState struct {
 	used map[pprGroupKey]int
+	need map[pprGroupKey]int
+}
+
+func newPPRState() pprState {
+	return pprState{used: make(map[pprGroupKey]int), need: make(map[pprGroupKey]int)}
 }
 
 // Reset implements NodeState. PPR fuses are physically permanent; Reset
@@ -70,24 +84,12 @@ func (s *pprState) Reset() { clear(s.used) }
 
 // NewState implements Planner.
 func (p *pprPlanner) NewState() NodeState {
-	return &pprState{used: make(map[pprGroupKey]int)}
+	s := newPPRState()
+	return &s
 }
 
 // TryRepair implements Planner for PPR.
 func (p *pprPlanner) TryRepair(st NodeState, f *fault.Fault, _ int) bool {
-	s := st.(*pprState)
-	sc := p.scratch()
-	defer p.scratchPool.Put(sc)
-	if !p.sparesNeeded(f, sc) {
-		return false
-	}
-	for key, n := range sc.need {
-		if s.used[key]+n > p.sparesPerGroup {
-			return false
-		}
-	}
-	for key, n := range sc.need {
-		s.used[key] += n
-	}
-	return true
+	_, ok := p.fuse(st.(*pprState), f)
+	return ok
 }

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"fmt"
-	"sync"
 
 	"relaxfault/internal/dram"
 	"relaxfault/internal/fault"
@@ -19,27 +18,6 @@ type pprPlanner struct {
 	banksPerGroup  int
 	sparesPerGroup int
 	name           string
-	// scratchPool recycles planning working state; the planner itself is
-	// shared by every simulation worker.
-	scratchPool sync.Pool
-}
-
-// pprScratch is the reusable working state of one PlanNodeInto or TryRepair
-// call: the per-node fused-spares tally and the candidate fault's demand.
-// Maps are cleared, not reallocated, so steady-state planning allocates
-// nothing.
-type pprScratch struct {
-	used map[pprGroupKey]int
-	need map[pprGroupKey]int
-}
-
-func (p *pprPlanner) scratch() *pprScratch {
-	if sc, ok := p.scratchPool.Get().(*pprScratch); ok {
-		clear(sc.used)
-		clear(sc.need)
-		return sc
-	}
-	return &pprScratch{used: make(map[pprGroupKey]int), need: make(map[pprGroupKey]int)}
 }
 
 // NewPPR returns a PPR planner: banksPerGroup banks of each device share
@@ -89,44 +67,48 @@ type pprGroupKey struct {
 	group int
 }
 
-// PlanNodeInto allocates spare rows to faults in arrival order. A fault is
-// mappable when every extent covers at most one row per affected bank and
-// the needed spares are still unused.
+// PlanNodeInto allocates spare rows to faults in arrival order, as
+// TryRepair does. A fault is mappable when every extent covers at most one
+// row per affected bank and the needed spares are still unused.
 func (p *pprPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	plan.reset(p.Name(), len(faults), false)
-	sc := p.scratch()
-	defer p.scratchPool.Put(sc)
+	s := &plan.spares
+	if s.used == nil {
+		*s = newPPRState()
+	}
+	s.Reset()
 	for i, f := range faults {
 		fp := &plan.PerFault[i]
-		ok := p.sparesNeeded(f, sc)
-		if !ok {
-			plan.AllMappable = false
-			continue
-		}
-		// Check availability of every group before fusing any.
-		for key, n := range sc.need {
-			if sc.used[key]+n > p.sparesPerGroup {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			plan.AllMappable = false
-			continue
-		}
-		for key, n := range sc.need {
-			sc.used[key] += n
-			fp.SpareRows += n
-		}
-		fp.Mappable = true
+		fp.SpareRows, fp.Mappable = p.fuse(s, f)
+		plan.AllMappable = plan.AllMappable && fp.Mappable
 	}
 }
 
-// sparesNeeded fills sc.need with the spare rows per (device, bank group)
-// the fault requires, returning false when the fault is not row-shaped.
-func (p *pprPlanner) sparesNeeded(f *fault.Fault, sc *pprScratch) bool {
-	clear(sc.need)
-	need := sc.need
+// fuse fuses the spare rows f needs into s when f is row-shaped and every
+// (device, bank group) it touches still has them, and returns how many it
+// fused; otherwise s is unchanged.
+func (p *pprPlanner) fuse(s *pprState, f *fault.Fault) (int, bool) {
+	if !p.sparesNeeded(f, s.need) {
+		return 0, false
+	}
+	// Check availability of every group before fusing any.
+	for key, n := range s.need {
+		if s.used[key]+n > p.sparesPerGroup {
+			return 0, false
+		}
+	}
+	rows := 0
+	for key, n := range s.need {
+		s.used[key] += n
+		rows += n
+	}
+	return rows, true
+}
+
+// sparesNeeded fills need with the spare rows per (device, bank group) the
+// fault requires, returning false when the fault is not row-shaped.
+func (p *pprPlanner) sparesNeeded(f *fault.Fault, need map[pprGroupKey]int) bool {
+	clear(need)
 	lo, hi := f.Ranks(p.geo)
 	for _, e := range f.Extents {
 		rows := e.Rows.Count(p.geo.Rows)

@@ -19,6 +19,7 @@ package repair
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"relaxfault/internal/addrmap"
@@ -57,9 +58,10 @@ type Plan struct {
 	// llcPlan marks plans produced by the LLC-based planners, whose repairs
 	// press on cache sets; PPR-style plans carry no set pressure.
 	llcPlan bool
-	// placed and retired are the working state of the LLC planners and of
-	// page retirement, kept across reuse.
+	// placed, spares and retired are the working state of the LLC
+	// planners, PPR and page retirement, kept across reuse.
 	placed  placed
+	spares  pprState
 	retired prState
 }
 
@@ -112,7 +114,7 @@ func PlanInto(p Planner, plan *Plan, faults []*fault.Fault) *Plan {
 func (p *Plan) reset(engine string, n int, llc bool) {
 	perFault := slices.Grow(p.PerFault[:0], n)[:n]
 	clear(perFault)
-	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc, placed: p.placed, retired: p.retired}
+	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc, placed: p.placed, spares: p.spares, retired: p.retired}
 }
 
 // setLoad counts lines per LLC set in a dense table, cleared through the
@@ -133,38 +135,84 @@ func (l *setLoad) reset(sets int) {
 	}
 }
 
-// add adds k lines to set and returns its new count.
-func (l *setLoad) add(set, k int32) int32 {
-	if l.n[set] == 0 {
-		l.touched = append(l.touched, set)
-	}
-	l.n[set] += k
-	return l.n[set]
+// reserve makes room for k more touched sets, so that the next k adds
+// run without a call; no more sets than the table holds are ever touched.
+func (l *setLoad) reserve(k int) {
+	l.touched = slices.Grow(l.touched, min(k, len(l.n)-len(l.touched)))
 }
 
-// placed is the line dedup of a planning pass. Every placement is
-// injective in the line group: (channel, rank, bank, row, column group),
-// plus the device for RelaxFault, whose RFIndex tag packs the whole key
-// (FreeFault's (set, tag) inverts to the line address). So a line repeats
-// exactly when an extent walked before it covers its line group, and the
-// walk tests extents, not lines: a walked extent checks its lines only
-// when it meets a placed one, and then only against those it meets.
+// add adds k lines to set and returns its new count. A set it touches
+// first takes room reserve made.
+func (l *setLoad) add(set, k int32) int32 {
+	c := l.n[set]
+	if c == 0 {
+		t := len(l.touched)
+		l.touched = l.touched[:t+1]
+		l.touched[t] = set
+	}
+	c += k
+	l.n[set] = c
+	return c
+}
+
+// placed is the working state of a walk: its dedup and its batch. It lives
+// in the per-worker Plan or NodeState (ForEachLine makes its own), never
+// on the shared planner. Every
+// placement is injective in the line group: (channel, rank, bank, row,
+// column group), plus the device for RelaxFault, whose RFIndex tag packs
+// the whole key (FreeFault's (set, tag) inverts to the line address). So a
+// line repeats exactly when an extent walked before it covers its line
+// group, and the walk tests extents, not lines: a walked extent checks its
+// lines only when it meets a placed one, and then only against those it
+// meets.
 type placed struct {
 	faults []*fault.Fault // faults whose lines are placed
 	met    []fault.Extent // in line groups: what the walked extent meets
 	load   setLoad        // placed lines per set
+	// sets is the walk's batch: the sets of up to batchLines lines, handed
+	// to the walk's consumer when full and at the end of the fault.
+	sets []int32
+	// With lines set, runs names the line groups of the batch's lines in
+	// order. ForEachLine reads them; the planners need sets alone.
+	lines bool
+	runs  []lineRun
 }
+
+// lineRun is n consecutive lines of a batch: column groups cg to cg+n-1 of
+// one (rank, bank, row), the first of them placed with tag tag.
+type lineRun struct {
+	rank, bank, row, cg, n int
+	tag                    uint64
+}
+
+// batchLines is the capacity of a walk's batch.
+const batchLines = 256
 
 func (d *placed) reset(sets int) {
 	d.faults = d.faults[:0]
 	d.load.reset(sets)
 }
 
+// eachLine calls fn for the lines of a batch walked with d.lines set, in
+// order, until fn returns false, and reports whether fn never did.
+func (d *placed) eachLine(p *LLCPlanner, sets []int32, fn func(rank, bank, row, cg int, set int32, tag uint64) bool) bool {
+	for _, r := range d.runs {
+		for j, set := range sets[:r.n] {
+			if !fn(r.rank, r.bank, r.row, r.cg+j, set, r.tag^delta(&p.basis.cgTag, (r.cg+j)^r.cg)) {
+				return false
+			}
+		}
+		sets = sets[r.n:]
+	}
+	return true
+}
+
 // LLCPlanner is the shared machinery of RelaxFault and FreeFault: both
 // enumerate repair lines per fault, differing only in how a faulty
-// (device, bank, row, column-block) maps to an LLC (set, tag). ForEachLine
-// is the one place that decides where a fault's repair lines go; the
-// planners and core.Controller all allocate through it.
+// (device, bank, row, column-block) maps to an LLC (set, tag). Its walk is
+// the one place that decides where a fault's repair lines go: the
+// planners and, through ForEachLine, core.Controller all allocate through
+// it.
 type LLCPlanner struct {
 	name   string
 	mapper *addrmap.Mapper
@@ -175,12 +223,16 @@ type LLCPlanner struct {
 	// perDevice is set when a line holds one device's data (RelaxFault),
 	// so faults on different devices never share a line.
 	perDevice bool
-	// target maps one faulty line group to its LLC placement.
-	target func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64)
+	// hash is FreeFault's set-index hashing; noSpread and noCoalesce are
+	// RelaxFault's ablations. With perDevice they select place's rule.
+	hash, noSpread, noCoalesce bool
 	// maxEnumerate bounds enumeration: a fault needing more lines than the
 	// entire LLC can hold is unmappable regardless of way limit, so there
 	// is no reason to enumerate it.
 	maxEnumerate int64
+	// basis splits place into block bases and per-bit XOR deltas, by which
+	// the walk places lines.
+	basis lineBasis
 }
 
 // RelaxFaultOptions ablate individual design choices of the repair mapping
@@ -203,49 +255,24 @@ func NewRelaxFault(m *addrmap.Mapper, llcWays int, opts RelaxFaultOptions) (*LLC
 	if err := checkLLCPlanner("RelaxFault", m, llcWays); err != nil {
 		return nil, err
 	}
-	g := m.Geometry()
-	name := "RelaxFault"
-	colsPerGroup := g.ColumnsPerBlk * addrmap.SubBlocksPerLine
-	if opts.NoCoalescing {
-		name += "-nocoalesce"
-		colsPerGroup = g.ColumnsPerBlk
-	}
-	index := m.RFIndex
-	if opts.NoSpread {
-		name += "-nospread"
-		index = m.RFIndexNoSpread
-	}
-	setMask := (int64(1) << m.SetBits()) - 1
-	return &LLCPlanner{
-		name:         name,
+	p := &LLCPlanner{
+		name:         "RelaxFault",
 		mapper:       m,
-		colsPerGroup: colsPerGroup,
+		colsPerGroup: m.Geometry().ColumnsPerBlk * addrmap.SubBlocksPerLine,
 		perDevice:    true,
+		noSpread:     opts.NoSpread,
+		noCoalesce:   opts.NoCoalescing,
 		maxEnumerate: int64(1) << m.SetBits() * int64(llcWays),
-		target: func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
-			key := addrmap.RFKey{
-				Channel: f.Dev.Channel,
-				Rank:    rank,
-				Device:  f.Dev.Device,
-				Bank:    bank,
-				Row:     row,
-				CbHi:    cg,
-			}
-			if !opts.NoCoalescing {
-				t := index(key)
-				return int32(t.Set), t.Tag
-			}
-			// One line per column block: cg here is a block index, so the
-			// group field carries cg>>4 and the block-within-group bits
-			// extend the tag (keeping placements injective) and perturb
-			// the set (keeping blocks of one row spread).
-			sub := cg & (addrmap.SubBlocksPerLine - 1)
-			key.CbHi = cg >> addrmap.SubBlockBits
-			t := index(key)
-			set := (int64(t.Set) ^ int64(sub)) & setMask
-			return int32(set), t.Tag<<addrmap.SubBlockBits | uint64(sub)
-		},
-	}, nil
+	}
+	if opts.NoCoalescing {
+		p.name += "-nocoalesce"
+		p.colsPerGroup = m.Geometry().ColumnsPerBlk
+	}
+	if opts.NoSpread {
+		p.name += "-nospread"
+	}
+	p.setBasis()
+	return p, nil
 }
 
 // NewFreeFault returns the FreeFault planner. hash selects whether the LLC
@@ -259,32 +286,15 @@ func NewFreeFault(m *addrmap.Mapper, llcWays int, hash bool) (*LLCPlanner, error
 	if hash {
 		name = "FreeFault+hash"
 	}
-	return &LLCPlanner{
+	p := &LLCPlanner{
 		name:         name,
 		mapper:       m,
 		colsPerGroup: m.Geometry().ColumnsPerBlk,
+		hash:         hash,
 		maxEnumerate: int64(1) << m.SetBits() * int64(llcWays),
-		target:       freeFaultTarget(m, hash),
-	}, nil
-}
-
-// freeFaultTarget is FreeFault's per-line placement, built outside
-// NewFreeFault because the compiler's inlining decides its speed: this way
-// the closure calls Encode. Written inside NewFreeFault, the closure had
-// Encode inlined into it, and BenchmarkCoverageTrial ran 15-25% slower on
-// a 2-vCPU x86-64 host with Go 1.24.
-func freeFaultTarget(m *addrmap.Mapper, hash bool) func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
-	return func(f *fault.Fault, rank, bank, row, cg int) (int32, uint64) {
-		loc := dram.Location{
-			Channel:  f.Dev.Channel,
-			Rank:     rank,
-			Bank:     bank,
-			Row:      row,
-			ColBlock: cg,
-		}
-		set, tag := m.CacheIndex(m.Encode(loc), hash)
-		return int32(set), tag
 	}
+	p.setBasis()
+	return p, nil
 }
 
 // checkLLCPlanner validates the inputs shared by RelaxFault and FreeFault.
@@ -303,56 +313,201 @@ func checkLLCPlanner(engine string, m *addrmap.Mapper, llcWays int) error {
 
 func (p *LLCPlanner) Name() string { return p.name }
 
+// place is the placement rule: the LLC (set, tag) of the repair line of
+// line group (rank, bank, row, cg) of device dev on channel ch. FreeFault
+// locks the line at its own address's (optionally hashed) placement;
+// RelaxFault puts it at the RFIndex (or RFIndexNoSpread) target of its
+// remap key. The walk evaluates it once per block, not per line.
+func (p *LLCPlanner) place(ch, dev, rank, bank, row, cg int) (int32, uint64) {
+	m := p.mapper
+	if !p.perDevice {
+		set, tag := m.FreeFaultTarget(dram.Location{Channel: ch, Rank: rank, Bank: bank, Row: row, ColBlock: cg}, p.hash)
+		return int32(set), tag
+	}
+	index := m.RFIndex
+	if p.noSpread {
+		index = m.RFIndexNoSpread
+	}
+	key := addrmap.RFKey{Channel: ch, Rank: rank, Device: dev, Bank: bank, Row: row, CbHi: cg}
+	if !p.noCoalesce {
+		t := index(key)
+		return int32(t.Set), t.Tag
+	}
+	// One line per column block: cg here is a block index, so the group
+	// field carries cg>>4 and the block-within-group bits extend the tag
+	// (keeping placements injective) and perturb the set (keeping blocks
+	// of one row spread).
+	sub := cg & (addrmap.SubBlocksPerLine - 1)
+	key.CbHi = cg >> addrmap.SubBlockBits
+	t := index(key)
+	set := (t.Set ^ sub) & (1<<m.SetBits() - 1)
+	return int32(set), t.Tag<<addrmap.SubBlockBits | uint64(sub)
+}
+
+// lineBasis splits place into XOR parts, so that the walk places lines
+// without evaluating it per line. A row index splits at bit rowHi and a
+// column-group index at bit cgHi into low and high bits. A line group's
+// (set, tag) is that of its block, the line group with those low bits
+// cleared, XOR one delta per set low bit. FreeFault is XOR-linear in every
+// bit (Encode places disjoint fields; CacheIndex and its fold are
+// XOR-linear), so its blocks are whole (rank, bank)s. RelaxFault's set is
+// XOR-linear in the low RFLowRowBits row bits and in CbHi's low
+// SubBlockBits bits; the other key bits enter it through the Fibonacci
+// spread, which is not linear, so they are block bits and the walk
+// evaluates place again wherever they change.
+type lineBasis struct {
+	rowHi, cgHi uint
+	// rowSet[i] and cgSet[i] are the set deltas of low bit i. rowStep[t]
+	// and cgStep[t] are those of the step from an index with t trailing
+	// ones to the next index: the XOR of the deltas of bits 0 to t.
+	rowSet, rowStep, cgSet, cgStep [64]int32
+	// rowTag and cgTag are the tag deltas of the low bits.
+	rowTag, cgTag [64]uint64
+}
+
+// setBasis derives p's lineBasis from place: a low bit's delta is the
+// placement of the line group at rank, bank, channel and device 0 with
+// only that bit set, whose block places at (0, 0).
+func (p *LLCPlanner) setBasis() {
+	b := &p.basis
+	fb := p.mapper.Geometry().Bits()
+	b.rowHi, b.cgHi = fb.Row, fb.ColBlock
+	if p.perDevice {
+		b.rowHi, b.cgHi = p.mapper.RFLowRowBits(), addrmap.SubBlockBits
+		if p.noCoalesce {
+			b.cgHi += addrmap.SubBlockBits
+		}
+	}
+	var row, cg int32
+	for i := range uint(64) {
+		if i < b.rowHi {
+			b.rowSet[i], b.rowTag[i] = p.place(0, 0, 0, 0, 1<<i, 0)
+		}
+		if i < b.cgHi {
+			b.cgSet[i], b.cgTag[i] = p.place(0, 0, 0, 0, 0, 1<<i)
+		}
+		row ^= b.rowSet[i]
+		cg ^= b.cgSet[i]
+		b.rowStep[i], b.cgStep[i] = row, cg
+	}
+}
+
+// delta returns the XOR of the deltas of x's set bits.
+func delta[T int32 | uint64](deltas *[64]T, x int) T {
+	var v T
+	for u := uint64(x); u != 0; u &= u - 1 {
+		v ^= deltas[bits.TrailingZeros64(u)&63]
+	}
+	return v
+}
+
 // ForEachLine calls fn for every repair line of f, across every rank f
 // applies to, until fn returns false: fn gets the line group of f's device
 // the line covers (rank, bank, row, column group) and the line's LLC (set,
 // tag). It returns false without calling fn when f needs more lines than
 // the whole LLC holds: such a fault is unmappable under any way limit, so
-// it is not enumerated.
-//
-// This runs per line in the Monte Carlo kernels, so a line costs two
-// indirect calls (target and fn) and, in the planners' dedup, a length test
-// of the met extents, which is zero for nearly every extent. It walks each
-// extent's rows itself rather than nesting fn inside Extent.ForEachLine's
-// callback, and passes the line as scalars, since a six-field struct
-// argument is not kept in registers. Either of those costs slowed the
-// coverage kernel by 20-40% on a 2-vCPU x86-64 host.
+// it is not enumerated. It is the planners' walk without their dedup, so
+// core.Controller allocates the lines the planners count.
 func (p *LLCPlanner) ForEachLine(f *fault.Fault, fn func(rank, bank, row, cg int, set int32, tag uint64) bool) bool {
-	return p.walk(f, nil, fn)
+	d := &placed{lines: true}
+	return p.walk(f, d, false, func(sets []int32) bool { return d.eachLine(p, sets, fn) })
 }
 
-// walk is ForEachLine. With d non-nil it skips every line that a fault
-// placed in d, or an earlier extent of f at the same rank, already covers,
-// so fn sees each new line once.
-func (p *LLCPlanner) walk(f *fault.Fault, d *placed, fn func(rank, bank, row, cg int, set int32, tag uint64) bool) bool {
+// walk places f's repair lines, across every rank f applies to, and hands
+// their sets to emit in order, at most batchLines at a time, until emit
+// returns false. With dedup set it skips every line that a fault placed in
+// d, or an earlier extent of f at the same rank, already covers. It
+// returns false without placing a line when f needs more lines than the
+// whole LLC holds: such a fault is unmappable under any way limit.
+//
+// A line costs the store of its set and the XOR of a column-group step; a
+// row costs the XOR of a row step (of a delta per set bit for a RowList
+// row), and place runs once per block. So the loop over a row's lines, and
+// the planners' loops over a batch, make no call, and emit runs once per
+// batch.
+func (p *LLCPlanner) walk(f *fault.Fault, d *placed, dedup bool, emit func(sets []int32) bool) bool {
 	g := p.mapper.Geometry()
 	if f.LineCount(g, p.colsPerGroup) > p.maxEnumerate {
 		return false
 	}
+	if d.sets == nil {
+		d.sets = make([]int32, batchLines)
+	}
+	b := &p.basis
+	buf, n := d.sets, 0
+	d.runs = d.runs[:0]
 	lo, hi := f.Ranks(g)
 	for rank := lo; rank < hi; rank++ {
 		for i := range f.Extents {
 			e := p.groups(f.Extents[i])
 			var met []fault.Extent
-			if d != nil {
+			if dedup {
 				met = d.meet(p, f, e, i, rank)
 			}
+			first, rows := e.Rows.Lo, e.Rows.Count(g.Rows)
+			if e.Rows.All {
+				first = 0
+			}
+			c0 := delta(&b.cgSet, e.ColLo)
 			for bank := e.BankLo; bank <= e.BankHi; bank++ {
-				more := true
-				e.Rows.ForEach(g.Rows, func(row int) bool {
-					for cg := e.ColLo; cg <= e.ColHi && more; cg++ {
-						if len(met) == 0 || !covers(met, bank, row, cg) {
-							set, tag := p.target(f, rank, bank, row, cg)
-							more = fn(rank, bank, row, cg, set, tag)
+				rb, cb := -1, -1 // the block whose placement base and baseTag hold
+				var base int32
+				var baseTag uint64
+				var rd int32 // the row's low-bit set delta
+				for k := 0; k < rows; k++ {
+					row := first + k
+					switch {
+					case e.Rows.List != nil:
+						row = e.Rows.List[k]
+						rd = delta(&b.rowSet, row)
+					case k == 0:
+						rd = delta(&b.rowSet, row)
+					default:
+						rd ^= b.rowStep[bits.TrailingZeros64(^uint64(row-1))&63]
+					}
+					for a := e.ColLo; a <= e.ColHi; {
+						z := e.ColHi
+						if len(met) > 0 {
+							if a, z = uncovered(met, bank, row, a, z); a > z {
+								break
+							}
+						}
+						if row>>b.rowHi != rb || a>>b.cgHi != cb {
+							rb, cb = row>>b.rowHi, a>>b.cgHi
+							base, baseTag = p.place(f.Dev.Channel, f.Dev.Device, rank, bank, rb<<b.rowHi, cb<<b.cgHi)
+						}
+						z = min(z, (cb+1)<<b.cgHi-1)
+						s := base ^ rd ^ c0
+						if a != e.ColLo {
+							s = base ^ rd ^ delta(&b.cgSet, a)
+						}
+						for a <= z {
+							m := min(z-a+1, len(buf)-n)
+							out := buf[n : n+m]
+							for j := range out {
+								out[j] = s
+								s ^= b.cgStep[bits.TrailingZeros64(^uint64(a+j))&63]
+							}
+							if d.lines {
+								d.runs = append(d.runs, lineRun{rank: rank, bank: bank, row: row, cg: a, n: m,
+									tag: baseTag ^ delta(&b.rowTag, row) ^ delta(&b.cgTag, a)})
+							}
+							a, n = a+m, n+m
+							if n == len(buf) {
+								if !emit(buf) {
+									return true
+								}
+								n = 0
+								d.runs = d.runs[:0]
+							}
 						}
 					}
-					return more
-				})
-				if !more {
-					return true
 				}
 			}
 		}
+	}
+	if n > 0 {
+		emit(buf[:n])
 	}
 	return true
 }
@@ -391,14 +546,25 @@ func (d *placed) meet(p *LLCPlanner, f *fault.Fault, e fault.Extent, i, rank int
 	return d.met
 }
 
-// covers reports whether an extent of met covers the line group.
-func covers(met []fault.Extent, bank, row, cg int) bool {
-	for i := range met {
-		if met[i].Contains(bank, row, cg) {
-			return true
+// uncovered returns the first run [a', z'] of column groups within [a, z]
+// at (bank, row) that no extent of met covers, with a' > z' when met
+// covers them all: a' is the first group no extent covers, and z' the
+// last before the next extent that starts after a'.
+func uncovered(met []fault.Extent, bank, row, a, z int) (int, int) {
+	for moved := true; moved && a <= z; {
+		moved = false
+		for i := range met {
+			if o := &met[i]; o.ColLo <= a && a <= o.ColHi && o.BankLo <= bank && bank <= o.BankHi && o.Rows.Contains(row) {
+				a, moved = o.ColHi+1, true
+			}
 		}
 	}
-	return false
+	for i := range met {
+		if o := &met[i]; a < o.ColLo && o.ColLo <= z && o.BankLo <= bank && bank <= o.BankHi && o.Rows.Contains(row) {
+			z = o.ColLo - 1
+		}
+	}
+	return a, z
 }
 
 // PlanNodeInto enumerates, for each fault, the deduplicated repair lines it
@@ -412,9 +578,14 @@ func (p *LLCPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 	d.reset(1 << p.mapper.SetBits())
 	for i, f := range faults {
 		fp := &plan.PerFault[i]
-		fp.Mappable = p.walk(f, d, func(_, _, _, _ int, set int32, _ uint64) bool {
-			fp.Lines++
-			plan.MaxWaysPerSet = max(plan.MaxWaysPerSet, int(d.load.add(set, 1)))
+		fp.Mappable = p.walk(f, d, true, func(sets []int32) bool {
+			fp.Lines += int64(len(sets))
+			d.load.reserve(len(sets))
+			ways := plan.MaxWaysPerSet
+			for _, set := range sets {
+				ways = max(ways, int(d.load.add(set, 1)))
+			}
+			plan.MaxWaysPerSet = ways
 			return true
 		})
 		if fp.Mappable {

@@ -221,21 +221,40 @@ func (r *RNG) poissonPTRS(mean float64) int {
 	}
 }
 
-// Lognormal returns a lognormal variate parameterised by the *arithmetic*
-// mean and variance of the distribution itself (not of the underlying
-// normal). This matches the paper's device-variation model, which draws each
-// device's FIT rate from a lognormal with mean equal to the published rate
-// and variance equal to a fraction of that mean.
-func (r *RNG) Lognormal(mean, variance float64) float64 {
+// Lognormal is a lognormal distribution given by the *arithmetic* mean and
+// variance of the distribution itself (not of the underlying normal),
+// resolved once into the normal's parameters. This matches the paper's
+// device-variation model, which draws each device's FIT rate from a
+// lognormal with mean equal to the published rate and variance equal to a
+// fraction of that mean.
+type Lognormal struct {
+	mu, sigma float64
+	// fixed marks a degenerate distribution: every draw is value and
+	// takes no variate from the RNG.
+	fixed bool
+	value float64
+}
+
+// NewLognormal resolves the lognormal of the given mean and variance. A
+// mean <= 0 gives the constant 0 and a variance <= 0 the constant mean.
+func NewLognormal(mean, variance float64) Lognormal {
 	if mean <= 0 {
-		return 0
+		return Lognormal{fixed: true}
 	}
 	if variance <= 0 {
-		return mean
+		return Lognormal{fixed: true, value: mean}
 	}
 	// If X ~ LogN(mu, sigma^2): E[X] = exp(mu + sigma^2/2),
 	// Var[X] = (exp(sigma^2)-1) exp(2mu + sigma^2).
 	sigma2 := math.Log(1 + variance/(mean*mean))
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+	return Lognormal{mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+}
+
+// Draw returns a variate of d: exp(mu + sigma·N) for one standard normal
+// draw N from r.
+func (d Lognormal) Draw(r *RNG) float64 {
+	if d.fixed {
+		return d.value
+	}
+	return math.Exp(d.mu + d.sigma*r.NormFloat64())
 }

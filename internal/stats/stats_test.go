@@ -137,9 +137,10 @@ func TestPoissonMoments(t *testing.T) {
 func TestLognormalMoments(t *testing.T) {
 	rng := NewRNG(7)
 	mean, variance := 13.0, 13.0/4
+	d := NewLognormal(mean, variance)
 	var mv MeanVar
 	for i := 0; i < 300000; i++ {
-		v := rng.Lognormal(mean, variance)
+		v := d.Draw(rng)
 		if v <= 0 {
 			t.Fatal("lognormal produced non-positive value")
 		}
@@ -151,12 +152,16 @@ func TestLognormalMoments(t *testing.T) {
 	if math.Abs(mv.Variance()-variance) > variance*0.1 {
 		t.Errorf("lognormal variance %f, want %f", mv.Variance(), variance)
 	}
-	// Degenerate parameters.
-	if rng.Lognormal(0, 1) != 0 {
-		t.Error("Lognormal(0, v) should be 0")
+	// Degenerate parameters give constants and take no draw.
+	before := *rng
+	if v := NewLognormal(0, 1).Draw(rng); v != 0 {
+		t.Errorf("Lognormal(0, v) drew %v, want 0", v)
 	}
-	if rng.Lognormal(5, 0) != 5 {
-		t.Error("Lognormal(m, 0) should be m")
+	if v := NewLognormal(5, 0).Draw(rng); v != 5 {
+		t.Errorf("Lognormal(m, 0) drew %v, want m", v)
+	}
+	if *rng != before {
+		t.Error("a degenerate lognormal advanced the RNG")
 	}
 }
 
