@@ -475,15 +475,13 @@ func runPoints(o *options, args []string, sweep bool) int {
 	}
 
 	// Trace export: close the campaign span, analyze the schedule, embed the
-	// attribution report in the manifest, publish runtrace.* gauges (before
-	// Finish snapshots the registry), write the Chrome trace_event file, and
-	// print the attribution table. Tracing is observation only — by this
+	// attribution report in the manifest, write the Chrome trace_event file,
+	// and print the attribution table. Tracing is observation only — by this
 	// point every artifact is already on stdout, so the table never perturbs
 	// golden comparisons of untraced runs.
 	if tracer.Enabled() {
 		tracer.Record(runtrace.TrackMain, "campaign", -1, 0, 0, tracer.Now())
 		rep := runtrace.Analyze(tracer)
-		rep.Publish(obs.Default())
 		manifest.Trace = rep
 		if err := tracer.WriteChromeFile(o.trace); err != nil {
 			fmt.Fprintf(os.Stderr, "relaxfault: writing trace: %v\n", err)

@@ -67,16 +67,13 @@ type Plan struct {
 	Record   harness.ScenarioRecord
 }
 
-// NewPlan validates sc and derives its campaign plan.
+// NewPlan lowers sc, which validates it, and derives its campaign plan.
 func NewPlan(sc *scenario.Scenario) (*Plan, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	key, err := sc.CampaignFingerprint()
+	low, err := sc.Lower()
 	if err != nil {
 		return nil, err
 	}
-	secs, err := sc.Sections()
+	key, err := sc.CampaignFingerprint()
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +83,7 @@ func NewPlan(sc *scenario.Scenario) (*Plan, error) {
 	}
 	return &Plan{
 		Scenario: sc, Key: key, Seed: *sc.Seed, Trials: sc.BudgetTrials(),
-		Sections: secs, Record: rec,
+		Sections: low.Sections(), Record: rec,
 	}, nil
 }
 
@@ -310,7 +307,7 @@ func (c *Campaign) Run(ctx context.Context) (*scenario.Result, error) {
 
 // Seal finishes the campaign: the log is sealed ("complete" on
 // success, "interrupted" so a later open can resume otherwise), and on
-// success the entry's result document, manifest, and metadata are written
+// success the entry's result document (perf only) and metadata are written
 // — the atomic metadata write is what flips the entry to complete. Cache
 // hits have nothing to seal.
 func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) error {
@@ -322,8 +319,7 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 	if interrupted || runErr != nil {
 		status = journal.StatusInterrupted
 	}
-	jw := c.ex.Store.Journal()
-	if err := jw.Seal(status); err != nil {
+	if err := c.ex.Store.Journal().Seal(status); err != nil {
 		return fmt.Errorf("sealing campaign log: %w", err)
 	}
 	if status != journal.StatusComplete {
@@ -334,6 +330,7 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 		Key: c.Plan.Key, Seed: c.Plan.Seed, Trials: c.Plan.Trials,
 		Name:                c.Plan.Scenario.Name,
 		ScenarioFingerprint: c.Plan.Record.Fingerprint,
+		Version:             harness.BuildVersion(),
 		Stopped:             stopped(res),
 		Sections:            c.Plan.Sections,
 		Status:              cstore.StatusComplete,
@@ -349,20 +346,6 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 			return fmt.Errorf("campaign store: %w", err)
 		}
 		meta.ResultDigest = journal.Digest(raw)
-	}
-	man := harness.NewManifest()
-	man.Experiments = []string{c.Plan.Scenario.Name}
-	man.Seed = c.Plan.Seed
-	man.Fingerprint = c.Plan.Record.Fingerprint
-	man.Journal = filepath.Join(c.dir, cstore.CheckpointFile)
-	man.JournalSealed = jw.Sealed()
-	man.JournalChunks = jw.ChunkRecords()
-	man.JournalVerifiedChunks = c.rec.VerifiedChunks
-	man.Scenarios = []harness.ScenarioRecord{c.Plan.Record}
-	man.Campaigns = []harness.CampaignRecord{c.rec}
-	man.Finish()
-	if err := man.WriteFile(filepath.Join(c.dir, cstore.ManifestFile)); err != nil {
-		return err
 	}
 	return cstore.WriteMeta(c.dir, meta)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func covScenario(t *testing.T, budget int) *scenario.Scenario {
 			WayLimits: []int{1},
 		}}},
 	}
-	if err := sc.Validate(); err != nil {
+	if _, err := sc.Lower(); err != nil {
 		t.Fatal(err)
 	}
 	return sc
@@ -54,7 +55,7 @@ func relScenario(t *testing.T, replicas int, targetCI float64) *scenario.Scenari
 	if targetCI != 0 {
 		sc.Statistics = &relsim.StatsConfig{Estimator: "naive", TargetCI: targetCI, MinTrials: 100}
 	}
-	if err := sc.Validate(); err != nil {
+	if _, err := sc.Lower(); err != nil {
 		t.Fatal(err)
 	}
 	return sc
@@ -104,6 +105,39 @@ func TestExactBudgetCacheHit(t *testing.T) {
 	}
 	if rec1.Key != rec2.Key || rec1.Entry != rec2.Entry {
 		t.Errorf("hit resolved to a different entry: %+v vs %+v", rec1, rec2)
+	}
+}
+
+// TestSealedEntryKeepsOneRecord: a sealed entry directory holds exactly
+// its metadata, stamped with the computing binary's version, and its
+// campaign log; no second record of the campaign sits beside them.
+func TestSealedEntryKeepsOneRecord(t *testing.T) {
+	st, err := cstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec, _ := runKeyed(t, covScenario(t, 200), st)
+	des, err := os.ReadDir(filepath.Join(rec.StoreRoot, rec.Entry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	if want := []string{cstore.CheckpointFile, cstore.MetaFile}; !slices.Equal(names, want) {
+		t.Errorf("entry holds %q, want %q", names, want)
+	}
+	es, err := st.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(es) != 1 {
+		t.Fatalf("%d entries, want 1", len(es))
+	}
+	if m := es[0].Meta; m.Version == "" || m.Version != harness.BuildVersion() || len(m.Sections) == 0 {
+		t.Errorf("entry metadata version %q sections %v, want version %q and the plan's sections",
+			m.Version, m.Sections, harness.BuildVersion())
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package store is the content-addressed campaign result store. Entries
 // live at <root>/<campaign fingerprint>/<seed>/t<trials>/ — one directory
 // per (budget-free scenario identity, seed, elastic trial budget) — and
-// hold the campaign's log, manifest, and metadata. The entry metadata file
-// is written atomically and last, so its presence is
-// the completeness marker: Lookup only ever surfaces entries whose
+// hold the campaign's log and metadata (plus the result document of a perf
+// campaign). The entry metadata file is written atomically and last, so
+// its presence is the completeness marker: Lookup only ever surfaces entries whose
 // artifacts are fully sealed, which is what lets readers skip locking.
 //
 // Lookup is budget-aware. A completed entry at the exact requested budget
@@ -47,7 +47,6 @@ const StatusComplete = "complete"
 const (
 	MetaFile       = "entry.json"
 	CheckpointFile = "checkpoint.jsonl"
-	ManifestFile   = "manifest.json"
 	ResultFile     = "result.json"
 	claimFile      = ".claim"
 )
@@ -64,6 +63,9 @@ type Meta struct {
 	// produced the entry (the full fingerprint, budget included).
 	Name                string `json:"name"`
 	ScenarioFingerprint string `json:"scenario_fingerprint"`
+	// Version is the build revision of the binary that computed the entry
+	// (harness.BuildVersion).
+	Version string `json:"version,omitempty"`
 	// Stopped records that a sequential-stopping run hit its confidence
 	// target before the budget; such an entry satisfies every larger
 	// budget request (the stopping cutoff is a prefix property).

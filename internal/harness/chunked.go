@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"relaxfault/internal/obs"
 	"relaxfault/internal/runtrace"
 )
 
@@ -40,10 +39,6 @@ func (c Chunking) Span(ci int) (lo, hi int) {
 	return lo, max(lo, min(lo+c.Size, c.Trials))
 }
 
-// gateSlack is how many chunks beyond one per worker a gated claim may run
-// ahead of its admission window.
-const gateSlack = 2
-
 // Chunked drives one fixed-index chunked campaign on an Engine: chunk ci
 // covers the trials Section.Span(ci), its payload P is a pure function of
 // that span, and payloads fold into the caller's accumulator in strict
@@ -60,8 +55,8 @@ const gateSlack = 2
 // It records the resume.load and reduce spans on the main trace track and
 // one checkpoint span per logged chunk.
 //
-// Fold, Ahead and Enough are called one at a time under the driver's lock,
-// so they may share state without further locking; they must not block.
+// Fold and Enough are called one at a time under the driver's lock, so they
+// may share state without further locking; they must not block.
 type Chunked[P any] struct {
 	// Exec configures the engine; its Store, if non-nil, persists chunks
 	// under Section.
@@ -83,23 +78,10 @@ type Chunked[P any] struct {
 	// the cutoff: the last chunk the result needs. Chunks after the cutoff
 	// are never folded.
 	Fold func(ci int, p P) (stop bool)
-
-	// Gate throttles claims, before the cutoff is known, to a window of
-	// Workers+slack chunks past the fold frontier, so fast workers do not
-	// race arbitrarily far past a cutoff the fold then discards. Set it
-	// when Fold can stop early. The gate cannot deadlock: the worker
-	// holding the lowest in-flight chunk is always inside the window,
-	// because every lower chunk has folded.
-	Gate bool
-	// Ahead, if set, widens the window to a fold-state estimate of where
-	// the cutoff lies, given the frontier.
-	Ahead func(frontier int) int
 	// Enough, if set, sees every completed chunk in completion order and
 	// reports once those chunks alone prove the cutoff is no later than the
 	// highest of them; claims past that bound are refused.
 	Enough func(p P) bool
-	// GateWaits counts claims that had to wait at the gate.
-	GateWaits *obs.Counter
 }
 
 // Run executes the campaign. On cancellation every computed chunk stays in
@@ -113,7 +95,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 	defer cancel()
 	cp := c.Store.Section(c.Section)
 
-	// Reduction and admission state, all under mu; chunk computation and
+	// Reduction and bound state, all under mu; chunk computation and
 	// persistence run outside the lock.
 	var mu sync.Mutex
 	cutoff := -1 // chunk where Fold stopped
@@ -181,51 +163,16 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 		c.Mon.Expect(expect)
 	}
 
-	workers := PoolWorkers(c.Workers)
-	cond := sync.NewCond(&mu)
-	cancelled := false
-	if c.Gate {
-		stop := context.AfterFunc(ctx, func() {
-			mu.Lock()
-			cancelled = true
-			mu.Unlock()
-			cond.Broadcast()
-		})
-		defer stop()
-	}
-	admit := func(ci int) bool { // called with mu held
-		for {
-			if cancelled {
-				return false
-			}
-			if bound >= 0 {
-				return ci <= bound
-			}
-			if !c.Gate {
-				return true
-			}
-			f := frontier
-			if c.Ahead != nil {
-				f = max(f, c.Ahead(f))
-			}
-			if ci <= f+workers+gateSlack {
-				return true
-			}
-			c.GateWaits.Inc()
-			cond.Wait()
-		}
-	}
-
-	kernels := make([]func(lo, hi int) (P, error), workers)
+	kernels := make([]func(lo, hi int) (P, error), PoolWorkers(c.Workers))
 	eng := Engine{c.Exec}
 	eng.Run(ctx, len(todo), func(w, k int) (int64, bool) {
 		ci := todo[k]
 		mu.Lock()
-		ok := admit(ci)
+		ok := bound < 0 || ci <= bound
 		mu.Unlock()
 		if !ok {
-			// Past the cutoff (claims ascend, so every later claim is too)
-			// or cancelled: retire the worker.
+			// Past the proven bound; claims ascend, so every later claim is
+			// too: retire the worker.
 			return 0, false
 		}
 		if kernels[w] == nil {
@@ -239,15 +186,12 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 				kernelErr = fmt.Errorf("harness: section %s chunk %d: %w", c.Section.Name, ci, err)
 			}
 			mu.Unlock()
-			cancel() // stops every claim, and wakes claims waiting at the gate
+			cancel() // stops every claim
 			return 0, false
 		}
 		mu.Lock()
 		complete(ci, p)
 		mu.Unlock()
-		if c.Gate {
-			cond.Broadcast()
-		}
 		ckptStart := c.Trace.Now()
 		if err := cp.Put(ci, p); err != nil {
 			c.Mon.Warnf("%v (run continues without this chunk persisted)", err)

@@ -2,8 +2,8 @@ package harness
 
 // Tests for harness.Chunked on a toy payload: the index-ordered fold,
 // worker-count invariance of results and view bytes, cutoff pruning,
-// cancellation keeping every computed chunk, a failing kernel failing the
-// run, resume, the claim-admission gate, and agreement of the run's
+// Enough's bound on speculation, cancellation keeping every computed chunk,
+// a failing kernel failing the run, resume, and agreement of the run's
 // telemetry.
 
 import (
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"relaxfault/internal/journal"
-	"relaxfault/internal/obs"
 	"relaxfault/internal/runtrace"
 )
 
@@ -61,10 +60,11 @@ type toyOpts struct {
 	workers int
 	trials  int
 	stopAt  float64 // fold stops once the running total reaches it (0 = never)
-	gate    bool
-	waits   *obs.Counter
-	mon     *Monitor
-	trace   *runtrace.Recorder
+	// enough, if set, is Enough's threshold on the running total of every
+	// completed chunk, folded or not (0 = no Enough).
+	enough float64
+	mon    *Monitor
+	trace  *runtrace.Recorder
 	// hook runs inside the kernel before chunk [lo, hi) is computed; an
 	// error fails the chunk.
 	hook func(lo int) error
@@ -110,8 +110,13 @@ func runToy(ctx context.Context, store *Store, o toyOpts) (*toyRun, error) {
 			r.folded = append(r.folded, ci)
 			return o.stopAt > 0 && r.total >= o.stopAt
 		},
-		Gate:      o.gate,
-		GateWaits: o.waits,
+	}
+	if o.enough > 0 {
+		var seen float64
+		c.Enough = func(ch *toyChunk) bool {
+			seen += ch.Sum
+			return seen >= o.enough
+		}
 	}
 	return r, c.Run(ctx)
 }
@@ -165,7 +170,7 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 	for i, workers := range []int{1, 2, 7} {
 		store := NewStore(nil)
 		r, err := runToy(context.Background(), store,
-			toyOpts{workers: workers, trials: 1000, stopAt: 2.5, gate: true})
+			toyOpts{workers: workers, trials: 1000, stopAt: 2.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +195,8 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 }
 
 func TestChunkedCutoffPrunesSpeculativeTail(t *testing.T) {
-	// No gate, and the cutoff chunk is slow: the other workers race past it
-	// computing chunks the fold will discard.
+	// No Enough, and the cutoff chunk is slow: the other workers race past
+	// it computing chunks the fold will discard.
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	store := openLogStore(t, path)
 	ref, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 4000, stopAt: 2.5})
@@ -233,7 +238,7 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := runToy(ctx, openLogStore(t, path), toyOpts{workers: 3, trials: 4000, gate: true,
+	r, err := runToy(ctx, openLogStore(t, path), toyOpts{workers: 3, trials: 4000,
 		hook: func(lo int) error {
 			if lo >= 10*16 {
 				cancel()
@@ -261,66 +266,64 @@ func TestChunkedCancelKeepsComputedChunks(t *testing.T) {
 func TestChunkedKernelErrorFailsRun(t *testing.T) {
 	const trials, bad = 4000, 20 // the kernel fails chunk 20 of 250
 	boom := errors.New("boom")
-	for _, gate := range []bool{false, true} {
-		ref := NewStore(nil)
-		want, err := runToy(context.Background(), ref, toyOpts{workers: 3, trials: trials, gate: gate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSnap, err := ref.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+	ref := NewStore(nil)
+	want, err := runToy(context.Background(), ref, toyOpts{workers: 3, trials: trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		path := filepath.Join(t.TempDir(), "cp.jsonl")
-		r, err := runToy(context.Background(), openLogStore(t, path), toyOpts{workers: 3, trials: trials, gate: gate,
-			hook: func(lo int) error {
-				if lo == bad*16 {
-					return boom
-				}
-				return nil
-			}})
-		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "section toy chunk 20:") {
-			t.Fatalf("gate=%v: got %v, want the kernel error naming section toy chunk %d", gate, err, bad)
-		}
-		if n := len(r.computed); n >= trials/16 {
-			t.Errorf("gate=%v: computed %d chunks, want the run to stop short of all %d", gate, n, trials/16)
-		}
-		if len(r.folded) > bad {
-			t.Errorf("gate=%v: folded %d chunks, past the failed chunk %d", gate, len(r.folded), bad)
-		}
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	r, err := runToy(context.Background(), openLogStore(t, path), toyOpts{workers: 3, trials: trials,
+		hook: func(lo int) error {
+			if lo == bad*16 {
+				return boom
+			}
+			return nil
+		}})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "section toy chunk 20:") {
+		t.Fatalf("got %v, want the kernel error naming section toy chunk %d", err, bad)
+	}
+	if n := len(r.computed); n >= trials/16 {
+		t.Errorf("computed %d chunks, want the run to stop short of all %d", n, trials/16)
+	}
+	if len(r.folded) > bad {
+		t.Errorf("folded %d chunks, past the failed chunk %d", len(r.folded), bad)
+	}
 
-		// Every chunk computed before the failure stays in the log; the
-		// failed one is not logged, and a resume without the fault
-		// computes it and matches an uninterrupted run.
-		store := openLogStore(t, path)
-		stored := map[int]bool{}
-		for _, ci := range store.Section(toySection(4000)).Indexes() {
-			stored[ci] = true
+	// Every chunk computed before the failure stays in the log; the failed
+	// one is not logged, and a resume without the fault computes it and
+	// matches an uninterrupted run.
+	store := openLogStore(t, path)
+	stored := map[int]bool{}
+	for _, ci := range store.Section(toySection(4000)).Indexes() {
+		stored[ci] = true
+	}
+	for lo := range r.computed {
+		if !stored[lo/16] {
+			t.Errorf("computed chunk %d missing from the log", lo/16)
 		}
-		for lo := range r.computed {
-			if !stored[lo/16] {
-				t.Errorf("gate=%v: computed chunk %d missing from the log", gate, lo/16)
-			}
-		}
-		if stored[bad] {
-			t.Errorf("gate=%v: the failed chunk was logged", gate)
-		}
-		got, err := runToy(context.Background(), store, toyOpts{workers: 3, trials: trials, gate: gate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := store.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.total != want.total || !bytes.Equal(snap, wantSnap) {
-			t.Errorf("gate=%v: resumed total %v (view equal: %v), want %v", gate, got.total, bytes.Equal(snap, wantSnap), want.total)
-		}
-		for lo, n := range got.computed {
-			if stored[lo/16] {
-				t.Errorf("gate=%v: logged chunk %d recomputed %d times on resume", gate, lo/16, n)
-			}
+	}
+	if stored[bad] {
+		t.Errorf("the failed chunk was logged")
+	}
+	got, err := runToy(context.Background(), store, toyOpts{workers: 3, trials: trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.total != want.total || !bytes.Equal(snap, wantSnap) {
+		t.Errorf("resumed total %v (view equal: %v), want %v", got.total, bytes.Equal(snap, wantSnap), want.total)
+	}
+	for lo, n := range got.computed {
+		if stored[lo/16] {
+			t.Errorf("logged chunk %d recomputed %d times on resume", lo/16, n)
 		}
 	}
 }
@@ -402,40 +405,38 @@ func TestChunkedResumeDropsNegativeIndex(t *testing.T) {
 	}
 }
 
-func TestChunkedGateSurvivesSlowChunk(t *testing.T) {
-	// The frontier chunk stalls while fast workers reach the window edge
-	// and wait; the run must still finish, with the same fold.
-	want, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: 2000, stopAt: 2.5})
+// TestChunkedEnoughBoundsSpeculation: a slow low chunk holds the fold back
+// while 3 fast workers race ahead. Enough sees their completed chunks and
+// proves the cutoff before the fold reaches it, so claims stop well short
+// of the last chunk; the fold still equals the 1-worker fold.
+func TestChunkedEnoughBoundsSpeculation(t *testing.T) {
+	const trials, stopAt = 64000, 5.0 // 4000 chunks; the cutoff is chunk 23
+	want, err := runToy(context.Background(), nil, toyOpts{workers: 1, trials: trials, stopAt: stopAt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waits := obs.New().Counter("gate_waits")
-	done := make(chan error, 1)
-	var r *toyRun
-	go func() {
-		var err error
-		r, err = runToy(context.Background(), nil, toyOpts{workers: 4, trials: 2000, stopAt: 2.5, gate: true, waits: waits,
-			hook: func(lo int) error {
-				if lo == 16 {
-					time.Sleep(50 * time.Millisecond)
-				}
-				return nil
-			}})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("gated run deadlocked behind a slow chunk")
-	}
-	if waits.Value() == 0 {
-		t.Error("no claim waited at the gate; the slow chunk did not exercise it")
+	cutoff := want.folded[len(want.folded)-1]
+	r, err := runToy(context.Background(), nil, toyOpts{workers: 4, trials: trials, stopAt: stopAt, enough: stopAt,
+		hook: func(lo int) error {
+			if lo == 16 {
+				time.Sleep(50 * time.Millisecond)
+			}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r.folded, want.folded) || r.total != want.total {
-		t.Errorf("gated fold %v, want %v", r.folded, want.folded)
+		t.Errorf("folded %v total %v, want %v total %v", r.folded, r.total, want.folded, want.total)
+	}
+	// The chunks up to the cutoff sum to stopAt, so Enough holds once the
+	// completed chunks cover them; only chunks claimed by then run past it.
+	last := 0
+	for lo := range r.computed {
+		last = max(last, lo/16)
+	}
+	if last > cutoff+64 {
+		t.Errorf("claimed up to chunk %d of %d, want Enough to stop claims near the cutoff %d", last, trials/16, cutoff)
 	}
 }
 

@@ -22,14 +22,16 @@ import (
 // schema 5 dropped the skipped-trial count and records, because a
 // panicking trial fails its run instead of being skipped; schema 6 dropped
 // the checkpoint path, which always named the same file as the journal
-// path, because a run persists only through its store entries.
+// path, because a run persists only through its store entries. The schema-2
+// journal fields are gone too: only a store entry's own manifest set them,
+// and an entry now keeps no manifest (its entry.json and log hold every
+// fact), so no run manifest changed shape.
 const ManifestSchema = 6
 
 // Manifest is the machine-readable record of one CLI run: enough to
 // reproduce it (command, seed, fingerprint, version), audit it (wall/CPU
 // time, failures), and analyse it (the full metrics snapshot). The CLI
-// writes it to the -metrics target, and every store entry keeps the
-// manifest of its own campaign.
+// writes it to the -metrics target.
 type Manifest struct {
 	Schema    int    `json:"schema"`
 	Version   string `json:"version"`    // VCS revision of the binary, or "unknown"
@@ -42,15 +44,6 @@ type Manifest struct {
 	Scale       string   `json:"scale,omitempty"`
 	Seed        uint64   `json:"seed"`
 	Fingerprint string   `json:"fingerprint,omitempty"` // config fingerprint(s), joined
-	// Journal fields (schema 2) let campaign tooling audit a campaign
-	// without opening its log: the log path, whether the run sealed it
-	// cleanly ("complete"), how many chunk records this process appended,
-	// and how many logged payloads matched their digests when the log was
-	// reopened. A store entry's manifest sets them for its campaign.
-	Journal               string `json:"journal,omitempty"`
-	JournalSealed         bool   `json:"journal_sealed,omitempty"`
-	JournalChunks         uint64 `json:"journal_chunks,omitempty"`
-	JournalVerifiedChunks int    `json:"journal_verified_chunks,omitempty"`
 	// Scenarios embeds every fully-resolved scenario the run executed, so a
 	// manifest alone reproduces the run without the preset registry or the
 	// original -scenario file.

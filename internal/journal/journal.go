@@ -104,9 +104,6 @@ type Record struct {
 	Seed      uint64     `json:"seed,omitempty"`
 	Campaigns []Campaign `json:"campaigns,omitempty"`
 
-	// Open/resume/seal bookkeeping (never part of replay identity).
-	Time string `json:"time,omitempty"`
-
 	// Chunk fields. Section is the checkpoint section name, SectionFP the
 	// section's configuration fingerprint; TrialLo/TrialHi are the chunk's
 	// RNG fork coordinates (trial i forks stream i of the root seed);

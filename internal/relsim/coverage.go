@@ -163,13 +163,8 @@ func (cfg *CoverageConfig) Validate() error {
 	if err := cfg.Stats.validate(); err != nil {
 		return err
 	}
-	if cfg.Stats.active() {
-		if cfg.Stats.TargetCI > 0 {
-			return fmt.Errorf("relsim: TargetCI sequential stopping applies to reliability runs; coverage studies stop on FaultyNodes")
-		}
-		if cfg.Stats.MaxTrials > 0 {
-			return fmt.Errorf("relsim: MaxTrials does not apply to coverage studies; use MaxNodes")
-		}
+	if cfg.Stats.active() && cfg.Stats.TargetCI > 0 {
+		return fmt.Errorf("relsim: TargetCI sequential stopping applies to reliability runs; coverage studies stop on FaultyNodes")
 	}
 	if err := cfg.Model.Geometry.Validate(); err != nil {
 		return fmt.Errorf("relsim: %w", err)
@@ -233,7 +228,7 @@ func (cfg *CoverageConfig) Fingerprint() string {
 	// Included only when active, so pre-estimator configurations keep
 	// their exact fingerprints (see Config.Fingerprint).
 	if cfg.Stats.active() {
-		args = append(args, "stats", *cfg.Stats)
+		args = append(args, "stats", cfg.Stats.key())
 	}
 	return harness.Fingerprint(args...)
 }
@@ -289,21 +284,10 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 			cumFaulty += ch.Faulty
 			return cumFaulty >= cfg.FaultyNodes
 		},
-		// Before the cutoff is known, the faulty rate folded so far predicts
-		// where it lands; claims may run 25% past that estimate.
-		Gate: true,
-		Ahead: func(frontier int) int {
-			if cumFaulty == 0 {
-				return 0
-			}
-			est := int(float64(frontier) * float64(cfg.FaultyNodes) / float64(cumFaulty))
-			return est + est/4
-		},
 		Enough: func(ch *covChunk) bool {
 			specFaulty += ch.Faulty
 			return specFaulty >= cfg.FaultyNodes
 		},
-		GateWaits: rm.covGateWaits,
 	}
 	if err := study.Run(ctx); err != nil {
 		return nil, err

@@ -59,10 +59,14 @@ type StatsConfig struct {
 	// may fire (0 selects DefaultMinTrials). It guards against the
 	// stopping rule firing off an early variance estimate of zero.
 	MinTrials int `json:"min_trials,omitempty"`
-	// MaxTrials, when positive, caps the total trial budget (the run
-	// simulates min(Nodes*Replicas, MaxTrials) trials and scales the
-	// expectations back to per-system values).
-	MaxTrials int `json:"max_trials,omitempty"`
+}
+
+// key is the statistics block's part of a configuration fingerprint: its
+// %+v form with the retired MaxTrials cap, which no configuration set,
+// rendered as the 0 it always read. Estimator configurations thereby keep
+// the fingerprints their logs and store entries were written under.
+func (s StatsConfig) key() string {
+	return strings.TrimSuffix(fmt.Sprintf("%+v", s), "}") + " MaxTrials:0}"
 }
 
 // Summary renders the configuration for listings: "naive" for nil,
@@ -80,9 +84,6 @@ func (s *StatsConfig) Summary() string {
 	}
 	if s.MinTrials != 0 {
 		opts = append(opts, fmt.Sprintf("min_trials=%d", s.MinTrials))
-	}
-	if s.MaxTrials != 0 {
-		opts = append(opts, fmt.Sprintf("max_trials=%d", s.MaxTrials))
 	}
 	if len(opts) == 0 {
 		return s.estimatorName()
@@ -141,9 +142,6 @@ func (s *StatsConfig) validate() error {
 	}
 	if s.MinTrials < 0 {
 		return fmt.Errorf("relsim: MinTrials must be non-negative, got %d", s.MinTrials)
-	}
-	if s.MaxTrials < 0 {
-		return fmt.Errorf("relsim: MaxTrials must be non-negative, got %d", s.MaxTrials)
 	}
 	return nil
 }

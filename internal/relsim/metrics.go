@@ -30,14 +30,12 @@ var rm = struct {
 	sdcs         *obs.FloatCounter
 	replacements *obs.FloatCounter
 
-	covNodes     *obs.Counter // nodes sampled by coverage studies
-	covFaulty    *obs.Counter // of those, nodes with permanent faults
-	covGateWaits *obs.Counter // claim-admission gate waits (speculation throttle)
+	covNodes  *obs.Counter // nodes sampled by coverage studies
+	covFaulty *obs.Counter // of those, nodes with permanent faults
 
 	estTrialsSaved *obs.Counter // budgeted trials the stopping rule made unnecessary
 	estESS         *obs.Gauge   // Kish effective sample size of the last estimator run
 	estHalfWidth   *obs.Gauge   // per-system DUE CI half-width of the last estimator run
-	estGateWaits   *obs.Counter // sequential-stopping gate waits
 }{
 	trialsDone:    obs.Default().Counter("relsim.trials_done"),
 	trialsResumed: obs.Default().Counter("relsim.trials_resumed"),
@@ -52,14 +50,12 @@ var rm = struct {
 	sdcs:         obs.Default().FloatCounter("relsim.sdc"),
 	replacements: obs.Default().FloatCounter("relsim.replacements"),
 
-	covNodes:     obs.Default().Counter("relsim.coverage.nodes_sampled"),
-	covFaulty:    obs.Default().Counter("relsim.coverage.faulty_nodes"),
-	covGateWaits: obs.Default().Counter("relsim.coverage.gate_waits"),
+	covNodes:  obs.Default().Counter("relsim.coverage.nodes_sampled"),
+	covFaulty: obs.Default().Counter("relsim.coverage.faulty_nodes"),
 
 	estTrialsSaved: obs.Default().Counter("relsim.estimator.trials_saved"),
 	estESS:         obs.Default().Gauge("relsim.estimator.ess"),
 	estHalfWidth:   obs.Default().Gauge("relsim.estimator.ci_half_width"),
-	estGateWaits:   obs.Default().Counter("relsim.estimator.gate_waits"),
 }
 
 func init() {

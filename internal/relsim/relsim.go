@@ -211,16 +211,9 @@ const chunkSize = 4096
 // RunChunkSize is chunkSize for callers outside the package.
 const RunChunkSize = chunkSize
 
-// TotalTrials is the number of Monte Carlo trials RunCtx will execute:
-// Nodes × Replicas, capped by Stats.MaxTrials when the statistics block is
-// active.
-func (cfg *Config) TotalTrials() int {
-	total := cfg.Nodes * cfg.Replicas
-	if cfg.Stats.active() && cfg.Stats.MaxTrials > 0 && cfg.Stats.MaxTrials < total {
-		total = cfg.Stats.MaxTrials
-	}
-	return total
-}
+// TotalTrials is the number of Monte Carlo trials RunCtx executes at most:
+// Nodes × Replicas.
+func (cfg *Config) TotalTrials() int { return cfg.Nodes * cfg.Replicas }
 
 // Section is the run's checkpoint/journal section: "run-"+Fingerprint(),
 // split into chunks of chunkSize over [0, TotalTrials). It is the one
@@ -250,7 +243,7 @@ func (cfg *Config) Fingerprint() string {
 	// when active, so every pre-estimator configuration keeps its exact
 	// fingerprint (and with it checkpoint and journal compatibility).
 	if cfg.Stats.active() {
-		args = append(args, "stats", *cfg.Stats)
+		args = append(args, "stats", cfg.Stats.key())
 	}
 	return harness.Fingerprint(args...)
 }
@@ -311,8 +304,6 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 			}
 			return stopped
 		},
-		Gate:      targetCI > 0,
-		GateWaits: rm.estGateWaits,
 	}
 	if err := run.Run(ctx); err != nil {
 		return Result{}, err
@@ -329,7 +320,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	// Weighted per-trial sums → per-system expectations: the estimator
 	// makes each weighted trial an unbiased per-node estimate, so the
 	// system expectation is Nodes × the weighted mean over however many
-	// trials actually ran (budget cap or sequential stop).
+	// trials actually ran (the full budget or a sequential stop).
 	sum.scale(float64(cfg.Nodes) / float64(n))
 	sum.Estimator = &EstimatorReport{
 		Name:         cfg.Stats.estimatorName(),

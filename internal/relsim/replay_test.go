@@ -108,29 +108,6 @@ func verifyJournal(t *testing.T, j *journal.Journal, rep Replayer) {
 	}
 }
 
-// TestRunReplayerHonoursMaxTrials: a MaxTrials cap shortens the run's trial
-// space, so the replayer must split the capped space exactly as the run
-// did — chunk 1 is [4096, 5000), not [4096, 8192).
-func TestRunReplayerHonoursMaxTrials(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Nodes = 10000
-	cfg.Stats = &StatsConfig{Estimator: EstimatorNaive, MaxTrials: 5000}
-	j := journaledCampaign(t, func(store *harness.Store) {
-		cfg.Store = store
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	rep, err := NewRunReplayer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := rep.Section.Count(); n != 2 {
-		t.Errorf("replayer reports %d chunks, want 2", n)
-	}
-	verifyJournal(t, j, rep)
-}
-
 // TestWeightedCoverageDeterminism pins importance-weighted coverage chunks:
 // the weighted tallies accumulate trial by trial in index order, so results
 // and views are byte-identical across worker counts and every journaled

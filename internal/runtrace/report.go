@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"relaxfault/internal/obs"
 )
 
 // ReportSchema tags the scheduler-attribution report embedded in run
@@ -195,31 +193,6 @@ func Analyze(r *Recorder) *Report {
 		rep.Stragglers = rep.Stragglers[:maxStragglers]
 	}
 	return rep
-}
-
-// Publish registers the report as runtrace.* gauges on reg so the
-// attribution is scrapeable alongside the rest of the metric catalogue
-// (and lands in the manifest's metrics snapshot).
-func (rep *Report) Publish(reg *obs.Registry) {
-	if rep == nil || reg == nil {
-		return
-	}
-	reg.Gauge("runtrace.spans").Set(float64(rep.Spans))
-	reg.Gauge("runtrace.wall_seconds").Set(rep.WallSeconds)
-	reg.Gauge("runtrace.critical_path_seconds").Set(rep.CriticalPathSeconds)
-	reg.Gauge("runtrace.busy_pct").Set(rep.Totals.BusyPct)
-	reg.Gauge("runtrace.claim_pct").Set(rep.Totals.ClaimPct)
-	reg.Gauge("runtrace.checkpoint_pct").Set(rep.Totals.CheckpointPct)
-	reg.Gauge("runtrace.reduce_wait_pct").Set(rep.Totals.ReduceWaitPct)
-	reg.Gauge("runtrace.idle_pct").Set(rep.Totals.IdlePct)
-	for _, w := range rep.Workers {
-		p := fmt.Sprintf("runtrace.worker.%d.", w.Worker)
-		reg.Gauge(p + "busy_pct").Set(w.BusyPct)
-		reg.Gauge(p + "claim_pct").Set(w.ClaimPct)
-		reg.Gauge(p + "checkpoint_pct").Set(w.CheckpointPct)
-		reg.Gauge(p + "reduce_wait_pct").Set(w.ReduceWaitPct)
-		reg.Gauge(p + "idle_pct").Set(w.IdlePct)
-	}
 }
 
 // String renders the report as the table the CLI prints.

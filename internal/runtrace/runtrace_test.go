@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"relaxfault/internal/obs"
 )
 
 // TestChromeGolden pins the exact Chrome trace_event JSON shape: header with
@@ -289,25 +287,4 @@ func TestAnalyzeStragglerCap(t *testing.T) {
 	if rep.Stragglers[0].Chunk != 19 {
 		t.Errorf("slowest straggler = chunk %d, want 19", rep.Stragglers[0].Chunk)
 	}
-}
-
-// TestPublish checks the runtrace.* gauges land in a registry snapshot.
-func TestPublish(t *testing.T) {
-	r := New()
-	r.Record(0, SpanChunk, 0, 100, 0, int64(2e9))
-	rep := Analyze(r)
-	reg := obs.New()
-	rep.Publish(reg)
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		"runtrace.spans", "runtrace.wall_seconds", "runtrace.critical_path_seconds",
-		"runtrace.busy_pct", "runtrace.idle_pct", "runtrace.worker.0.busy_pct",
-	} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("metric %q missing from snapshot", name)
-		}
-	}
-	// Nil-safety.
-	rep.Publish(nil)
-	(*Report)(nil).Publish(reg)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"relaxfault/internal/harness"
 	"relaxfault/internal/relsim"
 )
 
@@ -17,7 +18,7 @@ func campaignCov() *Scenario {
 
 // TestCampaignFingerprintElasticAxes: the campaign key must be invariant
 // under the elastic trial-budget axes (coverage sample size, replica
-// count, trial cap, seed) and sensitive to everything else.
+// count, seed) and sensitive to everything else.
 func TestCampaignFingerprintElasticAxes(t *testing.T) {
 	base, err := campaignCov().CampaignFingerprint()
 	if err != nil {
@@ -28,7 +29,6 @@ func TestCampaignFingerprintElasticAxes(t *testing.T) {
 		"faulty_nodes": func(sc *Scenario) { sc.Budget.FaultyNodes = 99999 },
 		"replicas":     func(sc *Scenario) { sc.Budget.Replicas = 99 },
 		"seed":         func(sc *Scenario) { s := uint64(123); sc.Seed = &s },
-		"max_trials":   func(sc *Scenario) { sc.Statistics = &relsim.StatsConfig{Estimator: "naive", MaxTrials: 5000} },
 	}
 	for name, mutate := range elastic {
 		sc := campaignCov()
@@ -98,21 +98,13 @@ func TestBudgetTrials(t *testing.T) {
 	if got := rel.BudgetTrials(); got != 27000 {
 		t.Errorf("reliability BudgetTrials = %d, want 27000", got)
 	}
-	rel.Statistics = &relsim.StatsConfig{Estimator: "naive", MaxTrials: 10000}
-	if got := rel.BudgetTrials(); got != 10000 {
-		t.Errorf("reliability BudgetTrials with cap = %d, want 10000", got)
-	}
 }
 
 // TestSections: the planned checkpoint sections must carry the same names
 // and fingerprints the runner will use, so a store entry's artifacts line
 // up with a later resume.
 func TestSections(t *testing.T) {
-	cov := campaignCov()
-	secs, err := cov.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
+	secs := sections(t, campaignCov())
 	if len(secs) != 1 {
 		t.Fatalf("coverage sections = %d, want 1", len(secs))
 	}
@@ -135,10 +127,7 @@ func TestSections(t *testing.T) {
 			{Label: "b", Policy: "replace-after-threshold"},
 		}},
 	}
-	secs, err = rel.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
+	secs = sections(t, rel)
 	if len(secs) != 2 {
 		t.Fatalf("reliability sections = %d, want one per cell", len(secs))
 	}
@@ -158,11 +147,17 @@ func TestSections(t *testing.T) {
 	}
 
 	perf := &Scenario{Name: "p", Kind: KindPerf, Perf: &PerfSpec{Locks: []LockSpec{{Label: "base"}}}}
-	secs, err = perf.Sections()
+	if secs := sections(t, perf); len(secs) != 0 {
+		t.Errorf("perf sections = %d, want 0 (perf runs keep no checkpoint)", len(secs))
+	}
+}
+
+// sections lowers sc and returns its planned checkpoint sections.
+func sections(t *testing.T, sc *Scenario) []harness.Section {
+	t.Helper()
+	low, err := sc.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(secs) != 0 {
-		t.Errorf("perf sections = %d, want 0 (perf runs keep no checkpoint)", len(secs))
-	}
+	return low.Sections()
 }

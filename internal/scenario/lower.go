@@ -8,6 +8,7 @@ import (
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/dram"
 	"relaxfault/internal/fault"
+	"relaxfault/internal/harness"
 	"relaxfault/internal/memtech"
 	"relaxfault/internal/perf"
 	"relaxfault/internal/power"
@@ -175,9 +176,6 @@ func buildPlanner(spec PlannerSpec, tech memtech.Tech, geo dram.Geometry) (repai
 		return repair.NewFreeFault(m, llc.LLCWays, hash)
 	case "ppr":
 		bpg, spares := tech.PPRBudget(geo)
-		if spec.BanksPerGroup != 0 {
-			bpg = spec.BanksPerGroup
-		}
 		if spec.SparesPerGroup != 0 {
 			spares = spec.SparesPerGroup
 		}
@@ -226,32 +224,83 @@ type Lowered struct {
 	Perf        []PerfUnitConfig
 }
 
-// Lower compiles the scenario. Every configuration it produces has passed
-// the target package's validation; for preset scenarios the output is
-// bit-for-bit the configuration the legacy experiment code built.
+// Lower normalizes, validates and compiles the scenario; it is the one
+// check of a spec, so a bad spec fails before any simulation work starts.
+// It reports the first error: a structural problem (schema, name, kind,
+// sections) or any configuration error the simulators would reject —
+// planner budgets out of range, invalid geometries, bad lock
+// configurations. Every configuration it produces has passed the target
+// package's validation; for preset scenarios the output is bit-for-bit the
+// configuration the legacy experiment code built.
 func (sc *Scenario) Lower() (*Lowered, error) {
 	sc.Normalize()
+	if sc.Schema != Schema {
+		return nil, fmt.Errorf("scenario: unsupported schema %q (want %q)", sc.Schema, Schema)
+	}
+	if sc.Name == "" {
+		return nil, fmt.Errorf("scenario: missing name")
+	}
+	sections := map[Kind]bool{
+		KindCoverage:    sc.Coverage != nil,
+		KindReliability: sc.Reliability != nil,
+		KindPerf:        sc.Perf != nil,
+	}
+	switch sc.Kind {
+	case KindStatic:
+	case KindCoverage, KindReliability, KindPerf:
+		if !sections[sc.Kind] {
+			return nil, fmt.Errorf("scenario %s: kind %q requires a %q section", sc.Name, sc.Kind, sc.Kind)
+		}
+		n := 0
+		for _, set := range sections {
+			if set {
+				n++
+			}
+		}
+		if n > 1 {
+			return nil, fmt.Errorf("scenario %s: exactly one of coverage/reliability/perf may be set, found %d", sc.Name, n)
+		}
+		if sc.Statistics != nil && sc.Kind == KindPerf {
+			return nil, fmt.Errorf("scenario %s: the statistics block applies to coverage and reliability scenarios, not %q", sc.Name, sc.Kind)
+		}
+	default:
+		return nil, fmt.Errorf("scenario %s: unknown kind %q (want static, coverage, reliability, or perf)", sc.Name, sc.Kind)
+	}
 	tech, err := sc.resolveTech()
 	if err != nil {
 		return nil, err
 	}
 	out := &Lowered{}
 	switch sc.Kind {
-	case KindStatic:
-		return out, nil
 	case KindCoverage:
 		return out, sc.lowerCoverage(out, tech)
 	case KindReliability:
 		return out, sc.lowerReliability(out, tech)
 	case KindPerf:
 		return out, sc.lowerPerf(out, tech)
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown kind %q", sc.Name, sc.Kind)
 	}
+	return out, nil
+}
+
+// Sections plans the lowered scenario's checkpoint sections without running
+// it, in the exact order RunCtx executes them (coverage studies, then
+// reliability cells; perf units do not checkpoint). Lowerings of
+// campaign-equivalent scenarios produce index-aligned section lists, which
+// is what lets a store entry's chunks be re-journaled under a new budget's
+// section names.
+func (low *Lowered) Sections() []harness.Section {
+	var out []harness.Section
+	for i := range low.Coverage {
+		out = append(out, low.Coverage[i].Section())
+	}
+	for i := range low.Reliability {
+		out = append(out, low.Reliability[i].Section())
+	}
+	return out
 }
 
 func (sc *Scenario) lowerCoverage(out *Lowered, tech memtech.Tech) error {
-	if sc.Coverage == nil || len(sc.Coverage.Studies) == 0 {
+	if len(sc.Coverage.Studies) == 0 {
 		return fmt.Errorf("scenario %s: coverage scenario needs at least one study", sc.Name)
 	}
 	for i, st := range sc.Coverage.Studies {
@@ -290,7 +339,7 @@ func (sc *Scenario) lowerCoverage(out *Lowered, tech memtech.Tech) error {
 }
 
 func (sc *Scenario) lowerReliability(out *Lowered, tech memtech.Tech) error {
-	if sc.Reliability == nil || len(sc.Reliability.Cells) == 0 {
+	if len(sc.Reliability.Cells) == 0 {
 		return fmt.Errorf("scenario %s: reliability scenario needs at least one cell", sc.Name)
 	}
 	geo, err := GeometryByName(sc.Geometry)
@@ -331,7 +380,7 @@ func (sc *Scenario) lowerReliability(out *Lowered, tech memtech.Tech) error {
 }
 
 func (sc *Scenario) lowerPerf(out *Lowered, tech memtech.Tech) error {
-	if sc.Perf == nil || len(sc.Perf.Locks) == 0 {
+	if len(sc.Perf.Locks) == 0 {
 		return fmt.Errorf("scenario %s: perf scenario needs at least one lock configuration", sc.Name)
 	}
 	if l := sc.Perf.Locks[0]; l.Ways != 0 || l.Bytes != 0 {

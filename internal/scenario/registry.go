@@ -251,14 +251,6 @@ var registry = []Entry{
 			Statistics: &relsim.StatsConfig{Estimator: "stratified"},
 		}
 	}),
-	sim("bench", KindCoverage, "quick coverage study timed sequential vs parallel", func() *Scenario {
-		return &Scenario{Coverage: &CoverageSpec{Studies: []CoverageStudy{{
-			Label:     "coverage-quick",
-			Fault:     &FaultSpec{FITScale: 10},
-			Planners:  []PlannerSpec{plPPR, plFFHash, plRelax},
-			WayLimits: []int{1, 4},
-		}}}}
-	}),
 }
 
 // Preset builds a fresh copy of the named preset scenario (normalized, not

@@ -51,16 +51,13 @@ type Result struct {
 // Run executes the scenario with background context.
 func Run(sc *Scenario, ex Exec) (*Result, error) { return RunCtx(context.Background(), sc, ex) }
 
-// RunCtx validates, lowers, and executes the scenario on the shared
+// RunCtx lowers (which validates) and executes the scenario on the shared
 // simulation engines. Coverage studies and reliability cells run in spec
 // order on the checkpointing Monte Carlo engine; the perf section runs
 // each perf.Run of its units as one chunk of the sharded work engine and
 // folds the weighted speedups in unit order (runPerf), so output is
 // identical to a sequential sweep.
 func RunCtx(ctx context.Context, sc *Scenario, ex Exec) (*Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	low, err := sc.Lower()
 	if err != nil {
 		return nil, err

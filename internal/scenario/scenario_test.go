@@ -134,6 +134,8 @@ func TestValidateErrors(t *testing.T) {
 		{"missing name", func(sc *Scenario) { sc.Name = "" }, "missing name"},
 		{"bad kind", func(sc *Scenario) { sc.Kind = "bogus" }, `unknown kind "bogus"`},
 		{"kind/section mismatch", func(sc *Scenario) { sc.Kind = KindReliability }, `requires a "reliability" section`},
+		{"two sections", func(sc *Scenario) { sc.Perf = &PerfSpec{Locks: []LockSpec{{Label: "base"}}} },
+			"exactly one of coverage/reliability/perf may be set, found 2"},
 		{"bad geometry", func(sc *Scenario) { sc.Geometry = "ddr9" }, `unknown geometry "ddr9"`},
 		{"bad rates", func(sc *Scenario) { sc.Fault = &FaultSpec{Rates: "jaguar"} }, `unknown fault rates "jaguar"`},
 		{"negative fit scale", func(sc *Scenario) { sc.Fault = &FaultSpec{FITScale: -1} }, "negative fit_scale"},
@@ -145,12 +147,12 @@ func TestValidateErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := minimalCoverage()
 			tc.mut(sc)
-			err := sc.Validate()
+			_, err := sc.Lower()
 			if err == nil {
-				t.Fatalf("Validate() = nil, want error containing %q", tc.want)
+				t.Fatalf("Lower() = nil, want error containing %q", tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Validate() = %q, want it to contain %q", err, tc.want)
+				t.Errorf("Lower() = %q, want it to contain %q", err, tc.want)
 			}
 		})
 	}
@@ -158,16 +160,16 @@ func TestValidateErrors(t *testing.T) {
 
 func TestValidatePlannerBudgets(t *testing.T) {
 	// PPR budgets flow through the repair package's checked constructor:
-	// a spare budget that exceeds what the geometry can hold must be a
-	// validation error, not a clamp or a panic.
+	// a negative spare budget must be a validation error, not a clamp or a
+	// panic.
 	sc := minimalCoverage()
-	sc.Coverage.Studies[0].Planners = []PlannerSpec{{Kind: "ppr", BanksPerGroup: 1000}}
-	if err := sc.Validate(); err == nil {
-		t.Error("oversized banks_per_group validated")
+	sc.Coverage.Studies[0].Planners = []PlannerSpec{{Kind: "ppr", SparesPerGroup: -1}}
+	if _, err := sc.Lower(); err == nil {
+		t.Error("negative spares_per_group validated")
 	}
 	sc = minimalCoverage()
 	sc.Coverage.Studies[0].Planners = []PlannerSpec{{Kind: "page-retire", PageBytes: -4}}
-	if err := sc.Validate(); err == nil {
+	if _, err := sc.Lower(); err == nil {
 		t.Error("negative page_bytes validated")
 	}
 }
@@ -180,9 +182,9 @@ func TestValidateReliability(t *testing.T) {
 			{Label: "bad-policy", Policy: "replace-never"},
 		}},
 	}
-	err := sc.Validate()
+	_, err := sc.Lower()
 	if err == nil || !strings.Contains(err.Error(), `unknown replacement policy "replace-never"`) {
-		t.Errorf("Validate() = %v, want unknown-policy error", err)
+		t.Errorf("Lower() = %v, want unknown-policy error", err)
 	}
 }
 
@@ -192,16 +194,16 @@ func TestValidatePerfBaselineRule(t *testing.T) {
 		Kind: KindPerf,
 		Perf: &PerfSpec{Locks: []LockSpec{{Label: "locked", Ways: 4}}},
 	}
-	err := sc.Validate()
+	_, err := sc.Lower()
 	if err == nil || !strings.Contains(err.Error(), "locks[0] must be the unlocked baseline") {
-		t.Errorf("Validate() = %v, want baseline-rule error", err)
+		t.Errorf("Lower() = %v, want baseline-rule error", err)
 	}
 
 	sc.Perf.Locks = []LockSpec{{Label: "base"}, {Label: "4-way", Ways: 4}}
 	sc.Perf.Workloads = []string{"NOPE"}
-	err = sc.Validate()
+	_, err = sc.Lower()
 	if err == nil || !strings.Contains(err.Error(), `unknown workload "NOPE"`) {
-		t.Errorf("Validate() = %v, want unknown-workload error", err)
+		t.Errorf("Lower() = %v, want unknown-workload error", err)
 	}
 }
 
@@ -293,7 +295,6 @@ func TestPresetFingerprintsPinned(t *testing.T) {
 		{"ddr4", "2d4766c1c3016c8f", "df159de1bcd08961"},
 		{"rare-due", "99c057dcc2a76f6f", "0611361fd6045a69"},
 		{"strat-due", "0ef86e42bc970484", "02d540bbabcd092c"},
-		{"bench", "bb671851b16a0cf8", "6a8ba9227c3fb110"},
 	}
 	if len(want) != len(Presets()) {
 		t.Errorf("%d presets pinned, registry has %d", len(want), len(Presets()))
@@ -324,7 +325,7 @@ func TestPresetsAllValidateAndAreFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.Validate(); err != nil {
+		if _, err := sc.Lower(); err != nil {
 			t.Errorf("preset %s: %v", name, err)
 		}
 		fpr, err := sc.Fingerprint()
@@ -405,15 +406,15 @@ func TestStatisticsBlock(t *testing.T) {
 		Perf:       &PerfSpec{Locks: []LockSpec{{Label: "base"}}},
 		Statistics: &relsim.StatsConfig{Estimator: "importance"},
 	}
-	if err := pf.Validate(); err == nil || !strings.Contains(err.Error(), "statistics block") {
-		t.Errorf("Validate() = %v, want statistics-block kind error", err)
+	if _, err := pf.Lower(); err == nil || !strings.Contains(err.Error(), "statistics block") {
+		t.Errorf("Lower() = %v, want statistics-block kind error", err)
 	}
 
-	// A bad estimator name fails at Validate (through cfg.Validate in Lower).
+	// A bad estimator name fails at Lower (through cfg.Validate).
 	bad := minimalCoverage()
 	bad.Statistics = &relsim.StatsConfig{Estimator: "magic"}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "unknown estimator") {
-		t.Errorf("Validate() = %v, want unknown-estimator error", err)
+	if _, err := bad.Lower(); err == nil || !strings.Contains(err.Error(), "unknown estimator") {
+		t.Errorf("Lower() = %v, want unknown-estimator error", err)
 	}
 
 	// Summary renders for listings.
@@ -527,10 +528,7 @@ func TestPPRBudgetsKeepTheirOwnResults(t *testing.T) {
 			}},
 		}
 	}
-	secs, err := sc().Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
+	secs := sections(t, sc())
 	if secs[0].Name == secs[1].Name {
 		t.Fatalf("both PPR budgets lower to section %s", secs[0].Name)
 	}

@@ -117,9 +117,8 @@ type FaultSpec struct {
 }
 
 // PlannerSpec names a repair engine and its budget. Unknown kinds and
-// out-of-range budgets are validation errors (surfaced by
-// Scenario.Validate via the repair package's checked constructors), not
-// silent clamps.
+// out-of-range budgets are validation errors (surfaced by Scenario.Lower
+// via the repair package's checked constructors), not silent clamps.
 type PlannerSpec struct {
 	// Kind is one of "relaxfault", "freefault", "ppr", "page-retire",
 	// "mirroring". The remap engines plan against the performance model's
@@ -131,9 +130,9 @@ type PlannerSpec struct {
 	NoSpread     bool `json:"no_spread,omitempty"`
 	// Hash selects FreeFault's hashed LLC indexing (default true).
 	Hash *bool `json:"hash,omitempty"`
-	// BanksPerGroup and SparesPerGroup set the PPR budget (defaults:
-	// banks/4 per group, 1 spare per group — the paper's device).
-	BanksPerGroup  int `json:"banks_per_group,omitempty"`
+	// SparesPerGroup sets the PPR budget: spare rows per group of banks.
+	// The technology provisions the group size and the default (one spare
+	// per Banks/4 banks on the paper's device).
 	SparesPerGroup int `json:"spares_per_group,omitempty"`
 	// PageBytes is OS page retirement's frame size (default 4KiB); its
 	// budget is 1% of node capacity.
@@ -279,61 +278,6 @@ func (sc *Scenario) Normalize() {
 	}
 }
 
-// Validate normalizes the scenario and reports the first specification
-// error: structural problems (missing sections, bad names) and every
-// configuration error the lowered simulators would reject — planner
-// budgets out of range, invalid geometries, bad lock configurations — so a
-// bad spec fails before any simulation work starts.
-func (sc *Scenario) Validate() error {
-	sc.Normalize()
-	if sc.Schema != Schema {
-		return fmt.Errorf("scenario: unsupported schema %q (want %q)", sc.Schema, Schema)
-	}
-	if sc.Name == "" {
-		return fmt.Errorf("scenario: missing name")
-	}
-	switch sc.Kind {
-	case KindStatic:
-		return nil
-	case KindCoverage, KindReliability, KindPerf:
-	default:
-		return fmt.Errorf("scenario %s: unknown kind %q (want static, coverage, reliability, or perf)", sc.Name, sc.Kind)
-	}
-	want := map[Kind]bool{
-		KindCoverage:    sc.Coverage != nil,
-		KindReliability: sc.Reliability != nil,
-		KindPerf:        sc.Perf != nil,
-	}
-	if !want[sc.Kind] {
-		return fmt.Errorf("scenario %s: kind %q requires a %q section", sc.Name, sc.Kind, sc.Kind)
-	}
-	if n := countSections(sc); n > 1 {
-		return fmt.Errorf("scenario %s: exactly one of coverage/reliability/perf may be set, found %d", sc.Name, n)
-	}
-	if sc.Statistics != nil && sc.Kind == KindPerf {
-		return fmt.Errorf("scenario %s: the statistics block applies to coverage and reliability scenarios, not %q", sc.Name, sc.Kind)
-	}
-	// Lowering constructs every planner and simulator configuration through
-	// the validating constructors; any error it reports is the precise
-	// reason the spec cannot run.
-	_, err := sc.Lower()
-	return err
-}
-
-func countSections(sc *Scenario) int {
-	n := 0
-	if sc.Coverage != nil {
-		n++
-	}
-	if sc.Reliability != nil {
-		n++
-	}
-	if sc.Perf != nil {
-		n++
-	}
-	return n
-}
-
 // Canonical returns the fully resolved scenario as deterministic,
 // indented JSON: normalized defaults, struct-order fields, trailing
 // newline. Encoding a decoded canonical document reproduces it byte for
@@ -360,7 +304,7 @@ func (sc *Scenario) Fingerprint() (string, error) {
 
 // Decode parses a scenario document, rejecting unknown fields (a typoed
 // knob must not silently evaluate the wrong experiment) and foreign
-// schemas. The result is validated.
+// schemas. The result is validated: it lowers.
 func Decode(data []byte) (*Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -368,7 +312,7 @@ func Decode(data []byte) (*Scenario, error) {
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
 	}
-	if err := sc.Validate(); err != nil {
+	if _, err := sc.Lower(); err != nil {
 		return nil, err
 	}
 	return &sc, nil

@@ -62,9 +62,6 @@ func Expand(base *Scenario, sets []SweepSet) ([]*Scenario, error) {
 			return nil, fmt.Errorf("scenario: sweep point %s: %w", strings.Join(p.suffix, ","), err)
 		}
 		sc.Name = base.Name + "/" + strings.Join(p.suffix, ",")
-		if err := sc.Validate(); err != nil {
-			return nil, err
-		}
 		out = append(out, sc)
 	}
 	return out, nil

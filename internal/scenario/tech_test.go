@@ -17,7 +17,7 @@ import (
 func TestTechnologyResolution(t *testing.T) {
 	sc := &Scenario{Name: "t", Kind: KindPerf, Technology: "ddr4-2400",
 		Perf: &PerfSpec{Locks: []LockSpec{{Label: "base"}}}}
-	if err := sc.Validate(); err != nil {
+	if _, err := sc.Lower(); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Geometry != "ddr4-16gib" {
@@ -43,7 +43,7 @@ func TestTechnologyResolution(t *testing.T) {
 
 	bad := &Scenario{Name: "t", Kind: KindPerf, Technology: "sdram",
 		Perf: &PerfSpec{Locks: []LockSpec{{Label: "base"}}}}
-	err = bad.Validate()
+	_, err = bad.Lower()
 	if err == nil || !strings.Contains(err.Error(), `unknown technology "sdram"`) {
 		t.Errorf("bad technology error = %v", err)
 	}

@@ -27,7 +27,7 @@ func verifyScenario(t *testing.T) *Scenario {
 			Cells: []ReliabilityCell{{Label: "no-repair", Policy: "replace-after-due"}},
 		},
 	}
-	if err := sc.Validate(); err != nil {
+	if _, err := sc.Lower(); err != nil {
 		t.Fatal(err)
 	}
 	return sc
