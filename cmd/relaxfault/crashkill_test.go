@@ -345,6 +345,32 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 	}
 }
 
+// TestInterruptedRunRecordsBegunScenarios: a run's manifest names the
+// scenarios that ran. A two-point sweep terminated during its first point
+// records that point's scenario alone, the one its campaign record names.
+func TestInterruptedRunRecordsBegunScenarios(t *testing.T) {
+	dir := t.TempDir()
+	scPath := writeScenario(t, dir, killScenario)
+	man := filepath.Join(dir, "m.json")
+	args := append([]string{"sweep", "-set", "seed=7,8", "-metrics", man}, campaignArgs(scPath, dir)...)
+	_, stderr, code := startAndSignal(t, dir, args, 1, 1, syscall.SIGTERM)
+	if code != 143 {
+		t.Fatalf("SIGTERM exit %d, want 143\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m harness.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Scenarios) != 1 || len(m.Campaigns) != 1 || m.Scenarios[0].Fingerprint != m.Campaigns[0].Fingerprint {
+		t.Fatalf("manifest records %d scenario(s) and %d campaign(s), want the first point's one each",
+			len(m.Scenarios), len(m.Campaigns))
+	}
+}
+
 // reframe rewrites the log at path through the journal writer into a new
 // file, applying edit to every chunk record, and seals it with status. A
 // raw byte edit would read as a torn tail; a validly framed lie needs the

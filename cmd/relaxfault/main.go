@@ -174,14 +174,29 @@ func run() int {
 }
 
 // point is one named unit of a run — an experiment, the -scenario, or one
-// sweep point — with the resolved scenario record the manifest embeds, the
-// scenario it runs (nil for the static tables), and the rendering of that
-// scenario's result as its artifact.
+// sweep point — with the scenario it runs and that scenario's record for
+// the manifest (both nil for the static tables), and the rendering of the
+// scenario's result as its artifact. Points presenting one simulation share
+// its scenario and record.
 type point struct {
 	name   string
-	rec    *harness.ScenarioRecord
+	rec    *journal.Campaign
 	sc     *scenario.Scenario
 	render func(*scenario.Result) string
+}
+
+// records returns the record of every scenario the points run, once each,
+// in point order.
+func records(pts []point) []journal.Campaign {
+	var out []journal.Campaign
+	seen := map[*journal.Campaign]bool{}
+	for _, p := range pts {
+		if p.rec != nil && !seen[p.rec] {
+			seen[p.rec] = true
+			out = append(out, *p.rec)
+		}
+	}
+	return out
 }
 
 // presetAt resolves the named registry preset at the run's budget and seed.
@@ -208,27 +223,27 @@ func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]p
 		if err != nil {
 			return nil, 0, err
 		}
-		// Experiments presenting one preset's results share its scenario,
-		// so the runner runs it once.
-		shared := map[string]*scenario.Scenario{}
+		// Experiments presenting one preset's results share its scenario
+		// and record, so the runner runs it once and the manifest embeds
+		// it once.
+		shared := map[string]*point{}
 		pts := make([]point, len(names))
 		for i, name := range names {
 			e, _ := experiments.Lookup(name)
 			pts[i] = point{name: name, render: e.Render}
-			if sc, err := presetAt(e.Name, budget, o.seed); err == nil {
-				if rec, err := sc.Record(); err == nil {
-					pts[i].rec = &rec
-				}
-			}
 			if e.Preset == "" {
 				continue
 			}
 			if shared[e.Preset] == nil {
-				if shared[e.Preset], err = presetAt(e.Preset, budget, o.seed); err != nil {
+				sc, err := presetAt(e.Preset, budget, o.seed)
+				if err != nil {
+					return nil, 0, err
+				}
+				if shared[e.Preset], err = scenarioPoint(sc); err != nil {
 					return nil, 0, err
 				}
 			}
-			pts[i].sc = shared[e.Preset]
+			pts[i].sc, pts[i].rec = shared[e.Preset].sc, shared[e.Preset].rec
 		}
 		return pts, o.seed, nil
 	}
@@ -256,12 +271,22 @@ func resolve(o *options, args []string, sweep bool, budget scenario.Budget) ([]p
 	}
 	pts := make([]point, len(scs))
 	for i, sc := range scs {
-		pts[i] = point{name: sc.Name, sc: sc, render: (*scenario.Result).String}
-		if rec, err := sc.Record(); err == nil {
-			pts[i].rec = &rec
+		p, err := scenarioPoint(sc)
+		if err != nil {
+			return nil, 0, err
 		}
+		pts[i] = *p
 	}
 	return pts, *base.Seed, nil
+}
+
+// scenarioPoint is the point running sc, named after it, with its record.
+func scenarioPoint(sc *scenario.Scenario) (*point, error) {
+	rec, err := sc.Record()
+	if err != nil {
+		return nil, err
+	}
+	return &point{name: sc.Name, rec: &rec, sc: sc, render: (*scenario.Result).String}, nil
 }
 
 // runner runs the points' scenarios through the campaign layer, which
@@ -315,14 +340,9 @@ func runPoints(o *options, args []string, sweep bool) int {
 		fmt.Fprintf(os.Stderr, "relaxfault: %v\n", err)
 		return 2
 	}
-	// Every resolved scenario is embedded in the run manifest.
-	var records []harness.ScenarioRecord
 	runNames := make([]string, len(points))
 	for i, p := range points {
 		runNames[i] = p.name
-		if p.rec != nil {
-			records = append(records, *p.rec)
-		}
 	}
 
 	// First SIGINT/SIGTERM: cancel the context so in-flight chunks finish
@@ -412,28 +432,31 @@ func runPoints(o *options, args []string, sweep bool) int {
 	// summarised, and only the final exit code reflects them.
 	var failures []string
 	interrupted := false
+	begun := 0 // points whose run began; the manifest records their scenarios
 	for i, p := range points {
 		done0, fail0, camp0 := mon.DoneTrials(), len(failures), len(r.campaigns)
 		if ctx.Err() != nil {
 			interrupted = true
-		} else if err := runPoint(ctx, p, r, o.timeout); errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			interrupted = true
-		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "relaxfault: %s: %v\n", p.name, err)
-			failures = append(failures, fmt.Sprintf("%s: %v", p.name, err))
-			mon.Event("experiment_failed", map[string]any{
-				"experiment": p.name, "err": err.Error(),
-			})
+		} else {
+			begun = i + 1
+			err := runPoint(ctx, p, r, o.timeout)
+			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+				interrupted = true
+			} else if err != nil {
+				fmt.Fprintf(os.Stderr, "relaxfault: %s: %v\n", p.name, err)
+				failures = append(failures, fmt.Sprintf("%s: %v", p.name, err))
+				mon.Event("experiment_failed", map[string]any{
+					"experiment": p.name, "err": err.Error(),
+				})
+			}
 		}
 		if sweep {
 			pm := harness.NewManifest()
 			pm.Experiments = []string{p.name}
 			pm.Scale = o.scale
 			pm.Seed = *p.sc.Seed // every sweep point runs a scenario
-			if p.rec != nil {
-				pm.Scenarios = []harness.ScenarioRecord{*p.rec}
-				pm.Fingerprint = p.rec.Fingerprint
-			}
+			pm.Scenarios = []journal.Campaign{*p.rec}
+			pm.Fingerprint = p.rec.Fingerprint
 			pm.TrialsDone = mon.DoneTrials() - done0
 			pm.Campaigns = append([]harness.CampaignRecord(nil), r.campaigns[camp0:]...)
 			if len(failures) > fail0 {
@@ -498,7 +521,7 @@ func runPoints(o *options, args []string, sweep bool) int {
 	manifest.Scale = o.scale
 	manifest.Seed = seed
 	manifest.Fingerprint = harness.Fingerprint("relaxfault-cli", o.scale, seed, runNames)
-	manifest.Scenarios = records
+	manifest.Scenarios = records(points[:begun])
 	manifest.Campaigns = r.campaigns
 	manifest.TrialsDone = mon.DoneTrials()
 	manifest.ExitCode = code
@@ -753,10 +776,10 @@ flags (they may appear before or after experiment names):
 	}
 	fmt.Fprintf(out, `
 Every other preset (rare-due, strat-due, ...) and any scenario JSON runs via
--scenario; a scenario's "statistics" block selects the estimator and its
-"technology" the memory technology. Run manifests embed each executed
-scenario's resolved spec and fingerprint. See EXPERIMENTS.md for the schema
-and OBSERVABILITY.md for the metric catalogue.
+-scenario; a reliability scenario's "statistics" block selects the estimator,
+and a scenario's "technology" the memory technology. Run manifests embed each
+executed scenario's resolved spec and fingerprint. See EXPERIMENTS.md for the
+schema and OBSERVABILITY.md for the metric catalogue.
 
 "cache list" prints every completed -store entry with its directory under the
 store, "cache show KEY" dumps the matching entries' metadata as JSON, and

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"relaxfault/internal/harness"
+	"relaxfault/internal/scenario"
 )
 
 // seededScenario is a small spec that names its own seed.
@@ -58,6 +59,37 @@ func TestRunSeedRecorded(t *testing.T) {
 		if got := runStartSeed(t, events); got != tc.seed {
 			t.Errorf("%v: run_start event seed %d, want %d", tc.args, got, tc.seed)
 		}
+	}
+}
+
+// TestResolveRecordsEachScenarioOnce pins the manifest's scenario records
+// to the scenarios a run executes, once each: fig12 and fig13 present one
+// simulation, fig12's, and the static tab1 runs none, so the three
+// experiments resolve to fig12's record alone. Nothing is simulated.
+func TestResolveRecordsEachScenarioOnce(t *testing.T) {
+	budget := scenario.DefaultBudget()
+	pts, _, err := resolve(&options{seed: 7}, []string{"fig12", "fig13", "tab1"}, false, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig12, err := presetAt("fig12", budget, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fig12.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := records(pts)
+	if len(recs) != 1 || recs[0].Name != "fig12" || recs[0].Fingerprint != want {
+		var got []string
+		for _, r := range recs {
+			got = append(got, r.Name+"/"+r.Fingerprint)
+		}
+		t.Errorf("records %v, want exactly fig12/%s", got, want)
+	}
+	if pts[0].sc != pts[1].sc || pts[2].sc != nil {
+		t.Error("fig12 and fig13 must share one scenario and tab1 run none")
 	}
 }
 

@@ -162,16 +162,6 @@ func (m *Mapper) Decode(la LineAddr) dram.Location {
 	}
 }
 
-// PhysToLine splits a physical byte address into its line address and the
-// byte offset within the line.
-func (m *Mapper) PhysToLine(pa uint64) (LineAddr, int) {
-	lb := uint(6) // 64B lines
-	return LineAddr(pa >> lb), int(pa & mask(lb))
-}
-
-// LineToPhys returns the physical byte address of the first byte of a line.
-func (m *Mapper) LineToPhys(la LineAddr) uint64 { return uint64(la) << 6 }
-
 // CacheIndex returns the canonical LLC (set, tag) of a line address
 // (Figure 7b). With hash=true the set index is XOR-folded with every
 // higher-order set-index-sized chunk of the address, the classic

@@ -106,18 +106,6 @@ func TestEncodeBijectionExhaustiveSmall(t *testing.T) {
 	}
 }
 
-func TestPhysLineSplit(t *testing.T) {
-	m := defaultMapper(t)
-	pa := uint64(0x123456789a)
-	la, off := m.PhysToLine(pa)
-	if got := m.LineToPhys(la) + uint64(off); got != pa {
-		t.Errorf("split round trip %#x != %#x", got, pa)
-	}
-	if off < 0 || off >= 64 {
-		t.Errorf("offset %d out of line", off)
-	}
-}
-
 // TestCacheIndexInvertible checks that (set, tag) uniquely identifies a
 // line address under both plain and hashed indexing.
 func TestCacheIndexInvertible(t *testing.T) {

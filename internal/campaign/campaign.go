@@ -64,7 +64,7 @@ type Plan struct {
 	// Trials is the elastic budget scalar (scenario.BudgetTrials).
 	Trials   int
 	Sections []harness.Section
-	Record   harness.ScenarioRecord
+	Record   journal.Campaign
 }
 
 // NewPlan lowers sc, which validates it, and derives its campaign plan.
@@ -273,12 +273,7 @@ func readLog(e *cstore.Entry) (*harness.Store, error) {
 // existing one — with the plan's scenario embedded in its open or resume
 // record, which is what makes "relaxfault verify" self-contained.
 func (c *Campaign) openLog(path string) error {
-	r := c.Plan.Record
-	cp, err := harness.OpenStore(path, journal.Record{Seed: c.Plan.Seed, Campaigns: []journal.Campaign{{
-		Name: r.Name, Fingerprint: r.Fingerprint,
-		Technology: r.Technology, TechFingerprint: r.TechFingerprint,
-		Spec: r.Spec,
-	}}})
+	cp, err := harness.OpenStore(path, journal.Record{Seed: c.Plan.Seed, Campaigns: []journal.Campaign{c.Plan.Record}})
 	if err != nil {
 		return err
 	}

@@ -128,11 +128,7 @@ func coverageStudy(res *scenario.Result, fitScale float64, title string) Fig10Re
 		}
 		curve := CoverageCurveOut{Label: sp.label, Asymptote: c.Coverage()}
 		for _, cap := range coverageCapacities {
-			cov := c.CoverageAt(cap)
-			if sp.planner == "PPR" {
-				cov = c.Coverage() // PPR uses no LLC capacity at all
-			}
-			curve.Points = append(curve.Points, CoveragePoint{CapBytes: cap, Coverage: cov})
+			curve.Points = append(curve.Points, CoveragePoint{CapBytes: cap, Coverage: c.CoverageAt(cap)})
 		}
 		out.Curves = append(out.Curves, curve)
 	}

@@ -44,10 +44,12 @@ type Manifest struct {
 	Scale       string   `json:"scale,omitempty"`
 	Seed        uint64   `json:"seed"`
 	Fingerprint string   `json:"fingerprint,omitempty"` // config fingerprint(s), joined
-	// Scenarios embeds every fully-resolved scenario the run executed, so a
-	// manifest alone reproduces the run without the preset registry or the
-	// original -scenario file.
-	Scenarios []ScenarioRecord `json:"scenarios,omitempty"`
+	// Scenarios embeds every fully-resolved scenario the run executed (an
+	// interrupted run: began), once each, in the record a campaign log
+	// embeds, so a manifest alone reproduces the run without the preset
+	// registry or the original -scenario file. The static tables run no
+	// scenario and have none.
+	Scenarios []journal.Campaign `json:"scenarios,omitempty"`
 	// Campaigns (schema 4) records every keyed campaign a -store run
 	// resolved: the budget-free campaign key, the store entry served or
 	// written, and whether the result was computed, resumed from a cached
@@ -70,21 +72,6 @@ type Manifest struct {
 	Failures []string `json:"failures,omitempty"`
 
 	Metrics map[string]obs.MetricSnapshot `json:"metrics"`
-}
-
-// ScenarioRecord is one scenario the run executed: its name, spec
-// fingerprint, the resolved memory technology, and the canonical spec
-// document itself. The spec stays a RawMessage so the harness does not
-// depend on the scenario package.
-type ScenarioRecord struct {
-	Name        string          `json:"name"`
-	Fingerprint string          `json:"fingerprint"`
-	Spec        json.RawMessage `json:"spec"`
-	// Technology and TechFingerprint record the memory technology the
-	// scenario resolved to (internal/memtech): the name plus a hash of
-	// every parameter the simulators consumed.
-	Technology      string `json:"technology,omitempty"`
-	TechFingerprint string `json:"tech_fingerprint,omitempty"`
 }
 
 // Campaign provenance values for CampaignRecord.Source.

@@ -80,9 +80,12 @@ const (
 	StatusInterrupted = "interrupted"
 )
 
-// Campaign embeds one scenario a journal covers: the canonical spec is
-// sufficient to re-lower the exact simulator configurations, so a journal
-// alone (no preset registry, no original -scenario file) supports replay.
+// Campaign embeds one scenario a journal covers: its name, spec
+// fingerprint, the memory technology it resolved to (the name plus a hash of
+// every parameter the simulators consumed), and the canonical spec document.
+// The spec is sufficient to re-lower the exact simulator configurations, so
+// a journal alone (no preset registry, no original -scenario file) supports
+// replay. Run manifests embed the same record for each scenario they ran.
 type Campaign struct {
 	Name            string          `json:"name"`
 	Fingerprint     string          `json:"fingerprint"`

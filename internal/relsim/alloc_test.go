@@ -43,12 +43,9 @@ func TestCoverageTrialAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.est, err = cfg.Stats.newEstimator(model); err != nil {
-		t.Fatal(err)
-	}
 	nCurves := len(cfg.Planners) * len(cfg.WayLimits)
 	fk := stats.NewRNG(cfg.Seed).Forker()
-	sc := &covScratch{}
+	sc := &covScratch{model: model}
 	acc := &covChunk{Curves: make([]covCurveChunk, nCurves)}
 	for i := 0; i < allocWarmNodes; i++ {
 		cfg.coverageTrial(fk, i, acc, sc)

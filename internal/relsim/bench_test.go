@@ -42,13 +42,10 @@ func BenchmarkCoverageTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if cfg.est, err = cfg.Stats.newEstimator(model); err != nil {
-		b.Fatal(err)
-	}
 	nCurves := len(cfg.Planners) * len(cfg.WayLimits)
 	cfg.planHists = make([]*obs.Histogram, len(cfg.Planners))
 	fk := stats.NewRNG(cfg.Seed).Forker()
-	sc := &covScratch{}
+	sc := &covScratch{model: model}
 	acc := &covChunk{Curves: make([]covCurveChunk, nCurves)}
 	b.ReportAllocs()
 	b.ResetTimer()

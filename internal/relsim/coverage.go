@@ -27,11 +27,6 @@ type CoverageConfig struct {
 	FaultyNodes int
 	MaxNodes    int
 	Seed        uint64
-	// Stats selects the estimator driving node sampling. nil (or a zero
-	// value) keeps the naive pipeline byte for byte. Sequential stopping
-	// (TargetCI) is a reliability-run feature; coverage studies already
-	// stop on their faulty-node target and reject it.
-	Stats *StatsConfig
 	// Exec attaches the worker pool, monitor, checkpoint store and trace
 	// recorder; none of it enters the fingerprint.
 	harness.Exec
@@ -39,10 +34,6 @@ type CoverageConfig struct {
 	// trialHook, when set (tests only), runs at the start of every node
 	// trial with the global node index.
 	trialHook func(node int)
-
-	// est is the instantiated estimator, built from Stats once the fault
-	// model exists.
-	est estimator
 
 	// planHists caches the per-planner plan-capacity histograms so the
 	// per-node hot path records without a registry lookup.
@@ -70,23 +61,14 @@ type CoverageCurve struct {
 	faultyNodes int
 	repairable  int
 	caps        stats.Quantiler // bytes needed, one sample per repairable node
-	// Importance-weighted tallies (zero on the naive pipeline): when an
-	// estimator reweights node sampling, coverage ratios come from these
-	// so the estimate stays unbiased under the physical fault process.
-	wFaulty     float64
-	wRepairable float64
 }
 
 // FaultyNodes returns the number of faulty nodes observed.
 func (c *CoverageCurve) FaultyNodes() int { return c.faultyNodes }
 
 // Coverage returns the asymptotic coverage: repairable nodes (under the way
-// limit, any capacity) over faulty nodes. On estimator-driven studies both
-// tallies are importance-weighted.
+// limit, any capacity) over faulty nodes.
 func (c *CoverageCurve) Coverage() float64 {
-	if c.wFaulty > 0 {
-		return c.wRepairable / c.wFaulty
-	}
 	if c.faultyNodes == 0 {
 		return 0
 	}
@@ -114,13 +96,8 @@ type CoverageResult struct {
 	FaultyNodes int
 	TotalNodes  int
 	// FaultyFraction is faulty nodes over all sampled nodes (the paper
-	// reports 12% at 1x FIT and 71% at 10x over 6 years). On
-	// estimator-driven studies it is the importance-weighted ratio.
+	// reports 12% at 1x FIT and 71% at 10x over 6 years).
 	FaultyFraction float64
-	// WFaultyNodes and WTotalNodes are the importance-weighted tallies
-	// behind FaultyFraction; zero on the naive pipeline.
-	WFaultyNodes float64 `json:",omitempty"`
-	WTotalNodes  float64 `json:",omitempty"`
 	// SkippedTrials and Skips are always zero: a panicking trial fails its
 	// study. They stay because result digests hash this struct's JSON,
 	// which carries "SkippedTrials":0,"Skips":null.
@@ -160,12 +137,6 @@ func (cfg *CoverageConfig) Validate() error {
 	if cfg.FaultyNodes <= 0 || cfg.MaxNodes <= 0 {
 		return fmt.Errorf("relsim: FaultyNodes and MaxNodes must be positive")
 	}
-	if err := cfg.Stats.validate(); err != nil {
-		return err
-	}
-	if cfg.Stats.active() && cfg.Stats.TargetCI > 0 {
-		return fmt.Errorf("relsim: TargetCI sequential stopping applies to reliability runs; coverage studies stop on FaultyNodes")
-	}
 	if err := cfg.Model.Geometry.Validate(); err != nil {
 		return fmt.Errorf("relsim: %w", err)
 	}
@@ -195,10 +166,6 @@ func (cfg *CoverageConfig) Section() harness.Section {
 type covCurveChunk struct {
 	Repairable int       `json:"repairable"`
 	Caps       []float64 `json:"caps,omitempty"`
-	// WRepairable is the importance-weighted repairable tally; zero (and
-	// omitted from the payload) on the naive pipeline, so naive chunk
-	// bytes are unchanged.
-	WRepairable float64 `json:"w_repairable,omitempty"`
 }
 
 // covChunk is the persisted result of one node-index chunk.
@@ -210,10 +177,6 @@ type covChunk struct {
 	// is recomputed instead of folded.
 	Skipped int             `json:"skipped,omitempty"`
 	Curves  []covCurveChunk `json:"curves"`
-	// WNodes and WFaulty are the importance-weighted node and faulty-node
-	// tallies; zero (and omitted) on the naive pipeline.
-	WNodes  float64 `json:"w_nodes,omitempty"`
-	WFaulty float64 `json:"w_faulty,omitempty"`
 }
 
 // Fingerprint identifies the statistical content of the study configuration
@@ -223,14 +186,8 @@ func (cfg *CoverageConfig) Fingerprint() string {
 	for i, p := range cfg.Planners {
 		names[i] = p.Name()
 	}
-	args := []any{"relsim.CoverageStudy", cfg.Model, names,
-		cfg.WayLimits, cfg.FaultyNodes, cfg.MaxNodes, cfg.Seed, covChunkSize}
-	// Included only when active, so pre-estimator configurations keep
-	// their exact fingerprints (see Config.Fingerprint).
-	if cfg.Stats.active() {
-		args = append(args, "stats", cfg.Stats.key())
-	}
-	return harness.Fingerprint(args...)
+	return harness.Fingerprint("relsim.CoverageStudy", cfg.Model, names,
+		cfg.WayLimits, cfg.FaultyNodes, cfg.MaxNodes, cfg.Seed, covChunkSize)
 }
 
 // CoverageStudy runs the Monte Carlo coverage experiment.
@@ -292,9 +249,7 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 	if err := study.Run(ctx); err != nil {
 		return nil, err
 	}
-	if res.WTotalNodes > 0 {
-		res.FaultyFraction = res.WFaultyNodes / res.WTotalNodes
-	} else if res.TotalNodes > 0 {
+	if res.TotalNodes > 0 {
 		res.FaultyFraction = float64(res.FaultyNodes) / float64(res.TotalNodes)
 	}
 	return res, nil
@@ -304,14 +259,10 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) (*CoverageResult,
 func (r *CoverageResult) add(ch *covChunk) {
 	r.TotalNodes += ch.Nodes
 	r.FaultyNodes += ch.Faulty
-	r.WTotalNodes += ch.WNodes
-	r.WFaultyNodes += ch.WFaulty
 	for c, cc := range ch.Curves {
 		curve := r.Curves[c]
 		curve.faultyNodes += ch.Faulty
 		curve.repairable += cc.Repairable
-		curve.wFaulty += ch.WFaulty
-		curve.wRepairable += cc.WRepairable
 		for _, b := range cc.Caps {
 			curve.caps.Add(b)
 		}
@@ -326,22 +277,20 @@ func (cfg *CoverageConfig) kernel() (func() func(lo, hi int) (*covChunk, error),
 	if err != nil {
 		return nil, err
 	}
-	if cfg.est, err = cfg.Stats.newEstimator(model); err != nil {
-		return nil, err
-	}
 	fk := stats.NewRNG(cfg.Seed).Forker()
 	return func() func(lo, hi int) (*covChunk, error) {
-		sc := &covScratch{}
+		sc := &covScratch{model: model}
 		return func(lo, hi int) (*covChunk, error) { return cfg.coverageChunk(fk, lo, hi, sc) }
 	}, nil
 }
 
-// covScratch is one worker's reusable coverage-trial state: fault-sampling
-// buffers, the per-trial substream RNG, the permanent-fault filter buffer,
-// and one recycled Plan per planner. Every buffer is reused across trials,
-// so a steady-state coverage trial with the LLC and PPR planners allocates
-// nothing; only the chunk payload grows.
+// covScratch is one worker's reusable coverage-trial state: the fault model
+// it samples, fault-sampling buffers, the per-trial substream RNG, the
+// permanent-fault filter buffer, and one recycled Plan per planner. Every
+// buffer is reused across trials, so a steady-state coverage trial with the
+// LLC and PPR planners allocates nothing; only the chunk payload grows.
 type covScratch struct {
+	model  *fault.Model
 	sample fault.SampleScratch
 	rng    stats.RNG
 	perm   []*fault.Fault
@@ -370,29 +319,22 @@ func (cfg *CoverageConfig) coverageChunk(fk stats.Forker, lo, hi int, sc *covScr
 	return ch, nil
 }
 
-// coverageTrial samples node `node` and records each curve's outcome into
-// ch. The node's RNG stream is derived in place via Forker.Substream
-// (bit-identical to root.Fork(node)), sampling and permanent-fault filtering
-// reuse sc's buffers, and the planners plan into recycled Plans.
+// coverageTrial samples node `node` from the physical fault process and
+// records each curve's outcome into ch. The node's RNG stream is derived in
+// place via Forker.Substream (bit-identical to root.Fork(node)), sampling
+// and permanent-fault filtering reuse sc's buffers, and the planners plan
+// into recycled Plans.
 func (cfg *CoverageConfig) coverageTrial(fk stats.Forker, node int, ch *covChunk, sc *covScratch) {
 	if cfg.trialHook != nil {
 		cfg.trialHook(node)
 	}
 	fk.Substream(uint64(node), &sc.rng)
-	// w is the trial's importance weight. Without a statistics block it is
-	// 0, so the weighted tallies stay exactly zero (and omitted from the
-	// payload).
-	nf, w := cfg.est.sampleNode(&sc.rng, &sc.sample, node)
-	if !cfg.Stats.active() {
-		w = 0
-	}
-	ch.WNodes += w
+	nf := sc.model.SampleNodeScratch(&sc.rng, &sc.sample)
 	sc.perm = nf.PermanentFaultsInto(sc.perm)
 	if len(sc.perm) == 0 {
 		return
 	}
 	ch.Faulty++
-	ch.WFaulty += w
 	if len(sc.plans) != len(cfg.Planners) {
 		sc.plans = make([]*repair.Plan, len(cfg.Planners))
 		for i := range sc.plans {
@@ -409,7 +351,6 @@ func (cfg *CoverageConfig) coverageTrial(fk stats.Forker, node int, ch *covChunk
 			if plan.RepairableUnder(wl) {
 				cc := &ch.Curves[k]
 				cc.Repairable++
-				cc.WRepairable += w
 				cc.Caps = append(cc.Caps, float64(plan.Bytes))
 			}
 			k++

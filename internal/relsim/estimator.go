@@ -42,8 +42,8 @@ const DefaultMinTrials = 2 * chunkSize
 // optionally, a Chow–Robbins sequential stopping rule. A nil (or zero)
 // StatsConfig reproduces the original pipeline byte for byte and is
 // excluded from fingerprints, so every pre-existing configuration keeps
-// its fingerprint, checkpoints, and journals. It is also a scenario's
-// "statistics" block, under the JSON names below.
+// its fingerprint, checkpoints, and journals. It is also a reliability
+// scenario's "statistics" block, under the JSON names below.
 type StatsConfig struct {
 	// Estimator is one of EstimatorNaive, EstimatorImportance, or
 	// EstimatorStratified ("" selects naive).

@@ -46,14 +46,6 @@ func TestStatsConfigValidation(t *testing.T) {
 	}
 }
 
-func TestCoverageRejectsStoppingConfig(t *testing.T) {
-	cov := covCfg(t)
-	cov.Stats = &StatsConfig{Estimator: EstimatorImportance, TargetCI: 0.1}
-	if _, err := CoverageStudy(cov); err == nil || !strings.Contains(err.Error(), "TargetCI") {
-		t.Errorf("TargetCI on coverage got %v, want rejection", err)
-	}
-}
-
 // TestNaiveEstimatorBitIdentical: routing trials through the naive
 // estimator (weight 1, same RNG stream) must reproduce the legacy
 // pipeline's statistics bit for bit — the refactor's core guarantee.
@@ -103,13 +95,12 @@ func TestStatsFingerprint(t *testing.T) {
 		t.Errorf("active statistics blocks must fork the fingerprint: base %s naive %s importance %s", base, naive, imp)
 	}
 	// Estimator fingerprints name logged sections and store entries, so
-	// they are pinned: rare-due's statistics block on the default run and
-	// study configurations.
-	st := &StatsConfig{Estimator: EstimatorImportance, Boost: 16, TargetCI: 0.02}
-	run, cov := DefaultConfig(), DefaultCoverageConfig()
-	run.Stats, cov.Stats = st, st
-	if got, got2 := run.Fingerprint(), cov.Fingerprint(); got != "8b55311a095c444c" || got2 != "b28599d8705ee1de" {
-		t.Errorf("estimator fingerprints %s and %s, pinned 8b55311a095c444c and b28599d8705ee1de", got, got2)
+	// they are pinned: rare-due's statistics block on the default run
+	// configuration.
+	run := DefaultConfig()
+	run.Stats = &StatsConfig{Estimator: EstimatorImportance, Boost: 16, TargetCI: 0.02}
+	if got := run.Fingerprint(); got != "8b55311a095c444c" {
+		t.Errorf("estimator fingerprint %s, pinned 8b55311a095c444c", got)
 	}
 }
 
@@ -262,49 +253,5 @@ func TestSequentialStoppingResume(t *testing.T) {
 	}
 	if n := replayed.Load(); n != 0 {
 		t.Errorf("log-only resume simulated %d trials, want 0", n)
-	}
-}
-
-// TestCoverageEstimatorWeighted: a naive-estimator coverage study must
-// reproduce the unweighted ratios exactly (all weights are 1), and an
-// importance-sampling study must land close to them.
-func TestCoverageEstimatorWeighted(t *testing.T) {
-	base := covCfg(t)
-	raw, err := CoverageStudy(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	naive := covCfg(t)
-	naive.Stats = &StatsConfig{Estimator: EstimatorNaive}
-	wres, err := CoverageStudy(naive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.WTotalNodes <= 0 || wres.WFaultyNodes <= 0 {
-		t.Fatalf("weighted tallies missing: %+v", wres)
-	}
-	// Same seed and unit weights: the weighted ratios equal the raw ones.
-	if got, want := wres.FaultyFraction, raw.FaultyFraction; got != want {
-		t.Errorf("naive weighted FaultyFraction %v, want %v", got, want)
-	}
-	for i, c := range wres.Curves {
-		if got, want := c.Coverage(), raw.Curves[i].Coverage(); got != want {
-			t.Errorf("curve %d: naive weighted coverage %v, want %v", i, got, want)
-		}
-	}
-
-	imp := covCfg(t)
-	imp.Stats = &StatsConfig{Estimator: EstimatorImportance, Boost: 2}
-	ires, err := CoverageStudy(imp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range ires.Curves {
-		want := raw.Curves[i].Coverage()
-		got := c.Coverage()
-		if got < want-0.1 || got > want+0.1 {
-			t.Errorf("curve %d: importance coverage %v far from naive %v", i, got, want)
-		}
 	}
 }

@@ -1,18 +1,14 @@
 package relsim
 
 import (
-	"bytes"
-	"encoding/json"
 	"path/filepath"
 	"testing"
 
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/dram"
-	"relaxfault/internal/fault"
 	"relaxfault/internal/harness"
 	"relaxfault/internal/journal"
 	"relaxfault/internal/repair"
-	"relaxfault/internal/stats"
 )
 
 // journaledCampaign runs body against a store over a fresh campaign log,
@@ -104,78 +100,6 @@ func verifyJournal(t *testing.T, j *journal.Journal, rep Replayer) {
 		}
 		if got := journal.Digest(raw); got != rec.Digest {
 			t.Fatalf("chunk %d digest: replay %s, journal %s", rec.Chunk, got, rec.Digest)
-		}
-	}
-}
-
-// TestWeightedCoverageDeterminism pins importance-weighted coverage chunks:
-// the weighted tallies accumulate trial by trial in index order, so results
-// and views are byte-identical across worker counts and every journaled
-// chunk verifies against replay.
-func TestWeightedCoverageDeterminism(t *testing.T) {
-	base := covCfg(t)
-	base.Stats = &StatsConfig{Estimator: EstimatorImportance, Boost: 2}
-	model, err := fault.NewModel(base.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := base.Stats.newEstimator(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantRes, wantSnap []byte
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		var res *CoverageResult
-		var store *harness.Store
-		j := journaledCampaign(t, func(s *harness.Store) {
-			cfg.Store, store = s, s
-			if res, err = CoverageStudy(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		rep, err := NewCoverageReplayer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyJournal(t, j, rep)
-		gotRes, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSnap, err := store.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantRes == nil {
-			wantRes, wantSnap = gotRes, gotSnap
-		} else if !bytes.Equal(gotRes, wantRes) || !bytes.Equal(gotSnap, wantSnap) {
-			t.Errorf("workers=%d: result or view differs from the 1-worker run", workers)
-		}
-
-		// Each stored chunk's weighted node tally is the trial-order sum of
-		// its trials' importance weights.
-		cp := store.Section(rep.Section)
-		fk := stats.NewRNG(cfg.Seed).Forker()
-		var rng stats.RNG
-		var sc fault.SampleScratch
-		for _, ci := range cp.Indexes() {
-			raw, _ := cp.Get(ci)
-			var ch covChunk
-			if err := json.Unmarshal(raw, &ch); err != nil {
-				t.Fatal(err)
-			}
-			lo, hi := rep.Section.Span(ci)
-			want := 0.0
-			for i := lo; i < hi; i++ {
-				fk.Substream(uint64(i), &rng)
-				_, w := est.sampleNode(&rng, &sc, i)
-				want += w
-			}
-			if ch.WNodes != want {
-				t.Fatalf("chunk %d: w_nodes %v, want the trial-order sum %v", ci, ch.WNodes, want)
-			}
 		}
 	}
 }

@@ -79,27 +79,20 @@ type Span struct {
 // Seconds returns the span's duration.
 func (s Span) Seconds() float64 { return float64(s.End-s.Start) / 1e9 }
 
-// track is one append-only span buffer. Within one engine run a worker
-// track has a single writer, so its mutex is uncontended; it exists so
-// sequential engine runs, the post-drain reduce-wait records, and export
-// snapshots are race-free without any caller discipline.
-type track struct {
+// Recorder collects spans across tracks in one append-only buffer. All
+// methods are safe for concurrent use and safe on a nil receiver (no-ops),
+// so instrumented code paths need no branches and tracing costs nothing
+// when disabled. Spans arrive a few per chunk, so one mutex over one buffer
+// is cheap even with every worker recording.
+type Recorder struct {
+	epoch time.Time // wall-clock anchor; time.Since(epoch) is monotonic
 	mu    sync.Mutex
 	spans []Span
 }
 
-// Recorder collects spans across tracks. All methods are safe for
-// concurrent use and safe on a nil receiver (no-ops), so instrumented code
-// paths need no branches and tracing costs nothing when disabled.
-type Recorder struct {
-	epoch  time.Time // wall-clock anchor; time.Since(epoch) is monotonic
-	mu     sync.RWMutex
-	tracks map[int]*track
-}
-
 // New returns an empty recorder whose epoch is now.
 func New() *Recorder {
-	return &Recorder{epoch: time.Now(), tracks: make(map[int]*track)}
+	return &Recorder{epoch: time.Now()}
 }
 
 // Enabled reports whether spans are being recorded (r != nil); callers that
@@ -122,33 +115,15 @@ func (r *Recorder) Now() int64 {
 	return time.Since(r.epoch).Nanoseconds()
 }
 
-// buf returns the track's buffer, creating it if absent.
-func (r *Recorder) buf(id int) *track {
-	r.mu.RLock()
-	t := r.tracks[id]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.tracks[id]; t == nil {
-		t = &track{}
-		r.tracks[id] = t
-	}
-	return t
-}
-
 // Record appends one span with explicit endpoints (tests and the engine's
 // post-drain reduce-wait records use it; most call sites use Span).
 func (r *Recorder) Record(trackID int, name string, chunk int, trials int64, start, end int64) {
 	if r == nil {
 		return
 	}
-	t := r.buf(trackID)
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Track: trackID, Name: name, Chunk: chunk, Trials: trials, Start: start, End: end})
-	t.mu.Unlock()
+	r.mu.Lock()
+	r.spans = append(r.spans, Span{Track: trackID, Name: name, Chunk: chunk, Trials: trials, Start: start, End: end})
+	r.mu.Unlock()
 }
 
 // Span records an interval from start (a prior Now() reading) to now.
@@ -166,23 +141,9 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	ids := make([]int, 0, len(r.tracks))
-	for id := range r.tracks {
-		ids = append(ids, id)
-	}
-	bufs := make([]*track, 0, len(ids))
-	sort.Ints(ids)
-	for _, id := range ids {
-		bufs = append(bufs, r.tracks[id])
-	}
-	r.mu.RUnlock()
-	var out []Span
-	for _, t := range bufs {
-		t.mu.Lock()
-		out = append(out, t.spans...)
-		t.mu.Unlock()
-	}
+	r.mu.Lock()
+	out := append([]Span(nil), r.spans...)
+	r.mu.Unlock()
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Track != out[b].Track {
 			return trackOrder(out[a].Track) < trackOrder(out[b].Track)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"relaxfault/internal/harness"
+	"relaxfault/internal/journal"
 )
 
 // This file derives a scenario's campaign identity: the budget-free
@@ -58,19 +59,19 @@ func (sc *Scenario) BudgetTrials() int {
 	}
 }
 
-// Record renders the scenario into its manifest embedding: name,
-// fingerprint, the canonical spec document, and the resolved memory
-// technology.
-func (sc *Scenario) Record() (harness.ScenarioRecord, error) {
+// Record renders the scenario into the record campaign logs and run
+// manifests embed: name, fingerprint, the resolved memory technology, and
+// the canonical spec document.
+func (sc *Scenario) Record() (journal.Campaign, error) {
 	doc, err := sc.Canonical()
 	if err != nil {
-		return harness.ScenarioRecord{}, err
+		return journal.Campaign{}, err
 	}
 	fpr, err := sc.Fingerprint()
 	if err != nil {
-		return harness.ScenarioRecord{}, err
+		return journal.Campaign{}, err
 	}
-	rec := harness.ScenarioRecord{Name: sc.Name, Fingerprint: fpr, Spec: json.RawMessage(doc)}
+	rec := journal.Campaign{Name: sc.Name, Fingerprint: fpr, Spec: json.RawMessage(doc)}
 	if tech, err := sc.Tech(); err == nil {
 		rec.Technology = tech.Name
 		rec.TechFingerprint = tech.Fingerprint()

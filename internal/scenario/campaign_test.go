@@ -16,6 +16,15 @@ func campaignCov() *Scenario {
 	return sc
 }
 
+// campaignRel is a one-cell reliability scenario at a small budget.
+func campaignRel() *Scenario {
+	return &Scenario{
+		Name: "r", Kind: KindReliability,
+		Budget:      Budget{Nodes: 9000, Replicas: 3},
+		Reliability: &ReliabilitySpec{Cells: []ReliabilityCell{{Label: "c", Policy: "replace-after-due"}}},
+	}
+}
+
 // TestCampaignFingerprintElasticAxes: the campaign key must be invariant
 // under the elastic trial-budget axes (coverage sample size, replica
 // count, seed) and sensitive to everything else.
@@ -45,8 +54,6 @@ func TestCampaignFingerprintElasticAxes(t *testing.T) {
 	structural := map[string]func(*Scenario){
 		"nodes":        func(sc *Scenario) { sc.Budget.Nodes = 1000 },
 		"instructions": func(sc *Scenario) { sc.Budget.Instructions = 42 },
-		"target_ci":    func(sc *Scenario) { sc.Statistics = &relsim.StatsConfig{Estimator: "naive", TargetCI: 0.5} },
-		"estimator":    func(sc *Scenario) { sc.Statistics = &relsim.StatsConfig{Estimator: "importance"} },
 		"technology":   func(sc *Scenario) { sc.Technology = "ddr4-2400" },
 		"planner":      func(sc *Scenario) { sc.Coverage.Studies[0].Planners[0].Kind = "freefault" },
 	}
@@ -58,6 +65,26 @@ func TestCampaignFingerprintElasticAxes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fp == base {
+			t.Errorf("structural axis %s did not change the campaign key", name)
+		}
+	}
+
+	// The statistics block, a reliability scenario's, is structural too.
+	relBase, err := campaignRel().CampaignFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*relsim.StatsConfig{
+		"target_ci": {Estimator: "naive", TargetCI: 0.5},
+		"estimator": {Estimator: "importance"},
+	} {
+		sc := campaignRel()
+		sc.Statistics = st
+		fp, err := sc.CampaignFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp == relBase {
 			t.Errorf("structural axis %s did not change the campaign key", name)
 		}
 	}
@@ -89,11 +116,7 @@ func TestBudgetTrials(t *testing.T) {
 		t.Errorf("coverage BudgetTrials = %d, want 1234", got)
 	}
 
-	rel := &Scenario{
-		Name: "r", Kind: KindReliability,
-		Budget:      Budget{Nodes: 9000, Replicas: 3},
-		Reliability: &ReliabilitySpec{Cells: []ReliabilityCell{{Label: "c", Policy: "replace-after-due"}}},
-	}
+	rel := campaignRel()
 	rel.Normalize()
 	if got := rel.BudgetTrials(); got != 27000 {
 		t.Errorf("reliability BudgetTrials = %d, want 27000", got)

@@ -260,11 +260,11 @@ func (sc *Scenario) Lower() (*Lowered, error) {
 		if n > 1 {
 			return nil, fmt.Errorf("scenario %s: exactly one of coverage/reliability/perf may be set, found %d", sc.Name, n)
 		}
-		if sc.Statistics != nil && sc.Kind == KindPerf {
-			return nil, fmt.Errorf("scenario %s: the statistics block applies to coverage and reliability scenarios, not %q", sc.Name, sc.Kind)
-		}
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown kind %q (want static, coverage, reliability, or perf)", sc.Name, sc.Kind)
+	}
+	if sc.Statistics != nil && sc.Kind != KindReliability {
+		return nil, fmt.Errorf("scenario %s: the statistics block applies to reliability scenarios, not %q", sc.Name, sc.Kind)
 	}
 	tech, err := sc.resolveTech()
 	if err != nil {
@@ -322,7 +322,6 @@ func (sc *Scenario) lowerCoverage(out *Lowered, tech memtech.Tech) error {
 		cfg.FaultyNodes = int(float64(sc.Budget.FaultyNodes) * st.FaultyNodesFrac)
 		cfg.MaxNodes = st.MaxNodes
 		cfg.WayLimits = append([]int(nil), st.WayLimits...)
-		cfg.Stats = statsConfig(sc.Statistics)
 		for _, ps := range st.Planners {
 			p, err := buildPlanner(ps, tech, geo)
 			if err != nil {

@@ -352,23 +352,11 @@ func TestPresetsAllValidateAndAreFresh(t *testing.T) {
 // Monte Carlo kinds, and the listing summary.
 func TestStatisticsBlock(t *testing.T) {
 	// Normalize defaults an empty estimator name to naive.
-	sc := minimalCoverage()
+	sc := campaignRel()
 	sc.Statistics = &relsim.StatsConfig{}
 	sc.Normalize()
 	if got := sc.Statistics.Estimator; got != "naive" {
 		t.Errorf("normalized estimator = %q, want naive", got)
-	}
-
-	// Coverage lowering carries the block onto every study config.
-	sc = minimalCoverage()
-	sc.Statistics = &relsim.StatsConfig{Estimator: "importance", Boost: 4}
-	low, err := sc.Lower()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := low.Coverage[0].Stats
-	if st == nil || st.Estimator != "importance" || st.Boost != 4 {
-		t.Errorf("lowered coverage stats = %+v, want importance boost 4", st)
 	}
 
 	// Reliability lowering carries stopping parameters onto every cell.
@@ -399,19 +387,21 @@ func TestStatisticsBlock(t *testing.T) {
 		t.Error("preset without a statistics block lowered a non-nil StatsConfig")
 	}
 
-	// Statistics on a perf scenario is a validation error.
-	pf := &Scenario{
-		Name:       "p",
-		Kind:       KindPerf,
-		Perf:       &PerfSpec{Locks: []LockSpec{{Label: "base"}}},
-		Statistics: &relsim.StatsConfig{Estimator: "importance"},
-	}
-	if _, err := pf.Lower(); err == nil || !strings.Contains(err.Error(), "statistics block") {
-		t.Errorf("Lower() = %v, want statistics-block kind error", err)
+	// Statistics on any other kind is a validation error: coverage studies
+	// sample the physical fault process only.
+	for _, other := range []*Scenario{
+		minimalCoverage(),
+		{Name: "p", Kind: KindPerf, Perf: &PerfSpec{Locks: []LockSpec{{Label: "base"}}}},
+		{Name: "s", Kind: KindStatic},
+	} {
+		other.Statistics = &relsim.StatsConfig{Estimator: "importance"}
+		if _, err := other.Lower(); err == nil || !strings.Contains(err.Error(), "statistics block") {
+			t.Errorf("%s: Lower() = %v, want statistics-block kind error", other.Kind, err)
+		}
 	}
 
 	// A bad estimator name fails at Lower (through cfg.Validate).
-	bad := minimalCoverage()
+	bad := campaignRel()
 	bad.Statistics = &relsim.StatsConfig{Estimator: "magic"}
 	if _, err := bad.Lower(); err == nil || !strings.Contains(err.Error(), "unknown estimator") {
 		t.Errorf("Lower() = %v, want unknown-estimator error", err)

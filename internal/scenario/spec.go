@@ -70,11 +70,12 @@ type Scenario struct {
 	// Fault adjusts the fault model for the whole scenario; sections and
 	// cells may override individual knobs.
 	Fault *FaultSpec `json:"fault,omitempty"`
-	// Statistics selects the Monte Carlo estimator and the optional
-	// sequential-stopping rule (coverage and reliability scenarios); it
-	// lowers onto every run's relsim.Config.Stats. Absent means the naive
-	// pipeline; because the field is omitted from canonical forms when nil,
-	// every pre-existing scenario keeps its canonical bytes and
+	// Statistics selects a reliability scenario's Monte Carlo estimator and
+	// the optional sequential-stopping rule; it lowers onto every cell's
+	// relsim.Config.Stats. Lower refuses it on every other kind: coverage
+	// studies sample the physical fault process only. Absent means the
+	// naive pipeline; because the field is omitted from canonical forms when
+	// nil, every pre-existing scenario keeps its canonical bytes and
 	// fingerprint.
 	Statistics *relsim.StatsConfig `json:"statistics,omitempty"`
 
@@ -306,14 +307,24 @@ func (sc *Scenario) Fingerprint() (string, error) {
 // knob must not silently evaluate the wrong experiment) and foreign
 // schemas. The result is validated: it lowers.
 func Decode(data []byte) (*Scenario, error) {
+	sc, err := parse(data)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sc.Lower(); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// parse is Decode without the validating lowering, for a caller that
+// lowers the scenario itself and keeps the result.
+func parse(data []byte) (*Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
-	}
-	if _, err := sc.Lower(); err != nil {
-		return nil, err
 	}
 	return &sc, nil
 }

@@ -64,12 +64,14 @@ func (r *VerifyReport) String() string {
 // record and of every resume record, each fingerprint once — into one
 // Replayer per simulation section, keyed by section name. Every embedded
 // spec is integrity-checked against the fingerprint recorded beside it
-// before anything is executed.
+// before anything is executed. A campaign embedded by several records (a
+// resumed log's open and resume records) is lowered once, and its
+// replayers are built from the lowering that validates it.
 func replayers(j *journal.Journal) (map[string]relsim.Replayer, int, error) {
 	bysec := make(map[string]relsim.Replayer)
 	seen := make(map[string]bool)
 	for _, c := range j.Campaigns {
-		sc, err := Decode(c.Spec)
+		sc, err := parse(c.Spec)
 		if err != nil {
 			return nil, 0, fmt.Errorf("campaign %s: embedded spec: %w", c.Name, err)
 		}
@@ -87,7 +89,7 @@ func replayers(j *journal.Journal) (map[string]relsim.Replayer, int, error) {
 		seen[fp] = true
 		low, err := sc.Lower()
 		if err != nil {
-			return nil, 0, fmt.Errorf("campaign %s: %w", c.Name, err)
+			return nil, 0, fmt.Errorf("campaign %s: embedded spec: %w", c.Name, err)
 		}
 		for i := range low.Reliability {
 			rep, err := relsim.NewRunReplayer(low.Reliability[i])
