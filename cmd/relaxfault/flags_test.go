@@ -78,3 +78,24 @@ func TestUnknownExperimentRejectedBeforeArtifacts(t *testing.T) {
 		}
 	}
 }
+
+// TestPresetListStatistics pins the list subcommand's statistics column:
+// blank for the kinds that cannot take a statistics block (static,
+// coverage, perf), the estimator for a reliability preset.
+func TestPresetListStatistics(t *testing.T) {
+	got := map[string]string{}
+	for _, r := range presetRows() {
+		got[r.name] = r.statistics
+	}
+	for _, name := range []string{"tab1", "fig8", "fig15"} {
+		if s, ok := got[name]; !ok || s != "" {
+			t.Errorf("%s: statistics %q (listed %v), want blank", name, s, ok)
+		}
+	}
+	if s := got["fig12"]; s != "naive" {
+		t.Errorf("fig12: statistics %q, want naive", s)
+	}
+	if s := got["rare-due"]; !strings.HasPrefix(s, "importance") {
+		t.Errorf("rare-due: statistics %q, want the importance estimator", s)
+	}
+}

@@ -700,17 +700,34 @@ func sweepManifestPath(metricsOut string, i int) string {
 // are attributable from the listing alone.
 func printPresetList() {
 	fmt.Printf("%-10s %-12s %-16s %-34s %s\n", "name", "kind", "fingerprint", "statistics", "description")
+	for _, r := range presetRows() {
+		fmt.Printf("%-10s %-12s %-16s %-34s %s\n", r.name, r.kind, r.fingerprint, r.statistics, r.description)
+	}
+}
+
+// presetRow is one preset's line in the list subcommand.
+type presetRow struct {
+	name, kind, fingerprint, statistics, description string
+}
+
+// presetRows describes every registry preset. Only a reliability scenario
+// can carry a statistics block, so only reliability presets name an
+// estimator; the other kinds leave the column blank.
+func presetRows() []presetRow {
+	var rows []presetRow
 	for _, e := range scenario.Presets() {
-		fp := ""
-		stats := ""
+		r := presetRow{name: e.Name, kind: string(e.Kind), description: e.Description}
 		if sc, err := scenario.Preset(e.Name); err == nil {
 			if f, err := sc.Fingerprint(); err == nil {
-				fp = f
+				r.fingerprint = f
 			}
-			stats = sc.Statistics.Summary()
+			if e.Kind == scenario.KindReliability {
+				r.statistics = sc.Statistics.Summary()
+			}
 		}
-		fmt.Printf("%-10s %-12s %-16s %-34s %s\n", e.Name, e.Kind, fp, stats, e.Description)
+		rows = append(rows, r)
 	}
+	return rows
 }
 
 // parseArgs parses flags interleaved with experiment names, so both

@@ -132,27 +132,6 @@ func (c *Cache) Touch(set, way int) {
 // MarkDirty sets the dirty bit of (set, way).
 func (c *Cache) MarkDirty(set, way int) { c.state[c.frame(set, way)] |= stDirty }
 
-// Victim selects the replacement victim in the set: an invalid frame if one
-// exists, otherwise the least recently used unlocked frame. It returns -1
-// when every frame is locked.
-func (c *Cache) Victim(set int) int {
-	victim := -1
-	var oldest uint64
-	base := c.frame(set, 0)
-	for w, s := range c.state[base : base+c.ways] {
-		if s&stValid == 0 {
-			return w
-		}
-		if s&stLocked != 0 {
-			continue
-		}
-		if stamp := c.lru[base+w]; victim < 0 || stamp < oldest {
-			victim, oldest = w, stamp
-		}
-	}
-	return victim
-}
-
 // Fill installs (tag, rf) into the set, evicting the LRU unlocked frame if
 // needed. It returns the way used and a copy of the evicted line (Valid is
 // false if nothing was evicted); the copy takes over the frame's payload
@@ -160,35 +139,50 @@ func (c *Cache) Victim(set int) int {
 // already-resident line refreshes it in place, so a set never holds
 // duplicate (tag, rf) pairs. Fill fails (way == -1) only when every frame
 // in the set is locked.
+//
+// One pass over the set both looks for the resident line and picks the
+// victim: the first invalid frame, else the least recently used unlocked
+// one.
 func (c *Cache) Fill(set int, tag uint64, rf bool) (way int, evicted Line) {
-	if w := c.Probe(set, tag, rf); w >= 0 {
-		c.Touch(set, w)
-		return w, Line{}
+	want := stValid
+	if rf {
+		want |= stRF
 	}
-	w := c.Victim(set)
-	if w < 0 {
+	base := c.frame(set, 0)
+	tags := c.tags[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
+	victim, invalid := -1, false
+	var oldest uint64
+	for w, s := range c.state[base : base+c.ways] {
+		switch {
+		case s&stValid == 0:
+			if !invalid {
+				victim, invalid = w, true
+			}
+		case tags[w] == tag && s&(stValid|stRF) == want:
+			c.Touch(set, w)
+			return w, Line{}
+		case invalid || s&stLocked != 0:
+			// An invalid frame is already the victim, or this one is pinned.
+		case victim < 0 || lru[w] < oldest:
+			victim, oldest = w, lru[w]
+		}
+	}
+	if victim < 0 {
 		return -1, Line{}
 	}
-	i := c.frame(set, w)
-	evicted = c.empty(i)
-	c.tags[i] = tag
-	c.state[i] = stValid
-	if rf {
-		c.state[i] |= stRF
+	i := base + victim
+	if !invalid {
+		s := c.state[i]
+		evicted = Line{Valid: true, Tag: tags[victim], RF: s&stRF != 0, Dirty: s&stDirty != 0}
 	}
-	c.Touch(set, w)
-	return w, evicted
-}
-
-// empty clears frame i and returns its prior contents, payload included.
-// It leaves the locked-line count alone.
-func (c *Cache) empty(i int) Line {
-	old := c.lineAt(i)
-	c.tags[i], c.state[i], c.lru[i] = 0, 0, 0
 	if c.data != nil {
-		c.data[i] = nil
+		evicted.Data, c.data[i] = c.data[i], nil
 	}
-	return old
+	tags[victim] = tag
+	c.state[i] = want
+	c.Touch(set, victim)
+	return victim, evicted
 }
 
 // Lock pins the frame at (set, way) so it can never be chosen as a victim,
@@ -237,7 +231,12 @@ func (c *Cache) DataAt(set, way int) []byte {
 
 // Invalidate clears the frame at (set, way) and returns its prior contents.
 func (c *Cache) Invalidate(set, way int) Line {
-	old := c.empty(c.frame(set, way))
+	i := c.frame(set, way)
+	old := c.lineAt(i)
+	c.tags[i], c.state[i], c.lru[i] = 0, 0, 0
+	if c.data != nil {
+		c.data[i] = nil
+	}
 	if old.Locked {
 		c.locked--
 	}

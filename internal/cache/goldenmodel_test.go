@@ -239,3 +239,90 @@ func TestGoldenModelEquivalence(t *testing.T) {
 		t.Fatalf("stream exercised %d evictions, %d kept payloads", evictions, keptPayloads)
 	}
 }
+
+// TestFillEdgeCases pins the set states a single-pass Fill can get wrong:
+// the resident line must be found wherever it sits, whatever frames come
+// before it, and only then may an invalid or least recently used unlocked
+// frame be taken. Each case builds one 4-way set in the cache and in the
+// reference model, fills, and checks the way, the evicted line and every
+// frame afterwards.
+func TestFillEdgeCases(t *testing.T) {
+	type op struct {
+		kind string // "fill", "access", "lock" or "invalidate"
+		tag  uint64 // fill and access
+		rf   bool   // fill and access
+		way  int    // lock and invalidate
+	}
+	fill := func(tag uint64, rf bool) op { return op{kind: "fill", tag: tag, rf: rf} }
+	full := []op{fill(1, false), fill(2, false), fill(3, false), fill(4, false)}
+	with := func(ops ...op) []op { return append(append([]op(nil), full...), ops...) }
+	cases := []struct {
+		name    string
+		setup   []op
+		tag     uint64
+		rf      bool
+		way     int    // the way Fill must return
+		evicted uint64 // the evicted tag, 0 for none
+	}{
+		{"resident behind an invalid frame", with(op{kind: "invalidate", way: 0}), 2, false, 1, 0},
+		{"resident behind two invalid frames", with(op{kind: "invalidate", way: 1}, op{kind: "invalidate", way: 0}), 3, false, 2, 0},
+		{"locked resident in a fully locked set", with(op{kind: "lock", way: 0}, op{kind: "lock", way: 1},
+			op{kind: "lock", way: 2}, op{kind: "lock", way: 3}), 4, false, 3, 0},
+		{"fully locked set", with(op{kind: "lock", way: 0}, op{kind: "lock", way: 1},
+			op{kind: "lock", way: 2}, op{kind: "lock", way: 3}), 9, false, -1, 0},
+		{"same tag in the other namespace, room left", []op{fill(5, false)}, 5, true, 1, 0},
+		{"same tag as RF line, room left", []op{fill(5, true)}, 5, false, 1, 0},
+		{"same tag in the other namespace is the LRU victim", full, 1, true, 0, 1},
+		{"first invalid frame beats older valid frames", with(op{kind: "invalidate", way: 3}, op{kind: "invalidate", way: 2}), 9, false, 2, 0},
+		{"LRU skips older locked frames", with(op{kind: "lock", way: 0}, op{kind: "lock", way: 1}), 9, false, 2, 3},
+		{"LRU among locked frames after a touch", with(op{kind: "lock", way: 0}, op{kind: "lock", way: 1},
+			op{kind: "access", tag: 3}), 9, false, 3, 4},
+		{"LRU frame after the touched ones", with(op{kind: "access", tag: 1}, op{kind: "access", tag: 2},
+			op{kind: "lock", way: 2}), 9, false, 3, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const ways = 4
+			c, err := New(1, ways, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefCache(1, ways)
+			for _, o := range tc.setup {
+				switch o.kind {
+				case "fill":
+					c.Fill(0, o.tag, o.rf)
+					ref.fill(0, o.tag, o.rf)
+				case "access":
+					c.Access(0, o.tag, o.rf)
+					ref.access(0, o.tag, o.rf)
+				case "lock":
+					c.Lock(0, o.way)
+					ref.sets[0][o.way].locked = true
+				case "invalidate":
+					c.Invalidate(0, o.way)
+					ref.sets[0][o.way] = refLine{}
+				}
+			}
+			way, ev := c.Fill(0, tc.tag, tc.rf)
+			rway, rev := ref.fill(0, tc.tag, tc.rf)
+			if way != tc.way || rway != tc.way {
+				t.Fatalf("Fill took way %d (reference %d), want %d", way, rway, tc.way)
+			}
+			if ev.Valid != (tc.evicted != 0) || (ev.Valid && ev.Tag != tc.evicted) {
+				t.Fatalf("Fill evicted %+v, want tag %d", ev, tc.evicted)
+			}
+			if !sameLine(t, 0, ev, rev) {
+				t.Fatalf("Fill evicted %+v, reference %+v", ev, rev)
+			}
+			for w := 0; w < ways; w++ {
+				if l, r := c.Line(0, w), ref.sets[0][w]; !sameLine(t, 0, l, r) {
+					t.Fatalf("way %d is %+v, reference %+v", w, l, r)
+				}
+			}
+			if tc.way >= 0 && c.Probe(0, tc.tag, tc.rf) != tc.way {
+				t.Fatalf("(tag %d, rf %v) not found in way %d after the fill", tc.tag, tc.rf, tc.way)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package perf
 
 import (
+	"math"
+
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/trace"
 )
@@ -85,24 +87,26 @@ func NewCore(id, prefetchDegree int, gen trace.Generator) (*Core, error) {
 	return &Core{ID: id, gen: gen, l1: l1, l2: l2, prefetchDegree: prefetchDegree}, nil
 }
 
-// Done reports whether the core reached its instruction target.
-func (c *Core) Done() bool { return c.DoneCycle != 0 }
+// never is nextAct's answer for a core blocked on a request no channel has
+// scheduled yet: it acts at no known cycle.
+const never = math.MaxInt64
 
-// NextWake returns the earliest cycle the core could make progress, or -1
-// when it is blocked on an unscheduled memory request.
-func (c *Core) NextWake() int64 {
-	if c.blocked != nil {
-		if !c.blocked.Scheduled {
-			return -1
+// nextAct returns the first cycle at or after now at which Tick changes
+// the core's state: when its blocking request's data arrives, or else when
+// its wait ends; never while the request is unscheduled.
+func (c *Core) nextAct(now int64) int64 {
+	at := c.waitUntil
+	if b := c.blocked; b != nil {
+		if !b.Scheduled {
+			return never
 		}
-		if c.blocked.DoneAt > c.waitUntil {
-			return c.blocked.DoneAt
-		}
+		at = b.DoneAt
 	}
-	return c.waitUntil
+	return max(at, now)
 }
 
-// Tick advances the core by one CPU cycle.
+// Tick advances the core through CPU cycle now; it does nothing before
+// nextAct.
 func (c *Core) Tick(now int64, ms *MemSystem) {
 	if c.blocked != nil {
 		if !c.blocked.Done(now) {

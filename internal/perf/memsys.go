@@ -265,12 +265,9 @@ func (m *MemSystem) lineAddrFromIndex(set int, tag uint64) addrmap.LineAddr {
 	return addrmap.LineAddr(tag<<m.mapper.SetBits() | (uint64(set) ^ uint64(m.mapper.FoldTag(tag))))
 }
 
-// Tick advances every channel at memory-clock boundaries.
-func (m *MemSystem) Tick(nowCPU int64) {
-	if nowCPU%m.cpuPerMC != 0 {
-		return
-	}
-	nowTck := nowCPU / m.cpuPerMC
+// tick advances every channel by one scheduling decision at memory-clock
+// cycle nowTck (CPU cycle nowTck·cpuPerMC).
+func (m *MemSystem) tick(nowTck int64) {
 	for _, ch := range m.channels {
 		ch.Tick(nowTck)
 	}

@@ -110,6 +110,33 @@ func (r *Result) TotalIPC() float64 {
 func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	t0 := time.Now()
 	traceStart := cfg.Trace.Now()
+	s, err := newSystem(cfg, threads)
+	if err != nil {
+		return nil, err
+	}
+	cycles, err := s.run()
+	if err != nil {
+		return nil, err
+	}
+	res := s.result(cycles)
+	publishRun(res, s.cores, s.ms.Channels())
+	pm.runSeconds.Since(t0)
+	cfg.Trace.Record(cfg.TraceTrack, "perf.run", -1, 0, traceStart, cfg.Trace.Now())
+	return res, nil
+}
+
+// system is one run's machine: the shared memory system and one core per
+// thread, built from a validated configuration.
+type system struct {
+	target  uint64 // per-core instruction target
+	threads []trace.ThreadParams
+	ms      *MemSystem
+	cores   []*Core
+}
+
+// newSystem validates cfg and builds its machine: the memory system with
+// the configured LLC lock, and a core per thread over its generator.
+func newSystem(cfg SystemConfig, threads []trace.ThreadParams) (*system, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("perf: no threads")
 	}
@@ -137,75 +164,105 @@ func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 		c.Target = cfg.TargetInstructions
 		cores[i] = c
 	}
+	return &system{target: cfg.TargetInstructions, threads: threads, ms: ms, cores: cores}, nil
+}
 
-	var cycle int64
+// run advances the machine until every core has reached its target and
+// returns the cycle at which the last one did.
+//
+// The clock moves by events, not cycles. A core acts only when it unblocks
+// (its request's data arrives) or its wait ends (Core.nextAct), and the
+// channels only at memory-clock edges while a queue holds work, so each
+// step jumps to the earliest of those cycles. At that cycle the channels
+// tick first, then the due cores in index order — the order a loop that
+// ticked everything on every cycle would use. Such a loop does nothing on
+// the cycles skipped here: a core that is not due returns at once, and a
+// channel with empty queues only clears its write-drain flag, which is
+// already clear once its write queue has emptied. The two clocks
+// therefore produce the same state at every cycle (the perf tests check
+// this against a plain cycle-by-cycle loop).
+func (s *system) run() (int64, error) {
+	perMC := s.ms.cpuPerMC
+	wake := make([]int64, len(s.cores))
+	for i, c := range s.cores {
+		wake[i] = c.nextAct(1)
+	}
+	pending := len(s.cores)
+	// next is the earliest known core wake, edge the first memory-clock
+	// edge after now.
+	now, next, edge := int64(0), int64(1), perMC
 	for {
-		cycle++
-		ms.Tick(cycle)
-		allDone := true
-		for _, c := range cores {
-			c.Tick(cycle, ms)
-			if !c.Done() {
-				allDone = false
-			}
+		// The edge counts only while a queue holds work.
+		atEdge := edge <= next && s.ms.Busy()
+		if atEdge {
+			next = edge
 		}
-		if allDone {
-			break
+		if next == never {
+			return 0, fmt.Errorf("perf: no core can act and no request is queued at cycle %d", now)
 		}
-		// Fast-forward through globally idle stretches.
-		if !ms.Busy() {
-			next := int64(-1)
-			for _, c := range cores {
-				w := c.NextWake()
-				if w < 0 {
-					next = -1
-					break
-				}
-				if next < 0 || w < next {
-					next = w
+		now = next
+		switch {
+		case now == edge:
+			edge += perMC
+		case now > edge:
+			edge = (now/perMC + 1) * perMC
+		}
+		if atEdge {
+			s.ms.tick(now / perMC)
+			// A channel may have scheduled a request a core is blocked on.
+			for i, c := range s.cores {
+				if wake[i] == never {
+					wake[i] = c.nextAct(now)
 				}
 			}
-			if next > cycle+1 {
-				// Align to the next cycle before the wake so channel ticks
-				// stay on their grid.
-				cycle = next - 1
+		}
+		next = never
+		for i, c := range s.cores {
+			if wake[i] == now {
+				c.Tick(now, s.ms)
+				if c.DoneCycle == now {
+					pending--
+				}
+				wake[i] = c.nextAct(now + 1)
 			}
+			next = min(next, wake[i])
+		}
+		if pending == 0 {
+			return now, nil
 		}
 	}
+}
 
+// result assembles the run's outcome after the last core finished at
+// cycle cycles.
+func (s *system) result(cycles int64) *Result {
+	ms := s.ms
 	res := &Result{
-		Cycles:       cycle,
+		Cycles:       cycles,
 		Ops:          ms.TotalOps(),
 		LLCHits:      ms.LLCHits,
 		LLCMisses:    ms.LLCMisses,
 		LLCEvictions: ms.LLCEvictions,
 		Prefetches:   ms.Prefetches,
-		Seconds:      float64(cycle) / 4e9,
+		Seconds:      float64(cycles) / 4e9,
 	}
 	for _, ch := range ms.Channels() {
 		res.RowHits += ch.RowHits
 		res.RowMisses += ch.RowMisses
 	}
-	for _, c := range cores {
-		done := c.DoneCycle
-		if done == 0 {
-			done = cycle
-		}
+	for _, c := range s.cores {
 		res.Cores = append(res.Cores, CoreResult{
-			Name:         threads[c.ID].Name,
-			Instructions: cfg.TargetInstructions,
-			Cycles:       done,
-			IPC:          float64(cfg.TargetInstructions) / float64(done),
+			Name:         s.threads[c.ID].Name,
+			Instructions: s.target,
+			Cycles:       c.DoneCycle,
+			IPC:          float64(s.target) / float64(c.DoneCycle),
 			L1Hits:       c.L1Hits,
 			L2Hits:       c.L2Hits,
 			LLCHits:      c.LLCLevel,
 			MemAccesses:  c.MemLevel,
 		})
 	}
-	publishRun(res, cores, ms.Channels())
-	pm.runSeconds.Since(t0)
-	cfg.Trace.Record(cfg.TraceTrack, "perf.run", -1, 0, traceStart, cfg.Trace.Now())
-	return res, nil
+	return res
 }
 
 // SpeedupOf evaluates Equation (2), the weighted speedup of a shared run:

@@ -90,7 +90,9 @@ type ThreadParams struct {
 
 // Thread is the standard Generator implementation.
 type Thread struct {
-	p       ThreadParams
+	p ThreadParams
+	// logKeep is log(1-MemRatio), the denominator of the burst draw.
+	logKeep float64
 	rng     *stats.RNG
 	cursor  uint64 // stream/stride position
 	ptr     uint64 // pointer-chase position
@@ -111,7 +113,7 @@ func NewThread(p ThreadParams) *Thread {
 	if p.Pattern == PatternPointer {
 		p.CriticalFrac = 1.0
 	}
-	t := &Thread{p: p}
+	t := &Thread{p: p, logKeep: math.Log(1 - p.MemRatio)}
 	t.Reset()
 	return t
 }
@@ -137,16 +139,16 @@ func (t *Thread) lines() uint64 { return t.p.WorkingSet / 64 }
 
 // Next implements Generator.
 func (t *Thread) Next() Op {
-	p := t.p
+	p := &t.p
 	// Draw the compute burst: with every instruction independently a
 	// memory access with probability MemRatio, the run of non-memory
 	// instructions before one is geometric with mean (1-r)/r. Sample it
 	// exactly by inversion so the measured memory ratio matches the
 	// parameter.
 	burst := int32(0)
-	if r := p.MemRatio; r < 1 {
+	if p.MemRatio < 1 {
 		u := t.rng.Float64()
-		g := math.Log(1-u) / math.Log(1-r)
+		g := math.Log(1-u) / t.logKeep
 		if g > 10000 {
 			g = 10000
 		}
@@ -224,7 +226,7 @@ func (t *Thread) Next() Op {
 // toward its start, so the hit rate responds smoothly to cache capacity the
 // way real reuse distributions do, instead of falling off an LRU cliff.
 func (t *Thread) hotAdjust(lineIdx, n uint64) uint64 {
-	p := t.p
+	p := &t.p
 	if p.HotFrac > 0 && p.HotProb > 0 && t.rng.Bool(p.HotProb) {
 		hot := uint64(float64(n) * p.HotFrac)
 		if hot == 0 {
