@@ -57,14 +57,27 @@ func New(sets, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: lineBytes must be positive, got %d", lineBytes)
 	}
 	n := sets * ways
-	return &Cache{
+	c := &Cache{
 		sets:      sets,
 		ways:      ways,
 		lineBytes: lineBytes,
 		tags:      make([]uint64, n),
 		state:     make([]uint8, n),
 		lru:       make([]uint64, n),
-	}, nil
+	}
+	c.Reset()
+	return c, nil
+}
+
+// Reset empties the cache in place, keeping its frame columns: every frame
+// invalid, unlocked and clean with a zero tag and stamp, no payloads, and
+// the LRU clock at zero. New leaves a cache in this state.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.state)
+	clear(c.lru)
+	c.data = nil
+	c.clock, c.locked = 0, 0
 }
 
 // Sets returns the number of sets.

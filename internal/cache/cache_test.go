@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"relaxfault/internal/stats"
@@ -172,6 +173,25 @@ func TestSetData(t *testing.T) {
 	c.SetData(1, w, data)
 	if c.DataAt(1, w)[0] != 0xEE {
 		t.Error("data update failed")
+	}
+}
+
+// TestResetMatchesNew: a cache that has filled, dirtied, locked and stored
+// payloads is, once Reset, deeply equal to a new one.
+func TestResetMatchesNew(t *testing.T) {
+	c := mustCache(t, 4, 2)
+	for tag := uint64(1); tag <= 12; tag++ {
+		set := int(tag % 4)
+		way, _ := c.Fill(set, tag, tag%3 == 0)
+		if way >= 0 && tag%2 == 0 {
+			c.MarkDirty(set, way)
+			c.SetData(set, way, []byte{byte(tag)})
+		}
+	}
+	c.LockRandomWays(1, 2)
+	c.Reset()
+	if fresh := mustCache(t, 4, 2); !reflect.DeepEqual(c, fresh) {
+		t.Fatalf("after Reset %+v, new cache %+v", c, fresh)
 	}
 }
 

@@ -73,30 +73,15 @@ func TestEventClockMatchesCycleLoop(t *testing.T) {
 
 func checkClocksAgree(t *testing.T, cfg perf.SystemConfig, threads []trace.ThreadParams) {
 	t.Helper()
-	ev, err := perf.Simulate(cfg, threads, false)
+	ev, err := perf.Simulate(new(perf.Machine), cfg, threads, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := perf.Simulate(cfg, threads, true)
+	ref, err := perf.Simulate(new(perf.Machine), cfg, threads, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
-		name     string
-		got, ref any
-	}{
-		{"Result", ev.Result, ref.Result},
-		{"stall_mem cycles", ev.StallMem, ref.StallMem},
-		{"stall_latency cycles", ev.StallLat, ref.StallLat},
-		{"compute cycles", ev.Compute, ref.Compute},
-		{"MSHR depths", ev.MSHRDepth, ref.MSHRDepth},
-		{"read-queue depths", ev.ReadQDepth, ref.ReadQDepth},
-		{"write-queue depths", ev.WriteQDepth, ref.WriteQDepth},
-	} {
-		if !reflect.DeepEqual(f.got, f.ref) {
-			t.Fatalf("%s: event clock %+v, cycle loop %+v", f.name, f.got, f.ref)
-		}
-	}
+	checkSameRun(t, "event clock", ev, "cycle loop", ref)
 	if !reflect.DeepEqual(ev.Machine, ref.Machine) {
 		t.Fatal("final machine state differs between the event clock and the cycle loop")
 	}
@@ -106,5 +91,27 @@ func checkClocksAgree(t *testing.T, cfg perf.SystemConfig, threads []trace.Threa
 	}
 	if !reflect.DeepEqual(res, ref.Result) {
 		t.Fatalf("Run returned %+v, cycle loop %+v", res, ref.Result)
+	}
+}
+
+// checkSameRun fails t unless two simulations of one configuration agree on
+// the Result and on every tally Run publishes rather than returns.
+func checkSameRun(t *testing.T, gotName string, got *perf.Outcome, refName string, ref *perf.Outcome) {
+	t.Helper()
+	for _, f := range []struct {
+		name     string
+		got, ref any
+	}{
+		{"Result", got.Result, ref.Result},
+		{"stall_mem cycles", got.StallMem, ref.StallMem},
+		{"stall_latency cycles", got.StallLat, ref.StallLat},
+		{"compute cycles", got.Compute, ref.Compute},
+		{"MSHR depths", got.MSHRDepth, ref.MSHRDepth},
+		{"read-queue depths", got.ReadQDepth, ref.ReadQDepth},
+		{"write-queue depths", got.WriteQDepth, ref.WriteQDepth},
+	} {
+		if !reflect.DeepEqual(f.got, f.ref) {
+			t.Fatalf("%s: %s %+v, %s %+v", f.name, gotName, f.got, refName, f.ref)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"slices"
 
 	"relaxfault/internal/addrmap"
 	"relaxfault/internal/trace"
@@ -84,7 +85,18 @@ func NewCore(id, prefetchDegree int, gen trace.Generator) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Core{ID: id, gen: gen, l1: l1, l2: l2, prefetchDegree: prefetchDegree}, nil
+	c := &Core{l1: l1, l2: l2}
+	c.reset(id, prefetchDegree, gen)
+	return c, nil
+}
+
+// reset makes c core id over gen, in the state NewCore builds it in: empty
+// private caches (reset in place), no request outstanding, no stream
+// detected and every counter zero.
+func (c *Core) reset(id, prefetchDegree int, gen trace.Generator) {
+	c.l1.c.Reset()
+	c.l2.c.Reset()
+	*c = Core{ID: id, gen: gen, l1: c.l1, l2: c.l2, prefetchDegree: prefetchDegree}
 }
 
 // never is nextAct's answer for a core blocked on a request no channel has
@@ -166,7 +178,9 @@ func (c *Core) Tick(now int64, ms *MemSystem) {
 				if len(c.outstanding) > mlp {
 					c.blocked = c.outstanding[0]
 					c.blocked.inWindow = false
-					c.outstanding = c.outstanding[1:]
+					// Pop in place: reslicing past the head would give up a
+					// slot of capacity on every overflow.
+					c.outstanding = slices.Delete(c.outstanding, 0, 1)
 					c.blockStart = now
 				}
 			}

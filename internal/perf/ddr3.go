@@ -125,23 +125,45 @@ func NewChannelSpec(ranks, banks int, spec TimingSpec) *Channel {
 	ch.banks = make([][]bank, ranks)
 	for r := range ch.banks {
 		ch.banks[r] = make([]bank, banks)
-		for b := range ch.banks[r] {
-			ch.banks[r][b].openRow = -1
-		}
 	}
 	if spec.Grouped() && banks%spec.BankGroups == 0 {
 		ch.banksPerGroup = banks / spec.BankGroups
 		ch.lastCASRank = make([]int64, ranks)
 		ch.lastCASGroup = make([][]int64, ranks)
 		for r := range ch.lastCASGroup {
-			ch.lastCASRank[r] = -spec.TCCDL
 			ch.lastCASGroup[r] = make([]int64, spec.BankGroups)
-			for g := range ch.lastCASGroup[r] {
-				ch.lastCASGroup[r][g] = -spec.TCCDL
-			}
 		}
 	}
+	ch.reset()
 	return ch
+}
+
+// reset returns the channel to its initial state in place: every bank
+// closed and idle, no column command issued, the queues empty, and the bus,
+// counters and depth tallies zero. NewChannelSpec builds a channel in this
+// state.
+func (c *Channel) reset() {
+	for r := range c.banks {
+		for b := range c.banks[r] {
+			c.banks[r][b] = bank{openRow: -1}
+		}
+	}
+	for r := range c.lastCASGroup {
+		c.lastCASRank[r] = -c.t.TCCDL
+		for g := range c.lastCASGroup[r] {
+			c.lastCASGroup[r][g] = -c.t.TCCDL
+		}
+	}
+	*c = Channel{
+		t:              c.t,
+		banks:          c.banks,
+		writeDrainHigh: c.writeDrainHigh,
+		writeDrainLow:  c.writeDrainLow,
+		banksPerGroup:  c.banksPerGroup,
+		lastCASRank:    c.lastCASRank,
+		lastCASGroup:   c.lastCASGroup,
+		pool:           c.pool,
+	}
 }
 
 // Enqueue adds a request to the appropriate queue and samples the queue's

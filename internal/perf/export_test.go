@@ -1,6 +1,10 @@
 package perf
 
-import "relaxfault/internal/trace"
+import (
+	"reflect"
+
+	"relaxfault/internal/trace"
+)
 
 // Outcome is one simulation's Result with the tallies Run publishes rather
 // than returns, and the machine's final state.
@@ -12,15 +16,17 @@ type Outcome struct {
 	MSHRDepth                   [][]int64
 	// Per channel: the read- and write-queue depth tallies.
 	ReadQDepth, WriteQDepth [][]int64
-	// Machine is every core (caches and generator included) and the memory
-	// system, for a final deep comparison.
+	// Machine is the run's cores (caches and generators included) and the
+	// memory system, for a final deep comparison.
 	Machine any
+	ms      *MemSystem
 }
 
-// Simulate builds cfg's machine like Run and advances it with Run's event
-// clock, or, with plain set, with the cycle-by-cycle reference loop.
-func Simulate(cfg SystemConfig, threads []trace.ThreadParams, plain bool) (*Outcome, error) {
-	s, err := newSystem(cfg, threads)
+// Simulate readies m for cfg like Machine.Run and advances it with Run's
+// event clock, or, with plain set, with the cycle-by-cycle reference loop.
+// The Outcome's Machine is m's live state: compare it before m runs again.
+func Simulate(m *Machine, cfg SystemConfig, threads []trace.ThreadParams, plain bool) (*Outcome, error) {
+	s, err := m.load(cfg, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +36,7 @@ func Simulate(cfg SystemConfig, threads []trace.ThreadParams, plain bool) (*Outc
 	} else if cycles, err = s.run(); err != nil {
 		return nil, err
 	}
-	o := &Outcome{Result: s.result(cycles), Machine: s}
+	o := &Outcome{Result: s.result(cycles), Machine: s, ms: s.ms}
 	for _, c := range s.cores {
 		o.StallMem = append(o.StallMem, c.StallMemCycles)
 		o.StallLat = append(o.StallLat, c.StallLatCycles)
@@ -42,6 +48,16 @@ func Simulate(cfg SystemConfig, threads []trace.ThreadParams, plain bool) (*Outc
 		o.WriteQDepth = append(o.WriteQDepth, ch.writeQDepth)
 	}
 	return o, nil
+}
+
+// SameMachine reports whether a and b ended in deeply equal machines, the
+// request free lists aside: a reused machine's list also holds the requests
+// its earlier runs returned, and get zeroes each one it hands out.
+func SameMachine(a, b *Outcome) bool {
+	fa, fb := a.ms.pool.free, b.ms.pool.free
+	a.ms.pool.free, b.ms.pool.free = nil, nil
+	defer func() { a.ms.pool.free, b.ms.pool.free = fa, fb }()
+	return reflect.DeepEqual(a.Machine, b.Machine)
 }
 
 // runPlain is the reference clock: it ticks every channel at every

@@ -121,7 +121,8 @@ func (cfg MemConfig) Validate() error {
 	return nil
 }
 
-// NewMemSystem builds the shared hierarchy.
+// NewMemSystem builds the shared hierarchy: an empty LLC, idle channels and
+// zero counters.
 func NewMemSystem(cfg MemConfig) (*MemSystem, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,6 +146,18 @@ func NewMemSystem(cfg MemConfig) (*MemSystem, error) {
 		ms.channels = append(ms.channels, ch)
 	}
 	return ms, nil
+}
+
+// reset returns the memory system to the state NewMemSystem leaves it in,
+// in place: the LLC emptied, every channel reset and the counters zero.
+// The address mapper and the request free list are kept; a pooled request
+// is zeroed when get hands it out again.
+func (m *MemSystem) reset() {
+	m.llc.Reset()
+	for _, ch := range m.channels {
+		ch.reset()
+	}
+	m.LLCHits, m.LLCMisses, m.LLCEvictions, m.Prefetches = 0, 0, 0, 0
 }
 
 // LLC exposes the shared cache (for way locking).

@@ -11,11 +11,11 @@ import (
 // at init so the perf.* families exist (zero-valued) in every snapshot.
 //
 // The simulators keep their per-run tallies in plain (non-atomic) fields —
-// each Run owns its cores and memory system on one goroutine — and publish
-// the totals here when the run completes, so the hot loop pays nothing for
-// them. That holds for the occupancy histograms too: a queue's depth
-// samples go into a depthTally, which publishRun adds to the shared
-// histogram in one call.
+// a Machine serves one goroutine at a time, and each run starts its
+// machine's tallies from zero — and publish the totals here when the run
+// completes, so the hot loop pays nothing for them. That holds for the
+// occupancy histograms too: a queue's depth samples go into a depthTally,
+// which publishRun adds to the shared histogram in one call.
 var pm = struct {
 	l1Hits, l1Misses   *obs.Counter
 	l2Hits, l2Misses   *obs.Counter

@@ -106,11 +106,29 @@ func (r *Result) TotalIPC() float64 {
 	return s
 }
 
-// Run simulates the given threads (one per core) to completion.
+// Machine is a simulated system that runs one simulation after another:
+// Run resets its memory system and cores in place instead of building new
+// ones, so a caller that runs many simulations builds the 2.2 MB LLC once
+// per memory configuration. A reset machine is in the state a new one is
+// built in, so its results are the same. The zero value is ready to use; a
+// Machine serves one goroutine at a time.
+type Machine struct {
+	mem   MemConfig // the configuration ms was built for
+	ms    *MemSystem
+	cores []*Core // every core built so far; a run uses the first one per thread
+}
+
+// Run simulates the given threads (one per core) to completion on a new
+// machine.
 func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
+	return new(Machine).Run(cfg, threads)
+}
+
+// Run simulates the given threads (one per core) to completion on m.
+func (m *Machine) Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	t0 := time.Now()
 	traceStart := cfg.Trace.Now()
-	s, err := newSystem(cfg, threads)
+	s, err := m.load(cfg, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +143,8 @@ func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	return res, nil
 }
 
-// system is one run's machine: the shared memory system and one core per
-// thread, built from a validated configuration.
+// system is one run's view of a machine: its memory system and one core
+// per thread.
 type system struct {
 	target  uint64 // per-core instruction target
 	threads []trace.ThreadParams
@@ -134,37 +152,47 @@ type system struct {
 	cores   []*Core
 }
 
-// newSystem validates cfg and builds its machine: the memory system with
-// the configured LLC lock, and a core per thread over its generator.
-func newSystem(cfg SystemConfig, threads []trace.ThreadParams) (*system, error) {
+// load validates cfg and readies m for it: the memory system with the
+// configured LLC lock, and a core per thread over its generator. It resets
+// the memory system in place while cfg.Mem is the configuration it was
+// built for, and each core m already has; it builds the rest.
+func (m *Machine) load(cfg SystemConfig, threads []trace.ThreadParams) (*system, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("perf: no threads")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ms, err := NewMemSystem(cfg.Mem)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.LockWays > 0 {
-		ms.LockWays(cfg.LockWays)
-	}
-	if cfg.LockBytes > 0 {
-		ms.LockRandomLines(cfg.LockBytes, cfg.Seed)
-	}
-	cores := make([]*Core, len(threads))
-	for i, tp := range threads {
-		tp.Seed ^= cfg.Seed * 0x9E3779B9
-		gen := trace.NewThread(tp)
-		c, err := NewCore(i, cfg.PrefetchDegree, gen)
+	if m.ms != nil && m.mem == cfg.Mem {
+		m.ms.reset()
+	} else {
+		ms, err := NewMemSystem(cfg.Mem)
 		if err != nil {
 			return nil, err
 		}
-		c.Target = cfg.TargetInstructions
-		cores[i] = c
+		m.mem, m.ms = cfg.Mem, ms
 	}
-	return &system{target: cfg.TargetInstructions, threads: threads, ms: ms, cores: cores}, nil
+	if cfg.LockWays > 0 {
+		m.ms.LockWays(cfg.LockWays)
+	}
+	if cfg.LockBytes > 0 {
+		m.ms.LockRandomLines(cfg.LockBytes, cfg.Seed)
+	}
+	for i, tp := range threads {
+		tp.Seed ^= cfg.Seed * 0x9E3779B9
+		gen := trace.NewThread(tp)
+		if i < len(m.cores) {
+			m.cores[i].reset(i, cfg.PrefetchDegree, gen)
+		} else {
+			c, err := NewCore(i, cfg.PrefetchDegree, gen)
+			if err != nil {
+				return nil, err
+			}
+			m.cores = append(m.cores, c)
+		}
+		m.cores[i].Target = cfg.TargetInstructions
+	}
+	return &system{target: cfg.TargetInstructions, threads: threads, ms: m.ms, cores: m.cores[:len(threads)]}, nil
 }
 
 // run advances the machine until every core has reached its target and
@@ -283,22 +311,23 @@ func SpeedupOf(shared *Result, aloneIPC []float64) float64 {
 // repair-capacity configuration and evaluates Equation (2) (SpeedupOf).
 //
 // aloneIPC may be supplied (from a previous call) to avoid recomputing the
-// baselines; pass nil to compute them here.
+// baselines; pass nil to compute them here. Every run goes on one Machine.
 func WeightedSpeedup(cfg SystemConfig, threads []trace.ThreadParams, aloneIPC []float64) (ws float64, alone []float64, shared *Result, err error) {
+	var m Machine
 	if aloneIPC == nil {
 		aloneIPC = make([]float64, len(threads))
 		for i := range threads {
 			soloCfg := cfg
 			soloCfg.LockWays = 0
 			soloCfg.LockBytes = 0
-			res, err := Run(soloCfg, []trace.ThreadParams{threads[i]})
+			res, err := m.Run(soloCfg, []trace.ThreadParams{threads[i]})
 			if err != nil {
 				return 0, nil, nil, err
 			}
 			aloneIPC[i] = res.Cores[0].IPC
 		}
 	}
-	shared, err = Run(cfg, threads)
+	shared, err = m.Run(cfg, threads)
 	if err != nil {
 		return 0, nil, nil, err
 	}

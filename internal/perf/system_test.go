@@ -63,9 +63,10 @@ func TestWeightedSpeedupSensitivity(t *testing.T) {
 
 // BenchmarkRun times the two kinds of Figure 15 run at the benchmark's
 // 30k-instruction budget: SP's eight threads sharing an LLC with one way
-// locked, and SP's first thread alone on the full LLC. Besides ns/op it
-// reports host nanoseconds per simulated kilo-instruction (threads times
-// the per-core target).
+// locked, and SP's first thread alone on the full LLC. Each runs on one
+// Machine, as a scenario worker does, warmed by one untimed run. Besides
+// ns/op it reports host nanoseconds per simulated kilo-instruction
+// (threads times the per-core target).
 func BenchmarkRun(b *testing.B) {
 	w := trace.WorkloadByName("SP")
 	for _, bc := range []struct {
@@ -80,10 +81,14 @@ func BenchmarkRun(b *testing.B) {
 			cfg := DefaultSystemConfig()
 			cfg.TargetInstructions = 30_000
 			cfg.LockWays = bc.ways
+			var m Machine
+			if _, err := m.Run(cfg, bc.threads); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg, bc.threads); err != nil {
+				if _, err := m.Run(cfg, bc.threads); err != nil {
 					b.Fatal(err)
 				}
 			}

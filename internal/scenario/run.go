@@ -119,7 +119,8 @@ type perfRun struct {
 // unit by unit, the weighted speedup under every lock against the alone-IPC
 // denominators (Equation 2, the methodology of Figure 15) and the relative
 // DRAM power against the unlocked baseline; so the output is identical to
-// a sequential sweep.
+// a sequential sweep. Each worker runs its chunks on its own perf.Machine,
+// which resets its memory system and cores in place between runs.
 func runPerf(ctx context.Context, units []PerfUnitConfig, ex Exec) ([]PerfUnit, error) {
 	outs := make([]PerfUnit, len(units))
 	var runs []perfRun
@@ -144,6 +145,7 @@ func runPerf(ctx context.Context, units []PerfUnitConfig, ex Exec) ([]PerfUnit, 
 	}
 	sort.SliceStable(runs, func(i, j int) bool { return len(runs[i].threads) > len(runs[j].threads) })
 	errs := make([]error, len(runs))
+	machines := make([]perf.Machine, harness.PoolWorkers(ex.Workers))
 	eng := harness.Engine{Exec: ex}
 	runErr := eng.Run(ctx, len(runs), func(w, k int) (int64, bool) {
 		r := runs[k]
@@ -154,7 +156,7 @@ func runPerf(ctx context.Context, units []PerfUnitConfig, ex Exec) ([]PerfUnit, 
 		// The run records its perf.run span on the executing worker's
 		// track, nested under the engine's chunk span.
 		cfg.Trace, cfg.TraceTrack = ex.Trace, w
-		res, err := perf.Run(cfg, r.threads)
+		res, err := machines[w].Run(cfg, r.threads)
 		switch {
 		case err != nil:
 			errs[k] = err
