@@ -1,9 +1,9 @@
 // Integration tests for the crash-safety contract of the campaign log each
 // -store entry keeps: a campaign SIGKILLed mid-run resumes to
 // byte-identical output when the same command is rerun, also in the middle
-// of a run of several points, SIGTERM seals the log gracefully,
-// `relaxfault verify` detects digest and payload corruption, and logs of
-// the retired v1 format are refused. These build and drive the real binary
+// of a run of several points, SIGTERM and a -timeout deadline seal the log
+// gracefully, `relaxfault verify` detects digest and payload corruption,
+// and logs of the retired v1 format are refused. These build and drive the real binary
 // as a subprocess, so they are skipped under -short (CI runs them in a
 // dedicated robustness job).
 package main
@@ -11,6 +11,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -342,6 +343,52 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 	}
 	if rec := lastRecord(t, jPath); rec.Type != journal.TypeSeal || rec.Status != journal.StatusComplete {
 		t.Fatalf("log tail after resume = %+v, want complete seal", rec)
+	}
+}
+
+// TestTimeoutSealsInterrupted checks the -timeout path: a deadline that
+// passes before the first chunk fails the point (exit 1, the deadline
+// named), seals its entry log "interrupted" and writes no entry metadata;
+// rerunning without -timeout resumes that entry and prints exactly what a
+// run without -store prints.
+func TestTimeoutSealsInterrupted(t *testing.T) {
+	dir := t.TempDir()
+	scPath := writeScenario(t, dir, smokeScenario)
+	refOut, refErr, code := runBin(t, "-scenario", scPath, "-parallel", "2", "-progress", "0")
+	if code != 0 {
+		t.Fatalf("unpersisted run exit %d\n%s", code, refErr)
+	}
+
+	_, stderr, code := runBin(t, append(campaignArgs(scPath, dir), "-timeout", "1ns")...)
+	if code != 1 || !strings.Contains(stderr, "context deadline exceeded") {
+		t.Fatalf("-timeout 1ns run: exit %d, want 1 naming the deadline\n%s", code, stderr)
+	}
+	jPath := entryLog(t, dir)
+	if rec := lastRecord(t, jPath); rec.Type != journal.TypeSeal || rec.Status != journal.StatusInterrupted {
+		t.Fatalf("log tail after the deadline = %+v, want interrupted seal", rec)
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(jPath), cstore.MetaFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("timed-out entry has metadata (stat err %v), want none", err)
+	}
+
+	man := filepath.Join(dir, "m.json")
+	out, rErr, code := runBin(t, append(campaignArgs(scPath, dir), "-metrics", man)...)
+	if code != 0 {
+		t.Fatalf("rerun without -timeout exit %d\n%s", code, rErr)
+	}
+	data, err := os.ReadFile(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m harness.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Campaigns) != 1 || m.Campaigns[0].Source != harness.CampaignResumed {
+		t.Fatalf("rerun campaigns %+v, want one resumed", m.Campaigns)
+	}
+	if out != refOut {
+		t.Fatalf("rerun stdout differs from the unpersisted run:\n--- rerun ---\n%s--- unpersisted ---\n%s", out, refOut)
 	}
 }
 

@@ -36,8 +36,10 @@
 // bitwise-identical output — and a requested experiment that fails no
 // longer aborts the rest: failures are collected and summarised.
 //
-// -store DIR is a content-addressed campaign store: every scenario run is
-// one entry, keyed by its budget-free campaign fingerprint and seed.
+// -store DIR is a content-addressed campaign store: every coverage or
+// reliability scenario run is one entry, keyed by its budget-free campaign
+// fingerprint and seed. A perf or static scenario logs no chunks, so it
+// keeps no entry and runs as it would without -store.
 // The entry's campaign log is its one durable artifact: an append-only,
 // fsync'd file with one record per completed chunk, carrying the chunk's
 // payload and its digest. A rerun resumes an entry whose run was killed: a
@@ -125,7 +127,7 @@ func parseFlags() (*options, []string) {
 	flag.StringVar(&o.trace, "trace", "", "record execution spans and write a Perfetto-loadable Chrome trace_event JSON to `FILE`; the scheduler-attribution report lands in the manifest's \"trace\" block and is printed as a table")
 	flag.IntVar(&o.parallel, "parallel", 0, "Monte Carlo worker pool size (0 = all cores); any value yields bitwise-identical results")
 	flag.StringVar(&o.scenario, "scenario", "", "run the scenario `FILE|PRESET` (a JSON spec file or a registry preset) through the generic runner; spec files carry their own budget and seed, an explicit -seed overrides")
-	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: each scenario keeps its campaign log (one fsync'd record per completed chunk, carrying its payload and digest) in its own entry; rerunning the same command resumes a killed run with identical output, a repeated run is a verified cache hit (zero trials), and a larger trial budget resumes from the largest cached entry")
+	flag.StringVar(&o.store, "store", "", "content-addressed campaign store `DIR`: each coverage or reliability scenario keeps its campaign log (one fsync'd record per completed chunk, carrying its payload and digest) in its own entry; rerunning the same command resumes a killed run with identical output, a repeated run is a verified cache hit (zero trials), and a larger trial budget resumes from the largest cached entry")
 	flag.Var(&o.sets, "set", "sweep axis `path=v1[,v2...]` for the sweep subcommand (repeatable); the cross-product runs, one manifest per point next to the -metrics target")
 	flag.Usage = usage
 	args := parseArgs()
@@ -290,9 +292,10 @@ func scenarioPoint(sc *scenario.Scenario) (*point, error) {
 }
 
 // runner runs the points' scenarios through the campaign layer, which
-// keeps each one's log in its -store entry, or runs it directly without
-// -store. It keeps results by scenario, so points presenting one
-// simulation — fig12 and fig13, fig15 and fig16 — share one run.
+// keeps each checkpointing scenario's log in its -store entry and runs the
+// rest, and every scenario without -store, directly. It keeps results by
+// scenario, so points presenting one simulation — fig12 and fig13, fig15
+// and fig16 — share one run.
 type runner struct {
 	opts    campaign.Options
 	store   *cstore.Store

@@ -8,7 +8,9 @@
 // A campaign's one durable artifact is its log (package journal), kept in
 // its store entry: every completed chunk is appended with its payload, and
 // the harness.Store the runner checkpoints into is the in-memory view
-// rebuilt from the log.
+// rebuilt from the log. A scenario that checkpoints nothing (perf and
+// static scenarios) has no chunks to log, so it is no campaign: RunStore
+// runs it as if there were no store, and Open refuses it.
 //
 // Campaigns are budget-aware. The campaign key hashes the scenario
 // with its elastic trial-budget axes cleared (scenario.CampaignFingerprint),
@@ -24,7 +26,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -96,16 +97,14 @@ type Options = harness.Exec
 type Campaign struct {
 	Plan *Plan
 	// ex is the environment Run executes in. Its Store is the view over
-	// the campaign log: read-only for a cache hit, nil for a perf hit.
+	// the campaign log, read-only for a cache hit.
 	ex harness.Exec
 
 	st    *cstore.Store
 	dir   string
 	claim *cstore.Claim
-	// hit is the exact completed entry serving a cache hit; hitResult is
-	// its stored perf result (perf entries keep no chunks).
-	hit       *cstore.Entry
-	hitResult *scenario.Result
+	// hit is the exact completed entry serving a cache hit.
+	hit *cstore.Entry
 
 	rec    harness.CampaignRecord
 	start  time.Time
@@ -119,8 +118,13 @@ func (c *Campaign) Record() harness.CampaignRecord { return c.rec }
 // cache hit on the exact completed entry, a resume of this entry's own
 // crashed attempt, a run seeded from a covering or smaller completed entry,
 // or a fresh run. The entry directory is claimed for writing in every
-// non-hit case; a live claim by another process is a clean error.
+// non-hit case; a live claim by another process is a clean error. A plan
+// with no checkpoint sections has nothing to log: Open refuses it and
+// touches nothing.
 func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
+	if len(plan.Sections) == 0 {
+		return nil, fmt.Errorf("campaign %s: scenario %s checkpoints nothing, so it has no store entry", plan.Key, plan.Scenario.Name)
+	}
 	opts.Store = nil
 	c := &Campaign{Plan: plan, ex: opts, st: st, start: time.Now()}
 	c.rec = harness.CampaignRecord{
@@ -131,7 +135,7 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 	openStart := opts.Trace.Now()
 	defer func() { opts.Trace.Span(runtrace.TrackMain, "campaign.open", -1, 0, openStart) }()
 
-	exact, cover, seedE, err := st.Lookup(plan.Key, plan.Seed, plan.Trials)
+	exact, src, err := st.Lookup(plan.Key, plan.Seed, plan.Trials)
 	if err != nil {
 		return nil, err
 	}
@@ -184,14 +188,10 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 		c.Close()
 		return nil, err
 	}
-	src := cover
-	if src == nil {
-		src = seedE
-	}
 	switch {
 	case resume:
 		c.rec.Source = harness.CampaignResumed
-	case src != nil && len(src.Meta.Sections) > 0:
+	case src != nil:
 		seedStart := opts.Trace.Now()
 		reused, err := c.seedFrom(src)
 		opts.Trace.Span(runtrace.TrackMain, "campaign.seed", -1, 0, seedStart)
@@ -211,9 +211,8 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 }
 
 // openHit verifies the exact completed entry and adopts it for a pure
-// cache hit. For checkpointed kinds the entry's sealed log is opened as a
-// read-only view, every payload checked against its digest; for perf the
-// stored result document must match its recorded digest.
+// cache hit: its sealed log is opened as a read-only view, every payload
+// checked against its digest.
 func (c *Campaign) openHit(e *cstore.Entry) error {
 	if e.Meta.ScenarioFingerprint != c.Plan.Record.Fingerprint {
 		// Same elastic budget scalar spelled through different knobs: the
@@ -227,27 +226,12 @@ func (c *Campaign) openHit(e *cstore.Entry) error {
 		// keep none of them.
 		return errors.New("entry sections differ from the plan's")
 	}
-	if c.Plan.Scenario.Kind == scenario.KindPerf {
-		raw, err := os.ReadFile(e.Path(cstore.ResultFile))
-		if err != nil {
-			return err
-		}
-		if d := journal.Digest(raw); d != e.Meta.ResultDigest {
-			return fmt.Errorf("result digest %s != recorded %s", d, e.Meta.ResultDigest)
-		}
-		var res scenario.Result
-		if err := json.Unmarshal(raw, &res); err != nil {
-			return err
-		}
-		c.hitResult = &res
-	} else {
-		cp, err := readLog(e)
-		if err != nil {
-			return err
-		}
-		c.ex.Store = cp
-		c.rec.VerifiedChunks = cp.Verified()
+	cp, err := readLog(e)
+	if err != nil {
+		return err
 	}
+	c.ex.Store = cp
+	c.rec.VerifiedChunks = cp.Verified()
 	c.hit = e
 	c.rec.Source = harness.CampaignCacheHit
 	c.rec.Entry = c.st.Rel(e.Dir)
@@ -289,22 +273,17 @@ func (c *Campaign) openLog(path string) error {
 }
 
 // Run executes the campaign. A cache hit re-reduces the verified entry's
-// view (or returns the stored perf result): every chunk resumes, zero
-// trials execute, and the result is byte-identical to the run that
-// produced the entry. Otherwise the scenario runs normally, logging every
-// chunk it computes.
+// view: every chunk resumes, zero trials execute, and the result is
+// byte-identical to the run that produced the entry. Otherwise the
+// scenario runs normally, logging every chunk it computes.
 func (c *Campaign) Run(ctx context.Context) (*scenario.Result, error) {
-	if c.hitResult != nil {
-		return c.hitResult, nil
-	}
 	return scenario.RunCtx(ctx, c.Plan.Scenario, c.ex)
 }
 
 // Seal finishes the campaign: the log is sealed ("complete" on
 // success, "interrupted" so a later open can resume otherwise), and on
-// success the entry's result document (perf only) and metadata are written
-// — the atomic metadata write is what flips the entry to complete. Cache
-// hits have nothing to seal.
+// success the entry's metadata is written — the atomic metadata write is
+// what flips the entry to complete. Cache hits have nothing to seal.
 func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) error {
 	defer c.Close()
 	if c.hit != nil {
@@ -321,7 +300,7 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 		return nil
 	}
 
-	meta := cstore.Meta{
+	return cstore.WriteMeta(c.dir, cstore.Meta{
 		Key: c.Plan.Key, Seed: c.Plan.Seed, Trials: c.Plan.Trials,
 		Name:                c.Plan.Scenario.Name,
 		ScenarioFingerprint: c.Plan.Record.Fingerprint,
@@ -330,19 +309,7 @@ func (c *Campaign) Seal(res *scenario.Result, runErr error, interrupted bool) er
 		Sections:            c.Plan.Sections,
 		Status:              cstore.StatusComplete,
 		WallSeconds:         time.Since(c.start).Seconds(),
-	}
-	if c.Plan.Scenario.Kind == scenario.KindPerf && res != nil {
-		raw, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if err := journal.WriteFileAtomic(filepath.Join(c.dir, cstore.ResultFile), raw); err != nil {
-			return fmt.Errorf("campaign store: %w", err)
-		}
-		meta.ResultDigest = journal.Digest(raw)
-	}
-	return cstore.WriteMeta(c.dir, meta)
+	})
 }
 
 // Close releases the campaign's claim and log. Idempotent; Seal calls it,
@@ -381,16 +348,20 @@ func fileExists(path string) bool {
 }
 
 // RunStore is the whole lifecycle in one call: plan, open against the
-// store, run, seal. Static scenarios (and a nil store) bypass the store and
-// run directly in opts; the returned record is nil in that case.
+// store, run, seal. Without a store, or for a scenario with no checkpoint
+// sections (perf and static scenarios), it runs sc directly in opts,
+// keeps no entry and returns a nil record.
 func RunStore(ctx context.Context, sc *scenario.Scenario, st *cstore.Store, opts Options) (*scenario.Result, *harness.CampaignRecord, error) {
-	if st == nil || sc.Kind == scenario.KindStatic {
+	var plan *Plan
+	if st != nil {
+		var err error
+		if plan, err = NewPlan(sc); err != nil {
+			return nil, nil, err
+		}
+	}
+	if plan == nil || len(plan.Sections) == 0 {
 		res, err := scenario.RunCtx(ctx, sc, opts)
 		return res, nil, err
-	}
-	plan, err := NewPlan(sc)
-	if err != nil {
-		return nil, nil, err
 	}
 	c, err := Open(plan, st, opts)
 	if err != nil {

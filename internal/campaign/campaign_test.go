@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -274,39 +275,105 @@ func TestStoppedEntryCoversLargerBudget(t *testing.T) {
 	}
 }
 
-// TestRunStoreWithoutStore: with no store, RunStore is a plain run. It
-// returns no campaign record, attaches no log, and writes no file.
+// TestRunStoreWithoutStore: RunStore is a plain run without a store, and
+// under one for a scenario with no checkpoint sections (a perf or static
+// scenario has no chunks to log). It returns no campaign record, attaches
+// no log, writes no file, under the store root included, and its result
+// equals a plain run's.
 func TestRunStoreWithoutStore(t *testing.T) {
+	preset := func(name string) func(*testing.T) *scenario.Scenario {
+		return func(t *testing.T) *scenario.Scenario {
+			sc, err := scenario.Preset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Budget.Instructions = 20_000
+			return sc
+		}
+	}
+	cases := []struct {
+		name  string
+		sc    func(*testing.T) *scenario.Scenario
+		store bool
+	}{
+		{"coverage without a store", func(t *testing.T) *scenario.Scenario { return covScenario(t, 100) }, false},
+		{"perf under a store", preset("prefetch"), true},
+		{"static under a store", preset("tab1"), true},
+	}
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
 	defer os.Chdir(wd)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.Chdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			plain, err := scenario.RunCtx(context.Background(), tc.sc(t), scenario.Exec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st *cstore.Store
+			root := t.TempDir()
+			if tc.store {
+				if st, err = cstore.Open(root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mon := harness.NewMonitor(io.Discard, 0)
+			res, rec, err := RunStore(context.Background(), tc.sc(t), st, Options{Mon: mon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec != nil {
+				t.Errorf("RunStore returned campaign record %+v", rec)
+			}
+			if got, err := json.Marshal(res); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("RunStore differs from a plain run (%v):\n%s\nvs\n%s", err, got, want)
+			}
+			if j := mon.Status().Journal; j != nil {
+				t.Errorf("RunStore attached a campaign log: %+v", j)
+			}
+			for _, d := range []string{dir, root} {
+				if des, err := os.ReadDir(d); err != nil || len(des) > 0 {
+					t.Errorf("RunStore wrote files: %v (%v)", des, err)
+				}
+			}
+		})
+	}
+}
 
-	want, err := scenario.Run(covScenario(t, 100), scenario.Exec{})
+// TestOpenRefusesUncheckpointed: Open refuses a plan with no checkpoint
+// sections, and creates nothing under the store root.
+func TestOpenRefusesUncheckpointed(t *testing.T) {
+	root := t.TempDir()
+	st, err := cstore.Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := harness.NewMonitor(io.Discard, 0)
-	res, rec, err := RunStore(context.Background(), covScenario(t, 100), nil, Options{Mon: mon})
+	sc, err := scenario.Preset("prefetch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec != nil {
-		t.Errorf("RunStore without a store returned campaign record %+v", rec)
+	plan, err := NewPlan(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.String() != want.String() {
-		t.Errorf("RunStore without a store differs from a plain run:\n%s\nvs\n%s", res, want)
+	if len(plan.Sections) != 0 {
+		t.Fatalf("perf plan has %d section(s), want none", len(plan.Sections))
 	}
-	if j := mon.Status().Journal; j != nil {
-		t.Errorf("RunStore without a store attached a campaign log: %+v", j)
+	if c, err := Open(plan, st, Options{}); err == nil {
+		c.Close()
+		t.Fatal("Open accepted a plan with no sections")
 	}
-	if des, err := os.ReadDir(dir); err != nil || len(des) > 0 {
-		t.Errorf("RunStore without a store wrote files: %v (%v)", des, err)
+	if des, err := os.ReadDir(root); err != nil || len(des) > 0 {
+		t.Errorf("Open wrote under the store root: %v (%v)", des, err)
 	}
 }
 

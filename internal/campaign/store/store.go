@@ -1,20 +1,22 @@
 // Package store is the content-addressed campaign result store. Entries
 // live at <root>/<campaign fingerprint>/<seed>/t<trials>/ — one directory
 // per (budget-free scenario identity, seed, elastic trial budget) — and
-// hold the campaign's log and metadata (plus the result document of a perf
-// campaign). The entry metadata file is written atomically and last, so
-// its presence is the completeness marker: Lookup only ever surfaces entries whose
-// artifacts are fully sealed, which is what lets readers skip locking.
+// hold the campaign's log and metadata. Only a campaign that checkpoints
+// chunks (a coverage or reliability scenario) has an entry. The entry
+// metadata file is written atomically and last, so its presence is the
+// completeness marker: Lookup only ever surfaces entries whose artifacts
+// are fully sealed, which is what lets readers skip locking.
 //
 // Lookup is budget-aware. A completed entry at the exact requested budget
 // is a pure hit; a completed larger budget — or an estimator run that
 // stopped on its confidence target, whose result is a deterministic prefix
 // property and therefore the answer for every larger budget too — covers
-// the request with no new trials; and a smaller completed budget is the
-// best seed for a resume. Writers serialise per entry directory with an
-// O_EXCL claim file carrying the owner's pid; a claim whose pid is gone is
-// stale and taken over, a claim whose pid is alive makes the second opener
-// fail cleanly without touching the winner's artifacts.
+// the request with no new trials; and failing that, the largest smaller
+// completed budget is the best seed for a resume. Writers serialise per
+// entry directory with an O_EXCL claim file carrying the owner's pid; a
+// claim whose pid is gone is stale and taken over, a claim whose pid is
+// alive makes the second opener fail cleanly without touching the winner's
+// artifacts.
 package store
 
 import (
@@ -47,7 +49,6 @@ const StatusComplete = "complete"
 const (
 	MetaFile       = "entry.json"
 	CheckpointFile = "checkpoint.jsonl"
-	ResultFile     = "result.json"
 	claimFile      = ".claim"
 )
 
@@ -70,9 +71,6 @@ type Meta struct {
 	// target before the budget; such an entry satisfies every larger
 	// budget request (the stopping cutoff is a prefix property).
 	Stopped bool `json:"stopped,omitempty"`
-	// ResultDigest verifies checkpoint-free artifacts (perf result
-	// documents) on cache hits.
-	ResultDigest string `json:"result_digest,omitempty"`
 	// Sections are the entry's checkpoint sections at the budget it was
 	// computed with; seeding a different budget maps sections by index and
 	// copies each chunk whose span both budgets agree on.
@@ -174,31 +172,29 @@ func (s *Store) entriesFor(key string, seed uint64) ([]*Entry, error) {
 }
 
 // Lookup resolves a request for (key, seed) at a trial budget. exact is
-// the entry computed at precisely that budget, if any. cover is the
-// cheapest completed entry whose results contain the request — the
-// smallest budget ≥ the request, or any sequentially-stopped entry (its
-// answer is final for every larger budget). seed is the largest completed
-// smaller budget, whose sealed log can seed a resume. All
-// three may be nil; only complete entries are ever returned, so a
-// concurrent writer's half-built directory is invisible here.
-func (s *Store) Lookup(key string, seed uint64, trials int) (exact, cover, seedE *Entry, err error) {
+// the entry computed at precisely that budget, if any. src is the entry
+// whose sealed log seeds a run at the budget: the cheapest completed entry
+// whose results contain the request — the smallest larger budget, or a
+// sequentially-stopped entry (its answer is final for every larger budget)
+// — else the largest completed smaller budget. Either may be nil; only
+// complete entries are ever returned, so a concurrent writer's half-built
+// directory is invisible here.
+func (s *Store) Lookup(key string, seed uint64, trials int) (exact, src *Entry, err error) {
 	es, err := s.entriesFor(key, seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for _, e := range es { // ascending trials
 		switch {
 		case e.Meta.Trials == trials:
 			exact = e
-		case e.Meta.Trials > trials || e.Meta.Stopped:
-			if cover == nil {
-				cover = e
-			}
-		default:
-			seedE = e // keeps the largest smaller budget
+		case src == nil || src.Meta.Trials < trials && !src.Meta.Stopped:
+			// Until an entry covers the request, each replaces the last:
+			// the first to cover is the cheapest.
+			src = e
 		}
 	}
-	return exact, cover, seedE, nil
+	return exact, src, nil
 }
 
 // Entries lists every completed entry in the store, sorted by key, seed,

@@ -98,6 +98,10 @@ func TestMetaSectionsJSON(t *testing.T) {
 	}
 }
 
+// TestLookupBudgetAxes pins the one source policy: the exact entry is the
+// hit; otherwise the cheapest covering entry (the smallest larger budget,
+// or a sequentially-stopped one) beats any smaller entry, and failing one,
+// the largest smaller entry seeds.
 func TestLookupBudgetAxes(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -105,61 +109,45 @@ func TestLookupBudgetAxes(t *testing.T) {
 	}
 	putEntry(t, st, "k", 7, 100, false)
 	putEntry(t, st, "k", 7, 300, false)
-
-	// Exact budget.
-	exact, cover, seedE, err := st.Lookup("k", 7, 100)
-	if err != nil {
-		t.Fatal(err)
+	putEntry(t, st, "k", 7, 400, false)
+	trialsOf := func(e *Entry) int {
+		if e == nil {
+			return 0
+		}
+		return e.Meta.Trials
 	}
-	if exact == nil || exact.Meta.Trials != 100 {
-		t.Fatalf("exact = %+v, want trials 100", exact)
-	}
-
-	// Between the two: the larger entry covers, the smaller seeds.
-	exact, cover, seedE, err = st.Lookup("k", 7, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact != nil {
-		t.Errorf("exact = %+v, want nil", exact)
-	}
-	if cover == nil || cover.Meta.Trials != 300 {
-		t.Errorf("cover = %+v, want trials 300", cover)
-	}
-	if seedE == nil || seedE.Meta.Trials != 100 {
-		t.Errorf("seed = %+v, want trials 100", seedE)
+	check := func(key string, seed uint64, trials, wantExact, wantSrc int) {
+		t.Helper()
+		exact, src, err := st.Lookup(key, seed, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trialsOf(exact) != wantExact || trialsOf(src) != wantSrc {
+			t.Errorf("Lookup(%s, %d, %d): exact t%d, src t%d; want t%d, t%d (0 = none)",
+				key, seed, trials, trialsOf(exact), trialsOf(src), wantExact, wantSrc)
+		}
 	}
 
-	// Above both: nothing covers, the largest completed budget seeds.
-	exact, cover, seedE, err = st.Lookup("k", 7, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact != nil || cover != nil {
-		t.Errorf("exact/cover = %+v/%+v, want nil/nil", exact, cover)
-	}
-	if seedE == nil || seedE.Meta.Trials != 300 {
-		t.Errorf("seed = %+v, want trials 300", seedE)
-	}
+	// Exact budget: the hit, and the smallest larger entry as the source.
+	check("k", 7, 100, 100, 300)
+	// Between budgets: the smallest covering entry beats the smaller one.
+	check("k", 7, 200, 0, 300)
+	check("k", 7, 350, 0, 400)
+	// Above every budget: nothing covers, so the largest smaller entry.
+	check("k", 7, 500, 0, 400)
+	// Below every budget: the smallest entry covers.
+	check("k", 7, 50, 0, 100)
 
-	// A sequentially-stopped entry covers every larger budget.
+	// A sequentially-stopped entry covers every larger budget, so it beats
+	// a larger smaller entry that does not.
 	putEntry(t, st, "s", 7, 100, true)
-	_, cover, _, err = st.Lookup("s", 7, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cover == nil || cover.Meta.Trials != 100 {
-		t.Errorf("stopped entry: cover = %+v, want trials 100", cover)
-	}
+	putEntry(t, st, "s", 7, 120, false)
+	check("s", 7, 1_000_000, 0, 100)
+	check("s", 7, 120, 120, 100)
 
 	// Other seeds and keys are invisible.
-	exact, cover, seedE, err = st.Lookup("k", 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact != nil || cover != nil || seedE != nil {
-		t.Errorf("seed 8: got %+v/%+v/%+v, want all nil", exact, cover, seedE)
-	}
+	check("k", 8, 100, 0, 0)
+	check("x", 7, 100, 0, 0)
 }
 
 // TestLookupIgnoresIncomplete: a directory without its metadata file — a
@@ -176,12 +164,12 @@ func TestLookupIgnoresIncomplete(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, CheckpointFile), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	exact, cover, seedE, err := st.Lookup("k", 7, 100)
+	exact, src, err := st.Lookup("k", 7, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact != nil || cover != nil || seedE != nil {
-		t.Errorf("incomplete entry leaked into lookup: %+v/%+v/%+v", exact, cover, seedE)
+	if exact != nil || src != nil {
+		t.Errorf("incomplete entry leaked into lookup: %+v/%+v", exact, src)
 	}
 	es, err := st.Entries()
 	if err != nil {

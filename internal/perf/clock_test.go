@@ -85,7 +85,7 @@ func checkClocksAgree(t *testing.T, cfg perf.SystemConfig, threads []trace.Threa
 	if !reflect.DeepEqual(ev.Machine, ref.Machine) {
 		t.Fatal("final machine state differs between the event clock and the cycle loop")
 	}
-	res, err := perf.Run(cfg, threads)
+	res, err := new(perf.Machine).Run(cfg, threads)
 	if err != nil {
 		t.Fatal(err)
 	}

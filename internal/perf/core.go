@@ -16,7 +16,7 @@ import (
 // capacity shows up as lost IPC.
 type Core struct {
 	ID  int
-	gen trace.Generator
+	gen *trace.Thread
 	l1  *timingCache
 	l2  *timingCache
 
@@ -76,7 +76,7 @@ const (
 // next-line stream prefetcher into the LLC: after two sequential demand
 // misses, the next prefetchDegree lines are fetched ahead (0 disables it,
 // as in Table 3, which lists no prefetcher).
-func NewCore(id, prefetchDegree int, gen trace.Generator) (*Core, error) {
+func NewCore(id, prefetchDegree int, gen *trace.Thread) (*Core, error) {
 	l1, err := newTimingCache(l1Sets, l1Ways)
 	if err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func NewCore(id, prefetchDegree int, gen trace.Generator) (*Core, error) {
 // reset makes c core id over gen, in the state NewCore builds it in: empty
 // private caches (reset in place), no request outstanding, no stream
 // detected and every counter zero.
-func (c *Core) reset(id, prefetchDegree int, gen trace.Generator) {
+func (c *Core) reset(id, prefetchDegree int, gen *trace.Thread) {
 	c.l1.c.Reset()
 	c.l2.c.Reset()
 	*c = Core{ID: id, gen: gen, l1: c.l1, l2: c.l2, prefetchDegree: prefetchDegree}

@@ -18,7 +18,7 @@ func TestChannelRowHitStreams(t *testing.T) {
 	}
 	cfg := DefaultSystemConfig()
 	cfg.TargetInstructions = 200_000
-	res, err := Run(cfg, w.Threads)
+	res, err := new(Machine).Run(cfg, w.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}

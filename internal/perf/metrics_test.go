@@ -39,7 +39,7 @@ func TestRunMetricsConsistentWithResult(t *testing.T) {
 	cfg.TargetInstructions = 100_000
 
 	before := obs.Default().Snapshot()
-	res, err := Run(cfg, w.Threads)
+	res, err := new(Machine).Run(cfg, w.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,13 @@ func TestPrefetcherHelpsStreams(t *testing.T) {
 	base := DefaultSystemConfig()
 	base.TargetInstructions = 300_000
 
-	off, err := Run(base, w.Threads)
+	off, err := new(Machine).Run(base, w.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pf := base
 	pf.PrefetchDegree = 4
-	on, err := Run(pf, w.Threads)
+	on, err := new(Machine).Run(pf, w.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,13 @@ func TestPrefetcherHarmlessOnPointerChase(t *testing.T) {
 	}
 	base := DefaultSystemConfig()
 	base.TargetInstructions = 200_000
-	off, err := Run(base, w.Threads)
+	off, err := new(Machine).Run(base, w.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pf := base
 	pf.PrefetchDegree = 4
-	on, err := Run(pf, w.Threads)
+	on, err := new(Machine).Run(pf, w.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,12 +118,6 @@ type Machine struct {
 	cores []*Core // every core built so far; a run uses the first one per thread
 }
 
-// Run simulates the given threads (one per core) to completion on a new
-// machine.
-func Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
-	return new(Machine).Run(cfg, threads)
-}
-
 // Run simulates the given threads (one per core) to completion on m.
 func (m *Machine) Run(cfg SystemConfig, threads []trace.ThreadParams) (*Result, error) {
 	t0 := time.Now()

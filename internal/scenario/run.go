@@ -48,9 +48,6 @@ type Result struct {
 	Perf        []PerfUnit
 }
 
-// Run executes the scenario with background context.
-func Run(sc *Scenario, ex Exec) (*Result, error) { return RunCtx(context.Background(), sc, ex) }
-
 // RunCtx lowers (which validates) and executes the scenario on the shared
 // simulation engines. Coverage studies and reliability cells run in spec
 // order on the checkpointing Monte Carlo engine; the perf section runs

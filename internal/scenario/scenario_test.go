@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -522,11 +523,11 @@ func TestPPRBudgetsKeepTheirOwnResults(t *testing.T) {
 	if secs[0].Name == secs[1].Name {
 		t.Fatalf("both PPR budgets lower to section %s", secs[0].Name)
 	}
-	want, err := Run(sc(), Exec{})
+	want, err := RunCtx(context.Background(), sc(), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(sc(), Exec{Store: harness.NewStore(nil)})
+	got, err := RunCtx(context.Background(), sc(), Exec{Store: harness.NewStore(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

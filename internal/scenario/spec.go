@@ -1,12 +1,13 @@
 // Package scenario turns every experiment into data: a typed, versioned
 // Scenario spec names a geometry, a fault model, repair planners with
 // budgets, an ECC/replacement policy, a workload mix, and a trial budget,
-// and one generic runner lowers any spec onto the existing simulation entry
-// points (relsim.RunCtx, relsim.CoverageStudyCtx, perf.WeightedSpeedup)
-// with the same checkpoints, metrics, and manifests as the hand-written
-// experiments. The paper's figures are preset scenarios in the registry
-// (see registry.go); anything else — a Hopper-rates PPR-budget sweep, a
-// coverage study on HBM at 10x FIT — is a JSON file away.
+// and one generic runner lowers any spec onto the simulation entry points
+// (relsim.RunCtx and relsim.CoverageStudyCtx; for perf, runPerf runs each
+// simulation as one engine chunk on its worker's perf.Machine) with the
+// same checkpoints, metrics, and manifests as the hand-written experiments.
+// The paper's figures are preset scenarios in the registry (see
+// registry.go); anything else — a Hopper-rates PPR-budget sweep, a coverage
+// study on HBM at 10x FIT — is a JSON file away.
 //
 // Lowering is exact: a preset scenario produces bit-for-bit the same
 // relsim/perf configurations as the legacy experiment code it replaced, so

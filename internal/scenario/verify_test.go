@@ -55,7 +55,7 @@ func appendRun(t *testing.T, path string, sc *Scenario, status string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(sc, Exec{Store: store}); err != nil {
+	if _, err := RunCtx(context.Background(), sc, Exec{Store: store}); err != nil {
 		t.Fatal(err)
 	}
 	jw := store.Journal()

@@ -29,16 +29,6 @@ type Op struct {
 	Critical bool
 }
 
-// Generator produces an infinite deterministic stream of operations.
-type Generator interface {
-	// Name identifies the workload/thread.
-	Name() string
-	// Next returns the next operation.
-	Next() Op
-	// Reset rewinds the stream to the beginning.
-	Reset()
-}
-
 // Pattern selects the address-generation behaviour of a synthetic thread.
 type Pattern int
 
@@ -88,7 +78,8 @@ type ThreadParams struct {
 	Seed    uint64
 }
 
-// Thread is the standard Generator implementation.
+// Thread generates one synthetic thread's infinite, deterministic stream
+// of operations.
 type Thread struct {
 	p ThreadParams
 	// logKeep is log(1-MemRatio), the denominator of the burst draw.
@@ -118,10 +109,7 @@ func NewThread(p ThreadParams) *Thread {
 	return t
 }
 
-// Name implements Generator.
-func (t *Thread) Name() string { return t.p.Name }
-
-// Reset implements Generator.
+// Reset rewinds the stream to the beginning.
 func (t *Thread) Reset() {
 	t.rng = stats.NewRNG(t.p.Seed ^ 0xABCD1234)
 	// Start every walk at a seed-dependent phase: SPMD threads sharing a
@@ -137,7 +125,7 @@ func (t *Thread) Reset() {
 // lines returns the working set size in cachelines.
 func (t *Thread) lines() uint64 { return t.p.WorkingSet / 64 }
 
-// Next implements Generator.
+// Next returns the next operation.
 func (t *Thread) Next() Op {
 	p := &t.p
 	// Draw the compute burst: with every instruction independently a
