@@ -348,9 +348,10 @@ func TestSIGTERMSealsInterrupted(t *testing.T) {
 
 // TestTimeoutSealsInterrupted checks the -timeout path: a deadline that
 // passes before the first chunk fails the point (exit 1, the deadline
-// named), seals its entry log "interrupted" and writes no entry metadata;
-// rerunning without -timeout resumes that entry and prints exactly what a
-// run without -store prints.
+// named), seals its entry log "interrupted", says so with how to resume it,
+// and writes no entry metadata; rerunning without -timeout continues that
+// entry, which holds no chunk and so is computed, and prints exactly what
+// a run without -store prints.
 func TestTimeoutSealsInterrupted(t *testing.T) {
 	dir := t.TempDir()
 	scPath := writeScenario(t, dir, smokeScenario)
@@ -362,6 +363,9 @@ func TestTimeoutSealsInterrupted(t *testing.T) {
 	_, stderr, code := runBin(t, append(campaignArgs(scPath, dir), "-timeout", "1ns")...)
 	if code != 1 || !strings.Contains(stderr, "context deadline exceeded") {
 		t.Fatalf("-timeout 1ns run: exit %d, want 1 naming the deadline\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "sealed interrupted (rerun the same command to resume)") {
+		t.Fatalf("-timeout 1ns run does not say its log was sealed interrupted and how to resume it\n%s", stderr)
 	}
 	jPath := entryLog(t, dir)
 	if rec := lastRecord(t, jPath); rec.Type != journal.TypeSeal || rec.Status != journal.StatusInterrupted {
@@ -384,8 +388,10 @@ func TestTimeoutSealsInterrupted(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Campaigns) != 1 || m.Campaigns[0].Source != harness.CampaignResumed {
-		t.Fatalf("rerun campaigns %+v, want one resumed", m.Campaigns)
+	// The timed-out run logged no chunk, so the rerun resumes nothing and
+	// computes the entry like a fresh one.
+	if len(m.Campaigns) != 1 || m.Campaigns[0].Source != harness.CampaignComputed {
+		t.Fatalf("rerun campaigns %+v, want one computed", m.Campaigns)
 	}
 	if out != refOut {
 		t.Fatalf("rerun stdout differs from the unpersisted run:\n--- rerun ---\n%s--- unpersisted ---\n%s", out, refOut)

@@ -447,6 +447,11 @@ func runPoints(o *options, args []string, sweep bool) int {
 				interrupted = true
 			} else if err != nil {
 				fmt.Fprintf(os.Stderr, "relaxfault: %s: %v\n", p.name, err)
+				if n := len(r.campaigns); errors.Is(err, context.DeadlineExceeded) && n > camp0 &&
+					r.campaigns[n-1].Source != harness.CampaignCacheHit {
+					fmt.Fprintf(os.Stderr, "relaxfault: %s: its campaign log in %s was sealed interrupted (rerun the same command to resume)\n",
+						p.name, o.store)
+				}
 				failures = append(failures, fmt.Sprintf("%s: %v", p.name, err))
 				mon.Event("experiment_failed", map[string]any{
 					"experiment": p.name, "err": err.Error(),

@@ -174,12 +174,11 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 	// claim was stale): it resumes. The store owns its entry logs, so one
 	// that cannot resume — empty, of a retired format, sealed complete, or
 	// failing its digest checks — is removed and recomputed.
-	resume := fileExists(logPath)
+	existed := fileExists(logPath)
 	err = c.openLog(logPath)
-	if err != nil && resume {
+	if err != nil && existed {
 		fmt.Fprintf(os.Stderr, "relaxfault: campaign %s/%d/t%d: entry log unusable (%v); recomputing\n",
 			plan.Key, plan.Seed, plan.Trials, err)
-		resume = false
 		if err = os.Remove(logPath); err == nil {
 			err = c.openLog(logPath)
 		}
@@ -188,8 +187,10 @@ func Open(plan *Plan, st *cstore.Store, opts Options) (*Campaign, error) {
 		c.Close()
 		return nil, err
 	}
+	// A log that holds no chunk resumes nothing: its run starts like a
+	// fresh entry's, seeded from src when there is one.
 	switch {
-	case resume:
+	case c.rec.VerifiedChunks > 0:
 		c.rec.Source = harness.CampaignResumed
 	case src != nil:
 		seedStart := opts.Trace.Now()

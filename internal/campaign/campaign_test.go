@@ -625,3 +625,87 @@ func TestStuckEntryLogRecomputes(t *testing.T) {
 		})
 	}
 }
+
+// TestChunklessLogStartsFresh: a run stopped before its first chunk leaves
+// an entry log with an open record, an interrupted seal and no chunk. That
+// log resumes nothing, so its rerun starts like a fresh entry: a cold step
+// is computed, and an extend step is seeded from the smaller entry the
+// store has come to hold, with the result a straight run gives.
+func TestChunklessLogStartsFresh(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	stop := func(t *testing.T, sc *scenario.Scenario, st *cstore.Store) {
+		t.Helper()
+		_, rec, err := RunStore(canceled, sc, st, Options{Mon: harness.NewMonitor(io.Discard, 0)})
+		if !errors.Is(err, context.Canceled) || rec == nil {
+			t.Fatalf("canceled run: record %+v, error %v; want a record and context.Canceled", rec, err)
+		}
+		j, err := journal.Load(filepath.Join(rec.StoreRoot, rec.Entry, cstore.CheckpointFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(j.Chunks) != 0 || j.Seal == nil || j.Seal.Status != journal.StatusInterrupted {
+			t.Fatalf("canceled run's log: %d chunk(s), seal %+v; want none and an interrupted seal", len(j.Chunks), j.Seal)
+		}
+	}
+	rerun := func(t *testing.T, sc *scenario.Scenario, st *cstore.Store) *harness.CampaignRecord {
+		t.Helper()
+		plain, err := scenario.RunCtx(context.Background(), sc, scenario.Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, rec, err := RunStore(context.Background(), sc, st, Options{Mon: harness.NewMonitor(io.Discard, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := json.Marshal(res); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("rerun differs from a straight run (%v):\n%s\nvs\n%s", err, got, want)
+		}
+		return rec
+	}
+
+	t.Run("cold", func(t *testing.T) {
+		st, err := cstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop(t, relScenario(t, 2, 0), st)
+		rec := rerun(t, relScenario(t, 2, 0), st)
+		if rec.Source != harness.CampaignComputed || rec.VerifiedChunks != 0 || rec.ReusedChunks != 0 {
+			t.Errorf("rerun source %q, %d verified and %d reused chunk(s); want computed, 0 and 0",
+				rec.Source, rec.VerifiedChunks, rec.ReusedChunks)
+		}
+	})
+
+	t.Run("extend", func(t *testing.T) {
+		st, err := cstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 8192 nodes a replica: the cold step's 8 replicas fill 16 whole
+		// chunks, and the extend step's 12 replicas begin with the same 16.
+		sc := func(replicas int) *scenario.Scenario {
+			sc := relScenario(t, replicas, 0)
+			sc.Budget.Nodes = 8192
+			return sc
+		}
+		stop(t, sc(12), st)
+		_, cold, _ := runKeyed(t, sc(8), st)
+		j, err := journal.Load(filepath.Join(cold.StoreRoot, cold.Entry, cstore.CheckpointFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(j.Chunks) != 16 {
+			t.Fatalf("cold entry holds %d chunk(s), want 16", len(j.Chunks))
+		}
+		rec := rerun(t, sc(12), st)
+		if rec.Source != harness.CampaignResumed || rec.ReusedChunks != 16 {
+			t.Errorf("rerun source %q with %d reused chunk(s); want resumed, seeded with the cold entry's 16",
+				rec.Source, rec.ReusedChunks)
+		}
+	})
+}

@@ -124,6 +124,8 @@ type Model struct {
 	// weight is the per-device rate multiplier: mean 1, variance
 	// VarianceFrac.
 	weight stats.Lognormal
+	// marginFrac is the device pick's margin M over W̃ (see pickCertified).
+	marginFrac float64
 }
 
 // NewModel validates the configuration and precomputes sampling tables.
@@ -138,6 +140,9 @@ func NewModel(cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("fault: acceleration fractions must sum below 1")
 	}
 	m := &Model{cfg: cfg, devPerDMM: cfg.Geometry.DevicesPerDIMM(), weight: stats.NewLognormal(1, cfg.VarianceFrac)}
+	const eps = 0x1p-53
+	devs := float64(cfg.Geometry.DIMMs() * m.devPerDMM)
+	m.marginFrac = 3 * (stats.LognormalApproxErr + 2*eps + (2*devs+2)*eps)
 	pn, pd, a := cfg.AccelNodeFrac, cfg.AccelDIMMFrac, cfg.AccelFactor
 	if a <= 0 {
 		a = 1
@@ -222,7 +227,14 @@ func (nf *NodeFaults) PermanentFaultsInto(buf []*Fault) []*Fault {
 // fault histories across trials must copy them (or pass a fresh scratch).
 type SampleScratch struct {
 	dimmMult []float64
-	weights  []float64
+	// us and ss hold each device's polar pair, the draw its weight is a
+	// function of. While certified, weights holds the partial sums of the
+	// approximate weights and total their sum W̃; otherwise weights holds
+	// the exact weights and total their sum W.
+	us, ss    []float64
+	weights   []float64
+	total     float64
+	certified bool
 	// arena holds the reusable Fault objects; entry i serves the i-th fault
 	// of the current node. Objects are allocated once and reused along with
 	// their extent backings, so steady-state sampling allocates nothing.
@@ -358,27 +370,21 @@ func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64, str
 	// faults. The weight is shared across a device's fault processes; the
 	// paper draws one rate per process per device, which at fleet scale is
 	// statistically indistinguishable for the metrics reported (the
-	// weights matter through same-device and same-DIMM clustering).
-	sc.weights = grow(sc.weights, nDIMMs*m.devPerDMM)
-	weights := sc.weights
-	var totalW float64
-	for i := range weights {
-		w := m.weight.Draw(rng) * dimmMult[i/m.devPerDMM]
-		weights[i] = w
-		totalW += w
+	// weights matter through same-device and same-DIMM clustering). Every
+	// device draws its polar pair; the weights are evaluated approximately,
+	// and exactly only once a pick cannot be proven from the approximation.
+	devs := nDIMMs * m.devPerDMM
+	sc.us, sc.ss, sc.weights = grow(sc.us, devs), grow(sc.ss, devs), grow(sc.weights, devs)
+	if !m.weight.Fixed() {
+		for i := range sc.us {
+			sc.us[i], sc.ss[i] = rng.PolarPair()
+		}
 	}
+	m.weigh(sc)
 
 	faults := sc.ptrs[:0]
 	for i := 0; i < n; i++ {
-		// Pick the device by weight.
-		target := rng.Float64() * totalW
-		devIdx := 0
-		for acc := 0.0; devIdx < len(weights)-1; devIdx++ {
-			acc += weights[devIdx]
-			if target < acc {
-				break
-			}
-		}
+		devIdx := m.pick(sc, rng.Float64())
 		dimm := devIdx / m.devPerDMM
 		dev := dram.DeviceCoord{
 			Channel: dimm / g.DIMMsPerChan,
@@ -410,6 +416,104 @@ func (m *Model) sampleNode(rng *stats.RNG, sc *SampleScratch, boost float64, str
 	}
 	nf.Faults = faults
 	return nf, weight
+}
+
+// weigh evaluates the node's device weights from its pairs: the partial
+// sums of the approximate weights, from which picks may be certified, or
+// the exact weights when the lognormal is Fixed or outside
+// stats.Lognormal.Approx's range, or when W̃ lies outside [2⁻⁹⁰⁰, 2⁹⁰⁰]
+// (see pickCertified).
+func (m *Model) weigh(sc *SampleScratch) {
+	w := sc.weights
+	sc.certified = m.weight.Approx(w, sc.us, sc.ss)
+	if sc.certified {
+		var acc float64
+		for d, mult := range sc.dimmMult {
+			for i := d * m.devPerDMM; i < (d+1)*m.devPerDMM; i++ {
+				acc += w[i] * mult
+				w[i] = acc
+			}
+		}
+		sc.total, sc.certified = acc, acc >= 0x1p-900 && acc <= 0x1p900
+	}
+	if !sc.certified {
+		sc.total = m.exactWeights(sc)
+	}
+}
+
+// pick returns the device of a fault whose pick uniform is u: the device
+// pickCertified proves from the approximate weights, else the exact
+// scan's, evaluating the exact weights first if the node has none yet.
+func (m *Model) pick(sc *SampleScratch, u float64) int {
+	if sc.certified {
+		if k, ok := pickCertified(sc.weights, u*sc.total, m.marginFrac*sc.total); ok {
+			return k
+		}
+		sc.total, sc.certified = m.exactWeights(sc), false
+	}
+	return pickExact(sc.weights, u*sc.total)
+}
+
+// exactWeights sets sc.weights to the exact device weights, each its
+// lognormal variate times its DIMM's multiplier, and returns their float
+// sum W in index order.
+func (m *Model) exactWeights(sc *SampleScratch) float64 {
+	w := sc.weights
+	var total float64
+	for d, mult := range sc.dimmMult {
+		for i := d * m.devPerDMM; i < (d+1)*m.devPerDMM; i++ {
+			w[i] = m.weight.Exact(sc.us[i], sc.ss[i]) * mult
+			total += w[i]
+		}
+	}
+	return total
+}
+
+// pickExact is the exact scan: the first device k whose partial weight sum
+// A_k exceeds target, else the last device.
+func pickExact(weights []float64, target float64) int {
+	k := 0
+	for acc := 0.0; k < len(weights)-1; k++ {
+		acc += weights[k]
+		if target < acc {
+			break
+		}
+	}
+	return k
+}
+
+// pickCertified picks the device for the target t̃ = U·W̃ from the
+// approximate partial sums cum, and reports whether the pick is proven to
+// be pickExact's on the exact weights for t = U·W. When it is not, the
+// caller recomputes the exact weights and scans them.
+//
+// Why a certified pick is exact. w_i and w̃_i are the exact and approximate
+// weights, |w̃_i − w_i| ≤ δ·w_i with δ = stats.LognormalApproxErr + 2ε (the
+// DIMM multiplier rounds each once more); A_k and Ã_k are the float
+// partial sums in index order, W and W̃ the totals; t = fl(U·W),
+// t̃ = fl(U·W̃); ε = 2⁻⁵³ and n is the number of devices. A float sum of k
+// non-negative terms errs by at most kε of the sum, so |Ã_k − A_k| and
+// |t̃ − t| are both at most E = (δ + (2n+2)ε)·W. The exact scan picks the
+// first k with t < A_k, else the last device, and partial sums of
+// non-negative weights never decrease. So k is its pick when t < A_k (for
+// k < n−1) and A_{k−1} ≤ t (for k > 0), which follow from
+//
+//	t̃ + M < Ã_k  and  Ã_{k−1} + M ≤ t̃,  M = 3·(δ + (2n+2)ε)·W̃,
+//
+// because M ≥ 2E: t ≤ t̃ + E < Ã_k − M + E ≤ A_k − (M − 2E), and
+// A_{k−1} ≤ Ã_{k−1} + E ≤ t̃ − M + E ≤ t − (M − 2E). The factor 3 where 2
+// would do absorbs W̃ < W and the roundings of M, t̃ + M and Ã_{k−1} + M.
+// Weights that underflow add at most 2n·2⁻¹⁰⁷⁴ to the errors, far below M
+// while W̃ ≥ 2⁻⁹⁰⁰, and no sum overflows while W̃ ≤ 2⁹⁰⁰: weigh certifies
+// nothing outside that range. A zero weight is exact, so the
+// pick never lands on one but the last.
+func pickCertified(cum []float64, target, margin float64) (int, bool) {
+	last := len(cum) - 1
+	k := 0
+	for k < last && cum[k] <= target {
+		k++
+	}
+	return k, (k == last || target+margin < cum[k]) && (k == 0 || cum[k-1]+margin <= target)
 }
 
 // NumStrata returns the number of (mode, persistence) fault classes the

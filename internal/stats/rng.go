@@ -160,17 +160,25 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (r *RNG) NormFloat64() float64 {
+// PolarPair draws the pair of Marsaglia's polar method: a point (u, v)
+// uniform in the unit disc, returned as u and its squared radius
+// s = u² + v². polarNormal(u, s) is a standard normal variate. u and v are
+// multiples of 2⁻⁵², so s ≥ 2⁻¹⁰⁴ and u² ≤ s: |polarNormal(u, s)| is at
+// most √(208·ln 2) < 12.01.
+func (r *RNG) PolarPair() (u, s float64) {
 	for {
-		u := 2*r.Float64() - 1
+		u = 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s = u*u + v*v
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return u, s
 		}
 	}
+}
+
+// polarNormal is the standard normal variate of the polar pair (u, s).
+func polarNormal(u, s float64) float64 {
+	return u * math.Sqrt(-2*math.Log(s)/s)
 }
 
 // Poisson returns a Poisson variate with the given mean. For small means it
@@ -227,12 +235,19 @@ func (r *RNG) poissonPTRS(mean float64) int {
 // device-variation model, which draws each device's FIT rate from a
 // lognormal with mean equal to the published rate and variance equal to a
 // fraction of that mean.
+//
+// A variate is a function of one polar pair (RNG.PolarPair): Exact
+// evaluates it one pair at a time, and Approx a slice of pairs to within
+// LognormalApproxErr.
 type Lognormal struct {
 	mu, sigma float64
-	// fixed marks a degenerate distribution: every draw is value and
-	// takes no variate from the RNG.
+	// fixed marks a degenerate distribution: every variate is value, and
+	// it needs no pair.
 	fixed bool
 	value float64
+	// approx marks a distribution whose every variate lies where Approx
+	// keeps its error bound.
+	approx bool
 }
 
 // NewLognormal resolves the lognormal of the given mean and variance. A
@@ -247,14 +262,99 @@ func NewLognormal(mean, variance float64) Lognormal {
 	// If X ~ LogN(mu, sigma^2): E[X] = exp(mu + sigma^2/2),
 	// Var[X] = (exp(sigma^2)-1) exp(2mu + sigma^2).
 	sigma2 := math.Log(1 + variance/(mean*mean))
-	return Lognormal{mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+	d := Lognormal{mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+	d.approx = d.sigma <= approxMaxSigma && math.Abs(d.mu)+d.sigma*approxMaxNormal <= approxMaxExp
+	return d
 }
 
-// Draw returns a variate of d: exp(mu + sigma·N) for one standard normal
-// draw N from r.
-func (d Lognormal) Draw(r *RNG) float64 {
+// Fixed reports whether d is degenerate: a constant, which Exact returns
+// for any pair, so it needs none.
+func (d Lognormal) Fixed() bool { return d.fixed }
+
+// Exact returns the variate of d for the polar pair (u, s):
+// exp(mu + sigma·N), N the pair's standard normal; for a Fixed d, its
+// value.
+func (d Lognormal) Exact(u, s float64) float64 {
 	if d.fixed {
 		return d.value
 	}
-	return math.Exp(d.mu + d.sigma*r.NormFloat64())
+	return math.Exp(d.mu + d.sigma*polarNormal(u, s))
 }
+
+// LognormalApproxErr bounds the relative error of Approx: for every pair
+// RNG.PolarPair returns, |Approx − Exact| ≤ LognormalApproxErr·Exact.
+// TestLognormalApproxBound requires the largest error it measures to stay
+// within a tenth of it (about 5e-11 at the paper's variance, 2e-10 at
+// approxMaxSigma).
+const LognormalApproxErr = 1e-7
+
+const (
+	// approxMaxSigma bounds the sigma Approx accepts: the error of the log
+	// reaches the variate multiplied by up to sigma·approxMaxNormal/2.
+	approxMaxSigma = 8
+	// approxMaxNormal bounds |N| over every pair RNG.PolarPair returns.
+	approxMaxNormal = 12.01
+	// approxMaxExp bounds the exponent, so every variate is a normal
+	// float64 and Approx's addition to the exponent field cannot overflow.
+	approxMaxExp = 700
+)
+
+// Approx sets dst[i] to the variate of d for the polar pair (us[i], ss[i])
+// within relative error LognormalApproxErr of Exact, for pairs that
+// RNG.PolarPair returned. It reports false, and leaves dst unspecified,
+// when d is Fixed or its variates leave the range where the bound is kept
+// (a sigma above 8, or an exponent beyond ±700).
+//
+// The log is ln s = k·ln 2 + 2·atanh(t), with s = m·2^k, m in [√2/2, √2)
+// and t = (m−1)/(m+1), so |t| ≤ 0.1716; the series stops at t¹¹, a
+// relative error below 6e-11. The exp is 2^(n/16)·e^r with
+// n = round(x·16/ln 2), |r| ≤ ln 2/32, 2^(j/16) from a table and e^r to
+// r⁴, a relative error below 5e-11. No branch depends on the data, and
+// the exp is a second pass: one pass over both is one long dependency
+// chain per pair, which keeps fewer pairs in flight.
+func (d Lognormal) Approx(dst, us, ss []float64) bool {
+	if !d.approx {
+		return false
+	}
+	us, ss = us[:len(dst)], ss[:len(dst)]
+	for i := range dst {
+		s := ss[i]
+		// s = m·2^k: subtracting the bits of √2/2 borrows from the
+		// exponent exactly when m would fall below √2/2.
+		b := math.Float64bits(s)
+		k := int64(b-sqrtHalfBits) >> 52
+		m := math.Float64frombits(b - uint64(k)<<52)
+		t := (m - 1) / (m + 1)
+		t2 := t * t
+		t4 := t2 * t2
+		atanh2 := t * ((2 + t2*(2.0/3)) + t4*((2.0/5+t2*(2.0/7))+t4*(2.0/9+t2*(2.0/11))))
+		ln := float64(k)*math.Ln2 + atanh2
+		dst[i] = d.mu + d.sigma*(us[i]*math.Sqrt(-2*ln/s))
+	}
+	for i, x := range dst {
+		// x = n·ln 2/16 + r: adding 1.5·2⁵² rounds x·16/ln 2 to the
+		// integer n, which the low bits then hold.
+		kd := x*(16/math.Ln2) + expShift
+		n := int64(math.Float64bits(kd) - expShiftBits)
+		kd -= expShift
+		r := x - kd*(math.Ln2/16)
+		r2 := r * r
+		er := (1 + r) + r2*((1.0/2+r*(1.0/6))+r2*(1.0/24))
+		dst[i] = math.Float64frombits(exp2Sixteenths[n&15]+uint64(n>>4)<<52) * er
+	}
+	return true
+}
+
+const (
+	sqrtHalfBits = 0x3fe6a09e667f3bcd // √2/2
+	expShift     = 0x1.8p52
+	expShiftBits = 0x4338000000000000 // the bits of expShift
+)
+
+// exp2Sixteenths[j] holds the bits of 2^(j/16).
+var exp2Sixteenths = func() (tab [16]uint64) {
+	for j := range tab {
+		tab[j] = math.Float64bits(math.Exp2(float64(j) / 16))
+	}
+	return tab
+}()

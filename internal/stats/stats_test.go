@@ -105,7 +105,7 @@ func TestNormalMoments(t *testing.T) {
 	rng := NewRNG(4)
 	var mv MeanVar
 	for i := 0; i < 200000; i++ {
-		mv.Add(rng.NormFloat64())
+		mv.Add(polarNormal(rng.PolarPair()))
 	}
 	if math.Abs(mv.Mean) > 0.02 {
 		t.Errorf("normal mean %f", mv.Mean)
@@ -140,7 +140,7 @@ func TestLognormalMoments(t *testing.T) {
 	d := NewLognormal(mean, variance)
 	var mv MeanVar
 	for i := 0; i < 300000; i++ {
-		v := d.Draw(rng)
+		v := d.Exact(rng.PolarPair())
 		if v <= 0 {
 			t.Fatal("lognormal produced non-positive value")
 		}
@@ -152,16 +152,131 @@ func TestLognormalMoments(t *testing.T) {
 	if math.Abs(mv.Variance()-variance) > variance*0.1 {
 		t.Errorf("lognormal variance %f, want %f", mv.Variance(), variance)
 	}
-	// Degenerate parameters give constants and take no draw.
-	before := *rng
-	if v := NewLognormal(0, 1).Draw(rng); v != 0 {
-		t.Errorf("Lognormal(0, v) drew %v, want 0", v)
+	// Degenerate parameters give constants, need no pair and take no
+	// approximation.
+	for _, c := range []struct{ mean, variance, want float64 }{{0, 1, 0}, {5, 0, 5}} {
+		d := NewLognormal(c.mean, c.variance)
+		if !d.Fixed() {
+			t.Errorf("Lognormal(%v, %v) is not Fixed", c.mean, c.variance)
+		}
+		if v := d.Exact(0.5, 0.5); v != c.want {
+			t.Errorf("Lognormal(%v, %v).Exact = %v, want %v", c.mean, c.variance, v, c.want)
+		}
+		if d.Approx(make([]float64, 1), []float64{0.5}, []float64{0.5}) {
+			t.Errorf("Lognormal(%v, %v).Approx reported true", c.mean, c.variance)
+		}
 	}
-	if v := NewLognormal(5, 0).Draw(rng); v != 5 {
-		t.Errorf("Lognormal(m, 0) drew %v, want m", v)
+}
+
+// refDraw is the lognormal draw the pair form replaced: the polar loop of
+// the former RNG.NormFloat64 and the former Lognormal.Draw's exp.
+func refDraw(d Lognormal, r *RNG) float64 {
+	if d.fixed {
+		return d.value
 	}
-	if *rng != before {
-		t.Error("a degenerate lognormal advanced the RNG")
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return math.Exp(d.mu + d.sigma*(u*math.Sqrt(-2*math.Log(s)/s)))
+		}
+	}
+}
+
+// TestExactMatchesDraw: a polar pair evaluated by Exact is the former
+// one-call draw, bit for bit and with the same RNG stream. The fault
+// model's device weights, and so every golden, rest on it.
+func TestExactMatchesDraw(t *testing.T) {
+	for _, d := range []Lognormal{NewLognormal(1, 0.25), NewLognormal(13, 13.0/4), NewLognormal(1, 0)} {
+		a, b := NewRNG(11), NewRNG(11)
+		for i := 0; i < 200_000; i++ {
+			got := d.Exact(0, 0)
+			if !d.Fixed() {
+				got = d.Exact(a.PolarPair())
+			}
+			if want := refDraw(d, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v draw %d: Exact %v, former draw %v", d, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("%+v: RNG streams diverged", d)
+		}
+	}
+}
+
+// approxSigmaMax is the lognormal whose sigma is approxMaxSigma, the
+// widest Approx accepts.
+func approxSigmaMax(t *testing.T) Lognormal {
+	d := NewLognormal(1, math.Expm1(approxMaxSigma*approxMaxSigma))
+	if math.Abs(d.sigma-approxMaxSigma) > 1e-12 || !d.approx {
+		t.Fatalf("sigma %v approx %v, want %v and true", d.sigma, d.approx, approxMaxSigma)
+	}
+	return d
+}
+
+// TestLognormalApproxBound: Approx stays within a tenth of
+// LognormalApproxErr of Exact, over 10⁷ pairs from four seeds and over
+// the edge pairs of each branch-free step (the smallest s, s one ulp below
+// 1, s on both sides of the √2/2 mantissa split, u = ±√s and |u| = 2⁻⁵²),
+// at the paper's device variance, at another mean, and at the widest sigma
+// Approx accepts. The fault model's device pick counts on the bound.
+func TestLognormalApproxBound(t *testing.T) {
+	perSeed := 2_500_000
+	if testing.Short() {
+		perSeed = 100_000
+	}
+	dists := []Lognormal{NewLognormal(1, 0.25), NewLognormal(13, 13.0/4), approxSigmaMax(t)}
+	worst := make([]float64, len(dists))
+	const batch = 144
+	us, ss := make([]float64, batch), make([]float64, batch)
+	approx := make([]float64, batch)
+	check := func(us, ss []float64) {
+		for di, d := range dists {
+			if !d.Approx(approx[:len(us)], us, ss) {
+				t.Fatalf("%+v: Approx reported false", d)
+			}
+			for i := range us {
+				exact := d.Exact(us[i], ss[i])
+				if rel := math.Abs(approx[i]-exact) / exact; !(rel <= worst[di]) {
+					worst[di] = rel
+					if !(rel <= LognormalApproxErr/10) {
+						t.Fatalf("%+v pair (%v, %v): Approx %v, Exact %v, relative error %g above %g",
+							d, us[i], ss[i], approx[i], exact, rel, LognormalApproxErr/10)
+					}
+				}
+			}
+		}
+	}
+	for _, seed := range []uint64{1, 7, 2016, 0xdeadbeef} {
+		rng := NewRNG(seed)
+		for n := 0; n < perSeed; n += batch {
+			for i := range us {
+				us[i], ss[i] = rng.PolarPair()
+			}
+			check(us, ss)
+		}
+	}
+
+	var eus, ess []float64
+	edge := func(s float64) {
+		for _, u := range []float64{math.Sqrt(s), -math.Sqrt(s), 0x1p-52, -0x1p-52, 0} {
+			if u*u <= s {
+				eus, ess = append(eus, u), append(ess, s)
+			}
+		}
+	}
+	edge(0x1p-104)
+	edge(math.Nextafter(1, 0))
+	for k := uint64(0); k <= 104; k += 13 {
+		split := math.Float64frombits(sqrtHalfBits - k<<52)
+		edge(split)
+		edge(math.Nextafter(split, 0))
+		edge(math.Nextafter(split, 1))
+	}
+	check(eus, ess)
+	for di, d := range dists {
+		t.Logf("sigma %.4f mu %.4f: worst relative error %.3g (bound %g)", d.sigma, d.mu, worst[di], LognormalApproxErr)
 	}
 }
 
