@@ -438,6 +438,12 @@ func runPoints(o *options, args []string, sweep bool) int {
 	begun := 0 // points whose run began; the manifest records their scenarios
 	for i, p := range points {
 		done0, fail0, camp0 := mon.DoneTrials(), len(failures), len(r.campaigns)
+		// A sweep point's manifest opens before the point runs, so its wall
+		// and CPU time are the point's own.
+		var pm *harness.Manifest
+		if sweep {
+			pm = harness.NewManifest()
+		}
 		if ctx.Err() != nil {
 			interrupted = true
 		} else {
@@ -459,7 +465,6 @@ func runPoints(o *options, args []string, sweep bool) int {
 			}
 		}
 		if sweep {
-			pm := harness.NewManifest()
 			pm.Experiments = []string{p.name}
 			pm.Scale = o.scale
 			pm.Seed = *p.sc.Seed // every sweep point runs a scenario

@@ -45,14 +45,7 @@ func TestRunSeedRecorded(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%v: exit %d\n%s", tc.args, code, stderr)
 		}
-		data, err := os.ReadFile(man)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m harness.Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
+		m := readManifest(t, man)
 		if want := harness.Fingerprint("relaxfault-cli", "quick", tc.seed, []string{tc.name}); m.Seed != tc.seed || m.Fingerprint != want {
 			t.Errorf("%v: manifest seed %d, fingerprint %s; want %d, %s", tc.args, m.Seed, m.Fingerprint, tc.seed, want)
 		}
@@ -60,6 +53,54 @@ func TestRunSeedRecorded(t *testing.T) {
 			t.Errorf("%v: run_start event seed %d, want %d", tc.args, got, tc.seed)
 		}
 	}
+}
+
+// TestSweepPointManifestsTimeTheirPoint runs a two-point sweep and checks
+// each point's manifest against the run's. A point's manifest opens before
+// its point runs, so its wall and CPU time are the point's own: positive
+// and within the run's. Together the points take at least half the run's
+// wall time, no more than its CPU time, and all of its trials.
+func TestSweepPointManifestsTimeTheirPoint(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "sweep.json")
+	_, stderr, code := runBin(t, "sweep", "-scenario", filepath.Join("..", "..", "examples", "hopper-ppr-budget.json"),
+		"-set", "fault.fit_scale=1,10", "-progress", "0", "-metrics", man)
+	if code != 0 {
+		t.Fatalf("sweep exit %d\n%s", code, stderr)
+	}
+	run := readManifest(t, man)
+	var wall, cpu float64
+	var trials int64
+	for i := range 2 {
+		pm := readManifest(t, sweepManifestPath(man, i))
+		if pm.WallSeconds <= 0 || pm.WallSeconds > run.WallSeconds || pm.CPUSeconds <= 0 || pm.CPUSeconds > run.CPUSeconds {
+			t.Errorf("point %d: %.6f s wall, %.6f s CPU; want each positive and at most the run's %.6f s, %.6f s",
+				i, pm.WallSeconds, pm.CPUSeconds, run.WallSeconds, run.CPUSeconds)
+		}
+		wall, cpu, trials = wall+pm.WallSeconds, cpu+pm.CPUSeconds, trials+pm.TrialsDone
+	}
+	if wall < run.WallSeconds/2 {
+		t.Errorf("the points' wall time sums to %.6f s, under half the run's %.6f s", wall, run.WallSeconds)
+	}
+	if cpu > run.CPUSeconds+0.010 {
+		t.Errorf("the points' CPU time sums to %.6f s, over the run's %.6f s", cpu, run.CPUSeconds)
+	}
+	if trials != run.TrialsDone {
+		t.Errorf("the points ran %d trials, the run %d", trials, run.TrialsDone)
+	}
+}
+
+// readManifest decodes the manifest at path.
+func readManifest(t *testing.T, path string) harness.Manifest {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m harness.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestResolveRecordsEachScenarioOnce pins the manifest's scenario records

@@ -140,7 +140,8 @@ func TestPlannerControllerDifferential(t *testing.T) {
 // TestPlannerControllerPinnedCases pins nodes where a plan of the whole
 // fault history differs from arrival-order repair: PlanNodeInto charges each
 // fault only the lines no earlier fault enumerated, whether or not that
-// earlier fault was repaired, so its per-fault view is not a repair
+// earlier fault was repaired, so a fault's charge (the TotalLines of the
+// history up to it less that of the history before it) is not a repair
 // decision. The controller and TryRepair agree on every one (diffNode).
 // Coordinates: fault.DefaultConfig with rates x10, SampleNodeBiased at
 // boost 16, substream n of stats.NewRNG(11).Forker(); fault indices are
@@ -193,7 +194,7 @@ func TestPlannerControllerPinnedCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := repair.PlanInto(p, nil, perm[:tc.pinned+1]).PerFault[tc.pinned].Lines; got != tc.planLines {
+			if got := repair.PlanInto(p, nil, perm[:tc.pinned+1]).TotalLines - repair.PlanInto(p, nil, perm[:tc.pinned]).TotalLines; got != tc.planLines {
 				t.Errorf("PlanInto charges fault %d %d lines, want %d", tc.pinned, got, tc.planLines)
 			}
 		})

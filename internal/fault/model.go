@@ -667,7 +667,7 @@ func (m *Model) sampleExtents(rng *stats.RNG, f *Fault, ext []Extent, rowBuf *[]
 		if rng.Bool(sp.ColFullSubarrayFrac) {
 			rows = RowRange(base, top)
 		} else {
-			k := 2 + rng.Intn(maxi(sp.ColFewRowsMax-1, 1))
+			k := 2 + rng.Intn(max(sp.ColFewRowsMax-1, 1))
 			picks := (*rowBuf)[:0]
 			for j := 0; j < k; j++ {
 				picks = append(picks, base+rng.Intn(top-base+1))
@@ -685,7 +685,7 @@ func (m *Model) sampleExtents(rng *stats.RNG, f *Fault, ext []Extent, rowBuf *[]
 		f.Extents = append(ext, m.sampleBankExtent(rng, bank, bank, rowBuf))
 
 	case MultiBank:
-		nb := 2 + rng.Intn(maxi(g.Banks-1, 1))
+		nb := 2 + rng.Intn(max(g.Banks-1, 1))
 		if nb > g.Banks {
 			nb = g.Banks
 		}
@@ -725,7 +725,7 @@ func (m *Model) sampleBankExtent(rng *stats.RNG, bankLo, bankHi int, rowBuf *[]i
 			ColLo: 0, ColHi: g.Columns - 1,
 		}
 	case rng.Bool(sp.BankRowClusterFrac):
-		maxRows := maxi(sp.BankClusterMaxRows, 2)
+		maxRows := max(sp.BankClusterMaxRows, 2)
 		k := int(math.Round(logUniform(rng, 2, float64(maxRows))))
 		if k > g.Rows {
 			k = g.Rows
@@ -741,10 +741,10 @@ func (m *Model) sampleBankExtent(rng *stats.RNG, bankLo, bankHi int, rowBuf *[]i
 			ColLo: 0, ColHi: g.Columns - 1,
 		}
 	default:
-		width := 2 + rng.Intn(maxi(sp.BankColClusterMaxCols-1, 1))
-		colLo := rng.Intn(maxi(g.Columns-width, 1))
-		nSubTotal := maxi(g.Rows/dram.SubarrayRows, 1)
-		span := 1 + rng.Intn(maxi(sp.BankColClusterMaxSubarrays, 1))
+		width := 2 + rng.Intn(max(sp.BankColClusterMaxCols-1, 1))
+		colLo := rng.Intn(max(g.Columns-width, 1))
+		nSubTotal := max(g.Rows/dram.SubarrayRows, 1)
+		span := 1 + rng.Intn(max(sp.BankColClusterMaxSubarrays, 1))
 		if span > nSubTotal {
 			span = nSubTotal
 		}
@@ -759,11 +759,4 @@ func (m *Model) sampleBankExtent(rng *stats.RNG, bankLo, bankHi int, rowBuf *[]i
 			ColLo: colLo, ColHi: colLo + width - 1,
 		}
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

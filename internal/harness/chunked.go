@@ -62,9 +62,6 @@ type Chunked[P any] struct {
 	// under Section.
 	Exec
 	Section Section
-	// Expect announces the trials left to compute to Mon. Campaigns whose
-	// chunk space is only a worst-case cap (coverage studies) leave it off.
-	Expect bool
 
 	// Decode adopts a checkpointed chunk covering [lo, hi); false
 	// recomputes it. It may account the adopted chunk (counters).
@@ -80,7 +77,9 @@ type Chunked[P any] struct {
 	Fold func(ci int, p P) (stop bool)
 	// Enough, if set, sees every completed chunk in completion order and
 	// reports once those chunks alone prove the cutoff is no later than the
-	// highest of them; claims past that bound are refused.
+	// highest of them; claims past that bound are refused. It is set where
+	// the chunk space is only a worst-case cap (coverage studies), so Run
+	// announces the trials left to compute to Mon exactly when it is nil.
 	Enough func(p P) bool
 }
 
@@ -159,7 +158,7 @@ func (c *Chunked[P]) Run(ctx context.Context) error {
 			expect += int64(hi - lo)
 		}
 	}
-	if c.Expect {
+	if c.Enough == nil {
 		c.Mon.Expect(expect)
 	}
 

@@ -63,8 +63,10 @@ type Manifest struct {
 	Start       time.Time `json:"start"`
 	End         time.Time `json:"end"`
 	WallSeconds float64   `json:"wall_seconds"`
-	// CPUSeconds is user+system process CPU time (0 where unsupported).
+	// CPUSeconds is the user+system CPU time the process spent between
+	// NewManifest and Finish (0 where unsupported).
 	CPUSeconds float64 `json:"cpu_seconds"`
+	cpu0       float64 // process CPU seconds at NewManifest
 
 	TrialsDone int64 `json:"trials_done"`
 
@@ -110,8 +112,9 @@ type CampaignRecord struct {
 }
 
 // NewManifest starts a manifest for the current process: schema, build
-// version, platform, and command line are filled in; the caller sets the
-// run-specific fields and calls Finish before writing.
+// version, platform, and command line are filled in, and the wall and CPU
+// clocks start; the caller sets the run-specific fields and calls Finish
+// before writing.
 func NewManifest() *Manifest {
 	return &Manifest{
 		Schema:    ManifestSchema,
@@ -121,15 +124,16 @@ func NewManifest() *Manifest {
 		Arch:      runtime.GOARCH,
 		Command:   append([]string(nil), os.Args...),
 		Start:     time.Now().UTC(),
+		cpu0:      processCPUSeconds(),
 	}
 }
 
-// Finish stamps the end time, wall clock, CPU time, and the metrics
-// snapshot from the default registry.
+// Finish stamps the end time, the wall and CPU time since NewManifest, and
+// the metrics snapshot from the default registry.
 func (m *Manifest) Finish() {
 	m.End = time.Now().UTC()
 	m.WallSeconds = m.End.Sub(m.Start).Seconds()
-	m.CPUSeconds = processCPUSeconds()
+	m.CPUSeconds = processCPUSeconds() - m.cpu0
 	m.Metrics = obs.Default().Snapshot()
 }
 

@@ -231,13 +231,13 @@ func (c *Channel) schedule(r *Request, nowTck int64) {
 	var casAt int64
 	switch {
 	case b.openRow == r.Loc.Row:
-		casAt = maxi64(nowTck, b.casReady)
+		casAt = max(nowTck, b.casReady)
 		c.RowHits++
 		b.rowHits++
 	case b.openRow >= 0:
 		// Precharge after tRAS from the activate and after the last data
 		// burst drains (+ write recovery), then activate, then CAS.
-		preAt := maxi64(nowTck, maxi64(b.lastAct+t.TRAS, maxi64(b.busyUntil, b.lastDataEnd+t.TRTP)))
+		preAt := max(nowTck, b.lastAct+t.TRAS, b.busyUntil, b.lastDataEnd+t.TRTP)
 		actAt := preAt + t.TRP
 		casAt = actAt + t.TRCD
 		c.Ops.Precharges++
@@ -248,7 +248,7 @@ func (c *Channel) schedule(r *Request, nowTck int64) {
 		c.RowMisses++
 		b.rowConflicts++
 	default:
-		actAt := maxi64(nowTck, b.busyUntil)
+		actAt := max(nowTck, b.busyUntil)
 		casAt = actAt + t.TRCD
 		c.Ops.Activates++
 		b.lastAct = actAt
@@ -262,19 +262,19 @@ func (c *Channel) schedule(r *Request, nowTck int64) {
 		// DDR4-style column-command separation: tCCD_L within the bank
 		// group, tCCD_S across groups of the same rank.
 		group = r.Loc.Bank / c.banksPerGroup
-		casAt = maxi64(casAt, c.lastCASRank[r.Loc.Rank]+t.TCCDS)
-		casAt = maxi64(casAt, c.lastCASGroup[r.Loc.Rank][group]+t.TCCDL)
+		casAt = max(casAt, c.lastCASRank[r.Loc.Rank]+t.TCCDS)
+		casAt = max(casAt, c.lastCASGroup[r.Loc.Rank][group]+t.TCCDL)
 	}
 	// Serialise the data bus.
 	lat := t.TCL
 	if r.Write {
 		lat = t.TCWL
 	}
-	dataStart := maxi64(casAt+lat, c.busFree)
+	dataStart := max(casAt+lat, c.busFree)
 	c.busFree = dataStart + t.TBurst
 	// Same-bank commands stay within one group, so their separation is the
 	// long tCCD (equal to the short one on ungrouped technologies).
-	b.casReady = maxi64(dataStart-lat+t.TCCDL, casAt+t.TCCDL)
+	b.casReady = max(dataStart-lat+t.TCCDL, casAt+t.TCCDL)
 	if c.banksPerGroup > 0 {
 		cas := dataStart - lat // effective CAS issue after bus slotting
 		c.lastCASRank[r.Loc.Rank] = cas
@@ -289,11 +289,4 @@ func (c *Channel) schedule(r *Request, nowTck int64) {
 	}
 	r.DoneAt = (dataStart + t.TBurst) * t.CPUPerMC
 	r.Scheduled = true
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -300,30 +300,3 @@ func SpeedupOf(shared *Result, aloneIPC []float64) float64 {
 	}
 	return ws
 }
-
-// WeightedSpeedup runs a workload's threads alone and together under a
-// repair-capacity configuration and evaluates Equation (2) (SpeedupOf).
-//
-// aloneIPC may be supplied (from a previous call) to avoid recomputing the
-// baselines; pass nil to compute them here. Every run goes on one Machine.
-func WeightedSpeedup(cfg SystemConfig, threads []trace.ThreadParams, aloneIPC []float64) (ws float64, alone []float64, shared *Result, err error) {
-	var m Machine
-	if aloneIPC == nil {
-		aloneIPC = make([]float64, len(threads))
-		for i := range threads {
-			soloCfg := cfg
-			soloCfg.LockWays = 0
-			soloCfg.LockBytes = 0
-			res, err := m.Run(soloCfg, []trace.ThreadParams{threads[i]})
-			if err != nil {
-				return 0, nil, nil, err
-			}
-			aloneIPC[i] = res.Cores[0].IPC
-		}
-	}
-	shared, err = m.Run(cfg, threads)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return SpeedupOf(shared, aloneIPC), aloneIPC, shared, nil
-}

@@ -146,75 +146,57 @@ func (s *StatsConfig) validate() error {
 	return nil
 }
 
-// estimator is the trial-sampling strategy: it draws one node's fault
-// history and reports the importance weight that makes the weighted trial
-// an unbiased estimate under the physical process. Implementations must be
-// deterministic functions of (rng stream, node) so that replay, checkpoint
-// resume, and the scheduling differential all reproduce identical bytes.
-type estimator interface {
-	sampleNode(rng *stats.RNG, sc *fault.SampleScratch, node int) (fault.NodeFaults, float64)
-}
-
-// naiveEstimator samples the physical process with weight 1.
-type naiveEstimator struct{ model *fault.Model }
-
-func (e naiveEstimator) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, _ int) (fault.NodeFaults, float64) {
-	return e.model.SampleNodeScratch(rng, sc), 1
-}
-
-// importanceEstimator boosts the fault-arrival counts and reweights by
-// the Poisson likelihood ratio.
-type importanceEstimator struct {
-	model *fault.Model
-	boost float64
-}
-
-func (e importanceEstimator) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, _ int) (fault.NodeFaults, float64) {
-	nf, logLR := e.model.SampleNodeBiased(rng, sc, e.boost)
-	return nf, math.Exp(logLR)
-}
-
-// stratifiedEstimator allocates trials round-robin over the nonzero
-// first-arrival strata; the sampler's raw weight already includes the
-// stratum probability and the ≥1-fault conditioning, so the only caller
-// factor is the rotation count.
-type stratifiedEstimator struct {
+// sampler draws one node's fault history through the configured estimator
+// and reports the importance weight that makes the weighted trial an
+// unbiased estimate under the physical process. Naive sampling (no boost,
+// no strata) draws the physical process with weight 1; importance sampling
+// boosts the fault-arrival counts and reweights by the Poisson likelihood
+// ratio; stratified sampling allocates trials round-robin over the nonzero
+// first-arrival strata, whose raw weight already includes the stratum
+// probability and the ≥1-fault conditioning, so the only factor added here
+// is the rotation count. Every draw is a deterministic function of (rng
+// stream, node), so replay, checkpoint resume and the scheduling
+// differential all reproduce identical bytes.
+type sampler struct {
 	model  *fault.Model
-	strata []int
+	boost  float64 // importance sampling's arrival-count boost, or 0
+	strata []int   // stratified sampling's rotation, or nil
 }
 
-func (e stratifiedEstimator) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, node int) (fault.NodeFaults, float64) {
-	s := e.strata[node%len(e.strata)]
-	nf, w := e.model.SampleNodeStratified(rng, sc, s)
-	return nf, w * float64(len(e.strata))
-}
-
-func newStratifiedEstimator(model *fault.Model) (*stratifiedEstimator, error) {
-	var strata []int
-	for s := 0; s < model.NumStrata(); s++ {
-		if model.StratumProb(s) > 0 {
-			strata = append(strata, s)
-		}
+func (e *sampler) sampleNode(rng *stats.RNG, sc *fault.SampleScratch, node int) (fault.NodeFaults, float64) {
+	switch {
+	case e.strata != nil:
+		nf, w := e.model.SampleNodeStratified(rng, sc, e.strata[node%len(e.strata)])
+		return nf, w * float64(len(e.strata))
+	case e.boost > 0:
+		nf, logLR := e.model.SampleNodeBiased(rng, sc, e.boost)
+		return nf, math.Exp(logLR)
+	default:
+		return e.model.SampleNodeScratch(rng, sc), 1
 	}
-	if len(strata) == 0 {
-		return nil, fmt.Errorf("relsim: stratified estimator: no fault class has positive rate")
-	}
-	return &stratifiedEstimator{model: model, strata: strata}, nil
 }
 
-// newEstimator builds the configured estimator; an inactive block selects
-// the naive one, whose trials are the original pipeline's.
-func (s *StatsConfig) newEstimator(model *fault.Model) (estimator, error) {
+// newSampler builds the configured estimator's sampler; an inactive block
+// selects naive sampling, whose trials are the original pipeline's.
+func (s *StatsConfig) newSampler(model *fault.Model) (sampler, error) {
+	e := sampler{model: model}
 	switch s.estimatorName() {
 	case EstimatorNaive:
-		return naiveEstimator{model: model}, nil
 	case EstimatorImportance:
-		return importanceEstimator{model: model, boost: s.boost()}, nil
+		e.boost = s.boost()
 	case EstimatorStratified:
-		return newStratifiedEstimator(model)
+		for st := 0; st < model.NumStrata(); st++ {
+			if model.StratumProb(st) > 0 {
+				e.strata = append(e.strata, st)
+			}
+		}
+		if len(e.strata) == 0 {
+			return e, fmt.Errorf("relsim: stratified estimator: no fault class has positive rate")
+		}
 	default:
-		return nil, fmt.Errorf("relsim: unknown estimator %q", s.Estimator)
+		return e, fmt.Errorf("relsim: unknown estimator %q", s.Estimator)
 	}
+	return e, nil
 }
 
 // estTally is the per-chunk estimator state: Welford accumulators over the

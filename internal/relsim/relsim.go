@@ -281,7 +281,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	var cum estTally
 	stopped := false
 	run := harness.Chunked[*runPayload]{
-		Exec: cfg.Exec, Section: cfg.Section(), Expect: true, Kernel: kernel,
+		Exec: cfg.Exec, Section: cfg.Section(), Kernel: kernel,
 		Decode: func(lo, hi int, raw json.RawMessage) (*runPayload, bool) {
 			// Estimator runs need the tally: it is part of the stopping state.
 			var p runPayload
@@ -403,7 +403,7 @@ func (s *nodeSim) runTrial(node int, res *runPayload) {
 // sampleAndSimulate runs one trial through the configured estimator,
 // returning the trial's importance weight.
 func (s *nodeSim) sampleAndSimulate(rng *stats.RNG, node int, res *Result) float64 {
-	nf, w := s.est.sampleNode(rng, &s.sampleSc, node)
+	nf, w := s.sampler.sampleNode(rng, &s.sampleSc, node)
 	s.simulate(nf, res)
 	return w
 }
@@ -445,11 +445,11 @@ type liveFault struct {
 // worker; every buffer below is reused across trials so the per-trial
 // allocation count stays flat no matter how many nodes a campaign samples.
 type nodeSim struct {
-	model *fault.Model
-	cfg   Config
-	state repair.NodeState // reused across trials (Reset per node)
-	est   estimator        // the configured sampling strategy
-	fk    stats.Forker     // the root seed's per-trial substreams
+	model   *fault.Model
+	cfg     Config
+	state   repair.NodeState // reused across trials (Reset per node)
+	sampler sampler          // the configured estimator's draws
+	fk      stats.Forker     // the root seed's per-trial substreams
 
 	sampleSc fault.SampleScratch
 	// trialRNG is the per-trial substream (seeded in place per trial) and
@@ -470,8 +470,8 @@ type nodeSim struct {
 }
 
 func newNodeSim(model *fault.Model, cfg Config) (*nodeSim, error) {
-	est, err := cfg.Stats.newEstimator(model)
-	return &nodeSim{model: model, cfg: cfg, est: est, fk: stats.NewRNG(cfg.Seed).Forker()}, err
+	smp, err := cfg.Stats.newSampler(model)
+	return &nodeSim{model: model, cfg: cfg, sampler: smp, fk: stats.NewRNG(cfg.Seed).Forker()}, err
 }
 
 // simulate runs one node's sampled fault history through the repair and

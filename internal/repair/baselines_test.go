@@ -83,13 +83,7 @@ func TestPageRetirementIncrementalMatchesBatch(t *testing.T) {
 			continue
 		}
 		tested++
-		plan := PlanInto(pr, nil, perm) // retires pages in arrival order
-		st := pr.NewState()
-		for i, f := range perm {
-			if got, batch := pr.TryRepair(st, f, 1), plan.PerFault[i].Mappable; got != batch {
-				t.Fatalf("fault %d (%v): incremental %v batch %v", i, f.Mode, got, batch)
-			}
-		}
+		checkGreedy(t, pr, 1, perm) // PlanNodeInto retires pages in arrival order
 	}
 }
 
@@ -162,7 +156,7 @@ func TestAblationNoCoalescing(t *testing.T) {
 	if pa.TotalLines != 16*pf.TotalLines {
 		t.Errorf("ablated footprint %d, want 16x %d", pa.TotalLines, pf.TotalLines)
 	}
-	if pa.Engine == pf.Engine {
+	if ab.Name() == full.Name() {
 		t.Error("ablated planner should carry a distinct name")
 	}
 }

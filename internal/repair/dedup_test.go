@@ -95,20 +95,35 @@ func (r refNode) repairs(wayCap int) []bool {
 	return out
 }
 
-// checkDedup compares p's PlanNodeInto (per-fault Lines and Mappable,
-// TotalLines, MaxWaysPerSet) and its TryRepair decisions at way caps 1, 2,
-// 4 and 16 on faults against the reference.
+// charges returns the lines PlanNodeInto charges each fault: the
+// TotalLines of the faults up to it less that of the faults before it.
+func charges(p Planner, faults []*fault.Fault) []int64 {
+	out := make([]int64, len(faults))
+	var plan Plan
+	prev := int64(0)
+	for i := range faults {
+		p.PlanNodeInto(&plan, faults[:i+1])
+		out[i], prev = plan.TotalLines-prev, plan.TotalLines
+	}
+	return out
+}
+
+// checkDedup compares p's PlanNodeInto (each fault's charge, each fault's
+// own one-fault AllMappable, TotalLines, MaxWaysPerSet) and its TryRepair
+// decisions at way caps 1, 2, 4 and 16 on faults against the reference.
 func checkDedup(t *testing.T, label string, p *LLCPlanner, faults []*fault.Fault) {
 	t.Helper()
 	ref := newRefNode(p, faults)
 	lines, total, maxWays := ref.plan()
-	plan := PlanInto(p, nil, faults)
-	for i, fp := range plan.PerFault {
-		if fp.Lines != lines[i] || fp.Mappable != ref.mappable[i] {
+	var one Plan
+	for i, charge := range charges(p, faults) {
+		p.PlanNodeInto(&one, faults[i:i+1])
+		if charge != lines[i] || one.AllMappable != ref.mappable[i] {
 			t.Errorf("%s %s fault %d (%v %+v): plan charges %d lines, mappable %v; reference %d, %v",
-				label, p.Name(), i, faults[i].Mode, faults[i].Dev, fp.Lines, fp.Mappable, lines[i], ref.mappable[i])
+				label, p.Name(), i, faults[i].Mode, faults[i].Dev, charge, one.AllMappable, lines[i], ref.mappable[i])
 		}
 	}
+	plan := PlanInto(p, nil, faults)
 	if plan.TotalLines != total || plan.MaxWaysPerSet != maxWays {
 		t.Errorf("%s %s: plan has %d lines pressing %d ways; reference %d lines, %d ways",
 			label, p.Name(), plan.TotalLines, plan.MaxWaysPerSet, total, maxWays)
@@ -127,7 +142,7 @@ func checkDedup(t *testing.T, label string, p *LLCPlanner, faults []*fault.Fault
 }
 
 // TestDedupAcrossFaults pins hand-built nodes where lines do or do not
-// coincide: PlanNodeInto's per-fault charge and, where a cap is given, the
+// coincide: each fault's charge and, where a cap is given, the
 // TryRepair decisions, each also checked against the reference.
 func TestDedupAcrossFaults(t *testing.T) {
 	m := mapper(t)
@@ -153,7 +168,7 @@ func TestDedupAcrossFaults(t *testing.T) {
 		name   string
 		p      *LLCPlanner
 		faults []*fault.Fault
-		lines  []int64 // PlanNodeInto's per-fault charge
+		lines  []int64 // each fault's charge (see charges)
 		wayCap int     // 0: no TryRepair expectation
 		accept []bool
 	}{
@@ -196,10 +211,9 @@ func TestDedupAcrossFaults(t *testing.T) {
 		}, []int64{512, 0, 0}, 1, []bool{false, true, false}},
 	} {
 		t.Run(tc.p.Name()+"/"+tc.name, func(t *testing.T) {
-			plan := PlanInto(tc.p, nil, tc.faults)
-			for i, fp := range plan.PerFault {
-				if fp.Lines != tc.lines[i] {
-					t.Errorf("fault %d charged %d lines, want %d", i, fp.Lines, tc.lines[i])
+			for i, got := range charges(tc.p, tc.faults) {
+				if got != tc.lines[i] {
+					t.Errorf("fault %d charged %d lines, want %d", i, got, tc.lines[i])
 				}
 			}
 			if tc.wayCap > 0 {

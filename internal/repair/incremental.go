@@ -6,8 +6,9 @@ import "relaxfault/internal/fault"
 // Planner.NewState and thread it through TryRepair calls in fault arrival
 // order. For RelaxFault and FreeFault the decisions match core.Controller's
 // functional repair (the planner-vs-controller differential in
-// internal/core); for PPR and page retirement they match PlanNodeInto's
-// per-fault Mappable, which is arrival-order greedy too.
+// internal/core); for PPR and page retirement, which PlanNodeInto runs
+// greedily in arrival order too, a fault is accepted exactly when the plan
+// of the faults accepted so far plus that fault is AllMappable.
 type NodeState interface {
 	// Reset clears the state (used when a DIMM replacement removes
 	// faults; callers then replay the surviving faults).
@@ -90,6 +91,5 @@ func (p *pprPlanner) NewState() NodeState {
 
 // TryRepair implements Planner for PPR.
 func (p *pprPlanner) TryRepair(st NodeState, f *fault.Fault, _ int) bool {
-	_, ok := p.fuse(st.(*pprState), f)
-	return ok
+	return p.fuse(st.(*pprState), f)
 }

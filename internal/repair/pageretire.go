@@ -69,13 +69,12 @@ func (p *pageRetirePlanner) linesPerPage() int64 { return p.pageBytes / 64 }
 // structure with Bytes meaning lost DRAM capacity; MaxWaysPerSet stays zero
 // because way pressure does not apply.
 func (p *pageRetirePlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
-	plan.reset(p.Name(), len(faults), false)
+	plan.reset(false)
 	s := &plan.retired
 	s.Reset()
-	for i, f := range faults {
+	for _, f := range faults {
 		pages, ok := p.retire(s, f)
-		plan.PerFault[i] = FaultPlan{Mappable: ok, Lines: pages}
-		plan.AllMappable = plan.AllMappable && ok
+		plan.AllMappable = ok && plan.AllMappable
 		plan.TotalLines += pages
 	}
 	plan.Bytes = s.loss
@@ -170,10 +169,7 @@ func (p *mirrorPlanner) Name() string { return "Mirroring" }
 // PlanNodeInto: everything repairs; Bytes reports the mirroring capacity
 // cost.
 func (p *mirrorPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
-	plan.reset(p.Name(), len(faults), false)
-	for i := range plan.PerFault {
-		plan.PerFault[i].Mappable = true
-	}
+	plan.reset(false)
 	plan.Bytes = int64(p.geo.NodeDataBytes() / 2)
 }
 

@@ -71,38 +71,34 @@ type pprGroupKey struct {
 // TryRepair does. A fault is mappable when every extent covers at most one
 // row per affected bank and the needed spares are still unused.
 func (p *pprPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
-	plan.reset(p.Name(), len(faults), false)
+	plan.reset(false)
 	s := &plan.spares
 	if s.used == nil {
 		*s = newPPRState()
 	}
 	s.Reset()
-	for i, f := range faults {
-		fp := &plan.PerFault[i]
-		fp.SpareRows, fp.Mappable = p.fuse(s, f)
-		plan.AllMappable = plan.AllMappable && fp.Mappable
+	for _, f := range faults {
+		plan.AllMappable = p.fuse(s, f) && plan.AllMappable
 	}
 }
 
 // fuse fuses the spare rows f needs into s when f is row-shaped and every
-// (device, bank group) it touches still has them, and returns how many it
-// fused; otherwise s is unchanged.
-func (p *pprPlanner) fuse(s *pprState, f *fault.Fault) (int, bool) {
+// (device, bank group) it touches still has them, and reports whether it
+// did; otherwise s is unchanged.
+func (p *pprPlanner) fuse(s *pprState, f *fault.Fault) bool {
 	if !p.sparesNeeded(f, s.need) {
-		return 0, false
+		return false
 	}
 	// Check availability of every group before fusing any.
 	for key, n := range s.need {
 		if s.used[key]+n > p.sparesPerGroup {
-			return 0, false
+			return false
 		}
 	}
-	rows := 0
 	for key, n := range s.need {
 		s.used[key] += n
-		rows += n
 	}
-	return rows, true
+	return true
 }
 
 // sparesNeeded fills need with the spare rows per (device, bank group) the

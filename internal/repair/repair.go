@@ -12,9 +12,9 @@
 //     permanent once fused.
 //
 // Each planner turns a node's accumulated permanent faults into a Plan that
-// reports, per fault and jointly, how many LLC lines the repair needs and
-// how hard it presses on individual sets, which is what the paper's
-// "at most N ways in any set" repair-coverage metric queries.
+// reports how many LLC lines the joint repair needs and how hard it presses
+// on individual sets, which is what the paper's "at most N ways in any set"
+// repair-coverage metric queries.
 package repair
 
 import (
@@ -27,29 +27,17 @@ import (
 	"relaxfault/internal/fault"
 )
 
-// FaultPlan is the repair footprint of a single fault.
-type FaultPlan struct {
-	// Mappable is false for faults whose footprint exceeds the whole LLC
-	// (the "massive" faults) or, for PPR, faults that are not row-shaped.
-	Mappable bool
-	// Lines is the number of repair cachelines the fault needs (after
-	// dedup against lines the node already uses); 0 for PPR.
-	Lines int64
-	// SpareRows, for PPR, is the number of (device, bank-group) spare rows
-	// the fault consumes.
-	SpareRows int
-}
-
 // Plan is the joint repair footprint of all permanent faults on a node.
 type Plan struct {
-	Engine string
-	// PerFault follows the input fault order.
-	PerFault []FaultPlan
 	// AllMappable is true when every fault can be expressed by the engine
-	// at all (ignoring way limits).
+	// at all (ignoring way limits). A fault is not mappable when its
+	// footprint exceeds the whole LLC (the "massive" faults) or, for PPR,
+	// when it is not row-shaped or its spare rows are used up.
 	AllMappable bool
 	// TotalLines is the deduplicated number of repair lines for the whole
-	// node; Bytes is the LLC capacity those lines occupy.
+	// node: each fault adds the lines no earlier fault enumerated, so the
+	// total of a prefix of the faults less that of the prefix before it is
+	// that fault's charge. Bytes is the LLC capacity those lines occupy.
 	TotalLines int64
 	Bytes      int64
 	// MaxWaysPerSet is the largest number of repair lines mapped into any
@@ -110,11 +98,9 @@ func PlanInto(p Planner, plan *Plan, faults []*fault.Fault) *Plan {
 	return plan
 }
 
-// reset rewinds a reused Plan for n faults, keeping its PerFault backing.
-func (p *Plan) reset(engine string, n int, llc bool) {
-	perFault := slices.Grow(p.PerFault[:0], n)[:n]
-	clear(perFault)
-	*p = Plan{Engine: engine, PerFault: perFault, AllMappable: true, llcPlan: llc, placed: p.placed, spares: p.spares, retired: p.retired}
+// reset rewinds a reused Plan, keeping its planners' working state.
+func (p *Plan) reset(llc bool) {
+	*p = Plan{AllMappable: true, llcPlan: llc, placed: p.placed, spares: p.spares, retired: p.retired}
 }
 
 // setLoad counts lines per LLC set in a dense table, cleared through the
@@ -573,13 +559,12 @@ func uncovered(met []fault.Extent, bank, row, a, z int) (int, int) {
 // key includes the device, so lines shared between faults on the same
 // device dedup too).
 func (p *LLCPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
-	plan.reset(p.name, len(faults), true)
+	plan.reset(true)
 	d := &plan.placed
 	d.reset(1 << p.mapper.SetBits())
-	for i, f := range faults {
-		fp := &plan.PerFault[i]
-		fp.Mappable = p.walk(f, d, true, func(sets []int32) bool {
-			fp.Lines += int64(len(sets))
+	for _, f := range faults {
+		mappable := p.walk(f, d, true, func(sets []int32) bool {
+			plan.TotalLines += int64(len(sets))
 			d.load.reserve(len(sets))
 			ways := plan.MaxWaysPerSet
 			for _, set := range sets {
@@ -588,11 +573,10 @@ func (p *LLCPlanner) PlanNodeInto(plan *Plan, faults []*fault.Fault) {
 			plan.MaxWaysPerSet = ways
 			return true
 		})
-		if fp.Mappable {
+		if mappable {
 			d.faults = append(d.faults, f)
 		}
-		plan.AllMappable = plan.AllMappable && fp.Mappable
-		plan.TotalLines += fp.Lines
+		plan.AllMappable = mappable && plan.AllMappable
 	}
 	plan.Bytes = plan.TotalLines * int64(p.mapper.Geometry().LineBytes)
 }

@@ -227,12 +227,17 @@ func TestPPRSemantics(t *testing.T) {
 	}
 	// Spare exhaustion: two row faults in the same bank group (banks 0 and
 	// 1 share a group with 8 banks / 4 groups).
-	plan = PlanInto(ppr, nil, []*fault.Fault{rowFault(d, 0, 1), rowFault(d, 1, 2)})
+	pair := []*fault.Fault{rowFault(d, 0, 1), rowFault(d, 1, 2)}
+	plan = PlanInto(ppr, nil, pair)
 	if plan.AllMappable {
 		t.Error("PPR should exhaust the bank group's single spare")
 	}
-	if !plan.PerFault[0].Mappable || plan.PerFault[1].Mappable {
-		t.Error("PPR should repair first-come fault only")
+	// Either fault alone fits, so the first-come one is repaired and the
+	// second is refused for want of a spare.
+	for i, f := range pair {
+		if !PlanInto(ppr, nil, []*fault.Fault{f}).AllMappable {
+			t.Errorf("PPR should repair row fault %d on its own", i)
+		}
 	}
 	// Different groups have their own spares.
 	plan = PlanInto(ppr, nil, []*fault.Fault{rowFault(d, 0, 1), rowFault(d, 2, 2)})
@@ -256,11 +261,11 @@ func TestPPRSemantics(t *testing.T) {
 
 // TestIncrementalMatchesBatchGreedy: TryRepair in arrival order must agree
 // with batch planning on random fault sets — the equivalence the
-// reliability simulator relies on. For RelaxFault and FreeFault the batch
-// reference repairs a fault when PlanNodeInto of the faults repaired so far
-// plus that fault fits the way limit (core's planner-vs-controller
-// differential checks both against functional repair); for PPR it is
-// PlanNodeInto's per-fault Mappable, which allocates spares in arrival order.
+// reliability simulator relies on. The batch reference repairs a fault when
+// PlanNodeInto of the faults repaired so far plus that fault fits the way
+// limit (core's planner-vs-controller differential checks RelaxFault and
+// FreeFault against functional repair); PPR ignores the limit and
+// allocates spares in arrival order.
 func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 	m := mapper(t)
 	g := m.Geometry()
@@ -279,27 +284,27 @@ func TestIncrementalMatchesBatchGreedy(t *testing.T) {
 		tested++
 		for _, p := range []*LLCPlanner{must(NewRelaxFault(m, 16, RelaxFaultOptions{})), must(NewFreeFault(m, 16, true))} {
 			for _, way := range []int{1, 4, 16} {
-				st := p.NewState()
-				var repaired []*fault.Fault
-				for i, f := range perm {
-					batch := PlanInto(p, nil, append(repaired[:len(repaired):len(repaired)], f)).RepairableUnder(way)
-					if inc := p.TryRepair(st, f, way); inc != batch {
-						t.Fatalf("%s way %d fault %d (%v): incremental %v, batch %v",
-							p.Name(), way, i, f.Mode, inc, batch)
-					}
-					if batch {
-						repaired = append(repaired, f)
-					}
-				}
+				checkGreedy(t, p, way, perm)
 			}
 		}
-		ppr := must(NewPPR(g, 0, 0))
-		plan := PlanInto(ppr, nil, perm)
-		st := ppr.NewState()
-		for i, f := range perm {
-			if inc := ppr.TryRepair(st, f, 1); inc != plan.PerFault[i].Mappable {
-				t.Fatalf("PPR fault %d (%v): incremental %v, batch %v", i, f.Mode, inc, plan.PerFault[i].Mappable)
-			}
+		checkGreedy(t, must(NewPPR(g, 0, 0)), 1, perm)
+	}
+}
+
+// checkGreedy checks p's TryRepair in arrival order against batch planning:
+// a fault is repaired when PlanNodeInto of the faults repaired so far plus
+// that fault is repairable under the way limit.
+func checkGreedy(t *testing.T, p Planner, way int, faults []*fault.Fault) {
+	t.Helper()
+	st := p.NewState()
+	var repaired []*fault.Fault
+	for i, f := range faults {
+		batch := PlanInto(p, nil, append(repaired[:len(repaired):len(repaired)], f)).RepairableUnder(way)
+		if inc := p.TryRepair(st, f, way); inc != batch {
+			t.Fatalf("%s way %d fault %d (%v): incremental %v, batch %v", p.Name(), way, i, f.Mode, inc, batch)
+		}
+		if batch {
+			repaired = append(repaired, f)
 		}
 	}
 }
